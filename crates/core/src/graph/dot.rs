@@ -87,7 +87,7 @@ mod tests {
         let mut g = ProvGraph::new();
         let a = g.add_base("a");
         let p = g.add_plus(&[a]);
-        g.node_mut(p).deleted = true;
+        g.set_node_deleted(p, true);
         let dot = to_dot(&g, "t");
         assert!(!dot.contains("->"));
     }

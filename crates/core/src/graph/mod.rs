@@ -67,6 +67,11 @@ pub struct ProvGraph {
     stashes: Vec<ZoomStash>,
     /// Module names currently zoomed out → stash index.
     zoomed_modules: std::collections::HashMap<String, u32>,
+    /// Count of visible nodes. Every visibility flip goes through
+    /// [`ProvGraph::add_node`], [`ProvGraph::set_node_deleted`] or
+    /// `set_zoom_hidden` — the node flags are private to this module
+    /// tree — so the count cannot drift from the arena.
+    visible: usize,
 }
 
 impl ProvGraph {
@@ -85,9 +90,9 @@ impl ProvGraph {
         self.nodes.is_empty()
     }
 
-    /// Number of currently visible nodes.
+    /// Number of currently visible nodes (maintained, not counted).
     pub fn visible_count(&self) -> usize {
-        self.nodes.iter().filter(|n| n.is_visible()).count()
+        self.visible
     }
 
     /// Number of edges between visible nodes.
@@ -115,9 +120,28 @@ impl ProvGraph {
         &mut self.nodes[id.index()]
     }
 
-    /// Restore a tombstone flag (used by the storage loader).
+    /// Set or clear a node's tombstone (deletion propagation, ZoomIn
+    /// cleanup, the storage loaders).
     pub fn set_node_deleted(&mut self, id: NodeId, deleted: bool) {
-        self.nodes[id.index()].deleted = deleted;
+        self.flip(id, |n| n.deleted = deleted);
+    }
+
+    /// Hide a node behind a ZoomOut, or restore it on ZoomIn.
+    pub(crate) fn set_zoom_hidden(&mut self, id: NodeId, hidden: bool) {
+        self.flip(id, |n| n.zoom_hidden = hidden);
+    }
+
+    /// Apply a flag change and carry its effect on visibility into the
+    /// count (a tombstoned node that is also zoom-hidden flips nothing).
+    fn flip(&mut self, id: NodeId, change: impl FnOnce(&mut Node)) {
+        let node = &mut self.nodes[id.index()];
+        let was = node.is_visible();
+        change(node);
+        match (was, node.is_visible()) {
+            (true, false) => self.visible -= 1,
+            (false, true) => self.visible += 1,
+            _ => {}
+        }
     }
 
     /// Iterate over `(id, node)` for all allocated nodes.
@@ -209,6 +233,7 @@ impl ProvGraph {
     pub fn add_node(&mut self, kind: NodeKind, role: Role) -> NodeId {
         let id = NodeId(self.nodes.len() as u32);
         self.nodes.push(Node::new(kind, role));
+        self.visible += 1;
         id
     }
 
@@ -263,7 +288,7 @@ impl ProvGraph {
         for s in succs {
             self.nodes[s.index()].preds.retain(|p| *p != id);
         }
-        self.nodes[id.index()].deleted = true;
+        self.set_node_deleted(id, true);
     }
 
     // ----- expression extraction -----
@@ -569,7 +594,7 @@ mod tests {
         let p = g.add_plus(&[a, b]);
         assert_eq!(g.visible_count(), 3);
         assert_eq!(g.visible_edge_count(), 2);
-        g.node_mut(p).deleted = true;
+        g.set_node_deleted(p, true);
         assert_eq!(g.visible_count(), 2);
         assert_eq!(g.visible_edge_count(), 0);
     }

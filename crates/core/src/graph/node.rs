@@ -227,10 +227,12 @@ pub struct Node {
     pub role: Role,
     pub(crate) preds: Vec<NodeId>,
     pub(crate) succs: Vec<NodeId>,
-    /// Tombstone set by deletion propagation or ZoomIn cleanup.
-    pub(crate) deleted: bool,
+    /// Tombstone set by deletion propagation or ZoomIn cleanup. Like
+    /// `zoom_hidden`, written only by `ProvGraph`'s flip methods, which
+    /// keep the graph's visible count in step.
+    pub(in crate::graph) deleted: bool,
     /// Hidden by ZoomOut (restored by ZoomIn).
-    pub(crate) zoom_hidden: bool,
+    pub(in crate::graph) zoom_hidden: bool,
 }
 
 impl Node {
@@ -258,11 +260,6 @@ impl Node {
     /// Hidden by an active ZoomOut?
     pub fn is_zoom_hidden(&self) -> bool {
         self.zoom_hidden
-    }
-
-    /// Restore flags when loading a persisted graph.
-    pub fn set_deleted(&mut self, deleted: bool) {
-        self.deleted = deleted;
     }
 
     /// Ingredient nodes (may include hidden/deleted ids; filter against

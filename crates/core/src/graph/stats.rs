@@ -80,7 +80,7 @@ mod tests {
     fn stats_ignore_deleted() {
         let mut g = ProvGraph::new();
         let a = g.add_base("a");
-        g.node_mut(a).deleted = true;
+        g.set_node_deleted(a, true);
         assert_eq!(stats(&g).nodes, 0);
     }
 }

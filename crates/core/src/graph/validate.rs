@@ -119,8 +119,14 @@ pub fn check_intermediate_tags(graph: &ProvGraph) -> Result<(), String> {
 }
 
 /// Structural sanity: adjacency lists are symmetric and reference valid
-/// ids; no self-loops.
+/// ids; no self-loops; the maintained visible count matches the arena.
 pub fn check_structure(graph: &ProvGraph) -> Result<(), String> {
+    let (counted, swept) = (graph.visible_count(), graph.iter_visible().count());
+    if counted != swept {
+        return Err(format!(
+            "visible count {counted} but {swept} visible nodes in the arena"
+        ));
+    }
     for (id, node) in graph.iter() {
         for &p in node.preds() {
             if p.index() >= graph.len() {

@@ -34,7 +34,7 @@ pub fn propagate_deletion_inplace(
 ) -> Result<DeletionReport, QueryError> {
     let report = compute_deletion(graph, root)?;
     for &id in &report.deleted {
-        graph.node_mut(id).deleted = true;
+        graph.set_node_deleted(id, true);
     }
     Ok(report)
 }
@@ -219,7 +219,7 @@ mod tests {
     fn deleting_hidden_node_is_error() {
         let mut g = ProvGraph::new();
         let a = g.add_base("a");
-        g.node_mut(a).deleted = true;
+        g.set_node_deleted(a, true);
         assert!(matches!(
             compute_deletion(&g, a),
             Err(QueryError::NodeNotVisible(_))

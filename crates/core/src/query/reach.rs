@@ -349,7 +349,7 @@ mod tests {
         let a = g.add_base("a");
         let t = g.add_plus(&[a]);
         let u = g.add_plus(&[t]);
-        g.node_mut(t).zoom_hidden = true;
+        g.set_zoom_hidden(t, true);
         let idx = ReachIndex::build(&g);
         assert!(!idx.reaches(a, u), "only path goes through hidden node");
         assert!(idx.ancestors(u).is_empty(), "transpose agrees");

@@ -228,49 +228,24 @@ pub fn descendants_bounded(
     })
 }
 
-/// Breadth-first sweep over visible nodes in one direction.
-fn sweep(
-    graph: &ProvGraph,
-    root: NodeId,
-    visited: &mut BitSet,
-    next: impl Fn(&ProvGraph, NodeId) -> Vec<NodeId>,
-) -> Vec<NodeId> {
-    let mut out = Vec::new();
-    let mut local = BitSet::new(graph.len());
-    let mut queue = VecDeque::new();
-    queue.push_back(root);
-    local.insert(root.index());
-    while let Some(v) = queue.pop_front() {
-        for n in next(graph, v) {
-            if graph.node(n).is_visible() && local.insert(n.index()) {
-                out.push(n);
-                queue.push_back(n);
-            }
-        }
-    }
-    for id in &out {
-        visited.insert(id.index());
-    }
-    out
-}
-
 /// Run a subgraph query from `root`.
 pub fn subgraph(graph: &ProvGraph, root: NodeId) -> Result<SubgraphResult, QueryError> {
-    if !graph.node(root).is_visible() {
-        return Err(QueryError::NodeNotVisible(root));
-    }
+    let (ancestors, _) = traverse(graph, root, Direction::Ancestors, None, |_, _| true)?;
+    let (descendants, _) = traverse(graph, root, Direction::Descendants, None, |_, _| true)?;
     let mut members = BitSet::new(graph.len());
     members.insert(root.index());
-
-    let ancestors = sweep(graph, root, &mut members, |g, v| g.node(v).preds().to_vec());
-    let descendants = sweep(graph, root, &mut members, |g, v| g.node(v).succs().to_vec());
+    for id in ancestors.iter().chain(&descendants) {
+        members.insert(id.index());
+    }
 
     // Siblings of descendants: other successors of each descendant's
-    // predecessors. The root's own siblings are not included (the paper
-    // scopes siblings to descendants).
+    // visible predecessors, each parent expanded once however many
+    // descendants share it. The root's own siblings are not included
+    // (the paper scopes siblings to descendants).
+    let mut parents_done = BitSet::new(graph.len());
     for d in &descendants {
         for &p in graph.node(*d).preds() {
-            if !graph.node(p).is_visible() {
+            if !graph.node(p).is_visible() || !parents_done.insert(p.index()) {
                 continue;
             }
             for &sib in graph.node(p).succs() {
@@ -291,13 +266,7 @@ pub fn subgraph(graph: &ProvGraph, root: NodeId) -> Result<SubgraphResult, Query
 /// The ancestor set only (used by the §5.5 fine-grainedness analysis:
 /// which base/state tuples does an output depend on?).
 pub fn ancestors(graph: &ProvGraph, root: NodeId) -> Result<Vec<NodeId>, QueryError> {
-    if !graph.node(root).is_visible() {
-        return Err(QueryError::NodeNotVisible(root));
-    }
-    let mut scratch = BitSet::new(graph.len());
-    let mut a = sweep(graph, root, &mut scratch, |g, v| g.node(v).preds().to_vec());
-    a.sort();
-    Ok(a)
+    traverse(graph, root, Direction::Ancestors, None, |_, _| true).map(|(nodes, _)| nodes)
 }
 
 #[cfg(test)]
@@ -375,7 +344,7 @@ mod tests {
     #[test]
     fn hidden_nodes_excluded() {
         let (mut g, [a, _, _, t, u, _, _]) = diamond();
-        g.node_mut(t).zoom_hidden = true;
+        g.set_zoom_hidden(t, true);
         let r = subgraph(&g, a).unwrap();
         assert!(!r.contains(t));
         assert!(!r.contains(u), "reachable only through hidden node");
@@ -384,7 +353,7 @@ mod tests {
     #[test]
     fn query_on_hidden_root_is_error() {
         let (mut g, [a, ..]) = diamond();
-        g.node_mut(a).deleted = true;
+        g.set_node_deleted(a, true);
         assert!(matches!(
             subgraph(&g, a),
             Err(QueryError::NodeNotVisible(_))
@@ -455,7 +424,7 @@ mod tests {
     #[test]
     fn bounded_traversal_skips_hidden() {
         let (mut g, [a, b, c, _]) = chain();
-        g.node_mut(b).zoom_hidden = true;
+        g.set_zoom_hidden(b, true);
         let r = descendants_bounded(&g, a, None).unwrap();
         assert!(!r.contains(b));
         assert!(!r.contains(c), "only path runs through hidden b");

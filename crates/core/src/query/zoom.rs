@@ -204,7 +204,7 @@ pub fn apply_zoom_out(graph: &mut ProvGraph, plans: Vec<ZoomModulePlan>) -> Vec<
     let mut created = Vec::new();
     for plan in plans {
         for &id in &plan.hidden {
-            graph.node_mut(id).zoom_hidden = true;
+            graph.set_zoom_hidden(id, true);
         }
         // Stash index is assigned below; nodes reference it by value.
         let stash_idx = graph.zoom_stash_count() as u32;
@@ -267,7 +267,7 @@ pub fn zoom_in(graph: &mut ProvGraph, modules: &[&str]) -> Result<(), QueryError
             .take_stash(module)
             .expect("validated above: module is zoomed out");
         for id in stash.hidden {
-            graph.node_mut(id).zoom_hidden = false;
+            graph.set_zoom_hidden(id, false);
         }
         for z in stash.zoom_nodes {
             graph.unlink_and_delete(z);

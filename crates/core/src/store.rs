@@ -37,6 +37,15 @@ pub trait GraphStore {
     /// the node's record on paged stores (visibility is index-level).
     fn is_visible(&self, id: NodeId) -> bool;
 
+    /// Number of visible nodes — the full-scan cost unit of planners
+    /// and lints. Index-level like [`GraphStore::is_visible`]; stores
+    /// that keep a count or a bitmap answer without this sweep.
+    fn visible_count(&self) -> usize {
+        (0..self.node_count())
+            .filter(|&i| self.is_visible(NodeId(i as u32)))
+            .count()
+    }
+
     /// The node's kind. May fault in the node's record.
     fn kind_of(&self, id: NodeId) -> NodeKind;
 
@@ -103,6 +112,10 @@ impl GraphStore for ProvGraph {
 
     fn is_visible(&self, id: NodeId) -> bool {
         self.node(id).is_visible()
+    }
+
+    fn visible_count(&self) -> usize {
+        ProvGraph::visible_count(self)
     }
 
     fn kind_of(&self, id: NodeId) -> NodeKind {

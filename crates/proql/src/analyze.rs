@@ -28,9 +28,9 @@
 //! diagnostics for the same source over the same graph (locked down by
 //! `tests/differential.rs`). The analyzer therefore consults only
 //! [`GraphStore`] facts that agree across backends — `node_count`,
-//! `is_visible`, `kind_of`, and the (always resident) invocation table
-//! — and never backend-specific state like reach-index presence or
-//! postings availability.
+//! `visible_count`, `is_visible`, `kind_of`, and the (always resident)
+//! invocation table — and never backend-specific state like reach-index
+//! presence or postings availability.
 
 use std::fmt;
 
@@ -303,7 +303,7 @@ pub fn analyze<S: GraphStore + ?Sized>(store: &S, source: &str) -> Diagnostics {
     let mut a = Analyzer {
         store_modules: module_universe(store),
         store_executions: execution_universe(store),
-        visible: visible_count(store),
+        visible: store.visible_count(),
         node_count: store.node_count(),
         source,
         items: Vec::new(),
@@ -335,14 +335,6 @@ fn execution_universe<S: GraphStore + ?Sized>(store: &S) -> Vec<u32> {
     execs.sort_unstable();
     execs.dedup();
     execs
-}
-
-/// Visible-node count via the index-level visibility bitmap — cheap and
-/// identical on resident and paged stores (no records fault in).
-fn visible_count<S: GraphStore + ?Sized>(store: &S) -> usize {
-    (0..store.node_count())
-        .filter(|&i| store.is_visible(NodeId(i as u32)))
-        .count()
 }
 
 struct Analyzer<'s> {

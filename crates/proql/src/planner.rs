@@ -44,12 +44,18 @@ fn reject_mutating_analyze(inner: &Statement) -> Result<()> {
 pub struct Planner<'a> {
     graph: &'a ProvGraph,
     reach: Option<&'a ReachIndex>,
-    /// Visible node count, the full-scan cost unit (computed once).
+    /// Visible node count, the full-scan cost unit: read off the count
+    /// the graph maintains, so planner set-up is O(1).
     visible: usize,
 }
 
 impl<'a> Planner<'a> {
     pub fn new(graph: &'a ProvGraph, reach: Option<&'a ReachIndex>) -> Planner<'a> {
+        debug_assert_eq!(
+            graph.visible_count(),
+            graph.iter_visible().count(),
+            "maintained visible count drifted from the node arena"
+        );
         Planner {
             graph,
             reach,

@@ -9,10 +9,17 @@
 //! maintained index against a fresh build after *every* step — in both
 //! directions, at full bitset granularity, including capacities. The
 //! case budget honours `PROPTEST_CASES` like the other property suites.
+//!
+//! The same generator drives a second property: the graph's maintained
+//! visible count equals a sweep of the node arena after every way a
+//! graph is built, mutated, persisted or reloaded.
 
-use lipstick_core::GraphTracker;
+use lipstick_core::graph::validate::check_structure;
+use lipstick_core::graph::ShardTracker;
+use lipstick_core::{GraphTracker, NodeId, ProvGraph, Tracker};
 use lipstick_proql::testgen::{self, Rng, Vocab};
 use lipstick_proql::Session;
+use lipstick_storage::{write_graph, write_graph_v2};
 use lipstick_workflowgen::arctic::{self, ArcticParams, Selectivity, Topology};
 use lipstick_workflowgen::dealers::{self, DealersParams};
 
@@ -26,7 +33,11 @@ fn case_budget() -> usize {
         .unwrap_or(256)
 }
 
-fn random_graph(rng: &mut Rng) -> lipstick_core::ProvGraph {
+fn random_graph(rng: &mut Rng) -> ProvGraph {
+    random_tracker(rng).finish()
+}
+
+fn random_tracker(rng: &mut Rng) -> GraphTracker {
     let mut tracker = GraphTracker::new();
     if rng.chance(50) {
         let params = DealersParams {
@@ -54,7 +65,7 @@ fn random_graph(rng: &mut Rng) -> lipstick_core::ProvGraph {
         };
         arctic::run(&params, &mut tracker).expect("arctic run");
     }
-    tracker.finish()
+    tracker
 }
 
 #[test]
@@ -89,5 +100,87 @@ fn repaired_index_is_bit_identical_to_fresh_build() {
         // Incremental maintenance means the build counter never moved,
         // no matter what the mutation script did.
         assert_eq!(session.index_builds(), 1, "silent rebuild detected");
+    }
+}
+
+/// `check_structure` compares the maintained count against a sweep of
+/// the arena (and re-checks adjacency symmetry while it is there).
+fn assert_count_matches_arena(graph: &ProvGraph, after: &str) {
+    if let Err(e) = check_structure(graph) {
+        panic!("after {after}: {e}");
+    }
+}
+
+/// A worker shard deriving one module's worth of nodes from two
+/// imported global nodes, merged the way the parallel executor does.
+fn absorb_random_shard(tracker: &mut GraphTracker, rng: &mut Rng) {
+    let globals = tracker.graph().len();
+    let mut shard = ShardTracker::new();
+    let a = shard.import(NodeId(rng.below(globals) as u32));
+    let b = shard.import(NodeId(rng.below(globals) as u32));
+    shard.begin_invocation("Mshard", 0);
+    let i = shard.module_input(a);
+    let s = shard.state_node(b);
+    let joined = shard.times(&[i, s]);
+    let kept = shard.plus(&[joined]);
+    shard.module_output(kept, &[]);
+    shard.end_invocation();
+    tracker.absorb_shard(shard);
+}
+
+fn temp_path(name: &str) -> std::path::PathBuf {
+    let dir = std::env::temp_dir().join("lipstick-proql-visible-count");
+    std::fs::create_dir_all(&dir).unwrap();
+    dir.join(name)
+}
+
+#[test]
+fn visible_count_matches_arena_after_every_step() {
+    let budget = case_budget();
+    let mut rng = Rng::new(0x00c0_ffee_0fa1_15ee);
+    let v1 = temp_path("round_trip_v1.lpstk");
+    let v2 = temp_path("round_trip_v2.lpstk");
+    let mut executed = 0usize;
+
+    while executed < budget {
+        let mut tracker = random_tracker(&mut rng);
+        assert_count_matches_arena(tracker.graph(), "tracking");
+        absorb_random_shard(&mut tracker, &mut rng);
+        let graph = tracker.finish();
+        assert_count_matches_arena(&graph, "absorb_shard");
+        let vocab = Vocab::from_graph(&graph);
+        let fragment = random_graph(&mut rng);
+        let mut session = Session::new(graph);
+
+        for _ in 0..MUTATIONS_PER_GRAPH.min(budget - executed) {
+            let step = match rng.below(100) {
+                0..=69 => {
+                    let stmt = testgen::mutation(&vocab, &mut rng);
+                    // Failed mutations must leave the count alone too.
+                    let _ = session.run_one(&stmt.to_string());
+                    stmt.to_string()
+                }
+                70..=79 => {
+                    session.ingest(&fragment).expect("resident ingest");
+                    "Session::ingest".to_string()
+                }
+                reload => {
+                    // The codecs refuse a graph with active zooms.
+                    session.run_one("ZOOM IN").expect("zoom in everything");
+                    if reload < 90 {
+                        write_graph(session.graph(), &v1).unwrap();
+                        session = Session::load(&v1).unwrap();
+                        "v1 write + load".to_string()
+                    } else {
+                        write_graph_v2(session.graph(), &v2).unwrap();
+                        session = Session::open(&v2).unwrap();
+                        session.materialize().unwrap();
+                        "v2 write + open + materialize".to_string()
+                    }
+                }
+            };
+            assert_count_matches_arena(session.graph(), &step);
+            executed += 1;
+        }
     }
 }

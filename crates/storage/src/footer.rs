@@ -244,6 +244,14 @@ impl LogIndex {
         }
         let mut visible = vec![0u8; bitmap_len];
         buf.copy_to_slice(&mut visible);
+        // `visible_count` is a popcount of the bitmap, so padding bits
+        // past the last node must be clear for it to equal a sweep.
+        let used_bits = node_count % 8;
+        if used_bits != 0 && visible[bitmap_len - 1] >> used_bits != 0 {
+            return Err(StorageError::Corrupt(
+                "visibility bitmap has bits set past the node count".into(),
+            ));
+        }
 
         let mut succ_starts = Vec::with_capacity(node_count + 1);
         let mut succ_ids = Vec::new();
@@ -390,6 +398,22 @@ mod tests {
             assert!(!index.record_range(id).is_empty());
         }
         assert_eq!(index.visible_count(), g.visible_count());
+    }
+
+    #[test]
+    fn bitmap_padding_bits_are_rejected() {
+        // 4 nodes: one bitmap byte whose high nibble is padding. It
+        // follows node_count, first_record_offset and four record_len
+        // varints, one byte each on this graph.
+        let g = small_graph();
+        let mut bytes = encode_graph_v2(&g).unwrap();
+        let trailer = bytes.len() - TRAILER_LEN;
+        let footer_len =
+            u64::from_le_bytes(bytes[trailer..trailer + 8].try_into().unwrap()) as usize;
+        let bitmap_at = trailer - footer_len + 6;
+        assert_eq!(bytes[bitmap_at], 0b1111);
+        bytes[bitmap_at] |= 0b1_0000;
+        assert!(LogIndex::parse(&bytes, g.len()).is_err());
     }
 
     #[test]

@@ -240,6 +240,10 @@ impl GraphStore for PagedLog {
         self.index.is_visible(id)
     }
 
+    fn visible_count(&self) -> usize {
+        self.index.visible_count()
+    }
+
     fn kind_of(&self, id: NodeId) -> NodeKind {
         self.expect_record(id, |r| r.kind.clone())
     }

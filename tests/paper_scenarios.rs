@@ -140,6 +140,30 @@ fn storage_round_trip_preserves_queryability() {
 }
 
 #[test]
+fn resident_subgraph_agrees_with_store_generic_on_zoomed_and_tombstoned_graph() {
+    use lipstick::core::query::propagate_deletion_inplace;
+    use lipstick::core::store::subgraph_store;
+
+    let mut g = dealer_graph(3, 11);
+    zoom_out(&mut g, &["Mdealer1"]).unwrap();
+    // Tombstone the cone of a workflow input the zoom left visible.
+    let victim = g
+        .iter_visible()
+        .find(|(_, n)| matches!(n.kind, NodeKind::WorkflowInput { .. }))
+        .map(|(id, _)| id)
+        .unwrap();
+    let dead = propagate_deletion_inplace(&mut g, victim).unwrap();
+    assert!(dead.deleted.len() > 1, "deletion cascaded");
+    assert!(g.iter().any(|(_, n)| n.is_zoom_hidden()), "zoom hid nodes");
+
+    for (root, _) in g.iter_visible() {
+        let resident = subgraph(&g, root).unwrap();
+        let generic = subgraph_store(&g, root).unwrap();
+        assert_eq!(resident, generic, "subgraph of {root}");
+    }
+}
+
+#[test]
 fn counting_semiring_certifies_bag_multiplicities() {
     // End-to-end homomorphism check on a standalone Pig script: the
     // multiplicity of each distinct output tuple equals the sum of its
