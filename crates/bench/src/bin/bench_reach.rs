@@ -11,10 +11,6 @@
 //!   cones in the graph;
 //! - `incremental_repair`: in-place repair after a small
 //!   `DELETE PROPAGATE` cone vs the full rebuild it replaces;
-//! - `union_parallel`: a 4-branch `UNION` of unbounded descendant
-//!   walks, 1 worker thread vs N (on a single-core host parity is
-//!   expected — `host_threads` records the hardware so readers can
-//!   interpret the figure);
 //! - `heap`: exact heap-byte breakdowns (closure rows, CSR, postings,
 //!   resident graph) from the `HeapSize` accounting, so index memory
 //!   regressions are as visible as time regressions.
@@ -29,7 +25,7 @@ use lipstick_bench::{run_dealers, top_nodes_by};
 use lipstick_core::obs::HeapSize;
 use lipstick_core::query::{ancestors_bounded, propagate_deletion_inplace, ReachIndex};
 use lipstick_core::{NodeId, ProvGraph};
-use lipstick_proql::{Parallelism, Session};
+use lipstick_proql::Session;
 use lipstick_workflowgen::DealersParams;
 
 /// Median wall-clock of `reps` runs of `f`, in nanoseconds.
@@ -174,51 +170,6 @@ fn main() {
         rebuild_ns as f64 / 1e6
     );
 
-    // ---- 4-branch UNION, 1 thread vs N ----
-    // Unindexed sessions, so each branch is a real BFS; a larger graph
-    // makes every branch outweigh the thread hand-off.
-    let big = if smoke {
-        g.clone()
-    } else {
-        dealers_graph_of_at_least(40_000)
-    };
-    // Roots with the largest descendant cones, so each branch's BFS is
-    // real work rather than a few-node hop (a throwaway index is only
-    // used to find them; the benched sessions stay unindexed).
-    let union_roots = {
-        let idx = ReachIndex::build(&big);
-        top_nodes_by(&big, 4, |id| idx.descendant_count(id))
-    };
-    let union_stmt = union_roots
-        .iter()
-        .map(|r| format!("DESCENDANTS OF #{}", r.0))
-        .collect::<Vec<_>>()
-        .join(" UNION ");
-    let union_threads = host_threads.clamp(2, 4);
-    let mut seq = Session::new(big.clone());
-    seq.set_parallelism_policy(Parallelism::SEQUENTIAL);
-    let mut par = Session::new(big.clone());
-    par.set_parallelism_policy(Parallelism {
-        threads: union_threads,
-        min_nodes: 0,
-    });
-    let expected = seq.run_one(&union_stmt).unwrap().to_string();
-    assert_eq!(
-        expected,
-        par.run_one(&union_stmt).unwrap().to_string(),
-        "parallel UNION must be byte-identical to sequential"
-    );
-    let t1_ns = median_ns(reps, || seq.run_one(&union_stmt).unwrap());
-    let tn_ns = median_ns(reps, || par.run_one(&union_stmt).unwrap());
-    let union_speedup = t1_ns as f64 / tn_ns.max(1) as f64;
-    eprintln!(
-        "4-branch UNION on {} nodes: 1 thread {:.2} ms, {union_threads} threads {:.2} ms, \
-         speedup {union_speedup:.2}× (host has {host_threads} core(s))",
-        big.len(),
-        t1_ns as f64 / 1e6,
-        tn_ns as f64 / 1e6
-    );
-
     // ---- heap-byte breakdowns ----
     // The same `HeapSize` accounting behind `STATS` and the
     // `lipstick_*_heap_bytes` gauges, recorded per component: closure
@@ -256,9 +207,6 @@ fn main() {
          \"indexed_us\": {indexed_us:.1}, \"speedup\": {ancestor_speedup:.2} }},\n  \
          \"incremental_repair\": {{ \"deleted_cone\": {cone}, \"repair_ms\": {repair_ms:.3}, \
          \"rebuild_ms\": {rebuild_ms:.3}, \"speedup\": {repair_speedup:.2} }},\n  \
-         \"union_parallel\": {{ \"graph_nodes\": {union_nodes}, \"branches\": 4, \
-         \"threads\": {union_threads}, \"t1_ms\": {t1_ms:.3}, \"tn_ms\": {tn_ms:.3}, \
-         \"speedup\": {union_speedup:.2} }},\n  \
          \"heap\": {{ \"reach\": {{ {reach_heap_json} }}, \"graph_bytes\": {graph_heap_bytes}, \
          \"log_index\": {{ {log_index_json} }} }}\n}}\n",
         graph_nodes = g.len(),
@@ -269,9 +217,6 @@ fn main() {
         cone = report.deleted.len(),
         repair_ms = repair_ns as f64 / 1e6,
         rebuild_ms = rebuild_ns as f64 / 1e6,
-        union_nodes = big.len(),
-        t1_ms = t1_ns as f64 / 1e6,
-        tn_ms = tn_ns as f64 / 1e6,
         reach_heap_json = render_components(&reach_heap),
         log_index_json = render_components(&log_index_heap),
     );
@@ -280,9 +225,7 @@ fn main() {
     print!("{json}");
 
     if !smoke {
-        // The headline claims this artifact exists to track. The union
-        // speedup is only asserted when the host can physically provide
-        // one (a single-core container runs at parity by definition).
+        // The headline claims this artifact exists to track.
         assert!(
             ancestor_speedup >= 5.0,
             "indexed ancestors must be ≥5× BFS (got {ancestor_speedup:.2}×)"
@@ -291,11 +234,5 @@ fn main() {
             repair_speedup > 1.0,
             "incremental repair must beat a full rebuild (got {repair_speedup:.2}×)"
         );
-        if host_threads > 1 {
-            assert!(
-                union_speedup > 1.1,
-                "multi-thread UNION must show a measurable speedup (got {union_speedup:.2}×)"
-            );
-        }
     }
 }

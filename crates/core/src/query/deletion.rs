@@ -10,6 +10,7 @@
 use crate::graph::bitset::BitSet;
 use crate::graph::node::NodeId;
 use crate::graph::ProvGraph;
+use crate::store::GraphStore;
 
 use super::error::QueryError;
 
@@ -53,11 +54,16 @@ pub fn propagate_deletion(
 }
 
 /// Compute the set of nodes Definition 4.2 deletes, without mutating.
-pub fn compute_deletion(graph: &ProvGraph, root: NodeId) -> Result<DeletionReport, QueryError> {
-    if !graph.node(root).is_visible() {
+/// On a paged store only the descendants the propagation actually
+/// examines are faulted in.
+pub fn compute_deletion<S: GraphStore + ?Sized>(
+    store: &S,
+    root: NodeId,
+) -> Result<DeletionReport, QueryError> {
+    if !store.is_visible(root) {
         return Err(QueryError::NodeNotVisible(root));
     }
-    let mut deleted = BitSet::new(graph.len());
+    let mut deleted = BitSet::new(store.node_count());
     // Remaining visible-pred counts are tracked lazily: a node is
     // re-examined whenever one of its preds dies.
     let mut order: Vec<NodeId> = Vec::new();
@@ -67,20 +73,20 @@ pub fn compute_deletion(graph: &ProvGraph, root: NodeId) -> Result<DeletionRepor
         order.push(v);
         // Each successor of a freshly deleted node may now satisfy one
         // of the two deletion conditions.
-        for &s in graph.node(v).succs() {
-            let node = graph.node(s);
-            if !node.is_visible() || deleted.contains(s.index()) {
+        for &s in store.succs_of(v).iter() {
+            if !store.is_visible(s) || deleted.contains(s.index()) {
                 continue;
             }
-            let dies = if node.kind.is_joint() {
+            let dies = if store.kind_of(s).is_joint() {
                 // (2) joint nodes die with any ingredient.
                 true
             } else {
                 // (1) all incoming edges deleted. Only nodes that had
                 // visible ingredients qualify; count survivors.
-                node.preds()
+                store
+                    .preds_of(s)
                     .iter()
-                    .filter(|p| graph.node(**p).is_visible())
+                    .filter(|p| store.is_visible(**p))
                     .all(|p| deleted.contains(p.index()))
             };
             if dies {

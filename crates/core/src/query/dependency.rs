@@ -7,6 +7,7 @@
 
 use crate::graph::node::NodeId;
 use crate::graph::ProvGraph;
+use crate::store::GraphStore;
 
 use super::deletion::compute_deletion;
 use super::error::QueryError;
@@ -16,11 +17,15 @@ use super::error::QueryError;
 /// Implemented exactly as the paper prescribes — propagate the deletion
 /// of `n_prime` (without mutating the graph) and test whether `n`
 /// survives.
-pub fn depends_on(graph: &ProvGraph, n: NodeId, n_prime: NodeId) -> Result<bool, QueryError> {
-    if !graph.node(n).is_visible() {
+pub fn depends_on<S: GraphStore + ?Sized>(
+    store: &S,
+    n: NodeId,
+    n_prime: NodeId,
+) -> Result<bool, QueryError> {
+    if !store.is_visible(n) {
         return Err(QueryError::NodeNotVisible(n));
     }
-    let report = compute_deletion(graph, n_prime)?;
+    let report = compute_deletion(store, n_prime)?;
     Ok(report.contains(n))
 }
 

@@ -60,7 +60,7 @@ impl ReachIndex {
             // Collect into a scratch set, then store (avoids aliasing
             // two entries of `descendants` at once).
             let mut acc = BitSet::new(n);
-            for s in graph.succs_of(v) {
+            for &s in graph.succs_of(v).iter() {
                 if graph.is_visible(s) {
                     acc.insert(s.index());
                     acc.union_with(&descendants[s.index()]);
@@ -74,7 +74,7 @@ impl ReachIndex {
                 continue;
             }
             let mut acc = BitSet::new(n);
-            for p in graph.preds_of(v) {
+            for &p in graph.preds_of(v).iter() {
                 if graph.is_visible(p) {
                     acc.insert(p.index());
                     acc.union_with(&ancestors[p.index()]);
@@ -196,7 +196,7 @@ impl ReachIndex {
             }
         }
         while let Some(v) = queue.pop() {
-            for u in up(v) {
+            for &u in up(v).iter() {
                 if graph.is_visible(u) && dirty.insert(u.index()) {
                     queue.push(u);
                 }
@@ -220,7 +220,7 @@ impl ReachIndex {
             processed += 1;
             let mut acc = BitSet::new(sets[v.index()].capacity());
             if graph.is_visible(v) {
-                for d in down(v) {
+                for &d in down(v).iter() {
                     if graph.is_visible(d) {
                         acc.insert(d.index());
                         acc.union_with(&sets[d.index()]);
@@ -228,7 +228,7 @@ impl ReachIndex {
                 }
             }
             sets[v.index()] = acc;
-            for u in up(v) {
+            for &u in up(v).iter() {
                 if dirty.contains(u.index()) {
                     deg[u.index()] -= 1;
                     if deg[u.index()] == 0 {
@@ -272,7 +272,7 @@ fn topo_order<S: GraphStore + ?Sized>(graph: &S) -> Vec<NodeId> {
     let n = graph.node_count();
     let mut indeg = vec![0usize; n];
     for i in 0..n {
-        for s in graph.succs_of(NodeId(i as u32)) {
+        for &s in graph.succs_of(NodeId(i as u32)).iter() {
             indeg[s.index()] += 1;
         }
     }
@@ -283,7 +283,7 @@ fn topo_order<S: GraphStore + ?Sized>(graph: &S) -> Vec<NodeId> {
     let mut order = Vec::with_capacity(n);
     while let Some(v) = queue.pop() {
         order.push(v);
-        for s in graph.succs_of(v) {
+        for &s in graph.succs_of(v).iter() {
             indeg[s.index()] -= 1;
             if indeg[s.index()] == 0 {
                 queue.push(s);

@@ -17,8 +17,9 @@ use std::collections::VecDeque;
 use std::fmt;
 
 use crate::graph::bitset::BitSet;
-use crate::graph::node::{Node, NodeId};
+use crate::graph::node::NodeId;
 use crate::graph::ProvGraph;
+use crate::store::GraphStore;
 
 use super::error::QueryError;
 
@@ -153,18 +154,21 @@ impl fmt::Display for BoundedResult {
 ///
 /// This is the traversal primitive planners build on: pushing a filter
 /// into `collect` avoids materialising the unfiltered set, and the
-/// visited count exposes the true work done for cost comparisons.
-pub fn traverse(
-    graph: &ProvGraph,
+/// visited count exposes the true work done for cost comparisons. The
+/// callback receives only the id — asking the store for kind or role is
+/// what makes a paged walk fault records *only* when the filter needs
+/// them.
+pub fn traverse<S: GraphStore + ?Sized>(
+    store: &S,
     root: NodeId,
     direction: Direction,
     depth: Option<u32>,
-    mut collect: impl FnMut(NodeId, &Node) -> bool,
+    mut collect: impl FnMut(NodeId) -> bool,
 ) -> Result<(Vec<NodeId>, TraversalStats), QueryError> {
-    if !graph.node(root).is_visible() {
+    if !store.is_visible(root) {
         return Err(QueryError::NodeNotVisible(root));
     }
-    let mut seen = BitSet::new(graph.len());
+    let mut seen = BitSet::new(store.node_count());
     seen.insert(root.index());
     let mut out = Vec::new();
     let mut stats = TraversalStats { visited: 1 };
@@ -176,16 +180,14 @@ pub fn traverse(
                 continue;
             }
         }
-        let node = graph.node(v);
         let next = match direction {
-            Direction::Ancestors => node.preds(),
-            Direction::Descendants => node.succs(),
+            Direction::Ancestors => store.preds_of(v),
+            Direction::Descendants => store.succs_of(v),
         };
-        for &n in next {
-            let nn = graph.node(n);
-            if nn.is_visible() && seen.insert(n.index()) {
+        for &n in next.iter() {
+            if store.is_visible(n) && seen.insert(n.index()) {
                 stats.visited += 1;
-                if collect(n, nn) {
+                if collect(n) {
                     out.push(n);
                 }
                 queue.push_back((n, d + 1));
@@ -197,12 +199,12 @@ pub fn traverse(
 }
 
 /// Ancestors of `root` within `depth` edges (`None` = all).
-pub fn ancestors_bounded(
-    graph: &ProvGraph,
+pub fn ancestors_bounded<S: GraphStore + ?Sized>(
+    store: &S,
     root: NodeId,
     depth: Option<u32>,
 ) -> Result<BoundedResult, QueryError> {
-    let (nodes, stats) = traverse(graph, root, Direction::Ancestors, depth, |_, _| true)?;
+    let (nodes, stats) = traverse(store, root, Direction::Ancestors, depth, |_| true)?;
     Ok(BoundedResult {
         root,
         direction: Direction::Ancestors,
@@ -213,12 +215,12 @@ pub fn ancestors_bounded(
 }
 
 /// Descendants of `root` within `depth` edges (`None` = all).
-pub fn descendants_bounded(
-    graph: &ProvGraph,
+pub fn descendants_bounded<S: GraphStore + ?Sized>(
+    store: &S,
     root: NodeId,
     depth: Option<u32>,
 ) -> Result<BoundedResult, QueryError> {
-    let (nodes, stats) = traverse(graph, root, Direction::Descendants, depth, |_, _| true)?;
+    let (nodes, stats) = traverse(store, root, Direction::Descendants, depth, |_| true)?;
     Ok(BoundedResult {
         root,
         direction: Direction::Descendants,
@@ -229,10 +231,13 @@ pub fn descendants_bounded(
 }
 
 /// Run a subgraph query from `root`.
-pub fn subgraph(graph: &ProvGraph, root: NodeId) -> Result<SubgraphResult, QueryError> {
-    let (ancestors, _) = traverse(graph, root, Direction::Ancestors, None, |_, _| true)?;
-    let (descendants, _) = traverse(graph, root, Direction::Descendants, None, |_, _| true)?;
-    let mut members = BitSet::new(graph.len());
+pub fn subgraph<S: GraphStore + ?Sized>(
+    store: &S,
+    root: NodeId,
+) -> Result<SubgraphResult, QueryError> {
+    let (ancestors, _) = traverse(store, root, Direction::Ancestors, None, |_| true)?;
+    let (descendants, _) = traverse(store, root, Direction::Descendants, None, |_| true)?;
+    let mut members = BitSet::new(store.node_count());
     members.insert(root.index());
     for id in ancestors.iter().chain(&descendants) {
         members.insert(id.index());
@@ -242,14 +247,14 @@ pub fn subgraph(graph: &ProvGraph, root: NodeId) -> Result<SubgraphResult, Query
     // visible predecessors, each parent expanded once however many
     // descendants share it. The root's own siblings are not included
     // (the paper scopes siblings to descendants).
-    let mut parents_done = BitSet::new(graph.len());
+    let mut parents_done = BitSet::new(store.node_count());
     for d in &descendants {
-        for &p in graph.node(*d).preds() {
-            if !graph.node(p).is_visible() || !parents_done.insert(p.index()) {
+        for &p in store.preds_of(*d).iter() {
+            if !store.is_visible(p) || !parents_done.insert(p.index()) {
                 continue;
             }
-            for &sib in graph.node(p).succs() {
-                if graph.node(sib).is_visible() {
+            for &sib in store.succs_of(p).iter() {
+                if store.is_visible(sib) {
                     members.insert(sib.index());
                 }
             }
@@ -265,8 +270,11 @@ pub fn subgraph(graph: &ProvGraph, root: NodeId) -> Result<SubgraphResult, Query
 
 /// The ancestor set only (used by the §5.5 fine-grainedness analysis:
 /// which base/state tuples does an output depend on?).
-pub fn ancestors(graph: &ProvGraph, root: NodeId) -> Result<Vec<NodeId>, QueryError> {
-    traverse(graph, root, Direction::Ancestors, None, |_, _| true).map(|(nodes, _)| nodes)
+pub fn ancestors<S: GraphStore + ?Sized>(
+    store: &S,
+    root: NodeId,
+) -> Result<Vec<NodeId>, QueryError> {
+    traverse(store, root, Direction::Ancestors, None, |_| true).map(|(nodes, _)| nodes)
 }
 
 #[cfg(test)]
@@ -406,7 +414,7 @@ mod tests {
     fn collect_filter_prunes_output_not_traversal() {
         let (g, [a, b, c, d]) = chain();
         let (collected, stats) =
-            traverse(&g, a, Direction::Descendants, None, |id, _| id == c).unwrap();
+            traverse(&g, a, Direction::Descendants, None, |id| id == c).unwrap();
         assert_eq!(collected, vec![c]);
         // b and d were still visited: the filter affects the output set.
         assert_eq!(stats.visited, 4);

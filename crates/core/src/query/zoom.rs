@@ -132,7 +132,7 @@ pub fn plan_zoom_out<S: GraphStore + ?Sized>(
         for i in 0..n {
             let id = NodeId(i as u32);
             if !visible(&sim_hidden, store, id)
-                || !matches!(store.kind_of(id), NodeKind::BaseTuple { .. })
+                || !matches!(*store.kind_of(id), NodeKind::BaseTuple { .. })
             {
                 continue;
             }

@@ -579,7 +579,7 @@ impl Analyzer<'_> {
             {
                 let kind = store.kind_of(NodeId(*id));
                 if matches!(
-                    kind,
+                    *kind,
                     NodeKind::BaseTuple { .. } | NodeKind::WorkflowInput { .. }
                 ) {
                     let span = id_spans.first().copied().unwrap_or(self.whole_span());

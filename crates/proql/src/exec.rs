@@ -1,28 +1,30 @@
-//! The ProQL executor: physical plans → results, against a session.
+//! The ProQL executor: physical plans → results.
+//!
+//! One read executor, [`execute_read`], runs every read-only statement
+//! form — `MATCH`, walks, `SUBGRAPH OF`, `WHY`, `EVAL`, `DEPENDS`, set
+//! operations, `EXPLAIN [ANALYZE]`, `CHECK`, `STATS` — against any
+//! [`GraphStore`]; on a store that faults records in, only the records
+//! a query touches are decoded. [`execute`] adds the resident graph's
+//! mutation arms on top.
 //!
 //! Executors report `visited` counts — the number of graph nodes they
 //! actually examined — so tests (and the `proql_planner` bench) can
 //! verify the planner's cost model against observed work.
 //!
-//! ## Branch parallelism
+//! ## Set operations
 //!
-//! The operands of a `UNION`/`INTERSECT` chain are independent: no
-//! branch reads another's output. On graphs past a size threshold the
-//! executor fans the flattened branches out over a crossbeam worker
-//! pool (the same scoped-thread machinery `lipstick-workflow` uses for
-//! module-level parallelism) and merges in **source order**, so
-//! results, visited-cost sums, and error choices are byte-identical to
-//! the sequential path no matter the thread count — the property the
-//! resident/paged/server differential harness locks down. Everything a
-//! worker touches is behind `&` (the same discipline that lets
+//! A `UNION`/`INTERSECT` chain runs its flattened branches left to
+//! right and folds them in source order, each under a `branch i` span,
+//! so the span tree has one shape whether or not the run is traced and
+//! the leftmost failing branch decides the statement's error.
+//! Everything the executor touches is behind `&`, which is what lets
 //! `lipstick-serve` run [`execute_read`] concurrently under a shared
-//! read lock), so the fan-out composes with server-side concurrency.
+//! read lock.
 
 use std::collections::BTreeSet;
 
 use lipstick_core::graph::bitset::BitSet;
-use lipstick_core::graph::stats::stats;
-use lipstick_core::obs::{QueryTrace, TraceCtx, Tracer};
+use lipstick_core::obs::{QueryTrace, SpanGuard, TraceCtx, Tracer};
 use lipstick_core::query::{
     depends_on, propagate_deletion_inplace, subgraph, traverse, zoom_in, zoom_out, Direction,
     ReachIndex,
@@ -33,133 +35,97 @@ use lipstick_core::semiring::lineage::Lineage;
 use lipstick_core::semiring::natural::Natural;
 use lipstick_core::semiring::tropical::Tropical;
 use lipstick_core::semiring::whyprov::Why;
-use lipstick_core::{
-    InvocationId, Node, NodeId, NodeKind, Polynomial, ProvExpr, ProvGraph, Semiring, Token,
-};
+use lipstick_core::store::{expr_of_store, GraphStore};
+use lipstick_core::{InvocationId, NodeId, NodeKind, Polynomial, ProvExpr, Semiring, Token};
 
 use crate::ast::{Comparison, Field, FieldValue, NodeClass, Predicate, SemiringName, WalkDir};
-use crate::error::Result;
+use crate::error::{ProqlError, Result};
 use crate::plan::{DependsStrategy, ScanStrategy, SetPlan, StmtPlan, WalkStrategy};
 use crate::result::QueryOutput;
 use crate::session::Session;
 
-/// How set-operation branches are scheduled.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct Parallelism {
-    /// Worker threads for independent branches; 1 = fully sequential.
-    pub threads: usize,
-    /// Smallest graph (allocated nodes) worth the thread hand-off —
-    /// below it every branch runs inline.
-    pub min_nodes: usize,
+/// What a read runs against: the store, the session's reach index if
+/// one is built, and the two things the session knows about the store
+/// that the [`GraphStore`] trait does not say.
+pub(crate) struct ReadEnv<'a, S: GraphStore + ?Sized> {
+    pub store: &'a S,
+    pub reach: Option<&'a ReachIndex>,
+    /// The store faults records in: operator spans carry a `reads`
+    /// attribute, the delta of its fault counter around the operator.
+    pub reads: bool,
+    /// Renders the `STATS` answer for this kind of store.
+    pub stats: fn(&S, Option<&ReachIndex>) -> String,
 }
 
-impl Parallelism {
-    /// Strictly sequential execution.
-    pub const SEQUENTIAL: Parallelism = Parallelism {
-        threads: 1,
-        min_nodes: usize::MAX,
-    };
-
-    /// Default policy: one thread per core (capped), engaged only on
-    /// graphs large enough that a branch outweighs a thread hand-off.
-    pub fn default_for_host() -> Parallelism {
-        Parallelism {
-            threads: std::thread::available_parallelism()
-                .map(|n| n.get())
-                .unwrap_or(1)
-                .min(8),
-            min_nodes: 4096,
+impl<S: GraphStore + ?Sized> ReadEnv<'_, S> {
+    /// The fault counter now, to hand back to [`ReadEnv::stamp_reads`].
+    fn reads_mark(&self) -> usize {
+        if self.reads {
+            self.store.records_read()
+        } else {
+            0
         }
     }
 
-    pub(crate) fn engaged(&self, node_count: usize, branches: usize) -> bool {
-        self.threads > 1 && branches > 1 && node_count >= self.min_nodes
-    }
-}
-
-/// Fan `tasks` out over a scoped crossbeam worker pool and return every
-/// task's outcome **in task order** (which is what keeps merged
-/// results, visited sums, and error choices deterministic). Worker
-/// panics are caught per task and returned in their slot, so the caller
-/// can re-raise the *leftmost* bad outcome — exactly the one sequential
-/// left-to-right evaluation would have hit first — instead of whichever
-/// worker happened to die first.
-pub(crate) fn run_tasks_parallel<T: Send>(
-    threads: usize,
-    count: usize,
-    task: impl Fn(usize) -> T + Sync,
-) -> Vec<std::thread::Result<T>> {
-    let (task_tx, task_rx) = crossbeam::channel::unbounded::<usize>();
-    for i in 0..count {
-        task_tx.send(i).expect("receiver alive");
-    }
-    drop(task_tx);
-    let (done_tx, done_rx) = crossbeam::channel::unbounded::<(usize, std::thread::Result<T>)>();
-    let outcome = crossbeam::scope(|scope| {
-        for _ in 0..threads.min(count) {
-            let task_rx = task_rx.clone();
-            let done_tx = done_tx.clone();
-            let task = &task;
-            scope.spawn(move |_| {
-                while let Ok(i) = task_rx.recv() {
-                    let out = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| task(i)));
-                    if done_tx.send((i, out)).is_err() {
-                        break;
-                    }
-                }
-            });
+    fn stamp_reads(&self, span: &mut SpanGuard<'_>, mark: usize) {
+        if self.reads {
+            span.attr(
+                "reads",
+                self.store.records_read().saturating_sub(mark) as u64,
+            );
         }
-    });
-    if let Err(payload) = outcome {
-        // Backstop: only reachable if a panic escaped the per-task
-        // catch (e.g. a panic in the channel machinery itself).
-        std::panic::resume_unwind(payload);
     }
-    drop(done_tx);
-    let mut slots: Vec<Option<std::thread::Result<T>>> = (0..count).map(|_| None).collect();
-    while let Ok((i, r)) = done_rx.recv() {
-        slots[i] = Some(r);
+
+    /// Stamp a set operator's actuals on its span.
+    fn stamp_set(&self, span: &mut SpanGuard<'_>, mark: usize, out: &SetResult) {
+        if let Ok((nodes, visited)) = out {
+            span.attr("rows", nodes.len() as u64);
+            span.attr("visited", *visited as u64);
+        }
+        self.stamp_reads(span, mark);
     }
-    slots
-        .into_iter()
-        .map(|s| s.expect("every branch task completes"))
-        .collect()
 }
 
-/// Execute one planned **read-only** statement against a resident
-/// graph, without exclusive access to the session — the execution arm
-/// `lipstick-serve` runs concurrently under a shared read lock.
-/// Mutating plans (`DELETE`, zooms, index maintenance) never reach this
-/// function; they go through [`execute`], which holds `&mut Session`.
+/// A set operator's `(sorted nodes, visited)` payload, or its failure.
+type SetResult = Result<(Vec<NodeId>, usize)>;
+
 /// Cooperative cancellation: consulted at span boundaries (statement
 /// entry and each set-plan operator), so a runaway read gives up within
 /// one operator's work of its deadline.
-pub(crate) fn check_deadline(ctx: &TraceCtx<'_>) -> Result<()> {
+fn check_deadline(ctx: &TraceCtx<'_>) -> Result<()> {
     if ctx.deadline_exceeded() {
-        return Err(crate::error::ProqlError::DeadlineExceeded);
+        return Err(ProqlError::DeadlineExceeded);
     }
     Ok(())
 }
 
-pub(crate) fn execute_read(
-    graph: &ProvGraph,
-    reach: Option<&ReachIndex>,
+/// Execute one planned **read-only** statement, without exclusive
+/// access to the session — the execution arm `lipstick-serve` runs
+/// concurrently under a shared read lock. Mutating plans (`DELETE`,
+/// zooms, index maintenance) never reach this function; they go through
+/// the session's mutation arms, which hold `&mut Session`.
+pub(crate) fn execute_read<S: GraphStore + ?Sized>(
+    env: &ReadEnv<'_, S>,
     plan: &StmtPlan,
-    par: Parallelism,
     ctx: TraceCtx<'_>,
 ) -> Result<QueryOutput> {
     check_deadline(&ctx)?;
+    let store = env.store;
     match plan {
         StmtPlan::Set { plan: p, shaping } => {
-            let (nodes, visited) = run_set(graph, reach, p, par, ctx)?;
+            let (nodes, visited) = run_set(env, p, ctx)?;
             let mut span = ctx.span("shaping");
-            let out = crate::shape::apply_shaping(graph, nodes, visited, shaping);
+            let mark = env.reads_mark();
+            let out = crate::shape::apply_shaping(store, nodes, visited, shaping);
             span.attr("rows", output_rows(&out));
+            env.stamp_reads(&mut span, mark);
             Ok(out)
         }
         StmtPlan::Why { n, .. } => {
-            let _span = ctx.span("why");
-            let expr = graph.expr_of(*n);
+            let mut span = ctx.span("why");
+            let mark = env.reads_mark();
+            let expr = expr_of_store(store, *n);
+            env.stamp_reads(&mut span, mark);
             Ok(QueryOutput::Text(why_text(*n, &expr)))
         }
         StmtPlan::Depends {
@@ -167,63 +133,35 @@ pub(crate) fn execute_read(
             n_prime,
             strategy,
         } => {
-            let _span = ctx.span("depends");
-            let value = match strategy {
-                DependsStrategy::Propagation | DependsStrategy::PagedPropagation => {
-                    depends_on(graph, *n, *n_prime)?
+            let mut span = ctx.span("depends");
+            let mark = env.reads_mark();
+            // Deletion of n' only propagates to its descendants, so the
+            // closure settles n = n' and unreachable pairs outright. A
+            // prefilter plan whose index is gone just propagates.
+            let value = match (strategy, env.reach) {
+                (DependsStrategy::ReachPrefilter, Some(_)) if n == n_prime => true,
+                (DependsStrategy::ReachPrefilter, Some(index)) if !index.reaches(*n_prime, *n) => {
+                    false
                 }
-                DependsStrategy::ReachPrefilter => {
-                    let index = reach.expect("planned with a reach index");
-                    if n == n_prime {
-                        true
-                    } else if !index.reaches(*n_prime, *n) {
-                        // Deletion of n' only propagates to its
-                        // descendants; n is not one.
-                        false
-                    } else {
-                        depends_on(graph, *n, *n_prime)?
-                    }
-                }
+                _ => depends_on(store, *n, *n_prime)?,
             };
+            env.stamp_reads(&mut span, mark);
             Ok(QueryOutput::Bool(value))
         }
         StmtPlan::Eval(n, semiring) => {
-            let _span = ctx.span("eval");
-            let expr = graph.expr_of(*n);
+            let mut span = ctx.span("eval");
+            let mark = env.reads_mark();
+            let expr = expr_of_store(store, *n);
+            env.stamp_reads(&mut span, mark);
             Ok(QueryOutput::Text(eval_expr_in_semiring(
                 *n, &expr, *semiring,
             )))
         }
-        StmtPlan::Stats => {
-            use lipstick_core::obs::HeapSize;
-            let mut text = stats(graph).to_string();
-            text.push_str(&format!(
-                "  {} invocation(s), {} zoomed-out module(s), reach index: {}\n",
-                graph.invocations().len(),
-                graph.zoomed_out_modules().len(),
-                if reach.is_some() { "present" } else { "absent" }
-            ));
-            let mut total = 0usize;
-            for (name, bytes) in graph.heap_breakdown() {
-                total += bytes;
-                text.push_str(&format!("  memory graph.{name}={bytes}\n"));
-            }
-            if let Some(idx) = reach {
-                for (name, bytes) in idx.heap_breakdown() {
-                    total += bytes;
-                    text.push_str(&format!("  memory reach.{name}={bytes}\n"));
-                }
-            }
-            text.push_str(&format!(
-                "  memory total={total} ({})",
-                lipstick_core::obs::format_bytes(total)
-            ));
-            Ok(QueryOutput::Text(text))
-        }
+        StmtPlan::Stats => Ok(QueryOutput::Text((env.stats)(store, env.reach))),
         StmtPlan::Explain(inner) => Ok(QueryOutput::Text(inner.to_string())),
         StmtPlan::ExplainAnalyze(inner) => {
             let tracer = Tracer::new();
-            let output = execute_read(graph, reach, inner, par, TraceCtx::root(&tracer))?;
+            let output = execute_read(env, inner, TraceCtx::root(&tracer))?;
             Ok(QueryOutput::Text(render_analyze(
                 inner,
                 &tracer.finish(),
@@ -233,7 +171,7 @@ pub(crate) fn execute_read(
         StmtPlan::Check { source } | StmtPlan::ExplainLint { source } => {
             let _span = ctx.span("check");
             Ok(QueryOutput::Diagnostics(crate::analyze::analyze(
-                graph, source,
+                store, source,
             )))
         }
         StmtPlan::Delete(_)
@@ -241,7 +179,7 @@ pub(crate) fn execute_read(
         | StmtPlan::ZoomIn { .. }
         | StmtPlan::BuildIndex
         | StmtPlan::DropIndex
-        | StmtPlan::Compact => Err(crate::error::ProqlError::ReadOnly(plan.to_string())),
+        | StmtPlan::Compact => Err(ProqlError::ReadOnly(plan.to_string())),
     }
 }
 
@@ -366,52 +304,53 @@ pub(crate) fn execute(session: &mut Session, plan: &StmtPlan) -> Result<QueryOut
         StmtPlan::Compact => Ok(QueryOutput::Message(
             "nothing to compact (no tail segment)".into(),
         )),
-        read_only => execute_read(
-            session.graph(),
-            session.reach_index(),
-            read_only,
-            session.parallelism(),
-            TraceCtx::disabled(),
-        ),
+        read_only => session.execute_read(read_only, TraceCtx::disabled()),
     }
 }
 
-/// Run a set plan; returns (sorted nodes, visited count).
-fn run_set(
-    graph: &ProvGraph,
-    reach: Option<&ReachIndex>,
+/// Run a set plan under its operator span; returns (sorted nodes,
+/// visited count).
+fn run_set<S: GraphStore + ?Sized>(
+    env: &ReadEnv<'_, S>,
     plan: &SetPlan,
-    par: Parallelism,
     ctx: TraceCtx<'_>,
-) -> Result<(Vec<NodeId>, usize)> {
+) -> SetResult {
     check_deadline(&ctx)?;
-    match plan {
+    let store = env.store;
+    let mut span = ctx.span(match plan {
+        SetPlan::Scan { .. } => "scan",
+        SetPlan::Walk { .. } => "walk",
+        SetPlan::Subgraph { .. } => "subgraph",
+        SetPlan::Union(..) => "union",
+        SetPlan::Intersect(..) => "intersect",
+    });
+    let mark = env.reads_mark();
+    let out = match plan {
         SetPlan::Scan {
             class,
             filter,
             strategy,
             limit,
         } => {
-            let mut span = ctx.span("scan");
-            let (out, visited) = match strategy {
-                ScanStrategy::FullScan { .. } => full_scan(graph, *class, filter, *limit),
-                // The module scan collects in invocation-component order
-                // and sorts afterwards, so an early-exit limit would be
-                // unsound here — the planner never plants one (see
-                // `SetPlan::push_limit`); the shaping stage truncates.
-                ScanStrategy::ModuleScan { module, .. } => {
-                    module_scan(graph, module, *class, filter)
-                }
-                // Paged strategies only arise in paged sessions; if one
-                // lands here (e.g. a plan replayed after promotion), the
-                // full scan is always correct.
-                ScanStrategy::PostingsScan { .. } | ScanStrategy::PagedFullScan { .. } => {
-                    full_scan(graph, *class, filter, *limit)
-                }
+            // A postings plan run against a store that does not keep
+            // them (a plan replayed after promotion) takes the
+            // id-ordered full scan, which is always correct.
+            let postings = match strategy {
+                ScanStrategy::PostingsScan { key, .. } => key.candidates(store),
+                _ => None,
             };
-            span.attr("rows", out.len() as u64);
-            span.attr("visited", visited as u64);
-            Ok((out, visited))
+            Ok(match (strategy, postings) {
+                // The module scan collects in invocation-component
+                // order and sorts afterwards, so an early-exit limit
+                // would be unsound here — the planner never plants one
+                // (see `SetPlan::push_limit`); the shaping stage
+                // truncates.
+                (ScanStrategy::ModuleScan { module, .. }, _) => {
+                    module_scan(store, module, *class, filter)
+                }
+                (_, Some(ids)) => scan_ids(store, ids.into_iter(), *class, filter, *limit),
+                (_, None) => scan_ids(store, all_ids(store), *class, filter, *limit),
+            })
         }
         SetPlan::Walk {
             root,
@@ -419,107 +358,75 @@ fn run_set(
             depth,
             filter,
             strategy,
-        } => {
-            let mut span = ctx.span("walk");
-            let direction = match dir {
-                WalkDir::Ancestors => Direction::Ancestors,
-                WalkDir::Descendants => Direction::Descendants,
-            };
-            let (nodes, visited) = match strategy {
-                WalkStrategy::Bfs { .. } | WalkStrategy::PagedBfs { .. } => {
-                    // Predicate pushed into the traversal's collect step.
-                    let (nodes, stats) = traverse(graph, *root, direction, *depth, |id, node| {
-                        pred_matches(graph, id, node, filter)
-                    })?;
-                    (nodes, stats.visited)
-                }
-                WalkStrategy::ReachIndex { .. } => {
-                    let index = reach.expect("planned with a reach index");
-                    let candidates = match dir {
-                        WalkDir::Descendants => index.descendants(*root),
-                        WalkDir::Ancestors => index.ancestors(*root),
-                    };
-                    let visited = candidates.len();
-                    let nodes: Vec<NodeId> = candidates
-                        .into_iter()
-                        .filter(|id| {
-                            let node = graph.node(*id);
-                            node.is_visible() && pred_matches(graph, *id, node, filter)
-                        })
-                        .collect();
-                    (nodes, visited)
-                }
-            };
-            span.attr("rows", nodes.len() as u64);
-            span.attr("visited", visited as u64);
-            Ok((nodes, visited))
-        }
-        SetPlan::Subgraph { root } => {
-            let mut span = ctx.span("subgraph");
-            let result = subgraph(graph, *root)?;
-            let visited = result.len();
-            span.attr("rows", result.nodes.len() as u64);
-            span.attr("visited", visited as u64);
-            Ok((result.nodes, visited))
-        }
-        SetPlan::Union(a, b) | SetPlan::Intersect(a, b) => {
-            let merge: fn(Vec<NodeId>, Vec<NodeId>) -> Vec<NodeId> = match plan {
-                SetPlan::Union(..) => merge_union,
-                _ => merge_intersect,
-            };
-            let branches = plan.branches();
-            let engaged = par.engaged(graph.len(), branches.len());
-            // A traced execution always takes the flattened-branches
-            // path, so the span tree has one canonical shape (set-op →
-            // `branch i` children) whatever the thread count; branch
-            // panics are caught per branch exactly like the parallel
-            // workers do, keeping the leftmost-outcome rule intact.
-            if engaged || ctx.enabled() {
-                let label = match plan {
-                    SetPlan::Union(..) => "union",
-                    _ => "intersect",
+        } => match (strategy, env.reach) {
+            (WalkStrategy::ReachIndex { .. }, Some(index)) => {
+                let candidates = match dir {
+                    WalkDir::Descendants => index.descendants(*root),
+                    WalkDir::Ancestors => index.ancestors(*root),
                 };
-                let mut span = ctx.span(label);
-                let sctx = span.ctx();
-                let run_branch = |i: usize, branch_par: Parallelism| {
-                    let mut bspan = sctx.span_indexed(&format!("branch {i}"), i as u32);
-                    let r = run_set(graph, reach, branches[i], branch_par, bspan.ctx());
-                    if let Ok((nodes, visited)) = &r {
-                        bspan.attr("rows", nodes.len() as u64);
-                        bspan.attr("visited", *visited as u64);
-                    }
-                    r
-                };
-                let results = if engaged {
-                    run_tasks_parallel(par.threads, branches.len(), |i| {
-                        run_branch(i, Parallelism::SEQUENTIAL)
-                    })
-                } else {
-                    (0..branches.len())
-                        .map(|i| {
-                            std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                                run_branch(i, par)
-                            }))
-                        })
-                        .collect()
-                };
-                let out = combine_branches(results, merge);
-                if let Ok((nodes, visited)) = &out {
-                    span.attr("rows", nodes.len() as u64);
-                    span.attr("visited", *visited as u64);
-                }
-                return out;
+                let visited = candidates.len();
+                let nodes: Vec<NodeId> = candidates
+                    .into_iter()
+                    .filter(|id| store.is_visible(*id) && pred_matches(store, *id, filter))
+                    .collect();
+                Ok((nodes, visited))
             }
-            let (xs, va) = run_set(graph, reach, a, par, ctx)?;
-            let (ys, vb) = run_set(graph, reach, b, par, ctx)?;
-            Ok((merge(xs, ys), va + vb))
-        }
+            // Bounded walks — and a reach plan whose index is gone —
+            // sweep, with the predicate pushed into the collect step.
+            _ => {
+                let direction = match dir {
+                    WalkDir::Ancestors => Direction::Ancestors,
+                    WalkDir::Descendants => Direction::Descendants,
+                };
+                traverse(store, *root, direction, *depth, |id| {
+                    pred_matches(store, id, filter)
+                })
+                .map(|(nodes, stats)| (nodes, stats.visited))
+                .map_err(ProqlError::from)
+            }
+        },
+        SetPlan::Subgraph { root } => subgraph(store, *root)
+            .map(|result| {
+                let visited = result.len();
+                (result.nodes, visited)
+            })
+            .map_err(ProqlError::from),
+        SetPlan::Union(..) | SetPlan::Intersect(..) => run_branches(env, plan, span.ctx()),
+    };
+    env.stamp_set(&mut span, mark, &out);
+    out
+}
+
+/// Run a set operation's flattened branches left to right, folding in
+/// source order: the leftmost failing branch decides the error.
+fn run_branches<S: GraphStore + ?Sized>(
+    env: &ReadEnv<'_, S>,
+    plan: &SetPlan,
+    ctx: TraceCtx<'_>,
+) -> SetResult {
+    let merge = match plan {
+        SetPlan::Union(..) => merge_union,
+        _ => merge_intersect,
+    };
+    let mut acc: Option<(Vec<NodeId>, usize)> = None;
+    for (i, branch) in plan.branches().into_iter().enumerate() {
+        let mut span = ctx.span_indexed(&format!("branch {i}"), i as u32);
+        let mark = env.reads_mark();
+        let out = run_set(env, branch, span.ctx());
+        env.stamp_set(&mut span, mark, &out);
+        drop(span);
+        let (ys, vb) = out?;
+        acc = Some(match acc {
+            None => (ys, vb),
+            Some((xs, va)) => (merge(xs, ys), va + vb),
+        });
     }
+    Ok(acc.unwrap_or_default())
 }
 
 /// Rows in a query output, for span attributes: node count, table rows,
 /// or 1 for scalars/text.
-pub(crate) fn output_rows(out: &QueryOutput) -> u64 {
+fn output_rows(out: &QueryOutput) -> u64 {
     match out {
         QueryOutput::Nodes(ns) => ns.nodes.len() as u64,
         QueryOutput::Table(t) => t.rows.len() as u64,
@@ -530,9 +437,8 @@ pub(crate) fn output_rows(out: &QueryOutput) -> u64 {
 }
 
 /// Render an `EXPLAIN ANALYZE` answer: the chosen physical plan, the
-/// observed per-operator span tree, and a one-line total. Shared by the
-/// resident and paged executors.
-pub(crate) fn render_analyze(plan: &StmtPlan, trace: &QueryTrace, output: &QueryOutput) -> String {
+/// observed per-operator span tree, and a one-line total.
+fn render_analyze(plan: &StmtPlan, trace: &QueryTrace, output: &QueryOutput) -> String {
     let mut text = format!("explain analyze\n  {plan}\nactuals:\n");
     for line in trace.render_tree().lines() {
         text.push_str("  ");
@@ -547,50 +453,33 @@ pub(crate) fn render_analyze(plan: &StmtPlan, trace: &QueryTrace, output: &Query
     text
 }
 
-/// One branch's `(sorted nodes, visited)` payload, or its failure.
-pub(crate) type BranchResult = Result<(Vec<NodeId>, usize)>;
-
-/// Fold per-branch outcomes in source order — the exact association the
-/// sequential path produces, so parallel execution is observationally
-/// identical: same node set, same visited sum, and on a bad branch the
-/// same (leftmost) outcome, whether that is an error or a panic (paged
-/// corruption containment catches panics above this layer, so the
-/// branch order must decide which one it sees).
-pub(crate) fn combine_branches(
-    results: Vec<std::thread::Result<BranchResult>>,
-    merge: impl Fn(Vec<NodeId>, Vec<NodeId>) -> Vec<NodeId>,
-) -> BranchResult {
-    let mut acc: Option<(Vec<NodeId>, usize)> = None;
-    for r in results {
-        let (ys, vb) = match r {
-            Ok(branch) => branch?,
-            Err(payload) => std::panic::resume_unwind(payload),
-        };
-        acc = Some(match acc {
-            None => (ys, vb),
-            Some((xs, va)) => (merge(xs, ys), va + vb),
-        });
-    }
-    Ok(acc.expect("set ops have at least one branch"))
+/// Every allocated id, ascending — the full scan's candidate stream.
+fn all_ids<S: GraphStore + ?Sized>(store: &S) -> impl Iterator<Item = NodeId> {
+    (0..store.node_count() as u32).map(NodeId)
 }
 
-/// Sweep every visible node, in id order — which is what makes the
-/// planner's pushed-down `limit` sound: the first `n` matches are the
-/// set's `n` smallest members, so the scan stops early.
-fn full_scan(
-    graph: &ProvGraph,
+/// Examine the visible nodes among `candidates`, which must ascend by
+/// id — which is what makes the planner's pushed-down `limit` sound:
+/// the first `n` matches are the set's `n` smallest members, so the
+/// scan stops early.
+fn scan_ids<S: GraphStore + ?Sized>(
+    store: &S,
+    candidates: impl Iterator<Item = NodeId>,
     class: NodeClass,
     filter: &Predicate,
     limit: Option<u64>,
 ) -> (Vec<NodeId>, usize) {
     let mut visited = 0;
     let mut out = Vec::new();
-    for (id, node) in graph.iter_visible() {
+    for id in candidates {
         if limit.is_some_and(|n| out.len() as u64 >= n) {
             break;
         }
+        if !store.is_visible(id) {
+            continue;
+        }
         visited += 1;
-        if class_matches(class, node) && pred_matches(graph, id, node, filter) {
+        if class_matches(store, class, id) && pred_matches(store, id, filter) {
             out.push(id);
         }
     }
@@ -600,13 +489,13 @@ fn full_scan(
 /// Drive the scan from the invocation table: visit only nodes owned by
 /// the target module's invocations (reached by a role-bounded sweep
 /// from each invocation's `m` node) instead of the whole graph.
-fn module_scan(
-    graph: &ProvGraph,
+fn module_scan<S: GraphStore + ?Sized>(
+    store: &S,
     module: &str,
     class: NodeClass,
     filter: &Predicate,
 ) -> (Vec<NodeId>, usize) {
-    let invocations = graph.invocations_of(module);
+    let invocations = store.invocations_of(module);
     let inv_set: BTreeSet<InvocationId> = invocations.iter().copied().collect();
     let mut visited = 0;
     let mut out = Vec::new();
@@ -614,13 +503,12 @@ fn module_scan(
     if class == NodeClass::Invocation {
         // m-nodes come straight off the invocation table.
         for inv in invocations {
-            let m = graph.invocation(inv).m_node;
-            let node = graph.node(m);
-            if !node.is_visible() {
+            let m = store.invocation(inv).m_node;
+            if !store.is_visible(m) {
                 continue;
             }
             visited += 1;
-            if pred_matches(graph, m, node, filter) {
+            if pred_matches(store, m, filter) {
                 out.push(m);
             }
         }
@@ -630,27 +518,28 @@ fn module_scan(
 
     // General classes: sweep each invocation's role-owned component
     // (both edge directions) starting from its m node.
-    let mut seen = BitSet::new(graph.len());
+    let mut seen = BitSet::new(store.node_count());
     let mut stack: Vec<NodeId> = Vec::new();
     for inv in invocations {
-        let m = graph.invocation(inv).m_node;
-        if graph.node(m).is_visible() && seen.insert(m.index()) {
+        let m = store.invocation(inv).m_node;
+        if store.is_visible(m) && seen.insert(m.index()) {
             stack.push(m);
         }
     }
     while let Some(id) = stack.pop() {
-        let node = graph.node(id);
         visited += 1;
-        if class_matches(class, node) && pred_matches(graph, id, node, filter) {
+        if class_matches(store, class, id) && pred_matches(store, id, filter) {
             out.push(id);
         }
-        for &n in node.preds().iter().chain(node.succs()) {
-            let nn = graph.node(n);
-            let owned = nn
-                .role
-                .invocation()
-                .is_some_and(|inv| inv_set.contains(&inv));
-            if owned && nn.is_visible() && seen.insert(n.index()) {
+        let (preds, succs) = (store.preds_of(id), store.succs_of(id));
+        for &n in preds.iter().chain(succs.iter()) {
+            let owned = |n| {
+                store
+                    .role_of(n)
+                    .invocation()
+                    .is_some_and(|inv| inv_set.contains(&inv))
+            };
+            if store.is_visible(n) && owned(n) && seen.insert(n.index()) {
                 stack.push(n);
             }
         }
@@ -659,51 +548,59 @@ fn module_scan(
     (out, visited)
 }
 
-/// Does a node belong to a `MATCH` class?
-fn class_matches(class: NodeClass, node: &Node) -> bool {
+/// Does a node belong to a `MATCH` class? `nodes` never asks the store
+/// for the kind, so an unfiltered scan faults nothing.
+fn class_matches<S: GraphStore + ?Sized>(store: &S, class: NodeClass, id: NodeId) -> bool {
+    if class == NodeClass::All {
+        return true;
+    }
+    let kind = store.kind_of(id);
     match class {
         NodeClass::All => true,
-        NodeClass::Invocation => matches!(node.kind, NodeKind::Invocation),
-        NodeClass::ModuleInput => matches!(node.kind, NodeKind::ModuleInput),
-        NodeClass::ModuleOutput => matches!(node.kind, NodeKind::ModuleOutput),
-        NodeClass::State => matches!(node.kind, NodeKind::StateUnit),
-        NodeClass::Base => matches!(node.kind, NodeKind::BaseTuple { .. }),
-        NodeClass::PNodes => !node.kind.is_value_node(),
-        NodeClass::VNodes => node.kind.is_value_node(),
+        NodeClass::Invocation => matches!(*kind, NodeKind::Invocation),
+        NodeClass::ModuleInput => matches!(*kind, NodeKind::ModuleInput),
+        NodeClass::ModuleOutput => matches!(*kind, NodeKind::ModuleOutput),
+        NodeClass::State => matches!(*kind, NodeKind::StateUnit),
+        NodeClass::Base => matches!(*kind, NodeKind::BaseTuple { .. }),
+        NodeClass::PNodes => !kind.is_value_node(),
+        NodeClass::VNodes => kind.is_value_node(),
     }
 }
 
 /// Evaluate a predicate conjunction on one node. Fields that don't
 /// apply (e.g. `module` on a free node) make `=` false and `!=` true.
-fn pred_matches(graph: &ProvGraph, _id: NodeId, node: &Node, pred: &Predicate) -> bool {
+fn pred_matches<S: GraphStore + ?Sized>(store: &S, id: NodeId, pred: &Predicate) -> bool {
     pred.conjuncts
         .iter()
-        .all(|c| comparison_matches(graph, node, c))
+        .all(|c| comparison_matches(store, id, c))
 }
 
-fn comparison_matches(graph: &ProvGraph, node: &Node, c: &Comparison) -> bool {
-    let actual = match c.field {
-        Field::Kind => Some(FieldValue::Str(node.kind.name())),
-        Field::Role => Some(FieldValue::Str(node.role.name())),
-        Field::Module => node
-            .role
+fn comparison_matches<S: GraphStore + ?Sized>(store: &S, id: NodeId, c: &Comparison) -> bool {
+    let invocation = || {
+        store
+            .role_of(id)
             .invocation()
-            .map(|inv| FieldValue::Str(graph.invocation(inv).module.as_str())),
-        Field::Execution => node
-            .role
-            .invocation()
-            .map(|inv| FieldValue::Int(u64::from(graph.invocation(inv).execution))),
-        Field::Token => match &node.kind {
-            NodeKind::BaseTuple { token } | NodeKind::WorkflowInput { token } => {
-                Some(FieldValue::Str(token.as_str()))
-            }
-            _ => None,
-        },
+            .map(|inv| store.invocation(inv))
     };
-    c.eval(actual)
+    match c.field {
+        Field::Kind => c.eval(Some(FieldValue::Str(store.kind_of(id).name()))),
+        Field::Role => c.eval(Some(FieldValue::Str(store.role_of(id).name()))),
+        Field::Module => c.eval(invocation().map(|info| FieldValue::Str(info.module.as_str()))),
+        Field::Execution => {
+            c.eval(invocation().map(|info| FieldValue::Int(u64::from(info.execution))))
+        }
+        // The kind may be a decoded temporary; the token borrows from
+        // it for the comparison's lifetime.
+        Field::Token => match &*store.kind_of(id) {
+            NodeKind::BaseTuple { token } | NodeKind::WorkflowInput { token } => {
+                c.eval(Some(FieldValue::Str(token.as_str())))
+            }
+            _ => c.eval(None),
+        },
+    }
 }
 
-pub(crate) fn merge_union(xs: Vec<NodeId>, ys: Vec<NodeId>) -> Vec<NodeId> {
+fn merge_union(xs: Vec<NodeId>, ys: Vec<NodeId>) -> Vec<NodeId> {
     let mut out = Vec::with_capacity(xs.len() + ys.len());
     let (mut i, mut j) = (0, 0);
     while i < xs.len() && j < ys.len() {
@@ -728,7 +625,7 @@ pub(crate) fn merge_union(xs: Vec<NodeId>, ys: Vec<NodeId>) -> Vec<NodeId> {
     out
 }
 
-pub(crate) fn merge_intersect(xs: Vec<NodeId>, ys: Vec<NodeId>) -> Vec<NodeId> {
+fn merge_intersect(xs: Vec<NodeId>, ys: Vec<NodeId>) -> Vec<NodeId> {
     let mut out = Vec::new();
     let (mut i, mut j) = (0, 0);
     while i < xs.len() && j < ys.len() {
@@ -746,9 +643,8 @@ pub(crate) fn merge_intersect(xs: Vec<NodeId>, ys: Vec<NodeId>) -> Vec<NodeId> {
 }
 
 /// Render a `WHY` answer: the symbolic expression plus its expanded
-/// N\[X\] polynomial when one exists. Shared by the resident and paged
-/// executors.
-pub(crate) fn why_text(n: NodeId, expr: &ProvExpr) -> String {
+/// N\[X\] polynomial when one exists.
+fn why_text(n: NodeId, expr: &ProvExpr) -> String {
     let mut text = format!("{n}: {expr}");
     if let Some(poly) = Polynomial::from_expr(expr) {
         text.push_str(&format!("\n  = {poly} (expanded N[X] polynomial)"));
@@ -773,13 +669,13 @@ fn collect_tokens(e: &ProvExpr, out: &mut BTreeSet<Token>) {
 }
 
 /// Evaluate an extracted provenance expression under the named
-/// semiring. Shared by the resident and paged executors.
+/// semiring.
 ///
 /// Valuations: counting and tropical give every token weight 1 (number
 /// of derivations / minimum tuples on a derivation); boolean marks all
 /// tokens present; lineage and why map each token to itself, producing
 /// contributing-token sets and minimal witnesses respectively.
-pub(crate) fn eval_expr_in_semiring(id: NodeId, expr: &ProvExpr, semiring: SemiringName) -> String {
+fn eval_expr_in_semiring(id: NodeId, expr: &ProvExpr, semiring: SemiringName) -> String {
     let mut tokens = BTreeSet::new();
     collect_tokens(expr, &mut tokens);
     let tokens: Vec<Token> = tokens.into_iter().collect();

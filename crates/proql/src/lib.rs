@@ -35,39 +35,44 @@
 //! ## Pipeline
 //!
 //! Text goes through [`lexer`] → [`parser`] (typed [`ast`]) →
-//! [`planner`] (cost-aware physical [`plan`]) → [`exec`]. The planner
-//! consults [`lipstick_core::graph::stats`] and the session's optional
-//! [`lipstick_core::query::ReachIndex`] — a bidirectional closure, so
+//! [`planner`] (cost-aware physical [`plan`]) → [`exec`]. There is one
+//! planner and one read executor, both generic over
+//! [`GraphStore`](lipstick_core::store::GraphStore): the planner
+//! chooses from what the store *offers* — the session's optional
+//! [`lipstick_core::query::ReachIndex`] (a bidirectional closure, so
 //! unbounded `ANCESTORS OF` and `DESCENDANTS OF` are symmetric index
-//! lookups — to pick traversal strategies, fuses consecutive zoom
-//! statements, and pushes `WHERE` predicates into traversals instead of
-//! post-filtering. Mutating statements repair the closure in place
-//! (deletion subtracts the dead cone; zooms remap the affected region)
-//! rather than dropping it, and independent `UNION`/`INTERSECT`
-//! branches fan out over a crossbeam worker pool on large graphs (see
-//! [`Session::set_parallelism`]). [`session::Session`] owns the graph
-//! (in-memory or loaded from a provenance log via `lipstick-storage`)
-//! and drives the pipeline.
+//! lookups), postings lists where the store keeps them, the invocation
+//! table otherwise — never from which backend it is. It fuses
+//! consecutive zoom statements and pushes `WHERE` predicates into
+//! traversals instead of post-filtering. Mutating statements repair the
+//! closure in place (deletion subtracts the dead cone; zooms remap the
+//! affected region) rather than dropping it, and `UNION`/`INTERSECT`
+//! chains run their flattened branches left to right.
+//! [`session::Session`] owns the graph (in-memory or loaded from a
+//! provenance log via `lipstick-storage`), drives the pipeline, and is
+//! the only place that knows which backend it holds.
 //!
-//! ## Resident vs. paged sessions
+//! ## Resident, paged and append sessions
 //!
 //! [`Session::load`] decodes the whole log up front. [`Session::open`]
-//! instead keeps a v2 (footer-indexed) log **paged**: the
-//! [`planner::PagedPlanner`] turns `MATCH` into footer-postings reads
-//! and walks into faulting BFS over the footer adjacency, so cold-start
+//! instead keeps a v2 (footer-indexed) log **paged**: the log keeps
+//! postings, so the planner turns `MATCH` into postings reads, and
+//! walks fault records only where a filter needs them, so cold-start
 //! cost scales with what the query touches, not with graph size.
-//! `EXPLAIN` on a paged session reports how many of the log's records a
-//! plan will read. The first mutating statement (`DELETE`, `ZOOM`,
-//! `BUILD INDEX`) promotes the session to resident transparently.
+//! `EXPLAIN` of a postings scan reports how many of the log's records
+//! the plan will read. The first mutating statement (`DELETE`, `ZOOM`,
+//! `BUILD INDEX`) promotes a paged session to resident transparently;
+//! [`Session::open_append`] instead commits mutations to a WAL tail
+//! beside the sealed log and never promotes.
 //!
 //! ## Result shaping
 //!
 //! Node-set statements accept `LIKE`/`NOT LIKE` wildcard patterns
 //! (`%`/`_`, on any string field including the new `token`),
 //! `COUNT(*)` / `COUNT(DISTINCT f)` projections, `GROUP BY`, `ORDER
-//! BY`, and `LIMIT`. Shaping runs in one
-//! [`GraphStore`](lipstick_core::store::GraphStore)-generic module
-//! shared by both executors, so resident and paged answers cannot
+//! BY`, and `LIMIT`. Shaping is
+//! [`GraphStore`](lipstick_core::store::GraphStore)-generic like the
+//! executor that calls it, so resident and paged answers cannot
 //! drift; `tests/differential.rs` locks the property down by running
 //! generated statements (see [`testgen`]) against a resident session,
 //! a paged session, and a `lipstick-serve` round trip, shrinking any
@@ -81,7 +86,7 @@
 //! `EXPLAIN ANALYZE <stmt>` executes a read-only statement under a span
 //! tracer ([`lipstick_core::obs`]) and renders the chosen plan next to
 //! per-operator **actuals** — rows produced, nodes visited, backend
-//! records decoded (paged sessions), wall time — on both executors.
+//! records decoded (paged sessions), wall time — on every backend.
 //! Every statement a [`Session`] runs also feeds the process-wide
 //! metrics registry (`lipstick_proql_statements_total`,
 //! `lipstick_proql_statement_us`, index build/repair series), which
@@ -104,7 +109,6 @@ pub mod ast;
 pub mod error;
 pub mod exec;
 pub mod lexer;
-pub mod paged;
 pub mod parser;
 pub mod plan;
 pub mod planner;
@@ -115,6 +119,5 @@ pub mod testgen;
 
 pub use analyze::{Diagnostic, Diagnostics, Severity};
 pub use error::ProqlError;
-pub use exec::Parallelism;
 pub use result::{NodeSetResult, QueryOutput, TableResult};
 pub use session::{render_memory_report, MemoryComponent, Session};

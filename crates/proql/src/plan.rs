@@ -8,6 +8,7 @@
 
 use std::fmt;
 
+use lipstick_core::store::GraphStore;
 use lipstick_core::NodeId;
 
 use crate::ast::{NodeClass, Predicate, SemiringName, Shaping, WalkDir};
@@ -23,12 +24,9 @@ pub enum WalkStrategy {
     /// directions. `est_visited` is the exact cone size read off the
     /// index at plan time, so the estimate matches observed work.
     ReachIndex { est_visited: usize },
-    /// Paged session: BFS over the log footer's adjacency, faulting in
-    /// node records only where the filter needs them.
-    PagedBfs { total_records: usize },
 }
 
-/// Which footer postings list(s) drive a paged scan.
+/// Which postings list(s) drive a scan on a store that keeps them.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum PostingsKey {
     /// `module = '…'` equality conjunct → the module's owned nodes.
@@ -46,6 +44,31 @@ pub enum PostingsKey {
         pattern: String,
         modules: Vec<String>,
     },
+}
+
+impl PostingsKey {
+    /// The ascending, deduplicated candidate ids this key selects —
+    /// exactly the records a postings scan examines. `None` when the
+    /// store does not keep the postings the key names.
+    pub(crate) fn candidates<S: GraphStore + ?Sized>(&self, store: &S) -> Option<Vec<NodeId>> {
+        let union = |lists: Vec<Option<Vec<NodeId>>>| {
+            let mut ids: Vec<NodeId> = lists.into_iter().collect::<Option<Vec<_>>>()?.concat();
+            ids.sort_unstable();
+            ids.dedup();
+            Some(ids)
+        };
+        match self {
+            PostingsKey::Module(m) => store.module_postings(m),
+            PostingsKey::Kind(k) => store.kind_postings(k),
+            PostingsKey::TokenKinds => union(vec![
+                store.kind_postings("base_tuple"),
+                store.kind_postings("workflow_input"),
+            ]),
+            PostingsKey::ModuleLike { modules, .. } => {
+                union(modules.iter().map(|m| store.module_postings(m)).collect())
+            }
+        }
+    }
 }
 
 impl fmt::Display for PostingsKey {
@@ -73,17 +96,14 @@ pub enum ScanStrategy {
         invocations: usize,
         est_visited: usize,
     },
-    /// Paged session: read only the records listed in a footer postings
-    /// list. `postings` of `total_records` is the records-read figure
+    /// Read only the records listed in the store's postings.
+    /// `postings` of `total_records` is the records-read figure
     /// `EXPLAIN` reports.
     PostingsScan {
         key: PostingsKey,
         postings: usize,
         total_records: usize,
     },
-    /// Paged session with no usable postings list: decode every record
-    /// once, streaming.
-    PagedFullScan { total_records: usize },
 }
 
 /// A plan producing a sorted node set.
@@ -96,7 +116,7 @@ pub enum SetPlan {
         /// Stop after collecting this many matches — sound only on
         /// id-ordered candidate streams, which is where the planner
         /// plants it (see [`SetPlan::push_limit`]). Strategies that
-        /// collect out of order (the resident module scan) ignore it;
+        /// collect out of order (the module scan) ignore it;
         /// the shaping stage re-truncates, so an ignored hint costs
         /// work but never correctness.
         limit: Option<u64>,
@@ -118,10 +138,8 @@ pub enum SetPlan {
 impl SetPlan {
     /// The operands of the outermost run of one set operator, in source
     /// order: `((a UNION b) UNION c)` yields `[a, b, c]`. Operands of a
-    /// *different* operator stay whole (they are one branch). These
-    /// branches are independent — no branch reads another's output —
-    /// which is what lets the executor fan them out across worker
-    /// threads and still merge deterministically in source order.
+    /// *different* operator stay whole (they are one branch). The
+    /// executor runs them left to right, one `branch i` span each.
     pub fn branches(&self) -> Vec<&SetPlan> {
         fn walk<'a>(plan: &'a SetPlan, union: bool, out: &mut Vec<&'a SetPlan>) {
             match plan {
@@ -148,7 +166,7 @@ impl SetPlan {
     /// produce their matches ascending, so the first `n` matches *are*
     /// the query's first `n` rows; a union's first `n` members all sit
     /// within the first `n` of its operands. No hint goes where it
-    /// would be unsound or ignored — the resident module scan (which
+    /// would be unsound or ignored — the module scan (which
     /// collects in invocation-component order and sorts afterwards),
     /// intersections (a member may pair with an arbitrarily deep
     /// counterpart), walks, and subgraphs (BFS discovery order is not
@@ -182,9 +200,6 @@ pub enum DependsStrategy {
     /// costs one word probe whichever closure is consulted. Fall back
     /// to propagation only on reachable pairs.
     ReachPrefilter,
-    /// Paged session: propagate over the log, faulting in only the
-    /// records the cascade actually examines.
-    PagedPropagation,
 }
 
 /// A fully planned statement.
@@ -290,9 +305,6 @@ impl SetPlan {
                         " [paged postings scan on {key}, reads {postings} of {total_records} \
                          records]"
                     ),
-                    ScanStrategy::PagedFullScan { total_records } => {
-                        write!(f, " [paged full scan, reads {total_records} records]")
-                    }
                 }
             }
             SetPlan::Walk {
@@ -328,10 +340,6 @@ impl SetPlan {
                             " [reach-index lookup, {closure} closure, cone {est_visited} node(s)]"
                         )
                     }
-                    WalkStrategy::PagedBfs { total_records } => write!(
-                        f,
-                        " [paged bfs over footer adjacency, ≤ {total_records} records]"
-                    ),
                 }
             }
             SetPlan::Subgraph { root } => write!(f, "{pad}subgraph of {root}"),
@@ -357,8 +365,8 @@ impl fmt::Display for StmtPlan {
             StmtPlan::Set { plan, shaping } => {
                 write!(f, "{plan}")?;
                 if !shaping.is_plain() {
-                    // One backend-independent line: the resident and
-                    // paged planners must describe identical shapes.
+                    // One backend-independent line: every store's plan
+                    // describes the same shape.
                     write!(f, "\n  shape: {}", shaping.describe())?;
                 }
                 Ok(())
@@ -383,10 +391,6 @@ impl fmt::Display for StmtPlan {
                     f,
                     "depends({n}, {n_prime}) [reach-index prefilter, propagation only if \
                      reachable]"
-                ),
-                DependsStrategy::PagedPropagation => write!(
-                    f,
-                    "depends({n}, {n_prime}) [paged propagation over faulted neighbourhood]"
                 ),
             },
             StmtPlan::Delete(n) => write!(f, "delete {n} propagate [in-place §4.2 deletion]"),

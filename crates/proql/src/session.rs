@@ -1,30 +1,30 @@
-//! A ProQL session: a provenance graph (resident or paged), an
+//! A ProQL session: a provenance graph (resident, paged or append), an
 //! optional reachability index, and the parse → plan → execute loop.
 //!
-//! Shaped statements (`LIKE` predicates, `COUNT(…)`, `GROUP BY`,
-//! `ORDER BY`, `LIMIT`) take the same paths as plain node-set queries:
-//! both backends plan the shaping into the statement plan and apply it
-//! through the shared `shape` module, so every entry point here —
-//! `run`, `run_one`, `run_read`, `explain` — handles them uniformly
-//! and `QueryOutput::Table` flows to callers like any other output.
+//! Reads — planning, `CHECK`, execution — are written once against
+//! [`GraphStore`] and reach the backend through one dispatch
+//! (`on_store!`). The session branches on its backend only where
+//! backends really differ: opening, the mutation arms, `STATS` and the
+//! memory report, the `reads=` span attributes, and containing the
+//! corruption panics of stores that fault records in.
 
 use std::path::Path;
 use std::sync::Arc;
 use std::time::Instant;
 
 use lipstick_core::obs::{self, TraceCtx, Tracer};
+use lipstick_core::query::deletion::compute_deletion;
 use lipstick_core::query::{plan_zoom_out, QueryError, ReachIndex};
-use lipstick_core::store::{compute_deletion_store, GraphStore};
+use lipstick_core::store::GraphStore;
 use lipstick_core::{InvocationId, NodeId, ProvGraph, Role};
 use lipstick_storage::{AppendLog, PagedLog};
 
 use crate::ast::Statement;
 use crate::error::{ProqlError, Result};
-use crate::exec::{self, Parallelism};
-use crate::paged;
+use crate::exec::{self, ReadEnv};
 use crate::parser::{parse_script, parse_statement};
 use crate::plan::StmtPlan;
-use crate::planner::{fuse_zooms, FusedStatement, PagedPlanner, Planner};
+use crate::planner::{fuse_zooms, FusedStatement, Planner};
 use crate::result::QueryOutput;
 
 /// How the session holds its graph.
@@ -39,6 +39,47 @@ enum Backend {
     /// commit as durable tail records instead of promoting, and
     /// `COMPACT` merges the tail into a fresh sealed base.
     Append(Box<AppendLog>),
+}
+
+/// Evaluate `$body` (a `Result`) with `$env` bound to the backend's
+/// [`ReadEnv`], monomorphised per store — the one place a read picks
+/// its store. A store that faults records in notices a garbled record
+/// deep inside infallible [`GraphStore`] accessors (the footer only
+/// validates record *offsets*), so its arm runs under
+/// [`contain_corruption`].
+macro_rules! on_store {
+    ($session:expr, |$env:ident| $body:expr) => {{
+        let reach = $session.reach.as_ref();
+        match &$session.backend {
+            Backend::Resident(graph) => {
+                let $env = ReadEnv {
+                    store: graph,
+                    reach,
+                    reads: false,
+                    stats: resident_stats,
+                };
+                $body
+            }
+            Backend::Paged(log) => {
+                let $env = ReadEnv {
+                    store: log.as_ref(),
+                    reach,
+                    reads: true,
+                    stats: log_stats::<PagedLog>,
+                };
+                contain_corruption(|| $body)
+            }
+            Backend::Append(log) => {
+                let $env = ReadEnv {
+                    store: log.as_ref(),
+                    reach,
+                    reads: true,
+                    stats: log_stats::<AppendLog>,
+                };
+                contain_corruption(|| $body)
+            }
+        }
+    }};
 }
 
 /// The session's handles into the process-wide metrics registry,
@@ -92,9 +133,6 @@ impl Instruments {
 pub struct Session {
     backend: Backend,
     reach: Option<ReachIndex>,
-    /// Branch-parallelism policy for set-operation execution; see
-    /// [`Session::set_parallelism`].
-    parallel: Parallelism,
     /// From-scratch closure builds performed so far (repairs excluded)
     /// — lets tests pin down that promotion and incremental
     /// maintenance never trigger a silent second rebuild.
@@ -122,7 +160,6 @@ impl Session {
         Session {
             backend: Backend::Resident(graph),
             reach: None,
-            parallel: Parallelism::default_for_host(),
             index_builds: 0,
             carried_reads: 0,
             promotions: 0,
@@ -157,7 +194,6 @@ impl Session {
         Ok(Session {
             backend: Backend::Paged(Box::new(log)),
             reach: None,
-            parallel: Parallelism::default_for_host(),
             index_builds: 0,
             carried_reads: 0,
             promotions: 0,
@@ -195,7 +231,6 @@ impl Session {
         Session {
             backend: Backend::Append(Box::new(log)),
             reach: None,
-            parallel: Parallelism::default_for_host(),
             index_builds: 0,
             carried_reads: 0,
             promotions: 0,
@@ -213,28 +248,6 @@ impl Session {
             Backend::Append(log) => log.sync().map_err(|e| ProqlError::Storage(e.to_string())),
             Backend::Resident(_) | Backend::Paged(_) => Ok(()),
         }
-    }
-
-    /// Cap the worker threads used for independent `UNION`/`INTERSECT`
-    /// branches (1 disables branch parallelism). The default is one
-    /// thread per core, capped at 8; results are byte-identical at any
-    /// setting — only wall-clock changes.
-    pub fn set_parallelism(&mut self, threads: usize) {
-        self.parallel.threads = threads.max(1);
-    }
-
-    /// Full control over the branch-parallelism policy (thread count
-    /// *and* engagement threshold) — benches and tests use it to force
-    /// the parallel path on small graphs.
-    pub fn set_parallelism_policy(&mut self, policy: Parallelism) {
-        self.parallel = Parallelism {
-            threads: policy.threads.max(1),
-            ..policy
-        };
-    }
-
-    pub(crate) fn parallelism(&self) -> Parallelism {
-        self.parallel
     }
 
     /// How many times a reach index was built from scratch in this
@@ -487,26 +500,9 @@ impl Session {
             self.materialize()?;
         }
         let start = Instant::now();
-        let out = if self.is_append() {
-            self.run_append_fused(fs)
-        } else {
-            match &self.backend {
-                Backend::Resident(graph) => {
-                    let plan = Planner::new(graph, self.reach.as_ref()).plan_fused(fs)?;
-                    exec::execute(self, &plan)
-                }
-                Backend::Paged(log) => match &fs.stmt {
-                    // Intercepted here: COMPACT is mutating (so it must
-                    // not reach the paged read executor) but a no-op on
-                    // a tail-less backend.
-                    Statement::Compact => Ok(QueryOutput::Message(
-                        "nothing to compact (no tail segment)".into(),
-                    )),
-                    stmt => run_paged(log.as_ref(), stmt, self.parallel, TraceCtx::disabled()),
-                },
-                Backend::Append(_) => unreachable!("handled above"),
-            }
-        };
+        let out = on_store!(self, |env| Planner::new(env.store, env.reach)
+            .plan_fused(fs))
+        .and_then(|plan| self.execute(plan));
         self.instruments.statements.inc();
         self.instruments
             .statement_us
@@ -514,22 +510,44 @@ impl Session {
         out
     }
 
-    /// Execute one fused statement against the append backend.
-    /// Read-only plans run through the paged executor (the append log
-    /// is a [`GraphStore`]); mutating plans commit durable tail
+    /// Execute one planned statement through the backend's mutation
+    /// arms; read-only plans fall through to [`Session::execute_read`].
+    fn execute(&mut self, plan: StmtPlan) -> Result<QueryOutput> {
+        match &self.backend {
+            Backend::Resident(_) => exec::execute(self, &plan),
+            Backend::Append(_) => self.execute_append(plan),
+            // A sealed log has no tail to compact and (mutations
+            // promote) never holds an index.
+            Backend::Paged(_) => match plan {
+                StmtPlan::Compact => Ok(QueryOutput::Message(
+                    "nothing to compact (no tail segment)".into(),
+                )),
+                StmtPlan::DropIndex => Ok(QueryOutput::Message(
+                    "reach index dropped (paged sessions have none)".into(),
+                )),
+                read_only => self.execute_read(&read_only, TraceCtx::disabled()),
+            },
+        }
+    }
+
+    /// Execute one planned read-only statement against whichever store
+    /// the session holds.
+    pub(crate) fn execute_read(&self, plan: &StmtPlan, ctx: TraceCtx<'_>) -> Result<QueryOutput> {
+        on_store!(self, |env| exec::execute_read(&env, plan, ctx))
+    }
+
+    /// Execute one planned statement against the append backend.
+    /// Read-only plans run through the shared read executor (the append
+    /// log is a [`GraphStore`]); mutating plans commit durable tail
     /// records and repair the reach index in place — the messages and
     /// error choices mirror the resident arms byte for byte, which the
     /// differential harness locks down.
-    fn run_append_fused(&mut self, fs: &FusedStatement) -> Result<QueryOutput> {
-        let plan = {
-            let log = self.append_log_ref();
-            contain_corruption(|| PagedPlanner::new(log).plan_fused(fs))?
-        };
+    fn execute_append(&mut self, plan: StmtPlan) -> Result<QueryOutput> {
         match plan {
             StmtPlan::Delete(n) => {
                 let cone = {
                     let log = self.append_log_ref();
-                    contain_corruption(|| Ok(compute_deletion_store(log, n)?))?
+                    contain_corruption(|| Ok(compute_deletion(log, n)?))?.deleted
                 };
                 self.append_log_mut()
                     .commit_tombstones(&cone)
@@ -571,8 +589,8 @@ impl Session {
                         }
                     }
                     for &z in &created {
-                        changed.extend(log.preds_of(z));
-                        changed.extend(log.succs_of(z));
+                        changed.extend_from_slice(&log.preds_of(z));
+                        changed.extend_from_slice(&log.succs_of(z));
                     }
                 }
                 self.repair_index(&changed);
@@ -622,8 +640,8 @@ impl Session {
                             changed.extend_from_slice(&stash.hidden);
                             for &z in &stash.zoom_nodes {
                                 changed.push(z);
-                                changed.extend(log.preds_of(z));
-                                changed.extend(log.succs_of(z));
+                                changed.extend_from_slice(&log.preds_of(z));
+                                changed.extend_from_slice(&log.succs_of(z));
                             }
                         }
                     }
@@ -676,12 +694,7 @@ impl Session {
                     "compacted {records} tail record(s) into sealed segment"
                 )))
             }
-            read_only => {
-                let log = self.append_log_ref();
-                contain_corruption(|| {
-                    paged::execute(log, &read_only, self.parallel, TraceCtx::disabled())
-                })
-            }
+            read_only => self.execute_read(&read_only, TraceCtx::disabled()),
         }
     }
 
@@ -799,18 +812,14 @@ impl Session {
             .map_or(TraceCtx::disabled(), TraceCtx::root)
             .with_deadline(deadline);
         let start = Instant::now();
-        let out = match &self.backend {
-            Backend::Resident(graph) => {
-                let plan = {
-                    let _span = ctx.span("plan");
-                    Planner::new(graph, self.reach.as_ref()).plan(stmt)?
-                };
-                let span = ctx.span("execute");
-                exec::execute_read(graph, self.reach_index(), &plan, self.parallel, span.ctx())
-            }
-            Backend::Paged(log) => run_paged(log.as_ref(), stmt, self.parallel, ctx),
-            Backend::Append(log) => run_paged(log.as_ref(), stmt, self.parallel, ctx),
-        };
+        let out = on_store!(self, |env| {
+            let plan = {
+                let _span = ctx.span("plan");
+                Planner::new(env.store, env.reach).plan(stmt)?
+            };
+            let span = ctx.span("execute");
+            exec::execute_read(&env, &plan, span.ctx())
+        });
         self.instruments.statements.inc();
         self.instruments
             .statement_us
@@ -821,17 +830,7 @@ impl Session {
     /// Plan a statement without executing it, against whichever backend
     /// the session currently has.
     pub fn plan(&self, stmt: &Statement) -> Result<StmtPlan> {
-        match &self.backend {
-            Backend::Resident(graph) => Planner::new(graph, self.reach.as_ref()).plan(stmt),
-            // Planning faults records too (token resolution), so it
-            // needs the same corruption containment as execution.
-            Backend::Paged(log) => {
-                contain_corruption(|| PagedPlanner::new(log.as_ref()).plan(stmt))
-            }
-            Backend::Append(log) => {
-                contain_corruption(|| PagedPlanner::new(log.as_ref()).plan(stmt))
-            }
-        }
+        on_store!(self, |env| Planner::new(env.store, env.reach).plan(stmt))
     }
 
     /// The physical plan for a statement, as `EXPLAIN` would print it.
@@ -892,15 +891,25 @@ impl Session {
 
     /// Statically analyze one statement against this session's schema
     /// **without executing it** — what `CHECK <stmt>` returns. Works on
-    /// both backends; on a paged session only index-level facts (and
+    /// every backend; on a paged session only index-level facts (and
     /// the kind of an `EVAL` target) fault in, and the session is never
-    /// promoted.
+    /// promoted. The analyzer itself is infallible, but faulting
+    /// records in is not: a contained corruption panic becomes a
+    /// synthetic `E001` diagnostic.
     pub fn check(&self, statement: &str) -> crate::analyze::Diagnostics {
-        match &self.backend {
-            Backend::Resident(graph) => crate::analyze::analyze(graph, statement),
-            Backend::Paged(log) => analyze_contained(log.as_ref(), statement),
-            Backend::Append(log) => analyze_contained(log.as_ref(), statement),
-        }
+        on_store!(self, |env| Ok(crate::analyze::analyze(
+            env.store, statement
+        )))
+        .unwrap_or_else(|e| crate::analyze::Diagnostics {
+            source: statement.to_string(),
+            items: vec![crate::analyze::Diagnostic {
+                code: "E001",
+                severity: crate::analyze::Severity::Error,
+                span: crate::lexer::Span::new(0, statement.len()),
+                message: format!("analysis failed: {e}"),
+                suggestion: None,
+            }],
+        })
     }
 }
 
@@ -925,49 +934,61 @@ pub fn render_memory_report(components: &[MemoryComponent]) -> String {
     out
 }
 
-/// Plan and execute one statement against an on-disk store (paged or
-/// append log). The footer only validates record *offsets*; a record
-/// whose bytes are garbled is first noticed when a query faults it in,
-/// deep inside infallible GraphStore accessors. Contain that panic here
-/// so corrupt input surfaces as an error, never an abort — the same
-/// contract every other corruption path honours.
-fn run_paged<S: GraphStore + Sync>(
-    store: &S,
-    stmt: &Statement,
-    par: Parallelism,
-    ctx: TraceCtx<'_>,
-) -> Result<QueryOutput> {
-    contain_corruption(|| {
-        let plan = {
-            let _span = ctx.span("plan");
-            PagedPlanner::new(store).plan(stmt)?
-        };
-        let span = ctx.span("execute");
-        paged::execute(store, &plan, par, span.ctx())
-    })
-}
-
-/// `CHECK` analysis against an on-disk store, with corruption panics
-/// folded into a synthetic `E001` diagnostic (the analyzer itself is
-/// infallible, but faulting records in is not).
-fn analyze_contained<S: GraphStore>(store: &S, statement: &str) -> crate::analyze::Diagnostics {
-    contain_corruption(|| Ok(crate::analyze::analyze(store, statement))).unwrap_or_else(|e| {
-        crate::analyze::Diagnostics {
-            source: statement.to_string(),
-            items: vec![crate::analyze::Diagnostic {
-                code: "E001",
-                severity: crate::analyze::Severity::Error,
-                span: crate::lexer::Span::new(0, statement.len()),
-                message: format!("analysis failed: {e}"),
-                suggestion: None,
-            }],
+/// `STATS` for a resident graph: node/edge statistics, zoom and index
+/// state, and the heap breakdown of graph and closure.
+fn resident_stats(graph: &ProvGraph, reach: Option<&ReachIndex>) -> String {
+    use lipstick_core::obs::HeapSize;
+    let mut text = lipstick_core::graph::stats::stats(graph).to_string();
+    text.push_str(&format!(
+        "  {} invocation(s), {} zoomed-out module(s), reach index: {}\n",
+        graph.invocations().len(),
+        graph.zoomed_out_modules().len(),
+        if reach.is_some() { "present" } else { "absent" }
+    ));
+    let mut total = 0usize;
+    for (name, bytes) in graph.heap_breakdown() {
+        total += bytes;
+        text.push_str(&format!("  memory graph.{name}={bytes}\n"));
+    }
+    if let Some(idx) = reach {
+        for (name, bytes) in idx.heap_breakdown() {
+            total += bytes;
+            text.push_str(&format!("  memory reach.{name}={bytes}\n"));
         }
-    })
+    }
+    text.push_str(&format!(
+        "  memory total={total} ({})",
+        obs::format_bytes(total)
+    ));
+    text
 }
 
-/// Run a paged planning/execution step, containing corruption panics
-/// (see [`run_paged`]) so they surface as errors, never an abort or a
-/// dead server worker.
+/// `STATS` for an on-disk log: record counts, how many records queries
+/// have decoded so far, and the store's heap breakdown.
+fn log_stats<S: GraphStore>(store: &S, _reach: Option<&ReachIndex>) -> String {
+    let mut text = format!(
+        "paged log: {} record(s), {} visible, {} invocation(s), {} record(s) decoded so far\n",
+        store.node_count(),
+        store.visible_count(),
+        store.invocations().len(),
+        store.records_read()
+    );
+    let mut total = 0usize;
+    for (name, bytes) in store.memory_breakdown() {
+        total += bytes;
+        text.push_str(&format!("  memory store.{name}={bytes}\n"));
+    }
+    text.push_str(&format!(
+        "  memory total={total} ({})",
+        obs::format_bytes(total)
+    ));
+    text
+}
+
+/// Run a planning/execution step against a faulting store, containing
+/// corruption panics so they surface as errors, never an abort or a
+/// dead server worker — the same contract every other corruption path
+/// honours.
 fn contain_corruption<T>(f: impl FnOnce() -> Result<T>) -> Result<T> {
     std::panic::catch_unwind(std::panic::AssertUnwindSafe(f)).unwrap_or_else(|payload| {
         let msg = payload

@@ -1,9 +1,8 @@
 //! Result shaping: aggregates, `GROUP BY`, `ORDER BY`, `LIMIT`.
 //!
-//! One implementation, generic over [`GraphStore`], shared by the
-//! resident and paged executors — the two backends cannot drift on
-//! shaping semantics because they run the same code over the same node
-//! sets. All orderings are total (ties break on the group value or
+//! One implementation, generic over [`GraphStore`] like the executor
+//! that calls it — backends cannot drift on shaping semantics because
+//! they run the same code over the same node sets. All orderings are total (ties break on the group value or
 //! node id), so shaped results are byte-for-byte deterministic, which
 //! the differential harness (`tests/differential.rs`) relies on.
 
@@ -20,7 +19,7 @@ use crate::result::{Cell, NodeSetResult, QueryOutput, TableResult};
 const NONE_MARKER: &str = "(none)";
 
 /// A node's value for a shaping field, when the field applies.
-/// Mirrors the predicate semantics in both executors'
+/// Mirrors the predicate semantics of the executor's
 /// `comparison_matches`.
 pub(crate) fn field_cell<S: GraphStore + ?Sized>(
     store: &S,
@@ -38,7 +37,7 @@ pub(crate) fn field_cell<S: GraphStore + ?Sized>(
             .role_of(id)
             .invocation()
             .map(|inv| Cell::Int(u64::from(store.invocation(inv).execution))),
-        Field::Token => match store.kind_of(id) {
+        Field::Token => match &*store.kind_of(id) {
             NodeKind::BaseTuple { token } | NodeKind::WorkflowInput { token } => {
                 Some(Cell::Str(token.as_str().to_string()))
             }

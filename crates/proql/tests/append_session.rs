@@ -5,7 +5,9 @@
 //! figure stays monotonic and the memory report accounts for the tail
 //! overlay.
 
-use lipstick_core::{GraphTracker, ProvGraph};
+use lipstick_core::query::deletion::compute_deletion;
+use lipstick_core::query::subgraph::ancestors;
+use lipstick_core::{GraphTracker, NodeId, ProvGraph};
 use lipstick_proql::{QueryOutput, Session};
 use lipstick_storage::write_graph_v2;
 use lipstick_workflowgen::dealers::{self, DealersParams};
@@ -165,4 +167,94 @@ fn memory_report_accounts_for_the_tail_overlay() {
         paged.run_read("COUNT(*) MATCH nodes").unwrap().to_string(),
         after
     );
+}
+
+/// An append session reads the index it maintains: after `BUILD INDEX`
+/// the planner chooses the reach strategies, the answers equal a
+/// resident session's, and both hold across every kind of mutation the
+/// append backend commits — without ever promoting.
+#[test]
+fn indexed_append_session_plans_and_answers_through_the_reach_index() {
+    let base = dealers_graph(24, 7);
+    let fragment = dealers_graph(6, 99);
+    let path = temp_log("indexed.lpstk", &base);
+    let mut append = Session::open_append(&path).unwrap();
+    let mut resident = Session::load(&path).unwrap();
+
+    // A high-fanout node and one of its ancestors, both outside the #0
+    // cone the script deletes.
+    let doomed = compute_deletion(&base, NodeId(0)).unwrap();
+    let probe = *base
+        .top_fanout_nodes(base.len())
+        .iter()
+        .find(|id| !doomed.contains(**id) && !base.node(**id).preds().is_empty())
+        .expect("a surviving inner node");
+    let source = *ancestors(&base, probe)
+        .unwrap()
+        .iter()
+        .find(|id| !doomed.contains(**id))
+        .expect("a surviving ancestor");
+    let (probe, source) = (probe.0, source.0);
+    let walk = format!("ANCESTORS OF #{probe}");
+    let depends = format!("DEPENDS(#{probe}, #{source})");
+    let why = format!("WHY #{probe}");
+    let reads = [
+        walk.clone(),
+        format!("DESCENDANTS OF #{probe} WHERE kind = 'module_output'"),
+        depends.clone(),
+        format!("DEPENDS(#{source}, #{probe})"),
+        why.clone(),
+        format!("ANCESTORS OF #{probe} INTERSECT DESCENDANTS OF #{source}"),
+    ];
+
+    assert!(append.explain(&walk).unwrap().contains("[bfs, "));
+    for session in [&mut append, &mut resident] {
+        session.run_one("BUILD INDEX").unwrap();
+    }
+
+    let check = |append: &Session, resident: &Session, after: &str| {
+        let plan = |stmt: &str| append.explain(stmt).unwrap();
+        assert!(plan(&walk).contains("reach-index lookup"), "after {after}");
+        assert!(
+            plan(&depends).contains("reach-index prefilter"),
+            "after {after}"
+        );
+        assert!(
+            plan(&why).contains("ancestor cone") && plan(&why).contains("via reach index"),
+            "after {after}"
+        );
+        for stmt in &reads {
+            // Plans agree too: an index-backed strategy reads nothing
+            // store-specific.
+            assert_eq!(plan(stmt), resident.explain(stmt).unwrap(), "{stmt}");
+            assert_eq!(
+                append.run_read(stmt).unwrap().to_string(),
+                resident.run_read(stmt).unwrap().to_string(),
+                "{stmt} after {after}"
+            );
+        }
+        assert_eq!(append.promotions(), 0, "after {after}");
+        assert_eq!(append.index_builds(), 1, "repaired, never rebuilt");
+    };
+
+    check(&append, &resident, "BUILD INDEX");
+    for stmt in [
+        "DELETE #0 PROPAGATE",
+        "ZOOM OUT TO Mdealer1",
+        "ZOOM IN",
+        "COMPACT",
+    ] {
+        let a = append.run_one(stmt).unwrap().to_string();
+        let r = resident.run_one(stmt).unwrap().to_string();
+        if stmt != "COMPACT" {
+            assert_eq!(a, r, "{stmt}");
+        }
+        check(&append, &resident, stmt);
+    }
+    assert_eq!(
+        append.ingest(&fragment).unwrap(),
+        resident.ingest(&fragment).unwrap()
+    );
+    check(&append, &resident, "ingest");
+    assert!(append.is_append());
 }

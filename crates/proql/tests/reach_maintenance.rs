@@ -10,13 +10,14 @@
 //! directions, at full bitset granularity, including capacities. The
 //! case budget honours `PROPTEST_CASES` like the other property suites.
 //!
-//! The same generator drives a second property: the graph's maintained
-//! visible count equals a sweep of the node arena after every way a
-//! graph is built, mutated, persisted or reloaded.
+//! The same generator drives a second property: a store's visible
+//! count — maintained by the resident graph, derived in O(tail) by the
+//! append log — equals a sweep of its visibility index after every way
+//! a graph is built, mutated, persisted or reloaded.
 
 use lipstick_core::graph::validate::check_structure;
 use lipstick_core::graph::ShardTracker;
-use lipstick_core::{GraphTracker, NodeId, ProvGraph, Tracker};
+use lipstick_core::{GraphStore, GraphTracker, NodeId, ProvGraph, Tracker};
 use lipstick_proql::testgen::{self, Rng, Vocab};
 use lipstick_proql::Session;
 use lipstick_storage::{write_graph, write_graph_v2};
@@ -134,12 +135,29 @@ fn temp_path(name: &str) -> std::path::PathBuf {
     dir.join(name)
 }
 
+/// The append log's count (sealed popcount adjusted over the tail)
+/// against a sweep of its visibility — and against the resident session
+/// the same script drove.
+fn assert_append_count_matches_sweep(append: &Session, resident: &Session, after: &str) {
+    let log = append.append_log().expect("append session");
+    let sweep = (0..log.node_count() as u32)
+        .filter(|i| log.is_visible(NodeId(*i)))
+        .count();
+    assert_eq!(log.visible_count(), sweep, "append log after {after}");
+    assert_eq!(
+        sweep,
+        resident.graph().visible_count(),
+        "append and resident sessions diverged after {after}"
+    );
+}
+
 #[test]
 fn visible_count_matches_arena_after_every_step() {
     let budget = case_budget();
     let mut rng = Rng::new(0x00c0_ffee_0fa1_15ee);
     let v1 = temp_path("round_trip_v1.lpstk");
     let v2 = temp_path("round_trip_v2.lpstk");
+    let tailed = temp_path("append.lpstk");
     let mut executed = 0usize;
 
     while executed < budget {
@@ -150,37 +168,49 @@ fn visible_count_matches_arena_after_every_step() {
         assert_count_matches_arena(&graph, "absorb_shard");
         let vocab = Vocab::from_graph(&graph);
         let fragment = random_graph(&mut rng);
+        // The same script drives an append session over the same graph.
+        write_graph_v2(&graph, &tailed).unwrap();
+        std::fs::remove_file(format!("{}.tail", tailed.display())).ok();
+        let mut append = Session::open_append(&tailed).unwrap();
         let mut session = Session::new(graph);
 
         for _ in 0..MUTATIONS_PER_GRAPH.min(budget - executed) {
             let step = match rng.below(100) {
                 0..=69 => {
-                    let stmt = testgen::mutation(&vocab, &mut rng);
+                    let stmt = testgen::mutation(&vocab, &mut rng).to_string();
                     // Failed mutations must leave the count alone too.
-                    let _ = session.run_one(&stmt.to_string());
-                    stmt.to_string()
+                    let _ = session.run_one(&stmt);
+                    let _ = append.run_one(&stmt);
+                    stmt
                 }
                 70..=79 => {
                     session.ingest(&fragment).expect("resident ingest");
+                    append.ingest(&fragment).expect("append ingest");
                     "Session::ingest".to_string()
                 }
                 reload => {
-                    // The codecs refuse a graph with active zooms.
+                    // The codecs (and COMPACT) refuse a graph with
+                    // active zooms.
                     session.run_one("ZOOM IN").expect("zoom in everything");
+                    append.run_one("ZOOM IN").expect("zoom in everything");
                     if reload < 90 {
                         write_graph(session.graph(), &v1).unwrap();
                         session = Session::load(&v1).unwrap();
-                        "v1 write + load".to_string()
+                        append.run_one("COMPACT").expect("compact");
+                        "v1 write + load / COMPACT".to_string()
                     } else {
                         write_graph_v2(session.graph(), &v2).unwrap();
                         session = Session::open(&v2).unwrap();
                         session.materialize().unwrap();
-                        "v2 write + open + materialize".to_string()
+                        append = Session::open_append(&tailed).unwrap();
+                        "v2 write + open + materialize / tail replay".to_string()
                     }
                 }
             };
             assert_count_matches_arena(session.graph(), &step);
+            assert_append_count_matches_sweep(&append, &session, &step);
             executed += 1;
         }
+        assert_eq!(append.promotions(), 0);
     }
 }

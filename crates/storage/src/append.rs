@@ -28,6 +28,7 @@
 //! Node ids and visibility are unchanged by compaction, so derived
 //! structures keyed by id (the reach index) survive it.
 
+use std::borrow::Cow;
 use std::collections::HashMap;
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
@@ -90,6 +91,12 @@ pub struct AppendLog {
     tail_records: usize,
     overlay: Vec<OverlayNode>,
     overrides: HashMap<u32, BaseOverride>,
+    /// Visible nodes, base and overlay together. Every visibility
+    /// change goes through [`AppendLog::flip`] or [`AppendLog::push_node`],
+    /// which keep it in step: a zoom pair leaves tens of thousands of
+    /// overrides behind until the next COMPACT, so deriving the count
+    /// from them would put that sweep on every planned statement.
+    visible: usize,
     /// Successors appended to base (or earlier-overlay) rows, keyed by
     /// the *source* id. Values are ascending (ids are allocated in
     /// commit order).
@@ -132,6 +139,7 @@ impl AppendLog {
             io,
             base_len,
             base_nodes: base.index().node_count(),
+            visible: base.index().visible_count(),
             base_invocations: base.invocations().len(),
             invocations: base.invocations().to_vec(),
             base,
@@ -445,16 +453,14 @@ impl AppendLog {
         // successors — a pred may be a *later* node of this record.
         let mut created = Vec::with_capacity(nodes.len());
         for node in nodes {
-            let id = NodeId(self.node_count() as u32);
-            self.overlay.push(OverlayNode {
+            created.push(self.push_node(OverlayNode {
                 kind: node.kind.clone(),
                 role: node.role,
                 preds: node.preds.clone(),
                 succs: Vec::new(),
                 deleted: node.is_deleted(),
                 zoom_hidden: false,
-            });
-            created.push(id);
+            }));
         }
         for (node, &id) in nodes.iter().zip(&created) {
             for &p in &node.preds {
@@ -496,8 +502,7 @@ impl AppendLog {
             let stash_idx = self.stashes.len() as u32;
             let mut zoom_nodes = Vec::with_capacity(plan.composites.len());
             for comp in &plan.composites {
-                let id = NodeId(self.node_count() as u32);
-                self.overlay.push(OverlayNode {
+                let id = self.push_node(OverlayNode {
                     kind: NodeKind::Zoomed { stash: stash_idx },
                     role: Role::Zoom(comp.invocation),
                     preds: comp.inputs.clone(),
@@ -555,7 +560,7 @@ impl AppendLog {
                 for s in succs {
                     self.remove_pred(s, z);
                 }
-                self.overlay[oi].deleted = true;
+                self.set_deleted(z, true);
             }
             taken.push(stash);
         }
@@ -604,34 +609,40 @@ impl AppendLog {
         }
     }
 
-    fn set_deleted(&mut self, id: NodeId, deleted: bool) {
-        if id.index() < self.base_nodes {
+    /// Append an overlay node under the next dense id.
+    fn push_node(&mut self, node: OverlayNode) -> NodeId {
+        let id = NodeId(self.node_count() as u32);
+        self.visible += usize::from(node.is_visible());
+        self.overlay.push(node);
+        id
+    }
+
+    /// Change a node's `(deleted, zoom_hidden)` flags — an override
+    /// entry for a sealed node, the node itself in the overlay.
+    fn flip(&mut self, id: NodeId, set: impl FnOnce(&mut bool, &mut bool)) {
+        let (deleted, zoom_hidden) = if id.index() < self.base_nodes {
             let sealed_visible = self.base.index().is_visible(id);
-            self.overrides
-                .entry(id.0)
-                .or_insert(BaseOverride {
-                    deleted: !sealed_visible,
-                    zoom_hidden: false,
-                })
-                .deleted = deleted;
+            let ov = self.overrides.entry(id.0).or_insert(BaseOverride {
+                deleted: !sealed_visible,
+                zoom_hidden: false,
+            });
+            (&mut ov.deleted, &mut ov.zoom_hidden)
         } else {
-            self.overlay[id.index() - self.base_nodes].deleted = deleted;
-        }
+            let node = &mut self.overlay[id.index() - self.base_nodes];
+            (&mut node.deleted, &mut node.zoom_hidden)
+        };
+        let was = !*deleted && !*zoom_hidden;
+        set(deleted, zoom_hidden);
+        let now = !*deleted && !*zoom_hidden;
+        self.visible = self.visible + usize::from(now) - usize::from(was);
+    }
+
+    fn set_deleted(&mut self, id: NodeId, deleted: bool) {
+        self.flip(id, |d, _| *d = deleted);
     }
 
     fn set_zoom_hidden(&mut self, id: NodeId, hidden: bool) {
-        if id.index() < self.base_nodes {
-            let sealed_visible = self.base.index().is_visible(id);
-            self.overrides
-                .entry(id.0)
-                .or_insert(BaseOverride {
-                    deleted: !sealed_visible,
-                    zoom_hidden: false,
-                })
-                .zoom_hidden = hidden;
-        } else {
-            self.overlay[id.index() - self.base_nodes].zoom_hidden = hidden;
-        }
+        self.flip(id, |_, z| *z = hidden);
     }
 
     // ----- compaction -----
@@ -707,6 +718,7 @@ impl AppendLog {
         let _ = self.io.unlink(&self.tail_path);
 
         self.carried_faults += self.base.faults();
+        debug_assert_eq!(self.visible, new_base.index().visible_count());
         self.base = new_base;
         self.base_len = new_len;
         self.base_nodes = self.base.index().node_count();
@@ -787,11 +799,15 @@ impl GraphStore for AppendLog {
         }
     }
 
-    fn kind_of(&self, id: NodeId) -> NodeKind {
+    fn visible_count(&self) -> usize {
+        self.visible
+    }
+
+    fn kind_of(&self, id: NodeId) -> Cow<'_, NodeKind> {
         if id.index() < self.base_nodes {
             self.base.kind_of(id)
         } else {
-            self.overlay[id.index() - self.base_nodes].kind.clone()
+            Cow::Borrowed(&self.overlay[id.index() - self.base_nodes].kind)
         }
     }
 
@@ -803,27 +819,28 @@ impl GraphStore for AppendLog {
         }
     }
 
-    fn preds_of(&self, id: NodeId) -> Vec<NodeId> {
+    fn preds_of(&self, id: NodeId) -> Cow<'_, [NodeId]> {
         if id.index() < self.base_nodes {
             let mut preds = self.base.preds_of(id);
             if let Some(extra) = self.extra_preds.get(&id.0) {
-                preds.extend_from_slice(extra);
+                preds.to_mut().extend_from_slice(extra);
             }
             preds
         } else {
-            self.overlay[id.index() - self.base_nodes].preds.clone()
+            Cow::Borrowed(&self.overlay[id.index() - self.base_nodes].preds)
         }
     }
 
-    fn succs_of(&self, id: NodeId) -> Vec<NodeId> {
+    fn succs_of(&self, id: NodeId) -> Cow<'_, [NodeId]> {
         if id.index() < self.base_nodes {
-            let mut succs = self.base.index().succs(id).to_vec();
-            if let Some(extra) = self.extra_succs.get(&id.0) {
-                succs.extend_from_slice(extra);
+            // The sealed row is lent as-is unless the tail grew it.
+            let mut succs = self.base.succs_of(id);
+            if let Some(extra) = self.extra_succs.get(&id.0).filter(|e| !e.is_empty()) {
+                succs.to_mut().extend_from_slice(extra);
             }
             succs
         } else {
-            self.overlay[id.index() - self.base_nodes].succs.clone()
+            Cow::Borrowed(&self.overlay[id.index() - self.base_nodes].succs)
         }
     }
 
@@ -893,8 +910,8 @@ mod tests {
     use super::*;
     use crate::log::write_graph_v2;
     use lipstick_core::graph::GraphTracker;
+    use lipstick_core::query::deletion::compute_deletion;
     use lipstick_core::query::{zoom_in, zoom_out};
-    use lipstick_core::store::compute_deletion_store;
     use lipstick_core::Tracker;
     use std::fs;
 
@@ -912,7 +929,7 @@ mod tests {
                 continue;
             }
             nodes.push((id.0, s.kind_of(id).label()));
-            for t in s.succs_of(id) {
+            for &t in s.succs_of(id).iter() {
                 if s.is_visible(t) {
                     edges.push((id.0, t.0));
                 }
@@ -1013,8 +1030,8 @@ mod tests {
         let mut log = AppendLog::open(&path).unwrap();
 
         let root = NodeId(0);
-        let cone = compute_deletion_store(&log, root).unwrap();
-        assert_eq!(cone, compute_deletion_store(&base, root).unwrap());
+        let cone = compute_deletion(&log, root).unwrap().deleted;
+        assert_eq!(cone, compute_deletion(&base, root).unwrap().deleted);
         log.commit_tombstones(&cone).unwrap();
 
         let mut expect = base.clone();
@@ -1068,7 +1085,7 @@ mod tests {
         let mut log = AppendLog::open(&path).unwrap();
 
         log.commit_fragment(&fragment_graph()).unwrap();
-        let cone = compute_deletion_store(&log, NodeId(2)).unwrap();
+        let cone = compute_deletion(&log, NodeId(2)).unwrap().deleted;
         log.commit_tombstones(&cone).unwrap();
         let before = store_signature(&log);
         let invocations_before = log.invocations().to_vec();

@@ -158,6 +158,9 @@ pub struct LogIndex {
     offsets: Vec<u64>,
     /// Bit i set = node i visible (not tombstoned).
     visible: Vec<u8>,
+    /// Popcount of `visible`, taken once at parse (the index is
+    /// immutable).
+    visible_count: usize,
     /// CSR successor adjacency.
     succ_starts: Vec<u32>,
     succ_ids: Vec<NodeId>,
@@ -252,6 +255,7 @@ impl LogIndex {
                 "visibility bitmap has bits set past the node count".into(),
             ));
         }
+        let visible_count = visible.iter().map(|b| b.count_ones() as usize).sum();
 
         let mut succ_starts = Vec::with_capacity(node_count + 1);
         let mut succ_ids = Vec::new();
@@ -286,6 +290,7 @@ impl LogIndex {
         Ok(LogIndex {
             offsets,
             visible,
+            visible_count,
             succ_starts,
             succ_ids,
             module_postings,
@@ -332,9 +337,9 @@ impl LogIndex {
         self.kind_postings.get(kind).map_or(&[], Vec::as_slice)
     }
 
-    /// Count of visible nodes, straight off the bitmap.
+    /// Count of visible nodes (the bitmap's popcount).
     pub fn visible_count(&self) -> usize {
-        self.visible.iter().map(|b| b.count_ones() as usize).sum()
+        self.visible_count
     }
 }
 

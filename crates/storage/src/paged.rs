@@ -17,6 +17,7 @@
 //! faulting records in parallel and contending only when two threads
 //! touch the same shard.
 
+use std::borrow::Cow;
 use std::collections::HashMap;
 use std::path::Path;
 use std::sync::{Arc, Mutex};
@@ -244,20 +245,20 @@ impl GraphStore for PagedLog {
         self.index.visible_count()
     }
 
-    fn kind_of(&self, id: NodeId) -> NodeKind {
-        self.expect_record(id, |r| r.kind.clone())
+    fn kind_of(&self, id: NodeId) -> Cow<'_, NodeKind> {
+        Cow::Owned(self.expect_record(id, |r| r.kind.clone()))
     }
 
     fn role_of(&self, id: NodeId) -> Role {
         self.expect_record(id, |r| r.role)
     }
 
-    fn preds_of(&self, id: NodeId) -> Vec<NodeId> {
-        self.expect_record(id, |r| r.preds.clone())
+    fn preds_of(&self, id: NodeId) -> Cow<'_, [NodeId]> {
+        Cow::Owned(self.expect_record(id, |r| r.preds.clone()))
     }
 
-    fn succs_of(&self, id: NodeId) -> Vec<NodeId> {
-        self.index.succs(id).to_vec()
+    fn succs_of(&self, id: NodeId) -> Cow<'_, [NodeId]> {
+        Cow::Borrowed(self.index.succs(id))
     }
 
     fn invocations(&self) -> &[InvocationInfo] {
@@ -289,8 +290,8 @@ impl GraphStore for PagedLog {
 mod tests {
     use super::*;
     use crate::log::{encode_graph, encode_graph_v2};
-    use lipstick_core::query::{depends_on, Direction};
-    use lipstick_core::store::{depends_on_store, expr_of_store, traverse_store};
+    use lipstick_core::query::{depends_on, traverse, Direction};
+    use lipstick_core::store::expr_of_store;
 
     fn sample() -> ProvGraph {
         let mut g = ProvGraph::new();
@@ -310,12 +311,12 @@ mod tests {
         assert_eq!(paged.node_count(), g.len());
         for (id, node) in g.iter() {
             assert_eq!(paged.is_visible(id), node.is_visible());
-            assert_eq!(paged.kind_of(id), node.kind);
+            assert_eq!(*paged.kind_of(id), node.kind);
             assert_eq!(paged.role_of(id), node.role);
-            assert_eq!(paged.preds_of(id), node.preds().to_vec());
+            assert_eq!(*paged.preds_of(id), *node.preds());
             let mut succs = node.succs().to_vec();
             succs.sort();
-            assert_eq!(paged.succs_of(id), succs);
+            assert_eq!(*paged.succs_of(id), *succs);
         }
     }
 
@@ -343,9 +344,8 @@ mod tests {
         let g = sample();
         let paged = PagedLog::from_bytes(encode_graph_v2(&g).unwrap()).unwrap();
         let root = NodeId(0);
-        let (nodes, _) =
-            traverse_store(&paged, root, Direction::Descendants, None, |_| true).unwrap();
-        let (expect, _) = traverse_store(&g, root, Direction::Descendants, None, |_| true).unwrap();
+        let (nodes, _) = traverse(&paged, root, Direction::Descendants, None, |_| true).unwrap();
+        let (expect, _) = traverse(&g, root, Direction::Descendants, None, |_| true).unwrap();
         assert_eq!(nodes, expect);
         assert_eq!(
             expr_of_store(&paged, NodeId(5)).to_string(),
@@ -354,7 +354,7 @@ mod tests {
         for (n, _) in g.iter_visible() {
             for (m, _) in g.iter_visible() {
                 assert_eq!(
-                    depends_on_store(&paged, n, m).unwrap(),
+                    depends_on(&paged, n, m).unwrap(),
                     depends_on(&g, n, m).unwrap()
                 );
             }

@@ -29,8 +29,9 @@ use std::path::{Path, PathBuf};
 use std::sync::Arc;
 
 use lipstick_core::graph::GraphTracker;
+use lipstick_core::query::deletion::compute_deletion;
 use lipstick_core::query::plan_zoom_out;
-use lipstick_core::store::{compute_deletion_store, GraphStore};
+use lipstick_core::store::GraphStore;
 use lipstick_core::{NodeId, ProvGraph, Tracker};
 use lipstick_proql::{testgen, ProqlError, QueryOutput, Session};
 use lipstick_storage::{write_graph_v2_io, AppendLog, FaultIo, FaultKind, StorageIo};
@@ -48,7 +49,7 @@ fn store_signature<S: GraphStore + ?Sized>(s: &S) -> StoreSignature {
             continue;
         }
         nodes.push((id.0, s.kind_of(id).label()));
-        for t in s.succs_of(id) {
+        for &t in s.succs_of(id).iter() {
             if s.is_visible(t) {
                 edges.push((id.0, t.0));
             }
@@ -106,8 +107,9 @@ fn script_step(log: &mut AppendLog, step: usize) -> lipstick_storage::Result<()>
                 .filter(|&id| log.is_visible(id))
                 .nth(4)
                 .expect("workload graph has at least five visible nodes");
-            let cone = compute_deletion_store(&*log, root)
-                .expect("deletion cone over an in-memory overlay cannot fault");
+            let cone = compute_deletion(&*log, root)
+                .expect("deletion cone over an in-memory overlay cannot fault")
+                .deleted;
             log.commit_tombstones(&cone)
         }
         2 => {

@@ -8,8 +8,9 @@ use std::fs;
 use std::path::{Path, PathBuf};
 
 use lipstick_core::graph::GraphTracker;
+use lipstick_core::query::deletion::compute_deletion;
 use lipstick_core::query::plan_zoom_out;
-use lipstick_core::store::{compute_deletion_store, GraphStore};
+use lipstick_core::store::GraphStore;
 use lipstick_core::{NodeId, ProvGraph, Tracker};
 use lipstick_storage::{write_graph_v2, AppendLog};
 use proptest::prelude::*;
@@ -79,7 +80,7 @@ fn store_signature<S: GraphStore + ?Sized>(s: &S) -> StoreSignature {
             continue;
         }
         nodes.push((id.0, s.kind_of(id).label()));
-        for t in s.succs_of(id) {
+        for &t in s.succs_of(id).iter() {
             if s.is_visible(t) {
                 edges.push((id.0, t.0));
             }
@@ -108,7 +109,7 @@ fn random_mutation(log: &mut AppendLog, rng: &mut Rng, execution: &mut u32) -> b
                 return false;
             }
             let root = visible[rng.below(visible.len())];
-            let cone = compute_deletion_store(&*log, root).unwrap();
+            let cone = compute_deletion(&*log, root).unwrap().deleted;
             log.commit_tombstones(&cone).unwrap();
             true
         }

@@ -100,13 +100,13 @@ fn assert_three_way_agreement(g: &ProvGraph) {
         assert_eq!(loaded.preds(), node.preds(), "full-load preds of {id}");
         assert_eq!(loaded.is_visible(), node.is_visible());
 
-        assert_eq!(paged.kind_of(id), node.kind, "paged kind of {id}");
+        assert_eq!(*paged.kind_of(id), node.kind, "paged kind of {id}");
         assert_eq!(paged.role_of(id), node.role, "paged role of {id}");
-        assert_eq!(paged.preds_of(id), node.preds().to_vec());
+        assert_eq!(*paged.preds_of(id), *node.preds());
         assert_eq!(paged.is_visible(id), node.is_visible());
         let mut succs = node.succs().to_vec();
         succs.sort();
-        assert_eq!(paged.succs_of(id), succs, "paged succs of {id}");
+        assert_eq!(*paged.succs_of(id), *succs, "paged succs of {id}");
     }
     assert_eq!(paged.invocations().len(), g.invocations().len());
     for (a, b) in g.invocations().iter().zip(paged.invocations()) {
@@ -218,7 +218,7 @@ fn retired_zoom_composite_round_trips_the_sentinel() {
     let paged = PagedLog::from_bytes(bytes).unwrap();
     for &id in &retired {
         assert_eq!(full.node(id).kind, g.node(id).kind, "exact round trip");
-        assert_eq!(paged.kind_of(id), g.node(id).kind);
+        assert_eq!(*paged.kind_of(id), g.node(id).kind);
         assert!(!paged.is_visible(id));
     }
 }

@@ -1,7 +1,7 @@
 //! Repo automation, invoked as `cargo run -p xtask -- <command>`.
 //!
 //! The only command today is `lint`: a zero-dependency source checker
-//! enforcing two invariants clippy has no lint for —
+//! enforcing invariants clippy has no lint for —
 //!
 //! 1. **Panic-free serve paths.** No `.unwrap()`, `.expect(…)`, or
 //!    `panic!(…)` in `crates/serve/src/**` outside `#[cfg(test)]`
@@ -21,6 +21,11 @@
 //!    outside `io.rs`: every file operation must route through the
 //!    `StorageIo` trait, or the fault-injection harness silently stops
 //!    covering that call site.
+//! 5. **Panic-free planner and read executor**
+//!    (`crates/proql/src/{planner,exec}.rs`). A plan is data: it can be
+//!    replayed against a store or an index state other than the one it
+//!    was made for, so a strategy the store cannot serve must fall back
+//!    (full scan, BFS, propagation), never `expect` the plan's world.
 //!
 //! The scanner strips comments, strings, and char literals first (so
 //! prose mentioning `panic!` doesn't trip it) and ignores everything
@@ -207,6 +212,12 @@ const OBS_CONTEXT: &str =
     "in core::obs non-test code (observability must never take the process down; \
      recover poisoned locks with into_inner)";
 
+/// Rule 5's message context: why panics are banned in the ProQL planner
+/// and read executor.
+const PLAN_CONTEXT: &str =
+    "in the ProQL planner/executor (a plan may meet a store or index state it was not made \
+     for; fall back to the scan, BFS or propagation that is always correct)";
+
 /// The codec rule: no bare `as` numeric casts.
 fn check_no_numeric_casts(src: &str) -> Vec<Violation> {
     let stripped = strip_comments_and_strings(src);
@@ -325,6 +336,15 @@ fn run_lint(root: &Path) -> std::io::Result<Vec<String>> {
         }
     }
 
+    // Rule 5: the one planner and the one read executor.
+    for file in ["planner.rs", "exec.rs"] {
+        let path = root.join("crates/proql/src").join(file);
+        let src = std::fs::read_to_string(&path)?;
+        for v in check_no_panics(&src, PLAN_CONTEXT) {
+            findings.push(format!("{}:{}: {}", path.display(), v.line, v.message));
+        }
+    }
+
     Ok(findings)
 }
 
@@ -371,6 +391,23 @@ mod tests {
         assert!(vs[1].message.contains("expect"));
         assert_eq!(vs[2].line, 4);
         assert!(vs[2].message.contains("panic!"));
+    }
+
+    #[test]
+    fn seeded_plan_store_disagreement_panics_are_caught() {
+        let bad = "fn walk(reach: Option<&ReachIndex>) {\n    let index = \
+                   reach.expect(\"planned with a reach index\");\n    let ids = \
+                   store.module_postings(m).unwrap();\n}\n";
+        let vs = check_no_panics(bad, PLAN_CONTEXT);
+        assert_eq!(vs.len(), 2, "{vs:?}");
+        assert_eq!(vs[0].line, 2);
+        assert!(vs[0].message.contains("expect()"));
+        assert!(vs[0].message.contains("ProQL planner/executor"));
+        assert_eq!(vs[1].line, 3);
+        // The fallbacks the rule asks for pass it.
+        let ok = "fn fold() {\n    let out = acc.unwrap_or_default();\n    let ids = \
+                  key.candidates(store).map_or(0, |ids| ids.len());\n}\n";
+        assert_eq!(check_no_panics(ok, PLAN_CONTEXT), Vec::new());
     }
 
     #[test]

@@ -139,28 +139,46 @@ fn storage_round_trip_preserves_queryability() {
     propagate_deletion(&loaded, some_base).unwrap();
 }
 
+/// One `subgraph`, two stores: the resident graph and an append log
+/// holding the same dealers run, each with a module zoomed out and a
+/// cone tombstoned.
 #[test]
 fn resident_subgraph_agrees_with_store_generic_on_zoomed_and_tombstoned_graph() {
-    use lipstick::core::query::propagate_deletion_inplace;
-    use lipstick::core::store::subgraph_store;
+    use lipstick::core::query::deletion::compute_deletion;
+    use lipstick::core::query::{plan_zoom_out, propagate_deletion_inplace};
+    use lipstick::storage::{write_graph_v2, AppendLog};
 
     let mut g = dealer_graph(3, 11);
+    let dir = std::env::temp_dir().join(format!("lipstick-scenarios-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    let path = dir.join("subgraph.lpstk");
+    write_graph_v2(&g, &path).unwrap();
+    let mut log = AppendLog::open(&path).unwrap();
+
     zoom_out(&mut g, &["Mdealer1"]).unwrap();
+    let plans = plan_zoom_out(&log, &["Mdealer1"], &[], log.stash_count()).unwrap();
+    log.commit_zoom_out(plans).unwrap();
     // Tombstone the cone of a workflow input the zoom left visible.
     let victim = g
         .iter_visible()
         .find(|(_, n)| matches!(n.kind, NodeKind::WorkflowInput { .. }))
         .map(|(id, _)| id)
         .unwrap();
+    let cone = compute_deletion(&log, victim).unwrap().deleted;
+    log.commit_tombstones(&cone).unwrap();
     let dead = propagate_deletion_inplace(&mut g, victim).unwrap();
-    assert!(dead.deleted.len() > 1, "deletion cascaded");
+    assert_eq!(dead.deleted, cone, "same cone, same order, on both stores");
+    assert!(cone.len() > 1, "deletion cascaded");
     assert!(g.iter().any(|(_, n)| n.is_zoom_hidden()), "zoom hid nodes");
 
     for (root, _) in g.iter_visible() {
-        let resident = subgraph(&g, root).unwrap();
-        let generic = subgraph_store(&g, root).unwrap();
-        assert_eq!(resident, generic, "subgraph of {root}");
+        assert_eq!(
+            subgraph(&g, root).unwrap(),
+            subgraph(&log, root).unwrap(),
+            "subgraph of {root}"
+        );
     }
+    std::fs::remove_dir_all(&dir).ok();
 }
 
 #[test]
