@@ -8,6 +8,21 @@
 //! Because invocations of the same module may share state, zooming out a
 //! *proper subset* of a module's invocations is not meaningful (§4.1);
 //! the unit of zooming is the module name, covering all its invocations.
+//!
+//! **What the planner looks at.** Every decision [`plan_zoom_out`] makes
+//! for a module is about one of two sets of nodes: the visible nodes
+//! whose [`Role`] names one of the module's invocations (steps 3–5 hide
+//! its `Intermediate` / `State` nodes and wire its `ModuleInput` /
+//! `ModuleOutput` nodes), and the visible base tuples (step 4). Those
+//! are, by definition, [`GraphStore::module_postings`] of the module
+//! and [`GraphStore::kind_postings`] of `"base_tuple"`: ascending, and
+//! exact — no node outside them can match, none inside is invisible. So
+//! the planner walks the postings when the store keeps them (a paged or
+//! append log: a few thousand ids instead of every record of the log,
+//! and no `kind_of` fault at all) and sweeps `0..node_count` when it
+//! does not (the resident graph). Both walks visit the same candidates
+//! in the same order, so the plan is the same on every store — which is
+//! what lets a tail `ZoomOut` record be replayed by planning again.
 
 use crate::graph::node::{NodeId, NodeKind, Role};
 use crate::graph::{InvocationId, ProvGraph, ZoomStash};
@@ -105,21 +120,32 @@ pub fn plan_zoom_out<S: GraphStore + ?Sized>(
     let visible = |sim_hidden: &[bool], store: &S, id: NodeId| -> bool {
         !sim_hidden[id.index()] && store.is_visible(id)
     };
+    // The store does not change while planning, so one list serves
+    // every module's base-tuple sweep.
+    let base_tuples = store.kind_postings("base_tuple");
 
     let mut plans = Vec::with_capacity(modules.len());
     for module in modules {
         let invocations = store.invocations_of(module);
+        // Invocation id → position in `invocations` (`None` for another
+        // module's): membership is tested once per node swept, and a
+        // module can have hundreds of invocations.
+        let mut slot: Vec<Option<usize>> = vec![None; store.invocations().len()];
+        for (k, inv) in invocations.iter().enumerate() {
+            slot[inv.index()] = Some(k);
+        }
+        let ours = |inv: InvocationId| slot.get(inv.index()).copied().flatten();
+        let owned = store.module_postings(module);
         let mut hidden: Vec<NodeId> = Vec::new();
 
         // Steps 3-4: hide intermediates and state nodes of all
         // invocations of this module.
-        for i in 0..n {
-            let id = NodeId(i as u32);
+        for id in candidates(&owned, n) {
             if !visible(&sim_hidden, store, id) {
                 continue;
             }
             let hide = match store.role_of(id) {
-                Role::Intermediate(inv) | Role::State(inv) => invocations.contains(&inv),
+                Role::Intermediate(inv) | Role::State(inv) => ours(inv).is_some(),
                 _ => false,
             };
             if hide {
@@ -129,10 +155,10 @@ pub fn plan_zoom_out<S: GraphStore + ?Sized>(
         }
         // Step 4 (second half): base tuple nodes that fed only
         // now-hidden nodes (a module's private initial-state tuples).
-        for i in 0..n {
-            let id = NodeId(i as u32);
+        for id in candidates(&base_tuples, n) {
             if !visible(&sim_hidden, store, id)
-                || !matches!(*store.kind_of(id), NodeKind::BaseTuple { .. })
+                || (base_tuples.is_none()
+                    && !matches!(*store.kind_of(id), NodeKind::BaseTuple { .. }))
             {
                 continue;
             }
@@ -150,35 +176,29 @@ pub fn plan_zoom_out<S: GraphStore + ?Sized>(
         }
 
         // Step 5: composite nodes. Collect every invocation's input and
-        // output nodes in ONE pass over the graph (a per-invocation scan
-        // would make ZoomOut quadratic on long execution histories).
-        let mut io: std::collections::HashMap<InvocationId, (Vec<NodeId>, Vec<NodeId>)> =
-            invocations
-                .iter()
-                .map(|&inv| (inv, (Vec::new(), Vec::new())))
-                .collect();
-        for i in 0..n {
-            let id = NodeId(i as u32);
+        // output nodes in ONE pass (a per-invocation scan would make
+        // ZoomOut quadratic on long execution histories).
+        let mut io: Vec<(Vec<NodeId>, Vec<NodeId>)> = vec![Default::default(); invocations.len()];
+        for id in candidates(&owned, n) {
             if !visible(&sim_hidden, store, id) {
                 continue;
             }
             match store.role_of(id) {
                 Role::ModuleInput(inv) => {
-                    if let Some((ins, _)) = io.get_mut(&inv) {
-                        ins.push(id);
+                    if let Some(k) = ours(inv) {
+                        io[k].0.push(id);
                     }
                 }
                 Role::ModuleOutput(inv) => {
-                    if let Some((_, outs)) = io.get_mut(&inv) {
-                        outs.push(id);
+                    if let Some(k) = ours(inv) {
+                        io[k].1.push(id);
                     }
                 }
                 _ => {}
             }
         }
         let mut composites = Vec::with_capacity(invocations.len());
-        for &inv in &invocations {
-            let (inputs, outputs) = io.remove(&inv).unwrap_or_default();
+        for (&inv, (inputs, outputs)) in invocations.iter().zip(io) {
             for i in &inputs {
                 *sim_extra_succs.entry(*i).or_insert(0) += 1;
             }
@@ -195,6 +215,14 @@ pub fn plan_zoom_out<S: GraphStore + ?Sized>(
         });
     }
     Ok(plans)
+}
+
+/// The ids a sweep has to look at, ascending: the store's postings when
+/// it keeps them, every id when it does not.
+fn candidates(postings: &Option<Vec<NodeId>>, n: usize) -> impl Iterator<Item = NodeId> + '_ {
+    let every = if postings.is_some() { 0 } else { n as u32 };
+    let listed = postings.as_deref().unwrap_or(&[]);
+    listed.iter().copied().chain((0..every).map(NodeId))
 }
 
 /// Apply a previously computed zoom plan to the resident graph.
@@ -455,6 +483,78 @@ mod tests {
         zoom_in(&mut g, &["M"]).unwrap();
         zoom_in(&mut g, &["Agg"]).unwrap();
         assert_eq!(g.visible_signature(), before);
+    }
+
+    /// A resident graph behind the store trait, counting `role_of`
+    /// calls, with postings (computed by a scan) on or off.
+    struct Probe<'a> {
+        graph: &'a ProvGraph,
+        postings: bool,
+        role_calls: std::cell::Cell<usize>,
+    }
+
+    impl Probe<'_> {
+        fn scan(&self, keep: impl Fn(NodeId) -> bool) -> Option<Vec<NodeId>> {
+            let ids = self.graph.iter_visible().map(|(id, _)| id);
+            self.postings.then(|| ids.filter(|id| keep(*id)).collect())
+        }
+    }
+
+    impl GraphStore for Probe<'_> {
+        fn node_count(&self) -> usize {
+            self.graph.len()
+        }
+        fn is_visible(&self, id: NodeId) -> bool {
+            self.graph.node(id).is_visible()
+        }
+        fn kind_of(&self, id: NodeId) -> std::borrow::Cow<'_, NodeKind> {
+            std::borrow::Cow::Borrowed(&self.graph.node(id).kind)
+        }
+        fn role_of(&self, id: NodeId) -> Role {
+            self.role_calls.set(self.role_calls.get() + 1);
+            self.graph.node(id).role
+        }
+        fn preds_of(&self, id: NodeId) -> std::borrow::Cow<'_, [NodeId]> {
+            std::borrow::Cow::Borrowed(self.graph.node(id).preds())
+        }
+        fn succs_of(&self, id: NodeId) -> std::borrow::Cow<'_, [NodeId]> {
+            std::borrow::Cow::Borrowed(self.graph.node(id).succs())
+        }
+        fn invocations(&self) -> &[crate::graph::InvocationInfo] {
+            self.graph.invocations()
+        }
+        fn module_postings(&self, module: &str) -> Option<Vec<NodeId>> {
+            self.scan(|id| {
+                let inv = self.graph.node(id).role.invocation();
+                inv.is_some_and(|inv| self.graph.invocation(inv).module == module)
+            })
+        }
+        fn kind_postings(&self, kind: &str) -> Option<Vec<NodeId>> {
+            self.scan(|id| self.graph.node(id).kind.name() == kind)
+        }
+    }
+
+    #[test]
+    fn a_store_without_postings_is_swept_and_plans_the_same() {
+        let (g, _) = workflow_graph();
+        let probe = |postings| Probe {
+            graph: &g,
+            postings,
+            role_calls: std::cell::Cell::new(0),
+        };
+        let (swept, listed) = (probe(false), probe(true));
+        for call in [&["M"][..], &["Agg"], &["M", "Agg"], &["Agg", "M"]] {
+            let expect = plan_zoom_out(&g, call, &[], 0).unwrap();
+            for store in [&swept, &listed] {
+                store.role_calls.set(0);
+                assert_eq!(plan_zoom_out(store, call, &[], 0).unwrap(), expect);
+            }
+            // The sweep reads the role of every visible node, twice per
+            // module (steps 3-4, step 5); the postings walk only those
+            // of the module's own nodes.
+            assert!(swept.role_calls.get() >= g.visible_count());
+            assert!(listed.role_calls.get() < swept.role_calls.get());
+        }
     }
 
     #[test]

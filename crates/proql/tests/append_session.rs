@@ -48,8 +48,11 @@ fn nodes_of(out: &QueryOutput) -> Vec<u32> {
 
 /// `records_read` must never go backwards — not across reads, not
 /// across append-committed mutations, and not across `COMPACT`, which
-/// reopens the sealed base from scratch (the pre-compaction fault count
-/// is banked, exactly like paged→resident promotion banks its reads).
+/// swings a new sealed base in (the pre-compaction fault count is
+/// banked, exactly like paged→resident promotion banks its reads). The
+/// new base holds the old one's records byte for byte, so it keeps the
+/// old one's fault cache: a read repeated after the COMPACT decodes
+/// nothing it had already decoded.
 #[test]
 fn records_read_is_monotonic_across_mutations_and_compaction() {
     let g = dealers_graph(24, 7);
@@ -73,8 +76,12 @@ fn records_read_is_monotonic_across_mutations_and_compaction() {
     assert!(floor > 0, "an uncached read faults records in");
     step(&mut session, "DELETE #0 PROPAGATE", &mut floor);
     step(&mut session, "MATCH m-nodes", &mut floor);
+    step(&mut session, "MATCH base-nodes", &mut floor);
+    let warm = floor;
     step(&mut session, "COMPACT", &mut floor);
     step(&mut session, "MATCH base-nodes", &mut floor);
+    step(&mut session, "MATCH m-nodes", &mut floor);
+    assert_eq!(floor, warm, "the fault cache survives COMPACT");
     assert_eq!(session.promotions(), 0);
     assert!(session.is_append(), "the backend never changes flavour");
 }

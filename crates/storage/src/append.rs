@@ -23,16 +23,22 @@
 //! tail module's recovery rule).
 //!
 //! [`AppendLog::compact`] merges everything back into a fresh sealed v2
-//! segment: decode base, replay overlay through [`ProvGraph`]'s public
-//! construction API, rewrite atomically (temp + rename), drop the tail.
-//! Node ids and visibility are unchanged by compaction, so derived
-//! structures keyed by id (the reach index) survive it.
+//! segment by splicing: the base's record section is copied verbatim
+//! (tombstone flags patched), the overlay's records and a footer merged
+//! from the sealed index and the overlay follow, and the image replaces
+//! the base atomically (temp + sync + validating reopen + rename) before
+//! the tail is dropped. Nothing is decoded into a [`ProvGraph`]; the
+//! image is nevertheless byte for byte what decode → replay → re-encode
+//! would write. Node ids and visibility are unchanged by compaction, so
+//! derived structures keyed by id (the reach index) survive it — and so
+//! does the base's fault cache, which the new base inherits.
 
 use std::borrow::Cow;
-use std::collections::HashMap;
+use std::collections::{BTreeMap, HashMap};
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
 
+use bytes::BufMut;
 use lipstick_core::graph::{kind_heap_bytes, InvocationInfo, ZoomStash, RETIRED_STASH};
 use lipstick_core::obs::vec_alloc_bytes;
 use lipstick_core::query::{plan_zoom_out, ZoomModulePlan};
@@ -40,8 +46,9 @@ use lipstick_core::store::GraphStore;
 use lipstick_core::{InvocationId, NodeId, NodeKind, ProvGraph, Role};
 
 use crate::error::{Result, StorageError};
+use crate::footer::{FooterSource, FooterWriter, Postings};
 use crate::io::{default_io, StorageIo};
-use crate::log::write_graph_v2_io;
+use crate::log::{put_header, put_invocations, put_record, VERSION_V2};
 use crate::paged::PagedLog;
 use crate::tail::{self, TailInvocation, TailNode, TailRecord, TAIL_HEADER_LEN};
 
@@ -114,10 +121,17 @@ pub struct AppendLog {
     carried_faults: usize,
 }
 
-fn tail_path_for(path: &Path) -> PathBuf {
+/// `<log><suffix>`: the log's full file name with a suffix appended —
+/// never `with_extension`, which would make `runs.lpstk` and `runs.v2`
+/// share one sidecar.
+fn sidecar_path(path: &Path, suffix: &str) -> PathBuf {
     let mut os = path.as_os_str().to_owned();
-    os.push(".tail");
+    os.push(suffix);
     PathBuf::from(os)
+}
+
+fn tail_path_for(path: &Path) -> PathBuf {
+    sidecar_path(path, ".tail")
 }
 
 impl AppendLog {
@@ -561,6 +575,12 @@ impl AppendLog {
                     self.remove_pred(s, z);
                 }
                 self.set_deleted(z, true);
+                // As the resident ZoomIn does: a dead composite carries
+                // the reserved sentinel, which is what the sealed codec
+                // persists it as.
+                self.overlay[oi].kind = NodeKind::Zoomed {
+                    stash: RETIRED_STASH,
+                };
             }
             taken.push(stash);
         }
@@ -647,10 +667,23 @@ impl AppendLog {
 
     // ----- compaction -----
 
-    /// Merge the tail into a fresh sealed v2 segment: decode the base,
-    /// replay the overlay, rewrite atomically, drop the tail, reopen.
+    /// Merge the tail into a fresh sealed v2 segment by **splicing**:
+    /// the new image is the v2 header with the new node count, the
+    /// base's record section copied verbatim (the flags byte of each
+    /// overridden node patched), the overlay's records, the merged
+    /// invocation table, and a footer assembled from what this log
+    /// already holds (see [`SpliceFooter`]). Nothing is decoded into a
+    /// [`ProvGraph`] and nothing that did not change is re-encoded, yet
+    /// the image is byte-for-byte what decode → replay →
+    /// [`crate::encode_graph_v2`] would write (the unit tests assert it
+    /// inside every COMPACT they run; `tests/compact_splice.rs` proves
+    /// it over random scripts).
+    ///
     /// Node ids and visibility are preserved exactly, so id-keyed
-    /// derived state (the reach index) stays valid across the call.
+    /// derived state (the reach index) stays valid across the call —
+    /// and so does the fault cache: the sealed records are the same
+    /// bytes under the same ids, so the new base inherits every record
+    /// already decoded instead of faulting it back.
     ///
     /// Refuses while any module is zoomed out — same contract as
     /// persisting a resident graph (the stash is a view, not data).
@@ -666,6 +699,115 @@ impl AppendLog {
         );
         debug_assert!(self.overlay.iter().all(|n| !n.zoom_hidden));
 
+        let image = self.splice_image()?;
+        #[cfg(test)]
+        assert!(
+            image == self.reencode_oracle()?,
+            "the spliced image must equal decode -> replay -> re-encode"
+        );
+
+        // All fallible IO happens BEFORE the rename: the new base is
+        // written, synced (rename makes metadata durable, not content —
+        // skipping this sync would let a crash truncate the renamed
+        // base), and re-opened from the temp path. An error anywhere up
+        // to the rename leaves both disk and memory in the coherent
+        // pre-compaction state (the temp file is unlinked, best-effort;
+        // a crash may leave one behind, which the next COMPACT's
+        // truncating `create` overwrites); once the rename succeeds,
+        // the remaining work is infallible in-memory bookkeeping.
+        // Compaction is therefore all-or-nothing for callers.
+        let tmp = sidecar_path(&self.path, ".compact.tmp");
+        let (mut new_base, new_len) = match self.install_image(&tmp, &image) {
+            Ok(installed) => installed,
+            Err(e) => {
+                let _ = self.io.unlink(&tmp);
+                return Err(e);
+            }
+        };
+        // A crash (or unlink failure) here leaves a stale tail whose
+        // header binds to the old base; recovery discards it, and the
+        // next commit's truncating header write overwrites it.
+        let _ = self.io.unlink(&self.tail_path);
+
+        debug_assert_eq!(self.visible, new_base.index().visible_count());
+        self.carried_faults += self.base.faults();
+        new_base.take_fault_cache(&mut self.base);
+        self.base = new_base;
+        self.base_len = new_len;
+        self.base_nodes = self.base.index().node_count();
+        self.base_invocations = self.base.invocations().len();
+        self.invocations = self.base.invocations().to_vec();
+        // Fresh containers, not `clear()`: a zoom pair leaves tens of
+        // thousands of overrides behind, and their capacity would
+        // otherwise stay allocated (and reported) until the log closes.
+        self.overlay = Vec::new();
+        self.overrides = HashMap::new();
+        self.extra_succs = HashMap::new();
+        self.extra_preds = HashMap::new();
+        self.stashes = Vec::new();
+        self.zoomed_modules = HashMap::new();
+        self.tail_len = 0;
+        self.tail_dirty = false;
+        self.tail_records = 0;
+        Ok(())
+    }
+
+    /// COMPACT's IO up to and including the rename: write the image to
+    /// `tmp`, sync it, re-open it from there (full header / footer /
+    /// invocation-table validation), swing it over the base.
+    fn install_image(&self, tmp: &Path, image: &[u8]) -> Result<(PagedLog, u64)> {
+        self.io.create(tmp, image)?;
+        self.io.sync(tmp)?;
+        let new_base = PagedLog::open_with_io(tmp, self.io.as_ref())?;
+        let new_len = self.io.len(tmp)?;
+        self.io.rename(tmp, &self.path)?;
+        Ok((new_base, new_len))
+    }
+
+    /// The sealed v2 image of base + overlay (see [`AppendLog::compact`]).
+    fn splice_image(&self) -> Result<Vec<u8>> {
+        let index = self.base.index();
+        let sealed = self.base.record_section();
+        let n = self.node_count();
+        // About the old image plus what the tail added to it.
+        let mut buf = Vec::with_capacity((self.base_len + self.tail_len) as usize);
+        put_header(&mut buf, VERSION_V2, n);
+
+        // Sealed records: the same bytes, at an offset that moved only
+        // if the node-count varint in the header grew.
+        let at = buf.len();
+        let moved = |old: usize| at + (old - index.records_offset());
+        buf.put_slice(sealed);
+        let mut footer = FooterWriter::new(n);
+        for i in 0..self.base_nodes {
+            footer.record_starts_at(moved(index.record_range(NodeId(i as u32)).start) as u64);
+        }
+        // The flags byte leads each record, and the encoder only ever
+        // writes `deleted` into it.
+        for (&id, ov) in &self.overrides {
+            let range = index.record_range(NodeId(id));
+            if range.is_empty() {
+                return Err(StorageError::Corrupt(format!("empty record for #{id}")));
+            }
+            buf[moved(range.start)] = u8::from(ov.deleted);
+        }
+
+        for node in &self.overlay {
+            footer.record_starts_at(buf.len() as u64);
+            put_record(&mut buf, node.deleted, &node.role, &node.kind, &node.preds)?;
+        }
+        footer.records_end_at(buf.len() as u64);
+        put_invocations(&mut buf, &self.invocations);
+        footer.finish(&SpliceFooter::new(self), &mut buf);
+        Ok(buf)
+    }
+
+    /// What COMPACT did before it spliced — decode the base into a
+    /// [`ProvGraph`], replay overrides and overlay through its public
+    /// construction API, re-encode — kept as the oracle the splice is
+    /// held to.
+    #[cfg(test)]
+    fn reencode_oracle(&self) -> Result<Vec<u8>> {
         let mut graph = self.base.decode_full()?;
         for (&id, ov) in &self.overrides {
             graph.set_node_deleted(NodeId(id), ov.deleted);
@@ -677,16 +819,7 @@ impl AppendLog {
         // a later overlay node (fragment edges wire in tracker order).
         let overlay_base = graph.len() as u32;
         for node in &self.overlay {
-            // Dead composites from a zoomed-in module: persist them the
-            // way the sealed codec does, as retired zoom markers.
-            let kind = if node.deleted && matches!(node.kind, NodeKind::Zoomed { .. }) {
-                NodeKind::Zoomed {
-                    stash: RETIRED_STASH,
-                }
-            } else {
-                node.kind.clone()
-            };
-            let id = graph.add_node(kind, node.role);
+            let id = graph.add_node(node.kind.clone(), node.role);
             if node.deleted {
                 graph.set_node_deleted(id, true);
             }
@@ -697,43 +830,7 @@ impl AppendLog {
                 graph.add_edge(p, id);
             }
         }
-
-        // All fallible IO happens BEFORE the rename: the new base is
-        // written, synced (rename makes metadata durable, not content —
-        // skipping this sync would let a crash truncate the renamed
-        // base), and re-opened from the temp path. An error anywhere up
-        // to the rename leaves both disk and memory in the coherent
-        // pre-compaction state; once the rename succeeds, the remaining
-        // work is infallible in-memory bookkeeping. Compaction is
-        // therefore all-or-nothing for callers.
-        let tmp = self.path.with_extension("compact.tmp");
-        write_graph_v2_io(&graph, &tmp, self.io.as_ref())?;
-        self.io.sync(&tmp)?;
-        let new_base = PagedLog::open_with_io(&tmp, self.io.as_ref())?;
-        let new_len = self.io.len(&tmp)?;
-        self.io.rename(&tmp, &self.path)?;
-        // A crash (or unlink failure) here leaves a stale tail whose
-        // header binds to the old base; recovery discards it, and the
-        // next commit's truncating header write overwrites it.
-        let _ = self.io.unlink(&self.tail_path);
-
-        self.carried_faults += self.base.faults();
-        debug_assert_eq!(self.visible, new_base.index().visible_count());
-        self.base = new_base;
-        self.base_len = new_len;
-        self.base_nodes = self.base.index().node_count();
-        self.base_invocations = self.base.invocations().len();
-        self.invocations = self.base.invocations().to_vec();
-        self.overlay.clear();
-        self.overrides.clear();
-        self.extra_succs.clear();
-        self.extra_preds.clear();
-        self.stashes.clear();
-        self.zoomed_modules.clear();
-        self.tail_len = 0;
-        self.tail_dirty = false;
-        self.tail_records = 0;
-        Ok(())
+        crate::log::encode_graph_v2(&graph)
     }
 
     fn overlay_heap_bytes(&self) -> usize {
@@ -764,6 +861,82 @@ impl AppendLog {
             bytes += s.module.len() + vec_alloc_bytes(&s.hidden) + vec_alloc_bytes(&s.zoom_nodes);
         }
         bytes
+    }
+}
+
+/// The footer of a spliced image, answered from what the log already
+/// holds instead of from a decoded graph: the base bitmap patched by
+/// `overrides` plus overlay visibility, sealed CSR rows followed by
+/// `extra_succs` / overlay `succs`, and sealed postings filtered by
+/// current visibility plus the overlay's entries.
+struct SpliceFooter<'a> {
+    log: &'a AppendLog,
+    /// Current visibility of every node, computed once: the postings
+    /// filters test it per sealed entry.
+    visible: Vec<u8>,
+}
+
+impl<'a> SpliceFooter<'a> {
+    fn new(log: &'a AppendLog) -> SpliceFooter<'a> {
+        let mut visible = log.base.index().visibility().to_vec();
+        visible.resize(log.node_count().div_ceil(8), 0);
+        let mut set = |i: usize, on: bool| {
+            let bit = 1u8 << (i % 8);
+            if on {
+                visible[i / 8] |= bit;
+            } else {
+                visible[i / 8] &= !bit;
+            }
+        };
+        for (&id, ov) in &log.overrides {
+            set(id as usize, !ov.deleted && !ov.zoom_hidden);
+        }
+        for (k, node) in log.overlay.iter().enumerate() {
+            set(log.base_nodes + k, node.is_visible());
+        }
+        SpliceFooter { log, visible }
+    }
+
+    fn is_visible(&self, id: NodeId) -> bool {
+        self.visible[id.index() / 8] & (1 << (id.index() % 8)) != 0
+    }
+
+    fn still_visible<'p>(&self, sealed: &'p BTreeMap<String, Vec<NodeId>>) -> Postings<'p> {
+        sealed
+            .iter()
+            .map(|(name, ids)| {
+                let ids = ids.iter().copied().filter(|&id| self.is_visible(id));
+                (name.as_str(), ids.collect())
+            })
+            .collect()
+    }
+}
+
+impl FooterSource for SpliceFooter<'_> {
+    fn visibility(&self) -> Vec<u8> {
+        self.visible.clone()
+    }
+
+    fn succs_into(&self, id: NodeId, out: &mut Vec<NodeId>) {
+        out.extend_from_slice(&self.log.succs_of(id));
+    }
+
+    // Overlay ids all exceed sealed ids and are walked in id order, so
+    // appending them keeps every group ascending.
+    fn postings(&self) -> (Postings<'_>, Postings<'_>) {
+        let index = self.log.base.index();
+        let mut by_module = self.still_visible(index.all_module_postings());
+        let mut by_kind = self.still_visible(index.all_kind_postings());
+        let overlay = self.log.overlay.iter().enumerate();
+        for (k, node) in overlay.filter(|(_, node)| node.is_visible()) {
+            let id = NodeId((self.log.base_nodes + k) as u32);
+            if let Some(inv) = node.role.invocation() {
+                let module = self.log.invocations[inv.index()].module.as_str();
+                by_module.entry(module).or_default().push(id);
+            }
+            by_kind.entry(node.kind.name()).or_default().push(id);
+        }
+        (by_module, by_kind)
     }
 }
 
@@ -1103,6 +1276,14 @@ mod tests {
         assert_eq!(reopened.tail_records(), 0);
         assert_eq!(store_signature(&reopened), before);
         assert_eq!(reopened.invocations(), invocations_before);
+    }
+
+    #[test]
+    fn sidecars_append_to_the_full_file_name() {
+        let tmp = |p: &str| sidecar_path(Path::new(p), ".compact.tmp");
+        assert_eq!(tmp("d/runs.lpstk"), Path::new("d/runs.lpstk.compact.tmp"));
+        assert_ne!(tmp("d/runs.lpstk"), tmp("d/runs.v2"));
+        assert_eq!(tail_path_for(Path::new("d/runs")), Path::new("d/runs.tail"));
     }
 
     #[test]

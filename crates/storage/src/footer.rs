@@ -33,7 +33,7 @@
 
 use std::collections::BTreeMap;
 
-use bytes::{Buf, BufMut, BytesMut};
+use bytes::{Buf, BufMut};
 use lipstick_core::{NodeId, ProvGraph};
 
 use crate::error::{Result, StorageError};
@@ -45,6 +45,58 @@ pub const FOOTER_MAGIC: &[u8; 4] = b"LPIX";
 pub const FOOTER_VERSION: u8 = 1;
 /// Fixed trailer width: footer_len (8) + magic (4) + version (1).
 pub const TRAILER_LEN: usize = 13;
+
+/// Visible node ids grouped by name, each group ascending.
+pub type Postings<'a> = BTreeMap<&'a str, Vec<NodeId>>;
+
+/// What the footer is built from, besides the record offsets the
+/// [`FooterWriter`] collected while the records were written. Two things
+/// feed it: a [`ProvGraph`] being encoded, and `AppendLog`'s COMPACT,
+/// which assembles the same answers from the sealed index it already
+/// holds plus its overlay — both go through [`FooterWriter::finish`], so
+/// the byte layout exists once.
+pub trait FooterSource {
+    /// `ceil(node_count / 8)` bytes, bit i set = node i visible, padding
+    /// bits clear.
+    fn visibility(&self) -> Vec<u8>;
+
+    /// Append node `id`'s successors to `out`, in any order (the writer
+    /// sorts them).
+    fn succs_into(&self, id: NodeId, out: &mut Vec<NodeId>);
+
+    /// `(by module, by kind)`: the visible nodes whose role names an
+    /// invocation, grouped by that invocation's module, and every
+    /// visible node grouped by [`lipstick_core::NodeKind::name`].
+    fn postings(&self) -> (Postings<'_>, Postings<'_>);
+}
+
+impl FooterSource for ProvGraph {
+    fn visibility(&self) -> Vec<u8> {
+        // Persisted graphs have no zoom-hidden nodes (the encoder
+        // rejects active zooms), so visible = !deleted.
+        let mut bitmap = vec![0u8; self.len().div_ceil(8)];
+        for (id, _) in self.iter_visible() {
+            bitmap[id.index() / 8] |= 1 << (id.index() % 8);
+        }
+        bitmap
+    }
+
+    fn succs_into(&self, id: NodeId, out: &mut Vec<NodeId>) {
+        out.extend_from_slice(self.node(id).succs());
+    }
+
+    fn postings(&self) -> (Postings<'_>, Postings<'_>) {
+        let (mut by_module, mut by_kind) = (Postings::new(), Postings::new());
+        for (id, node) in self.iter_visible() {
+            if let Some(inv) = node.role.invocation() {
+                let module = self.invocation(inv).module.as_str();
+                by_module.entry(module).or_default().push(id);
+            }
+            by_kind.entry(node.kind.name()).or_default().push(id);
+        }
+        (by_module, by_kind)
+    }
+}
 
 /// Accumulates record offsets during encoding, then serializes the
 /// footer and trailer.
@@ -72,59 +124,35 @@ impl FooterWriter {
         self.records_end = offset;
     }
 
-    /// Serialize the footer payload and trailer onto `buf`. Postings
-    /// and successor adjacency come from the graph being encoded.
-    pub fn finish(mut self, graph: &ProvGraph, buf: &mut BytesMut) {
+    /// Serialize the footer payload and trailer onto `buf` — the only
+    /// place the footer's byte layout is written.
+    pub fn finish(mut self, source: &impl FooterSource, buf: &mut Vec<u8>) {
+        let n = self.offsets.len();
         self.offsets.push(self.records_end);
-        let n = graph.len();
-        debug_assert_eq!(self.offsets.len(), n + 1);
 
         let start = buf.len();
         put_u64(buf, n as u64);
-        put_u64(buf, self.offsets.first().copied().unwrap_or(0));
+        put_u64(buf, self.offsets[0]);
         for w in self.offsets.windows(2) {
             put_u64(buf, w[1] - w[0]);
         }
 
-        // Visibility bitmap. Persisted graphs have no zoom-hidden nodes
-        // (the encoder rejects active zooms), so visible = !deleted.
-        let mut bitmap = vec![0u8; n.div_ceil(8)];
-        for (id, node) in graph.iter() {
-            if node.is_visible() {
-                bitmap[id.index() / 8] |= 1 << (id.index() % 8);
-            }
-        }
+        let bitmap = source.visibility();
+        debug_assert_eq!(bitmap.len(), n.div_ceil(8));
         buf.put_slice(&bitmap);
 
         // Successor adjacency (sorted, delta-encoded).
-        for (_, node) in graph.iter() {
-            let mut succs: Vec<u32> = node.succs().iter().map(|s| s.0).collect();
+        let mut succs: Vec<NodeId> = Vec::new();
+        for i in 0..n {
+            succs.clear();
+            source.succs_into(NodeId(i as u32), &mut succs);
             succs.sort_unstable();
-            put_u64(buf, succs.len() as u64);
-            let mut prev = 0u32;
-            for s in succs {
-                put_u64(buf, u64::from(s - prev));
-                prev = s;
-            }
+            put_id_deltas(buf, &succs);
         }
 
-        // Module and kind postings over visible nodes.
-        let mut by_module: BTreeMap<String, Vec<u32>> = BTreeMap::new();
-        let mut by_kind: BTreeMap<&'static str, Vec<u32>> = BTreeMap::new();
-        for (id, node) in graph.iter() {
-            if !node.is_visible() {
-                continue;
-            }
-            if let Some(inv) = node.role.invocation() {
-                by_module
-                    .entry(graph.invocation(inv).module.clone())
-                    .or_default()
-                    .push(id.0);
-            }
-            by_kind.entry(node.kind.name()).or_default().push(id.0);
-        }
-        put_postings(buf, by_module.iter().map(|(k, v)| (k.as_str(), v)));
-        put_postings(buf, by_kind.iter().map(|(k, v)| (*k, v)));
+        let (by_module, by_kind) = source.postings();
+        put_postings(buf, by_module);
+        put_postings(buf, by_kind);
 
         // Trailer.
         let footer_len = (buf.len() - start) as u64;
@@ -134,19 +162,24 @@ impl FooterWriter {
     }
 }
 
-fn put_postings<'a>(
-    buf: &mut BytesMut,
-    groups: impl ExactSizeIterator<Item = (&'a str, &'a Vec<u32>)>,
-) {
+/// A count, then the ascending ids as deltas.
+fn put_id_deltas(buf: &mut Vec<u8>, ids: &[NodeId]) {
+    put_u64(buf, ids.len() as u64);
+    let mut prev = 0u32;
+    for id in ids {
+        put_u64(buf, u64::from(id.0 - prev));
+        prev = id.0;
+    }
+}
+
+/// Postings cover visible nodes only, so a name none of whose nodes is
+/// visible has no group.
+fn put_postings(buf: &mut Vec<u8>, mut groups: Postings<'_>) {
+    groups.retain(|_, ids| !ids.is_empty());
     put_u64(buf, groups.len() as u64);
-    for (name, ids) in groups {
+    for (name, ids) in &groups {
         put_str(buf, name);
-        put_u64(buf, ids.len() as u64);
-        let mut prev = 0u32;
-        for &id in ids {
-            put_u64(buf, u64::from(id - prev));
-            prev = id;
-        }
+        put_id_deltas(buf, ids);
     }
 }
 
@@ -308,6 +341,12 @@ impl LogIndex {
         self.offsets[id.index()] as usize..self.offsets[id.index() + 1] as usize
     }
 
+    /// Byte offset of record 0 (= [`LogIndex::invocations_offset`] on
+    /// an empty log).
+    pub(crate) fn records_offset(&self) -> usize {
+        self.offsets[0] as usize
+    }
+
     /// Byte offset where the invocation table starts.
     pub fn invocations_offset(&self) -> usize {
         *self.offsets.last().expect("non-empty") as usize
@@ -340,6 +379,21 @@ impl LogIndex {
     /// Count of visible nodes (the bitmap's popcount).
     pub fn visible_count(&self) -> usize {
         self.visible_count
+    }
+
+    /// The visibility bitmap as stored (bit i = node i visible).
+    pub(crate) fn visibility(&self) -> &[u8] {
+        &self.visible
+    }
+
+    /// Every module's postings, by name.
+    pub(crate) fn all_module_postings(&self) -> &BTreeMap<String, Vec<NodeId>> {
+        &self.module_postings
+    }
+
+    /// Every kind's postings, by name.
+    pub(crate) fn all_kind_postings(&self) -> &BTreeMap<String, Vec<NodeId>> {
+        &self.kind_postings
     }
 }
 

@@ -240,6 +240,14 @@ impl FaultIo {
         self.lock().files.get(path).map(|f| f.data.clone())
     }
 
+    /// Every file on the simulated disk, sorted — what a directory
+    /// listing would show.
+    pub fn paths(&self) -> Vec<PathBuf> {
+        let mut paths: Vec<PathBuf> = self.lock().files.keys().cloned().collect();
+        paths.sort();
+        paths
+    }
+
     /// Count one op and return the fault to inject, if it is this op's
     /// turn. Errors out immediately (without counting) while frozen.
     fn begin_op(state: &mut DiskState) -> io::Result<Option<(FaultKind, u64)>> {

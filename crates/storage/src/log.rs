@@ -21,7 +21,7 @@
 
 use std::path::Path;
 
-use bytes::{Buf, BufMut, Bytes, BytesMut};
+use bytes::{Buf, BufMut, Bytes};
 use lipstick_core::{NodeId, ProvGraph};
 
 use crate::codec::{get_kind, get_role, put_kind, put_retired_zoom, put_role};
@@ -30,7 +30,7 @@ use crate::footer::FooterWriter;
 use crate::io::{default_io, StorageIo};
 use crate::varint::{get_count, get_str, get_u32, put_str, put_u64};
 use lipstick_core::graph::{InvocationInfo, RETIRED_STASH};
-use lipstick_core::NodeKind;
+use lipstick_core::{NodeKind, Role};
 
 pub(crate) const MAGIC: &[u8; 5] = b"LPSTK";
 /// Original format: header + records + invocation table, full decode
@@ -65,55 +65,83 @@ fn encode_graph_versioned(graph: &ProvGraph, version: u8) -> Result<Vec<u8>> {
     if !zoomed.is_empty() {
         return Err(StorageError::ZoomedGraph(zoomed));
     }
-    let mut buf = BytesMut::with_capacity(64 + graph.len() * 16);
-    buf.put_slice(MAGIC);
-    buf.put_u8(version);
-    put_u64(&mut buf, graph.len() as u64);
+    let mut buf = Vec::with_capacity(64 + graph.len() * 16);
+    put_header(&mut buf, version, graph.len());
     let mut footer = FooterWriter::new(graph.len());
     for (_, node) in graph.iter() {
         footer.record_starts_at(buf.len() as u64);
-        let flags = u8::from(node.is_deleted());
-        buf.put_u8(flags);
-        put_role(&mut buf, &node.role);
-        // Composite zoom nodes retired by ZoomIn stay in the arena as
-        // unlinked tombstones; persist them as such so a graph that
-        // went through a zoom cycle remains storable.
-        if let NodeKind::Zoomed { stash } = node.kind {
-            if !node.is_deleted() {
-                // Unreachable given the zoomed-modules rejection above,
-                // but kept as a hard invariant.
-                return Err(StorageError::Corrupt(
-                    "zoomed composite nodes are views and cannot be persisted".into(),
-                ));
-            }
-            if stash != RETIRED_STASH {
-                // A dead composite must carry the reserved sentinel
-                // (ZoomIn remaps it); a live index here would decode to
-                // a different kind than was encoded.
-                return Err(StorageError::Corrupt(format!(
-                    "retired zoom composite carries live stash index {stash}"
-                )));
-            }
-            put_retired_zoom(&mut buf);
-        } else {
-            put_kind(&mut buf, &node.kind)?;
-        }
-        put_u64(&mut buf, node.preds().len() as u64);
-        for p in node.preds() {
-            put_u64(&mut buf, u64::from(p.0));
-        }
+        put_record(
+            &mut buf,
+            node.is_deleted(),
+            &node.role,
+            &node.kind,
+            node.preds(),
+        )?;
     }
     footer.records_end_at(buf.len() as u64);
-    put_u64(&mut buf, graph.invocations().len() as u64);
-    for info in graph.invocations() {
-        put_str(&mut buf, &info.module);
-        put_u64(&mut buf, u64::from(info.execution));
-        put_u64(&mut buf, u64::from(info.m_node.0));
-    }
+    put_invocations(&mut buf, graph.invocations());
     if version == VERSION_V2 {
         footer.finish(graph, &mut buf);
     }
-    Ok(buf.to_vec())
+    Ok(buf)
+}
+
+/// The file header: magic, format version, node count.
+pub(crate) fn put_header(buf: &mut Vec<u8>, version: u8, node_count: usize) {
+    buf.put_slice(MAGIC);
+    buf.put_u8(version);
+    put_u64(buf, node_count as u64);
+}
+
+/// One node record: flags byte (bit0 = deleted tombstone), role, kind,
+/// predecessor list.
+pub(crate) fn put_record(
+    buf: &mut Vec<u8>,
+    deleted: bool,
+    role: &Role,
+    kind: &NodeKind,
+    preds: &[NodeId],
+) -> Result<()> {
+    buf.put_u8(u8::from(deleted));
+    put_role(buf, role);
+    // Composite zoom nodes retired by ZoomIn stay in the arena as
+    // unlinked tombstones; persist them as such so a graph that
+    // went through a zoom cycle remains storable.
+    if let NodeKind::Zoomed { stash } = *kind {
+        if !deleted {
+            // Unreachable once active zooms are rejected (both callers
+            // do), but kept as a hard invariant.
+            return Err(StorageError::Corrupt(
+                "zoomed composite nodes are views and cannot be persisted".into(),
+            ));
+        }
+        if stash != RETIRED_STASH {
+            // A dead composite must carry the reserved sentinel
+            // (ZoomIn remaps it); a live index here would decode to
+            // a different kind than was encoded.
+            return Err(StorageError::Corrupt(format!(
+                "retired zoom composite carries live stash index {stash}"
+            )));
+        }
+        put_retired_zoom(buf);
+    } else {
+        put_kind(buf, kind)?;
+    }
+    put_u64(buf, preds.len() as u64);
+    for p in preds {
+        put_u64(buf, u64::from(p.0));
+    }
+    Ok(())
+}
+
+/// The invocation table that follows the record section.
+pub(crate) fn put_invocations(buf: &mut Vec<u8>, invocations: &[InvocationInfo]) {
+    put_u64(buf, invocations.len() as u64);
+    for info in invocations {
+        put_str(buf, &info.module);
+        put_u64(buf, u64::from(info.execution));
+        put_u64(buf, u64::from(info.m_node.0));
+    }
 }
 
 /// The format version of an encoded log, if the header is recognisable

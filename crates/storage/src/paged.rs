@@ -144,6 +144,23 @@ impl PagedLog {
         decode_graph(&self.data)
     }
 
+    /// The record section as stored: record 0's first byte up to the
+    /// invocation table.
+    pub(crate) fn record_section(&self) -> &[u8] {
+        &self.data[self.index.records_offset()..self.index.invocations_offset()]
+    }
+
+    /// Take over `old`'s fault cache, leaving it this log's (empty)
+    /// one. Sound only when this log's first `old.node_count()` records
+    /// are `old`'s records under the same ids — COMPACT's splice copies
+    /// them verbatim. The flags byte, the one thing a splice patches,
+    /// is not part of a [`Record`], so a node tombstoned since it was
+    /// decoded cannot go stale here.
+    pub(crate) fn take_fault_cache(&mut self, old: &mut PagedLog) {
+        debug_assert!(old.index.node_count() <= self.index.node_count());
+        std::mem::swap(&mut self.cache, &mut old.cache);
+    }
+
     /// Fault in record `id`, consulting the cache first. The record's
     /// shard stays locked across the decode, so two threads racing on
     /// the same record decode it once; threads on different shards

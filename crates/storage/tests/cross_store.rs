@@ -3,6 +3,9 @@
 //! and on an `AppendLog` holding the same graph — with a tombstoned
 //! cone, and on the append log a zoomed-out module as well — and
 //! require identical answers: node sets, counts and deletion order.
+//! `plan_zoom_out` gets the same treatment on a dealers graph: it walks
+//! postings where a store keeps them and sweeps every id where it does
+//! not, and the plans must not differ.
 
 use lipstick_core::graph::GraphTracker;
 use lipstick_core::query::deletion::compute_deletion;
@@ -12,6 +15,10 @@ use lipstick_core::query::{
 use lipstick_core::store::GraphStore;
 use lipstick_core::{NodeId, ProvGraph, Tracker};
 use lipstick_storage::{encode_graph_v2, write_graph_v2, AppendLog, PagedLog};
+use lipstick_workflowgen::dealers::{self, DealersParams};
+
+mod common;
+use common::resident_append;
 
 /// Two modules over shared base tuples, two executions each.
 fn workflow() -> ProvGraph {
@@ -139,4 +146,128 @@ fn deletion_order_and_depends_on_agree_across_stores() {
             }
         }
     });
+}
+
+/// Another execution of `Mdealer1` and `Mdealer2` whose state nodes
+/// share one base tuple: zooming either module alone must leave the
+/// tuple visible, zooming both hides it in the second module's plan.
+fn shared_state_fragment() -> ProvGraph {
+    let mut t = GraphTracker::new();
+    let request = t.base("late_request");
+    let shared = t.base("shared_inventory");
+    for module in ["Mdealer1", "Mdealer2"] {
+        t.begin_invocation(module, 9);
+        let i = t.module_input(request);
+        let s = t.state_node(shared);
+        let bid = t.times(&[i, s]);
+        t.module_output(bid, &[]);
+        t.end_invocation();
+    }
+    t.finish()
+}
+
+#[test]
+fn zoom_plans_agree_across_stores() {
+    let params = DealersParams {
+        num_cars: 24,
+        num_exec: 3,
+        seed: 5,
+    };
+    let mut tracker = GraphTracker::new();
+    dealers::run_declining(&params, &mut tracker).expect("dealers run");
+    let sealed = tracker.finish();
+    let dir = std::env::temp_dir().join(format!("lipstick-cross-store-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    let path = dir.join("zoom-plans.lpstk");
+    write_graph_v2(&sealed, &path).unwrap();
+    std::fs::remove_file(format!("{}.tail", path.display())).ok();
+    let mut append = AppendLog::open(&path).unwrap();
+
+    // A tombstoned cone that reaches into the modules, then a fragment
+    // that adds invocations of two of them.
+    let mut resident = sealed;
+    let victim = resident
+        .iter_visible()
+        .filter(|(_, n)| n.kind.name() == "base_tuple" && !n.succs().is_empty())
+        .map(|(id, _)| id)
+        .nth(3)
+        .expect("dealers seeds inventory tuples");
+    let cone = propagate_deletion_inplace(&mut resident, victim)
+        .unwrap()
+        .deleted;
+    assert!(cone.len() > 1, "the deletion cascades");
+    append.commit_tombstones(&cone).unwrap();
+    let fragment = shared_state_fragment();
+    resident_append(&mut resident, &fragment);
+    append.commit_fragment(&fragment).unwrap();
+    let paged = PagedLog::from_bytes(encode_graph_v2(&resident).unwrap()).unwrap();
+
+    // The resident graph keeps no postings and sweeps; the logs walk theirs.
+    assert!(resident.module_postings("Mdealer1").is_none());
+    assert!(paged.module_postings("Mdealer1").is_some());
+    assert!(append.kind_postings("base_tuple").is_some());
+
+    let mut names: Vec<String> = resident
+        .invocations()
+        .iter()
+        .map(|i| i.module.clone())
+        .collect();
+    names.sort_unstable();
+    names.dedup();
+    let modules: Vec<&str> = names.iter().map(String::as_str).collect();
+    assert!(modules.len() > 4, "dealers runs many modules");
+    let mut calls: Vec<Vec<&str>> = modules.iter().map(|m| vec![*m]).collect();
+    // Two modules in one call: the second plan sees the first's
+    // simulated hides and composite edges.
+    calls.push(vec!["Mdealer1", "Mdealer2"]);
+    calls.push(vec!["Mdealer2", "Mdealer1"]);
+    calls.push(modules.clone());
+    for call in &calls {
+        let expect = plan_zoom_out(&resident, call, &[], 0).unwrap();
+        assert_eq!(
+            plan_zoom_out(&paged, call, &[], 0).unwrap(),
+            expect,
+            "paged: {call:?}"
+        );
+        assert_eq!(
+            plan_zoom_out(&append, call, &[], 0).unwrap(),
+            expect,
+            "append: {call:?}"
+        );
+        assert!(expect.iter().all(|p| !p.composites.is_empty()));
+    }
+    let shared = resident
+        .iter_visible()
+        .find(|(_, n)| n.kind.label().contains("shared_inventory"))
+        .map(|(id, _)| id)
+        .unwrap();
+    let hides = |call: &[&str]| -> Vec<bool> {
+        let plans = plan_zoom_out(&append, call, &[], 0).unwrap();
+        plans.iter().map(|p| p.hidden.contains(&shared)).collect()
+    };
+    assert_eq!(hides(&["Mdealer1"]), [false]);
+    assert_eq!(hides(&["Mdealer1", "Mdealer2"]), [false, true]);
+
+    // With a module already zoomed out (a sealed log cannot be, so the
+    // resident graph and the append log only).
+    let plans = plan_zoom_out(&append, &["Magg"], &[], append.stash_count()).unwrap();
+    append.commit_zoom_out(plans).unwrap();
+    zoom_out(&mut resident, &["Magg"]).unwrap();
+    let zoomed = vec!["Magg".to_string()];
+    for call in calls.iter().filter(|c| !c.contains(&"Magg")) {
+        assert_eq!(
+            plan_zoom_out(&append, call, &zoomed, 1).unwrap(),
+            plan_zoom_out(&resident, call, &zoomed, 1).unwrap(),
+            "with Magg zoomed out: {call:?}"
+        );
+    }
+    assert_eq!(
+        plan_zoom_out(&append, &["Magg"], &zoomed, 1),
+        plan_zoom_out(&resident, &["Magg"], &zoomed, 1)
+    );
+    // A reopen replays the ZoomOut record by planning again.
+    let reopened = AppendLog::open(&path).unwrap();
+    assert_eq!(reopened.visible_count(), resident.visible_count());
+    std::fs::remove_file(&path).ok();
+    std::fs::remove_file(format!("{}.tail", path.display())).ok();
 }

@@ -17,7 +17,10 @@
 //!
 //! A dedicated test drives the crash clock through COMPACT's own IO
 //! steps (temp write, sync, rename, tail unlink) proving the reopened
-//! store equals the pre- or post-compaction state, never a hybrid. A
+//! store equals the pre- or post-compaction state, never a hybrid.
+//! COMPACT's temp image is `<log>.compact.tmp`: an injected *error*
+//! never leaves one behind (the error path unlinks it), a *crash* may,
+//! and the next COMPACT's truncating write replaces it. A
 //! final test runs ProQL sessions (via the shared `testgen` script
 //! hook) over the simulated disk, differential-checked against a
 //! resident session.
@@ -144,6 +147,12 @@ fn log_path() -> PathBuf {
     PathBuf::from("/simulated/graph.lpstk")
 }
 
+/// COMPACT temp images currently on the simulated disk.
+fn compact_temps(io: &FaultIo) -> Vec<PathBuf> {
+    let is_temp = |p: &PathBuf| p.to_string_lossy().ends_with(".compact.tmp");
+    io.paths().into_iter().filter(is_temp).collect()
+}
+
 fn fault_budget(total: u64) -> usize {
     std::env::var("FAULT_POINTS")
         .ok()
@@ -196,6 +205,14 @@ fn every_io_error_point_leaves_the_store_usable_and_convergent() {
                     clean_sigs[step],
                     "op {k}: failed step {step} mutated the in-memory session"
                 );
+                // Nor did it litter: a COMPACT that errors anywhere
+                // between its temp write and its rename takes the temp
+                // image with it.
+                assert_eq!(
+                    compact_temps(&io),
+                    Vec::<PathBuf>::new(),
+                    "op {k}: failed step {step} left a COMPACT temp file"
+                );
                 // The fault is one-shot; the retry must land and bring
                 // the run back in lockstep with the clean one.
                 script_step(&mut log, step)
@@ -208,6 +225,7 @@ fn every_io_error_point_leaves_the_store_usable_and_convergent() {
             );
         }
         drop(log);
+        assert_eq!(compact_temps(&io), Vec::<PathBuf>::new(), "op {k}");
 
         // Whatever happened, a fresh open recovers the full final state.
         let reopened = AppendLog::open_with_io(&path, shared)
@@ -314,7 +332,7 @@ fn crash_during_compact_is_all_or_nothing() {
         let base_now = io
             .contents(&path)
             .unwrap_or_else(|| panic!("compact crash at op {k}: base vanished"));
-        let recovered = AppendLog::open_with_io(&path, shared)
+        let mut recovered = AppendLog::open_with_io(&path, shared)
             .unwrap_or_else(|e| panic!("compact crash at op {k}: reopen failed: {e}"));
         assert_eq!(
             store_signature(&recovered),
@@ -331,6 +349,22 @@ fn crash_during_compact_is_all_or_nothing() {
             base_now == pre_base,
             base_now == post_base,
         );
+
+        // A crash between the temp write and the rename strands the
+        // temp image — under the log's own name plus a suffix, never a
+        // name another log in the directory could share — and the next
+        // COMPACT overwrites and renames it away.
+        let temp = PathBuf::from(format!("{}.compact.tmp", path.display()));
+        let stranded = compact_temps(&io);
+        assert!(
+            stranded.is_empty() || stranded == [temp],
+            "compact crash at op {k}: unexpected temp files {stranded:?}"
+        );
+        if recovered.tail_records() > 0 {
+            recovered.compact().expect("compact after recovery");
+            assert_eq!(io.contents(&path).expect("base exists"), post_base);
+        }
+        assert_eq!(compact_temps(&io), Vec::<PathBuf>::new());
     }
 }
 
