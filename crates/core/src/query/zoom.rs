@@ -140,7 +140,7 @@ pub fn plan_zoom_out<S: GraphStore + ?Sized>(
 
         // Steps 3-4: hide intermediates and state nodes of all
         // invocations of this module.
-        for id in candidates(&owned, n) {
+        for id in candidates(owned.as_deref(), n) {
             if !visible(&sim_hidden, store, id) {
                 continue;
             }
@@ -155,7 +155,7 @@ pub fn plan_zoom_out<S: GraphStore + ?Sized>(
         }
         // Step 4 (second half): base tuple nodes that fed only
         // now-hidden nodes (a module's private initial-state tuples).
-        for id in candidates(&base_tuples, n) {
+        for id in candidates(base_tuples.as_deref(), n) {
             if !visible(&sim_hidden, store, id)
                 || (base_tuples.is_none()
                     && !matches!(*store.kind_of(id), NodeKind::BaseTuple { .. }))
@@ -179,7 +179,7 @@ pub fn plan_zoom_out<S: GraphStore + ?Sized>(
         // output nodes in ONE pass (a per-invocation scan would make
         // ZoomOut quadratic on long execution histories).
         let mut io: Vec<(Vec<NodeId>, Vec<NodeId>)> = vec![Default::default(); invocations.len()];
-        for id in candidates(&owned, n) {
+        for id in candidates(owned.as_deref(), n) {
             if !visible(&sim_hidden, store, id) {
                 continue;
             }
@@ -219,9 +219,9 @@ pub fn plan_zoom_out<S: GraphStore + ?Sized>(
 
 /// The ids a sweep has to look at, ascending: the store's postings when
 /// it keeps them, every id when it does not.
-fn candidates(postings: &Option<Vec<NodeId>>, n: usize) -> impl Iterator<Item = NodeId> + '_ {
+fn candidates(postings: Option<&[NodeId]>, n: usize) -> impl Iterator<Item = NodeId> + '_ {
     let every = if postings.is_some() { 0 } else { n as u32 };
-    let listed = postings.as_deref().unwrap_or(&[]);
+    let listed = postings.unwrap_or(&[]);
     listed.iter().copied().chain((0..every).map(NodeId))
 }
 
@@ -323,6 +323,7 @@ mod tests {
     use super::*;
     use crate::graph::tracker::{GraphTracker, Tracker};
     use crate::graph::Role;
+    use std::borrow::Cow;
 
     /// Two invocations of M (sharing a state tuple) feeding one
     /// invocation of Agg.
@@ -494,7 +495,7 @@ mod tests {
     }
 
     impl Probe<'_> {
-        fn scan(&self, keep: impl Fn(NodeId) -> bool) -> Option<Vec<NodeId>> {
+        fn scan(&self, keep: impl Fn(NodeId) -> bool) -> Option<Cow<'_, [NodeId]>> {
             let ids = self.graph.iter_visible().map(|(id, _)| id);
             self.postings.then(|| ids.filter(|id| keep(*id)).collect())
         }
@@ -507,29 +508,29 @@ mod tests {
         fn is_visible(&self, id: NodeId) -> bool {
             self.graph.node(id).is_visible()
         }
-        fn kind_of(&self, id: NodeId) -> std::borrow::Cow<'_, NodeKind> {
-            std::borrow::Cow::Borrowed(&self.graph.node(id).kind)
+        fn kind_of(&self, id: NodeId) -> Cow<'_, NodeKind> {
+            Cow::Borrowed(&self.graph.node(id).kind)
         }
         fn role_of(&self, id: NodeId) -> Role {
             self.role_calls.set(self.role_calls.get() + 1);
             self.graph.node(id).role
         }
-        fn preds_of(&self, id: NodeId) -> std::borrow::Cow<'_, [NodeId]> {
-            std::borrow::Cow::Borrowed(self.graph.node(id).preds())
+        fn preds_of(&self, id: NodeId) -> Cow<'_, [NodeId]> {
+            Cow::Borrowed(self.graph.node(id).preds())
         }
-        fn succs_of(&self, id: NodeId) -> std::borrow::Cow<'_, [NodeId]> {
-            std::borrow::Cow::Borrowed(self.graph.node(id).succs())
+        fn succs_of(&self, id: NodeId) -> Cow<'_, [NodeId]> {
+            Cow::Borrowed(self.graph.node(id).succs())
         }
         fn invocations(&self) -> &[crate::graph::InvocationInfo] {
             self.graph.invocations()
         }
-        fn module_postings(&self, module: &str) -> Option<Vec<NodeId>> {
+        fn module_postings(&self, module: &str) -> Option<Cow<'_, [NodeId]>> {
             self.scan(|id| {
                 let inv = self.graph.node(id).role.invocation();
                 inv.is_some_and(|inv| self.graph.invocation(inv).module == module)
             })
         }
-        fn kind_postings(&self, kind: &str) -> Option<Vec<NodeId>> {
+        fn kind_postings(&self, kind: &str) -> Option<Cow<'_, [NodeId]>> {
             self.scan(|id| self.graph.node(id).kind.name() == kind)
         }
     }

@@ -8,12 +8,14 @@
 //! and read executor are written once against this trait and run
 //! unchanged on all three.
 //!
-//! The adjacency and kind accessors **lend**: they return a
-//! [`Cow`], so a store that owns an arena ([`ProvGraph`]) hands out
-//! `Cow::Borrowed` slices of it and the generic walk compiles to the
-//! same loop a `ProvGraph`-specific one would, while a store that
-//! decodes records into temporaries returns `Cow::Owned`. Callers read
-//! through the `Cow` and never need to know which they got.
+//! The adjacency, kind and postings accessors **lend**: they return a
+//! [`Cow`], so a store that owns what is asked for — [`ProvGraph`]'s
+//! arena, a paged log's decoded-record cache and footer — hands out
+//! `Cow::Borrowed` and the generic walk compiles to the same loop a
+//! store-specific one would, while a store that has to assemble the
+//! answer (an append log's row the tail grew, its visibility-filtered
+//! postings) returns `Cow::Owned`. Callers read through the `Cow` and
+//! never need to know which they got.
 
 use std::borrow::Cow;
 use std::collections::HashMap;
@@ -84,13 +86,15 @@ pub trait GraphStore {
 
     /// Visible node ids owned by the module's invocations, if the store
     /// maintains postings for them (`None` = not indexed; scan instead).
-    fn module_postings(&self, _module: &str) -> Option<Vec<NodeId>> {
+    /// Lent like the adjacency accessors: a store that keeps the list
+    /// hands out the slice.
+    fn module_postings(&self, _module: &str) -> Option<Cow<'_, [NodeId]>> {
         None
     }
 
     /// Visible node ids of the given kind name (see [`NodeKind::name`]),
     /// if the store maintains postings for them.
-    fn kind_postings(&self, _kind: &str) -> Option<Vec<NodeId>> {
+    fn kind_postings(&self, _kind: &str) -> Option<Cow<'_, [NodeId]>> {
         None
     }
 

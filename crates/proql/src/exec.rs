@@ -348,7 +348,7 @@ fn run_set<S: GraphStore + ?Sized>(
                 (ScanStrategy::ModuleScan { module, .. }, _) => {
                     module_scan(store, module, *class, filter)
                 }
-                (_, Some(ids)) => scan_ids(store, ids.into_iter(), *class, filter, *limit),
+                (_, Some(ids)) => scan_ids(store, ids.iter().copied(), *class, filter, *limit),
                 (_, None) => scan_ids(store, all_ids(store), *class, filter, *limit),
             })
         }

@@ -6,6 +6,7 @@
 //! executor also reports back, so planner predictions can be checked
 //! against observed work in tests.
 
+use std::borrow::Cow;
 use std::fmt;
 
 use lipstick_core::store::GraphStore;
@@ -49,13 +50,17 @@ pub enum PostingsKey {
 impl PostingsKey {
     /// The ascending, deduplicated candidate ids this key selects —
     /// exactly the records a postings scan examines. `None` when the
-    /// store does not keep the postings the key names.
-    pub(crate) fn candidates<S: GraphStore + ?Sized>(&self, store: &S) -> Option<Vec<NodeId>> {
-        let union = |lists: Vec<Option<Vec<NodeId>>>| {
+    /// store does not keep the postings the key names. A single list is
+    /// lent as the store lends it; only a union is assembled.
+    pub(crate) fn candidates<'s, S: GraphStore + ?Sized>(
+        &self,
+        store: &'s S,
+    ) -> Option<Cow<'s, [NodeId]>> {
+        let union = |lists: Vec<Option<Cow<'s, [NodeId]>>>| {
             let mut ids: Vec<NodeId> = lists.into_iter().collect::<Option<Vec<_>>>()?.concat();
             ids.sort_unstable();
             ids.dedup();
-            Some(ids)
+            Some(Cow::Owned(ids))
         };
         match self {
             PostingsKey::Module(m) => store.module_postings(m),

@@ -83,7 +83,7 @@ impl<'a, S: GraphStore + ?Sized> Planner<'a, S> {
                     _ => false,
                 };
                 match PostingsKey::TokenKinds.candidates(self.store) {
-                    Some(ids) => ids.into_iter().find(carries),
+                    Some(ids) => ids.iter().copied().find(carries),
                     None => visible_ids(self.store).find(carries),
                 }
                 .ok_or_else(|| ProqlError::UnknownNode(r.to_string()))

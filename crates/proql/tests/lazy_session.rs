@@ -491,6 +491,29 @@ fn corrupt_record_bytes_error_at_query_time_without_aborting() {
         err.to_string().contains("corrupt"),
         "expected a corruption error, got: {err}"
     );
+    // A failed decode installs nothing in the fault cache: the same
+    // statement fails the same way again, and a statement whose
+    // postings keep it away from the bad record still answers.
+    let again = s.run_one("MATCH p-nodes").unwrap_err();
+    assert_eq!(again.to_string(), err.to_string());
+    assert!(!matches!(
+        g.node(lipstick_core::NodeId(3)).kind,
+        lipstick_core::NodeKind::Invocation
+    ));
+    assert!(!nodes_of(&s.run_one("MATCH m-nodes").unwrap()).is_empty());
+    // Readers that meet on the bad record each get the error — none
+    // hangs on a slot another thread gave up on, none aborts.
+    let barrier = std::sync::Barrier::new(4);
+    std::thread::scope(|scope| {
+        for _ in 0..4 {
+            scope.spawn(|| {
+                barrier.wait();
+                let raced = s.run_read("MATCH p-nodes").unwrap_err();
+                assert_eq!(raced.to_string(), err.to_string());
+            });
+        }
+    });
+    assert!(s.run_one("MATCH nodes").is_ok());
 }
 
 #[test]

@@ -5,7 +5,7 @@
 //! The session sits behind an [`RwLock`]. Read-only statements take the
 //! read side and execute concurrently — `proql::Session::run_read`
 //! borrows `&self`, and all backends (resident graph, paged log with
-//! its sharded fault cache, append log) are `Sync`. Mutating
+//! its lock-free write-once fault cache, append log) are `Sync`. Mutating
 //! statements **group-commit**: each writer enqueues its statement and
 //! contends for the write side; the winner drains the whole queue as
 //! batch leader under one lock hold, one deferred reach-index repair,
@@ -206,7 +206,7 @@ impl Instruments {
             ),
             fault_cache_heap: r.gauge(
                 "lipstick_storage_fault_cache_heap_bytes",
-                "Heap bytes held by the paged log's sharded record fault cache",
+                "Heap bytes held by the paged log's decoded-record fault cache",
             ),
             serve_cache_heap: r.gauge(
                 "lipstick_serve_cache_heap_bytes",

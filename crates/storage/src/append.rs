@@ -717,7 +717,7 @@ impl AppendLog {
         // the remaining work is infallible in-memory bookkeeping.
         // Compaction is therefore all-or-nothing for callers.
         let tmp = sidecar_path(&self.path, ".compact.tmp");
-        let (mut new_base, new_len) = match self.install_image(&tmp, &image) {
+        let (new_base, new_len) = match self.install_image(&tmp, &image) {
             Ok(installed) => installed,
             Err(e) => {
                 let _ = self.io.unlink(&tmp);
@@ -730,9 +730,9 @@ impl AppendLog {
         let _ = self.io.unlink(&self.tail_path);
 
         debug_assert_eq!(self.visible, new_base.index().visible_count());
-        self.carried_faults += self.base.faults();
-        new_base.take_fault_cache(&mut self.base);
-        self.base = new_base;
+        let old_base = std::mem::replace(&mut self.base, new_base);
+        self.carried_faults += old_base.faults();
+        self.base.take_fault_cache(old_base);
         self.base_len = new_len;
         self.base_nodes = self.base.index().node_count();
         self.base_invocations = self.base.invocations().len();
@@ -1025,7 +1025,7 @@ impl GraphStore for AppendLog {
         self.faults()
     }
 
-    fn module_postings(&self, module: &str) -> Option<Vec<NodeId>> {
+    fn module_postings(&self, module: &str) -> Option<Cow<'_, [NodeId]>> {
         // Sealed postings filtered through current visibility, then the
         // overlay's matches. Overlay ids all exceed base ids, so the
         // merged list stays ascending.
@@ -1051,10 +1051,10 @@ impl GraphStore for AppendLog {
                 }
             }
         }
-        Some(out)
+        Some(Cow::Owned(out))
     }
 
-    fn kind_postings(&self, kind: &str) -> Option<Vec<NodeId>> {
+    fn kind_postings(&self, kind: &str) -> Option<Cow<'_, [NodeId]>> {
         let mut out: Vec<NodeId> = self
             .base
             .index()
@@ -1068,7 +1068,7 @@ impl GraphStore for AppendLog {
                 out.push(NodeId((self.base_nodes + k) as u32));
             }
         }
-        Some(out)
+        Some(Cow::Owned(out))
     }
 
     fn memory_breakdown(&self) -> Vec<(&'static str, usize)> {
@@ -1304,6 +1304,29 @@ mod tests {
         assert_eq!(store_signature(&log), before);
     }
 
+    /// The append store delegates sealed nodes to its base, so it lends
+    /// what the base's fault cache lends — and keeps lending a node the
+    /// tail has not touched.
+    #[test]
+    fn sealed_nodes_lend_through_the_append_log() {
+        let base = workflow_graph();
+        let path = temp_log("lend", &base);
+        let mut log = AppendLog::open(&path).unwrap();
+        let sealed = NodeId(3);
+        let lent = |log: &AppendLog| {
+            assert!(matches!(log.kind_of(sealed), Cow::Borrowed(_)));
+            assert!(matches!(log.preds_of(sealed), Cow::Borrowed(_)));
+        };
+        lent(&log);
+        // A fragment hangs off nothing sealed; the tombstone lands on
+        // another node.
+        log.commit_fragment(&fragment_graph()).unwrap();
+        log.commit_tombstones(&[NodeId(2)]).unwrap();
+        lent(&log);
+        assert_eq!(*log.preds_of(sealed), *base.node(sealed).preds());
+        assert_eq!(log.faults(), 1);
+    }
+
     #[test]
     fn postings_merge_overlay_and_respect_visibility() {
         let base = workflow_graph();
@@ -1323,7 +1346,7 @@ mod tests {
                 })
                 .map(|(id, _)| id)
                 .collect();
-            assert_eq!(got, want, "module postings for {module}");
+            assert_eq!(*got, *want, "module postings for {module}");
         }
         for kind in ["base_tuple", "module_input", "plus", "delta"] {
             let got = log.kind_postings(kind).unwrap();
@@ -1332,7 +1355,7 @@ mod tests {
                 .filter(|(_, n)| n.kind.name() == kind)
                 .map(|(id, _)| id)
                 .collect();
-            assert_eq!(got, want, "kind postings for {kind}");
+            assert_eq!(*got, *want, "kind postings for {kind}");
         }
     }
 }

@@ -186,9 +186,13 @@ fn put_postings(buf: &mut Vec<u8>, mut groups: Postings<'_>) {
 /// The parsed v2 footer: everything a lazy reader keeps resident.
 #[derive(Debug, Clone)]
 pub struct LogIndex {
-    /// `node_count + 1` entries: byte offset of each record, then the
-    /// end of the record section (= start of the invocation table).
-    offsets: Vec<u64>,
+    /// File offset of record 0.
+    records_base: u64,
+    /// `node_count + 1` entries: byte offset of each record *within the
+    /// record section* (entry 0 is 0), then the section's length — half
+    /// the width of file offsets, on the footer's largest per-node
+    /// table after the CSR. `parse` rejects a section of 4 GiB or more.
+    offsets: Vec<u32>,
     /// Bit i set = node i visible (not tombstoned).
     visible: Vec<u8>,
     /// Popcount of `visible`, taken once at parse (the index is
@@ -259,16 +263,21 @@ impl LogIndex {
                 "footer node count {declared} does not match header {node_count}"
             )));
         }
+        let records_base = get_u64(&mut buf)?;
         let mut offsets = Vec::with_capacity(node_count + 1);
-        let mut at = get_u64(&mut buf)?;
+        let mut at = 0u32;
         offsets.push(at);
         for _ in 0..node_count {
-            at = at
-                .checked_add(get_u64(&mut buf)?)
-                .ok_or_else(|| StorageError::Corrupt("record offset overflow".into()))?;
+            at = u32::try_from(get_u64(&mut buf)?)
+                .ok()
+                .and_then(|len| at.checked_add(len))
+                .ok_or_else(|| too_large("record section"))?;
             offsets.push(at);
         }
-        if *offsets.last().expect("non-empty") > footer_start as u64 {
+        if records_base
+            .checked_add(u64::from(at))
+            .is_none_or(|end| end > footer_start as u64)
+        {
             return Err(StorageError::Corrupt(
                 "record offsets run past the footer".into(),
             ));
@@ -310,7 +319,8 @@ impl LogIndex {
                 }
                 succ_ids.push(NodeId(prev));
             }
-            succ_starts.push(succ_ids.len() as u32);
+            let end = u32::try_from(succ_ids.len()).map_err(|_| too_large("successor table"))?;
+            succ_starts.push(end);
         }
 
         let module_postings = get_postings(&mut buf, node_count)?;
@@ -321,6 +331,7 @@ impl LogIndex {
             ));
         }
         Ok(LogIndex {
+            records_base,
             offsets,
             visible,
             visible_count,
@@ -338,18 +349,19 @@ impl LogIndex {
 
     /// Byte range of record `id` within the file.
     pub fn record_range(&self, id: NodeId) -> std::ops::Range<usize> {
-        self.offsets[id.index()] as usize..self.offsets[id.index() + 1] as usize
+        let base = self.records_offset();
+        base + self.offsets[id.index()] as usize..base + self.offsets[id.index() + 1] as usize
     }
 
     /// Byte offset of record 0 (= [`LogIndex::invocations_offset`] on
     /// an empty log).
     pub(crate) fn records_offset(&self) -> usize {
-        self.offsets[0] as usize
+        self.records_base as usize
     }
 
     /// Byte offset where the invocation table starts.
     pub fn invocations_offset(&self) -> usize {
-        *self.offsets.last().expect("non-empty") as usize
+        self.records_offset() + *self.offsets.last().expect("non-empty") as usize
     }
 
     /// Is node `id` visible (not tombstoned)?
@@ -395,6 +407,11 @@ impl LogIndex {
     pub(crate) fn all_kind_postings(&self) -> &BTreeMap<String, Vec<NodeId>> {
         &self.kind_postings
     }
+}
+
+/// The index addresses records and successor entries with `u32`s.
+fn too_large(what: &str) -> StorageError {
+    StorageError::Corrupt(format!("{what} of 4 GiB or more"))
 }
 
 fn check_id_add(prev: u32, delta: u32) -> Result<u32> {
@@ -473,6 +490,35 @@ mod tests {
         assert_eq!(bytes[bitmap_at], 0b1111);
         bytes[bitmap_at] |= 0b1_0000;
         assert!(LogIndex::parse(&bytes, g.len()).is_err());
+    }
+
+    #[test]
+    fn record_section_of_4_gib_is_rejected() {
+        // A footer whose record lengths sum past what a u32 offset can
+        // address, without the 4 GiB of records: `parse` must say so
+        // before it looks for them.
+        let g = small_graph();
+        let footer = |records_end: u64| {
+            let mut w = FooterWriter::new(g.len());
+            for i in 0..g.len() as u64 {
+                w.record_starts_at(8 + i);
+            }
+            w.records_end_at(records_end);
+            let mut bytes = vec![0u8; 8];
+            w.finish(&g, &mut bytes);
+            LogIndex::parse(&bytes, g.len())
+        };
+        let err = footer(8 + (1 << 32)).unwrap_err();
+        assert!(
+            matches!(&err, StorageError::Corrupt(m) if m.contains("4 GiB")),
+            "{err}"
+        );
+        // One byte less fits the offsets and fails on the file's bounds.
+        let err = footer(8 + u64::from(u32::MAX)).unwrap_err();
+        assert!(
+            matches!(&err, StorageError::Corrupt(m) if m.contains("run past the footer")),
+            "{err}"
+        );
     }
 
     #[test]

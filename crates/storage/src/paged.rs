@@ -11,16 +11,23 @@
 //! reachability sweeps fault nothing; kinds, roles, and predecessor
 //! lists fault one record each, once.
 //!
-//! The fault cache is sharded behind mutexes (and the fault counter is
-//! atomic), so a `PagedLog` is `Send + Sync`: `lipstick-serve` shares
-//! one paged log across a whole worker pool, with concurrent queries
-//! faulting records in parallel and contending only when two threads
-//! touch the same shard.
+//! The fault cache is an id-indexed table of write-once slots: a top
+//! table with one slot per `BLOCK` (32) consecutive ids, each holding —
+//! once any of its ids is touched — a block of per-record
+//! [`OnceLock`]s. A decoded record is installed once and never moves
+//! or changes afterwards, so the accessors **lend** from the cache
+//! (`kind_of` / `preds_of` return `Cow::Borrowed`) and a warm read is
+//! two atomic loads: no lock, no hash, no copy. The fault counter is
+//! atomic, so a `PagedLog` is `Send + Sync`: `lipstick-serve` shares one
+//! paged log across a whole worker pool, with concurrent queries
+//! faulting records in parallel. Two threads that race on the same cold
+//! record may both decode it; one value is installed, and only that
+//! thread counts a fault, so the count stays exactly "distinct records
+//! decoded".
 
 use std::borrow::Cow;
-use std::collections::HashMap;
 use std::path::Path;
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, OnceLock};
 
 use bytes::Buf;
 use lipstick_core::graph::InvocationInfo;
@@ -35,30 +42,42 @@ use crate::log::{decode_graph, decode_invocations, decode_pred_list, MAGIC, VERS
 use crate::varint::get_count;
 
 /// One decoded node record.
-#[derive(Debug, Clone)]
+#[derive(Debug)]
 struct Record {
     kind: NodeKind,
     role: Role,
-    preds: Vec<NodeId>,
+    preds: Box<[NodeId]>,
 }
 
-/// Number of cache shards. A small power of two: enough to keep a
-/// worker pool's threads off each other's locks, cheap enough that an
-/// idle log carries no weight.
-const CACHE_SHARDS: usize = 16;
+/// Consecutive ids per cache block. A flat per-node table would cost an
+/// empty slot per node at open — megabytes written before the first
+/// query, and carried by a store nobody reads; a block is allocated when
+/// one of its ids is first touched, so an untouched log pays one small
+/// top-table slot per `BLOCK` nodes (under a byte per node). The other
+/// end of the trade is a sparse cold scan — `MATCH m-nodes` touches one
+/// record in ≈ 66 on a dealers log, so nearly every fault allocates a
+/// block and the session's drop sweeps it: open + that statement + drop
+/// on a 186k-node log read ≈ 0.75 ms over the sharded map at 64 ids per
+/// block and ≈ 0.3 ms at 32, with dense sweeps unchanged.
+const BLOCK: usize = 32;
+
+/// The cache slots of `BLOCK` consecutive ids (always `BLOCK` long, also
+/// at the end of the id space — COMPACT grows the log under a block it
+/// carries over).
+type Block = Box<[OnceLock<Record>]>;
 
 /// A v2 provenance log opened for lazy, record-at-a-time reads.
 ///
-/// `Send + Sync`: the raw bytes and footer index are immutable, the
-/// fault cache is sharded behind mutexes, and the fault counter is
-/// atomic, so concurrent readers may share one log freely.
+/// `Send + Sync`: the raw bytes and footer index are immutable, every
+/// fault-cache slot is written at most once and read lock-free after
+/// that, and the fault counter is atomic, so concurrent readers may
+/// share one log freely.
 pub struct PagedLog {
     data: Vec<u8>,
     index: LogIndex,
     invocations: Vec<InvocationInfo>,
-    /// Boxed so an idle `PagedLog` (and the session enum wrapping it)
-    /// stays small; the shards only cost a pointer until first fault.
-    cache: Box<[Mutex<HashMap<u32, Record>>]>,
+    /// Slot `id / BLOCK` holds the block of record `id`, once touched.
+    cache: Box<[OnceLock<Block>]>,
     /// Per-log fault counter (tests and `STATS` report per-instance
     /// figures); every fault also feeds the process-wide
     /// `lipstick_storage_faults_total` registry instrument.
@@ -116,8 +135,8 @@ impl PagedLog {
             data,
             index,
             invocations,
-            cache: (0..CACHE_SHARDS)
-                .map(|_| Mutex::new(HashMap::new()))
+            cache: (0..node_count.div_ceil(BLOCK))
+                .map(|_| OnceLock::new())
                 .collect(),
             faults: obs::Counter::new(),
             faults_total: obs::registry().counter(
@@ -150,28 +169,37 @@ impl PagedLog {
         &self.data[self.index.records_offset()..self.index.invocations_offset()]
     }
 
-    /// Take over `old`'s fault cache, leaving it this log's (empty)
-    /// one. Sound only when this log's first `old.node_count()` records
-    /// are `old`'s records under the same ids — COMPACT's splice copies
-    /// them verbatim. The flags byte, the one thing a splice patches,
-    /// is not part of a [`Record`], so a node tombstoned since it was
-    /// decoded cannot go stale here.
-    pub(crate) fn take_fault_cache(&mut self, old: &mut PagedLog) {
+    /// Take over `old`'s fault cache. Sound only when this log's first
+    /// `old.node_count()` records are `old`'s records under the same
+    /// ids — COMPACT's splice copies them verbatim. Whole blocks move (a
+    /// pointer each), not records; this log's table is at least as long,
+    /// and a carried block's slots past `old`'s last id are empty, so
+    /// the records COMPACT appended decode on first touch like any
+    /// other. The flags byte, the one thing a splice patches, is not
+    /// part of a [`Record`], so a node tombstoned since it was decoded
+    /// cannot go stale here.
+    pub(crate) fn take_fault_cache(&mut self, old: PagedLog) {
         debug_assert!(old.index.node_count() <= self.index.node_count());
-        std::mem::swap(&mut self.cache, &mut old.cache);
+        for (slot, block) in self.cache.iter_mut().zip(old.cache.into_vec()) {
+            *slot = block;
+        }
     }
 
-    /// Fault in record `id`, consulting the cache first. The record's
-    /// shard stays locked across the decode, so two threads racing on
-    /// the same record decode it once; threads on different shards
-    /// never contend.
-    fn with_record<R>(&self, id: NodeId, f: impl FnOnce(&Record) -> R) -> Result<R> {
-        let mut shard = self.cache[id.0 as usize % CACHE_SHARDS]
-            .lock()
-            .unwrap_or_else(|e| e.into_inner());
-        if let Some(rec) = shard.get(&id.0) {
-            return Ok(f(rec));
+    /// Record `id`, decoded on first touch and lent from the cache ever
+    /// after — two atomic loads when warm.
+    #[inline]
+    fn record(&self, id: NodeId) -> Result<&Record> {
+        let block = self.cache[id.index() / BLOCK].get();
+        match block.and_then(|block| block[id.index() % BLOCK].get()) {
+            Some(rec) => Ok(rec),
+            None => self.fault(id),
         }
+    }
+
+    /// Decode record `id` and install it. A failed decode installs
+    /// nothing, so the same error comes back on every attempt.
+    #[cold]
+    fn fault(&self, id: NodeId) -> Result<&Record> {
         let range = self.index.record_range(id);
         let mut buf = self
             .data
@@ -183,20 +211,30 @@ impl PagedLog {
         let _flags = buf.get_u8();
         let role = get_role(&mut buf)?;
         let kind = get_kind(&mut buf)?;
-        let preds = decode_pred_list(&mut buf, self.index.node_count())?;
-        let rec = Record { kind, role, preds };
-        self.faults.inc();
-        self.faults_total.inc();
-        let out = f(&rec);
-        shard.insert(id.0, rec);
-        Ok(out)
+        let preds = decode_pred_list(&mut buf, self.index.node_count())?.into_boxed_slice();
+
+        let block = self.cache[id.index() / BLOCK]
+            .get_or_init(|| (0..BLOCK).map(|_| OnceLock::new()).collect());
+        // Of the threads racing on a cold record, the one whose value is
+        // installed counts the fault; the others drop their copy.
+        let mut installed = false;
+        let rec = block[id.index() % BLOCK].get_or_init(|| {
+            installed = true;
+            Record { kind, role, preds }
+        });
+        if installed {
+            self.faults.inc();
+            self.faults_total.inc();
+        }
+        Ok(rec)
     }
 
-    fn expect_record<R>(&self, id: NodeId, f: impl FnOnce(&Record) -> R) -> R {
+    #[inline]
+    fn expect_record(&self, id: NodeId) -> &Record {
         // GraphStore accessors are infallible (ids are minted by the
         // store); a record that fails to decode *after* the footer
         // validated its offsets is file corruption discovered late.
-        self.with_record(id, f)
+        self.record(id)
             .unwrap_or_else(|e| panic!("corrupt record {id}: {e}"))
     }
 
@@ -204,7 +242,7 @@ impl PagedLog {
     /// `proql`'s corruption checks).
     pub fn verify_all(&self) -> Result<()> {
         for i in 0..self.index.node_count() {
-            self.with_record(NodeId(i as u32), |_| ())?;
+            self.record(NodeId(i as u32))?;
         }
         Ok(())
     }
@@ -221,17 +259,17 @@ impl obs::HeapSize for PagedLog {
     fn heap_breakdown(&self) -> Vec<(&'static str, usize)> {
         use lipstick_core::graph::kind_heap_bytes;
         use lipstick_core::obs::vec_alloc_bytes;
-        // The sharded fault cache: hash-table buckets (keyed u32 →
-        // Record plus ~1 byte of control metadata per slot, the
-        // std hashbrown layout) plus the decoded records' own heap.
-        let slot = std::mem::size_of::<u32>() + std::mem::size_of::<Record>() + 1;
-        let mut fault_cache = 0usize;
-        for shard in self.cache.iter() {
-            let shard = shard.lock().unwrap_or_else(|e| e.into_inner());
-            fault_cache += shard.capacity() * slot;
-            fault_cache += shard
-                .values()
-                .map(|r| vec_alloc_bytes(&r.preds) + kind_heap_bytes(&r.kind))
+        use std::mem::{size_of, size_of_val};
+        // The fault cache as allocated: the top table, every block
+        // touched so far (all `BLOCK` slots of it, decoded or not), and
+        // the decoded records' own heap.
+        let mut fault_cache = self.cache.len() * size_of::<OnceLock<Block>>();
+        for block in self.cache.iter().filter_map(OnceLock::get) {
+            fault_cache += block.len() * size_of::<OnceLock<Record>>();
+            fault_cache += block
+                .iter()
+                .filter_map(OnceLock::get)
+                .map(|r| size_of_val(&*r.preds) + kind_heap_bytes(&r.kind))
                 .sum::<usize>();
         }
         let invocations = vec_alloc_bytes(&self.invocations)
@@ -249,11 +287,16 @@ impl obs::HeapSize for PagedLog {
     }
 }
 
+// `#[inline]` on the per-node accessors, as on `ProvGraph`'s: a warm
+// read is two loads, called per node from walks and scans instantiated
+// in other crates, and without it each is a cross-crate call
+// (`read_paged_large` ran ≈ 10 % slower, 6 of 6 pairs).
 impl GraphStore for PagedLog {
     fn node_count(&self) -> usize {
         self.index.node_count()
     }
 
+    #[inline]
     fn is_visible(&self, id: NodeId) -> bool {
         self.index.is_visible(id)
     }
@@ -262,18 +305,22 @@ impl GraphStore for PagedLog {
         self.index.visible_count()
     }
 
+    #[inline]
     fn kind_of(&self, id: NodeId) -> Cow<'_, NodeKind> {
-        Cow::Owned(self.expect_record(id, |r| r.kind.clone()))
+        Cow::Borrowed(&self.expect_record(id).kind)
     }
 
+    #[inline]
     fn role_of(&self, id: NodeId) -> Role {
-        self.expect_record(id, |r| r.role)
+        self.expect_record(id).role
     }
 
+    #[inline]
     fn preds_of(&self, id: NodeId) -> Cow<'_, [NodeId]> {
-        Cow::Owned(self.expect_record(id, |r| r.preds.clone()))
+        Cow::Borrowed(&self.expect_record(id).preds)
     }
 
+    #[inline]
     fn succs_of(&self, id: NodeId) -> Cow<'_, [NodeId]> {
         Cow::Borrowed(self.index.succs(id))
     }
@@ -290,12 +337,12 @@ impl GraphStore for PagedLog {
         self.faults()
     }
 
-    fn module_postings(&self, module: &str) -> Option<Vec<NodeId>> {
-        Some(self.index.module_postings(module).to_vec())
+    fn module_postings(&self, module: &str) -> Option<Cow<'_, [NodeId]>> {
+        Some(Cow::Borrowed(self.index.module_postings(module)))
     }
 
-    fn kind_postings(&self, kind: &str) -> Option<Vec<NodeId>> {
-        Some(self.index.kind_postings(kind).to_vec())
+    fn kind_postings(&self, kind: &str) -> Option<Cow<'_, [NodeId]>> {
+        Some(Cow::Borrowed(self.index.kind_postings(kind)))
     }
 
     fn memory_breakdown(&self) -> Vec<(&'static str, usize)> {
@@ -378,31 +425,142 @@ mod tests {
         }
     }
 
+    /// The twin of `store::tests::resident_accessors_lend_from_the_arena`:
+    /// what the paged read path's speed rests on. A decoded record is
+    /// installed once and never moves, so two calls lend the same
+    /// memory.
     #[test]
-    fn concurrent_readers_share_one_log() {
+    fn paged_accessors_lend_from_the_cache() {
         let g = sample();
         let paged = PagedLog::from_bytes(encode_graph_v2(&g).unwrap()).unwrap();
+        for (id, _) in g.iter() {
+            let (Cow::Borrowed(kind), Cow::Borrowed(again)) =
+                (paged.kind_of(id), paged.kind_of(id))
+            else {
+                panic!("kind of {id} is a copy");
+            };
+            assert!(std::ptr::eq(kind, again), "kind of {id}");
+            let (Cow::Borrowed(preds), Cow::Borrowed(again)) =
+                (paged.preds_of(id), paged.preds_of(id))
+            else {
+                panic!("preds of {id} are a copy");
+            };
+            assert!(std::ptr::eq(preds, again), "preds of {id}");
+            assert!(
+                matches!(paged.succs_of(id), Cow::Borrowed(_)),
+                "succs of {id}"
+            );
+        }
+        for kind in ["base_tuple", "times", "no_such_kind"] {
+            let (Some(Cow::Borrowed(ids)), Some(Cow::Borrowed(again))) =
+                (paged.kind_postings(kind), paged.kind_postings(kind))
+            else {
+                panic!("postings of kind {kind} are a copy");
+            };
+            assert!(std::ptr::eq(ids, again), "postings of kind {kind}");
+        }
+        assert!(matches!(
+            paged.module_postings("no_such_module"),
+            Some(Cow::Borrowed([]))
+        ));
+    }
+
+    /// A dealers log spanning a few dozen cache blocks.
+    fn dealers_graph() -> ProvGraph {
+        use lipstick_workflowgen::dealers::{self, DealersParams};
+        let params = DealersParams {
+            num_cars: 40,
+            num_exec: 8,
+            seed: 5,
+        };
+        let mut tracker = lipstick_core::graph::GraphTracker::new();
+        dealers::run_declining(&params, &mut tracker).expect("dealers run");
+        let g = tracker.finish();
+        assert!(g.len() > 16 * BLOCK, "{} nodes", g.len());
+        g
+    }
+
+    #[test]
+    fn concurrent_readers_share_one_log() {
+        const THREADS: usize = 8;
+        let g = dealers_graph();
+        let paged = PagedLog::from_bytes(encode_graph_v2(&g).unwrap()).unwrap();
         let n = paged.node_count();
+        let total_before = paged.faults_total.get();
+        let barrier = std::sync::Barrier::new(THREADS);
         std::thread::scope(|s| {
-            for _ in 0..4 {
-                s.spawn(|| {
-                    for i in 0..n {
+            for t in 0..THREADS {
+                let (g, paged, barrier) = (&g, &paged, &barrier);
+                s.spawn(move || {
+                    // Every thread sweeps every id, each from its own
+                    // start and half of them backwards, so threads keep
+                    // meeting on cold records from both sides.
+                    let order = (0..n).map(|k| {
+                        let k = if t % 2 == 0 { k } else { n - 1 - k };
+                        (k + t * n / THREADS) % n
+                    });
+                    barrier.wait();
+                    for i in order {
                         let id = NodeId(i as u32);
-                        let _ = paged.kind_of(id);
-                        let _ = paged.role_of(id);
-                        let _ = paged.preds_of(id);
+                        let node = g.node(id);
+                        assert_eq!(*paged.kind_of(id), node.kind, "kind of {id}");
+                        assert_eq!(paged.role_of(id), node.role, "role of {id}");
+                        assert_eq!(*paged.preds_of(id), *node.preds(), "preds of {id}");
                     }
                 });
             }
         });
-        // The shard lock is held across decode-and-insert, so racing
-        // threads serialize on a record and decode it exactly once.
+        // Racing threads may decode a record twice, but one value is
+        // installed and only its thread counts.
         assert_eq!(paged.faults(), n);
-        let before = paged.faults();
+        // The process-wide counter moves in the same branch. Tests
+        // running beside this one fault their own logs into it, so from
+        // here only the lower bound can be held exactly.
+        assert!(paged.faults_total.get() - total_before >= n as u64);
         for i in 0..n {
             let _ = paged.kind_of(NodeId(i as u32));
         }
-        assert_eq!(paged.faults(), before, "warm cache faults nothing");
+        assert_eq!(paged.faults(), n, "warm cache faults nothing");
+    }
+
+    /// `fault_cache` is what the cache allocated: the top table, whole
+    /// blocks, and the decoded records' own heap.
+    #[test]
+    fn fault_cache_bytes_match_the_allocation() {
+        use lipstick_core::graph::kind_heap_bytes;
+        use obs::HeapSize;
+        use std::mem::{size_of, size_of_val};
+        let fault_cache = |log: &PagedLog| {
+            let parts = log.heap_breakdown();
+            parts
+                .iter()
+                .find(|(name, _)| *name == "fault_cache")
+                .unwrap()
+                .1
+        };
+        let g = dealers_graph();
+        let paged = PagedLog::from_bytes(encode_graph_v2(&g).unwrap()).unwrap();
+        let n = paged.node_count();
+        let top = n.div_ceil(BLOCK) * size_of::<OnceLock<Block>>();
+        assert_eq!(fault_cache(&paged), top);
+        assert!(top < n, "an untouched log pays under a byte per node");
+
+        // One record: its block, and what the record owns.
+        let id = NodeId(n as u32 - 1);
+        let one_block = BLOCK * size_of::<OnceLock<Record>>();
+        let owned = |id: NodeId| {
+            let node = g.node(id);
+            size_of_val(node.preds()) + kind_heap_bytes(&node.kind)
+        };
+        let _ = paged.role_of(id);
+        assert_eq!(fault_cache(&paged), top + one_block + owned(id));
+
+        paged.verify_all().unwrap();
+        let records: usize = g.iter().map(|(id, _)| owned(id)).sum();
+        assert_eq!(
+            fault_cache(&paged),
+            top + n.div_ceil(BLOCK) * one_block + records
+        );
     }
 
     #[test]

@@ -305,7 +305,7 @@ fn warm_cache_across_compact_answers_like_a_cold_open() {
     m.compact_and_check();
     let sealed_nodes = m.log.node_count();
 
-    let part = |log: &AppendLog, name: &str| -> usize {
+    let part = |log: &dyn GraphStore, name: &str| -> usize {
         let parts = log.memory_breakdown();
         parts.iter().find(|(n, _)| *n == name).expect(name).1
     };
@@ -315,11 +315,19 @@ fn warm_cache_across_compact_answers_like_a_cold_open() {
     m.delete(&mut rng);
     m.ingest(&mut rng, Some("Mwarm"));
     let faults = m.log.faults();
-    let cache = part(&m.log, "fault_cache");
+    // An untouched open reports the cache's top table alone, which grows
+    // with the node count; what the live log reports above that is the
+    // blocks it allocated and the records decoded into them.
+    let decoded = |m: &Mirrored| {
+        let untouched = PagedLog::open(&m.path).unwrap();
+        part(&m.log, "fault_cache") - part(&untouched, "fault_cache")
+    };
+    let cache = decoded(&m);
+    assert!(cache > 0);
     let overlay = part(&m.log, "tail_overlay");
 
     m.log.compact().unwrap();
-    assert_eq!(part(&m.log, "fault_cache"), cache, "cache carried over");
+    assert_eq!(decoded(&m), cache, "decoded-record bytes carried over");
     // What is left is what a fresh open of the new file starts with
     // (the merged invocation table is accounted there).
     let fresh = AppendLog::open(&m.path).unwrap();
@@ -342,6 +350,48 @@ fn warm_cache_across_compact_answers_like_a_cold_open() {
     }
     // Only the records the overlay held were decoded by that sweep.
     assert_eq!(m.log.faults() - faults, cold.node_count() - sealed_nodes);
+    m.check_sealed();
+    m.remove_files();
+}
+
+/// The fault cache crosses a COMPACT in blocks of 32 consecutive ids.
+/// 127 sealed records end one slot short of a block boundary, so the
+/// records COMPACT seals start in the last slot of a carried block and
+/// run on into blocks the old base never had.
+#[test]
+fn carried_cache_meets_new_records_inside_a_block() {
+    const SEALED: usize = 127;
+    let mut rng = Rng(64);
+    let mut base = ProvGraph::new();
+    resident_append(&mut base, &workflow_graph(&mut rng, 0, None));
+    while base.len() < SEALED {
+        base.add_base(&format!("pad{}", base.len()));
+    }
+    assert_eq!(base.len(), SEALED);
+    let mut m = Mirrored::create("block-edge", base);
+    m.log.verify_all().unwrap();
+    assert_eq!(m.log.faults(), SEALED);
+    m.ingest(&mut rng, None);
+    assert!(
+        m.mirror.len() > SEALED + 1,
+        "the overlay crosses into the next block"
+    );
+
+    m.log.compact().unwrap();
+    assert_eq!(m.log.faults(), SEALED, "faults() did not restart");
+    // Backwards: the new records first, the carried block's last slot
+    // among them, then everything that was decoded before the COMPACT.
+    for i in (0..m.mirror.len()).rev() {
+        let (id, before) = (NodeId(i as u32), m.log.faults());
+        let node = m.mirror.node(id);
+        assert_eq!(*m.log.kind_of(id), node.kind, "kind of {id}");
+        assert_eq!(m.log.role_of(id), node.role, "role of {id}");
+        assert_eq!(*m.log.preds_of(id), *node.preds(), "preds of {id}");
+        let decoded = m.log.faults() - before;
+        assert_eq!(decoded, usize::from(i >= SEALED), "decodes of {id}");
+    }
+    m.log.verify_all().unwrap();
+    assert_eq!(m.log.faults(), m.mirror.len(), "every record exactly once");
     m.check_sealed();
     m.remove_files();
 }
