@@ -13,7 +13,8 @@
 //!
 //! Each `--require NAME` additionally asserts that a scalar sample with
 //! that exact series name is present — how CI pins the heap-byte gauges
-//! to the exposition.
+//! to the exposition. A histogram renders no sample under its bare
+//! name, so for one its `NAME_count` series stands in.
 
 use std::io::Read;
 
@@ -66,7 +67,7 @@ fn main() {
         Ok(()) => {
             let samples = parse_plain_samples(&text);
             for name in &required {
-                if !samples.iter().any(|(n, _)| n == name) {
+                if !samples.contains_key(name) && !samples.contains_key(&format!("{name}_count")) {
                     fail(&format!("required series missing: {name}"));
                 }
             }

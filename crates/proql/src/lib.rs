@@ -120,4 +120,4 @@ pub mod testgen;
 pub use analyze::{Diagnostic, Diagnostics, Severity};
 pub use error::ProqlError;
 pub use result::{NodeSetResult, QueryOutput, TableResult};
-pub use session::{render_memory_report, MemoryComponent, Session};
+pub use session::{render_memory_report, MemoryComponent, PreparedWrite, Session};

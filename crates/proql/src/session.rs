@@ -10,14 +10,14 @@
 
 use std::path::Path;
 use std::sync::Arc;
-use std::time::Instant;
+use std::time::{Duration, Instant};
 
 use lipstick_core::obs::{self, TraceCtx, Tracer};
 use lipstick_core::query::deletion::compute_deletion;
 use lipstick_core::query::{plan_zoom_out, QueryError, ReachIndex};
 use lipstick_core::store::GraphStore;
 use lipstick_core::{InvocationId, NodeId, ProvGraph, Role};
-use lipstick_storage::{AppendLog, PagedLog};
+use lipstick_storage::{AppendLog, PagedLog, PreparedCompact, PreparedRecord, StorageError};
 
 use crate::ast::Statement;
 use crate::error::{ProqlError, Result};
@@ -80,6 +80,50 @@ macro_rules! on_store {
             }
         }
     }};
+}
+
+/// A statement [`Session::prepare_write`] has readied: everything slow
+/// is done, nothing is visible yet. Hand it to
+/// [`Session::publish_write`] before preparing the next one.
+#[must_use = "a prepared write may already be durable; publish it"]
+pub struct PreparedWrite {
+    step: Step,
+    /// Preparation time, added to the statement's latency figure when
+    /// it is published.
+    spent: Duration,
+}
+
+/// What publication does with a prepared statement.
+enum Step {
+    /// Run the plan under exclusive access ([`Session::execute`]).
+    Execute(StmtPlan),
+    /// Promote the paged session, then plan and run the statement.
+    Promote(FusedStatement),
+    /// Answered while preparing; publication returns it unchanged.
+    Answer(QueryOutput),
+    /// A reach index built beside readers, installed at publication.
+    BuildIndex(ReachIndex),
+    Delete {
+        record: PreparedRecord,
+        cone: Vec<NodeId>,
+    },
+    ZoomOut {
+        record: PreparedRecord,
+        modules: Vec<String>,
+        fused_from: usize,
+    },
+    ZoomIn {
+        record: PreparedRecord,
+        names: Vec<String>,
+        /// Read before publication: zoom-in unlinks the composites.
+        changed: Vec<NodeId>,
+        fused_from: usize,
+    },
+    Compact {
+        /// Boxed: the new base dwarfs every other variant.
+        image: Box<PreparedCompact>,
+        records: usize,
+    },
 }
 
 /// The session's handles into the process-wide metrics registry,
@@ -145,10 +189,6 @@ pub struct Session {
     /// sessions commit mutations in place and never promote, which
     /// tests pin down as `promotions() == 0`.
     promotions: u64,
-    /// When `Some`, mutations buffer their changed-node sets here
-    /// instead of repairing the reach index per statement; see
-    /// [`Session::begin_write_batch`].
-    pending_repairs: Option<Vec<NodeId>>,
     /// Registry handles (statement counts/latency, index builds,
     /// repair latency).
     instruments: Instruments,
@@ -163,7 +203,6 @@ impl Session {
             index_builds: 0,
             carried_reads: 0,
             promotions: 0,
-            pending_repairs: None,
             instruments: Instruments::get(),
         }
     }
@@ -197,7 +236,6 @@ impl Session {
             index_builds: 0,
             carried_reads: 0,
             promotions: 0,
-            pending_repairs: None,
             instruments: Instruments::get(),
         })
     }
@@ -234,7 +272,6 @@ impl Session {
             index_builds: 0,
             carried_reads: 0,
             promotions: 0,
-            pending_repairs: None,
             instruments: Instruments::get(),
         }
     }
@@ -392,41 +429,6 @@ impl Session {
     /// debug builds the repaired index is checked bit-for-bit against a
     /// fresh build — the incremental path must never drift.
     pub(crate) fn repair_index(&mut self, changed: &[NodeId]) {
-        if let Some(pending) = self.pending_repairs.as_mut() {
-            pending.extend_from_slice(changed);
-            return;
-        }
-        self.flush_repair(changed);
-    }
-
-    /// Start buffering repair work: until [`Session::end_write_batch`],
-    /// every mutation's changed-node set accumulates instead of
-    /// repairing the reach index per statement. The server's
-    /// group-commit leader wraps a whole writer batch in one
-    /// begin/end pair, paying one repair (and one `repair_us`
-    /// observation) per batch. Sound because [`ReachIndex::repair`]
-    /// recomputes the affected region from the *current* graph state
-    /// seeded by the changed set, so a single end-of-batch repair with
-    /// the union of the per-statement sets lands on the same index.
-    pub fn begin_write_batch(&mut self) {
-        if self.pending_repairs.is_none() {
-            self.pending_repairs = Some(Vec::new());
-        }
-    }
-
-    /// Flush the buffered changed-node union in one repair pass and
-    /// stop buffering. No-op if no batch is open.
-    pub fn end_write_batch(&mut self) {
-        if let Some(mut changed) = self.pending_repairs.take() {
-            changed.sort_unstable();
-            changed.dedup();
-            if !changed.is_empty() {
-                self.flush_repair(&changed);
-            }
-        }
-    }
-
-    fn flush_repair(&mut self, changed: &[NodeId]) {
         let Some(index) = self.reach.as_mut() else {
             return;
         };
@@ -486,7 +488,8 @@ impl Session {
     }
 
     /// Run one already-parsed statement, mutating the session where the
-    /// statement calls for it — the exclusive-access counterpart of
+    /// statement calls for it — [`Session::prepare_write`] followed by
+    /// [`Session::publish_write`], the exclusive-access counterpart of
     /// [`Session::run_read_stmt`].
     pub fn run_stmt(&mut self, stmt: &Statement) -> Result<QueryOutput> {
         self.run_fused(&FusedStatement {
@@ -496,87 +499,194 @@ impl Session {
     }
 
     fn run_fused(&mut self, fs: &FusedStatement) -> Result<QueryOutput> {
-        if self.is_paged() && Session::needs_resident(&fs.stmt) {
-            self.materialize()?;
-        }
+        let prepared = self.prepare_fused(fs)?;
+        self.publish_write(prepared)
+    }
+
+    /// The slow half of a statement, on a shared reference so readers
+    /// keep running: plan and validate it and, on the append backend,
+    /// compute the deletion cone or zoom plan and make its tail record
+    /// durable, build a requested reach index, or write and validate
+    /// the COMPACT image. Nothing is visible until
+    /// [`Session::publish_write`], which must see the session exactly as
+    /// this call left it — a server serialises its writers around the
+    /// pair. An error means nothing was made durable. A paged session's
+    /// promotion to resident is exclusive, so a statement that needs it
+    /// is prepared here and runs whole at publication.
+    pub fn prepare_write(&self, stmt: &Statement) -> Result<PreparedWrite> {
+        self.prepare_fused(&FusedStatement {
+            stmt: stmt.clone(),
+            fused_from: 1,
+        })
+    }
+
+    fn prepare_fused(&self, fs: &FusedStatement) -> Result<PreparedWrite> {
         let start = Instant::now();
-        let out = on_store!(self, |env| Planner::new(env.store, env.reach)
-            .plan_fused(fs))
-        .and_then(|plan| self.execute(plan));
-        self.instruments.statements.inc();
-        self.instruments
-            .statement_us
-            .observe(start.elapsed().as_micros() as u64);
-        out
-    }
-
-    /// Execute one planned statement through the backend's mutation
-    /// arms; read-only plans fall through to [`Session::execute_read`].
-    fn execute(&mut self, plan: StmtPlan) -> Result<QueryOutput> {
-        match &self.backend {
-            Backend::Resident(_) => exec::execute(self, &plan),
-            Backend::Append(_) => self.execute_append(plan),
-            // A sealed log has no tail to compact and (mutations
-            // promote) never holds an index.
-            Backend::Paged(_) => match plan {
-                StmtPlan::Compact => Ok(QueryOutput::Message(
-                    "nothing to compact (no tail segment)".into(),
-                )),
-                StmtPlan::DropIndex => Ok(QueryOutput::Message(
-                    "reach index dropped (paged sessions have none)".into(),
-                )),
-                read_only => self.execute_read(&read_only, TraceCtx::disabled()),
-            },
+        match self.prepare_step(fs) {
+            Ok(step) => Ok(PreparedWrite {
+                step,
+                spent: start.elapsed(),
+            }),
+            Err(e) => {
+                self.count_statement(start.elapsed());
+                Err(e)
+            }
         }
     }
 
-    /// Execute one planned read-only statement against whichever store
-    /// the session holds.
-    pub(crate) fn execute_read(&self, plan: &StmtPlan, ctx: TraceCtx<'_>) -> Result<QueryOutput> {
-        on_store!(self, |env| exec::execute_read(&env, plan, ctx))
+    fn prepare_step(&self, fs: &FusedStatement) -> Result<Step> {
+        if self.is_paged() && Session::needs_resident(&fs.stmt) {
+            return Ok(Step::Promote(fs.clone()));
+        }
+        let plan = on_store!(self, |env| Planner::new(env.store, env.reach)
+            .plan_fused(fs))?;
+        match &self.backend {
+            Backend::Append(log) => self.prepare_append(log, plan),
+            Backend::Resident(_) | Backend::Paged(_) => Ok(Step::Execute(plan)),
+        }
     }
 
-    /// Execute one planned statement against the append backend.
-    /// Read-only plans run through the shared read executor (the append
-    /// log is a [`GraphStore`]); mutating plans commit durable tail
-    /// records and repair the reach index in place — the messages and
-    /// error choices mirror the resident arms byte for byte, which the
-    /// differential harness locks down.
-    fn execute_append(&mut self, plan: StmtPlan) -> Result<QueryOutput> {
-        match plan {
+    /// The append backend's prepare arms. The messages and error choices
+    /// mirror the resident arms byte for byte, which the differential
+    /// harness locks down.
+    fn prepare_append(&self, log: &AppendLog, plan: StmtPlan) -> Result<Step> {
+        Ok(match plan {
             StmtPlan::Delete(n) => {
-                let cone = {
-                    let log = self.append_log_ref();
-                    contain_corruption(|| Ok(compute_deletion(log, n)?))?.deleted
-                };
-                self.append_log_mut()
-                    .commit_tombstones(&cone)
-                    .map_err(|e| ProqlError::Storage(e.to_string()))?;
-                // Deletion only removes reachability: the changed set
-                // is exactly the tombstoned cone.
-                self.repair_index(&cone);
-                Ok(QueryOutput::Deleted { nodes: cone })
+                let cone = contain_corruption(|| Ok(compute_deletion(log, n)?))?.deleted;
+                let record = log.prepare_tombstones(&cone).map_err(storage_error)?;
+                Step::Delete { record, cone }
             }
             StmtPlan::ZoomOut {
                 modules,
                 fused_from,
             } => {
-                let plans = {
-                    let log = self.append_log_ref();
-                    let names: Vec<&str> = modules.iter().map(String::as_str).collect();
-                    let zoomed: Vec<String> = log
-                        .zoomed_out_modules()
-                        .into_iter()
-                        .map(String::from)
-                        .collect();
-                    contain_corruption(|| {
-                        Ok(plan_zoom_out(log, &names, &zoomed, log.stash_count())?)
-                    })?
+                let names: Vec<&str> = modules.iter().map(String::as_str).collect();
+                let zoomed: Vec<String> = log
+                    .zoomed_out_modules()
+                    .into_iter()
+                    .map(String::from)
+                    .collect();
+                let plans = contain_corruption(|| {
+                    Ok(plan_zoom_out(log, &names, &zoomed, log.stash_count())?)
+                })?;
+                let record = log.prepare_zoom_out(plans).map_err(storage_error)?;
+                Step::ZoomOut {
+                    record,
+                    modules,
+                    fused_from,
+                }
+            }
+            StmtPlan::ZoomIn {
+                modules,
+                fused_from,
+            } => {
+                let zoomed = log.zoomed_out_modules();
+                let names: Vec<String> = match modules {
+                    Some(ms) => ms,
+                    None => zoomed.iter().map(|m| m.to_string()).collect(),
                 };
+                if names.is_empty() {
+                    return Ok(Step::Answer(QueryOutput::Message(
+                        "no modules are zoomed out".into(),
+                    )));
+                }
+                // Validate up front with the resident path's exact
+                // error (the log's own refusal spells differently), and
+                // capture the changed set now: ZoomIn unlinks the
+                // composites, so their neighbours must be read before.
+                let mut seen = std::collections::HashSet::new();
+                for m in &names {
+                    if !seen.insert(m.as_str()) || !zoomed.contains(&m.as_str()) {
+                        return Err(QueryError::NotZoomedOut(m.clone()).into());
+                    }
+                }
+                let mut changed: Vec<NodeId> = Vec::new();
+                for m in &names {
+                    if let Some(stash) = log.stash_of(m) {
+                        changed.extend_from_slice(&stash.hidden);
+                        for &z in &stash.zoom_nodes {
+                            changed.push(z);
+                            changed.extend_from_slice(&log.preds_of(z));
+                            changed.extend_from_slice(&log.succs_of(z));
+                        }
+                    }
+                }
+                let record = log.prepare_zoom_in(&names).map_err(storage_error)?;
+                Step::ZoomIn {
+                    record,
+                    names,
+                    changed,
+                    fused_from,
+                }
+            }
+            StmtPlan::BuildIndex if self.has_reach_index() => Step::Answer(QueryOutput::Message(
+                "reach index already present (maintained in place); DROP INDEX first to force \
+                 a rebuild"
+                    .into(),
+            )),
+            StmtPlan::BuildIndex => {
+                Step::BuildIndex(contain_corruption(|| Ok(ReachIndex::build(log)))?)
+            }
+            StmtPlan::Compact => match log.tail_records() {
+                0 => Step::Answer(QueryOutput::Message(
+                    "nothing to compact (no tail segment)".into(),
+                )),
+                records => Step::Compact {
+                    image: Box::new(log.prepare_compact().map_err(storage_error)?),
+                    records,
+                },
+            },
+            other => Step::Execute(other),
+        })
+    }
+
+    /// The short half of a statement: make a [`Session::prepare_write`]
+    /// result visible — apply the tail record to the overlay and repair
+    /// the reach index in place, install a built index, or swap in a
+    /// compacted base (its rename and tail unlink are the only IO) —
+    /// or run a statement that needs the session exclusively.
+    pub fn publish_write(&mut self, prepared: PreparedWrite) -> Result<QueryOutput> {
+        let start = Instant::now();
+        let out = self.publish_step(prepared.step);
+        self.count_statement(prepared.spent + start.elapsed());
+        out
+    }
+
+    fn publish_step(&mut self, step: Step) -> Result<QueryOutput> {
+        match step {
+            Step::Execute(plan) => self.execute(plan),
+            Step::Promote(fs) => {
+                self.materialize()?;
+                let plan = on_store!(self, |env| Planner::new(env.store, env.reach)
+                    .plan_fused(&fs))?;
+                self.execute(plan)
+            }
+            Step::Answer(out) => Ok(out),
+            Step::BuildIndex(index) => {
+                let bytes = index.memory_bytes();
+                self.set_index(index);
+                Ok(QueryOutput::Message(format!(
+                    "reach index built ({bytes} bytes)"
+                )))
+            }
+            Step::Delete { record, cone } => {
+                self.append_log_mut()
+                    .publish(record)
+                    .map_err(storage_error)?;
+                // Deletion only removes reachability: the changed set
+                // is exactly the tombstoned cone.
+                self.repair_index(&cone);
+                Ok(QueryOutput::Deleted { nodes: cone })
+            }
+            Step::ZoomOut {
+                record,
+                modules,
+                fused_from,
+            } => {
                 let created = self
                     .append_log_mut()
-                    .commit_zoom_out(plans)
-                    .map_err(|e| ProqlError::Storage(e.to_string()))?;
+                    .publish(record)
+                    .map_err(storage_error)?;
                 // Changed: everything each stash hid, the new
                 // composites, and the i/o nodes the composites were
                 // wired to (their adjacency gained edges).
@@ -604,51 +714,15 @@ impl Session {
                 }
                 Ok(QueryOutput::Message(msg))
             }
-            StmtPlan::ZoomIn {
-                modules,
+            Step::ZoomIn {
+                record,
+                names,
+                changed,
                 fused_from,
             } => {
-                let names: Vec<String> = match modules {
-                    Some(ms) => ms,
-                    None => self
-                        .append_log_ref()
-                        .zoomed_out_modules()
-                        .into_iter()
-                        .map(String::from)
-                        .collect(),
-                };
-                if names.is_empty() {
-                    return Ok(QueryOutput::Message("no modules are zoomed out".into()));
-                }
-                // Validate up front with the resident path's exact
-                // error (the log's own refusal spells differently), and
-                // capture the changed set before committing: ZoomIn
-                // unlinks the composites, so their neighbours must be
-                // read now.
-                let mut changed: Vec<NodeId> = Vec::new();
-                {
-                    let log = self.append_log_ref();
-                    let zoomed = log.zoomed_out_modules();
-                    let mut seen = std::collections::HashSet::new();
-                    for m in &names {
-                        if !seen.insert(m.as_str()) || !zoomed.contains(&m.as_str()) {
-                            return Err(QueryError::NotZoomedOut(m.clone()).into());
-                        }
-                    }
-                    for m in &names {
-                        if let Some(stash) = log.stash_of(m) {
-                            changed.extend_from_slice(&stash.hidden);
-                            for &z in &stash.zoom_nodes {
-                                changed.push(z);
-                                changed.extend_from_slice(&log.preds_of(z));
-                                changed.extend_from_slice(&log.succs_of(z));
-                            }
-                        }
-                    }
-                }
                 self.append_log_mut()
-                    .commit_zoom_in(&names)
-                    .map_err(|e| ProqlError::Storage(e.to_string()))?;
+                    .publish(record)
+                    .map_err(storage_error)?;
                 self.repair_index(&changed);
                 let mut msg = format!("zoomed back into {}", names.join(", "));
                 if fused_from > 1 {
@@ -656,46 +730,53 @@ impl Session {
                 }
                 Ok(QueryOutput::Message(msg))
             }
-            StmtPlan::BuildIndex => {
-                if self.has_reach_index() {
-                    return Ok(QueryOutput::Message(
-                        "reach index already present (maintained in place); DROP INDEX first to \
-                         force a rebuild"
-                            .into(),
-                    ));
-                }
-                let index = {
-                    let log = self.append_log_ref();
-                    contain_corruption(|| Ok(ReachIndex::build(log)))?
-                };
-                let bytes = index.memory_bytes();
-                self.set_index(index);
-                Ok(QueryOutput::Message(format!(
-                    "reach index built ({bytes} bytes)"
-                )))
-            }
-            StmtPlan::DropIndex => {
-                self.invalidate_index();
-                Ok(QueryOutput::Message("reach index dropped".into()))
-            }
-            StmtPlan::Compact => {
-                let records = self.append_log_ref().tail_records();
-                if records == 0 {
-                    return Ok(QueryOutput::Message(
-                        "nothing to compact (no tail segment)".into(),
-                    ));
-                }
+            Step::Compact { image, records } => {
                 self.append_log_mut()
-                    .compact()
-                    .map_err(|e| ProqlError::Storage(e.to_string()))?;
+                    .install_compact(*image)
+                    .map_err(storage_error)?;
                 // Compaction preserves ids and visibility exactly, so
                 // an existing reach index stays valid as-is.
                 Ok(QueryOutput::Message(format!(
                     "compacted {records} tail record(s) into sealed segment"
                 )))
             }
-            read_only => self.execute_read(&read_only, TraceCtx::disabled()),
         }
+    }
+
+    fn count_statement(&self, took: Duration) {
+        self.instruments.statements.inc();
+        self.instruments
+            .statement_us
+            .observe(took.as_micros() as u64);
+    }
+
+    /// Execute one planned statement under exclusive access: the
+    /// resident graph's mutation arms, index drops, the paged store's
+    /// tail-less answers, and read-only plans. (The append backend's
+    /// mutations are prepared and published instead.)
+    fn execute(&mut self, plan: StmtPlan) -> Result<QueryOutput> {
+        match (&self.backend, plan) {
+            (Backend::Resident(_), plan) => exec::execute(self, &plan),
+            // A sealed log has no tail to compact and (mutations
+            // promote) never holds an index.
+            (Backend::Paged(_), StmtPlan::Compact) => Ok(QueryOutput::Message(
+                "nothing to compact (no tail segment)".into(),
+            )),
+            (Backend::Paged(_), StmtPlan::DropIndex) => Ok(QueryOutput::Message(
+                "reach index dropped (paged sessions have none)".into(),
+            )),
+            (Backend::Append(_), StmtPlan::DropIndex) => {
+                self.invalidate_index();
+                Ok(QueryOutput::Message("reach index dropped".into()))
+            }
+            (_, read_only) => self.execute_read(&read_only, TraceCtx::disabled()),
+        }
+    }
+
+    /// Execute one planned read-only statement against whichever store
+    /// the session holds.
+    pub(crate) fn execute_read(&self, plan: &StmtPlan, ctx: TraceCtx<'_>) -> Result<QueryOutput> {
+        on_store!(self, |env| exec::execute_read(&env, plan, ctx))
     }
 
     /// Append a self-contained fragment graph — new workflow output
@@ -983,6 +1064,10 @@ fn log_stats<S: GraphStore>(store: &S, _reach: Option<&ReachIndex>) -> String {
         obs::format_bytes(total)
     ));
     text
+}
+
+fn storage_error(e: StorageError) -> ProqlError {
+    ProqlError::Storage(e.to_string())
 }
 
 /// Run a planning/execution step against a faulting store, containing

@@ -15,8 +15,11 @@
 //! `EXPLAIN`, `STATS`, set ops) execute concurrently on a worker pool
 //! through the session's shared-reference path
 //! ([`lipstick_proql::Session::run_read`]); mutating statements
-//! (`DELETE … PROPAGATE`, zooms, index maintenance) serialize through a
-//! write lock and bump the **write epoch**.
+//! (`DELETE … PROPAGATE`, zooms, index maintenance, `COMPACT`)
+//! serialize through one write leader, which prepares each beside the
+//! readers — the append backend's `fsync` included — and takes the
+//! write lock only to publish it and bump the **write epoch** (see
+//! [`server`]).
 //!
 //! Repeated exploratory queries are the interactive workload's common
 //! case, so results are cached in a **plan-keyed LRU**

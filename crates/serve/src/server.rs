@@ -5,15 +5,36 @@
 //! The session sits behind an [`RwLock`]. Read-only statements take the
 //! read side and execute concurrently — `proql::Session::run_read`
 //! borrows `&self`, and all backends (resident graph, paged log with
-//! its lock-free write-once fault cache, append log) are `Sync`. Mutating
-//! statements **group-commit**: each writer enqueues its statement and
-//! contends for the write side; the winner drains the whole queue as
-//! batch leader under one lock hold, one deferred reach-index repair,
-//! and — if anything observably changed — one bump of the **write
-//! epoch**, an atomic counter that stamps every cached result; a stale
-//! stamp is what invalidates a cache entry. The epoch can only change
-//! while the write lock is held, so a result computed under a read
-//! guard is always tagged with the epoch it actually executed at.
+//! its lock-free write-once fault cache, append log) are `Sync`.
+//!
+//! Mutating statements **group-commit** through one leader loop, the
+//! same for every backend. Each writer enqueues its statement and
+//! contends for the *leader* mutex; the winner drains the whole queue.
+//! Holding that mutex serialises writers, so nothing changes the store
+//! between a statement's two steps:
+//!
+//! 1. **prepare**, under the session's *read* side, beside running
+//!    readers: plan and validate, compute the deletion cone or zoom
+//!    plan, and on the append backend append the tail record and
+//!    `fsync` it (durable before anything is visible);
+//! 2. **publish**, under the *write* side: apply the overlay, repair the
+//!    reach index, and bump the **write epoch** — microseconds, and no
+//!    IO. The time each write guard is held is observed in
+//!    `lipstick_serve_write_lock_hold_us`.
+//!
+//! Each statement publishes on its own, so the epoch bumps once per
+//! statement that changed something. The epoch is an atomic counter
+//! that stamps every cached result; a stale stamp is what invalidates a
+//! cache entry. It only changes while the write side is held, so a
+//! result computed under a read guard is always tagged with the epoch
+//! it actually executed at — a reader running while a record is being
+//! synced sees, and is stamped with, the state before it. Replies are
+//! rendered after the write guard is released. A paged session's
+//! promotion to resident stays one exclusive step.
+//!
+//! Auto-COMPACT follows the same split: the image is spliced, written,
+//! synced and validated under the read side, and only the rename, the
+//! tail unlink and the base swap happen under the write side.
 //!
 //! Connections are accepted on one thread and handed to a fixed pool of
 //! workers over an MPMC channel; each worker owns a connection for its
@@ -38,7 +59,7 @@ use std::collections::{HashMap, VecDeque};
 use std::io::{BufRead, BufReader, BufWriter, Write};
 use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Arc, Mutex, RwLock};
+use std::sync::{Arc, Mutex, RwLock, RwLockReadGuard};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
@@ -75,8 +96,9 @@ pub struct ServerConfig {
     pub trace_sample_every: u64,
     /// On an append-backed session, fold the tail segment into a fresh
     /// sealed base (`COMPACT`) once this many successful mutations have
-    /// accumulated since the last compaction. The batch leader issues
-    /// it under the write lock it already holds, so readers never see a
+    /// accumulated since the last compaction. The batch leader builds
+    /// the new segment under the session's read side, beside readers,
+    /// and swaps it in under a short write hold, so readers never see a
     /// half-compacted store. 0 (the default) disables auto-compaction;
     /// other backends ignore the knob.
     pub compact_every: u64,
@@ -154,6 +176,8 @@ struct Instruments {
     deadline_exceeded: Arc<obs::Counter>,
     /// Wall time of the last graceful shutdown drain, microseconds.
     shutdown_drain_us: Arc<obs::Gauge>,
+    /// How long each hold of the session's write guard lasted.
+    write_lock_hold_us: Arc<obs::Histogram>,
 }
 
 impl Instruments {
@@ -224,6 +248,12 @@ impl Instruments {
                 "lipstick_serve_shutdown_drain_us",
                 "Wall time of the last graceful shutdown drain, microseconds",
             ),
+            write_lock_hold_us: r.histogram(
+                "lipstick_serve_write_lock_hold_us",
+                "Time each hold of the session write guard lasted (publish or COMPACT install), \
+                 microseconds",
+                obs::LATENCY_BUCKETS_US,
+            ),
         }
     }
 }
@@ -231,8 +261,13 @@ impl Instruments {
 /// State shared by every worker.
 struct Shared {
     session: RwLock<Session>,
-    /// Bumped (under the session write lock) by every successful
-    /// mutation; stamps cached results.
+    /// Held by the write batch leader for its whole batch. Writers are
+    /// serialised by it, so the store cannot change between a
+    /// statement's prepare (under the read side) and its publish (under
+    /// the write side).
+    leader: Mutex<()>,
+    /// Bumped (under the session write lock) by every mutating
+    /// statement that changed something; stamps cached results.
     epoch: AtomicU64,
     cache: QueryCache,
     queries: AtomicU64,
@@ -248,12 +283,13 @@ struct Shared {
     sample_tick: AtomicU64,
     trace_sample_every: u64,
     /// Mutations waiting for a batch leader (group commit). Writers
-    /// enqueue here, then contend for the session write lock; whoever
-    /// wins drains the whole queue under one lock hold, one reach-index
-    /// repair flush, and one epoch bump.
+    /// enqueue here, then contend for the leader mutex; whoever wins
+    /// drains the whole queue.
     write_queue: Mutex<VecDeque<Arc<WriteSlot>>>,
     /// Successful mutations since the last auto-compaction.
     writes_since_compact: AtomicU64,
+    /// `ServerConfig::compact_every`, or 0 when the session is not
+    /// append-backed (only those have a tail to fold).
     compact_every: u64,
     /// Read deadline, microseconds; 0 disables.
     request_deadline_us: u64,
@@ -261,8 +297,8 @@ struct Shared {
     write_queue_limit: usize,
     /// Per-connection read timeout, microseconds; 0 waits forever.
     idle_timeout_us: u64,
-    /// Wall time the last write batch spent holding the write lock —
-    /// the basis of the `BUSY retry_after_ms` hint.
+    /// Wall time the leader spent on the last write batch — the basis
+    /// of the `BUSY retry_after_ms` hint.
     last_batch_us: AtomicU64,
     /// Live connections by client id. Graceful shutdown half-closes
     /// each one's read side so workers finish the statement in flight,
@@ -272,7 +308,7 @@ struct Shared {
 
 /// One queued mutation: the parsed statement going in, the leader's
 /// answer coming out. The enqueuing worker discovers the result after
-/// it acquires the write lock itself (by then a leader has usually
+/// it acquires the leader mutex itself (by then a leader has usually
 /// filled it in).
 struct WriteSlot {
     stmt: Statement,
@@ -402,7 +438,7 @@ impl Shared {
     fn refresh_heap_gauges(&self) {
         use lipstick_core::obs::HeapSize;
         let report = {
-            let session = self.session.read().unwrap_or_else(|e| e.into_inner());
+            let session = self.read_session();
             session.memory_report()
         };
         let (mut graph, mut reach, mut paged, mut fault) = (0i64, 0i64, 0i64, 0i64);
@@ -450,7 +486,7 @@ impl Shared {
             }
             self.instruments.cache_misses.inc();
         }
-        let session = self.session.read().unwrap_or_else(|e| e.into_inner());
+        let session = self.read_session();
         // Re-read under the read guard: a writer may have bumped the
         // epoch between the cache probe and lock acquisition, and the
         // stamp must name the epoch this execution actually sees.
@@ -458,7 +494,7 @@ impl Shared {
         let reads_before = session.records_read();
         let tracer = Tracer::new();
         // The deadline clock starts at receipt (`start`), not lock
-        // acquisition: time spent waiting out a write batch counts.
+        // acquisition: time spent waiting out a write publish counts.
         let deadline = (self.request_deadline_us > 0)
             .then(|| start + Duration::from_micros(self.request_deadline_us));
         let executed = session.run_read_stmt_with(stmt, Some(&tracer), deadline);
@@ -509,7 +545,7 @@ impl Shared {
     /// `STATS` bypasses the cache (it reports live counters) and
     /// appends the server's own state to the session's report.
     fn run_stats(&self, start: Instant) -> Outcome {
-        let session = self.session.read().unwrap_or_else(|e| e.into_inner());
+        let session = self.read_session();
         let epoch = self.epoch.load(Ordering::Acquire);
         let reads_before = session.records_read();
         let executed = session.run_read_stmt(&Statement::Stats);
@@ -567,14 +603,13 @@ impl Shared {
         }
     }
 
-    /// Group commit: enqueue the mutation, then contend for the write
-    /// lock. The winner becomes batch leader and executes *every*
-    /// queued mutation — its own included — under one lock hold, one
-    /// deferred reach-index repair (one `lipstick_proql_index_repair_us`
-    /// observation), and at most one epoch bump. Losers acquire the
-    /// lock to find their slot already answered. Under sequential load
-    /// every batch has exactly one statement and the behaviour (epoch
-    /// per mutation, repair per mutation) is unchanged.
+    /// Group commit: enqueue the mutation, then contend for the leader
+    /// mutex. The winner becomes batch leader and executes *every*
+    /// queued mutation — its own included — one statement at a time:
+    /// prepared under the session's read side, published under its
+    /// write side, each with its own epoch bump when it changed
+    /// something. Losers acquire the mutex to find their slot already
+    /// answered.
     fn run_write(&self, stmt: &Statement, start: Instant) -> Outcome {
         let slot = Arc::new(WriteSlot {
             stmt: stmt.clone(),
@@ -599,18 +634,18 @@ impl Shared {
             }
             queue.push_back(slot.clone());
         }
-        let mut session = self.session.write().unwrap_or_else(|e| e.into_inner());
+        let leader = self.leader.lock().unwrap_or_else(|e| e.into_inner());
         let unanswered = slot
             .state
             .lock()
             .unwrap_or_else(|e| e.into_inner())
             .is_none();
         if unanswered {
-            self.lead_write_batch(&mut session);
+            self.lead_write_batch();
         }
-        drop(session);
+        drop(leader);
         // The leader answers every drained slot before releasing the
-        // lock, so an empty slot here is unreachable — but the serve
+        // mutex, so an empty slot here is unreachable — but the serve
         // path must degrade to an error reply, never panic.
         let done = slot.state.lock().unwrap_or_else(|e| e.into_inner()).take();
         match done {
@@ -644,9 +679,26 @@ impl Shared {
         }
     }
 
-    /// Drain the write queue as batch leader. Caller holds the session
-    /// write lock; our own slot is somewhere in the queue.
-    fn lead_write_batch(&self, session: &mut Session) {
+    fn read_session(&self) -> RwLockReadGuard<'_, Session> {
+        self.session.read().unwrap_or_else(|e| e.into_inner())
+    }
+
+    /// Run `f` under the session's write guard, observing how long the
+    /// guard was held.
+    fn with_write<T>(&self, f: impl FnOnce(&mut Session) -> T) -> T {
+        let mut session = self.session.write().unwrap_or_else(|e| e.into_inner());
+        let held = Instant::now();
+        let out = f(&mut session);
+        drop(session);
+        self.instruments
+            .write_lock_hold_us
+            .observe(elapsed_us(held));
+        out
+    }
+
+    /// Drain the write queue as batch leader. Caller holds the leader
+    /// mutex; our own slot is somewhere in the queue.
+    fn lead_write_batch(&self) {
         let batch_start = Instant::now();
         let batch: Vec<Arc<WriteSlot>> = self
             .write_queue
@@ -654,45 +706,15 @@ impl Shared {
             .unwrap_or_else(|e| e.into_inner())
             .drain(..)
             .collect();
-        // Defer reach-index repair across the whole batch: mutations
-        // record their changed node sets, and one union repair runs at
-        // the end (no mutation *reads* the closure — deletion cones and
-        // zoom plans are computed by direct traversal).
-        session.begin_write_batch();
-        let mut any_changed = false;
         let mut successes = 0u64;
-        let mut results = Vec::with_capacity(batch.len());
         for slot in &batch {
-            let was_paged = session.is_paged();
-            let reads_before = session.records_read();
-            let result = session.run_stmt(&slot.stmt);
-            let reads = session.records_read().saturating_sub(reads_before) as u64;
-            // A mutating statement promotes a paged backend *before*
-            // executing, so even a failed one (e.g. `ZOOM OUT TO
-            // Bogus`) can leave the session resident — where identical
-            // queries render different visited-cost figures. Any
-            // observable change must bump the epoch, or cached
-            // paged-era results would be served as if nothing happened.
-            any_changed |= result.is_ok() || (was_paged && !session.is_paged());
+            let (result, reads, epoch) = self.write_one(&slot.stmt);
             if result.is_ok() {
                 successes += 1;
                 self.mutations.fetch_add(1, Ordering::Relaxed);
                 self.instruments.mutations.inc();
             }
-            results.push((result, reads));
-        }
-        session.end_write_batch();
-        self.maybe_compact(session, successes);
-        let epoch = if any_changed {
-            // Bump while still exclusive: no reader can observe the
-            // changed session under the old epoch.
-            let bumped = self.epoch.fetch_add(1, Ordering::AcqRel) + 1;
-            self.instruments.epoch.set(bumped as i64);
-            bumped
-        } else {
-            self.epoch.load(Ordering::Acquire)
-        };
-        for (slot, (result, reads)) in batch.iter().zip(results) {
+            // Rendered with no session guard held.
             let answer = SlotResult {
                 result: result
                     .map(|out| CachedResult {
@@ -705,6 +727,7 @@ impl Shared {
             };
             *slot.state.lock().unwrap_or_else(|e| e.into_inner()) = Some(answer);
         }
+        self.maybe_compact(successes);
         // Feeds the BUSY retry_after_ms hint; only whole batches count
         // (an empty drain would just make the hint optimistic).
         if !batch.is_empty() {
@@ -713,22 +736,72 @@ impl Shared {
         }
     }
 
+    /// One mutating statement: prepare under the read side (where the
+    /// append backend syncs its tail record), then publish and bump the
+    /// epoch under the write side. Returns the outcome, the records
+    /// decoded meanwhile, and the epoch the reply carries.
+    fn write_one(&self, stmt: &Statement) -> (Result<QueryOutput, ProqlError>, u64, u64) {
+        let (prepared, reads_before) = {
+            let session = self.read_session();
+            let reads_before = session.records_read();
+            match session.prepare_write(stmt) {
+                Ok(prepared) => (prepared, reads_before),
+                Err(e) => {
+                    // Nothing was made durable or visible: no write hold.
+                    let reads = session.records_read().saturating_sub(reads_before) as u64;
+                    return (Err(e), reads, self.epoch.load(Ordering::Acquire));
+                }
+            }
+        };
+        self.with_write(|session| {
+            let was_paged = session.is_paged();
+            let result = session.publish_write(prepared);
+            // A statement needing a resident graph promotes a paged
+            // backend *before* executing, so even a failed one (e.g.
+            // `ZOOM OUT TO Bogus`) can leave the session resident —
+            // where identical queries render different visited-cost
+            // figures. Any observable change must bump the epoch, or
+            // cached paged-era results would be served as if nothing
+            // happened. Bumped while still exclusive: no reader can
+            // observe the changed session under the old epoch.
+            let epoch = if result.is_ok() || (was_paged && !session.is_paged()) {
+                let bumped = self.epoch.fetch_add(1, Ordering::AcqRel) + 1;
+                self.instruments.epoch.set(bumped as i64);
+                bumped
+            } else {
+                self.epoch.load(Ordering::Acquire)
+            };
+            let reads = session.records_read().saturating_sub(reads_before) as u64;
+            (result, reads, epoch)
+        })
+    }
+
     /// Auto-compaction: once `compact_every` successful mutations have
     /// accumulated on an append-backed session, fold the tail into a
-    /// fresh sealed base. Runs under the batch leader's write lock and
-    /// after the repair flush; compaction preserves ids and visibility,
-    /// so neither the reach index nor the result cache is invalidated
-    /// (no epoch bump). A refusal — e.g. modules are zoomed out — just
-    /// leaves the counter armed for the next batch.
-    fn maybe_compact(&self, session: &mut Session, successes: u64) {
-        if self.compact_every == 0 || successes == 0 || !session.is_append() {
+    /// fresh sealed base. The leader prepares the image under the read
+    /// side — readers keep running through the splice, temp write,
+    /// sync and validating reopen — and installs it under the write
+    /// side. Compaction preserves ids and visibility, so neither the
+    /// reach index nor the result cache is invalidated (no epoch bump).
+    /// A refusal — e.g. modules are zoomed out — just leaves the
+    /// counter armed for the next batch.
+    fn maybe_compact(&self, successes: u64) {
+        if self.compact_every == 0 || successes == 0 {
             return;
         }
         let since = self
             .writes_since_compact
             .fetch_add(successes, Ordering::Relaxed)
             + successes;
-        if since >= self.compact_every && session.run_stmt(&Statement::Compact).is_ok() {
+        if since < self.compact_every {
+            return;
+        }
+        let prepared = self.read_session().prepare_write(&Statement::Compact);
+        let Ok(prepared) = prepared else { return };
+        if self
+            .with_write(|session| session.publish_write(prepared))
+            .is_ok()
+        {
             self.writes_since_compact.store(0, Ordering::Relaxed);
         }
     }
@@ -780,9 +853,15 @@ pub struct Server {
 impl Server {
     /// Wrap a session (resident or paged) for serving.
     pub fn new(session: Session, config: ServerConfig) -> Server {
+        let compact_every = if session.is_append() {
+            config.compact_every
+        } else {
+            0
+        };
         Server {
             shared: Arc::new(Shared {
                 session: RwLock::new(session),
+                leader: Mutex::new(()),
                 epoch: AtomicU64::new(0),
                 cache: QueryCache::new(config.cache_capacity),
                 queries: AtomicU64::new(0),
@@ -796,7 +875,7 @@ impl Server {
                 trace_sample_every: config.trace_sample_every,
                 write_queue: Mutex::new(VecDeque::new()),
                 writes_since_compact: AtomicU64::new(0),
-                compact_every: config.compact_every,
+                compact_every,
                 request_deadline_us: config.request_deadline_us,
                 write_queue_limit: config.write_queue_limit,
                 idle_timeout_us: config.idle_timeout_us,
@@ -868,9 +947,9 @@ impl ServerHandle {
         self.addr
     }
 
-    /// The current write epoch (number of observable-change write
-    /// batches; under sequential load, the number of successful
-    /// mutations).
+    /// The current write epoch: the number of mutating statements that
+    /// changed something (every successful one, plus a failed one that
+    /// promoted a paged session).
     pub fn epoch(&self) -> u64 {
         self.shared.epoch.load(Ordering::Acquire)
     }
@@ -906,8 +985,8 @@ impl ServerHandle {
     /// loop, half-close each live connection's **read** side (the
     /// worker finishes the statement it is on, writes the reply on the
     /// still-open write side, then reads EOF and exits), join the
-    /// workers, lead any write slots left in the queue, and fsync the
-    /// session's append tail. By return, every acked write is durable:
+    /// workers, take the write leader's mutex and lead any write slots
+    /// left in the queue, and fsync the session's append tail. By return, every acked write is durable:
     /// a restart on the same files recovers all of them.
     pub fn shutdown(mut self) {
         let start = Instant::now();
@@ -929,12 +1008,9 @@ impl ServerHandle {
         // Workers answer their own slots before exiting, so the queue
         // is normally empty here — but a worker that died on a write
         // error must not strand a queued statement unanswered forever.
+        // Taking the leader mutex first waits out any batch in flight.
         {
-            let mut session = self
-                .shared
-                .session
-                .write()
-                .unwrap_or_else(|e| e.into_inner());
+            let _leader = self.shared.leader.lock().unwrap_or_else(|e| e.into_inner());
             let leftovers = !self
                 .shared
                 .write_queue
@@ -942,11 +1018,11 @@ impl ServerHandle {
                 .unwrap_or_else(|e| e.into_inner())
                 .is_empty();
             if leftovers {
-                self.shared.lead_write_batch(&mut session);
+                self.shared.lead_write_batch();
             }
             // Commits already fsync individually; this is a final
             // belt-and-braces sync of the tail (a no-op when clean).
-            let _ = session.sync_storage();
+            let _ = self.shared.read_session().sync_storage();
         }
         self.shared
             .instruments
@@ -1177,7 +1253,7 @@ fn handle_http(
             }
             // Lock first, then read the epoch: the reported epoch must
             // name the graph version the plan is computed against.
-            let session = shared.session.read().unwrap_or_else(|e| e.into_inner());
+            let session = shared.read_session();
             let epoch = shared.epoch.load(Ordering::Acquire);
             match session.explain(q.trim().trim_end_matches(';')) {
                 Ok(plan) => write_http_json(

@@ -3,6 +3,7 @@
 //! writes, and paged/resident agreement.
 
 use std::collections::HashMap;
+use std::sync::Arc;
 
 use lipstick_core::{GraphTracker, ProvGraph};
 use lipstick_proql::Session;
@@ -27,6 +28,9 @@ fn temp_log(name: &str) -> std::path::PathBuf {
     std::fs::create_dir_all(&dir).unwrap();
     let path = dir.join(name);
     write_graph_v2(&dealers_graph(), &path).unwrap();
+    // A tail left by an earlier run binds to this same fresh base and
+    // would replay its deletions into this one.
+    let _ = std::fs::remove_file(dir.join(format!("{name}.tail")));
     path
 }
 
@@ -1011,6 +1015,313 @@ fn append_heap_gauges_agree_with_stats_with_non_empty_tail() {
         "post-compaction reads must keep charging decodes: {warm:?}"
     );
 
+    drop(client);
+    handle.shutdown();
+}
+
+/// A real disk whose `sync` parks, while the gate is armed, on files
+/// whose name ends with the armed suffix — until the test releases it.
+/// It makes "an fsync is in progress" a state a test can hold still.
+#[derive(Default)]
+struct GatedIo {
+    gate: std::sync::Mutex<Gate>,
+    turned: std::sync::Condvar,
+}
+
+#[derive(Default)]
+struct Gate {
+    armed: Option<&'static str>,
+    parked: usize,
+}
+
+impl GatedIo {
+    /// Poison-tolerant: a failed assertion must still be able to
+    /// release the gate while unwinding.
+    fn gate(&self) -> std::sync::MutexGuard<'_, Gate> {
+        self.gate.lock().unwrap_or_else(|e| e.into_inner())
+    }
+
+    fn arm(&self, suffix: &'static str) {
+        self.gate().armed = Some(suffix);
+    }
+
+    /// Block until a sync is parked at the gate, or fail after a while.
+    fn wait_parked(&self) {
+        let deadline = std::time::Instant::now() + std::time::Duration::from_secs(20);
+        let mut gate = self.gate();
+        while gate.parked == 0 {
+            let left = deadline.saturating_duration_since(std::time::Instant::now());
+            assert!(!left.is_zero(), "no sync ever reached the gate");
+            gate = self
+                .turned
+                .wait_timeout(gate, left)
+                .unwrap_or_else(|e| e.into_inner())
+                .0;
+        }
+    }
+
+    fn parked(&self) -> usize {
+        self.gate().parked
+    }
+
+    fn release(&self) {
+        self.gate().armed = None;
+        self.turned.notify_all();
+    }
+}
+
+impl lipstick_storage::StorageIo for GatedIo {
+    fn read(&self, path: &std::path::Path) -> std::io::Result<Vec<u8>> {
+        lipstick_storage::StdIo.read(path)
+    }
+    fn len(&self, path: &std::path::Path) -> std::io::Result<u64> {
+        lipstick_storage::StdIo.len(path)
+    }
+    fn append(&self, path: &std::path::Path, bytes: &[u8]) -> std::io::Result<()> {
+        lipstick_storage::StdIo.append(path, bytes)
+    }
+    fn sync(&self, path: &std::path::Path) -> std::io::Result<()> {
+        {
+            let mut gate = self.gate();
+            let name = path.to_string_lossy();
+            if gate.armed.is_some_and(|suffix| name.ends_with(suffix)) {
+                gate.parked += 1;
+                self.turned.notify_all();
+                while gate.armed.is_some() {
+                    gate = self.turned.wait(gate).unwrap_or_else(|e| e.into_inner());
+                }
+                gate.parked -= 1;
+            }
+        }
+        lipstick_storage::StdIo.sync(path)
+    }
+    fn truncate(&self, path: &std::path::Path, len: u64) -> std::io::Result<()> {
+        lipstick_storage::StdIo.truncate(path, len)
+    }
+    fn create(&self, path: &std::path::Path, bytes: &[u8]) -> std::io::Result<()> {
+        lipstick_storage::StdIo.create(path, bytes)
+    }
+    fn rename(&self, from: &std::path::Path, to: &std::path::Path) -> std::io::Result<()> {
+        lipstick_storage::StdIo.rename(from, to)
+    }
+    fn unlink(&self, path: &std::path::Path) -> std::io::Result<()> {
+        lipstick_storage::StdIo.unlink(path)
+    }
+}
+
+/// Releases the gate when dropped, so a failing assertion cannot leave
+/// server threads parked forever.
+struct ReleaseOnDrop<'a>(&'a GatedIo);
+
+impl Drop for ReleaseOnDrop<'_> {
+    fn drop(&mut self) {
+        self.0.release();
+    }
+}
+
+/// Readers never wait for a disk. With a `DELETE`'s tail sync parked,
+/// and again with an auto-COMPACT's temp-image sync parked: a reader on
+/// another connection is answered promptly, at the epoch it was
+/// published under, a second writer waits, and once the sync completes
+/// the writer's reply carries the next epoch.
+#[test]
+fn readers_are_answered_while_a_writer_syncs() {
+    use std::sync::mpsc;
+    use std::time::Duration;
+    type Answer = std::io::Result<(Option<u64>, bool, String)>;
+
+    let io = Arc::new(GatedIo::default());
+    let session = Session::open_append_with_io(temp_log("gated.lpstk"), io.clone()).unwrap();
+    let handle = Server::new(
+        session,
+        ServerConfig {
+            workers: 6,
+            // Every read executes under the session lock.
+            cache_capacity: 0,
+            compact_every: 2,
+            ..ServerConfig::default()
+        },
+    )
+    .serve("127.0.0.1:0")
+    .unwrap();
+    let addr = handle.addr();
+    let victims = base_victims(5);
+    let delete = |i: usize| format!("DELETE #{} PROPAGATE", victims[i].0);
+    let count = "COUNT(*) MATCH nodes";
+    let mut mirror = Session::new(dealers_graph());
+    let mirror_count =
+        |mirror: &Session| strip_visited(&mirror.run_read(count).unwrap().to_string());
+    let answered = |rx: &mpsc::Receiver<Answer>| {
+        let reply = rx.recv_timeout(Duration::from_secs(20));
+        reply.expect("answered in time").expect("transport")
+    };
+
+    std::thread::scope(|scope| {
+        let send = |stmt: String| {
+            let (tx, rx) = mpsc::channel::<Answer>();
+            scope.spawn(move || {
+                let reply = Client::connect(addr).and_then(|mut c| c.query(&stmt));
+                let _ = tx.send(reply.map(|r| (r.epoch(), r.is_ok(), r.body().to_string())));
+            });
+            rx
+        };
+        let _release = ReleaseOnDrop(&io);
+
+        // A DELETE parked in its tail sync: the reader sees epoch 0 and
+        // the graph without the deletion.
+        let before = mirror_count(&mirror);
+        io.arm(".tail");
+        let first = send(delete(0));
+        io.wait_parked();
+        let (epoch, ok, body) = answered(&send(count.to_string()));
+        assert!(ok, "{body}");
+        assert_eq!((epoch, strip_visited(&body)), (Some(0), before));
+        assert_eq!(io.parked(), 1, "the reader was answered mid-sync");
+        let second = send(delete(1));
+        assert!(
+            second.recv_timeout(Duration::from_millis(300)).is_err(),
+            "a second writer waits for the first"
+        );
+        io.release();
+        assert_eq!(answered(&first).0, Some(1));
+        // The second success since start compacts, ungated, before its
+        // reply; one more DELETE re-arms the counter to one.
+        assert_eq!(answered(&second).0, Some(2));
+        assert_eq!(answered(&send(delete(2))).0, Some(3));
+        for i in 0..3 {
+            mirror.run_one(&delete(i)).unwrap();
+        }
+
+        // The next success is published (epoch 4), then its
+        // auto-COMPACT parks in the temp image's sync: the reader sees
+        // epoch 4 and the graph with the deletion.
+        io.arm(".compact.tmp");
+        let first = send(delete(3));
+        io.wait_parked();
+        mirror.run_one(&delete(3)).unwrap();
+        let (epoch, ok, body) = answered(&send(count.to_string()));
+        assert!(ok, "{body}");
+        assert_eq!(
+            (epoch, strip_visited(&body)),
+            (Some(4), mirror_count(&mirror))
+        );
+        assert_eq!(io.parked(), 1, "the reader was answered mid-COMPACT");
+        let second = send(delete(4));
+        assert!(
+            second.recv_timeout(Duration::from_millis(300)).is_err(),
+            "a second writer waits for the compaction"
+        );
+        io.release();
+        assert_eq!(answered(&first).0, Some(4));
+        assert_eq!(answered(&second).0, Some(5));
+        mirror.run_one(&delete(4)).unwrap();
+        let (epoch, _, body) = answered(&send(count.to_string()));
+        assert_eq!(
+            (epoch, strip_visited(&body)),
+            (Some(5), mirror_count(&mirror))
+        );
+    });
+    handle.shutdown();
+}
+
+/// Serial replay of a concurrent history across auto-COMPACT: two
+/// writers and two readers on one append-backed server folding its
+/// tail every third success. Acked write epochs are gap-free (one bump
+/// per statement), and every read equals what a resident session
+/// answers after replaying the acked writes up to the epoch stamped on
+/// the read.
+#[test]
+fn concurrent_history_replays_serially_across_auto_compact() {
+    let handle = serve_append("history.lpstk", 6, 3);
+    let addr = handle.addr();
+    let victims = base_victims(8);
+    let stmts = [
+        "COUNT(*) MATCH nodes",
+        "COUNT(*) MATCH base-nodes",
+        "MATCH nodes GROUP BY kind ORDER BY count DESC",
+    ];
+
+    let (writes, reads) = std::thread::scope(|scope| {
+        let readers: Vec<_> = (0..2)
+            .map(|_| {
+                scope.spawn(move || {
+                    let mut client = Client::connect(addr).unwrap();
+                    let mut seen = Vec::new();
+                    for _ in 0..25 {
+                        for stmt in stmts {
+                            let Reply::Ok { epoch, body, .. } = client.query(stmt).unwrap() else {
+                                panic!("read of {stmt} failed");
+                            };
+                            seen.push((epoch, stmt, body));
+                        }
+                    }
+                    seen
+                })
+            })
+            .collect();
+        let writers: Vec<_> = victims
+            .chunks(4)
+            .map(|mine| {
+                scope.spawn(move || {
+                    let mut client = Client::connect(addr).unwrap();
+                    let mut acked = Vec::new();
+                    for victim in mine {
+                        let stmt = format!("DELETE #{} PROPAGATE", victim.0);
+                        let reply = client.query(&stmt).unwrap();
+                        assert!(reply.is_ok(), "{stmt}: {reply:?}");
+                        acked.push((reply.epoch().unwrap(), stmt, reply.body().to_string()));
+                    }
+                    acked
+                })
+            })
+            .collect();
+        let writes: Vec<(u64, String, String)> = writers
+            .into_iter()
+            .flat_map(|w| w.join().unwrap())
+            .collect();
+        let reads: Vec<(u64, &str, String)> = readers
+            .into_iter()
+            .flat_map(|r| r.join().unwrap())
+            .collect();
+        (writes, reads)
+    });
+
+    let mut writes = writes;
+    writes.sort_by_key(|(epoch, ..)| *epoch);
+    let epochs: Vec<u64> = writes.iter().map(|(epoch, ..)| *epoch).collect();
+    assert_eq!(
+        epochs,
+        (1..=8).collect::<Vec<u64>>(),
+        "acked epochs are gap-free"
+    );
+
+    let mut reference = Session::new(dealers_graph());
+    let answers = |reference: &Session| -> HashMap<&str, String> {
+        let answer = |s: &str| strip_visited(&reference.run_read(s).unwrap().to_string());
+        stmts.iter().map(|&s| (s, answer(s))).collect()
+    };
+    let mut at_epoch = vec![answers(&reference)];
+    for (epoch, stmt, body) in &writes {
+        let expected = reference.run_one(stmt).unwrap().to_string();
+        assert_eq!(&expected, body, "epoch {epoch}: {stmt}");
+        at_epoch.push(answers(&reference));
+    }
+    for (epoch, stmt, body) in &reads {
+        assert_eq!(
+            strip_visited(body),
+            at_epoch[*epoch as usize][stmt],
+            "{stmt} at epoch {epoch}"
+        );
+    }
+
+    // Auto-compaction folded at least one batch of the tail.
+    let mut client = Client::connect(addr).unwrap();
+    let folded = client.query("COMPACT").unwrap();
+    let left: usize = match folded.body().strip_prefix("compacted ") {
+        Some(rest) => rest.split(' ').next().unwrap().parse().unwrap(),
+        None => 0,
+    };
+    assert!(left < 8, "auto-COMPACT never ran: {folded:?}");
     drop(client);
     handle.shutdown();
 }

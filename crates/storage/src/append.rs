@@ -16,27 +16,39 @@
 //!   every base id, so concatenation preserves the ascending order the
 //!   sealed rows have — postings- and limit-driven scans stay correct.
 //!
-//! Every mutation commits by appending one durable tail record *before*
-//! touching the overlay; [`AppendLog::open`] replays the surviving tail
-//! records over the base, so a crash loses at most the record being
-//! written (and torn-write recovery truncates exactly that, see the
-//! tail module's recovery rule).
+//! Every mutation is two steps. **Prepare** (`prepare_*`, on `&self`)
+//! validates the change, encodes it as one tail record, appends it and
+//! syncs it: the record is durable before anything is visible, and
+//! readers keep running against the unchanged store meanwhile (the
+//! tail's write position sits behind its own mutex). **Publish**
+//! ([`AppendLog::publish`], on `&mut self`) applies the prepared record
+//! to the overlay — memory only, no IO. Records publish in the order
+//! they were prepared, and a prepare is refused while an earlier one is
+//! unpublished, since it was validated against the store without it.
+//! The `commit_*` methods are prepare followed by publish.
+//! [`AppendLog::open`] replays the surviving tail records over the
+//! base, so a crash loses at most the record being written (and
+//! torn-write recovery truncates exactly that, see the tail module's
+//! recovery rule).
 //!
 //! [`AppendLog::compact`] merges everything back into a fresh sealed v2
-//! segment by splicing: the base's record section is copied verbatim
-//! (tombstone flags patched), the overlay's records and a footer merged
-//! from the sealed index and the overlay follow, and the image replaces
-//! the base atomically (temp + sync + validating reopen + rename) before
-//! the tail is dropped. Nothing is decoded into a [`ProvGraph`]; the
-//! image is nevertheless byte for byte what decode → replay → re-encode
-//! would write. Node ids and visibility are unchanged by compaction, so
-//! derived structures keyed by id (the reach index) survive it — and so
-//! does the base's fault cache, which the new base inherits.
+//! segment by splicing, in the same two steps.
+//! [`AppendLog::prepare_compact`] (`&self`) copies the base's record
+//! section verbatim (tombstone flags patched), appends the overlay's
+//! records and a footer merged from the sealed index and the overlay,
+//! writes the image to a temp file, syncs it and validates it by
+//! reopening. [`AppendLog::install_compact`] (`&mut self`) renames it
+//! over the base, drops the tail and swaps the new base in. Nothing is
+//! decoded into a [`ProvGraph`]; the image is nevertheless byte for
+//! byte what decode → replay → re-encode would write. Node ids and
+//! visibility are unchanged by compaction, so derived structures keyed
+//! by id (the reach index) survive it — and so does the base's fault
+//! cache, which the new base inherits.
 
 use std::borrow::Cow;
 use std::collections::{BTreeMap, HashMap};
 use std::path::{Path, PathBuf};
-use std::sync::Arc;
+use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 
 use bytes::BufMut;
 use lipstick_core::graph::{kind_heap_bytes, InvocationInfo, ZoomStash, RETIRED_STASH};
@@ -78,6 +90,67 @@ struct BaseOverride {
     zoom_hidden: bool,
 }
 
+/// The tail's write position. It lives behind a mutex so that a
+/// `prepare_*` step can append and sync on `&self` while readers share
+/// the log.
+#[derive(Debug, Default)]
+struct TailState {
+    /// Clean tail length in bytes (0 = no tail header written yet).
+    len: u64,
+    /// A commit failed partway, so the on-disk tail may carry a torn
+    /// suffix past `len`; the next commit truncates it away before
+    /// appending.
+    dirty: bool,
+    /// Records in the current tail segment.
+    records: usize,
+    /// Records ever made durable through this log, replayed ones
+    /// included. Never reset: compared with [`AppendLog::published`],
+    /// it says whether a durable record still awaits publication.
+    durable: u64,
+}
+
+/// A tail record that a `prepare_*` call made durable and
+/// [`AppendLog::publish`] has not yet applied to the overlay.
+#[derive(Debug)]
+#[must_use = "the record is durable; publish it or the overlay lags the tail"]
+pub struct PreparedRecord {
+    /// The record's position in durable order; publication follows it.
+    seq: u64,
+    change: Change,
+}
+
+/// What publishing a [`PreparedRecord`] applies.
+#[derive(Debug)]
+enum Change {
+    Append {
+        nodes: Vec<TailNode>,
+        invocations: Vec<TailInvocation>,
+    },
+    Tombstones(Vec<NodeId>),
+    /// The plans themselves, not the module names the record stores:
+    /// publication applies what was validated instead of re-planning.
+    ZoomOut(Vec<ZoomModulePlan>),
+    ZoomIn(Vec<String>),
+}
+
+/// A compacted image that [`AppendLog::prepare_compact`] wrote, synced
+/// and validated beside the live log, waiting for
+/// [`AppendLog::install_compact`] to swap it in. Dropping one without
+/// installing it leaves the temp file behind, as a crash would; the
+/// next COMPACT's truncating write replaces it.
+#[must_use = "the compacted image is only a temp file until installed"]
+pub struct PreparedCompact {
+    tmp: PathBuf,
+    base: PagedLog,
+    len: u64,
+    invocations: Vec<InvocationInfo>,
+    /// Records published and compactions installed when the image was
+    /// spliced: it holds exactly that state, so both must be unchanged
+    /// at install.
+    published: u64,
+    compactions: u64,
+}
+
 /// A sealed v2 log plus its mutable tail segment.
 pub struct AppendLog {
     path: PathBuf,
@@ -89,13 +162,11 @@ pub struct AppendLog {
     base_len: u64,
     base_nodes: usize,
     base_invocations: usize,
-    /// Clean tail length in bytes (0 = no tail header written yet).
-    tail_len: u64,
-    /// A commit failed partway, so the on-disk tail may carry a torn
-    /// suffix past `tail_len`; the next commit truncates it away before
-    /// appending.
-    tail_dirty: bool,
-    tail_records: usize,
+    tail: Mutex<TailState>,
+    /// Records ever applied to the overlay, replayed ones included.
+    published: u64,
+    /// Compactions ever installed.
+    compactions: u64,
     overlay: Vec<OverlayNode>,
     overrides: HashMap<u32, BaseOverride>,
     /// Visible nodes, base and overlay together. Every visibility
@@ -110,7 +181,8 @@ pub struct AppendLog {
     extra_succs: HashMap<u32, Vec<NodeId>>,
     /// Predecessors appended to existing rows — only zoom composites do
     /// this (composite → module-output edges), and ZoomIn removes them
-    /// again, so these are empty whenever no module is zoomed out.
+    /// again, keys included, so this is empty whenever no module is
+    /// zoomed out.
     extra_preds: HashMap<u32, Vec<NodeId>>,
     /// Merged invocation table: the base's, then appended ones.
     invocations: Vec<InvocationInfo>,
@@ -157,9 +229,9 @@ impl AppendLog {
             base_invocations: base.invocations().len(),
             invocations: base.invocations().to_vec(),
             base,
-            tail_len: 0,
-            tail_dirty: false,
-            tail_records: 0,
+            tail: Mutex::new(TailState::default()),
+            published: 0,
+            compactions: 0,
             overlay: Vec::new(),
             overrides: HashMap::new(),
             extra_succs: HashMap::new(),
@@ -197,19 +269,29 @@ impl AppendLog {
         if clean < data.len() {
             self.io.truncate(&self.tail_path, clean as u64)?;
         }
-        self.tail_len = clean as u64;
-        self.tail_records = records.len();
+        let tail = self.tail.get_mut().unwrap_or_else(PoisonError::into_inner);
+        tail.len = clean as u64;
+        tail.records = records.len();
+        tail.durable = records.len() as u64;
+        self.published = records.len() as u64;
         Ok(())
     }
 
-    /// Number of committed tail records currently layered on the base.
+    /// The tail's write position. A poisoned lock is recovered: every
+    /// update to [`TailState`] leaves it valid at each step (a commit
+    /// that dies midway leaves `dirty` set, which the next one handles).
+    fn tail(&self) -> MutexGuard<'_, TailState> {
+        self.tail.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+
+    /// Number of durable tail records currently in the tail segment.
     pub fn tail_records(&self) -> usize {
-        self.tail_records
+        self.tail().records
     }
 
     /// Clean tail size in bytes (0 when no tail exists).
     pub fn tail_len(&self) -> u64 {
-        self.tail_len
+        self.tail().len
     }
 
     /// Records faulted from disk, monotonic across compactions.
@@ -250,55 +332,69 @@ impl AppendLog {
         self.stashes.len()
     }
 
-    // ----- commit path -----
+    // ----- commit path: prepare on `&self`, publish on `&mut self` -----
 
-    /// Make one record durable. Called *before* the matching in-memory
-    /// apply, so the tail never lags the overlay.
+    /// Make one record durable: the IO half of every prepare.
     ///
-    /// Failure safety: `tail_len` only advances after the sync, so an
-    /// error anywhere leaves the record unacknowledged. A failed append
-    /// may still leave torn bytes on disk past `tail_len`; the dirty
+    /// Refused while an earlier prepared record is unpublished — this
+    /// one was validated against a store without it. Failure safety:
+    /// the tail position only advances after the sync, so an error
+    /// anywhere leaves the record unacknowledged. A failed append may
+    /// still leave torn bytes on disk past the clean length; the dirty
     /// flag makes the *next* commit truncate them away first, so a
     /// retried commit can never land after garbage that recovery would
     /// stop at (which would silently orphan it).
-    fn commit(&mut self, record: &TailRecord) -> Result<()> {
+    fn make_durable(&self, record: &TailRecord) -> Result<u64> {
         let frame = tail::encode_record(record)?;
-        if self.tail_dirty {
-            self.io.truncate(&self.tail_path, self.tail_len)?;
-            self.tail_dirty = false;
+        let mut tail = self.tail();
+        if tail.durable != self.published {
+            return Err(StorageError::Stale(
+                "an earlier prepared record is not yet published".into(),
+            ));
         }
-        if self.tail_len == 0 {
+        if tail.dirty {
+            self.io.truncate(&self.tail_path, tail.len)?;
+            tail.dirty = false;
+        }
+        if tail.len == 0 {
             // Truncating write, not append: a stale tail from an
             // interrupted COMPACT (or a failed header write) may still
             // occupy this path, and its leftover bytes must not precede
             // the fresh header.
             let header = tail::encode_header(self.base_len, self.base_nodes as u64);
             self.io.create(&self.tail_path, &header)?;
-            self.tail_len = TAIL_HEADER_LEN as u64;
+            tail.len = TAIL_HEADER_LEN as u64;
         }
-        self.tail_dirty = true;
+        tail.dirty = true;
         self.io.append(&self.tail_path, &frame)?;
         self.io.sync(&self.tail_path)?;
-        self.tail_dirty = false;
-        self.tail_len += frame.len() as u64;
-        self.tail_records += 1;
-        Ok(())
+        tail.dirty = false;
+        tail.len += frame.len() as u64;
+        tail.records += 1;
+        tail.durable += 1;
+        Ok(tail.durable - 1)
+    }
+
+    fn prepared(&self, record: &TailRecord, change: Change) -> Result<PreparedRecord> {
+        let seq = self.make_durable(record)?;
+        Ok(PreparedRecord { seq, change })
     }
 
     /// Fsync the tail segment if one exists. Commits already sync per
     /// record, so this only matters as a barrier (graceful shutdown).
     pub fn sync(&self) -> Result<()> {
-        if self.tail_len == 0 {
+        let tail = self.tail();
+        if tail.len == 0 {
             return Ok(());
         }
         self.io.sync(&self.tail_path)?;
         Ok(())
     }
 
-    /// Commit a whole ingested workflow fragment (one atomic record):
+    /// Prepare a whole ingested workflow fragment as one atomic record:
     /// its nodes, edges, and invocations, id-shifted past the current
-    /// graph. Returns the appended node ids.
-    pub fn commit_fragment(&mut self, fragment: &ProvGraph) -> Result<Vec<NodeId>> {
+    /// graph. Publishing it returns the appended node ids.
+    pub fn prepare_fragment(&self, fragment: &ProvGraph) -> Result<PreparedRecord> {
         let zoomed = fragment.zoomed_out_modules();
         if !zoomed.is_empty() {
             return Err(StorageError::ZoomedGraph(
@@ -330,39 +426,39 @@ impl AppendLog {
         // every future replay.
         self.validate_append(&nodes, &invocations)?;
         let record = TailRecord::AppendGraph { nodes, invocations };
-        self.commit(&record)?;
-        let TailRecord::AppendGraph { nodes, invocations } = &record else {
-            unreachable!()
+        let seq = self.make_durable(&record)?;
+        let TailRecord::AppendGraph { nodes, invocations } = record else {
+            unreachable!("built as AppendGraph above")
         };
-        self.apply_append(nodes, invocations)
+        Ok(PreparedRecord {
+            seq,
+            change: Change::Append { nodes, invocations },
+        })
     }
 
-    /// Commit visibility tombstones (one `DELETE … PROPAGATE` cone, in
+    /// Prepare visibility tombstones (one `DELETE … PROPAGATE` cone, in
     /// deletion order).
-    pub fn commit_tombstones(&mut self, ids: &[NodeId]) -> Result<()> {
+    pub fn prepare_tombstones(&self, ids: &[NodeId]) -> Result<PreparedRecord> {
         let count = self.node_count();
         if let Some(bad) = ids.iter().find(|id| id.index() >= count) {
             return Err(StorageError::Corrupt(format!(
                 "tombstone for unknown node {bad}"
             )));
         }
-        self.commit(&TailRecord::Tombstones { ids: ids.to_vec() })?;
-        self.apply_tombstones_mem(ids)
+        let record = TailRecord::Tombstones { ids: ids.to_vec() };
+        self.prepared(&record, Change::Tombstones(ids.to_vec()))
     }
 
-    /// Commit a ZoomOut already planned against this store (the caller
+    /// Prepare a ZoomOut already planned against this store (the caller
     /// plans so it can report validation errors before anything is
-    /// durable). Returns the created composite ids.
-    pub fn commit_zoom_out(&mut self, plans: Vec<ZoomModulePlan>) -> Result<Vec<NodeId>> {
+    /// durable). Publishing it returns the created composite ids.
+    pub fn prepare_zoom_out(&self, plans: Vec<ZoomModulePlan>) -> Result<PreparedRecord> {
         let modules: Vec<String> = plans.iter().map(|p| p.module.clone()).collect();
-        self.commit(&TailRecord::ZoomOut { modules })?;
-        Ok(self.apply_zoom_plans(plans))
+        self.prepared(&TailRecord::ZoomOut { modules }, Change::ZoomOut(plans))
     }
 
-    /// Commit a ZoomIn of the given (resolved) module names. Returns
-    /// each module's restored stash, so the caller can repair derived
-    /// state from the exact touched sets.
-    pub fn commit_zoom_in(&mut self, modules: &[String]) -> Result<Vec<ZoomStash>> {
+    /// Prepare a ZoomIn of the given (resolved) module names.
+    pub fn prepare_zoom_in(&self, modules: &[String]) -> Result<PreparedRecord> {
         if let Some(bad) = modules
             .iter()
             .find(|m| !self.zoomed_modules.contains_key(*m))
@@ -371,10 +467,73 @@ impl AppendLog {
                 "zoom-in of module '{bad}' which is not zoomed out"
             )));
         }
-        self.commit(&TailRecord::ZoomIn {
+        let record = TailRecord::ZoomIn {
             modules: modules.to_vec(),
-        })?;
-        self.apply_zoom_in_mem(modules)
+        };
+        self.prepared(&record, Change::ZoomIn(modules.to_vec()))
+    }
+
+    /// Apply a prepared record to the overlay: memory only, no IO.
+    /// Returns the ids it created (fragment nodes, zoom composites;
+    /// none for tombstones and zoom-ins). Records publish in the order
+    /// they were prepared; anything else is [`StorageError::Stale`].
+    pub fn publish(&mut self, prepared: PreparedRecord) -> Result<Vec<NodeId>> {
+        Ok(self.publish_change(prepared)?.0)
+    }
+
+    /// [`AppendLog::publish`], also returning the stashes a zoom-in
+    /// restored.
+    fn publish_change(
+        &mut self,
+        prepared: PreparedRecord,
+    ) -> Result<(Vec<NodeId>, Vec<ZoomStash>)> {
+        if prepared.seq != self.published {
+            return Err(StorageError::Stale(format!(
+                "record {} published out of order (next is {})",
+                prepared.seq, self.published
+            )));
+        }
+        let applied = match prepared.change {
+            Change::Append { nodes, invocations } => {
+                (self.apply_append(&nodes, &invocations)?, Vec::new())
+            }
+            Change::Tombstones(ids) => {
+                self.apply_tombstones_mem(&ids)?;
+                (Vec::new(), Vec::new())
+            }
+            Change::ZoomOut(plans) => (self.apply_zoom_plans(plans), Vec::new()),
+            Change::ZoomIn(modules) => (Vec::new(), self.apply_zoom_in_mem(&modules)?),
+        };
+        self.published += 1;
+        Ok(applied)
+    }
+
+    /// Commit a whole ingested workflow fragment: prepare, then publish.
+    /// Returns the appended node ids.
+    pub fn commit_fragment(&mut self, fragment: &ProvGraph) -> Result<Vec<NodeId>> {
+        let prepared = self.prepare_fragment(fragment)?;
+        self.publish(prepared)
+    }
+
+    /// Commit visibility tombstones: prepare, then publish.
+    pub fn commit_tombstones(&mut self, ids: &[NodeId]) -> Result<()> {
+        let prepared = self.prepare_tombstones(ids)?;
+        self.publish(prepared).map(drop)
+    }
+
+    /// Commit a planned ZoomOut: prepare, then publish. Returns the
+    /// created composite ids.
+    pub fn commit_zoom_out(&mut self, plans: Vec<ZoomModulePlan>) -> Result<Vec<NodeId>> {
+        let prepared = self.prepare_zoom_out(plans)?;
+        self.publish(prepared)
+    }
+
+    /// Commit a ZoomIn of the given (resolved) module names: prepare,
+    /// then publish. Returns each module's restored stash, so the
+    /// caller can repair derived state from the exact touched sets.
+    pub fn commit_zoom_in(&mut self, modules: &[String]) -> Result<Vec<ZoomStash>> {
+        let prepared = self.prepare_zoom_in(modules)?;
+        Ok(self.publish_change(prepared)?.1)
     }
 
     // ----- replay / in-memory apply -----
@@ -607,9 +766,7 @@ impl AppendLog {
 
     fn remove_succ(&mut self, from: NodeId, to: NodeId) {
         if from.index() < self.base_nodes {
-            if let Some(v) = self.extra_succs.get_mut(&from.0) {
-                v.retain(|s| *s != to);
-            }
+            remove_extra(&mut self.extra_succs, from, to);
         } else {
             self.overlay[from.index() - self.base_nodes]
                 .succs
@@ -619,9 +776,7 @@ impl AppendLog {
 
     fn remove_pred(&mut self, of: NodeId, pred: NodeId) {
         if of.index() < self.base_nodes {
-            if let Some(v) = self.extra_preds.get_mut(&of.0) {
-                v.retain(|p| *p != pred);
-            }
+            remove_extra(&mut self.extra_preds, of, pred);
         } else {
             self.overlay[of.index() - self.base_nodes]
                 .preds
@@ -667,17 +822,10 @@ impl AppendLog {
 
     // ----- compaction -----
 
-    /// Merge the tail into a fresh sealed v2 segment by **splicing**:
-    /// the new image is the v2 header with the new node count, the
-    /// base's record section copied verbatim (the flags byte of each
-    /// overridden node patched), the overlay's records, the merged
-    /// invocation table, and a footer assembled from what this log
-    /// already holds (see [`SpliceFooter`]). Nothing is decoded into a
-    /// [`ProvGraph`] and nothing that did not change is re-encoded, yet
-    /// the image is byte-for-byte what decode → replay →
-    /// [`crate::encode_graph_v2`] would write (the unit tests assert it
-    /// inside every COMPACT they run; `tests/compact_splice.rs` proves
-    /// it over random scripts).
+    /// Merge the tail into a fresh sealed v2 segment:
+    /// [`AppendLog::prepare_compact`] then
+    /// [`AppendLog::install_compact`]. All-or-nothing for callers: an
+    /// error leaves disk and memory in the pre-compaction state.
     ///
     /// Node ids and visibility are preserved exactly, so id-keyed
     /// derived state (the reach index) stays valid across the call —
@@ -688,13 +836,44 @@ impl AppendLog {
     /// Refuses while any module is zoomed out — same contract as
     /// persisting a resident graph (the stash is a view, not data).
     pub fn compact(&mut self) -> Result<()> {
+        let prepared = self.prepare_compact()?;
+        self.install_compact(prepared)
+    }
+
+    /// COMPACT's slow half, on `&self` so readers keep running: splice
+    /// the new image, write it to `<log>.compact.tmp`, sync it, and
+    /// validate it by reopening.
+    ///
+    /// The image is the v2 header with the new node count, the base's
+    /// record section copied verbatim (the flags byte of each
+    /// overridden node patched), the overlay's records, the merged
+    /// invocation table, and a footer assembled from what this log
+    /// already holds (see [`SpliceFooter`]). Nothing is decoded into a
+    /// [`ProvGraph`] and nothing that did not change is re-encoded, yet
+    /// the image is byte-for-byte what decode → replay →
+    /// [`crate::encode_graph_v2`] would write (the unit tests assert it
+    /// inside every COMPACT they run; `tests/compact_splice.rs` proves
+    /// it over random scripts).
+    ///
+    /// The temp image is synced before it can be renamed (rename makes
+    /// metadata durable, not content — skipping the sync would let a
+    /// crash truncate the renamed base). An error leaves the store and
+    /// the base untouched and unlinks the temp file, best-effort; a
+    /// crash may leave one behind, which the next COMPACT's truncating
+    /// `create` overwrites.
+    pub fn prepare_compact(&self) -> Result<PreparedCompact> {
         if !self.zoomed_modules.is_empty() {
             let mut names: Vec<String> = self.zoomed_modules.keys().cloned().collect();
             names.sort();
             return Err(StorageError::ZoomedGraph(names));
         }
+        if self.tail().durable != self.published {
+            return Err(StorageError::Stale(
+                "a prepared record is not yet published".into(),
+            ));
+        }
         debug_assert!(
-            self.extra_preds.values().all(Vec::is_empty),
+            self.extra_preds.is_empty(),
             "only zoom composites prepend to sealed rows, and zoom-in removes them"
         );
         debug_assert!(self.overlay.iter().all(|n| !n.zoom_hidden));
@@ -706,37 +885,68 @@ impl AppendLog {
             "the spliced image must equal decode -> replay -> re-encode"
         );
 
-        // All fallible IO happens BEFORE the rename: the new base is
-        // written, synced (rename makes metadata durable, not content —
-        // skipping this sync would let a crash truncate the renamed
-        // base), and re-opened from the temp path. An error anywhere up
-        // to the rename leaves both disk and memory in the coherent
-        // pre-compaction state (the temp file is unlinked, best-effort;
-        // a crash may leave one behind, which the next COMPACT's
-        // truncating `create` overwrites); once the rename succeeds,
-        // the remaining work is infallible in-memory bookkeeping.
-        // Compaction is therefore all-or-nothing for callers.
         let tmp = sidecar_path(&self.path, ".compact.tmp");
-        let (new_base, new_len) = match self.install_image(&tmp, &image) {
-            Ok(installed) => installed,
+        let (base, len) = match self.write_image(&tmp, &image) {
+            Ok(written) => written,
             Err(e) => {
                 let _ = self.io.unlink(&tmp);
                 return Err(e);
             }
         };
+        Ok(PreparedCompact {
+            tmp,
+            invocations: base.invocations().to_vec(),
+            base,
+            len,
+            published: self.published,
+            compactions: self.compactions,
+        })
+    }
+
+    /// COMPACT's short half: rename the prepared image over the base,
+    /// drop the tail, and swap the new base in, carrying the fault
+    /// cache. The rename and the tail unlink are its only IO. An image
+    /// prepared before a record was published or another compaction
+    /// installed is [`StorageError::Stale`]; that and a failed rename
+    /// unlink the temp file and leave everything as it was. Once the
+    /// rename succeeds, the rest is infallible in-memory bookkeeping.
+    pub fn install_compact(&mut self, prepared: PreparedCompact) -> Result<()> {
+        let PreparedCompact {
+            tmp,
+            base,
+            len,
+            invocations,
+            published,
+            compactions,
+        } = prepared;
+        let tail = self.tail.get_mut().unwrap_or_else(PoisonError::into_inner);
+        let current = (self.published, self.compactions);
+        if (published, compactions) != current || tail.durable != self.published {
+            let _ = self.io.unlink(&tmp);
+            return Err(StorageError::Stale(
+                "the log changed after the compacted image was prepared".into(),
+            ));
+        }
+        if let Err(e) = self.io.rename(&tmp, &self.path) {
+            let _ = self.io.unlink(&tmp);
+            return Err(e.into());
+        }
         // A crash (or unlink failure) here leaves a stale tail whose
         // header binds to the old base; recovery discards it, and the
         // next commit's truncating header write overwrites it.
         let _ = self.io.unlink(&self.tail_path);
+        tail.len = 0;
+        tail.dirty = false;
+        tail.records = 0;
 
-        debug_assert_eq!(self.visible, new_base.index().visible_count());
-        let old_base = std::mem::replace(&mut self.base, new_base);
+        debug_assert_eq!(self.visible, base.index().visible_count());
+        let old_base = std::mem::replace(&mut self.base, base);
         self.carried_faults += old_base.faults();
         self.base.take_fault_cache(old_base);
-        self.base_len = new_len;
+        self.base_len = len;
         self.base_nodes = self.base.index().node_count();
-        self.base_invocations = self.base.invocations().len();
-        self.invocations = self.base.invocations().to_vec();
+        self.base_invocations = invocations.len();
+        self.invocations = invocations;
         // Fresh containers, not `clear()`: a zoom pair leaves tens of
         // thousands of overrides behind, and their capacity would
         // otherwise stay allocated (and reported) until the log closes.
@@ -746,22 +956,18 @@ impl AppendLog {
         self.extra_preds = HashMap::new();
         self.stashes = Vec::new();
         self.zoomed_modules = HashMap::new();
-        self.tail_len = 0;
-        self.tail_dirty = false;
-        self.tail_records = 0;
+        self.compactions += 1;
         Ok(())
     }
 
-    /// COMPACT's IO up to and including the rename: write the image to
-    /// `tmp`, sync it, re-open it from there (full header / footer /
-    /// invocation-table validation), swing it over the base.
-    fn install_image(&self, tmp: &Path, image: &[u8]) -> Result<(PagedLog, u64)> {
+    /// Write the image to `tmp`, sync it, and re-open it from there
+    /// (full header / footer / invocation-table validation).
+    fn write_image(&self, tmp: &Path, image: &[u8]) -> Result<(PagedLog, u64)> {
         self.io.create(tmp, image)?;
         self.io.sync(tmp)?;
-        let new_base = PagedLog::open_with_io(tmp, self.io.as_ref())?;
-        let new_len = self.io.len(tmp)?;
-        self.io.rename(tmp, &self.path)?;
-        Ok((new_base, new_len))
+        let base = PagedLog::open_with_io(tmp, self.io.as_ref())?;
+        let len = self.io.len(tmp)?;
+        Ok((base, len))
     }
 
     /// The sealed v2 image of base + overlay (see [`AppendLog::compact`]).
@@ -770,7 +976,7 @@ impl AppendLog {
         let sealed = self.base.record_section();
         let n = self.node_count();
         // About the old image plus what the tail added to it.
-        let mut buf = Vec::with_capacity((self.base_len + self.tail_len) as usize);
+        let mut buf = Vec::with_capacity((self.base_len + self.tail().len) as usize);
         put_header(&mut buf, VERSION_V2, n);
 
         // Sealed records: the same bytes, at an offset that moved only
@@ -840,7 +1046,7 @@ impl AppendLog {
                 + vec_alloc_bytes(&node.preds)
                 + vec_alloc_bytes(&node.succs);
         }
-        let entry = std::mem::size_of::<u32>() + std::mem::size_of::<Vec<NodeId>>() + 1;
+        let entry = map_entry_bytes::<Vec<NodeId>>();
         bytes += self.extra_succs.capacity() * entry + self.extra_preds.capacity() * entry;
         bytes += self
             .extra_succs
@@ -848,8 +1054,7 @@ impl AppendLog {
             .chain(self.extra_preds.values())
             .map(vec_alloc_bytes)
             .sum::<usize>();
-        bytes += self.overrides.capacity()
-            * (std::mem::size_of::<u32>() + std::mem::size_of::<BaseOverride>() + 1);
+        bytes += self.overrides.capacity() * map_entry_bytes::<BaseOverride>();
         bytes += vec_alloc_bytes(&self.invocations)
             + self
                 .invocations
@@ -937,6 +1142,24 @@ impl FooterSource for SpliceFooter<'_> {
             by_kind.entry(node.kind.name()).or_default().push(id);
         }
         (by_module, by_kind)
+    }
+}
+
+/// Heap bytes per slot of a `HashMap<u32, V>`: the `(key, value)` pair
+/// as laid out, padding included, plus one control byte.
+fn map_entry_bytes<V>() -> usize {
+    std::mem::size_of::<(u32, V)>() + 1
+}
+
+/// Remove `id` from a sealed node's extra adjacency, dropping the entry
+/// once it empties: an empty entry would still make the accessors copy
+/// the sealed row instead of lending it.
+fn remove_extra(extra: &mut HashMap<u32, Vec<NodeId>>, of: NodeId, id: NodeId) {
+    if let Some(v) = extra.get_mut(&of.0) {
+        v.retain(|x| *x != id);
+        if v.is_empty() {
+            extra.remove(&of.0);
+        }
     }
 }
 
@@ -1081,6 +1304,7 @@ impl GraphStore for AppendLog {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::io::{FaultIo, FaultKind};
     use crate::log::write_graph_v2;
     use lipstick_core::graph::GraphTracker;
     use lipstick_core::query::deletion::compute_deletion;
@@ -1357,5 +1581,182 @@ mod tests {
                 .collect();
             assert_eq!(*got, *want, "kind postings for {kind}");
         }
+    }
+
+    /// A zoom pair must leave no empty side-table entries behind: the
+    /// sealed rows of the module's inputs and outputs lend again.
+    #[test]
+    fn zoom_pair_leaves_sealed_rows_lent() {
+        let base = workflow_graph();
+        let path = temp_log("zoom-lend", &base);
+        let mut log = AppendLog::open(&path).unwrap();
+        let plans = plan_zoom_out(&log, &["M"], &[], log.stash_count()).unwrap();
+        let created = log.commit_zoom_out(plans).unwrap();
+        let (inputs, outputs) = (log.preds_of(created[0]), log.succs_of(created[0]));
+        let (inputs, outputs) = (inputs.to_vec(), outputs.to_vec());
+        assert!(!inputs.is_empty() && !outputs.is_empty());
+        log.commit_zoom_in(&["M".to_string()]).unwrap();
+        for &id in inputs.iter().chain(&outputs) {
+            assert!(id.index() < log.base_nodes, "{id} is sealed");
+            assert!(
+                matches!(log.preds_of(id), Cow::Borrowed(_)),
+                "preds of {id}"
+            );
+            assert!(
+                matches!(log.succs_of(id), Cow::Borrowed(_)),
+                "succs of {id}"
+            );
+        }
+        assert!(log.extra_preds.is_empty() && log.extra_succs.is_empty());
+    }
+
+    /// Side-table slots are sized as the `(u32, V)` pair is laid out —
+    /// the key pads to the value's alignment — plus a control byte.
+    #[cfg(target_pointer_width = "64")]
+    #[test]
+    fn overlay_heap_counts_padded_map_entries() {
+        let base = workflow_graph();
+        let path = temp_log("heap", &base);
+        let mut log = AppendLog::open(&path).unwrap();
+        log.commit_tombstones(&[NodeId(2)]).unwrap();
+        let plans = plan_zoom_out(&log, &["M"], &[], log.stash_count()).unwrap();
+        log.commit_zoom_out(plans).unwrap();
+        assert!(!log.extra_succs.is_empty() && !log.extra_preds.is_empty());
+        assert!(!log.overrides.is_empty());
+
+        // (u32, Vec<NodeId>): 4 B key + 4 B padding + 24 B vector.
+        // (u32, BaseOverride): 4 B key + 2 flag bytes + 2 B padding.
+        let adjacency_slots = log.extra_succs.capacity() + log.extra_preds.capacity();
+        let mut expect = adjacency_slots * (32 + 1) + log.overrides.capacity() * (8 + 1);
+        let extra = log.extra_succs.values().chain(log.extra_preds.values());
+        expect += extra.map(|v| v.capacity() * 4).sum::<usize>();
+        expect += log.overlay.capacity() * std::mem::size_of::<OverlayNode>();
+        for node in &log.overlay {
+            expect +=
+                kind_heap_bytes(&node.kind) + (node.preds.capacity() + node.succs.capacity()) * 4;
+        }
+        expect += log.invocations.capacity() * std::mem::size_of::<InvocationInfo>();
+        expect += log
+            .invocations
+            .iter()
+            .map(|i| i.module.len())
+            .sum::<usize>();
+        expect += log.stashes.capacity() * std::mem::size_of::<ZoomStash>();
+        for s in &log.stashes {
+            expect += s.module.len() + (s.hidden.capacity() + s.zoom_nodes.capacity()) * 4;
+        }
+        assert_eq!(log.overlay_heap_bytes(), expect);
+    }
+
+    /// A visible-graph signature of a log on a simulated disk, plus the
+    /// tail position and the files the disk holds.
+    fn disk_state(log: &AppendLog, io: &FaultIo) -> (StoreSignature, usize, u64, Vec<PathBuf>) {
+        (
+            store_signature(log),
+            log.tail_records(),
+            log.tail_len(),
+            io.paths(),
+        )
+    }
+
+    fn simulated_log() -> (AppendLog, FaultIo, PathBuf) {
+        let io = FaultIo::new();
+        let path = PathBuf::from("/simulated/prepare.lpstk");
+        crate::log::write_graph_v2_io(&workflow_graph(), &path, &io).unwrap();
+        io.sync(&path).unwrap();
+        let log = AppendLog::open_with_io(&path, Arc::new(io.clone())).unwrap();
+        (log, io, path)
+    }
+
+    #[test]
+    fn failed_prepare_changes_neither_store_nor_disk() {
+        let (mut log, io, path) = simulated_log();
+        log.commit_fragment(&fragment_graph()).unwrap();
+        let before = disk_state(&log, &io);
+        let base_bytes = io.contents(&path).unwrap();
+
+        // A record whose sync fails is not acknowledged.
+        io.set_fault(io.ops() + 1, FaultKind::Errno(5));
+        assert!(matches!(
+            log.prepare_tombstones(&[NodeId(2)]),
+            Err(StorageError::Io(_))
+        ));
+        assert_eq!(disk_state(&log, &io).0, before.0);
+        assert_eq!((log.tail_records(), log.tail_len()), (before.1, before.2));
+
+        // A COMPACT whose temp sync fails takes its temp file with it.
+        io.set_fault(io.ops() + 1, FaultKind::Errno(28));
+        assert!(matches!(log.prepare_compact(), Err(StorageError::Io(_))));
+        assert_eq!(disk_state(&log, &io), before);
+        assert_eq!(io.contents(&path).unwrap(), base_bytes);
+
+        // Both retry cleanly, and a reopen sees exactly what was acked.
+        log.commit_tombstones(&[NodeId(2)]).unwrap();
+        let acked = store_signature(&log);
+        let shared: Arc<dyn StorageIo> = Arc::new(io.clone());
+        assert_eq!(
+            store_signature(&AppendLog::open_with_io(&path, shared.clone()).unwrap()),
+            acked
+        );
+        log.compact().unwrap();
+        assert_eq!(
+            store_signature(&AppendLog::open_with_io(&path, shared).unwrap()),
+            acked
+        );
+    }
+
+    #[test]
+    fn installing_a_compaction_after_the_tail_moved_is_stale() {
+        let (mut log, io, path) = simulated_log();
+        log.commit_fragment(&fragment_graph()).unwrap();
+        let base_bytes = io.contents(&path).unwrap();
+        let prepared = log.prepare_compact().unwrap();
+        log.commit_tombstones(&[NodeId(2)]).unwrap();
+        let moved = disk_state(&log, &io);
+
+        assert!(matches!(
+            log.install_compact(prepared),
+            Err(StorageError::Stale(_))
+        ));
+        let tmp = sidecar_path(&path, ".compact.tmp");
+        assert!(!io.paths().contains(&tmp), "the stale image is unlinked");
+        assert_eq!(disk_state(&log, &io).0, moved.0);
+        assert_eq!(log.tail_records(), 2);
+        assert_eq!(io.contents(&path).unwrap(), base_bytes);
+        let shared: Arc<dyn StorageIo> = Arc::new(io.clone());
+        assert_eq!(
+            store_signature(&AppendLog::open_with_io(&path, shared).unwrap()),
+            moved.0
+        );
+
+        // An image prepared twice over the same state installs once.
+        let first = log.prepare_compact().unwrap();
+        let second = log.prepare_compact().unwrap();
+        log.install_compact(first).unwrap();
+        assert!(matches!(
+            log.install_compact(second),
+            Err(StorageError::Stale(_))
+        ));
+        assert_eq!(store_signature(&log), moved.0);
+        assert_eq!(log.tail_records(), 0);
+    }
+
+    #[test]
+    fn records_publish_in_prepare_order() {
+        let (mut log, _io, _path) = simulated_log();
+        let first = log.prepare_tombstones(&[NodeId(2)]).unwrap();
+        assert!(
+            matches!(
+                log.prepare_tombstones(&[NodeId(0)]),
+                Err(StorageError::Stale(_))
+            ),
+            "a prepare waits for the one before it to publish"
+        );
+        assert!(matches!(log.prepare_compact(), Err(StorageError::Stale(_))));
+        assert!(log.is_visible(NodeId(2)), "prepared is not yet visible");
+        log.publish(first).unwrap();
+        assert!(!log.is_visible(NodeId(2)));
+        log.commit_tombstones(&[NodeId(0)]).unwrap();
+        assert_eq!(log.tail_records(), 2);
     }
 }

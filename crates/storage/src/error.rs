@@ -16,6 +16,10 @@ pub enum StorageError {
     /// Graphs with active ZoomOuts cannot be persisted (zoom is a view,
     /// not data; ZoomIn first).
     ZoomedGraph(Vec<String>),
+    /// A prepared write no longer matches the log it was prepared
+    /// against (something was committed or compacted in between), so
+    /// applying it would mix two states. Nothing was changed.
+    Stale(String),
 }
 
 impl fmt::Display for StorageError {
@@ -30,6 +34,7 @@ impl fmt::Display for StorageError {
                 "cannot persist a graph with zoomed-out modules: {}",
                 mods.join(", ")
             ),
+            StorageError::Stale(m) => write!(f, "stale prepared write: {m}"),
         }
     }
 }
