@@ -3,29 +3,21 @@
 //! Writes `BENCH_append.json` so the write-path trajectory is tracked
 //! across PRs: the WAL-style tail segment lets a mutation commit by
 //! appending a durable record and repairing the reach overlay in
-//! place, where the old write path first *promoted* the whole sealed
-//! log to a resident graph. On a ≥11k-node log that promotion is the
-//! entire cost of the first write; the append path never pays it.
+//! place, without decoding the sealed log.
 //!
 //! - `append.first_commit_us`: first `ingest` on a fresh
-//!   `Session::open_append` — one durable tail record, zero promotion;
-//! - `promote.first_commit_us`: the same `ingest` on a fresh paged
-//!   session, which must materialize the full log before it can splice
-//!   the fragment in (`promotions == 1` afterwards);
-//! - `steady_commit_us` / `delete_us`: the per-mutation cost once each
-//!   backend is warm (medians over distinct fragments / victims);
+//!   `Session::open_append` — one durable tail record;
+//! - `steady_commit_us` / `delete_us`: the per-mutation cost once the
+//!   session is warm (medians over distinct fragments / victims);
 //! - `append.compact_ms`: folding the accumulated tail back into a
 //!   sealed v2 segment.
 //!
-//! Both backends ingest the identical fragments and delete the
-//! identical victims, and the run asserts their visible node counts
-//! agree before any number is written out.
+//! The run asserts that `COMPACT` preserves the visible node count
+//! before any number is written out.
 //!
 //! Usage: `bench_append [--smoke] [--out PATH]`. `--smoke` shrinks the
 //! base log so CI keeps the path built and honest; the default run uses
-//! a ≥40k-node dealers workload (the appended commit is a durable
-//! `sync_data` either way, so it only wins once the log is big enough
-//! that promotion costs more than one disk flush).
+//! a ≥40k-node dealers workload.
 
 use std::path::PathBuf;
 use std::time::Instant;
@@ -82,13 +74,11 @@ struct MutationRun {
     steady_commit_us: f64,
     delete_us: f64,
     final_count: String,
-    promotions: u64,
 }
 
-/// Drive one backend through the shared mutation schedule: `reps`
-/// fragment ingests (the first one timed separately — that is where
-/// the paged backend pays its promotion) followed by one
-/// `DELETE PROPAGATE` per ingested fragment root.
+/// Drive the session through the mutation schedule: `reps` fragment
+/// ingests (the first one timed separately — it creates the tail)
+/// followed by one `DELETE PROPAGATE` per ingested fragment root.
 fn drive(session: &mut Session, fragments: &[ProvGraph]) -> MutationRun {
     let start = Instant::now();
     let mut roots = vec![session.ingest(&fragments[0]).expect("first ingest")[0]];
@@ -118,7 +108,6 @@ fn drive(session: &mut Session, fragments: &[ProvGraph]) -> MutationRun {
             .run_one("COUNT(*) MATCH nodes")
             .expect("count")
             .to_string(),
-        promotions: session.promotions(),
     }
 }
 
@@ -164,7 +153,6 @@ fn main() {
     let reps = if smoke { 3 } else { 9 };
     let fragments: Vec<ProvGraph> = (0..reps).map(|i| fragment(9_000 + i as u64)).collect();
 
-    // ---- appended commits: durable tail records, no promotion ----
     let append_path = temp_log("append", &base);
     let mut append = Session::open_append(&append_path).expect("open append session");
     let a = drive(&mut append, &fragments);
@@ -176,35 +164,14 @@ fn main() {
         .run_one("COUNT(*) MATCH nodes")
         .expect("count after compact")
         .to_string();
-    assert_eq!(a.promotions, 0, "append sessions must never promote");
     assert_eq!(a.final_count, compacted_count, "COMPACT preserves answers");
     drop(append);
-
-    // ---- promote-then-mutate: the baseline the tail replaces ----
-    let promote_path = temp_log("promote", &base);
-    let mut promote = Session::open(&promote_path).expect("open paged session");
-    let p = drive(&mut promote, &fragments);
-    assert_eq!(
-        p.promotions, 1,
-        "the paged baseline pays exactly one promotion"
-    );
-    assert_eq!(
-        a.final_count, p.final_count,
-        "both backends must agree on the surviving graph"
-    );
-    drop(promote);
     let _ = std::fs::remove_file(&append_path);
-    let _ = std::fs::remove_file(&promote_path);
 
-    let first_commit_speedup = p.first_commit_us / a.first_commit_us.max(0.001);
     eprintln!(
-        "first commit: append {:.1} µs vs promote-then-mutate {:.1} µs ({first_commit_speedup:.1}×)",
-        a.first_commit_us, p.first_commit_us
-    );
-    eprintln!(
-        "steady commit: append {:.1} µs, resident {:.1} µs; delete: append {:.1} µs, \
-         resident {:.1} µs; compact {compact_ms:.2} ms over {tail_records} tail record(s)",
-        a.steady_commit_us, p.steady_commit_us, a.delete_us, p.delete_us
+        "first commit {:.1} µs, steady commit {:.1} µs, delete {:.1} µs; \
+         compact {compact_ms:.2} ms over {tail_records} tail record(s)",
+        a.first_commit_us, a.steady_commit_us, a.delete_us
     );
 
     let json = format!(
@@ -212,30 +179,14 @@ fn main() {
          \"fragment_nodes\": {fragment_nodes},\n  \"fragments\": {reps},\n  \
          \"append\": {{ \"first_commit_us\": {af:.1}, \"steady_commit_us\": {as_:.1}, \
          \"delete_us\": {ad:.1}, \"compact_ms\": {compact_ms:.3}, \
-         \"tail_records\": {tail_records}, \"promotions\": 0 }},\n  \
-         \"promote\": {{ \"first_commit_us\": {pf:.1}, \"steady_commit_us\": {ps:.1}, \
-         \"delete_us\": {pd:.1}, \"promotions\": 1 }},\n  \
-         \"first_commit_speedup\": {first_commit_speedup:.2}\n}}\n",
+         \"tail_records\": {tail_records} }}\n}}\n",
         graph_nodes = base.len(),
         fragment_nodes = fragments[0].len(),
         af = a.first_commit_us,
         as_ = a.steady_commit_us,
         ad = a.delete_us,
-        pf = p.first_commit_us,
-        ps = p.steady_commit_us,
-        pd = p.delete_us,
     );
     std::fs::write(&out_path, &json).expect("write BENCH_append.json");
     eprintln!("wrote {out_path}");
     print!("{json}");
-
-    if !smoke {
-        // The headline the tail segment exists for: the first write no
-        // longer pays an O(log) promotion before it can commit.
-        assert!(
-            first_commit_speedup > 1.0,
-            "appended first commit must beat promote-then-mutate \
-             (got {first_commit_speedup:.2}×)"
-        );
-    }
 }

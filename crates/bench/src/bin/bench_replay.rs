@@ -26,11 +26,10 @@
 //! against a *fresh* server on the same starting log and asserts every
 //! comparable payload came back byte-identical. Both servers run the
 //! **append** backend: the mutation commits as a durable tail record
-//! on each side (never a promotion — a promoted session renders
-//! resident-flavoured visited figures that can never be byte-identical
-//! to an append replay), and the replay server starts from the sealed
-//! base alone, so the captured mutation must be re-committed through
-//! its own tail to reproduce the post-mutation payloads.
+//! on each side (a paged server would refuse it), and the replay server
+//! starts from the sealed base alone, so the captured mutation must be
+//! re-committed through its own tail to reproduce the post-mutation
+//! payloads.
 
 use std::path::{Path, PathBuf};
 

@@ -205,7 +205,9 @@ impl ProvGraph {
             .map(|&idx| &self.stashes[idx as usize])
     }
 
-    pub(crate) fn stash_count(&self) -> usize {
+    /// Number of stashes ever pushed (indices are stable) — the overflow
+    /// bound [`crate::query::plan_zoom_out`] checks.
+    pub fn stash_count(&self) -> usize {
         self.stashes.len()
     }
 
@@ -275,6 +277,36 @@ impl ProvGraph {
             m_node,
         });
         (inv, m_node)
+    }
+
+    /// Append a self-contained fragment graph — new workflow output from
+    /// the Provenance Tracker. Its nodes take the next ids and its
+    /// invocations the next invocation ids ([`Role::rebased`]), and its
+    /// tombstones carry over. Returns the new ids, in fragment order.
+    pub fn splice(&mut self, fragment: &ProvGraph) -> Vec<NodeId> {
+        let node_off = self.nodes.len() as u32;
+        let inv_off = self.invocations.len() as u32;
+        let created: Vec<NodeId> = fragment
+            .nodes
+            .iter()
+            .map(|n| {
+                let id = self.add_node(n.kind.clone(), n.role.rebased(inv_off));
+                self.set_node_deleted(id, n.deleted);
+                id
+            })
+            .collect();
+        // Second pass: a fragment edge may point at a later fragment
+        // node, so every node must exist before wiring.
+        for (n, &id) in fragment.nodes.iter().zip(&created) {
+            for &p in &n.preds {
+                self.add_edge(NodeId(p.0 + node_off), id);
+            }
+        }
+        for inv in &fragment.invocations {
+            let m_node = NodeId(inv.m_node.0 + node_off);
+            self.register_invocation(inv.module.clone(), inv.execution, m_node);
+        }
+        created
     }
 
     /// Disconnect a node from all neighbours and tombstone it. Used by
@@ -609,6 +641,31 @@ mod tests {
         assert!(g.node(a).succs().is_empty());
         assert!(g.node(q).preds().is_empty());
         assert!(!g.node(p).is_visible());
+    }
+
+    #[test]
+    fn splice_rebases_ids_invocations_and_forward_edges() {
+        let mut g = ProvGraph::new();
+        g.add_invocation("M", 0);
+        g.add_base("a");
+        let mut frag = ProvGraph::new();
+        let (_, m) = frag.add_invocation("M", 1);
+        let i = frag.add_node(NodeKind::ModuleInput, Role::ModuleInput(InvocationId(0)));
+        let b = frag.add_base("b");
+        frag.add_edge(m, i);
+        // An ingredient the fragment allocated after its result.
+        frag.add_edge(b, i);
+        frag.set_node_deleted(i, true);
+
+        let created = g.splice(&frag);
+        assert_eq!(created, vec![NodeId(2), NodeId(3), NodeId(4)]);
+        assert_eq!(g.node(NodeId(3)).role, Role::ModuleInput(InvocationId(1)));
+        assert_eq!(g.node(NodeId(4)).role, Role::Free);
+        assert!(g.node(NodeId(3)).is_deleted());
+        assert_eq!(g.node(NodeId(3)).preds(), &[NodeId(2), NodeId(4)]);
+        assert_eq!(g.node(NodeId(4)).succs(), &[NodeId(3)]);
+        assert_eq!(g.invocation(InvocationId(1)).m_node, NodeId(2));
+        assert_eq!(g.visible_count(), 4);
     }
 
     #[test]

@@ -215,6 +215,22 @@ impl Role {
             Role::WorkflowInput | Role::Free => None,
         }
     }
+
+    /// The same role with its invocation id shifted by `by` — how a
+    /// fragment's nodes are re-based onto a graph whose invocation table
+    /// already holds `by` entries.
+    pub fn rebased(self, by: u32) -> Role {
+        let shift = |InvocationId(i)| InvocationId(i + by);
+        match self {
+            Role::WorkflowInput | Role::Free => self,
+            Role::Invocation(i) => Role::Invocation(shift(i)),
+            Role::ModuleInput(i) => Role::ModuleInput(shift(i)),
+            Role::ModuleOutput(i) => Role::ModuleOutput(shift(i)),
+            Role::State(i) => Role::State(shift(i)),
+            Role::Intermediate(i) => Role::Intermediate(shift(i)),
+            Role::Zoom(i) => Role::Zoom(shift(i)),
+        }
+    }
 }
 
 /// A provenance graph node. Edges are stored adjacency-list style in

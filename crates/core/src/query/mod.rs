@@ -2,12 +2,15 @@
 //!
 //! - [`zoom`]: ZoomOut / ZoomIn between fine- and coarse-grained views;
 //! - [`deletion`]: deletion propagation for what-if analysis;
+//! - [`change`]: either decision as a [`GraphChange`], and the resident
+//!   graph's applier;
 //! - [`subgraph`]: ancestor/descendant/sibling subgraph extraction
 //!   (the Query Processor's third query, §5.1);
 //! - [`dependency`]: "does n depend on n′?" via deletion propagation;
 //! - [`reach`]: an optional precomputed reachability index (the §5.1
 //!   memory/time trade-off, measured by the `ablation_reach` bench).
 
+pub mod change;
 pub mod deletion;
 pub mod dependency;
 pub mod error;
@@ -15,6 +18,7 @@ pub mod reach;
 pub mod subgraph;
 pub mod zoom;
 
+pub use change::GraphChange;
 pub use deletion::{propagate_deletion, propagate_deletion_inplace, DeletionReport};
 pub use dependency::depends_on;
 pub use error::QueryError;

@@ -235,7 +235,7 @@ pub fn apply_zoom_out(graph: &mut ProvGraph, plans: Vec<ZoomModulePlan>) -> Vec<
             graph.set_zoom_hidden(id, true);
         }
         // Stash index is assigned below; nodes reference it by value.
-        let stash_idx = graph.zoom_stash_count() as u32;
+        let stash_idx = graph.stash_count() as u32;
         let mut zoom_nodes = Vec::with_capacity(plan.composites.len());
         for comp in &plan.composites {
             let zoom = graph.add_node(
@@ -273,7 +273,7 @@ pub fn zoom_out(graph: &mut ProvGraph, modules: &[&str]) -> Result<Vec<NodeId>, 
         .into_iter()
         .map(str::to_string)
         .collect();
-    let plans = plan_zoom_out(graph, modules, &zoomed, graph.zoom_stash_count())?;
+    let plans = plan_zoom_out(graph, modules, &zoomed, graph.stash_count())?;
     Ok(apply_zoom_out(graph, plans))
 }
 
@@ -281,19 +281,25 @@ pub fn zoom_out(graph: &mut ProvGraph, modules: &[&str]) -> Result<Vec<NodeId>, 
 /// internals and retires the composite nodes.
 pub fn zoom_in(graph: &mut ProvGraph, modules: &[&str]) -> Result<(), QueryError> {
     // A duplicate in the list would pass per-name validation against
-    // the unmutated stash table and then panic on the second
-    // take_stash; reject it up front as not-zoomed-out (the second
-    // occurrence has nothing left to restore).
+    // the unmutated stash table; reject it up front as not-zoomed-out
+    // (the second occurrence has nothing left to restore).
     let mut seen = std::collections::HashSet::new();
     for m in modules {
         if !seen.insert(*m) || !graph.zoomed_out_modules().contains(m) {
             return Err(QueryError::NotZoomedOut((*m).to_string()));
         }
     }
+    restore_zoomed(graph, modules);
+    Ok(())
+}
+
+/// ZoomIn's mutation, for modules already validated as zoomed out: a
+/// name with no stash has nothing to restore.
+pub(crate) fn restore_zoomed(graph: &mut ProvGraph, modules: &[impl AsRef<str>]) {
     for module in modules {
-        let stash = graph
-            .take_stash(module)
-            .expect("validated above: module is zoomed out");
+        let Some(stash) = graph.take_stash(module.as_ref()) else {
+            continue;
+        };
         for id in stash.hidden {
             graph.set_zoom_hidden(id, false);
         }
@@ -307,14 +313,6 @@ pub fn zoom_in(graph: &mut ProvGraph, modules: &[&str]) -> Result<(), QueryError
                 stash: crate::graph::node::RETIRED_STASH,
             };
         }
-    }
-    Ok(())
-}
-
-impl ProvGraph {
-    /// Number of stashes ever pushed (indices are stable).
-    pub(crate) fn zoom_stash_count(&self) -> usize {
-        self.stash_count()
     }
 }
 

@@ -26,6 +26,13 @@ pub enum ProqlError {
     /// A mutating statement reached a read-only execution path
     /// ([`crate::Session::run_read`]).
     ReadOnly(String),
+    /// A graph change (`DELETE`, `ZOOM`, ingest) on a paged session,
+    /// which is a read-only snapshot of its log.
+    Snapshot(String),
+    /// [`crate::Session::open`] or [`crate::Session::load`] of a log
+    /// whose `.tail` sidecar still holds this many acked mutations: the
+    /// base file alone would answer from before them.
+    LiveTail(usize),
     /// The request deadline passed mid-execution; the statement was
     /// cancelled cooperatively at a span boundary. Only read statements
     /// carry deadlines — a half-applied mutation is never abandoned.
@@ -56,6 +63,17 @@ impl fmt::Display for ProqlError {
             ProqlError::ReadOnly(stmt) => write!(
                 f,
                 "statement mutates the session and cannot run on a read-only handle: {stmt}"
+            ),
+            ProqlError::Snapshot(what) => write!(
+                f,
+                "{what} refused: a paged session is a read-only snapshot of its log \
+                 (Session::load decodes an in-memory copy for what-if changes; \
+                 Session::open_append makes changes durable)"
+            ),
+            ProqlError::LiveTail(records) => write!(
+                f,
+                "the log's .tail sidecar holds {records} acked mutation(s) the base file \
+                 does not show: open it with Session::open_append, or run COMPACT there first"
             ),
             ProqlError::DeadlineExceeded => {
                 write!(

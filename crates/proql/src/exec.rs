@@ -4,8 +4,9 @@
 //! form — `MATCH`, walks, `SUBGRAPH OF`, `WHY`, `EVAL`, `DEPENDS`, set
 //! operations, `EXPLAIN [ANALYZE]`, `CHECK`, `STATS` — against any
 //! [`GraphStore`]; on a store that faults records in, only the records
-//! a query touches are decoded. [`execute`] adds the resident graph's
-//! mutation arms on top.
+//! a query touches are decoded. Changes never come here: the session
+//! decides and applies them (`Session::prepare_write` /
+//! `Session::publish_write`).
 //!
 //! Executors report `visited` counts — the number of graph nodes they
 //! actually examined — so tests (and the `proql_planner` bench) can
@@ -25,10 +26,7 @@ use std::collections::BTreeSet;
 
 use lipstick_core::graph::bitset::BitSet;
 use lipstick_core::obs::{QueryTrace, SpanGuard, TraceCtx, Tracer};
-use lipstick_core::query::{
-    depends_on, propagate_deletion_inplace, subgraph, traverse, zoom_in, zoom_out, Direction,
-    ReachIndex,
-};
+use lipstick_core::query::{depends_on, subgraph, traverse, Direction, ReachIndex};
 use lipstick_core::semiring::boolean::Bools;
 use lipstick_core::semiring::eval::{eval_expr, Valuation};
 use lipstick_core::semiring::lineage::Lineage;
@@ -42,7 +40,6 @@ use crate::ast::{Comparison, Field, FieldValue, NodeClass, Predicate, SemiringNa
 use crate::error::{ProqlError, Result};
 use crate::plan::{DependsStrategy, ScanStrategy, SetPlan, StmtPlan, WalkStrategy};
 use crate::result::QueryOutput;
-use crate::session::Session;
 
 /// What a read runs against: the store, the session's reach index if
 /// one is built, and the two things the session knows about the store
@@ -102,8 +99,8 @@ fn check_deadline(ctx: &TraceCtx<'_>) -> Result<()> {
 /// Execute one planned **read-only** statement, without exclusive
 /// access to the session — the execution arm `lipstick-serve` runs
 /// concurrently under a shared read lock. Mutating plans (`DELETE`,
-/// zooms, index maintenance) never reach this function; they go through
-/// the session's mutation arms, which hold `&mut Session`.
+/// zooms, index maintenance, `COMPACT`) are refused with
+/// [`ProqlError::ReadOnly`]; the session's write path handles them.
 pub(crate) fn execute_read<S: GraphStore + ?Sized>(
     env: &ReadEnv<'_, S>,
     plan: &StmtPlan,
@@ -183,131 +180,6 @@ pub(crate) fn execute_read<S: GraphStore + ?Sized>(
     }
 }
 
-/// Execute one planned statement against the session, mutating it where
-/// the plan calls for it. Read-only plans delegate to [`execute_read`].
-///
-/// Mutations no longer drop the reachability closure: each arm hands
-/// the session the exact set of touched nodes and the index is repaired
-/// in place ([`Session::repair_index`]) — deletion subtracts the dead
-/// cone, zooms remap the affected region (growing the index for new
-/// composite nodes) — so an index, once built, stays exact for the
-/// session's lifetime.
-pub(crate) fn execute(session: &mut Session, plan: &StmtPlan) -> Result<QueryOutput> {
-    match plan {
-        StmtPlan::Delete(n) => {
-            let report = propagate_deletion_inplace(session.graph_mut(), *n)?;
-            // Deletion only removes reachability: the changed set is
-            // exactly the tombstoned cone.
-            session.repair_index(&report.deleted);
-            Ok(QueryOutput::Deleted {
-                nodes: report.deleted,
-            })
-        }
-        StmtPlan::ZoomOut {
-            modules,
-            fused_from,
-        } => {
-            let names: Vec<&str> = modules.iter().map(String::as_str).collect();
-            let created = zoom_out(session.graph_mut(), &names)?;
-            // Changed: everything each stash hid, the new composites,
-            // and the i/o nodes the composites were wired to (their
-            // adjacency gained edges).
-            let mut changed = created.clone();
-            {
-                let graph = session.graph();
-                for m in modules {
-                    if let Some(stash) = graph.stash_of(m) {
-                        changed.extend_from_slice(&stash.hidden);
-                    }
-                }
-                for &z in &created {
-                    changed.extend_from_slice(graph.node(z).preds());
-                    changed.extend_from_slice(graph.node(z).succs());
-                }
-            }
-            session.repair_index(&changed);
-            let mut msg = format!(
-                "zoomed out {} module(s), {} composite node(s)",
-                modules.len(),
-                created.len()
-            );
-            if *fused_from > 1 {
-                msg.push_str(&format!(" [fused from {fused_from} statements]"));
-            }
-            Ok(QueryOutput::Message(msg))
-        }
-        StmtPlan::ZoomIn {
-            modules,
-            fused_from,
-        } => {
-            let names: Vec<String> = match modules {
-                Some(ms) => ms.clone(),
-                None => session
-                    .graph()
-                    .zoomed_out_modules()
-                    .into_iter()
-                    .map(String::from)
-                    .collect(),
-            };
-            if names.is_empty() {
-                return Ok(QueryOutput::Message("no modules are zoomed out".into()));
-            }
-            // Capture the changed set before executing: ZoomIn unlinks
-            // the composites, so their neighbours must be read now.
-            let mut changed: Vec<lipstick_core::NodeId> = Vec::new();
-            {
-                let graph = session.graph();
-                for m in &names {
-                    if let Some(stash) = graph.stash_of(m) {
-                        changed.extend_from_slice(&stash.hidden);
-                        for &z in &stash.zoom_nodes {
-                            changed.push(z);
-                            changed.extend_from_slice(graph.node(z).preds());
-                            changed.extend_from_slice(graph.node(z).succs());
-                        }
-                    }
-                }
-            }
-            let refs: Vec<&str> = names.iter().map(String::as_str).collect();
-            zoom_in(session.graph_mut(), &refs)?;
-            session.repair_index(&changed);
-            let mut msg = format!("zoomed back into {}", names.join(", "));
-            if *fused_from > 1 {
-                msg.push_str(&format!(" [fused from {fused_from} statements]"));
-            }
-            Ok(QueryOutput::Message(msg))
-        }
-        StmtPlan::BuildIndex => {
-            // Mutations repair the index in place, so a present index
-            // is always exact — rebuilding it would only redo work
-            // (this also keeps `BUILD INDEX` after a promoting mutation
-            // from silently building twice).
-            if session.has_reach_index() {
-                return Ok(QueryOutput::Message(
-                    "reach index already present (maintained in place); DROP INDEX first to \
-                     force a rebuild"
-                        .into(),
-                ));
-            }
-            let index = ReachIndex::build(session.graph());
-            let bytes = index.memory_bytes();
-            session.set_index(index);
-            Ok(QueryOutput::Message(format!(
-                "reach index built ({bytes} bytes)"
-            )))
-        }
-        StmtPlan::DropIndex => {
-            session.invalidate_index();
-            Ok(QueryOutput::Message("reach index dropped".into()))
-        }
-        // Resident sessions have no tail segment; COMPACT is a no-op.
-        StmtPlan::Compact => Ok(QueryOutput::Message(
-            "nothing to compact (no tail segment)".into(),
-        )),
-        read_only => session.execute_read(read_only, TraceCtx::disabled()),
-    }
-}
-
 /// Run a set plan under its operator span; returns (sorted nodes,
 /// visited count).
 fn run_set<S: GraphStore + ?Sized>(
@@ -333,8 +205,8 @@ fn run_set<S: GraphStore + ?Sized>(
             limit,
         } => {
             // A postings plan run against a store that does not keep
-            // them (a plan replayed after promotion) takes the
-            // id-ordered full scan, which is always correct.
+            // them takes the id-ordered full scan, which is always
+            // correct.
             let postings = match strategy {
                 ScanStrategy::PostingsScan { key, .. } => key.candidates(store),
                 _ => None,

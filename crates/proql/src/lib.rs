@@ -60,10 +60,23 @@
 //! walks fault records only where a filter needs them, so cold-start
 //! cost scales with what the query touches, not with graph size.
 //! `EXPLAIN` of a postings scan reports how many of the log's records
-//! the plan will read. The first mutating statement (`DELETE`, `ZOOM`,
-//! `BUILD INDEX`) promotes a paged session to resident transparently;
-//! [`Session::open_append`] instead commits mutations to a WAL tail
-//! beside the sealed log and never promotes.
+//! the plan will read. A paged session is a read-only snapshot of its
+//! log: `DELETE`, `ZOOM` and [`Session::ingest`] fail with
+//! [`ProqlError::Snapshot`] before reading a record, while `BUILD
+//! INDEX` (built over the log, nothing decoded into a graph), `DROP
+//! INDEX` and `COMPACT` answer as on the other backends.
+//! [`Session::load`] makes the in-memory copy to change for what-if
+//! analysis; [`Session::open_append`] commits changes durably to a WAL
+//! tail beside the sealed log. Both `open` and `load` refuse a log
+//! whose tail still holds acked changes ([`ProqlError::LiveTail`]).
+//!
+//! Every change takes one path on every backend that can change.
+//! [`Session::prepare_write`] decides it once against the store — the
+//! deletion cone, the zoom plan, zoom-in validation, the nodes it
+//! touches, the reply — and the store stages it (a durable tail record
+//! on the append log). [`Session::publish_write`] applies it: the
+//! append log publishes the record, the resident graph runs
+//! [`ProvGraph::apply`](lipstick_core::ProvGraph::apply).
 //!
 //! ## Result shaping
 //!

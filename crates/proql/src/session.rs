@@ -3,20 +3,26 @@
 //!
 //! Reads — planning, `CHECK`, execution — are written once against
 //! [`GraphStore`] and reach the backend through one dispatch
-//! (`on_store!`). The session branches on its backend only where
-//! backends really differ: opening, the mutation arms, `STATS` and the
-//! memory report, the `reads=` span attributes, and containing the
-//! corruption panics of stores that fault records in.
+//! (`on_store!`). Changes are written once too: a statement is decided
+//! against the store, generic over the two stores that can change, and
+//! the store stages the decided change ([`Session::prepare_write`]) and
+//! later applies it ([`Session::publish_write`]). The session branches
+//! on its backend only where backends really differ: opening, staging
+//! and applying a decided change, `COMPACT`, `STATS` and the memory
+//! report, the `reads=` span attributes, and containing the corruption
+//! panics of stores that fault records in.
 
+use std::collections::HashSet;
 use std::path::Path;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
+use lipstick_core::graph::ZoomStash;
 use lipstick_core::obs::{self, TraceCtx, Tracer};
 use lipstick_core::query::deletion::compute_deletion;
-use lipstick_core::query::{plan_zoom_out, QueryError, ReachIndex};
+use lipstick_core::query::{plan_zoom_out, GraphChange, QueryError, ReachIndex, ZoomModulePlan};
 use lipstick_core::store::GraphStore;
-use lipstick_core::{InvocationId, NodeId, ProvGraph, Role};
+use lipstick_core::{NodeId, ProvGraph};
 use lipstick_storage::{AppendLog, PagedLog, PreparedCompact, PreparedRecord, StorageError};
 
 use crate::ast::Statement;
@@ -31,13 +37,14 @@ use crate::result::QueryOutput;
 enum Backend {
     /// Fully decoded, mutable graph.
     Resident(ProvGraph),
-    /// Footer-indexed v2 log; records fault in per query. Boxed: the
-    /// log (fault cache, postings, instruments) dwarfs the resident
-    /// variant's inline size.
+    /// Footer-indexed v2 log; records fault in per query. A read-only
+    /// snapshot: graph changes are refused. Boxed: the log (fault
+    /// cache, postings, instruments) dwarfs the resident variant's
+    /// inline size.
     Paged(Box<PagedLog>),
-    /// Sealed v2 base segment plus a WAL-style mutable tail: mutations
-    /// commit as durable tail records instead of promoting, and
-    /// `COMPACT` merges the tail into a fresh sealed base.
+    /// Sealed v2 base segment plus a WAL-style mutable tail: changes
+    /// commit as durable tail records, and `COMPACT` merges the tail
+    /// into a fresh sealed base.
     Append(Box<AppendLog>),
 }
 
@@ -95,35 +102,82 @@ pub struct PreparedWrite {
 
 /// What publication does with a prepared statement.
 enum Step {
-    /// Run the plan under exclusive access ([`Session::execute`]).
-    Execute(StmtPlan),
-    /// Promote the paged session, then plan and run the statement.
-    Promote(FusedStatement),
     /// Answered while preparing; publication returns it unchanged.
     Answer(QueryOutput),
     /// A reach index built beside readers, installed at publication.
     BuildIndex(ReachIndex),
-    Delete {
-        record: PreparedRecord,
-        cone: Vec<NodeId>,
-    },
-    ZoomOut {
-        record: PreparedRecord,
-        modules: Vec<String>,
-        fused_from: usize,
-    },
-    ZoomIn {
-        record: PreparedRecord,
-        names: Vec<String>,
-        /// Read before publication: zoom-in unlinks the composites.
+    DropIndex,
+    /// A change its store has staged. Publication applies it, repairs
+    /// the reach index over `changed` plus the ids the change created,
+    /// and answers `reply`.
+    Change {
+        staged: Staged<'static>,
         changed: Vec<NodeId>,
-        fused_from: usize,
+        reply: QueryOutput,
     },
-    Compact {
-        /// Boxed: the new base dwarfs every other variant.
-        image: Box<PreparedCompact>,
-        records: usize,
-    },
+}
+
+/// A decided change, as the store that will apply it staged it.
+enum Staged<'f> {
+    /// The resident graph keeps the change until publication.
+    Held(GraphChange<'f>),
+    /// The append log made it a durable tail record.
+    Durable(PreparedRecord),
+    /// The append log wrote, synced and validated a compacted image.
+    /// Boxed: the new base dwarfs every other variant.
+    Compact(Box<PreparedCompact>),
+}
+
+/// The two stores a session can change. A statement is decided against
+/// either through this trait, and the decided change handed back to it
+/// to stage.
+trait Mutable: GraphStore + Sized {
+    /// Modules currently zoomed out, in zoom (stash) order.
+    fn zoomed_out_modules(&self) -> Vec<&str>;
+    /// The stash a `ZOOM IN` of `module` would restore.
+    fn stash_of(&self, module: &str) -> Option<&ZoomStash>;
+    /// Stashes ever allocated — [`plan_zoom_out`]'s overflow bound.
+    fn stash_count(&self) -> usize;
+    /// Stage a decided change for [`Session::publish_write`].
+    fn stage<'f>(&self, change: GraphChange<'f>) -> Result<Staged<'f>>;
+}
+
+impl Mutable for ProvGraph {
+    fn zoomed_out_modules(&self) -> Vec<&str> {
+        ProvGraph::zoomed_out_modules(self)
+    }
+
+    fn stash_of(&self, module: &str) -> Option<&ZoomStash> {
+        ProvGraph::stash_of(self, module)
+    }
+
+    fn stash_count(&self) -> usize {
+        ProvGraph::stash_count(self)
+    }
+
+    fn stage<'f>(&self, change: GraphChange<'f>) -> Result<Staged<'f>> {
+        Ok(Staged::Held(change))
+    }
+}
+
+impl Mutable for AppendLog {
+    fn zoomed_out_modules(&self) -> Vec<&str> {
+        AppendLog::zoomed_out_modules(self)
+    }
+
+    fn stash_of(&self, module: &str) -> Option<&ZoomStash> {
+        AppendLog::stash_of(self, module)
+    }
+
+    fn stash_count(&self) -> usize {
+        AppendLog::stash_count(self)
+    }
+
+    fn stage<'f>(&self, change: GraphChange<'f>) -> Result<Staged<'f>> {
+        self.prepare(change)
+            .map(Staged::Durable)
+            .map_err(storage_error)
+    }
 }
 
 /// The session's handles into the process-wide metrics registry,
@@ -169,26 +223,21 @@ impl Instruments {
 /// indexed plans keep serving across mutations; `DROP INDEX` is the
 /// only way to lose it.
 ///
-/// Sessions come in two flavours. [`Session::new`]/[`Session::load`]
+/// Sessions come in three flavours. [`Session::new`]/[`Session::load`]
 /// hold a **resident** graph. [`Session::open`] keeps a v2 log
-/// **paged**: queries read only the records they touch, and the first
-/// mutating statement transparently *promotes* the session to resident
-/// by decoding the full log.
+/// **paged**: queries read only the records they touch, and the session
+/// is a read-only snapshot of the log — `DELETE`, `ZOOM` and
+/// [`Session::ingest`] fail with [`ProqlError::Snapshot`], while
+/// `BUILD INDEX`, `DROP INDEX` and `COMPACT` answer as on the other
+/// backends. [`Session::open_append`] commits changes durably to a tail
+/// beside the log.
 pub struct Session {
     backend: Backend,
     reach: Option<ReachIndex>,
     /// From-scratch closure builds performed so far (repairs excluded)
-    /// — lets tests pin down that promotion and incremental
-    /// maintenance never trigger a silent second rebuild.
+    /// — lets tests pin down that incremental maintenance never
+    /// triggers a silent second rebuild.
     index_builds: u64,
-    /// Records decoded by paged backends this session has since
-    /// promoted away — keeps [`Session::records_read`] monotonic across
-    /// promotion instead of silently resetting to zero.
-    carried_reads: usize,
-    /// Paged-to-resident promotions performed so far. Append-backend
-    /// sessions commit mutations in place and never promote, which
-    /// tests pin down as `promotions() == 0`.
-    promotions: u64,
     /// Registry handles (statement counts/latency, index builds,
     /// repair latency).
     instruments: Instruments,
@@ -197,22 +246,31 @@ pub struct Session {
 impl Session {
     /// A session over an in-memory graph.
     pub fn new(graph: ProvGraph) -> Session {
+        Session::with_backend(Backend::Resident(graph))
+    }
+
+    fn with_backend(backend: Backend) -> Session {
         Session {
-            backend: Backend::Resident(graph),
+            backend,
             reach: None,
             index_builds: 0,
-            carried_reads: 0,
-            promotions: 0,
             instruments: Instruments::get(),
         }
     }
 
     /// Fully load a provenance log written by
     /// `lipstick_storage::write_graph` (v1 or v2) — the Query
-    /// Processor's original, decode-everything first step.
+    /// Processor's original, decode-everything first step, and the
+    /// in-memory copy to change for what-if analysis. Refused with
+    /// [`ProqlError::LiveTail`] while the log's `.tail` sidecar holds
+    /// acked changes.
     pub fn load(path: impl AsRef<Path>) -> Result<Session> {
-        let graph = lipstick_storage::load_graph(path.as_ref())
-            .map_err(|e| ProqlError::Storage(e.to_string()))?;
+        let path = path.as_ref();
+        let data = lipstick_storage::default_io()
+            .read(path)
+            .map_err(|e| storage_error(e.into()))?;
+        let graph = lipstick_storage::decode_graph(&data).map_err(storage_error)?;
+        refuse_live_tail(path, data.len(), graph.len())?;
         Ok(Session::new(graph))
     }
 
@@ -220,36 +278,34 @@ impl Session {
     /// `lipstick_storage::write_graph_v2`) becomes a paged session that
     /// answers `MATCH`/`WHY`/`DEPENDS`/walks without materialising the
     /// graph; a v1 log has no footer and falls back to a full load.
+    /// Refused with [`ProqlError::LiveTail`] while the log's `.tail`
+    /// sidecar holds acked changes.
     pub fn open(path: impl AsRef<Path>) -> Result<Session> {
-        let data = std::fs::read(path.as_ref()).map_err(|e| ProqlError::Storage(e.to_string()))?;
+        let path = path.as_ref();
+        let data = std::fs::read(path).map_err(|e| ProqlError::Storage(e.to_string()))?;
+        let len = data.len();
         // Sniff the version first so the v1 fallback decodes the bytes
         // already in hand instead of re-reading the file.
-        if lipstick_storage::log_version(&data) == Some(1) {
-            let graph = lipstick_storage::decode_graph(&data)
-                .map_err(|e| ProqlError::Storage(e.to_string()))?;
-            return Ok(Session::new(graph));
-        }
-        let log = PagedLog::from_bytes(data).map_err(|e| ProqlError::Storage(e.to_string()))?;
-        Ok(Session {
-            backend: Backend::Paged(Box::new(log)),
-            reach: None,
-            index_builds: 0,
-            carried_reads: 0,
-            promotions: 0,
-            instruments: Instruments::get(),
-        })
+        let (nodes, backend) = if lipstick_storage::log_version(&data) == Some(1) {
+            let graph = lipstick_storage::decode_graph(&data).map_err(storage_error)?;
+            (graph.len(), Backend::Resident(graph))
+        } else {
+            let log = PagedLog::from_bytes(data).map_err(storage_error)?;
+            (log.node_count(), Backend::Paged(Box::new(log)))
+        };
+        refuse_live_tail(path, len, nodes)?;
+        Ok(Session::with_backend(backend))
     }
 
     /// Open a v2 log with a streaming append write path: the sealed
-    /// base segment stays paged, and mutations (`DELETE PROPAGATE`,
+    /// base segment stays paged, and changes (`DELETE PROPAGATE`,
     /// zooms, [`Session::ingest`]) commit durable records to a
-    /// `<path>.tail` sidecar instead of promoting the session to
-    /// resident. A torn tail (crash mid-write) is truncated to its last
-    /// whole record on open. `COMPACT` merges the tail back into a
-    /// fresh sealed base segment.
+    /// `<path>.tail` sidecar. A torn tail (crash mid-write) is
+    /// truncated to its last whole record on open. `COMPACT` merges the
+    /// tail back into a fresh sealed base segment.
     pub fn open_append(path: impl AsRef<Path>) -> Result<Session> {
-        let log = AppendLog::open(path.as_ref()).map_err(|e| ProqlError::Storage(e.to_string()))?;
-        Ok(Session::from_append_log(log))
+        let log = AppendLog::open(path.as_ref()).map_err(storage_error)?;
+        Ok(Session::with_backend(Backend::Append(Box::new(log))))
     }
 
     /// [`Session::open_append`] through an explicit
@@ -260,20 +316,8 @@ impl Session {
         path: impl AsRef<Path>,
         io: std::sync::Arc<dyn lipstick_storage::StorageIo>,
     ) -> Result<Session> {
-        let log = AppendLog::open_with_io(path.as_ref(), io)
-            .map_err(|e| ProqlError::Storage(e.to_string()))?;
-        Ok(Session::from_append_log(log))
-    }
-
-    fn from_append_log(log: AppendLog) -> Session {
-        Session {
-            backend: Backend::Append(Box::new(log)),
-            reach: None,
-            index_builds: 0,
-            carried_reads: 0,
-            promotions: 0,
-            instruments: Instruments::get(),
-        }
+        let log = AppendLog::open_with_io(path.as_ref(), io).map_err(storage_error)?;
+        Ok(Session::with_backend(Backend::Append(Box::new(log))))
     }
 
     /// Flush the backend's durable state (the append backend's WAL
@@ -282,7 +326,7 @@ impl Session {
     /// paged backends have nothing to flush and return `Ok`.
     pub fn sync_storage(&self) -> Result<()> {
         match &self.backend {
-            Backend::Append(log) => log.sync().map_err(|e| ProqlError::Storage(e.to_string())),
+            Backend::Append(log) => log.sync().map_err(storage_error),
             Backend::Resident(_) | Backend::Paged(_) => Ok(()),
         }
     }
@@ -293,7 +337,7 @@ impl Session {
         self.index_builds
     }
 
-    /// Is the session still paged (no full graph materialised)?
+    /// Is the session paged (a read-only snapshot of a v2 log)?
     pub fn is_paged(&self) -> bool {
         matches!(self.backend, Backend::Paged(_))
     }
@@ -314,24 +358,21 @@ impl Session {
         }
     }
 
-    /// Paged-to-resident promotions this session has performed. Stays
-    /// 0 for sessions born resident and for append-backend sessions,
-    /// whose mutations commit in place.
+    /// Always 0. Sessions used to promote a paged log to a resident
+    /// graph on their first change; a paged session is now a read-only
+    /// snapshot instead. Kept for callers that still assert the count.
     pub fn promotions(&self) -> u64 {
-        self.promotions
+        0
     }
 
-    /// Node records decoded by this session's paged backends — including
-    /// any backend a promoting mutation has since replaced, so the
-    /// figure is monotonic for the session's lifetime (it used to reset
-    /// to zero on promotion). A session born resident reports 0.
+    /// Node records decoded by the session's log (paged or append;
+    /// monotonic across `COMPACT`). A resident session reports 0.
     pub fn records_read(&self) -> usize {
-        self.carried_reads
-            + match &self.backend {
-                Backend::Resident(_) => 0,
-                Backend::Paged(log) => log.records_read(),
-                Backend::Append(log) => log.records_read(),
-            }
+        match &self.backend {
+            Backend::Resident(_) => 0,
+            Backend::Paged(log) => log.records_read(),
+            Backend::Append(log) => log.records_read(),
+        }
     }
 
     /// The resident graph, when there is one (`None` while paged or
@@ -346,57 +387,11 @@ impl Session {
     /// The resident graph.
     ///
     /// # Panics
-    /// On a paged session — call [`Session::materialize`] first, or
-    /// check [`Session::is_paged`].
+    /// On a paged or append session — check [`Session::resident_graph`]
+    /// instead, or [`Session::load`] the log.
     pub fn graph(&self) -> &ProvGraph {
         self.resident_graph()
-            .expect("paged session has no resident graph; call materialize() first")
-    }
-
-    /// Decode the full log and switch to the resident backend. No-op if
-    /// already resident; an error on an append session, whose whole
-    /// point is committing mutations without promotion (`COMPACT`
-    /// reclaims the tail instead). Returns the graph.
-    pub fn materialize(&mut self) -> Result<&ProvGraph> {
-        if matches!(self.backend, Backend::Append(_)) {
-            return Err(ProqlError::Storage(
-                "append sessions never promote to resident; run COMPACT to merge the tail".into(),
-            ));
-        }
-        if let Backend::Paged(log) = &self.backend {
-            let graph = log
-                .decode_full()
-                .map_err(|e| ProqlError::Storage(e.to_string()))?;
-            // Dropping the log would silently zero `records_read`; bank
-            // its figure first so the session's count stays monotonic.
-            self.carried_reads += log.records_read();
-            self.backend = Backend::Resident(graph);
-            self.promotions += 1;
-        }
-        Ok(self.graph())
-    }
-
-    pub(crate) fn graph_mut(&mut self) -> &mut ProvGraph {
-        match &mut self.backend {
-            Backend::Resident(g) => g,
-            Backend::Paged(_) | Backend::Append(_) => {
-                unreachable!("mutating statements promote or take the append path first")
-            }
-        }
-    }
-
-    fn append_log_ref(&self) -> &AppendLog {
-        match &self.backend {
-            Backend::Append(log) => log,
-            _ => unreachable!("append backend expected"),
-        }
-    }
-
-    fn append_log_mut(&mut self) -> &mut AppendLog {
-        match &mut self.backend {
-            Backend::Append(log) => log,
-            _ => unreachable!("append backend expected"),
-        }
+            .expect("paged and append sessions have no resident graph; load the log instead")
     }
 
     /// The session's reachability closure, when one is built — public
@@ -410,61 +405,24 @@ impl Session {
         self.reach.is_some()
     }
 
-    pub(crate) fn set_index(&mut self, index: ReachIndex) {
-        self.reach = Some(index);
-        // Per-session count (tests pin exact values) plus the
-        // process-wide registry series.
-        self.index_builds += 1;
-        self.instruments.index_builds.inc();
-    }
-
-    /// Drop the reachability closure (`DROP INDEX`).
-    pub(crate) fn invalidate_index(&mut self) {
-        self.reach = None;
-    }
-
-    /// Repair the reachability closure in place after a mutation.
+    /// Repair the reachability closure in place after a change.
     /// `changed` must list every node whose visibility or adjacency the
-    /// mutation touched (the executor's mutation arms compute it). In
-    /// debug builds the repaired index is checked bit-for-bit against a
-    /// fresh build — the incremental path must never drift.
-    pub(crate) fn repair_index(&mut self, changed: &[NodeId]) {
-        let Some(index) = self.reach.as_mut() else {
+    /// change touched. In debug builds the repaired index is checked
+    /// bit-for-bit against a fresh build — the incremental path must
+    /// never drift.
+    fn repair_index(&mut self, changed: &[NodeId]) {
+        let Some(index) = self.reach.as_mut().filter(|_| !changed.is_empty()) else {
             return;
         };
         let start = Instant::now();
         match &self.backend {
-            Backend::Resident(graph) => {
-                index.repair(graph, changed);
-                debug_assert!(
-                    index.matches_fresh_build(graph),
-                    "incremental reach-index repair diverged from a fresh build"
-                );
-            }
-            Backend::Append(log) => {
-                index.repair(log.as_ref(), changed);
-                debug_assert!(
-                    index.matches_fresh_build(log.as_ref()),
-                    "incremental reach-index repair diverged from a fresh build"
-                );
-            }
-            // Paged sessions never hold an index across mutations.
-            Backend::Paged(_) => return,
+            Backend::Resident(graph) => repair(index, graph, changed),
+            Backend::Paged(log) => repair(index, log.as_ref(), changed),
+            Backend::Append(log) => repair(index, log.as_ref(), changed),
         }
         self.instruments
             .repair_us
             .observe(start.elapsed().as_micros() as u64);
-    }
-
-    /// Does executing this statement require a resident, mutable graph?
-    fn needs_resident(stmt: &Statement) -> bool {
-        matches!(
-            stmt,
-            Statement::DeletePropagate(_)
-                | Statement::ZoomOut(_)
-                | Statement::ZoomIn(_)
-                | Statement::BuildIndex
-        )
     }
 
     /// Run a script: zero or more `;`-separated statements. Statements
@@ -504,15 +462,17 @@ impl Session {
     }
 
     /// The slow half of a statement, on a shared reference so readers
-    /// keep running: plan and validate it and, on the append backend,
-    /// compute the deletion cone or zoom plan and make its tail record
-    /// durable, build a requested reach index, or write and validate
-    /// the COMPACT image. Nothing is visible until
-    /// [`Session::publish_write`], which must see the session exactly as
-    /// this call left it — a server serialises its writers around the
-    /// pair. An error means nothing was made durable. A paged session's
-    /// promotion to resident is exclusive, so a statement that needs it
-    /// is prepared here and runs whole at publication.
+    /// keep running. It plans the statement and decides it against the
+    /// store: the deletion cone, the zoom plan, zoom-in validation, the
+    /// nodes each change touches, a requested reach index, the reply —
+    /// and a read's whole answer. The store then stages the decided
+    /// change: the append log makes it a durable tail record (or writes
+    /// and validates the COMPACT image), the resident graph keeps it.
+    /// Nothing is visible until [`Session::publish_write`], which must
+    /// see the session exactly as this call left it — a server
+    /// serialises its writers around the pair. An error means nothing
+    /// was made durable. On a paged session `DELETE` and `ZOOM` fail
+    /// with [`ProqlError::Snapshot`] before a record is read.
     pub fn prepare_write(&self, stmt: &Statement) -> Result<PreparedWrite> {
         self.prepare_fused(&FusedStatement {
             stmt: stmt.clone(),
@@ -535,116 +495,153 @@ impl Session {
     }
 
     fn prepare_step(&self, fs: &FusedStatement) -> Result<Step> {
-        if self.is_paged() && Session::needs_resident(&fs.stmt) {
-            return Ok(Step::Promote(fs.clone()));
-        }
-        let plan = on_store!(self, |env| Planner::new(env.store, env.reach)
-            .plan_fused(fs))?;
         match &self.backend {
-            Backend::Append(log) => self.prepare_append(log, plan),
-            Backend::Resident(_) | Backend::Paged(_) => Ok(Step::Execute(plan)),
+            Backend::Resident(graph) => self.prepare_on(graph, fs),
+            Backend::Append(log) => contain_corruption(|| self.prepare_on(log.as_ref(), fs)),
+            Backend::Paged(_)
+                if matches!(
+                    fs.stmt,
+                    Statement::DeletePropagate(_) | Statement::ZoomOut(_) | Statement::ZoomIn(_)
+                ) =>
+            {
+                Err(ProqlError::Snapshot(stmt_summary(&fs.stmt)))
+            }
+            Backend::Paged(log) => contain_corruption(|| {
+                self.prepare_other(Planner::new(log.as_ref(), self.reach.as_ref()).plan_fused(fs)?)
+            }),
         }
     }
 
-    /// The append backend's prepare arms. The messages and error choices
-    /// mirror the resident arms byte for byte, which the differential
-    /// harness locks down.
-    fn prepare_append(&self, log: &AppendLog, plan: StmtPlan) -> Result<Step> {
-        Ok(match plan {
-            StmtPlan::Delete(n) => {
-                let cone = contain_corruption(|| Ok(compute_deletion(log, n)?))?.deleted;
-                let record = log.prepare_tombstones(&cone).map_err(storage_error)?;
-                Step::Delete { record, cone }
+    /// Plan a statement on a store that can change and, for a graph
+    /// change, decide it once: the change itself, the nodes it touches
+    /// (for the reach-index repair) and the reply. The store stages the
+    /// change. Other statements go on to [`Session::prepare_other`].
+    fn prepare_on<S: Mutable>(&self, store: &S, fs: &FusedStatement) -> Result<Step> {
+        let plan = Planner::new(store, self.reach.as_ref()).plan_fused(fs)?;
+        let (change, changed, reply) = match plan {
+            StmtPlan::Delete(root) => {
+                // Deletion only removes reachability: the changed set is
+                // exactly the tombstoned cone.
+                let cone = compute_deletion(store, root)?.deleted;
+                let reply = QueryOutput::Deleted {
+                    nodes: cone.clone(),
+                };
+                (GraphChange::Tombstones(cone.clone()), cone, reply)
             }
             StmtPlan::ZoomOut {
                 modules,
                 fused_from,
             } => {
                 let names: Vec<&str> = modules.iter().map(String::as_str).collect();
-                let zoomed: Vec<String> = log
+                let zoomed: Vec<String> = store
                     .zoomed_out_modules()
                     .into_iter()
                     .map(String::from)
                     .collect();
-                let plans = contain_corruption(|| {
-                    Ok(plan_zoom_out(log, &names, &zoomed, log.stash_count())?)
-                })?;
-                let record = log.prepare_zoom_out(plans).map_err(storage_error)?;
-                Step::ZoomOut {
-                    record,
-                    modules,
-                    fused_from,
+                let plans = plan_zoom_out(store, &names, &zoomed, store.stash_count())?;
+                // Changed: everything each module hides, and the i/o
+                // nodes its composites are wired to (their adjacency
+                // gains edges). The composites join at publication.
+                let mut changed = Vec::new();
+                for plan in &plans {
+                    changed.extend_from_slice(&plan.hidden);
+                    for composite in &plan.composites {
+                        changed.extend_from_slice(&composite.inputs);
+                        changed.extend_from_slice(&composite.outputs);
+                    }
                 }
+                let reply = zoom_reply(
+                    format!(
+                        "zoomed out {} module(s), {} composite node(s)",
+                        modules.len(),
+                        ZoomModulePlan::total_composites(&plans)
+                    ),
+                    fused_from,
+                );
+                (GraphChange::ZoomOut(plans), changed, reply)
             }
             StmtPlan::ZoomIn {
                 modules,
                 fused_from,
             } => {
-                let zoomed = log.zoomed_out_modules();
-                let names: Vec<String> = match modules {
-                    Some(ms) => ms,
-                    None => zoomed.iter().map(|m| m.to_string()).collect(),
-                };
+                let zoomed = store.zoomed_out_modules();
+                let names =
+                    modules.unwrap_or_else(|| zoomed.iter().map(|m| m.to_string()).collect());
                 if names.is_empty() {
                     return Ok(Step::Answer(QueryOutput::Message(
                         "no modules are zoomed out".into(),
                     )));
                 }
-                // Validate up front with the resident path's exact
-                // error (the log's own refusal spells differently), and
-                // capture the changed set now: ZoomIn unlinks the
-                // composites, so their neighbours must be read before.
-                let mut seen = std::collections::HashSet::new();
+                // A repeated name has nothing left to restore the second
+                // time, so it is not zoomed out either.
+                let mut seen = HashSet::new();
                 for m in &names {
                     if !seen.insert(m.as_str()) || !zoomed.contains(&m.as_str()) {
                         return Err(QueryError::NotZoomedOut(m.clone()).into());
                     }
                 }
-                let mut changed: Vec<NodeId> = Vec::new();
-                for m in &names {
-                    if let Some(stash) = log.stash_of(m) {
-                        changed.extend_from_slice(&stash.hidden);
-                        for &z in &stash.zoom_nodes {
-                            changed.push(z);
-                            changed.extend_from_slice(&log.preds_of(z));
-                            changed.extend_from_slice(&log.succs_of(z));
-                        }
+                // Read now: zoom-in unlinks the composites, so their
+                // neighbours are gone by publication.
+                let mut changed = Vec::new();
+                for stash in names.iter().filter_map(|m| store.stash_of(m)) {
+                    changed.extend_from_slice(&stash.hidden);
+                    for &z in &stash.zoom_nodes {
+                        changed.push(z);
+                        changed.extend_from_slice(&store.preds_of(z));
+                        changed.extend_from_slice(&store.succs_of(z));
                     }
                 }
-                let record = log.prepare_zoom_in(&names).map_err(storage_error)?;
-                Step::ZoomIn {
-                    record,
-                    names,
-                    changed,
-                    fused_from,
-                }
+                let reply =
+                    zoom_reply(format!("zoomed back into {}", names.join(", ")), fused_from);
+                (GraphChange::ZoomIn(names), changed, reply)
             }
+            other => return self.prepare_other(other),
+        };
+        Ok(Step::Change {
+            staged: store.stage(change)?,
+            changed,
+            reply,
+        })
+    }
+
+    /// Prepare a statement that changes no graph: index maintenance,
+    /// `COMPACT`, or a read, answered now.
+    fn prepare_other(&self, plan: StmtPlan) -> Result<Step> {
+        Ok(match plan {
             StmtPlan::BuildIndex if self.has_reach_index() => Step::Answer(QueryOutput::Message(
                 "reach index already present (maintained in place); DROP INDEX first to force \
                  a rebuild"
                     .into(),
             )),
             StmtPlan::BuildIndex => {
-                Step::BuildIndex(contain_corruption(|| Ok(ReachIndex::build(log)))?)
+                Step::BuildIndex(on_store!(self, |env| Ok(ReachIndex::build(env.store)))?)
             }
-            StmtPlan::Compact => match log.tail_records() {
-                0 => Step::Answer(QueryOutput::Message(
+            StmtPlan::DropIndex => Step::DropIndex,
+            StmtPlan::Compact => match self.append_log() {
+                Some(log) if log.tail_records() > 0 => Step::Change {
+                    reply: QueryOutput::Message(format!(
+                        "compacted {} tail record(s) into sealed segment",
+                        log.tail_records()
+                    )),
+                    staged: Staged::Compact(Box::new(
+                        log.prepare_compact().map_err(storage_error)?,
+                    )),
+                    // Compaction preserves ids and visibility, so an
+                    // existing reach index stays valid as-is.
+                    changed: Vec::new(),
+                },
+                _ => Step::Answer(QueryOutput::Message(
                     "nothing to compact (no tail segment)".into(),
                 )),
-                records => Step::Compact {
-                    image: Box::new(log.prepare_compact().map_err(storage_error)?),
-                    records,
-                },
             },
-            other => Step::Execute(other),
+            read => Step::Answer(self.execute_read(&read, TraceCtx::disabled())?),
         })
     }
 
     /// The short half of a statement: make a [`Session::prepare_write`]
-    /// result visible — apply the tail record to the overlay and repair
-    /// the reach index in place, install a built index, or swap in a
-    /// compacted base (its rename and tail unlink are the only IO) —
-    /// or run a statement that needs the session exclusively.
+    /// result visible — apply the staged change and repair the reach
+    /// index in place, install a built index, or swap in a compacted
+    /// base (its rename and tail unlink are the only IO).
     pub fn publish_write(&mut self, prepared: PreparedWrite) -> Result<QueryOutput> {
         let start = Instant::now();
         let out = self.publish_step(prepared.step);
@@ -654,92 +651,51 @@ impl Session {
 
     fn publish_step(&mut self, step: Step) -> Result<QueryOutput> {
         match step {
-            Step::Execute(plan) => self.execute(plan),
-            Step::Promote(fs) => {
-                self.materialize()?;
-                let plan = on_store!(self, |env| Planner::new(env.store, env.reach)
-                    .plan_fused(&fs))?;
-                self.execute(plan)
-            }
             Step::Answer(out) => Ok(out),
             Step::BuildIndex(index) => {
                 let bytes = index.memory_bytes();
-                self.set_index(index);
+                self.reach = Some(index);
+                // Per-session count (tests pin exact values) plus the
+                // process-wide registry series.
+                self.index_builds += 1;
+                self.instruments.index_builds.inc();
                 Ok(QueryOutput::Message(format!(
                     "reach index built ({bytes} bytes)"
                 )))
             }
-            Step::Delete { record, cone } => {
-                self.append_log_mut()
-                    .publish(record)
-                    .map_err(storage_error)?;
-                // Deletion only removes reachability: the changed set
-                // is exactly the tombstoned cone.
-                self.repair_index(&cone);
-                Ok(QueryOutput::Deleted { nodes: cone })
+            Step::DropIndex => {
+                self.reach = None;
+                Ok(QueryOutput::Message("reach index dropped".into()))
             }
-            Step::ZoomOut {
-                record,
-                modules,
-                fused_from,
+            Step::Change {
+                staged,
+                mut changed,
+                reply,
             } => {
-                let created = self
-                    .append_log_mut()
-                    .publish(record)
-                    .map_err(storage_error)?;
-                // Changed: everything each stash hid, the new
-                // composites, and the i/o nodes the composites were
-                // wired to (their adjacency gained edges).
-                let mut changed = created.clone();
-                {
-                    let log = self.append_log_ref();
-                    for m in &modules {
-                        if let Some(stash) = log.stash_of(m) {
-                            changed.extend_from_slice(&stash.hidden);
-                        }
-                    }
-                    for &z in &created {
-                        changed.extend_from_slice(&log.preds_of(z));
-                        changed.extend_from_slice(&log.succs_of(z));
-                    }
-                }
+                changed.extend(self.apply(staged)?);
                 self.repair_index(&changed);
-                let mut msg = format!(
-                    "zoomed out {} module(s), {} composite node(s)",
-                    modules.len(),
-                    created.len()
-                );
-                if fused_from > 1 {
-                    msg.push_str(&format!(" [fused from {fused_from} statements]"));
-                }
-                Ok(QueryOutput::Message(msg))
+                Ok(reply)
             }
-            Step::ZoomIn {
-                record,
-                names,
-                changed,
-                fused_from,
-            } => {
-                self.append_log_mut()
-                    .publish(record)
-                    .map_err(storage_error)?;
-                self.repair_index(&changed);
-                let mut msg = format!("zoomed back into {}", names.join(", "));
-                if fused_from > 1 {
-                    msg.push_str(&format!(" [fused from {fused_from} statements]"));
-                }
-                Ok(QueryOutput::Message(msg))
+        }
+    }
+
+    /// Apply a staged change with the store that staged it: the
+    /// resident graph through its applier, the append log by publishing
+    /// its tail record or installing its compacted image. Returns the
+    /// ids the change created.
+    fn apply(&mut self, staged: Staged<'_>) -> Result<Vec<NodeId>> {
+        match (&mut self.backend, staged) {
+            (Backend::Resident(graph), Staged::Held(change)) => Ok(graph.apply(change)),
+            (Backend::Append(log), Staged::Durable(record)) => {
+                log.publish(record).map_err(storage_error)
             }
-            Step::Compact { image, records } => {
-                self.append_log_mut()
-                    .install_compact(*image)
-                    .map_err(storage_error)?;
-                // Compaction preserves ids and visibility exactly, so
-                // an existing reach index stays valid as-is.
-                Ok(QueryOutput::Message(format!(
-                    "compacted {records} tail record(s) into sealed segment"
-                )))
+            (Backend::Append(log), Staged::Compact(image)) => {
+                log.install_compact(*image).map_err(storage_error)?;
+                Ok(Vec::new())
             }
+            _ => Err(ProqlError::Storage(
+                "a prepared write publishes only on the session that prepared it".into(),
+            )),
         }
     }
 
@@ -750,91 +706,35 @@ impl Session {
             .observe(took.as_micros() as u64);
     }
 
-    /// Execute one planned statement under exclusive access: the
-    /// resident graph's mutation arms, index drops, the paged store's
-    /// tail-less answers, and read-only plans. (The append backend's
-    /// mutations are prepared and published instead.)
-    fn execute(&mut self, plan: StmtPlan) -> Result<QueryOutput> {
-        match (&self.backend, plan) {
-            (Backend::Resident(_), plan) => exec::execute(self, &plan),
-            // A sealed log has no tail to compact and (mutations
-            // promote) never holds an index.
-            (Backend::Paged(_), StmtPlan::Compact) => Ok(QueryOutput::Message(
-                "nothing to compact (no tail segment)".into(),
-            )),
-            (Backend::Paged(_), StmtPlan::DropIndex) => Ok(QueryOutput::Message(
-                "reach index dropped (paged sessions have none)".into(),
-            )),
-            (Backend::Append(_), StmtPlan::DropIndex) => {
-                self.invalidate_index();
-                Ok(QueryOutput::Message("reach index dropped".into()))
-            }
-            (_, read_only) => self.execute_read(&read_only, TraceCtx::disabled()),
-        }
-    }
-
     /// Execute one planned read-only statement against whichever store
     /// the session holds.
-    pub(crate) fn execute_read(&self, plan: &StmtPlan, ctx: TraceCtx<'_>) -> Result<QueryOutput> {
+    fn execute_read(&self, plan: &StmtPlan, ctx: TraceCtx<'_>) -> Result<QueryOutput> {
         on_store!(self, |env| exec::execute_read(&env, plan, ctx))
     }
 
     /// Append a self-contained fragment graph — new workflow output
     /// from the Provenance Tracker — to the session, returning the ids
-    /// its nodes received. On the append backend this commits one
-    /// durable tail record and repairs the reach index in place; a
-    /// paged session must promote first (the baseline the append bench
-    /// measures against); a resident session splices the fragment into
-    /// the graph arena. Fragments with zoomed-out modules are rejected
-    /// on every backend, mirroring the storage layer's refusal.
+    /// its nodes received. It takes a statement's two steps at once: the
+    /// append log commits it as one durable tail record, the resident
+    /// graph splices it in ([`ProvGraph::splice`]), and the reach index
+    /// is repaired in place. A paged session refuses it with
+    /// [`ProqlError::Snapshot`]; a fragment with zoomed-out modules is
+    /// refused on every backend, mirroring the storage layer's refusal.
     pub fn ingest(&mut self, fragment: &ProvGraph) -> Result<Vec<NodeId>> {
-        if self.is_paged() {
-            self.materialize()?;
+        let zoomed = fragment.zoomed_out_modules();
+        if !zoomed.is_empty() {
+            let names = zoomed.into_iter().map(String::from).collect();
+            return Err(storage_error(StorageError::ZoomedGraph(names)));
         }
-        let created = match &mut self.backend {
-            Backend::Append(log) => log
-                .commit_fragment(fragment)
-                .map_err(|e| ProqlError::Storage(e.to_string()))?,
-            Backend::Resident(graph) => {
-                let zoomed = fragment.zoomed_out_modules();
-                if !zoomed.is_empty() {
-                    let names = zoomed.into_iter().map(String::from).collect();
-                    return Err(ProqlError::Storage(
-                        lipstick_storage::StorageError::ZoomedGraph(names).to_string(),
-                    ));
-                }
-                let node_off = graph.len() as u32;
-                let inv_off = graph.invocations().len() as u32;
-                let mut created = Vec::with_capacity(fragment.len());
-                for i in 0..fragment.len() {
-                    let n = fragment.node(NodeId(i as u32));
-                    let id = graph.add_node(n.kind.clone(), offset_role(n.role, inv_off));
-                    if n.is_deleted() {
-                        graph.set_node_deleted(id, true);
-                    }
-                    created.push(id);
-                }
-                // Second pass: a fragment edge may point at a later
-                // fragment node, so every node must exist before wiring.
-                for (i, &id) in created.iter().enumerate() {
-                    let n = fragment.node(NodeId(i as u32));
-                    for &p in n.preds() {
-                        graph.add_edge(NodeId(p.0 + node_off), id);
-                    }
-                }
-                for inv in fragment.invocations() {
-                    graph.register_invocation(
-                        inv.module.clone(),
-                        inv.execution,
-                        NodeId(inv.m_node.0 + node_off),
-                    );
-                }
-                created
-            }
-            Backend::Paged(_) => unreachable!("materialized above"),
-        };
+        let change = GraphChange::Splice(fragment);
+        let staged = match &self.backend {
+            Backend::Resident(graph) => graph.stage(change),
+            Backend::Append(log) => log.stage(change),
+            Backend::Paged(_) => Err(ProqlError::Snapshot("ingest".into())),
+        }?;
         // Fragment edges are internal, so the changed set is exactly
         // the appended ids.
+        let created = self.apply(staged)?;
         self.repair_index(&created);
         Ok(created)
     }
@@ -848,8 +748,6 @@ impl Session {
     /// Mutating statements (`DELETE PROPAGATE`, zooms, `BUILD INDEX`,
     /// `DROP INDEX`) fail with [`ProqlError::ReadOnly`]; route them
     /// through [`Session::run_one`] under exclusive access instead.
-    /// Unlike the `&mut` paths, `run_read` never promotes a paged
-    /// session: queries keep faulting in only the records they touch.
     pub fn run_read(&self, statement: &str) -> Result<QueryOutput> {
         let stmt = parse_statement(statement)?;
         self.run_read_stmt(&stmt)
@@ -973,8 +871,8 @@ impl Session {
     /// Statically analyze one statement against this session's schema
     /// **without executing it** — what `CHECK <stmt>` returns. Works on
     /// every backend; on a paged session only index-level facts (and
-    /// the kind of an `EVAL` target) fault in, and the session is never
-    /// promoted. The analyzer itself is infallible, but faulting
+    /// the kind of an `EVAL` target) fault in. The analyzer itself is
+    /// infallible, but faulting
     /// records in is not: a contained corruption panic becomes a
     /// synthetic `E001` diagnostic.
     pub fn check(&self, statement: &str) -> crate::analyze::Diagnostics {
@@ -1070,6 +968,35 @@ fn storage_error(e: StorageError) -> ProqlError {
     ProqlError::Storage(e.to_string())
 }
 
+/// Refuse to read a log from its base file alone while its `.tail`
+/// sidecar holds acked changes.
+fn refuse_live_tail(path: &Path, base_len: usize, base_nodes: usize) -> Result<()> {
+    match lipstick_storage::live_tail_records(path, base_len as u64, base_nodes as u64)
+        .map_err(storage_error)?
+    {
+        0 => Ok(()),
+        records => Err(ProqlError::LiveTail(records)),
+    }
+}
+
+/// Repair `index` over `changed` on `store`, cross-checked against a
+/// fresh build in debug builds.
+fn repair<S: GraphStore + ?Sized>(index: &mut ReachIndex, store: &S, changed: &[NodeId]) {
+    index.repair(store, changed);
+    debug_assert!(
+        index.matches_fresh_build(store),
+        "incremental reach-index repair diverged from a fresh build"
+    );
+}
+
+/// A zoom's reply, noting how many statements were fused into it.
+fn zoom_reply(mut message: String, fused_from: usize) -> QueryOutput {
+    if fused_from > 1 {
+        message.push_str(&format!(" [fused from {fused_from} statements]"));
+    }
+    QueryOutput::Message(message)
+}
+
 /// Run a planning/execution step against a faulting store, containing
 /// corruption panics so they surface as errors, never an abort or a
 /// dead server worker — the same contract every other corruption path
@@ -1085,23 +1012,6 @@ fn contain_corruption<T>(f: impl FnOnce() -> Result<T>) -> Result<T> {
             "corrupt provenance log: {msg}"
         )))
     })
-}
-
-/// Rebase a fragment-local role onto a session graph whose invocation
-/// table already holds `by` entries — the resident mirror of the append
-/// log's replay-time rebasing, so both ingest paths place a fragment's
-/// nodes identically.
-fn offset_role(role: Role, by: u32) -> Role {
-    let off = |i: InvocationId| InvocationId(i.0 + by);
-    match role {
-        Role::WorkflowInput | Role::Free => role,
-        Role::Invocation(i) => Role::Invocation(off(i)),
-        Role::ModuleInput(i) => Role::ModuleInput(off(i)),
-        Role::ModuleOutput(i) => Role::ModuleOutput(off(i)),
-        Role::State(i) => Role::State(off(i)),
-        Role::Intermediate(i) => Role::Intermediate(off(i)),
-        Role::Zoom(i) => Role::Zoom(off(i)),
-    }
 }
 
 /// The leading keyword(s) of a statement, for error messages.

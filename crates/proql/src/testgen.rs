@@ -101,16 +101,13 @@ impl Vocab {
 }
 
 /// One random **mutating** statement: deletion propagation, zooms (out
-/// and back in), and `BUILD INDEX`. Interleaved between read-only
-/// statements by the differential harness so resident, paged, and
-/// server backends are compared *under incremental index maintenance*,
-/// not just on read-only workloads. Some references dangle and some
-/// zooms target already-zoomed (or never-zoomed) modules on purpose:
-/// failed mutations must also fail identically everywhere.
-///
-/// `DROP INDEX` is deliberately absent: on a never-promoted paged
-/// session it answers with a paged-specific message by design, which is
-/// a sanctioned backend difference the harness would flag.
+/// and back in), `BUILD INDEX` and `DROP INDEX`. Interleaved between
+/// read-only statements by the differential harness so resident, paged,
+/// and server backends are compared *under incremental index
+/// maintenance*, not just on read-only workloads. Some references
+/// dangle and some zooms target already-zoomed (or never-zoomed)
+/// modules on purpose: failed mutations must also fail identically
+/// everywhere.
 pub fn mutation(v: &Vocab, rng: &mut Rng) -> Statement {
     match rng.below(100) {
         0..=39 => Statement::DeletePropagate(node_ref(v, rng)),
@@ -120,6 +117,7 @@ pub fn mutation(v: &Vocab, rng: &mut Rng) -> Statement {
         } else {
             Some(vec![rng.pick(&v.modules).clone()])
         }),
+        90..=99 => Statement::DropIndex,
         _ => Statement::BuildIndex,
     }
 }

@@ -6,7 +6,7 @@
 //! ran sequentially or on the worker pool.
 
 use lipstick_core::{GraphTracker, ProvGraph};
-use lipstick_proql::{QueryOutput, Session};
+use lipstick_proql::{ProqlError, QueryOutput, Session};
 use lipstick_storage::write_graph_v2;
 use lipstick_workflowgen::dealers::{self, DealersParams};
 
@@ -154,21 +154,26 @@ fn analyze_of_a_mutation_is_rejected_by_both_planners() {
     }
 }
 
-/// Promotion must not reset the session's cumulative read counter: the
-/// paged-era decodes are banked, so `records_read()` stays monotonic.
+/// A paged session is a read-only snapshot: a refused change leaves its
+/// cumulative read counter, its node count and its answers as they were.
 #[test]
-fn records_read_is_monotonic_across_promotion() {
-    let mut session = Session::open(temp_log("promote.lpstk")).unwrap();
+fn records_read_is_unchanged_by_a_refused_change() {
+    let mut session = Session::open(temp_log("snapshot.lpstk")).unwrap();
     session.run_one("MATCH base-nodes").unwrap();
     let paged_reads = session.records_read();
     assert!(paged_reads > 0, "a paged scan decodes records");
-
-    // First mutation promotes to resident.
-    session.run_one("BUILD INDEX").unwrap();
-    assert!(!session.is_paged());
-    assert!(
-        session.records_read() >= paged_reads,
-        "promotion must bank paged-era reads, not reset them: {} < {paged_reads}",
-        session.records_read()
-    );
+    let state = |session: &Session| {
+        (
+            session.records_read(),
+            session.run_read("STATS").unwrap().to_string(),
+            session.run_read("MATCH base-nodes").unwrap().to_string(),
+        )
+    };
+    let before = state(&session);
+    assert_eq!(before.0, paged_reads, "a warm read decodes nothing");
+    for stmt in ["DELETE #0 PROPAGATE", "ZOOM OUT TO Mdealer1", "ZOOM IN"] {
+        let err = session.run_one(stmt).unwrap_err();
+        assert!(matches!(err, ProqlError::Snapshot(_)), "{stmt}: {err}");
+        assert_eq!(state(&session), before, "after {stmt}");
+    }
 }

@@ -1,5 +1,5 @@
 //! Append-backed sessions (`Session::open_append`): mutations commit
-//! durable tail records instead of promoting to resident, `ingest`
+//! durable tail records, `ingest`
 //! appends whole fragments, `COMPACT` folds the tail into a fresh
 //! sealed segment — and through all of it the session's `records_read`
 //! figure stays monotonic and the memory report accounts for the tail
@@ -7,8 +7,8 @@
 
 use lipstick_core::query::deletion::compute_deletion;
 use lipstick_core::query::subgraph::ancestors;
-use lipstick_core::{GraphTracker, NodeId, ProvGraph};
-use lipstick_proql::{QueryOutput, Session};
+use lipstick_core::{GraphStore, GraphTracker, NodeId, ProvGraph};
+use lipstick_proql::{ProqlError, QueryOutput, Session};
 use lipstick_storage::write_graph_v2;
 use lipstick_workflowgen::dealers::{self, DealersParams};
 
@@ -37,6 +37,18 @@ fn temp_log(name: &str, graph: &ProvGraph) -> std::path::PathBuf {
     path
 }
 
+/// A read's answer, comparable across backends: a node set by its ids
+/// (the visited figure is backend-shaped), anything else as rendered.
+fn answer(session: &Session, stmt: &str) -> String {
+    match session.run_read(stmt) {
+        Ok(out) => match out.nodes() {
+            Some(ns) => format!("{:?}", ns.nodes),
+            None => out.to_string(),
+        },
+        Err(e) => e.to_string(),
+    }
+}
+
 fn nodes_of(out: &QueryOutput) -> Vec<u32> {
     out.nodes()
         .expect("node set")
@@ -49,7 +61,7 @@ fn nodes_of(out: &QueryOutput) -> Vec<u32> {
 /// `records_read` must never go backwards — not across reads, not
 /// across append-committed mutations, and not across `COMPACT`, which
 /// swings a new sealed base in (the pre-compaction fault count is
-/// banked, exactly like paged→resident promotion banks its reads). The
+/// banked). The
 /// new base holds the old one's records byte for byte, so it keeps the
 /// old one's fault cache: a read repeated after the COMPACT decodes
 /// nothing it had already decoded.
@@ -82,7 +94,6 @@ fn records_read_is_monotonic_across_mutations_and_compaction() {
     step(&mut session, "MATCH base-nodes", &mut floor);
     step(&mut session, "MATCH m-nodes", &mut floor);
     assert_eq!(floor, warm, "the fault cache survives COMPACT");
-    assert_eq!(session.promotions(), 0);
     assert!(session.is_append(), "the backend never changes flavour");
 }
 
@@ -122,13 +133,80 @@ fn ingest_agrees_between_append_and_resident_backends() {
         }
         assert_eq!(a, r, "{stmt}");
     }
-    assert_eq!(append.promotions(), 0);
     assert!(append.is_append());
 
-    // An append session never promotes; COMPACT is the only way to
-    // reorganize.
-    let err = append.materialize().unwrap_err().to_string();
-    assert!(err.contains("never promote"), "{err}");
+    // Once COMPACT has folded the fragment into the log, a paged
+    // session is a snapshot of it: it answers as the append session
+    // does, and refuses the same ingest, changing nothing.
+    append.run_one("COMPACT").unwrap();
+    let mut paged = Session::open(&path).unwrap();
+    let count = "COUNT(*) MATCH nodes";
+    let state = |s: &Session| {
+        let stats = s.run_read("STATS").unwrap().to_string();
+        (
+            s.records_read(),
+            stats,
+            s.run_read(count).unwrap().to_string(),
+        )
+    };
+    let before = state(&paged);
+    assert_eq!(before.2, append.run_read(count).unwrap().to_string());
+    let err = paged.ingest(&fragment).unwrap_err();
+    assert!(matches!(err, ProqlError::Snapshot(_)), "{err}");
+    assert_eq!(state(&paged), before);
+}
+
+/// Acked changes live in the `.tail` sidecar until `COMPACT`, so the
+/// base file alone is stale: `Session::open` and `Session::load` refuse
+/// it with a typed error naming the way out, and leave the sidecar
+/// alone. A missing sidecar, a header-only one, or one bound to another
+/// base opens as usual; after `COMPACT` both sessions agree with the
+/// append session.
+#[test]
+fn open_and_load_refuse_a_log_with_a_live_tail() {
+    let g = dealers_graph(24, 7);
+    let path = temp_log("live-tail.lpstk", &g);
+    let tail = format!("{}.tail", path.display());
+    let mut append = Session::open_append(&path).unwrap();
+    append.run_one("DELETE #0 PROPAGATE").unwrap();
+    drop(append);
+    let acked = std::fs::read(&tail).unwrap();
+    for refused in [Session::open(&path).err(), Session::load(&path).err()] {
+        let err = refused.expect("a log with a live tail is refused");
+        assert!(matches!(err, ProqlError::LiveTail(1)), "{err}");
+        let message = err.to_string();
+        assert!(
+            message.contains("open_append") && message.contains("COMPACT"),
+            "{message}"
+        );
+    }
+    assert_eq!(
+        std::fs::read(&tail).unwrap(),
+        acked,
+        "the probe changed the tail"
+    );
+
+    let mut append = Session::open_append(&path).unwrap();
+    append.run_one("COMPACT").unwrap();
+    let len = std::fs::metadata(&path).unwrap().len();
+    let nodes = append.append_log().unwrap().node_count() as u64;
+    for sidecar in [None, Some(len), Some(len + 1)] {
+        if let Some(base_len) = sidecar {
+            std::fs::write(
+                &tail,
+                lipstick_storage::tail::encode_header(base_len, nodes),
+            )
+            .unwrap();
+        }
+        let paged = Session::open(&path).unwrap();
+        let resident = Session::load(&path).unwrap();
+        for stmt in ["COUNT(*) MATCH nodes", "WHY #0", "MATCH base-nodes"] {
+            let want = answer(&append, stmt);
+            assert_eq!(answer(&paged, stmt), want, "{stmt} on {sidecar:?}");
+            assert_eq!(answer(&resident, stmt), want, "{stmt} on {sidecar:?}");
+        }
+    }
+    std::fs::remove_file(&tail).ok();
 }
 
 /// The memory report accounts for the mutable tail: a non-empty
@@ -179,7 +257,7 @@ fn memory_report_accounts_for_the_tail_overlay() {
 /// An append session reads the index it maintains: after `BUILD INDEX`
 /// the planner chooses the reach strategies, the answers equal a
 /// resident session's, and both hold across every kind of mutation the
-/// append backend commits — without ever promoting.
+/// append backend commits.
 #[test]
 fn indexed_append_session_plans_and_answers_through_the_reach_index() {
     let base = dealers_graph(24, 7);
@@ -240,7 +318,6 @@ fn indexed_append_session_plans_and_answers_through_the_reach_index() {
                 "{stmt} after {after}"
             );
         }
-        assert_eq!(append.promotions(), 0, "after {after}");
         assert_eq!(append.index_builds(), 1, "repaired, never rebuilt");
     };
 

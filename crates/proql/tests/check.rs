@@ -220,7 +220,7 @@ fn check_stays_paged_and_matches_resident_byte_for_byte() {
         let pj = paged.run_read(&text).unwrap().to_json();
         assert_eq!(rj, pj, "JSON diagnostics diverged on: {text}");
     }
-    assert!(paged.is_paged(), "CHECK must not promote a paged session");
+    assert!(paged.is_paged(), "CHECK keeps the session paged");
     std::fs::remove_file(&path).ok();
 }
 

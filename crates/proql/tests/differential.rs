@@ -1,4 +1,4 @@
-//! The resident/paged/server differential harness.
+//! The resident/paged/append/server differential harness.
 //!
 //! Random WorkflowGen graphs (Car-dealerships and Arctic-stations
 //! parameter sweeps) are written as v2 logs; random well-formed
@@ -6,32 +6,35 @@
 //! four ways —
 //!
 //! 1. a **resident** session (`Session::load`),
-//! 2. a **paged** session (`Session::open`),
+//! 2. a **paged** session (`Session::open`), a read-only snapshot of
+//!    the log,
 //! 3. an **append** session (`Session::open_append`), whose mutations
-//!    commit durable tail records instead of promoting — the harness
-//!    asserts `promotions() == 0` stays true throughout, and
-//!    occasionally issues `COMPACT` on this engine alone (a physical
-//!    reorganization the other engines have no counterpart for), and
-//! 4. a round trip through **`lipstick-serve`** (line protocol, over a
-//!    second paged session),
+//!    commit durable tail records, and
+//! 4. a round trip through **`lipstick-serve`**, serving a second append
+//!    session on its own copy of the log,
 //!
 //! and every answer must agree byte-for-byte once the one sanctioned
 //! difference — the backend-dependent `(visited N)` work figure — is
 //! masked. Error paths are differential too: if one engine rejects a
-//! statement, all three must reject it with the same message. On
+//! statement, all of them must reject it with the same message. On
 //! divergence the harness *shrinks* the statement (dropping clauses,
 //! conjuncts, and operands while the divergence persists) and reports
 //! the minimal failing statement.
 //!
 //! Statement sequences are **mutation-interleaved**: every few
 //! read-only statements, one random mutation (`DELETE … PROPAGATE`,
-//! `ZOOM OUT`/`ZOOM IN`, `BUILD INDEX`) is applied to all three engines
-//! and its answer compared like any other. That exercises paged→
-//! resident promotion, the write path of the server (epoch bumps and
-//! cache invalidation), and — once a `BUILD INDEX` has run — the
-//! incremental in-place repair of the reach index, whose debug
-//! assertion cross-checks every repaired closure against a fresh build
-//! while the harness checks answers across engines.
+//! `ZOOM OUT`/`ZOOM IN`, `BUILD INDEX`, `DROP INDEX`) runs on every
+//! engine. Resident, append and served answers must agree; the paged
+//! snapshot must refuse every `DELETE` and `ZOOM` with the typed
+//! snapshot error and answer index statements like the others. That
+//! exercises the one write path (decide, stage, apply), the server's
+//! epoch bumps and cache invalidation, and — once a `BUILD INDEX` has
+//! run — the incremental in-place repair of the reach index, whose
+//! debug assertion cross-checks every repaired closure against a fresh
+//! build. Occasionally a `COMPACT` runs everywhere: the append engines
+//! fold their tails, the others have nothing to compact, and the paged
+//! snapshot reopens on the compacted log — so its answers are compared
+//! again after mutations, until the next change makes it stale.
 //!
 //! The case budget comes from `PROPTEST_CASES` (default 256), so CI
 //! pins a deterministic, bounded run; generation itself is seeded and
@@ -40,7 +43,7 @@
 use lipstick_core::{GraphTracker, ProvGraph};
 use lipstick_proql::ast::Statement;
 use lipstick_proql::testgen::{self, Rng, Vocab};
-use lipstick_proql::Session;
+use lipstick_proql::{ProqlError, Session};
 use lipstick_serve::{Client, Reply, Server, ServerConfig};
 use lipstick_storage::write_graph_v2;
 use lipstick_workflowgen::arctic::{self, ArcticParams, Selectivity, Topology};
@@ -161,27 +164,31 @@ fn server_answer(client: &mut Client, text: &str) -> Answer {
     }
 }
 
-/// Where the four engines disagree on a statement, if anywhere.
+/// Where the engines disagree on a statement, if anywhere. The paged
+/// snapshot is compared only while it is current (`None` once a change
+/// has made it stale).
 fn divergence(
     resident: &Session,
-    paged: &Session,
+    paged: Option<&Session>,
     append: &Session,
     client: &mut Client,
     stmt: &Statement,
 ) -> Option<String> {
     let text = stmt.to_string();
     let r = local_answer(resident, &text);
-    let p = local_answer(paged, &text);
-    if r != p {
-        return Some(format!("resident: {r:?}\n  paged:    {p:?}"));
+    if let Some(paged) = paged {
+        let p = local_answer(paged, &text);
+        if r != p {
+            return Some(format!("resident: {r:?}\n  paged:    {p:?}"));
+        }
     }
     let a = local_answer(append, &text);
-    if p != a {
-        return Some(format!("paged:  {p:?}\n  append: {a:?}"));
+    if r != a {
+        return Some(format!("resident: {r:?}\n  append:   {a:?}"));
     }
     let s = server_answer(client, &text);
-    if p != s {
-        return Some(format!("paged:  {p:?}\n  server: {s:?}"));
+    if r != s {
+        return Some(format!("resident: {r:?}\n  server:   {s:?}"));
     }
     // Ask again: the reply must be reproducible through the server's
     // result cache (grouped/shaped payloads included).
@@ -195,7 +202,7 @@ fn divergence(
 /// Shrink to a minimal still-diverging statement.
 fn shrink_divergence(
     resident: &Session,
-    paged: &Session,
+    paged: Option<&Session>,
     append: &Session,
     client: &mut Client,
     start: Statement,
@@ -406,11 +413,22 @@ fn check_diagnostics_agree_byte_for_byte_across_engines() {
             }
         }
     }
-    assert!(paged.is_paged(), "CHECK must not promote the paged session");
+    assert!(paged.is_paged(), "CHECK keeps the session paged");
 
     drop(client);
     handle.shutdown();
     std::fs::remove_file(&path).ok();
+}
+
+/// A paged snapshot of `path`, holding a reach index exactly when the
+/// resident engine does, so index statements answer alike.
+fn reopen_paged(path: &std::path::Path, resident: &Session) -> Session {
+    let mut paged = Session::open(path).unwrap();
+    assert!(paged.is_paged());
+    if resident.has_reach_index() {
+        paged.run_one("BUILD INDEX").unwrap();
+    }
+    paged
 }
 
 #[test]
@@ -424,15 +442,19 @@ fn differential_resident_paged_server() {
         let graph = random_graph(&mut rng);
         let vocab = Vocab::from_graph(&graph);
         let path = temp_log(&graph, graph_tag);
+        let served = path.with_extension("served.lpstk");
+        std::fs::copy(&path, &served).unwrap();
         graph_tag += 1;
 
         let mut resident = Session::load(&path).unwrap();
-        let mut paged = Session::open(&path).unwrap();
-        assert!(paged.is_paged());
+        let mut paged = reopen_paged(&path, &resident);
+        // The paged snapshot answers for the log as last written; a
+        // change on the other engines makes it stale until it reopens.
+        let mut paged_current = true;
         let mut append = Session::open_append(&path).unwrap();
         assert!(append.is_append());
         let handle = Server::new(
-            Session::open(&path).unwrap(),
+            Session::open_append(&served).unwrap(),
             ServerConfig {
                 workers: 2,
                 cache_capacity: 128,
@@ -445,9 +467,8 @@ fn differential_resident_paged_server() {
 
         for i in 0..STMTS_PER_GRAPH.min(budget - executed) {
             // Interleave mutations between runs of read-only
-            // statements: the three engines must stay in lock-step
-            // through promotion, epoch bumps, and in-place reach-index
-            // repair.
+            // statements: the engines must stay in lock-step through
+            // epoch bumps and in-place reach-index repair.
             let mutating = i % MUTATE_EVERY == MUTATE_EVERY - 1;
             let stmt = if mutating {
                 testgen::mutation(&vocab, &mut rng)
@@ -455,8 +476,8 @@ fn differential_resident_paged_server() {
                 testgen::statement(&vocab, &mut rng)
             };
             // The canonical rendering must survive a parse round trip
-            // before the engines even run it — otherwise the three
-            // engines would be answering different statements.
+            // before the engines even run it — otherwise the engines
+            // would be answering different statements.
             let text = stmt.to_string();
             let reparsed = lipstick_proql::parser::parse_statement(&text)
                 .unwrap_or_else(|e| panic!("canonical form failed to parse: {text}\n  {e}"));
@@ -464,58 +485,73 @@ fn differential_resident_paged_server() {
 
             if mutating {
                 let r = local_mutation_answer(&mut resident, &text);
-                let p = local_mutation_answer(&mut paged, &text);
                 let a = local_mutation_answer(&mut append, &text);
                 let s = server_answer(&mut client, &text);
                 assert!(
-                    r == p && p == a && p == s,
+                    r == a && a == s,
                     "engines diverged on mutation.\n  statement: {stmt}\n  resident: {r:?}\n  \
-                     paged:    {p:?}\n  append:   {a:?}\n  server:   {s:?}"
+                     append:   {a:?}\n  server:   {s:?}"
                 );
-                // Occasionally fold the append session's tail into a
-                // fresh sealed segment mid-stream. COMPACT is issued on
-                // this engine alone (the others have no tail), so its
-                // answer is asserted directly, not compared: it must
-                // succeed whenever no module is zoomed out, and the
-                // statements that follow must still agree across all
-                // four engines.
+                let changes_graph = matches!(
+                    stmt,
+                    Statement::DeletePropagate(_) | Statement::ZoomOut(_) | Statement::ZoomIn(_)
+                );
+                if changes_graph {
+                    match paged.run_stmt(&stmt) {
+                        Err(ProqlError::Snapshot(_)) => {}
+                        other => panic!("the paged snapshot took {stmt}: {other:?}"),
+                    }
+                    paged_current &= matches!(r, Answer::Err(_));
+                } else if paged_current {
+                    let p = local_mutation_answer(&mut paged, &text);
+                    assert_eq!(p, r, "paged index statement diverged: {stmt}");
+                }
+                // Occasionally fold the append engines' tails into
+                // fresh sealed segments mid-stream. It must succeed
+                // whenever no module is zoomed out; the other engines
+                // have nothing to compact. The paged snapshot then
+                // reopens on the compacted log and is current again.
                 let zoomed = append
                     .append_log()
                     .map(|log| !log.zoomed_out_modules().is_empty())
                     .unwrap_or(true);
                 if !zoomed && rng.chance(33) {
-                    append.run_one("COMPACT").expect("mid-stream COMPACT");
+                    let a = local_mutation_answer(&mut append, "COMPACT");
+                    let s = server_answer(&mut client, "COMPACT");
+                    assert!(matches!(a, Answer::Ok(_)), "mid-stream COMPACT: {a:?}");
+                    assert_eq!(a, s, "the served log compacts alike");
+                    let none = Answer::Ok("nothing to compact (no tail segment)".into());
+                    assert_eq!(local_mutation_answer(&mut resident, "COMPACT"), none);
+                    assert_eq!(local_mutation_answer(&mut paged, "COMPACT"), none);
+                    paged = reopen_paged(&path, &resident);
+                    paged_current = true;
                 }
-            } else if let Some(detail) = divergence(&resident, &paged, &append, &mut client, &stmt)
-            {
-                let minimal =
-                    shrink_divergence(&resident, &paged, &append, &mut client, stmt.clone());
-                let minimal_detail = divergence(&resident, &paged, &append, &mut client, &minimal)
-                    .unwrap_or_default();
-                panic!(
-                    "engines diverged.\n  statement: {stmt}\n  {detail}\n  \
-                     shrunk to: {minimal}\n  {minimal_detail}"
-                );
+            } else {
+                let current = paged_current.then_some(&paged);
+                if let Some(detail) = divergence(&resident, current, &append, &mut client, &stmt) {
+                    let minimal =
+                        shrink_divergence(&resident, current, &append, &mut client, stmt.clone());
+                    let minimal_detail =
+                        divergence(&resident, current, &append, &mut client, &minimal)
+                            .unwrap_or_default();
+                    panic!(
+                        "engines diverged.\n  statement: {stmt}\n  {detail}\n  \
+                         shrunk to: {minimal}\n  {minimal_detail}"
+                    );
+                }
             }
             executed += 1;
         }
 
-        // The whole point of the append backend: an entire mutation
-        // stream (plus compactions) without a single promotion.
-        assert_eq!(
-            append.promotions(),
-            0,
-            "append session must never promote to resident"
-        );
-        assert!(append.is_append());
-
         drop(client);
         drop(append);
         handle.shutdown();
-        std::fs::remove_file(&path).ok();
-        let mut tail = path.clone().into_os_string();
-        tail.push(".tail");
-        std::fs::remove_file(tail).ok();
+        for log in [&path, &served] {
+            std::fs::remove_file(log).ok();
+            let mut tail = log.clone().into_os_string();
+            tail.push(".tail");
+            std::fs::remove_file(tail).ok();
+        }
     }
 
     assert!(

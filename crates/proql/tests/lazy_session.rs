@@ -1,10 +1,10 @@
 //! Paged (lazy) sessions over v2 provenance logs: `Session::open` must
 //! agree answer-for-answer with a full `Session::load`, while reading
-//! strictly fewer records than the log holds, and must promote itself
-//! to a resident graph on the first mutating statement.
+//! strictly fewer records than the log holds, and is a read-only
+//! snapshot of the log: a change is refused before a record is read.
 
 use lipstick_core::{GraphTracker, ProvGraph};
-use lipstick_proql::{QueryOutput, Session};
+use lipstick_proql::{ProqlError, QueryOutput, Session};
 use lipstick_storage::{write_graph, write_graph_v2};
 use lipstick_workflowgen::dealers::{self, DealersParams};
 
@@ -320,84 +320,128 @@ fn token_references_resolve_lazily() {
     assert_eq!(a.text(), b.text());
 }
 
-#[test]
-fn mutating_statements_promote_then_work() {
-    let (mut lazy, mut full, g) = open_both("promote.lpstk");
-    let module = g.invocations()[0].module.clone();
-    assert!(lazy.is_paged());
-    let stmt = format!("ZOOM OUT TO {module}");
-    let a = lazy.run_one(&stmt).unwrap();
-    let b = full.run_one(&stmt).unwrap();
-    assert_eq!(a.text(), b.text());
-    assert!(!lazy.is_paged(), "mutation promoted the session");
-    // And the promoted session keeps answering queries correctly.
-    let a = lazy.run_one("MATCH nodes").unwrap();
-    let b = full.run_one("MATCH nodes").unwrap();
-    assert_eq!(nodes_of(&a), nodes_of(&b));
+/// What a refused change must leave alone on a paged session: the
+/// records it has decoded, its `STATS` (node and visible counts among
+/// them) and its answers.
+fn snapshot_state(s: &Session) -> (usize, String, Vec<u32>) {
+    let stats = s.run_read("STATS").unwrap().to_string();
+    let nodes = nodes_of(&s.run_read("MATCH nodes").unwrap());
+    (s.records_read(), stats, nodes)
+}
+
+/// A change on a paged session fails with the one typed error, which
+/// names both ways to change the log, and changes nothing.
+fn assert_refused(s: &mut Session, stmt: &str) {
+    let before = snapshot_state(s);
+    let err = s.run_one(stmt).unwrap_err();
+    assert!(matches!(err, ProqlError::Snapshot(_)), "{stmt}: {err}");
+    let message = err.to_string();
+    assert!(
+        message.contains("Session::load") && message.contains("Session::open_append"),
+        "{message}"
+    );
+    assert_eq!(snapshot_state(s), before, "{stmt} changed the snapshot");
 }
 
 #[test]
-fn delete_propagate_promotes_and_matches_resident_semantics() {
+fn mutating_statements_are_refused_by_the_snapshot() {
+    let (mut lazy, mut full, g) = open_both("snapshot.lpstk");
+    let module = g.invocations()[0].module.clone();
+    let token = g
+        .iter_visible()
+        .find_map(|(_, n)| match &n.kind {
+            lipstick_core::NodeKind::BaseTuple { token } => Some(token.as_str().to_string()),
+            _ => None,
+        })
+        .unwrap();
+    for stmt in [
+        format!("ZOOM OUT TO {module}"),
+        "ZOOM IN".to_string(),
+        "ZOOM OUT TO NoSuchModule".to_string(),
+        "DELETE #999999 PROPAGATE".to_string(),
+        format!("DELETE '{token}' PROPAGATE"),
+    ] {
+        assert_refused(&mut lazy, &stmt);
+    }
+    assert_eq!(lazy.records_read(), 0, "refused before a record is read");
+    let fragment = dealers_graph();
+    let err = lazy.ingest(&fragment).unwrap_err();
+    assert!(matches!(err, ProqlError::Snapshot(_)), "{err}");
+    assert_eq!(lazy.records_read(), 0);
+    // The loaded copy takes the change; the snapshot keeps answering
+    // for the log as written.
+    full.run_one(&format!("ZOOM OUT TO {module}")).unwrap();
+    let fresh = Session::load(temp_path("snapshot.lpstk")).unwrap();
+    assert_eq!(
+        nodes_of(&lazy.run_one("MATCH nodes").unwrap()),
+        nodes_of(&fresh.run_read("MATCH nodes").unwrap())
+    );
+}
+
+#[test]
+fn delete_propagate_is_refused_and_the_loaded_copy_takes_it() {
     let (mut lazy, mut full, g) = open_both("delete.lpstk");
     let root = g.top_fanout_nodes(1)[0];
     let stmt = format!("DELETE #{} PROPAGATE", root.0);
-    let a = lazy.run_one(&stmt).unwrap();
-    let b = full.run_one(&stmt).unwrap();
-    match (a, b) {
-        (QueryOutput::Deleted { nodes: x }, QueryOutput::Deleted { nodes: y }) => {
-            assert_eq!(x, y)
-        }
+    assert_refused(&mut lazy, &stmt);
+    let expect = lipstick_core::query::deletion::compute_deletion(&g, root).unwrap();
+    match full.run_one(&stmt).unwrap() {
+        QueryOutput::Deleted { nodes } => assert_eq!(nodes, expect.deleted),
         other => panic!("expected deletions, got {other:?}"),
     }
-    assert!(!lazy.is_paged());
+    assert!(lazy.is_paged());
 }
 
 #[test]
-fn build_index_promotes_and_serves_reach_lookups() {
-    let (mut lazy, _, g) = open_both("index.lpstk");
+fn build_index_on_a_paged_session_serves_reach_lookups() {
+    let (mut lazy, mut full, g) = open_both("index.lpstk");
+    let before = lazy.records_read();
     lazy.run_one("BUILD INDEX").unwrap();
-    assert!(!lazy.is_paged());
+    full.run_one("BUILD INDEX").unwrap();
+    assert!(lazy.is_paged(), "the index is built over the log");
     assert!(lazy.has_reach_index());
+    assert!(lazy.records_read() >= before);
     let root = g.top_fanout_nodes(1)[0];
-    let out = lazy
-        .run_one(&format!("DESCENDANTS OF #{}", root.0))
-        .unwrap();
+    let stmt = format!("DESCENDANTS OF #{}", root.0);
+    assert!(lazy.explain(&stmt).unwrap().contains("reach-index lookup"));
+    let out = lazy.run_one(&stmt).unwrap();
     assert!(!nodes_of(&out).is_empty());
+    assert_eq!(nodes_of(&out), nodes_of(&full.run_one(&stmt).unwrap()));
 }
 
-/// Regression: `BUILD INDEX` after a promoting mutation must build the
-/// closure exactly once — promotion itself builds nothing, a present
-/// index is repaired in place by later mutations, and a redundant
-/// `BUILD INDEX` is deduped instead of silently rebuilding.
+/// `BUILD INDEX` builds the closure exactly once — a present index is
+/// exact, so a redundant `BUILD INDEX` is deduped instead of silently
+/// rebuilding — and `DROP INDEX` answers as on every backend, whatever
+/// a refused change tried in between.
 #[test]
-fn build_index_after_promoting_delete_builds_exactly_once() {
+fn build_index_on_a_paged_session_builds_exactly_once() {
     let (mut lazy, _, g) = open_both("dedupe.lpstk");
     let root = g.top_fanout_nodes(1)[0];
-    lazy.run_one(&format!("DELETE #{} PROPAGATE", root.0))
-        .unwrap();
-    assert!(!lazy.is_paged(), "DELETE promotes");
-    assert_eq!(lazy.index_builds(), 0, "promotion builds no index");
+    assert_refused(&mut lazy, &format!("DELETE #{} PROPAGATE", root.0));
+    assert_eq!(lazy.index_builds(), 0, "a refused change builds no index");
 
     lazy.run_one("BUILD INDEX").unwrap();
     assert_eq!(lazy.index_builds(), 1);
-
-    // A second BUILD INDEX is a no-op: mutations maintain the closure,
-    // so a present index is always exact.
     let out = lazy.run_one("BUILD INDEX").unwrap();
     assert!(out.to_string().contains("already present"), "got: {}", out);
     assert_eq!(lazy.index_builds(), 1, "silent rebuild");
 
-    // Mutating again repairs rather than rebuilds, and the index keeps
-    // serving indexed plans afterwards.
+    // A refused change leaves the index serving indexed plans.
     let victim = g.top_fanout_nodes(3)[2];
-    let _ = lazy.run_one(&format!("DELETE #{} PROPAGATE", victim.0));
+    assert_refused(&mut lazy, &format!("DELETE #{} PROPAGATE", victim.0));
     assert!(lazy.has_reach_index());
-    assert_eq!(lazy.index_builds(), 1);
-    let alive = lazy.graph().iter_visible().next().unwrap().0;
     assert!(lazy
-        .explain(&format!("ANCESTORS OF #{}", alive.0))
+        .explain(&format!("ANCESTORS OF #{}", root.0))
         .unwrap()
         .contains("reach-index lookup"));
+
+    let out = lazy.run_one("DROP INDEX").unwrap();
+    assert_eq!(out.to_string(), "reach index dropped");
+    assert!(!lazy.has_reach_index());
+    lazy.run_one("BUILD INDEX").unwrap();
+    assert_eq!(lazy.index_builds(), 2);
+    let out = lazy.run_one("COMPACT").unwrap();
+    assert_eq!(out.to_string(), "nothing to compact (no tail segment)");
 }
 
 #[test]
@@ -420,7 +464,7 @@ fn run_read_is_concurrent_and_rejects_mutations() {
             }
         }
     });
-    assert!(lazy.is_paged(), "run_read never promotes");
+    assert!(lazy.is_paged(), "run_read keeps the session paged");
     for session in [&lazy, &full] {
         for stmt in [
             "DELETE #0 PROPAGATE",

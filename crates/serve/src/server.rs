@@ -14,23 +14,24 @@
 //! between a statement's two steps:
 //!
 //! 1. **prepare**, under the session's *read* side, beside running
-//!    readers: plan and validate, compute the deletion cone or zoom
+//!    readers: plan and validate, decide the deletion cone or zoom
 //!    plan, and on the append backend append the tail record and
 //!    `fsync` it (durable before anything is visible);
-//! 2. **publish**, under the *write* side: apply the overlay, repair the
-//!    reach index, and bump the **write epoch** — microseconds, and no
-//!    IO. The time each write guard is held is observed in
-//!    `lipstick_serve_write_lock_hold_us`.
+//! 2. **publish**, under the *write* side: apply the decided change,
+//!    repair the reach index, and bump the **write epoch** —
+//!    microseconds, and no IO. The time each write guard is held is
+//!    observed in `lipstick_serve_write_lock_hold_us`.
 //!
 //! Each statement publishes on its own, so the epoch bumps once per
-//! statement that changed something. The epoch is an atomic counter
+//! statement that succeeded; a failed one changed nothing. A paged
+//! session is a read-only snapshot: its `DELETE` and `ZOOM` fail in
+//! prepare, without a write hold. The epoch is an atomic counter
 //! that stamps every cached result; a stale stamp is what invalidates a
 //! cache entry. It only changes while the write side is held, so a
 //! result computed under a read guard is always tagged with the epoch
 //! it actually executed at — a reader running while a record is being
 //! synced sees, and is stamped with, the state before it. Replies are
-//! rendered after the write guard is released. A paged session's
-//! promotion to resident stays one exclusive step.
+//! rendered after the write guard is released.
 //!
 //! Auto-COMPACT follows the same split: the image is spliced, written,
 //! synced and validated under the read side, and only the rename, the
@@ -754,17 +755,11 @@ impl Shared {
             }
         };
         self.with_write(|session| {
-            let was_paged = session.is_paged();
             let result = session.publish_write(prepared);
-            // A statement needing a resident graph promotes a paged
-            // backend *before* executing, so even a failed one (e.g.
-            // `ZOOM OUT TO Bogus`) can leave the session resident —
-            // where identical queries render different visited-cost
-            // figures. Any observable change must bump the epoch, or
-            // cached paged-era results would be served as if nothing
-            // happened. Bumped while still exclusive: no reader can
-            // observe the changed session under the old epoch.
-            let epoch = if result.is_ok() || (was_paged && !session.is_paged()) {
+            // A failed statement changed nothing. Bumped while still
+            // exclusive: no reader can observe the changed session under
+            // the old epoch.
+            let epoch = if result.is_ok() {
                 let bumped = self.epoch.fetch_add(1, Ordering::AcqRel) + 1;
                 self.instruments.epoch.set(bumped as i64);
                 bumped
@@ -851,7 +846,7 @@ pub struct Server {
 }
 
 impl Server {
-    /// Wrap a session (resident or paged) for serving.
+    /// Wrap a session (resident, paged or append) for serving.
     pub fn new(session: Session, config: ServerConfig) -> Server {
         let compact_every = if session.is_append() {
             config.compact_every
@@ -948,8 +943,7 @@ impl ServerHandle {
     }
 
     /// The current write epoch: the number of mutating statements that
-    /// changed something (every successful one, plus a failed one that
-    /// promoted a paged session).
+    /// succeeded.
     pub fn epoch(&self) -> u64 {
         self.shared.epoch.load(Ordering::Acquire)
     }

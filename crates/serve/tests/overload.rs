@@ -150,7 +150,7 @@ fn bounded_write_queue_sheds_busy_and_retries_converge() {
 /// session fully usable — mutations never carry the deadline.
 #[test]
 fn request_deadline_cancels_reads_and_spares_writes() {
-    let session = Session::open(temp_log("deadline.lpstk")).unwrap();
+    let session = Session::open_append(temp_log("deadline.lpstk")).unwrap();
     let handle = Server::new(
         session,
         ServerConfig {

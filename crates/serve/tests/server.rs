@@ -1,6 +1,7 @@
 //! End-to-end tests for lipstick-serve: concurrent reads over both
 //! protocols, plan-keyed caching, epoch invalidation under interleaved
-//! writes, and paged/resident agreement.
+//! writes, paged/resident agreement, and the paged server as a
+//! read-only snapshot.
 
 use std::collections::HashMap;
 use std::sync::Arc;
@@ -148,7 +149,7 @@ fn concurrent_clients_agree_with_a_resident_session() {
 
 #[test]
 fn epoch_bump_invalidates_cached_results() {
-    let handle = serve_paged("epoch.lpstk", 2);
+    let handle = serve_append("epoch.lpstk", 2, 0);
     let mut client = Client::connect(handle.addr()).unwrap();
 
     let before = client.query("MATCH base-nodes").unwrap();
@@ -198,13 +199,12 @@ fn epoch_bump_invalidates_cached_results() {
 /// report epoch 0 after observing the post-delete answer).
 #[test]
 fn cached_results_are_never_served_across_an_epoch_bump() {
-    let path = temp_log("race.lpstk");
-    let handle = serve_paged("race.lpstk", 6);
+    let handle = serve_append("race.lpstk", 6, 0);
 
-    // Mirror the server's lifecycle exactly: a paged session answers
-    // the pre-delete reads, the DELETE promotes it to resident, and the
-    // resident session answers the post-delete reads.
-    let mut mirror = Session::open(&path).unwrap();
+    // Mirror the server's lifecycle exactly: an append session on a
+    // copy of the log answers the pre-delete reads, takes the DELETE,
+    // and answers the post-delete reads.
+    let mut mirror = Session::open_append(temp_log("race-mirror.lpstk")).unwrap();
     let stmt = "MATCH base-nodes";
     let before = mirror.run_one(stmt).unwrap().to_string();
     let graph = dealers_graph();
@@ -216,7 +216,6 @@ fn cached_results_are_never_served_across_an_epoch_bump() {
     mirror
         .run_one(&format!("DELETE #{} PROPAGATE", victim.0))
         .unwrap();
-    assert!(!mirror.is_paged());
     let after = mirror.run_one(stmt).unwrap().to_string();
     assert_ne!(before, after);
 
@@ -261,18 +260,19 @@ fn cached_results_are_never_served_across_an_epoch_bump() {
 /// epoch bump would pair the post-delete epoch with pre-delete counts.
 #[test]
 fn shaped_results_match_their_reported_epoch_under_writes() {
-    let path = temp_log("shaped-race.lpstk");
-    let handle = serve_paged("shaped-race.lpstk", 6);
+    let handle = serve_append("shaped-race.lpstk", 6, 0);
 
     let stmts = [
         "MATCH nodes GROUP BY kind ORDER BY count DESC",
-        "MATCH o-nodes GROUP BY module ORDER BY count DESC LIMIT 3",
+        // Every group is within the limit, so the deleted base tuple
+        // always shows in the `(none)` group's count.
+        "MATCH nodes GROUP BY module ORDER BY count DESC LIMIT 16",
         "COUNT(*) MATCH base-nodes",
     ];
 
-    // Mirror the server's lifecycle: paged answers before the DELETE,
-    // promoted-resident answers after.
-    let mut mirror = Session::open(&path).unwrap();
+    // Mirror the server's lifecycle: an append session on a copy of the
+    // log, answering before and after the DELETE.
+    let mut mirror = Session::open_append(temp_log("shaped-race-mirror.lpstk")).unwrap();
     let graph = dealers_graph();
     let victim = graph
         .iter_visible()
@@ -400,9 +400,13 @@ fn http_shim_serves_query_and_explain() {
     handle.shutdown();
 }
 
+/// A paged server serves a read-only snapshot of its log: `DELETE`
+/// and `ZOOM` are refused with the typed snapshot error and change
+/// nothing — the session stays paged, decodes no record for them, and
+/// answers as before.
 #[test]
-fn paged_server_stays_paged_under_reads_and_promotes_on_write() {
-    let handle = serve_paged("promote.lpstk", 2);
+fn paged_server_is_a_read_only_snapshot() {
+    let handle = serve_paged("snapshot.lpstk", 2);
     let mut client = Client::connect(handle.addr()).unwrap();
 
     for stmt in ["MATCH base-nodes", "STATS", "EXPLAIN MATCH m-nodes"] {
@@ -411,51 +415,57 @@ fn paged_server_stays_paged_under_reads_and_promotes_on_write() {
     // STATS on a paged backend names the paged log.
     let stats = client.query("STATS").unwrap();
     assert!(stats.body().contains("paged log"), "{stats:?}");
+    let answer = client.query("MATCH base-nodes").unwrap();
 
-    // A zoom promotes the backend; subsequent STATS is resident-form.
     let graph = dealers_graph();
     let module = graph.invocations()[0].module.clone();
-    let zoom = client.query(&format!("ZOOM OUT TO {module}")).unwrap();
-    assert!(zoom.is_ok(), "{zoom:?}");
-    let stats = client.query("STATS").unwrap();
-    assert!(
-        !stats.body().contains("paged log"),
-        "promoted session must report resident stats: {stats:?}"
-    );
+    for stmt in [
+        format!("ZOOM OUT TO {module}"),
+        "DELETE #0 PROPAGATE".into(),
+    ] {
+        let Reply::Err(message) = client.query(&stmt).unwrap() else {
+            panic!("{stmt} must be refused");
+        };
+        assert!(message.contains("read-only snapshot"), "{message}");
+        assert!(
+            message.contains("Session::load") && message.contains("Session::open_append"),
+            "{message}"
+        );
+    }
+    // STATS' first line: record and visible counts, records decoded.
+    let first_line = |body: &str| body.lines().next().unwrap_or_default().to_string();
+    let again = client.query("STATS").unwrap();
+    assert_eq!(first_line(again.body()), first_line(stats.body()));
+    let after = client.query("MATCH base-nodes").unwrap();
+    assert!(after.cache_hit(), "nothing changed; the cache stays warm");
+    assert_eq!(after.body(), answer.body());
 
     drop(client);
     handle.shutdown();
 }
 
 #[test]
-fn failed_mutation_that_promotes_still_bumps_the_epoch() {
+fn rejected_mutation_on_a_paged_server_does_not_bump_the_epoch() {
     let handle = serve_paged("failmut.lpstk", 2);
     let mut client = Client::connect(handle.addr()).unwrap();
 
     let before = client.query("MATCH base-nodes").unwrap();
     assert_eq!(before.epoch(), Some(0));
 
-    // The zoom fails (no such module) — but mutating statements promote
-    // the paged backend before executing, and a resident backend
-    // renders different visited-cost figures. The epoch must move so
-    // the paged-era cache entry is never served for the new backend.
-    let err = client.query("ZOOM OUT TO NoSuchModule").unwrap();
-    assert!(matches!(err, Reply::Err(_)), "{err:?}");
-
-    let after = client.query("MATCH base-nodes").unwrap();
-    assert!(
-        !after.cache_hit(),
-        "promotion must invalidate paged-era cache entries"
-    );
-    assert_eq!(after.epoch(), Some(1), "promotion bumps the epoch");
-
-    // A failed mutation on an already resident session changes nothing
-    // and must not bump.
-    let err = client.query("ZOOM OUT TO NoSuchModule").unwrap();
-    assert!(matches!(err, Reply::Err(_)));
-    let warm = client.query("MATCH base-nodes").unwrap();
-    assert!(warm.cache_hit(), "nothing changed; the cache stays warm");
-    assert_eq!(warm.epoch(), Some(1));
+    // Refused before a record is read, whether or not the change would
+    // have succeeded on a session that takes changes.
+    for stmt in ["ZOOM OUT TO NoSuchModule", "DELETE #0 PROPAGATE", "ZOOM IN"] {
+        let err = client.query(stmt).unwrap();
+        assert!(matches!(err, Reply::Err(_)), "{stmt}: {err:?}");
+        let warm = client.query("MATCH base-nodes").unwrap();
+        assert!(
+            warm.cache_hit(),
+            "{stmt} changed nothing; the cache stays warm"
+        );
+        assert_eq!(warm.epoch(), Some(0), "{stmt}");
+        assert_eq!(warm.body(), before.body());
+    }
+    assert_eq!(handle.epoch(), 0);
 
     drop(client);
     handle.shutdown();
@@ -481,7 +491,7 @@ fn reach_index_survives_mutations_behind_the_cache() {
     let ancestors_stmt = format!("ANCESTORS OF #{}", root.0);
     let encoded_stmt = format!("ANCESTORS+OF+%23{}", root.0);
 
-    let handle = serve_paged("index-epoch.lpstk", 2);
+    let handle = serve_append("index-epoch.lpstk", 2, 0);
     let mut client = Client::connect(handle.addr()).unwrap();
 
     let built = client.query("BUILD INDEX").unwrap();
@@ -541,7 +551,7 @@ fn metrics_endpoint_stays_valid_and_monotonic_under_concurrent_load() {
     // writer another (7); every `/metrics` scrape is an extra one-shot
     // connection that needs a *free* worker, so the pool must be larger
     // than the persistent population or the scrapes deadlock the test.
-    let handle = serve_paged("metrics.lpstk", 14);
+    let handle = serve_append("metrics.lpstk", 14, 0);
     let addr = handle.addr();
     let graph = dealers_graph();
     let victim = graph
@@ -806,7 +816,7 @@ fn base_victims(n: usize) -> Vec<lipstick_core::NodeId> {
 }
 
 /// The append-backend acceptance test: concurrent writers group-commit
-/// durable tail records (no promotion) while readers stream queries and
+/// durable tail records while readers stream queries and
 /// a `COMPACT` is forced mid-run. Three invariants:
 ///
 /// 1. **no lost writes** — every victim reads back as deleted,

@@ -1,10 +1,9 @@
 //! [`AppendLog`]: a mutable segment stack over a sealed v2 log.
 //!
-//! A [`PagedLog`] is read-only — mutating it used to mean decoding the
-//! whole file into a resident [`ProvGraph`], mutating that, and
-//! rewriting everything ("promotion"). `AppendLog` instead layers an
-//! in-memory **overlay** plus an on-disk WAL **tail** (see
-//! [`crate::tail`]) over the sealed base:
+//! A [`PagedLog`] is read-only. `AppendLog` changes one without
+//! decoding it into a [`ProvGraph`]: it layers an in-memory **overlay**
+//! plus an on-disk WAL **tail** (see [`crate::tail`]) over the sealed
+//! base:
 //!
 //! - appended nodes live in the overlay, with ids continuing the base's
 //!   dense id space (`base_nodes..`);
@@ -16,8 +15,9 @@
 //!   every base id, so concatenation preserves the ascending order the
 //!   sealed rows have — postings- and limit-driven scans stay correct.
 //!
-//! Every mutation is two steps. **Prepare** (`prepare_*`, on `&self`)
-//! validates the change, encodes it as one tail record, appends it and
+//! Every mutation is two steps. **Prepare** ([`AppendLog::prepare`], on
+//! `&self`) takes a [`GraphChange`] decided against this store,
+//! validates it, encodes it as one tail record, appends it and
 //! syncs it: the record is durable before anything is visible, and
 //! readers keep running against the unchanged store meanwhile (the
 //! tail's write position sits behind its own mutex). **Publish**
@@ -53,9 +53,9 @@ use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 use bytes::BufMut;
 use lipstick_core::graph::{kind_heap_bytes, InvocationInfo, ZoomStash, RETIRED_STASH};
 use lipstick_core::obs::vec_alloc_bytes;
-use lipstick_core::query::{plan_zoom_out, ZoomModulePlan};
+use lipstick_core::query::{plan_zoom_out, GraphChange, ZoomModulePlan};
 use lipstick_core::store::GraphStore;
-use lipstick_core::{InvocationId, NodeId, NodeKind, ProvGraph, Role};
+use lipstick_core::{NodeId, NodeKind, ProvGraph, Role};
 
 use crate::error::{Result, StorageError};
 use crate::footer::{FooterSource, FooterWriter, Postings};
@@ -204,6 +204,21 @@ fn sidecar_path(path: &Path, suffix: &str) -> PathBuf {
 
 fn tail_path_for(path: &Path) -> PathBuf {
     sidecar_path(path, ".tail")
+}
+
+/// How many records the `<path>.tail` sidecar holds for the sealed base
+/// at `path` (`base_len` bytes, `base_nodes` records) — acked mutations
+/// the base file alone does not show. 0 when there is no sidecar, only
+/// a header, or one bound to another base. Only reads: recovery's
+/// truncation and unlinking belong to [`AppendLog::open`].
+pub fn live_tail_records(path: &Path, base_len: u64, base_nodes: u64) -> Result<usize> {
+    match default_io().read(&tail_path_for(path)) {
+        Ok(data) => {
+            Ok(tail::recover(&data, base_len, base_nodes).map_or(0, |(records, _)| records.len()))
+        }
+        Err(e) if e.kind() == std::io::ErrorKind::NotFound => Ok(0),
+        Err(e) => Err(e.into()),
+    }
 }
 
 impl AppendLog {
@@ -375,11 +390,6 @@ impl AppendLog {
         Ok(tail.durable - 1)
     }
 
-    fn prepared(&self, record: &TailRecord, change: Change) -> Result<PreparedRecord> {
-        let seq = self.make_durable(record)?;
-        Ok(PreparedRecord { seq, change })
-    }
-
     /// Fsync the tail segment if one exists. Commits already sync per
     /// record, so this only matters as a barrier (graceful shutdown).
     pub fn sync(&self) -> Result<()> {
@@ -391,10 +401,50 @@ impl AppendLog {
         Ok(())
     }
 
-    /// Prepare a whole ingested workflow fragment as one atomic record:
-    /// its nodes, edges, and invocations, id-shifted past the current
-    /// graph. Publishing it returns the appended node ids.
-    pub fn prepare_fragment(&self, fragment: &ProvGraph) -> Result<PreparedRecord> {
+    /// Prepare a change decided against this store as one durable tail
+    /// record: a deletion cone, a zoom plan (the caller plans, so it can
+    /// report validation errors before anything is durable), a resolved
+    /// zoom-in, or an ingested fragment. Publishing it returns the ids
+    /// it created.
+    pub fn prepare(&self, change: GraphChange<'_>) -> Result<PreparedRecord> {
+        let (record, change) = match change {
+            GraphChange::Tombstones(ids) => {
+                let count = self.node_count();
+                if let Some(bad) = ids.iter().find(|id| id.index() >= count) {
+                    return Err(StorageError::Corrupt(format!(
+                        "tombstone for unknown node {bad}"
+                    )));
+                }
+                let record = TailRecord::Tombstones { ids: ids.clone() };
+                (record, Change::Tombstones(ids))
+            }
+            GraphChange::ZoomOut(plans) => {
+                let modules = plans.iter().map(|p| p.module.clone()).collect();
+                (TailRecord::ZoomOut { modules }, Change::ZoomOut(plans))
+            }
+            GraphChange::ZoomIn(modules) => {
+                if let Some(bad) = modules
+                    .iter()
+                    .find(|m| !self.zoomed_modules.contains_key(*m))
+                {
+                    return Err(StorageError::Corrupt(format!(
+                        "zoom-in of module '{bad}' which is not zoomed out"
+                    )));
+                }
+                let record = TailRecord::ZoomIn {
+                    modules: modules.clone(),
+                };
+                (record, Change::ZoomIn(modules))
+            }
+            GraphChange::Splice(fragment) => return self.prepare_fragment(fragment),
+        };
+        let seq = self.make_durable(&record)?;
+        Ok(PreparedRecord { seq, change })
+    }
+
+    /// A whole ingested workflow fragment as one atomic record: its
+    /// nodes, edges, and invocations, id-shifted past the current graph.
+    fn prepare_fragment(&self, fragment: &ProvGraph) -> Result<PreparedRecord> {
         let zoomed = fragment.zoomed_out_modules();
         if !zoomed.is_empty() {
             return Err(StorageError::ZoomedGraph(
@@ -407,7 +457,7 @@ impl AppendLog {
             .iter()
             .map(|(_, n)| TailNode {
                 flags: u8::from(n.is_deleted()),
-                role: offset_role(n.role, inv_off),
+                role: n.role.rebased(inv_off),
                 kind: n.kind.clone(),
                 preds: n.preds().iter().map(|p| NodeId(p.0 + node_off)).collect(),
             })
@@ -434,43 +484,6 @@ impl AppendLog {
             seq,
             change: Change::Append { nodes, invocations },
         })
-    }
-
-    /// Prepare visibility tombstones (one `DELETE … PROPAGATE` cone, in
-    /// deletion order).
-    pub fn prepare_tombstones(&self, ids: &[NodeId]) -> Result<PreparedRecord> {
-        let count = self.node_count();
-        if let Some(bad) = ids.iter().find(|id| id.index() >= count) {
-            return Err(StorageError::Corrupt(format!(
-                "tombstone for unknown node {bad}"
-            )));
-        }
-        let record = TailRecord::Tombstones { ids: ids.to_vec() };
-        self.prepared(&record, Change::Tombstones(ids.to_vec()))
-    }
-
-    /// Prepare a ZoomOut already planned against this store (the caller
-    /// plans so it can report validation errors before anything is
-    /// durable). Publishing it returns the created composite ids.
-    pub fn prepare_zoom_out(&self, plans: Vec<ZoomModulePlan>) -> Result<PreparedRecord> {
-        let modules: Vec<String> = plans.iter().map(|p| p.module.clone()).collect();
-        self.prepared(&TailRecord::ZoomOut { modules }, Change::ZoomOut(plans))
-    }
-
-    /// Prepare a ZoomIn of the given (resolved) module names.
-    pub fn prepare_zoom_in(&self, modules: &[String]) -> Result<PreparedRecord> {
-        if let Some(bad) = modules
-            .iter()
-            .find(|m| !self.zoomed_modules.contains_key(*m))
-        {
-            return Err(StorageError::Corrupt(format!(
-                "zoom-in of module '{bad}' which is not zoomed out"
-            )));
-        }
-        let record = TailRecord::ZoomIn {
-            modules: modules.to_vec(),
-        };
-        self.prepared(&record, Change::ZoomIn(modules.to_vec()))
     }
 
     /// Apply a prepared record to the overlay: memory only, no IO.
@@ -511,20 +524,21 @@ impl AppendLog {
     /// Commit a whole ingested workflow fragment: prepare, then publish.
     /// Returns the appended node ids.
     pub fn commit_fragment(&mut self, fragment: &ProvGraph) -> Result<Vec<NodeId>> {
-        let prepared = self.prepare_fragment(fragment)?;
+        let prepared = self.prepare(GraphChange::Splice(fragment))?;
         self.publish(prepared)
     }
 
-    /// Commit visibility tombstones: prepare, then publish.
+    /// Commit visibility tombstones (one `DELETE … PROPAGATE` cone, in
+    /// deletion order): prepare, then publish.
     pub fn commit_tombstones(&mut self, ids: &[NodeId]) -> Result<()> {
-        let prepared = self.prepare_tombstones(ids)?;
+        let prepared = self.prepare(GraphChange::Tombstones(ids.to_vec()))?;
         self.publish(prepared).map(drop)
     }
 
     /// Commit a planned ZoomOut: prepare, then publish. Returns the
     /// created composite ids.
     pub fn commit_zoom_out(&mut self, plans: Vec<ZoomModulePlan>) -> Result<Vec<NodeId>> {
-        let prepared = self.prepare_zoom_out(plans)?;
+        let prepared = self.prepare(GraphChange::ZoomOut(plans))?;
         self.publish(prepared)
     }
 
@@ -532,7 +546,7 @@ impl AppendLog {
     /// then publish. Returns each module's restored stash, so the
     /// caller can repair derived state from the exact touched sets.
     pub fn commit_zoom_in(&mut self, modules: &[String]) -> Result<Vec<ZoomStash>> {
-        let prepared = self.prepare_zoom_in(modules)?;
+        let prepared = self.prepare(GraphChange::ZoomIn(modules.to_vec()))?;
         Ok(self.publish_change(prepared)?.1)
     }
 
@@ -1163,20 +1177,6 @@ fn remove_extra(extra: &mut HashMap<u32, Vec<NodeId>>, of: NodeId, id: NodeId) {
     }
 }
 
-/// Shift the invocation id a role carries when re-basing a fragment's
-/// nodes onto a larger graph.
-fn offset_role(role: Role, by: u32) -> Role {
-    match role {
-        Role::WorkflowInput | Role::Free => role,
-        Role::Invocation(InvocationId(i)) => Role::Invocation(InvocationId(i + by)),
-        Role::ModuleInput(InvocationId(i)) => Role::ModuleInput(InvocationId(i + by)),
-        Role::ModuleOutput(InvocationId(i)) => Role::ModuleOutput(InvocationId(i + by)),
-        Role::State(InvocationId(i)) => Role::State(InvocationId(i + by)),
-        Role::Intermediate(InvocationId(i)) => Role::Intermediate(InvocationId(i + by)),
-        Role::Zoom(InvocationId(i)) => Role::Zoom(InvocationId(i + by)),
-    }
-}
-
 impl GraphStore for AppendLog {
     fn node_count(&self) -> usize {
         self.base_nodes + self.overlay.len()
@@ -1370,27 +1370,7 @@ mod tests {
     /// Resident ground truth for appending `fragment` onto `base`.
     fn resident_append(base: &ProvGraph, fragment: &ProvGraph) -> ProvGraph {
         let mut g = base.clone();
-        let node_off = g.len() as u32;
-        let inv_off = g.invocations().len() as u32;
-        for (_, n) in fragment.iter() {
-            g.add_node(n.kind.clone(), offset_role(n.role, inv_off));
-            debug_assert!(!n.is_deleted());
-        }
-        // Second pass: a fragment edge may point at a later fragment
-        // node, so every node must exist before wiring.
-        for (from, n) in fragment.iter() {
-            let id = NodeId(from.0 + node_off);
-            for p in n.preds() {
-                g.add_edge(NodeId(p.0 + node_off), id);
-            }
-        }
-        for inv in fragment.invocations() {
-            g.register_invocation(
-                inv.module.clone(),
-                inv.execution,
-                NodeId(inv.m_node.0 + node_off),
-            );
-        }
+        g.splice(fragment);
         g
     }
 
@@ -1500,6 +1480,39 @@ mod tests {
         assert_eq!(reopened.tail_records(), 0);
         assert_eq!(store_signature(&reopened), before);
         assert_eq!(reopened.invocations(), invocations_before);
+    }
+
+    #[test]
+    fn live_tail_probe_counts_records_and_changes_nothing() {
+        let base = workflow_graph();
+        let path = temp_log("probe", &base);
+        let tail = tail_path_for(&path);
+        let _ = fs::remove_file(&tail);
+        let (len, nodes) = (fs::metadata(&path).unwrap().len(), base.len() as u64);
+        assert_eq!(
+            live_tail_records(&path, len, nodes).unwrap(),
+            0,
+            "no sidecar"
+        );
+        fs::write(&tail, tail::encode_header(len, nodes)).unwrap();
+        assert_eq!(
+            live_tail_records(&path, len, nodes).unwrap(),
+            0,
+            "header only"
+        );
+
+        let mut log = AppendLog::open(&path).unwrap();
+        log.commit_tombstones(&[NodeId(2)]).unwrap();
+        log.commit_fragment(&fragment_graph()).unwrap();
+        drop(log);
+        let bytes = fs::read(&tail).unwrap();
+        assert_eq!(live_tail_records(&path, len, nodes).unwrap(), 2);
+        assert_eq!(live_tail_records(&path, len + 1, nodes).unwrap(), 0);
+        assert_eq!(
+            fs::read(&tail).unwrap(),
+            bytes,
+            "never truncated or unlinked"
+        );
     }
 
     #[test]
@@ -1659,6 +1672,10 @@ mod tests {
         )
     }
 
+    fn tombstone(id: u32) -> GraphChange<'static> {
+        GraphChange::Tombstones(vec![NodeId(id)])
+    }
+
     fn simulated_log() -> (AppendLog, FaultIo, PathBuf) {
         let io = FaultIo::new();
         let path = PathBuf::from("/simulated/prepare.lpstk");
@@ -1678,7 +1695,7 @@ mod tests {
         // A record whose sync fails is not acknowledged.
         io.set_fault(io.ops() + 1, FaultKind::Errno(5));
         assert!(matches!(
-            log.prepare_tombstones(&[NodeId(2)]),
+            log.prepare(tombstone(2)),
             Err(StorageError::Io(_))
         ));
         assert_eq!(disk_state(&log, &io).0, before.0);
@@ -1744,12 +1761,9 @@ mod tests {
     #[test]
     fn records_publish_in_prepare_order() {
         let (mut log, _io, _path) = simulated_log();
-        let first = log.prepare_tombstones(&[NodeId(2)]).unwrap();
+        let first = log.prepare(tombstone(2)).unwrap();
         assert!(
-            matches!(
-                log.prepare_tombstones(&[NodeId(0)]),
-                Err(StorageError::Stale(_))
-            ),
+            matches!(log.prepare(tombstone(0)), Err(StorageError::Stale(_))),
             "a prepare waits for the one before it to publish"
         );
         assert!(matches!(log.prepare_compact(), Err(StorageError::Stale(_))));

@@ -37,7 +37,7 @@ pub mod paged;
 pub mod tail;
 pub mod varint;
 
-pub use append::{AppendLog, PreparedCompact, PreparedRecord};
+pub use append::{live_tail_records, AppendLog, PreparedCompact, PreparedRecord};
 pub use error::{Result, StorageError};
 pub use footer::{FooterWriter, LogIndex};
 pub use io::{default_io, FaultIo, FaultKind, StdIo, StorageIo};

@@ -33,12 +33,12 @@ use bytes::Buf;
 use lipstick_core::graph::InvocationInfo;
 use lipstick_core::obs;
 use lipstick_core::store::GraphStore;
-use lipstick_core::{InvocationId, NodeId, NodeKind, ProvGraph, Role};
+use lipstick_core::{InvocationId, NodeId, NodeKind, Role};
 
 use crate::codec::{get_kind, get_role};
 use crate::error::{Result, StorageError};
 use crate::footer::LogIndex;
-use crate::log::{decode_graph, decode_invocations, decode_pred_list, MAGIC, VERSION_V2};
+use crate::log::{decode_invocations, decode_pred_list, MAGIC, VERSION_V2};
 use crate::varint::get_count;
 
 /// One decoded node record.
@@ -157,10 +157,10 @@ impl PagedLog {
     }
 
     /// Decode the *entire* log into a resident [`ProvGraph`] — the
-    /// promotion path for statements that must mutate (DELETE, ZOOM,
-    /// BUILD INDEX).
-    pub fn decode_full(&self) -> Result<ProvGraph> {
-        decode_graph(&self.data)
+    /// oracle the lazy accessors and COMPACT's splice are held to.
+    #[cfg(test)]
+    pub(crate) fn decode_full(&self) -> Result<lipstick_core::ProvGraph> {
+        crate::log::decode_graph(&self.data)
     }
 
     /// The record section as stored: record 0's first byte up to the
@@ -353,9 +353,10 @@ impl GraphStore for PagedLog {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::log::{encode_graph, encode_graph_v2};
+    use crate::log::{decode_graph, encode_graph, encode_graph_v2};
     use lipstick_core::query::{depends_on, traverse, Direction};
     use lipstick_core::store::expr_of_store;
+    use lipstick_core::ProvGraph;
 
     fn sample() -> ProvGraph {
         let mut g = ProvGraph::new();

@@ -18,9 +18,6 @@ use lipstick_core::{NodeId, NodeKind, ProvGraph, Tracker};
 use lipstick_storage::{encode_graph_v2, write_graph_v2, AppendLog, PagedLog};
 use proptest::prelude::*;
 
-mod common;
-use common::resident_append;
-
 /// Deterministic xorshift so every proptest case is reproducible from
 /// its seed (same idiom as the torn-write suite).
 struct Rng(u64);
@@ -143,7 +140,7 @@ impl Mirrored {
             "fragments carry a forward reference"
         );
         self.log.commit_fragment(&fragment).unwrap();
-        resident_append(&mut self.mirror, &fragment);
+        self.mirror.splice(&fragment);
     }
 
     /// Tombstone the deletion cone of a random visible node — sealed or
@@ -277,7 +274,7 @@ proptest! {
 fn header_varint_growth_shifts_every_sealed_record() {
     let mut rng = Rng(128);
     let mut base = ProvGraph::new();
-    resident_append(&mut base, &workflow_graph(&mut rng, 0, None));
+    base.splice(&workflow_graph(&mut rng, 0, None));
     while base.len() < 127 {
         base.add_base(&format!("pad{}", base.len()));
     }
@@ -363,7 +360,7 @@ fn carried_cache_meets_new_records_inside_a_block() {
     const SEALED: usize = 127;
     let mut rng = Rng(64);
     let mut base = ProvGraph::new();
-    resident_append(&mut base, &workflow_graph(&mut rng, 0, None));
+    base.splice(&workflow_graph(&mut rng, 0, None));
     while base.len() < SEALED {
         base.add_base(&format!("pad{}", base.len()));
     }

@@ -17,9 +17,6 @@ use lipstick_core::{NodeId, ProvGraph, Tracker};
 use lipstick_storage::{encode_graph_v2, write_graph_v2, AppendLog, PagedLog};
 use lipstick_workflowgen::dealers::{self, DealersParams};
 
-mod common;
-use common::resident_append;
-
 /// Two modules over shared base tuples, two executions each.
 fn workflow() -> ProvGraph {
     let mut t = GraphTracker::new();
@@ -198,7 +195,7 @@ fn zoom_plans_agree_across_stores() {
     assert!(cone.len() > 1, "the deletion cascades");
     append.commit_tombstones(&cone).unwrap();
     let fragment = shared_state_fragment();
-    resident_append(&mut resident, &fragment);
+    resident.splice(&fragment);
     append.commit_fragment(&fragment).unwrap();
     let paged = PagedLog::from_bytes(encode_graph_v2(&resident).unwrap()).unwrap();
 

@@ -2,11 +2,12 @@
 //!
 //! With no graph argument it executes the Car-dealerships workflow and
 //! serves the captured provenance; `--open PATH` serves a v2 log paged
-//! (queries fault in only the records they touch), `--load PATH`
-//! decodes a v1/v2 log fully first, `--append PATH` serves the log as
-//! an append session (mutations commit durable tail records instead of
-//! promoting; pair with `--compact-every N` to auto-`COMPACT` the tail
-//! after every N successful mutations).
+//! (queries fault in only the records they touch; `DELETE` and `ZOOM`
+//! are refused, as it is a read-only snapshot), `--load PATH` decodes a
+//! v1/v2 log fully first, `--append PATH` serves the log as an append
+//! session (mutations commit durable tail records; pair with
+//! `--compact-every N` to auto-`COMPACT` the tail after every N
+//! successful mutations).
 //!
 //! ```sh
 //! cargo run --release --example proql_serve -- --open prov.lpstk --addr 127.0.0.1:7433
