@@ -3,8 +3,9 @@
 //! After `lipstick-proql`, the planner and executors are still
 //! library-only: nothing can query provenance without linking Rust.
 //! This crate serves a [`lipstick_proql::Session`] — resident or paged
-//! — over TCP, std-only (`std::net` plus the vendored crossbeam
-//! channel), with two wire formats on **one listener**:
+//! — over TCP, std-only (`std::net`, and an `std::sync::mpsc` channel
+//! handing connections to the workers), with two wire formats on **one
+//! listener**:
 //!
 //! - a newline-delimited **line protocol** (persistent connections, one
 //!   statement per line, counted-line response framing), and

@@ -60,7 +60,7 @@ use std::collections::{HashMap, VecDeque};
 use std::io::{BufRead, BufReader, BufWriter, Write};
 use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Arc, Mutex, RwLock, RwLockReadGuard};
+use std::sync::{mpsc, Arc, Mutex, RwLock, RwLockReadGuard};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
@@ -887,18 +887,20 @@ impl Server {
         let listener = TcpListener::bind(addr)?;
         let local = listener.local_addr()?;
         let shutdown = Arc::new(AtomicBool::new(false));
-        let (tx, rx) = crossbeam::channel::unbounded::<TcpStream>();
+        let (tx, rx) = mpsc::channel::<TcpStream>();
+        let rx = Arc::new(Mutex::new(rx));
 
         let mut workers = Vec::with_capacity(self.config.workers);
         for _ in 0..self.config.workers.max(1) {
             let rx = rx.clone();
             let shared = self.shared.clone();
-            workers.push(std::thread::spawn(move || {
-                while let Ok(stream) = rx.recv() {
-                    // A broken connection is the client's problem, not
-                    // the server's: log-and-continue semantics.
-                    let _ = handle_connection(&shared, stream);
-                }
+            workers.push(std::thread::spawn(move || loop {
+                // Not `while let`: the guard must drop before serving.
+                let next = rx.lock().unwrap_or_else(|e| e.into_inner()).recv();
+                let Ok(stream) = next else { break };
+                // A broken connection is the client's problem, not the
+                // server's: log-and-continue semantics.
+                let _ = handle_connection(&shared, stream);
             }));
         }
         drop(rx);

@@ -50,19 +50,19 @@ use std::collections::{BTreeMap, HashMap};
 use std::path::{Path, PathBuf};
 use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 
-use bytes::BufMut;
 use lipstick_core::graph::{kind_heap_bytes, InvocationInfo, ZoomStash, RETIRED_STASH};
 use lipstick_core::obs::vec_alloc_bytes;
 use lipstick_core::query::{plan_zoom_out, GraphChange, ZoomModulePlan};
 use lipstick_core::store::GraphStore;
 use lipstick_core::{NodeId, NodeKind, ProvGraph, Role};
 
+use crate::codec::{put_record, NodeRecord};
 use crate::error::{Result, StorageError};
 use crate::footer::{FooterSource, FooterWriter, Postings};
 use crate::io::{default_io, StorageIo};
-use crate::log::{put_header, put_invocations, put_record, VERSION_V2};
+use crate::log::{put_header, put_invocations, VERSION_V2};
 use crate::paged::PagedLog;
-use crate::tail::{self, TailInvocation, TailNode, TailRecord, TAIL_HEADER_LEN};
+use crate::tail::{self, TailRecord, TAIL_HEADER_LEN};
 
 /// One appended (tail) node, fully resident. The overlay is expected to
 /// stay small relative to the base — COMPACT folds it away.
@@ -123,8 +123,8 @@ pub struct PreparedRecord {
 #[derive(Debug)]
 enum Change {
     Append {
-        nodes: Vec<TailNode>,
-        invocations: Vec<TailInvocation>,
+        nodes: Vec<NodeRecord>,
+        invocations: Vec<InvocationInfo>,
     },
     Tombstones(Vec<NodeId>),
     /// The plans themselves, not the module names the record stores:
@@ -453,19 +453,19 @@ impl AppendLog {
         }
         let node_off = self.node_count() as u32;
         let inv_off = self.invocations.len() as u32;
-        let nodes: Vec<TailNode> = fragment
+        let nodes: Vec<NodeRecord> = fragment
             .iter()
-            .map(|(_, n)| TailNode {
-                flags: u8::from(n.is_deleted()),
+            .map(|(_, n)| NodeRecord {
+                deleted: n.is_deleted(),
                 role: n.role.rebased(inv_off),
                 kind: n.kind.clone(),
                 preds: n.preds().iter().map(|p| NodeId(p.0 + node_off)).collect(),
             })
             .collect();
-        let invocations: Vec<TailInvocation> = fragment
+        let invocations: Vec<InvocationInfo> = fragment
             .invocations()
             .iter()
-            .map(|i| TailInvocation {
+            .map(|i| InvocationInfo {
                 module: i.module.clone(),
                 execution: i.execution,
                 m_node: NodeId(i.m_node.0 + node_off),
@@ -590,7 +590,7 @@ impl AppendLog {
     /// allowed only within the record itself — an ingested workflow
     /// fragment wires edges in tracker order, not id order). Called
     /// before the durable commit *and* at replay.
-    fn validate_append(&self, nodes: &[TailNode], new_invs: &[TailInvocation]) -> Result<()> {
+    fn validate_append(&self, nodes: &[NodeRecord], new_invs: &[InvocationInfo]) -> Result<()> {
         let node_base = self.node_count();
         let inv_limit = self.invocations.len() + new_invs.len();
         for (k, node) in nodes.iter().enumerate() {
@@ -632,8 +632,8 @@ impl AppendLog {
 
     fn apply_append(
         &mut self,
-        nodes: &[TailNode],
-        new_invs: &[TailInvocation],
+        nodes: &[NodeRecord],
+        new_invs: &[InvocationInfo],
     ) -> Result<Vec<NodeId>> {
         self.validate_append(nodes, new_invs)?;
         // Two passes: materialize every overlay node first, then wire
@@ -645,7 +645,7 @@ impl AppendLog {
                 role: node.role,
                 preds: node.preds.clone(),
                 succs: Vec::new(),
-                deleted: node.is_deleted(),
+                deleted: node.deleted,
                 zoom_hidden: false,
             }));
         }
@@ -654,13 +654,7 @@ impl AppendLog {
                 self.push_succ(p, id);
             }
         }
-        for inv in new_invs {
-            self.invocations.push(InvocationInfo {
-                module: inv.module.clone(),
-                execution: inv.execution,
-                m_node: inv.m_node,
-            });
-        }
+        self.invocations.extend_from_slice(new_invs);
         Ok(created)
     }
 
@@ -997,7 +991,7 @@ impl AppendLog {
         // if the node-count varint in the header grew.
         let at = buf.len();
         let moved = |old: usize| at + (old - index.records_offset());
-        buf.put_slice(sealed);
+        buf.extend_from_slice(sealed);
         let mut footer = FooterWriter::new(n);
         for i in 0..self.base_nodes {
             footer.record_starts_at(moved(index.record_range(NodeId(i as u32)).start) as u64);

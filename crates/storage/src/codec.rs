@@ -1,61 +1,56 @@
-//! Binary codec for values, node kinds, and roles.
+//! Binary codec for values, node kinds, roles, and the node record
+//! built from them — the one record encoder and decoder behind the
+//! sealed log's record section, the paged store's faults, COMPACT's
+//! splice and the tail's `AppendGraph` payload.
 
 use std::collections::BTreeMap;
 use std::sync::Arc;
 
-use bytes::{Buf, BufMut};
 use lipstick_core::agg::AggOp;
+use lipstick_core::graph::RETIRED_STASH;
 use lipstick_core::semiring::Token;
-use lipstick_core::{InvocationId, NodeKind, Role};
+use lipstick_core::{InvocationId, NodeId, NodeKind, Role};
 use lipstick_nrel::{Bag, Tuple, Value};
 
 use crate::error::{Result, StorageError};
-use crate::varint::{get_count, get_i64, get_str, get_u32, put_i64, put_str, put_u64};
+use crate::reader::Reader;
+use crate::varint::{put_i64, put_len, put_str, put_u64};
 
 // ----- values -----
 
-/// Widen an in-memory length for the wire. Lossless on every supported
-/// target (usize ≤ 64 bits); spelled as `try_from` rather than `as` so
-/// the codec stays free of silently-truncating casts (`xtask lint`
-/// enforces this).
-fn wire_len(n: usize) -> u64 {
-    u64::try_from(n).unwrap_or(u64::MAX)
-}
-
 /// Append a value.
-pub fn put_value(buf: &mut impl BufMut, v: &Value) {
+pub fn put_value(buf: &mut Vec<u8>, v: &Value) {
     match v {
-        Value::Null => buf.put_u8(0),
-        Value::Bool(b) => {
-            buf.put_u8(1);
-            buf.put_u8(u8::from(*b));
-        }
+        Value::Null => buf.push(0),
+        Value::Bool(b) => buf.extend_from_slice(&[1, u8::from(*b)]),
         Value::Int(i) => {
-            buf.put_u8(2);
+            buf.push(2);
             put_i64(buf, *i);
         }
         Value::Float(f) => {
-            buf.put_u8(3);
-            buf.put_u64(f.to_bits());
+            // Big-endian, unlike the fixed-width fields of the footer
+            // and tail: the oldest part of the format, kept as written.
+            buf.push(3);
+            buf.extend_from_slice(&f.to_bits().to_be_bytes());
         }
         Value::Str(s) => {
-            buf.put_u8(4);
+            buf.push(4);
             put_str(buf, s);
         }
         Value::Tuple(t) => {
-            buf.put_u8(5);
+            buf.push(5);
             put_tuple(buf, t);
         }
         Value::Bag(b) => {
-            buf.put_u8(6);
-            put_u64(buf, wire_len(b.len()));
+            buf.push(6);
+            put_len(buf, b.len());
             for t in b.iter() {
                 put_tuple(buf, t);
             }
         }
         Value::Map(m) => {
-            buf.put_u8(7);
-            put_u64(buf, wire_len(m.len()));
+            buf.push(7);
+            put_len(buf, m.len());
             for (k, v) in m.iter() {
                 put_str(buf, k);
                 put_value(buf, v);
@@ -65,71 +60,37 @@ pub fn put_value(buf: &mut impl BufMut, v: &Value) {
 }
 
 /// Read a value.
-pub fn get_value(buf: &mut impl Buf) -> Result<Value> {
-    if !buf.has_remaining() {
-        return Err(StorageError::Corrupt("truncated value".into()));
-    }
-    match buf.get_u8() {
-        0 => Ok(Value::Null),
-        1 => Ok(Value::Bool(get_u8_checked(buf)? != 0)),
-        2 => Ok(Value::Int(get_i64(buf)?)),
-        3 => {
-            if buf.remaining() < 8 {
-                return Err(StorageError::Corrupt("truncated float".into()));
-            }
-            Ok(Value::Float(f64::from_bits(buf.get_u64())))
-        }
-        4 => Ok(Value::Str(Arc::from(get_str(buf)?.as_str()))),
-        5 => Ok(Value::Tuple(get_tuple(buf)?)),
-        6 => {
-            let n = get_count(buf)?;
-            let mut bag = Bag::empty();
-            for _ in 0..n {
-                bag.push(get_tuple(buf)?);
-            }
-            Ok(Value::Bag(bag))
-        }
+pub fn get_value(r: &mut Reader<'_>) -> Result<Value> {
+    Ok(match r.u8()? {
+        0 => Value::Null,
+        1 => Value::Bool(r.u8()? != 0),
+        2 => Value::Int(r.var_i64()?),
+        3 => Value::Float(f64::from_bits(u64::from_be_bytes(r.array()?))),
+        4 => Value::Str(Arc::from(r.str()?.as_str())),
+        5 => Value::Tuple(get_tuple(r)?),
+        6 => Value::Bag(Bag::from_tuples(r.list(get_tuple)?)),
         7 => {
-            let n = get_count(buf)?;
-            let mut m = BTreeMap::new();
-            for _ in 0..n {
-                let k = get_str(buf)?;
-                let v = get_value(buf)?;
-                m.insert(k, v);
-            }
-            Ok(Value::Map(Arc::new(m)))
+            let entries = r.list(|r| Ok((r.str()?, get_value(r)?)))?;
+            Value::Map(Arc::new(entries.into_iter().collect::<BTreeMap<_, _>>()))
         }
-        other => Err(StorageError::Corrupt(format!("unknown value tag {other}"))),
-    }
+        other => return Err(StorageError::Corrupt(format!("unknown value tag {other}"))),
+    })
 }
 
 /// Append a tuple.
-pub fn put_tuple(buf: &mut impl BufMut, t: &Tuple) {
-    put_u64(buf, wire_len(t.arity()));
+pub fn put_tuple(buf: &mut Vec<u8>, t: &Tuple) {
+    put_len(buf, t.arity());
     for v in t.fields() {
         put_value(buf, v);
     }
 }
 
 /// Read a tuple.
-pub fn get_tuple(buf: &mut impl Buf) -> Result<Tuple> {
-    let n = get_count(buf)?;
-    let mut fields = Vec::with_capacity(n);
-    for _ in 0..n {
-        fields.push(get_value(buf)?);
-    }
-    Ok(Tuple::new(fields))
+pub fn get_tuple(r: &mut Reader<'_>) -> Result<Tuple> {
+    Ok(Tuple::new(r.list(get_value)?))
 }
 
 // ----- node kinds -----
-
-/// Read one byte or report truncation (the raw `get_u8` panics).
-fn get_u8_checked(buf: &mut impl Buf) -> Result<u8> {
-    if !buf.has_remaining() {
-        return Err(StorageError::Corrupt("truncated byte".into()));
-    }
-    Ok(buf.get_u8())
-}
 
 fn agg_tag(op: AggOp) -> u8 {
     match op {
@@ -154,51 +115,42 @@ fn agg_from(tag: u8) -> Result<AggOp> {
 
 /// Kind tag for a *retired* zoom composite: a tombstoned, unlinked
 /// `Zoomed` node left in the arena by ZoomIn. ZoomIn remaps such nodes
-/// to the reserved stash index [`lipstick_core::graph::RETIRED_STASH`]
-/// (which ZoomOut never allocates), so the tag round-trips exactly:
-/// `Zoomed { stash: RETIRED_STASH }` in means the same out. Visible
-/// zoomed nodes are still unpersistable (zoom is a view; the encoder
-/// rejects graphs with active ZoomOuts).
-pub const RETIRED_ZOOM_TAG: u8 = 13;
+/// to the reserved stash index [`RETIRED_STASH`] (which ZoomOut never
+/// allocates), so the tag round-trips exactly: `Zoomed { stash:
+/// RETIRED_STASH }` in means the same out. Visible zoomed nodes are
+/// still unpersistable (zoom is a view; the encoder rejects graphs with
+/// active ZoomOuts).
+const RETIRED_ZOOM_TAG: u8 = 13;
 
-/// Append the kind of a retired (tombstoned) zoom composite.
-pub fn put_retired_zoom(buf: &mut impl BufMut) {
-    buf.put_u8(RETIRED_ZOOM_TAG);
-}
-
-/// Append a node kind. Zoomed nodes are rejected at a higher level
-/// (persisting a zoomed view is an error); retired composites go
-/// through [`put_retired_zoom`].
-pub fn put_kind(buf: &mut impl BufMut, kind: &NodeKind) -> Result<()> {
+/// Append a node kind. Zoomed nodes are rejected (persisting a zoomed
+/// view is an error); [`put_record`] writes retired composites.
+fn put_kind(buf: &mut Vec<u8>, kind: &NodeKind) -> Result<()> {
     match kind {
         NodeKind::WorkflowInput { token } => {
-            buf.put_u8(0);
+            buf.push(0);
             put_str(buf, token.as_str());
         }
-        NodeKind::Invocation => buf.put_u8(1),
-        NodeKind::ModuleInput => buf.put_u8(2),
-        NodeKind::ModuleOutput => buf.put_u8(3),
-        NodeKind::StateUnit => buf.put_u8(4),
+        NodeKind::Invocation => buf.push(1),
+        NodeKind::ModuleInput => buf.push(2),
+        NodeKind::ModuleOutput => buf.push(3),
+        NodeKind::StateUnit => buf.push(4),
         NodeKind::BaseTuple { token } => {
-            buf.put_u8(5);
+            buf.push(5);
             put_str(buf, token.as_str());
         }
-        NodeKind::Plus => buf.put_u8(6),
-        NodeKind::Times => buf.put_u8(7),
-        NodeKind::Delta => buf.put_u8(8),
-        NodeKind::AggResult { op } => {
-            buf.put_u8(9);
-            buf.put_u8(agg_tag(*op));
-        }
-        NodeKind::Tensor => buf.put_u8(10),
+        NodeKind::Plus => buf.push(6),
+        NodeKind::Times => buf.push(7),
+        NodeKind::Delta => buf.push(8),
+        NodeKind::AggResult { op } => buf.extend_from_slice(&[9, agg_tag(*op)]),
+        NodeKind::Tensor => buf.push(10),
         NodeKind::Const { value } => {
-            buf.put_u8(11);
+            buf.push(11);
             put_value(buf, value);
         }
         NodeKind::BlackBox { name, is_value } => {
-            buf.put_u8(12);
+            buf.push(12);
             put_str(buf, name);
-            buf.put_u8(u8::from(*is_value));
+            buf.push(u8::from(*is_value));
         }
         NodeKind::Zoomed { .. } => {
             return Err(StorageError::Corrupt(
@@ -210,37 +162,34 @@ pub fn put_kind(buf: &mut impl BufMut, kind: &NodeKind) -> Result<()> {
 }
 
 /// Read a node kind.
-pub fn get_kind(buf: &mut impl Buf) -> Result<NodeKind> {
-    if !buf.has_remaining() {
-        return Err(StorageError::Corrupt("truncated node kind".into()));
-    }
-    Ok(match buf.get_u8() {
+fn get_kind(r: &mut Reader<'_>) -> Result<NodeKind> {
+    Ok(match r.u8()? {
         0 => NodeKind::WorkflowInput {
-            token: Token::new(get_str(buf)?),
+            token: Token::new(r.str()?),
         },
         1 => NodeKind::Invocation,
         2 => NodeKind::ModuleInput,
         3 => NodeKind::ModuleOutput,
         4 => NodeKind::StateUnit,
         5 => NodeKind::BaseTuple {
-            token: Token::new(get_str(buf)?),
+            token: Token::new(r.str()?),
         },
         6 => NodeKind::Plus,
         7 => NodeKind::Times,
         8 => NodeKind::Delta,
         9 => NodeKind::AggResult {
-            op: agg_from(get_u8_checked(buf)?)?,
+            op: agg_from(r.u8()?)?,
         },
         10 => NodeKind::Tensor,
         11 => NodeKind::Const {
-            value: get_value(buf)?,
+            value: get_value(r)?,
         },
         12 => NodeKind::BlackBox {
-            name: get_str(buf)?,
-            is_value: get_u8_checked(buf)? != 0,
+            name: r.str()?,
+            is_value: r.u8()? != 0,
         },
         RETIRED_ZOOM_TAG => NodeKind::Zoomed {
-            stash: lipstick_core::graph::RETIRED_STASH,
+            stash: RETIRED_STASH,
         },
         other => {
             return Err(StorageError::Corrupt(format!(
@@ -253,7 +202,7 @@ pub fn get_kind(buf: &mut impl Buf) -> Result<NodeKind> {
 // ----- roles -----
 
 /// Append a role.
-pub fn put_role(buf: &mut impl BufMut, role: &Role) {
+fn put_role(buf: &mut Vec<u8>, role: &Role) {
     let (tag, inv): (u8, Option<InvocationId>) = match role {
         Role::WorkflowInput => (0, None),
         Role::Invocation(i) => (1, Some(*i)),
@@ -264,19 +213,16 @@ pub fn put_role(buf: &mut impl BufMut, role: &Role) {
         Role::Zoom(i) => (6, Some(*i)),
         Role::Free => (7, None),
     };
-    buf.put_u8(tag);
+    buf.push(tag);
     if let Some(i) = inv {
         put_u64(buf, u64::from(i.0));
     }
 }
 
 /// Read a role.
-pub fn get_role(buf: &mut impl Buf) -> Result<Role> {
-    if !buf.has_remaining() {
-        return Err(StorageError::Corrupt("truncated role".into()));
-    }
-    let tag = buf.get_u8();
-    let mut inv = || -> Result<InvocationId> { Ok(InvocationId(get_u32(buf)?)) };
+fn get_role(r: &mut Reader<'_>) -> Result<Role> {
+    let tag = r.u8()?;
+    let mut inv = || -> Result<InvocationId> { Ok(InvocationId(r.var_u32()?)) };
     Ok(match tag {
         0 => Role::WorkflowInput,
         1 => Role::Invocation(inv()?),
@@ -290,18 +236,78 @@ pub fn get_role(buf: &mut impl Buf) -> Result<Role> {
     })
 }
 
+// ----- node records -----
+
+/// One node record: a flags byte (bit 0 = deleted tombstone), the
+/// role, the kind, and the predecessor ids (edges are stored once, as
+/// predecessors). The decoder checks the bytes, not the references:
+/// what a record may point at depends on where it sits (a sealed
+/// record within its file, see `log::check_refs`; a tail record also
+/// forward within its own batch, see `AppendLog`'s `validate_append`).
+#[derive(Debug, Clone, PartialEq)]
+pub struct NodeRecord {
+    pub deleted: bool,
+    pub role: Role,
+    pub kind: NodeKind,
+    pub preds: Vec<NodeId>,
+}
+
+/// Append one node record. A zoom composite persists only retired —
+/// tombstoned and carrying the [`RETIRED_STASH`] sentinel, which is
+/// what ZoomIn leaves behind; a live one is a view and an error.
+pub fn put_record(
+    buf: &mut Vec<u8>,
+    deleted: bool,
+    role: &Role,
+    kind: &NodeKind,
+    preds: &[NodeId],
+) -> Result<()> {
+    buf.push(u8::from(deleted));
+    put_role(buf, role);
+    match *kind {
+        NodeKind::Zoomed { stash } if deleted && stash == RETIRED_STASH => {
+            buf.push(RETIRED_ZOOM_TAG);
+        }
+        // A dead composite whose stash was not remapped would decode
+        // to a different kind than was encoded.
+        NodeKind::Zoomed { stash } if deleted => {
+            return Err(StorageError::Corrupt(format!(
+                "retired zoom composite carries live stash index {stash}"
+            )))
+        }
+        _ => put_kind(buf, kind)?,
+    }
+    put_len(buf, preds.len());
+    for p in preds {
+        put_u64(buf, u64::from(p.0));
+    }
+    Ok(())
+}
+
+/// Read one node record.
+pub fn get_record(r: &mut Reader<'_>) -> Result<NodeRecord> {
+    let flags = r.u8()?;
+    let role = get_role(r)?;
+    let kind = get_kind(r)?;
+    let preds = r.list(|r| Ok(NodeId(r.var_u32()?)))?;
+    Ok(NodeRecord {
+        deleted: flags & 1 != 0,
+        role,
+        kind,
+        preds,
+    })
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
-    use bytes::BytesMut;
     use lipstick_nrel::{bag, tuple};
     use proptest::prelude::*;
 
     fn round_trip_value(v: &Value) -> Value {
-        let mut b = BytesMut::new();
+        let mut b = Vec::new();
         put_value(&mut b, v);
-        let mut r = b.freeze();
-        get_value(&mut r).unwrap()
+        get_value(&mut Reader::new(&b)).unwrap()
     }
 
     #[test]
@@ -363,16 +369,15 @@ mod tests {
             },
         ];
         for k in kinds {
-            let mut b = BytesMut::new();
+            let mut b = Vec::new();
             put_kind(&mut b, &k).unwrap();
-            let mut r = b.freeze();
-            assert_eq!(get_kind(&mut r).unwrap(), k);
+            assert_eq!(get_kind(&mut Reader::new(&b)).unwrap(), k);
         }
     }
 
     #[test]
     fn zoomed_kind_rejected() {
-        let mut b = BytesMut::new();
+        let mut b = Vec::new();
         assert!(put_kind(&mut b, &NodeKind::Zoomed { stash: 0 }).is_err());
     }
 
@@ -388,10 +393,9 @@ mod tests {
             Role::Free,
         ];
         for role in roles {
-            let mut b = BytesMut::new();
+            let mut b = Vec::new();
             put_role(&mut b, &role);
-            let mut r = b.freeze();
-            assert_eq!(get_role(&mut r).unwrap(), role);
+            assert_eq!(get_role(&mut Reader::new(&b)).unwrap(), role);
         }
     }
 
@@ -399,70 +403,69 @@ mod tests {
     fn invocation_id_overflow_is_error_not_wrap() {
         // Role tag 1 (Invocation) followed by a varint above u32::MAX:
         // must be rejected, not silently truncated to a small id.
-        let mut b = BytesMut::new();
-        b.put_u8(1);
+        let mut b = vec![1];
         put_u64(&mut b, u64::from(u32::MAX) + 1);
-        let mut r = b.freeze();
-        let err = get_role(&mut r).unwrap_err();
+        let err = get_role(&mut Reader::new(&b)).unwrap_err();
         assert!(err.to_string().contains("overflows 32-bit"), "got: {err}");
         // The boundary value itself still round-trips.
         let role = Role::Invocation(InvocationId(u32::MAX));
-        let mut b = BytesMut::new();
+        let mut b = Vec::new();
         put_role(&mut b, &role);
-        let mut r = b.freeze();
-        assert_eq!(get_role(&mut r).unwrap(), role);
+        assert_eq!(get_role(&mut Reader::new(&b)).unwrap(), role);
     }
 
     #[test]
     fn oversized_declared_lengths_are_rejected_before_allocating() {
         // A bag whose 8-byte header claims u64::MAX tuples.
-        let mut b = BytesMut::new();
-        b.put_u8(6);
+        let mut b = vec![6];
         put_u64(&mut b, u64::MAX);
-        let mut r = b.freeze();
-        assert!(get_value(&mut r).is_err());
+        assert!(get_value(&mut Reader::new(&b)).is_err());
         // A tuple claiming more fields than the buffer could hold.
-        let mut b = BytesMut::new();
+        let mut b = Vec::new();
         put_u64(&mut b, 1 << 40);
-        b.put_u8(0);
-        let mut r = b.freeze();
-        assert!(get_tuple(&mut r).is_err());
+        b.push(0);
+        assert!(get_tuple(&mut Reader::new(&b)).is_err());
         // A map likewise.
-        let mut b = BytesMut::new();
-        b.put_u8(7);
+        let mut b = vec![7];
         put_u64(&mut b, 1 << 40);
-        let mut r = b.freeze();
-        assert!(get_value(&mut r).is_err());
+        assert!(get_value(&mut Reader::new(&b)).is_err());
     }
 
     #[test]
     fn retired_zoom_sentinel_round_trips_to_reserved_stash() {
-        use lipstick_core::graph::RETIRED_STASH;
-        let mut b = BytesMut::new();
-        put_retired_zoom(&mut b);
-        let mut r = b.freeze();
+        let retired = NodeRecord {
+            deleted: true,
+            role: Role::Zoom(InvocationId(1)),
+            kind: NodeKind::Zoomed {
+                stash: RETIRED_STASH,
+            },
+            preds: vec![NodeId(4)],
+        };
+        let mut b = Vec::new();
+        put_record(&mut b, true, &retired.role, &retired.kind, &retired.preds).unwrap();
         assert_eq!(
-            get_kind(&mut r).unwrap(),
-            NodeKind::Zoomed {
-                stash: RETIRED_STASH
-            }
+            b[2..4],
+            [1, RETIRED_ZOOM_TAG],
+            "invocation id, then the tag"
         );
+        assert_eq!(get_record(&mut Reader::new(&b)).unwrap(), retired);
         // Live zoom composites — any stash id, the reserved one
-        // included — are views and never encodable.
+        // included — are views and never encodable; a dead one must
+        // carry the sentinel.
         for stash in [0, RETIRED_STASH - 1, RETIRED_STASH] {
-            let mut b = BytesMut::new();
-            assert!(put_kind(&mut b, &NodeKind::Zoomed { stash }).is_err());
+            let mut b = Vec::new();
+            let kind = NodeKind::Zoomed { stash };
+            assert!(put_record(&mut b, false, &Role::Free, &kind, &[]).is_err());
         }
+        let kind = NodeKind::Zoomed { stash: 0 };
+        assert!(put_record(&mut Vec::new(), true, &Role::Free, &kind, &[]).is_err());
     }
 
     #[test]
     fn unknown_tags_are_errors() {
-        let mut r = bytes::Bytes::from_static(&[99]);
-        assert!(get_value(&mut r).is_err());
-        let mut r = bytes::Bytes::from_static(&[99]);
-        assert!(get_kind(&mut r).is_err());
-        let mut r = bytes::Bytes::from_static(&[99]);
-        assert!(get_role(&mut r).is_err());
+        assert!(get_value(&mut Reader::new(&[99])).is_err());
+        assert!(get_kind(&mut Reader::new(&[99])).is_err());
+        assert!(get_role(&mut Reader::new(&[99])).is_err());
     }
 
     fn arb_value() -> impl Strategy<Value = Value> {

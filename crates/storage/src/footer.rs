@@ -33,11 +33,11 @@
 
 use std::collections::BTreeMap;
 
-use bytes::{Buf, BufMut};
 use lipstick_core::{NodeId, ProvGraph};
 
 use crate::error::{Result, StorageError};
-use crate::varint::{get_count, get_str, get_u32, get_u64, put_str, put_u64};
+use crate::reader::Reader;
+use crate::varint::{put_len, put_str, put_u64};
 
 /// Magic bytes of the footer trailer.
 pub const FOOTER_MAGIC: &[u8; 4] = b"LPIX";
@@ -131,7 +131,7 @@ impl FooterWriter {
         self.offsets.push(self.records_end);
 
         let start = buf.len();
-        put_u64(buf, n as u64);
+        put_len(buf, n);
         put_u64(buf, self.offsets[0]);
         for w in self.offsets.windows(2) {
             put_u64(buf, w[1] - w[0]);
@@ -139,7 +139,7 @@ impl FooterWriter {
 
         let bitmap = source.visibility();
         debug_assert_eq!(bitmap.len(), n.div_ceil(8));
-        buf.put_slice(&bitmap);
+        buf.extend_from_slice(&bitmap);
 
         // Successor adjacency (sorted, delta-encoded).
         let mut succs: Vec<NodeId> = Vec::new();
@@ -156,15 +156,15 @@ impl FooterWriter {
 
         // Trailer.
         let footer_len = (buf.len() - start) as u64;
-        buf.put_slice(&footer_len.to_le_bytes());
-        buf.put_slice(FOOTER_MAGIC);
-        buf.put_u8(FOOTER_VERSION);
+        buf.extend_from_slice(&footer_len.to_le_bytes());
+        buf.extend_from_slice(FOOTER_MAGIC);
+        buf.push(FOOTER_VERSION);
     }
 }
 
 /// A count, then the ascending ids as deltas.
 fn put_id_deltas(buf: &mut Vec<u8>, ids: &[NodeId]) {
-    put_u64(buf, ids.len() as u64);
+    put_len(buf, ids.len());
     let mut prev = 0u32;
     for id in ids {
         put_u64(buf, u64::from(id.0 - prev));
@@ -176,7 +176,7 @@ fn put_id_deltas(buf: &mut Vec<u8>, ids: &[NodeId]) {
 /// visible has no group.
 fn put_postings(buf: &mut Vec<u8>, mut groups: Postings<'_>) {
     groups.retain(|_, ids| !ids.is_empty());
-    put_u64(buf, groups.len() as u64);
+    put_len(buf, groups.len());
     for (name, ids) in &groups {
         put_str(buf, name);
         put_id_deltas(buf, ids);
@@ -234,41 +234,41 @@ impl LogIndex {
     /// truncated or garbled footer is an error, never a panic or an
     /// oversized allocation.
     pub fn parse(data: &[u8], node_count: usize) -> Result<LogIndex> {
-        if data.len() < TRAILER_LEN {
-            return Err(StorageError::Corrupt("missing footer trailer".into()));
-        }
-        let trailer = &data[data.len() - TRAILER_LEN..];
-        if &trailer[8..12] != FOOTER_MAGIC {
+        let body_len = data
+            .len()
+            .checked_sub(TRAILER_LEN)
+            .ok_or_else(|| StorageError::Corrupt("missing footer trailer".into()))?;
+        let mut trailer = Reader::new(&data[body_len..]);
+        let footer_len = trailer.u64_le()?;
+        if trailer.bytes(FOOTER_MAGIC.len())? != FOOTER_MAGIC {
             return Err(StorageError::Corrupt("bad footer magic".into()));
         }
-        if trailer[12] != FOOTER_VERSION {
+        let version = trailer.u8()?;
+        if version != FOOTER_VERSION {
             return Err(StorageError::Corrupt(format!(
-                "unsupported footer version {}",
-                trailer[12]
+                "unsupported footer version {version}"
             )));
         }
-        let footer_len = u64::from_le_bytes(trailer[..8].try_into().expect("8 bytes"));
-        let body_len = (data.len() - TRAILER_LEN) as u64;
-        if footer_len > body_len {
-            return Err(StorageError::Corrupt(format!(
-                "footer length {footer_len} exceeds file size"
-            )));
-        }
-        let footer_start = (body_len - footer_len) as usize;
-        let mut buf = &data[footer_start..data.len() - TRAILER_LEN];
+        let footer_start = usize::try_from(footer_len)
+            .ok()
+            .and_then(|len| body_len.checked_sub(len))
+            .ok_or_else(|| {
+                StorageError::Corrupt(format!("footer length {footer_len} exceeds file size"))
+            })?;
+        let mut r = Reader::new(&data[footer_start..body_len]);
 
-        let declared = get_u64(&mut buf)? as usize;
-        if declared != node_count {
+        let declared = r.var_u64()?;
+        if usize::try_from(declared) != Ok(node_count) {
             return Err(StorageError::Corrupt(format!(
                 "footer node count {declared} does not match header {node_count}"
             )));
         }
-        let records_base = get_u64(&mut buf)?;
+        let records_base = r.var_u64()?;
         let mut offsets = Vec::with_capacity(node_count + 1);
         let mut at = 0u32;
         offsets.push(at);
         for _ in 0..node_count {
-            at = u32::try_from(get_u64(&mut buf)?)
+            at = u32::try_from(r.var_u64()?)
                 .ok()
                 .and_then(|len| at.checked_add(len))
                 .ok_or_else(|| too_large("record section"))?;
@@ -284,11 +284,7 @@ impl LogIndex {
         }
 
         let bitmap_len = node_count.div_ceil(8);
-        if buf.remaining() < bitmap_len {
-            return Err(StorageError::Corrupt("truncated visibility bitmap".into()));
-        }
-        let mut visible = vec![0u8; bitmap_len];
-        buf.copy_to_slice(&mut visible);
+        let visible = r.bytes(bitmap_len)?.to_vec();
         // `visible_count` is a popcount of the bitmap, so padding bits
         // past the last node must be clear for it to equal a sweep.
         let used_bits = node_count % 8;
@@ -303,33 +299,15 @@ impl LogIndex {
         let mut succ_ids = Vec::new();
         succ_starts.push(0u32);
         for _ in 0..node_count {
-            let count = get_count(&mut buf)?;
-            let mut prev = 0u32;
-            for i in 0..count {
-                let delta = get_u32(&mut buf)?;
-                prev = if i == 0 {
-                    delta
-                } else {
-                    check_id_add(prev, delta)?
-                };
-                if prev as usize >= node_count {
-                    return Err(StorageError::Corrupt(format!(
-                        "successor id {prev} beyond node count {node_count}"
-                    )));
-                }
-                succ_ids.push(NodeId(prev));
-            }
+            let count = r.count()?;
+            push_id_deltas(&mut r, count, node_count, "successor", &mut succ_ids)?;
             let end = u32::try_from(succ_ids.len()).map_err(|_| too_large("successor table"))?;
             succ_starts.push(end);
         }
 
-        let module_postings = get_postings(&mut buf, node_count)?;
-        let kind_postings = get_postings(&mut buf, node_count)?;
-        if buf.has_remaining() {
-            return Err(StorageError::Corrupt(
-                "trailing garbage inside footer".into(),
-            ));
-        }
+        let module_postings = get_postings(&mut r, node_count)?;
+        let kind_postings = get_postings(&mut r, node_count)?;
+        r.finish("footer")?;
         Ok(LogIndex {
             records_base,
             offsets,
@@ -361,7 +339,8 @@ impl LogIndex {
 
     /// Byte offset where the invocation table starts.
     pub fn invocations_offset(&self) -> usize {
-        self.records_offset() + *self.offsets.last().expect("non-empty") as usize
+        // `offsets` always holds at least the section's end.
+        self.records_offset() + self.offsets.last().map_or(0, |&end| end as usize)
     }
 
     /// Is node `id` visible (not tombstoned)?
@@ -414,33 +393,38 @@ fn too_large(what: &str) -> StorageError {
     StorageError::Corrupt(format!("{what} of 4 GiB or more"))
 }
 
-fn check_id_add(prev: u32, delta: u32) -> Result<u32> {
-    prev.checked_add(delta)
-        .ok_or_else(|| StorageError::Corrupt("posting id overflow".into()))
+/// Read the `count` ascending ids, written as deltas, that follow a
+/// count [`put_id_deltas`] wrote, onto `out`; each is checked against
+/// the node count.
+#[inline]
+fn push_id_deltas(
+    r: &mut Reader<'_>,
+    count: usize,
+    node_count: usize,
+    what: &str,
+    out: &mut Vec<NodeId>,
+) -> Result<()> {
+    let mut prev = 0u32;
+    for _ in 0..count {
+        prev = prev
+            .checked_add(r.var_u32()?)
+            .filter(|&id| (id as usize) < node_count)
+            .ok_or_else(|| {
+                StorageError::Corrupt(format!("{what} id beyond node count {node_count}"))
+            })?;
+        out.push(NodeId(prev));
+    }
+    Ok(())
 }
 
-fn get_postings(buf: &mut impl Buf, node_count: usize) -> Result<BTreeMap<String, Vec<NodeId>>> {
-    let groups = get_count(buf)?;
+fn get_postings(r: &mut Reader<'_>, node_count: usize) -> Result<BTreeMap<String, Vec<NodeId>>> {
+    let groups = r.count()?;
     let mut out = BTreeMap::new();
     for _ in 0..groups {
-        let name = get_str(buf)?;
-        let count = get_count(buf)?;
+        let name = r.str()?;
+        let count = r.count()?;
         let mut ids = Vec::with_capacity(count);
-        let mut prev = 0u32;
-        for i in 0..count {
-            let delta = get_u32(buf)?;
-            prev = if i == 0 {
-                delta
-            } else {
-                check_id_add(prev, delta)?
-            };
-            if prev as usize >= node_count {
-                return Err(StorageError::Corrupt(format!(
-                    "posting id {prev} beyond node count {node_count}"
-                )));
-            }
-            ids.push(NodeId(prev));
-        }
+        push_id_deltas(r, count, node_count, "posting", &mut ids)?;
         out.insert(name, ids);
     }
     Ok(out)

@@ -12,6 +12,12 @@
 //! their predecessor lists, so the loader reconstructs both edge
 //! directions in one pass.
 //!
+//! Every decoder reads through the fallible [`Reader`], so corrupt input
+//! is a [`StorageError::Corrupt`], never a panic. Each on-disk structure
+//! has one codec that every backend shares: the file header and the
+//! invocation table in [`log`], the node record ([`codec::NodeRecord`])
+//! in [`codec`].
+//!
 //! ```
 //! use lipstick_core::graph::GraphTracker;
 //! use lipstick_core::Tracker;
@@ -34,6 +40,7 @@ pub mod footer;
 pub mod io;
 pub mod log;
 pub mod paged;
+pub mod reader;
 pub mod tail;
 pub mod varint;
 
@@ -46,4 +53,5 @@ pub use log::{
     write_graph_v2, write_graph_v2_io,
 };
 pub use paged::PagedLog;
+pub use reader::Reader;
 pub use tail::TailRecord;

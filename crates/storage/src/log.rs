@@ -4,7 +4,7 @@
 //!
 //! ```text
 //! magic  "LPSTK"          5 bytes
-//! version u8              currently 1
+//! version u8              1, or 2 when a footer follows (see crate::footer)
 //! node_count
 //! per node (in id order):
 //!   flags u8              bit0 = deleted tombstone
@@ -15,24 +15,31 @@
 //! per invocation: module string, execution, m-node id
 //! ```
 //!
+//! Each structure has one encoder and one decoder, and every reader of
+//! the format uses them: the header here (`put_header` /
+//! `read_header`), the node record in [`crate::codec`]
+//! ([`crate::codec::NodeRecord`]), and the invocation table here
+//! (`put_invocations` / `get_invocations`). The paged reader, COMPACT's
+//! splice and the tail's `AppendGraph` payload hold no layout of their
+//! own.
+//!
 //! Figure 6 of the paper measures exactly this path: reading
 //! provenance-annotated data from disk and building the in-memory
 //! graph.
 
 use std::path::Path;
 
-use bytes::{Buf, BufMut, Bytes};
-use lipstick_core::{NodeId, ProvGraph};
+use lipstick_core::graph::InvocationInfo;
+use lipstick_core::{NodeId, ProvGraph, Role};
 
-use crate::codec::{get_kind, get_role, put_kind, put_retired_zoom, put_role};
+use crate::codec::{get_record, put_record};
 use crate::error::{Result, StorageError};
 use crate::footer::FooterWriter;
 use crate::io::{default_io, StorageIo};
-use crate::varint::{get_count, get_str, get_u32, put_str, put_u64};
-use lipstick_core::graph::{InvocationInfo, RETIRED_STASH};
-use lipstick_core::{NodeKind, Role};
+use crate::reader::Reader;
+use crate::varint::{put_len, put_str, put_u64};
 
-pub(crate) const MAGIC: &[u8; 5] = b"LPSTK";
+const MAGIC: &[u8; 5] = b"LPSTK";
 /// Original format: header + records + invocation table, full decode
 /// only.
 pub const VERSION_V1: u8 = 1;
@@ -86,57 +93,54 @@ fn encode_graph_versioned(graph: &ProvGraph, version: u8) -> Result<Vec<u8>> {
     Ok(buf)
 }
 
+// ----- file header -----
+
 /// The file header: magic, format version, node count.
 pub(crate) fn put_header(buf: &mut Vec<u8>, version: u8, node_count: usize) {
-    buf.put_slice(MAGIC);
-    buf.put_u8(version);
-    put_u64(buf, node_count as u64);
+    buf.extend_from_slice(MAGIC);
+    buf.push(version);
+    put_len(buf, node_count);
 }
 
-/// One node record: flags byte (bit0 = deleted tombstone), role, kind,
-/// predecessor list.
-pub(crate) fn put_record(
-    buf: &mut Vec<u8>,
-    deleted: bool,
-    role: &Role,
-    kind: &NodeKind,
-    preds: &[NodeId],
-) -> Result<()> {
-    buf.put_u8(u8::from(deleted));
-    put_role(buf, role);
-    // Composite zoom nodes retired by ZoomIn stay in the arena as
-    // unlinked tombstones; persist them as such so a graph that
-    // went through a zoom cycle remains storable.
-    if let NodeKind::Zoomed { stash } = *kind {
-        if !deleted {
-            // Unreachable once active zooms are rejected (both callers
-            // do), but kept as a hard invariant.
-            return Err(StorageError::Corrupt(
-                "zoomed composite nodes are views and cannot be persisted".into(),
-            ));
-        }
-        if stash != RETIRED_STASH {
-            // A dead composite must carry the reserved sentinel
-            // (ZoomIn remaps it); a live index here would decode to
-            // a different kind than was encoded.
-            return Err(StorageError::Corrupt(format!(
-                "retired zoom composite carries live stash index {stash}"
-            )));
-        }
-        put_retired_zoom(buf);
-    } else {
-        put_kind(buf, kind)?;
-    }
-    put_u64(buf, preds.len() as u64);
-    for p in preds {
-        put_u64(buf, u64::from(p.0));
-    }
-    Ok(())
+/// A decoded file header.
+pub(crate) struct Header {
+    pub version: u8,
+    pub node_count: usize,
+    /// Byte offset of record 0: the first byte after the header.
+    pub records_start: usize,
 }
 
-/// The invocation table that follows the record section.
+/// Read the header of a v1 or v2 log.
+pub(crate) fn read_header(data: &[u8]) -> Result<Header> {
+    let version = log_version(data).ok_or(StorageError::BadMagic)?;
+    if version != VERSION_V1 && version != VERSION_V2 {
+        return Err(StorageError::BadVersion(version));
+    }
+    let mut r = Reader::new(&data[MAGIC.len() + 1..]);
+    let node_count = r.count()?;
+    Ok(Header {
+        version,
+        node_count,
+        records_start: data.len() - r.remaining(),
+    })
+}
+
+/// The format version of an encoded log, if the header is recognisable
+/// (`None` = not a Lipstick provenance file). Lets callers choose
+/// between a full decode and a lazy open without reading twice.
+pub fn log_version(data: &[u8]) -> Option<u8> {
+    match data.split_first_chunk::<5>() {
+        Some((magic, [version, ..])) if magic == MAGIC => Some(*version),
+        _ => None,
+    }
+}
+
+// ----- invocation table -----
+
+/// The invocation table that follows the record section (and ends a
+/// tail's `AppendGraph` payload).
 pub(crate) fn put_invocations(buf: &mut Vec<u8>, invocations: &[InvocationInfo]) {
-    put_u64(buf, invocations.len() as u64);
+    put_len(buf, invocations.len());
     for info in invocations {
         put_str(buf, &info.module);
         put_u64(buf, u64::from(info.execution));
@@ -144,84 +148,97 @@ pub(crate) fn put_invocations(buf: &mut Vec<u8>, invocations: &[InvocationInfo])
     }
 }
 
-/// The format version of an encoded log, if the header is recognisable
-/// (`None` = not a Lipstick provenance file). Lets callers choose
-/// between a full decode and a lazy open without reading twice.
-pub fn log_version(data: &[u8]) -> Option<u8> {
-    if data.len() >= 6 && &data[..5] == MAGIC {
-        Some(data[5])
-    } else {
-        None
-    }
+/// Read an invocation table. M-node ids are not range-checked here (a
+/// tail's may point forward into its own batch); a sealed file's go
+/// through [`get_sealed_invocations`].
+pub(crate) fn get_invocations(r: &mut Reader<'_>) -> Result<Vec<InvocationInfo>> {
+    r.list(|r| {
+        Ok(InvocationInfo {
+            module: r.str()?,
+            execution: r.var_u32()?,
+            m_node: NodeId(r.var_u32()?),
+        })
+    })
 }
 
-/// Decode the invocation table section (shared by the full loader and
-/// the paged reader).
-pub(crate) fn decode_invocations(
-    buf: &mut impl Buf,
+/// A sealed file's invocation table, whose m-nodes are records of the
+/// file (shared by the full loader and the paged reader).
+pub(crate) fn get_sealed_invocations(
+    r: &mut Reader<'_>,
     node_count: usize,
 ) -> Result<Vec<InvocationInfo>> {
-    let inv_count = get_count(buf)?;
-    let mut invocations = Vec::with_capacity(inv_count);
-    for _ in 0..inv_count {
-        let module = get_str(buf)?;
-        let execution = get_u32(buf)?;
-        let m_node = get_u32(buf)?;
-        if m_node as usize >= node_count {
-            return Err(StorageError::Corrupt(format!(
-                "invocation m-node {m_node} beyond node count"
-            )));
-        }
-        invocations.push(InvocationInfo {
-            module,
-            execution,
-            m_node: NodeId(m_node),
-        });
+    let invocations = get_invocations(r)?;
+    if let Some(bad) = invocations.iter().find(|i| i.m_node.index() >= node_count) {
+        return Err(StorageError::Corrupt(format!(
+            "invocation m-node {} beyond node count",
+            bad.m_node
+        )));
     }
     Ok(invocations)
 }
 
+// ----- records -----
+
+/// What a sealed record may reference: other records of its file, and
+/// invocations of the file's table. Checked as records are decoded, so
+/// a corrupt file is an error at load instead of an index out of bounds
+/// in a later query.
+pub(crate) fn check_refs(
+    id: NodeId,
+    role: Role,
+    preds: &[NodeId],
+    node_count: usize,
+    invocations: usize,
+) -> Result<()> {
+    if let Some(inv) = role.invocation().filter(|inv| inv.index() >= invocations) {
+        return Err(StorageError::Corrupt(format!(
+            "node {id} names invocation {} beyond the table of {invocations}",
+            inv.0
+        )));
+    }
+    for &p in preds {
+        if p.index() >= node_count {
+            return Err(StorageError::Corrupt(format!(
+                "edge references node {p} beyond node count {node_count}"
+            )));
+        }
+        if p == id {
+            return Err(StorageError::Corrupt(format!("self-loop on node {id}")));
+        }
+    }
+    Ok(())
+}
+
 /// Deserialize a graph from bytes.
 pub fn decode_graph(bytes: &[u8]) -> Result<ProvGraph> {
-    let mut buf = Bytes::copy_from_slice(bytes);
-    if buf.remaining() < 6 {
-        return Err(StorageError::BadMagic);
-    }
-    let mut magic = [0u8; 5];
-    buf.copy_to_slice(&mut magic);
-    if &magic != MAGIC {
-        return Err(StorageError::BadMagic);
-    }
-    let version = buf.get_u8();
-    if version != VERSION_V1 && version != VERSION_V2 {
-        return Err(StorageError::BadVersion(version));
-    }
+    let header = read_header(bytes)?;
+    let node_count = header.node_count;
     // v2 records are identical to v1; the sequential decode simply
     // stops before the trailing footer, which only lazy readers parse.
-    let node_count = get_count(&mut buf)?;
+    let mut r = Reader::new(&bytes[header.records_start..]);
     let mut graph = ProvGraph::new();
     // First pass: create nodes; collect pred lists.
     let mut pred_lists: Vec<Vec<NodeId>> = Vec::with_capacity(node_count);
     let mut deleted_flags: Vec<bool> = Vec::with_capacity(node_count);
     for _ in 0..node_count {
-        if !buf.has_remaining() {
-            return Err(StorageError::Corrupt("truncated node record".into()));
-        }
-        let flags = buf.get_u8();
-        let role = get_role(&mut buf)?;
-        let kind = get_kind(&mut buf)?;
-        let preds = decode_pred_list(&mut buf, node_count)?;
-        graph.add_node(kind, role);
-        pred_lists.push(preds);
-        deleted_flags.push(flags & 1 != 0);
+        let record = get_record(&mut r)?;
+        graph.add_node(record.kind, record.role);
+        pred_lists.push(record.preds);
+        deleted_flags.push(record.deleted);
     }
-    // Second pass: edges (both directions) and tombstones.
+    let invocations = get_sealed_invocations(&mut r, node_count)?;
+    // Second pass, now that the table is known: references, edges
+    // (both directions) and tombstones.
     for (idx, preds) in pred_lists.into_iter().enumerate() {
         let to = NodeId(idx as u32);
+        check_refs(
+            to,
+            graph.node(to).role,
+            &preds,
+            node_count,
+            invocations.len(),
+        )?;
         for from in preds {
-            if from == to {
-                return Err(StorageError::Corrupt(format!("self-loop on node {idx}")));
-            }
             graph.add_edge(from, to);
         }
     }
@@ -230,27 +247,10 @@ pub fn decode_graph(bytes: &[u8]) -> Result<ProvGraph> {
             graph.set_node_deleted(NodeId(idx as u32), true);
         }
     }
-    for info in decode_invocations(&mut buf, node_count)? {
+    for info in invocations {
         graph.register_invocation(info.module, info.execution, info.m_node);
     }
     Ok(graph)
-}
-
-/// Decode one record's predecessor list, validating ids against the
-/// node count.
-pub(crate) fn decode_pred_list(buf: &mut impl Buf, node_count: usize) -> Result<Vec<NodeId>> {
-    let pred_count = get_count(buf)?;
-    let mut preds = Vec::with_capacity(pred_count);
-    for _ in 0..pred_count {
-        let p = get_u32(buf)?;
-        if p as usize >= node_count {
-            return Err(StorageError::Corrupt(format!(
-                "edge references node {p} beyond node count {node_count}"
-            )));
-        }
-        preds.push(NodeId(p));
-    }
-    Ok(preds)
 }
 
 /// Write a graph to a file.
@@ -382,6 +382,24 @@ mod tests {
         for cut in [7, bytes.len() / 2, bytes.len() - 1] {
             assert!(decode_graph(&bytes[..cut]).is_err(), "cut at {cut}");
         }
+    }
+
+    /// A record naming an invocation past the table used to load, and
+    /// the first module predicate over it indexed the table out of
+    /// bounds.
+    #[test]
+    fn record_naming_a_missing_invocation_is_rejected() {
+        let mut g = ProvGraph::new();
+        g.add_invocation("M", 0);
+        g.add_node(
+            lipstick_core::NodeKind::Plus,
+            Role::Intermediate(lipstick_core::InvocationId(7)),
+        );
+        let err = decode_graph(&encode_graph(&g).unwrap()).unwrap_err();
+        assert!(
+            matches!(&err, StorageError::Corrupt(m) if m.contains("invocation 7")),
+            "{err}"
+        );
     }
 
     #[test]

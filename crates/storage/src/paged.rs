@@ -29,19 +29,20 @@ use std::borrow::Cow;
 use std::path::Path;
 use std::sync::{Arc, OnceLock};
 
-use bytes::Buf;
 use lipstick_core::graph::InvocationInfo;
 use lipstick_core::obs;
 use lipstick_core::store::GraphStore;
 use lipstick_core::{InvocationId, NodeId, NodeKind, Role};
 
-use crate::codec::{get_kind, get_role};
+use crate::codec::get_record;
 use crate::error::{Result, StorageError};
 use crate::footer::LogIndex;
-use crate::log::{decode_invocations, decode_pred_list, MAGIC, VERSION_V2};
-use crate::varint::get_count;
+use crate::log::{check_refs, get_sealed_invocations, read_header, VERSION_V2};
+use crate::reader::Reader;
 
-/// One decoded node record.
+/// One decoded node record, as cached: [`crate::codec::NodeRecord`]
+/// without the flags byte (the footer's bitmap answers visibility, and
+/// COMPACT patches flags under a carried cache).
 #[derive(Debug)]
 struct Record {
     kind: NodeKind,
@@ -101,36 +102,23 @@ impl PagedLog {
 
     /// Open a v2 log already in memory.
     pub fn from_bytes(data: Vec<u8>) -> Result<PagedLog> {
-        if data.len() < 6 {
-            return Err(StorageError::BadMagic);
+        let header = read_header(&data)?;
+        if header.version != VERSION_V2 {
+            return Err(StorageError::BadVersion(header.version));
         }
-        if &data[..5] != MAGIC {
-            return Err(StorageError::BadMagic);
-        }
-        let version = data[5];
-        if version != VERSION_V2 {
-            return Err(StorageError::BadVersion(version));
-        }
-        let mut header = &data[6..];
-        let before = header.remaining();
-        let node_count = get_count(&mut header)?;
-        let records_start = 6 + (before - header.remaining());
+        let node_count = header.node_count;
         let index = LogIndex::parse(&data, node_count)?;
-        if node_count > 0 && index.record_range(NodeId(0)).start < records_start {
+        if node_count > 0 && index.record_range(NodeId(0)).start < header.records_start {
             return Err(StorageError::Corrupt(
                 "first record offset points into the header".into(),
             ));
         }
         // The invocation table is small; decode it eagerly so module
         // predicates never fault node records.
-        let inv_start = index.invocations_offset();
-        if inv_start > data.len() {
-            return Err(StorageError::Corrupt(
-                "invocation table offset beyond file".into(),
-            ));
-        }
-        let mut inv_buf = &data[inv_start..];
-        let invocations = decode_invocations(&mut inv_buf, node_count)?;
+        let table = data
+            .get(index.invocations_offset()..)
+            .ok_or_else(|| StorageError::Corrupt("invocation table offset beyond file".into()))?;
+        let invocations = get_sealed_invocations(&mut Reader::new(table), node_count)?;
         Ok(PagedLog {
             data,
             index,
@@ -200,18 +188,14 @@ impl PagedLog {
     /// nothing, so the same error comes back on every attempt.
     #[cold]
     fn fault(&self, id: NodeId) -> Result<&Record> {
-        let range = self.index.record_range(id);
-        let mut buf = self
+        let bytes = self
             .data
-            .get(range)
+            .get(self.index.record_range(id))
             .ok_or_else(|| StorageError::Corrupt(format!("record {id} out of file bounds")))?;
-        if !buf.has_remaining() {
-            return Err(StorageError::Corrupt(format!("empty record for {id}")));
-        }
-        let _flags = buf.get_u8();
-        let role = get_role(&mut buf)?;
-        let kind = get_kind(&mut buf)?;
-        let preds = decode_pred_list(&mut buf, self.index.node_count())?.into_boxed_slice();
+        let record = get_record(&mut Reader::new(bytes))?;
+        let (node_count, invocations) = (self.index.node_count(), self.invocations.len());
+        check_refs(id, record.role, &record.preds, node_count, invocations)?;
+        let (kind, role, preds) = (record.kind, record.role, record.preds.into_boxed_slice());
 
         let block = self.cache[id.index() / BLOCK]
             .get_or_init(|| (0..BLOCK).map(|_| OnceLock::new()).collect());
@@ -572,6 +556,25 @@ mod tests {
             PagedLog::from_bytes(bytes),
             Err(StorageError::BadVersion(1))
         ));
+    }
+
+    #[test]
+    fn record_naming_a_missing_invocation_is_corrupt() {
+        let mut g = ProvGraph::new();
+        g.add_invocation("M", 0);
+        let node = g.add_node(NodeKind::Plus, Role::Intermediate(InvocationId(0)));
+        let mut bytes = encode_graph_v2(&g).unwrap();
+        // The flags byte, the role tag, then the invocation id's varint.
+        let index = PagedLog::from_bytes(bytes.clone()).unwrap().index().clone();
+        let at = index.record_range(node).start + 2;
+        assert_eq!(bytes[at], 0);
+        bytes[at] = 7;
+        let paged = PagedLog::from_bytes(bytes).unwrap();
+        let err = paged.verify_all().unwrap_err();
+        assert!(
+            matches!(&err, StorageError::Corrupt(m) if m.contains("invocation 7")),
+            "{err}"
+        );
     }
 
     #[test]

@@ -33,13 +33,15 @@
 //! therefore recovers a prefix of the committed records — never an
 //! error, never a panic (property-tested in `tests/tail_torn_write.rs`).
 
-use bytes::{Buf, BufMut};
+use lipstick_core::graph::InvocationInfo;
 use lipstick_core::obs::fnv1a64;
-use lipstick_core::{NodeId, NodeKind, Role};
+use lipstick_core::NodeId;
 
-use crate::codec::{get_kind, get_role, put_kind, put_retired_zoom, put_role};
+use crate::codec::{get_record, put_record, NodeRecord};
 use crate::error::{Result, StorageError};
-use crate::varint::{get_count, get_str, get_u32, put_str, put_u64};
+use crate::log::{get_invocations, put_invocations};
+use crate::reader::Reader;
+use crate::varint::{put_len, put_str, put_u64};
 
 /// Magic bytes opening a tail segment file.
 pub const TAIL_MAGIC: &[u8; 4] = b"LPTL";
@@ -51,46 +53,22 @@ pub const TAIL_HEADER_LEN: usize = 21;
 /// Fixed per-record frame width: payload_len (4) + checksum (8).
 pub const FRAME_LEN: usize = 12;
 
-/// One node carried by an [`TailRecord::AppendGraph`] record. Ids are
-/// implicit and sequential: the k-th node of the record gets id
-/// `node_count + k` at replay time. Predecessor ids are absolute and
-/// may point into the sealed base, earlier tail records, or earlier
-/// nodes of the same record.
-#[derive(Debug, Clone, PartialEq)]
-pub struct TailNode {
-    /// bit 0 = deleted (tombstoned at append time).
-    pub flags: u8,
-    pub role: Role,
-    pub kind: NodeKind,
-    pub preds: Vec<NodeId>,
-}
-
-impl TailNode {
-    pub fn is_deleted(&self) -> bool {
-        self.flags & 1 != 0
-    }
-}
-
-/// One invocation carried by an [`TailRecord::AppendGraph`] record.
-/// Invocation ids are implicit and sequential past the current table;
-/// `m_node` is absolute.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct TailInvocation {
-    pub module: String,
-    pub execution: u32,
-    pub m_node: NodeId,
-}
-
 /// A committed tail mutation. One record is one atomic commit: a whole
 /// ingested fragment, a whole deletion cone, or a whole zoom — so a
 /// torn suffix can drop a mutation but never split one.
 #[derive(Debug, Clone, PartialEq)]
 pub enum TailRecord {
     /// New workflow-run ingestion: a batch of appended nodes (with their
-    /// edges, as predecessor lists) plus the invocations they introduce.
+    /// edges, as predecessor lists) plus the invocations they introduce,
+    /// in the sealed log's record and invocation-table encodings. Ids
+    /// are implicit and sequential: the k-th node gets id
+    /// `node_count + k` at replay time, and the k-th invocation the
+    /// next invocation id. Predecessor and m-node ids are absolute and
+    /// may point into the sealed base, earlier tail records, or this
+    /// record's own nodes.
     AppendGraph {
-        nodes: Vec<TailNode>,
-        invocations: Vec<TailInvocation>,
+        nodes: Vec<NodeRecord>,
+        invocations: Vec<InvocationInfo>,
     },
     /// Visibility tombstones from `DELETE … PROPAGATE`, in deletion
     /// order (the order the resident mutation reports).
@@ -119,25 +97,21 @@ pub fn encode_header(base_len: u64, base_nodes: u64) -> Vec<u8> {
     out
 }
 
-/// Validate a tail header against the sealed base it claims to extend.
-/// Returns an error for a foreign or stale tail — the caller decides
-/// whether that is fatal (explicit recovery) or ignorable (a leftover
-/// from before the base was rewritten).
-pub fn check_header(data: &[u8], base_len: u64, base_nodes: u64) -> Result<()> {
-    if data.len() < TAIL_HEADER_LEN {
-        return Err(StorageError::Corrupt("truncated tail header".into()));
-    }
-    if &data[..4] != TAIL_MAGIC {
+/// Read a tail header and validate it against the sealed base it
+/// claims to extend. Returns an error for a foreign or stale tail — the
+/// caller decides whether that is fatal (explicit recovery) or
+/// ignorable (a leftover from before the base was rewritten).
+fn read_header(r: &mut Reader<'_>, base_len: u64, base_nodes: u64) -> Result<()> {
+    if r.bytes(TAIL_MAGIC.len())? != TAIL_MAGIC {
         return Err(StorageError::Corrupt("bad tail magic".into()));
     }
-    if data[4] != TAIL_VERSION {
+    let version = r.u8()?;
+    if version != TAIL_VERSION {
         return Err(StorageError::Corrupt(format!(
-            "unsupported tail version {}",
-            data[4]
+            "unsupported tail version {version}"
         )));
     }
-    let claimed_len = u64::from_le_bytes(data[5..13].try_into().expect("8 bytes"));
-    let claimed_nodes = u64::from_le_bytes(data[13..21].try_into().expect("8 bytes"));
+    let (claimed_len, claimed_nodes) = (r.u64_le()?, r.u64_le()?);
     if claimed_len != base_len || claimed_nodes != base_nodes {
         return Err(StorageError::Corrupt(format!(
             "tail was written against a different base \
@@ -148,58 +122,37 @@ pub fn check_header(data: &[u8], base_len: u64, base_nodes: u64) -> Result<()> {
     Ok(())
 }
 
+fn put_strs(buf: &mut Vec<u8>, strs: &[String]) {
+    put_len(buf, strs.len());
+    for s in strs {
+        put_str(buf, s);
+    }
+}
+
 fn put_payload(buf: &mut Vec<u8>, record: &TailRecord) -> Result<()> {
     match record {
         TailRecord::AppendGraph { nodes, invocations } => {
-            buf.put_u8(TAG_APPEND_GRAPH);
-            put_u64(buf, nodes.len() as u64);
-            for node in nodes {
-                buf.put_u8(node.flags);
-                put_role(buf, &node.role);
-                // Retired composites can be re-ingested only via
-                // compaction replay, but handle them uniformly with the
-                // sealed-record encoder: live zoom views stay
-                // unpersistable.
-                match &node.kind {
-                    NodeKind::Zoomed { stash }
-                        if node.is_deleted() && *stash == lipstick_core::graph::RETIRED_STASH =>
-                    {
-                        put_retired_zoom(buf);
-                    }
-                    other => put_kind(buf, other)?,
-                }
-                put_u64(buf, node.preds.len() as u64);
-                for p in &node.preds {
-                    put_u64(buf, u64::from(p.0));
-                }
+            buf.push(TAG_APPEND_GRAPH);
+            put_len(buf, nodes.len());
+            for n in nodes {
+                put_record(buf, n.deleted, &n.role, &n.kind, &n.preds)?;
             }
-            put_u64(buf, invocations.len() as u64);
-            for inv in invocations {
-                put_str(buf, &inv.module);
-                put_u64(buf, u64::from(inv.execution));
-                put_u64(buf, u64::from(inv.m_node.0));
-            }
+            put_invocations(buf, invocations);
         }
         TailRecord::Tombstones { ids } => {
-            buf.put_u8(TAG_TOMBSTONES);
-            put_u64(buf, ids.len() as u64);
+            buf.push(TAG_TOMBSTONES);
+            put_len(buf, ids.len());
             for id in ids {
                 put_u64(buf, u64::from(id.0));
             }
         }
         TailRecord::ZoomOut { modules } => {
-            buf.put_u8(TAG_ZOOM_OUT);
-            put_u64(buf, modules.len() as u64);
-            for m in modules {
-                put_str(buf, m);
-            }
+            buf.push(TAG_ZOOM_OUT);
+            put_strs(buf, modules);
         }
         TailRecord::ZoomIn { modules } => {
-            buf.put_u8(TAG_ZOOM_IN);
-            put_u64(buf, modules.len() as u64);
-            for m in modules {
-                put_str(buf, m);
-            }
+            buf.push(TAG_ZOOM_IN);
+            put_strs(buf, modules);
         }
     }
     Ok(())
@@ -218,86 +171,44 @@ pub fn encode_record(record: &TailRecord) -> Result<Vec<u8>> {
     Ok(out)
 }
 
-fn get_node_id(buf: &mut impl Buf) -> Result<NodeId> {
-    Ok(NodeId(get_u32(buf)?))
-}
-
 /// Decode one record payload (the bytes the checksum covers).
 pub fn decode_payload(payload: &[u8]) -> Result<TailRecord> {
-    let mut buf = payload;
-    if !buf.has_remaining() {
-        return Err(StorageError::Corrupt("empty tail record".into()));
-    }
-    let record = match buf.get_u8() {
-        TAG_APPEND_GRAPH => {
-            let node_count = get_count(&mut buf)?;
-            let mut nodes = Vec::with_capacity(node_count);
-            for _ in 0..node_count {
-                if !buf.has_remaining() {
-                    return Err(StorageError::Corrupt("truncated tail node".into()));
-                }
-                let flags = buf.get_u8();
-                let role = get_role(&mut buf)?;
-                let kind = get_kind(&mut buf)?;
-                let pred_count = get_count(&mut buf)?;
-                let mut preds = Vec::with_capacity(pred_count);
-                for _ in 0..pred_count {
-                    preds.push(get_node_id(&mut buf)?);
-                }
-                nodes.push(TailNode {
-                    flags,
-                    role,
-                    kind,
-                    preds,
-                });
-            }
-            let inv_count = get_count(&mut buf)?;
-            let mut invocations = Vec::with_capacity(inv_count);
-            for _ in 0..inv_count {
-                invocations.push(TailInvocation {
-                    module: get_str(&mut buf)?,
-                    execution: get_u32(&mut buf)?,
-                    m_node: get_node_id(&mut buf)?,
-                });
-            }
-            TailRecord::AppendGraph { nodes, invocations }
-        }
-        TAG_TOMBSTONES => {
-            let count = get_count(&mut buf)?;
-            let mut ids = Vec::with_capacity(count);
-            for _ in 0..count {
-                ids.push(get_node_id(&mut buf)?);
-            }
-            TailRecord::Tombstones { ids }
-        }
-        TAG_ZOOM_OUT => {
-            let count = get_count(&mut buf)?;
-            let mut modules = Vec::with_capacity(count);
-            for _ in 0..count {
-                modules.push(get_str(&mut buf)?);
-            }
-            TailRecord::ZoomOut { modules }
-        }
-        TAG_ZOOM_IN => {
-            let count = get_count(&mut buf)?;
-            let mut modules = Vec::with_capacity(count);
-            for _ in 0..count {
-                modules.push(get_str(&mut buf)?);
-            }
-            TailRecord::ZoomIn { modules }
-        }
+    let mut r = Reader::new(payload);
+    let record = match r.u8()? {
+        TAG_APPEND_GRAPH => TailRecord::AppendGraph {
+            nodes: r.list(get_record)?,
+            invocations: get_invocations(&mut r)?,
+        },
+        TAG_TOMBSTONES => TailRecord::Tombstones {
+            ids: r.list(|r| Ok(NodeId(r.var_u32()?)))?,
+        },
+        TAG_ZOOM_OUT => TailRecord::ZoomOut {
+            modules: r.list(Reader::str)?,
+        },
+        TAG_ZOOM_IN => TailRecord::ZoomIn {
+            modules: r.list(Reader::str)?,
+        },
         other => {
             return Err(StorageError::Corrupt(format!(
                 "unknown tail record tag {other}"
             )))
         }
     };
-    if buf.has_remaining() {
+    r.finish("tail record")?;
+    Ok(record)
+}
+
+/// One framed record: length, checksum, payload.
+fn read_frame(r: &mut Reader<'_>) -> Result<TailRecord> {
+    let len = r.u32_le()?;
+    let checksum = r.u64_le()?;
+    let payload = r.bytes(len as usize)?;
+    if fnv1a64(payload) != checksum {
         return Err(StorageError::Corrupt(
-            "trailing garbage inside tail record".into(),
+            "tail record checksum mismatch".into(),
         ));
     }
-    Ok(record)
+    decode_payload(payload)
 }
 
 /// Recover the surviving prefix of a tail file's bytes.
@@ -309,54 +220,48 @@ pub fn decode_payload(payload: &[u8]) -> Result<TailRecord> {
 /// a valid header is a torn suffix, silently dropped per the recovery
 /// rule above.
 pub fn recover(data: &[u8], base_len: u64, base_nodes: u64) -> Result<(Vec<TailRecord>, usize)> {
-    check_header(data, base_len, base_nodes)?;
+    let mut clean = Reader::new(data);
+    read_header(&mut clean, base_len, base_nodes)?;
     let mut records = Vec::new();
-    let mut at = TAIL_HEADER_LEN;
-    // A `while let` over each frame header; any torn condition below
-    // breaks out, leaving `at` at the end of the clean prefix.
-    while let Some(frame) = data.get(at..at + FRAME_LEN) {
-        let len = u32::from_le_bytes(frame[..4].try_into().expect("4 bytes")) as usize;
-        let checksum = u64::from_le_bytes(frame[4..12].try_into().expect("8 bytes"));
-        let Some(payload) = data.get(at + FRAME_LEN..at + FRAME_LEN + len) else {
-            break; // declared length overruns the file: torn
-        };
-        if fnv1a64(payload) != checksum {
-            break; // bits flipped or half-written: torn
-        }
-        let Ok(record) = decode_payload(payload) else {
-            break; // checksummed garbage (never expected): treat as torn
+    // A short frame header, a length that overruns the file, a checksum
+    // mismatch (bits flipped or half-written) or checksummed garbage
+    // (never expected) all end the clean prefix: the torn suffix.
+    loop {
+        let mut next = clean.clone();
+        let Ok(record) = read_frame(&mut next) else {
+            break;
         };
         records.push(record);
-        at += FRAME_LEN + len;
+        clean = next;
     }
-    Ok((records, at))
+    Ok((records, data.len() - clean.remaining()))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use lipstick_core::InvocationId;
+    use lipstick_core::{InvocationId, NodeKind, Role};
 
     fn sample_records() -> Vec<TailRecord> {
         vec![
             TailRecord::AppendGraph {
                 nodes: vec![
-                    TailNode {
-                        flags: 0,
+                    NodeRecord {
+                        deleted: false,
                         role: Role::Free,
                         kind: NodeKind::BaseTuple {
                             token: lipstick_core::Token::new("t9"),
                         },
                         preds: vec![],
                     },
-                    TailNode {
-                        flags: 0,
+                    NodeRecord {
+                        deleted: true,
                         role: Role::Intermediate(InvocationId(2)),
                         kind: NodeKind::Plus,
                         preds: vec![NodeId(0), NodeId(6)],
                     },
                 ],
-                invocations: vec![TailInvocation {
+                invocations: vec![InvocationInfo {
                     module: "Mdealer1".into(),
                     execution: 3,
                     m_node: NodeId(6),

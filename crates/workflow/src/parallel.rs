@@ -10,8 +10,8 @@
 //! identical to the sequential executor — a property the tests check.
 
 use std::collections::HashMap;
+use std::sync::{mpsc, Mutex, PoisonError};
 
-use crossbeam::channel;
 use lipstick_core::graph::shard::ShardTracker;
 use lipstick_core::{GraphTracker, NoTracker, NodeId, Tracker};
 use lipstick_nrel::Tuple;
@@ -19,7 +19,7 @@ use lipstick_piglatin::eval::{ARelation, ATuple, Ann};
 use lipstick_piglatin::udf::UdfRegistry;
 
 use crate::dag::{NodeIdx, Workflow};
-use crate::error::{Result, WfError};
+use crate::error::Result;
 use crate::exec::{invoke_module, ExecutionOutput, Executor, WorkflowInput, WorkflowState};
 
 /// A tracker that can hand out worker shards and absorb them back.
@@ -176,8 +176,9 @@ where
         new_state: HashMap<String, ARelation<T::Ref>>,
     }
 
-    let (task_tx, task_rx) = channel::unbounded::<Task<T>>();
-    let (done_tx, done_rx) = channel::unbounded::<Result<Done<T>>>();
+    let (task_tx, task_rx) = mpsc::channel::<Task<T>>();
+    let task_rx = Mutex::new(task_rx);
+    let (done_tx, done_rx) = mpsc::channel::<Result<Done<T>>>();
 
     let mut ready: Vec<NodeIdx> = (0..n)
         .filter(|&i| indeg[i] == 0)
@@ -185,34 +186,38 @@ where
         .collect();
     let mut completed = 0usize;
 
-    crossbeam::scope(|scope| -> Result<()> {
+    std::thread::scope(|scope| -> Result<()> {
         for _ in 0..reducers {
-            let task_rx = task_rx.clone();
+            let task_rx = &task_rx;
             let done_tx = done_tx.clone();
             let wf_ref = &*wf;
-            scope.spawn(move |_| {
-                while let Ok(mut task) = task_rx.recv() {
-                    let node = wf_ref.node(task.idx);
-                    let outcome = invoke_module(
-                        &node.instance,
-                        &node.spec,
-                        &task.compiled,
-                        &task.external_inputs,
-                        std::mem::take(&mut task.edge_inputs),
-                        std::mem::take(&mut task.state_rels),
-                        &mut task.shard,
-                        udfs,
-                        execution,
-                    );
-                    let msg = outcome.map(|inv| Done::<T> {
-                        idx: task.idx,
-                        shard: task.shard,
-                        outputs: inv.outputs,
-                        new_state: inv.new_state,
-                    });
-                    if done_tx.send(msg).is_err() {
-                        break;
-                    }
+            scope.spawn(move || loop {
+                // Not `while let`: the guard must drop before the work.
+                let next = task_rx
+                    .lock()
+                    .unwrap_or_else(PoisonError::into_inner)
+                    .recv();
+                let Ok(mut task) = next else { break };
+                let node = wf_ref.node(task.idx);
+                let outcome = invoke_module(
+                    &node.instance,
+                    &node.spec,
+                    &task.compiled,
+                    &task.external_inputs,
+                    std::mem::take(&mut task.edge_inputs),
+                    std::mem::take(&mut task.state_rels),
+                    &mut task.shard,
+                    udfs,
+                    execution,
+                );
+                let msg = outcome.map(|inv| Done::<T> {
+                    idx: task.idx,
+                    shard: task.shard,
+                    outputs: inv.outputs,
+                    new_state: inv.new_state,
+                });
+                if done_tx.send(msg).is_err() {
+                    break;
                 }
             });
         }
@@ -300,10 +305,7 @@ where
         }
         drop(task_tx);
         Ok(())
-    })
-    .map_err(
-        |_| WfError::Cyclic, /* a worker panicked; surfaced as error */
-    )??;
+    })?;
 
     Ok(result)
 }

@@ -11,10 +11,10 @@
 //!    `ProtoError` values instead. (`unwrap_or`/`unwrap_or_else` and
 //!    friends remain fine — they don't panic.)
 //! 2. **Cast-free storage codec.** No bare `as` numeric casts in
-//!    `crates/storage/src/codec.rs`: a silently truncating cast in the
-//!    codec corrupts logs instead of reporting them corrupt. Widths
-//!    change via `From`/`TryFrom`, which either cannot fail or fail
-//!    loudly.
+//!    `crates/storage/src/{codec,reader,varint}.rs`: a silently
+//!    truncating cast in the codec corrupts logs instead of reporting
+//!    them corrupt. Widths change via `From`/`TryFrom`, which either
+//!    cannot fail or fail loudly.
 //! 3. **Panic-free observability** (`crates/core/src/obs.rs`).
 //! 4. **One IO seam in storage.** No direct `std::fs` / `File::` /
 //!    `OpenOptions` use in `crates/storage/src/**` non-test code
@@ -26,6 +26,14 @@
 //!    replayed against a store or an index state other than the one it
 //!    was made for, so a strategy the store cannot serve must fall back
 //!    (full scan, BFS, propagation), never `expect` the plan's world.
+//! 6. **Panic-free storage decoders** (`crates/storage/src/{reader,
+//!    varint,codec,footer,tail,log}.rs`). They read bytes from disk, and
+//!    corrupt bytes must come back as `StorageError::Corrupt`. Every read
+//!    goes through the fallible `Reader`, so there is nothing to
+//!    `expect`. (`paged.rs` is deliberately out: its `expect_record`
+//!    panic is how an infallible `GraphStore` accessor reports late
+//!    corruption, and ProQL contains it. `append.rs` is out because its
+//!    `#[cfg(test)]` oracle sits mid-file, where this scanner stops.)
 //!
 //! The scanner strips comments, strings, and char literals first (so
 //! prose mentioning `panic!` doesn't trip it) and ignores everything
@@ -218,6 +226,24 @@ const PLAN_CONTEXT: &str =
     "in the ProQL planner/executor (a plan may meet a store or index state it was not made \
      for; fall back to the scan, BFS or propagation that is always correct)";
 
+/// Rule 6's message context: why panics are banned in storage decoders.
+const DECODE_CONTEXT: &str =
+    "in a storage decoder (corrupt bytes must come back as StorageError::Corrupt; read \
+     through the fallible Reader)";
+
+/// Storage files under rule 2 (no bare numeric casts).
+const CAST_FREE_FILES: &[&str] = &["codec.rs", "reader.rs", "varint.rs"];
+
+/// Storage files under rule 6 (no panicking calls).
+const DECODER_FILES: &[&str] = &[
+    "reader.rs",
+    "varint.rs",
+    "codec.rs",
+    "footer.rs",
+    "tail.rs",
+    "log.rs",
+];
+
 /// The codec rule: no bare `as` numeric casts.
 fn check_no_numeric_casts(src: &str) -> Vec<Violation> {
     let stripped = strip_comments_and_strings(src);
@@ -303,11 +329,13 @@ fn run_lint(root: &Path) -> std::io::Result<Vec<String>> {
         }
     }
 
-    // Rule 2: the storage codec.
-    let codec = root.join("crates/storage/src/codec.rs");
-    let src = std::fs::read_to_string(&codec)?;
-    for v in check_no_numeric_casts(&src) {
-        findings.push(format!("{}:{}: {}", codec.display(), v.line, v.message));
+    // Rule 2: the storage codec and the reads it is built on.
+    for file in CAST_FREE_FILES {
+        let path = root.join("crates/storage/src").join(file);
+        let src = std::fs::read_to_string(&path)?;
+        for v in check_no_numeric_casts(&src) {
+            findings.push(format!("{}:{}: {}", path.display(), v.line, v.message));
+        }
     }
 
     // Rule 3: the observability module every layer calls into. A panic
@@ -341,6 +369,15 @@ fn run_lint(root: &Path) -> std::io::Result<Vec<String>> {
         let path = root.join("crates/proql/src").join(file);
         let src = std::fs::read_to_string(&path)?;
         for v in check_no_panics(&src, PLAN_CONTEXT) {
+            findings.push(format!("{}:{}: {}", path.display(), v.line, v.message));
+        }
+    }
+
+    // Rule 6: the storage decoders.
+    for file in DECODER_FILES {
+        let path = root.join("crates/storage/src").join(file);
+        let src = std::fs::read_to_string(&path)?;
+        for v in check_no_panics(&src, DECODE_CONTEXT) {
             findings.push(format!("{}:{}: {}", path.display(), v.line, v.message));
         }
     }
@@ -472,6 +509,41 @@ mod tests {
                   #[cfg(test)]\nmod tests {\n    use std::fs;\n    fn t() { \
                   fs::remove_file(p).ok(); }\n}\n";
         assert_eq!(check_no_direct_fs(ok), Vec::new());
+    }
+
+    /// Each storage file the rules cover is clean as committed, and a
+    /// violation seeded into it is caught on the seeded line — the
+    /// decode-path shapes the rules exist for: a fixed-width read
+    /// through `expect`, and a length narrowed with `as`.
+    #[test]
+    fn seeded_storage_decoder_violations_are_caught() {
+        let dir = workspace_root().join("crates/storage/src");
+        let seed = |file: &str, line: &str| {
+            let src = std::fs::read_to_string(dir.join(file)).expect("storage source readable");
+            format!("{line}\n{src}")
+        };
+        for file in DECODER_FILES {
+            let bad = seed(
+                file,
+                "fn f(t: &[u8]) -> u64 { u64::from_le_bytes(t[..8].try_into().expect(\"8\")) }",
+            );
+            let vs = check_no_panics(&bad, DECODE_CONTEXT);
+            assert_eq!(vs.len(), 1, "{file}: {vs:?}");
+            assert_eq!(vs[0].line, 1, "{file}");
+            assert!(vs[0].message.contains("storage decoder"), "{file}");
+        }
+        for file in CAST_FREE_FILES {
+            let bad = seed(file, "fn f(r: &Reader) -> u64 { r.remaining() as u64 }");
+            let vs = check_no_numeric_casts(&bad);
+            assert_eq!(vs.len(), 1, "{file}: {vs:?}");
+            assert_eq!(vs[0].line, 1, "{file}");
+        }
+        // `unwrap_or` in a writer is fine; `unreachable!` in a decoder
+        // is not.
+        let ok = "fn put_len(n: usize) -> u64 { u64::try_from(n).unwrap_or(u64::MAX) }\n";
+        assert_eq!(check_no_panics(ok, DECODE_CONTEXT), Vec::new());
+        let bad = "fn tag(t: u8) -> u8 { match t { 1 => 1, _ => unreachable!() } }\n";
+        assert_eq!(check_no_panics(bad, DECODE_CONTEXT).len(), 1);
     }
 
     /// The real repo must currently be clean — this is the same check
