@@ -1,17 +1,42 @@
 //! Regenerate every figure of the Lipstick paper's evaluation (§5.4–5.6).
 //!
 //! ```text
-//! experiments [fig5a|fig5b|fig5c|fig6a|fig6b|fig6c|fig7a|fig7b|fig7c|del|fine|all] [--scale S]
+//! experiments [fig5a|fig5b|fig5c|fig6a|fig6b|fig6c|fig7a|fig7b|fig7c|del|fine|abl|all] [--scale S]
 //! ```
 //!
 //! `--scale` multiplies workload sizes (default 1 ≈ laptop-friendly;
 //! the paper's full sizes correspond to roughly `--scale 20`). Output
-//! is aligned text tables — the same rows/series the paper plots.
+//! is aligned text tables — the same rows/series the paper plots — plus
+//! `abl`, the ablations of two design choices. An unknown name exits 2.
 
 use std::env;
+use std::time::Instant;
 
 use lipstick_bench::*;
+use lipstick_core::graph::validate::intermediate_nodes_by_definition;
+use lipstick_core::query::zoom_out;
+use lipstick_core::semiring::Polynomial;
+use lipstick_core::NodeKind;
 use lipstick_workflowgen::{ArcticParams, DealersParams, Selectivity, Topology};
+
+/// A table's name and the function printing it at a given scale.
+type Table = (&'static str, fn(f64));
+
+/// Every table, by the name that selects it.
+const TABLES: &[Table] = &[
+    ("fig5a", fig5a),
+    ("fig5b", fig5b),
+    ("fig5c", fig5c),
+    ("fig6a", fig6a),
+    ("fig6b", fig6b),
+    ("fig6c", fig6c),
+    ("fig7a", fig7a),
+    ("fig7b", fig7b),
+    ("fig7c", fig7c),
+    ("del", exp_del),
+    ("fine", exp_fine),
+    ("abl", exp_abl),
+];
 
 fn main() {
     let args: Vec<String> = env::args().skip(1).collect();
@@ -36,40 +61,18 @@ fn main() {
             }
         }
     }
-    let run = |name: &str| which == "all" || which == name;
-
-    if run("fig5a") {
-        fig5a(scale);
+    if which != "all" && !TABLES.iter().any(|(name, _)| *name == which) {
+        let names: Vec<&str> = TABLES.iter().map(|(name, _)| *name).collect();
+        eprintln!(
+            "unknown figure '{which}'; expected one of: {}, all",
+            names.join(", ")
+        );
+        std::process::exit(2);
     }
-    if run("fig5b") {
-        fig5b(scale);
-    }
-    if run("fig5c") {
-        fig5c(scale);
-    }
-    if run("fig6a") {
-        fig6a(scale);
-    }
-    if run("fig6b") {
-        fig6b(scale);
-    }
-    if run("fig6c") {
-        fig6c(scale);
-    }
-    if run("fig7a") {
-        fig7a(scale);
-    }
-    if run("fig7b") {
-        fig7b(scale);
-    }
-    if run("fig7c") {
-        fig7c(scale);
-    }
-    if run("del") {
-        exp_del(scale);
-    }
-    if run("fine") {
-        exp_fine(scale);
+    for (name, table) in TABLES {
+        if which == "all" || which == *name {
+            table(scale);
+        }
     }
 }
 
@@ -400,4 +403,75 @@ fn exp_fine(scale: f64) {
         min * 100.0,
         max * 100.0
     );
+}
+
+/// Ablations of two design choices: the shared graph vs expanded
+/// polynomials for every module output (§3.2's compactness claim), and
+/// ZoomOut by role tags vs the Definition 4.1 reachability
+/// characterisation of one module's intermediate nodes.
+fn exp_abl(scale: f64) {
+    println!("\n== ABL: graph vs polynomials (§3.2), ZoomOut tags vs Def 4.1 (Car dealerships) ==");
+    println!(
+        "{:>8} {:>8} {:>10} {:>12} {:>11} {:>10} {:>10}",
+        "numExec", "nodes", "poly size", "expand (ms)", "graph (ms)", "tags (ms)", "def (ms)"
+    );
+    for num_exec in [5, 10] {
+        let params = DealersParams {
+            num_cars: scaled(200, scale),
+            num_exec,
+            seed: 1_000_003,
+        };
+        let g = run_dealers(&params, true).graph.expect("tracking on");
+        let outputs: Vec<_> = g
+            .iter_visible()
+            .filter(|(_, n)| matches!(n.kind, NodeKind::ModuleOutput))
+            .map(|(id, _)| id)
+            .collect();
+        let expand = || -> usize {
+            outputs
+                .iter()
+                .map(|&o| {
+                    let expr = g.expr_of(o);
+                    Polynomial::from_expr(&expr).map_or_else(|| expr.size(), |p| p.expanded_size())
+                })
+                .sum()
+        };
+        let by_definition = || -> usize {
+            g.invocations_of("Mdealer1")
+                .into_iter()
+                .map(|inv| intermediate_nodes_by_definition(&g, inv).len())
+                .sum()
+        };
+        println!(
+            "{:>8} {:>8} {:>10} {:>12.3} {:>11.3} {:>10.3} {:>10.3}",
+            num_exec,
+            g.len(),
+            expand(),
+            best_of_3(|| (), |()| expand()),
+            best_of_3(|| (), |()| g.visible_signature().0.len()),
+            best_of_3(
+                || g.clone(),
+                |mut z| {
+                    zoom_out(&mut z, &["Mdealer1"]).expect("zoom");
+                    z
+                }
+            ),
+            best_of_3(|| (), |()| by_definition()),
+        );
+    }
+}
+
+/// Best of three timed runs of `run`, each over a fresh `setup()`.
+/// Neither the setup nor dropping the output is timed.
+fn best_of_3<T, R>(mut setup: impl FnMut() -> T, mut run: impl FnMut(T) -> R) -> f64 {
+    (0..3)
+        .map(|_| {
+            let input = setup();
+            let start = Instant::now();
+            let output = std::hint::black_box(run(input));
+            let elapsed = start.elapsed();
+            drop(output);
+            ms(elapsed)
+        })
+        .fold(f64::INFINITY, f64::min)
 }

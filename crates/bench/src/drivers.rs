@@ -1,5 +1,4 @@
-//! Measurement drivers shared by the Criterion benches and the
-//! `experiments` binary.
+//! Measurement drivers behind the `experiments` binary's figure tables.
 //!
 //! Absolute numbers differ from the paper's (its substrate was Pig 0.6
 //! on Hadoop / a 2010 MacBook Pro; ours is an in-process engine), but

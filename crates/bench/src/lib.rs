@@ -1,26 +1,13 @@
-//! # lipstick-bench — the evaluation harness
+//! # lipstick-bench — the paper's figures
 //!
-//! Reusable drivers behind both the Criterion benches (`benches/`) and
-//! the `experiments` binary, which prints the series of every figure in
-//! the paper's evaluation (§5.4–5.6). See `EXPERIMENTS.md` at the
-//! repository root for the recorded results and the paper-vs-measured
-//! comparison.
+//! The drivers behind the `experiments` binary, which prints the series
+//! of every figure in the paper's evaluation (§5.4–5.6) plus the `abl`
+//! ablation table, and the capture/replay harness behind `bench_replay`.
+//! The numbers of record (per-layer metrics, end-to-end workloads) come
+//! from the benchmark spine in `bench_spine/`; `experiments` is where
+//! the Arctic stations family (Figs 5b, 6b, 6c, 7c) is measured.
 
 pub mod drivers;
 pub mod replay;
 
 pub use drivers::*;
-
-/// The `k` visible nodes maximizing `size` — how the reach benches pick
-/// worst-case walk roots (largest ancestor cones for upward queries,
-/// largest descendant cones for heavy `UNION` branches).
-pub fn top_nodes_by(
-    graph: &lipstick_core::ProvGraph,
-    k: usize,
-    mut size: impl FnMut(lipstick_core::NodeId) -> usize,
-) -> Vec<lipstick_core::NodeId> {
-    let mut ids: Vec<lipstick_core::NodeId> = graph.iter_visible().map(|(id, _)| id).collect();
-    ids.sort_by_key(|id| std::cmp::Reverse(size(*id)));
-    ids.truncate(k);
-    ids
-}

@@ -333,55 +333,7 @@ impl ProvGraph {
     /// p-nodes as the product of their inputs (coarse-grained, as the
     /// paper prescribes for UDFs).
     pub fn expr_of(&self, id: NodeId) -> ProvExpr {
-        let mut memo: std::collections::HashMap<NodeId, ProvExpr> =
-            std::collections::HashMap::new();
-        self.expr_rec(id, &mut memo)
-    }
-
-    fn expr_rec(
-        &self,
-        id: NodeId,
-        memo: &mut std::collections::HashMap<NodeId, ProvExpr>,
-    ) -> ProvExpr {
-        if let Some(e) = memo.get(&id) {
-            return e.clone();
-        }
-        let node = self.node(id);
-        let pred_exprs = |this: &Self, memo: &mut std::collections::HashMap<NodeId, ProvExpr>| {
-            node.preds
-                .iter()
-                .filter(|p| {
-                    let pn = this.node(**p);
-                    // Hidden/deleted ingredients no longer contribute, and
-                    // v-nodes contribute to values rather than to tuple
-                    // provenance.
-                    pn.is_visible() && !pn.kind.is_value_node()
-                })
-                .map(|p| this.expr_rec(*p, memo))
-                .collect::<Vec<_>>()
-        };
-        let expr = match &node.kind {
-            NodeKind::WorkflowInput { token } | NodeKind::BaseTuple { token } => {
-                ProvExpr::Tok(token.clone())
-            }
-            NodeKind::Invocation => {
-                let inv = node.role.invocation().expect("invocation node has inv");
-                let info = self.invocation(inv);
-                ProvExpr::Tok(Token::new(format!("⟨{}#{}⟩", info.module, info.execution)))
-            }
-            NodeKind::Plus => ProvExpr::sum(pred_exprs(self, memo)),
-            NodeKind::Times
-            | NodeKind::ModuleInput
-            | NodeKind::ModuleOutput
-            | NodeKind::StateUnit
-            | NodeKind::Zoomed { .. }
-            | NodeKind::BlackBox { .. } => ProvExpr::prod(pred_exprs(self, memo)),
-            NodeKind::Delta => ProvExpr::delta(ProvExpr::sum(pred_exprs(self, memo))),
-            // v-nodes have no tuple provenance of their own.
-            NodeKind::AggResult { .. } | NodeKind::Tensor | NodeKind::Const { .. } => ProvExpr::One,
-        };
-        memo.insert(id, expr.clone());
-        expr
+        crate::store::expr_of_store(self, id)
     }
 
     /// Reconstruct the [`crate::agg::AggValue`] formal sum recorded at an

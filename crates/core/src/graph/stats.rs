@@ -1,8 +1,7 @@
 //! Graph statistics.
 //!
-//! Used by EXPERIMENTS.md for the paper's §5.5 fine-grainedness analysis
-//! (how many state/input tuples an output depends on) and by the
-//! representation ablation.
+//! Behind ProQL's `STATS` on a resident graph and the graph summaries
+//! the `experiments` binary prints beside its figure tables.
 
 use std::collections::BTreeMap;
 

@@ -247,16 +247,6 @@ mod tests {
     }
 
     #[test]
-    fn expr_of_store_matches_resident() {
-        let g = sample();
-        for (id, n) in g.iter_visible() {
-            if !n.kind.is_value_node() {
-                assert_eq!(expr_of_store(&g, id).to_string(), g.expr_of(id).to_string());
-            }
-        }
-    }
-
-    #[test]
     fn traversal_on_invisible_root_errors() {
         let mut g = sample();
         let root = NodeId(0);

@@ -560,6 +560,24 @@ fn corrupt_record_bytes_error_at_query_time_without_aborting() {
     assert!(s.run_one("MATCH nodes").is_ok());
 }
 
+/// An `m` node without an invocation role used to load, and `WHY` over
+/// it panicked in expression extraction.
+#[test]
+fn invocation_node_without_an_invocation_role_is_refused() {
+    let mut g = ProvGraph::new();
+    g.add_node(
+        lipstick_core::NodeKind::Invocation,
+        lipstick_core::Role::Free,
+    );
+    let path = temp_path("roleless-m-node.lpstk");
+    write_graph_v2(&g, &path).unwrap();
+    let err = Session::load(&path).err().expect("load refuses");
+    assert!(err.to_string().contains("has role free"), "got: {err}");
+    let lazy = Session::open(&path).unwrap();
+    let err = lazy.run_read("WHY #0").unwrap_err();
+    assert!(err.to_string().contains("has role free"), "got: {err}");
+}
+
 #[test]
 fn corrupt_v2_footer_is_an_open_error() {
     let g = dealers_graph();

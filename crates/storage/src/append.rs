@@ -60,7 +60,7 @@ use crate::codec::{put_record, NodeRecord};
 use crate::error::{Result, StorageError};
 use crate::footer::{FooterSource, FooterWriter, Postings};
 use crate::io::{default_io, StorageIo};
-use crate::log::{put_header, put_invocations, VERSION_V2};
+use crate::log::{check_m_node_role, put_header, put_invocations, VERSION_V2};
 use crate::paged::PagedLog;
 use crate::tail::{self, TailRecord, TAIL_HEADER_LEN};
 
@@ -594,6 +594,7 @@ impl AppendLog {
         let node_base = self.node_count();
         let inv_limit = self.invocations.len() + new_invs.len();
         for (k, node) in nodes.iter().enumerate() {
+            check_m_node_role(NodeId((node_base + k) as u32), &node.kind, node.role)?;
             if let Some(bad) = node
                 .preds
                 .iter()
@@ -1714,6 +1715,22 @@ mod tests {
             store_signature(&AppendLog::open_with_io(&path, shared).unwrap()),
             acked
         );
+    }
+
+    /// A fragment whose `m` node has no invocation role is refused
+    /// before it reaches the tail, where every replay would load it.
+    #[test]
+    fn fragment_with_a_roleless_m_node_is_refused() {
+        let (mut log, io, _) = simulated_log();
+        let before = disk_state(&log, &io);
+        let mut fragment = ProvGraph::new();
+        fragment.add_node(NodeKind::Invocation, Role::Free);
+        let err = log.commit_fragment(&fragment).unwrap_err();
+        assert!(
+            matches!(&err, StorageError::Corrupt(m) if m.contains("has role free")),
+            "{err}"
+        );
+        assert_eq!(disk_state(&log, &io), before);
     }
 
     #[test]

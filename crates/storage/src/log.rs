@@ -30,7 +30,7 @@
 use std::path::Path;
 
 use lipstick_core::graph::InvocationInfo;
-use lipstick_core::{NodeId, ProvGraph, Role};
+use lipstick_core::{NodeId, NodeKind, ProvGraph, Role};
 
 use crate::codec::{get_record, put_record};
 use crate::error::{Result, StorageError};
@@ -179,17 +179,31 @@ pub(crate) fn get_sealed_invocations(
 
 // ----- records -----
 
+/// An `m` node names its invocation through its role, and expression
+/// extraction reads it from there. Shared by sealed and tail records.
+pub(crate) fn check_m_node_role(id: NodeId, kind: &NodeKind, role: Role) -> Result<()> {
+    if matches!(kind, NodeKind::Invocation) && !matches!(role, Role::Invocation(_)) {
+        return Err(StorageError::Corrupt(format!(
+            "invocation node {id} has role {}, not an invocation",
+            role.name()
+        )));
+    }
+    Ok(())
+}
+
 /// What a sealed record may reference: other records of its file, and
 /// invocations of the file's table. Checked as records are decoded, so
 /// a corrupt file is an error at load instead of an index out of bounds
-/// in a later query.
+/// (or a missing invocation) in a later query.
 pub(crate) fn check_refs(
     id: NodeId,
+    kind: &NodeKind,
     role: Role,
     preds: &[NodeId],
     node_count: usize,
     invocations: usize,
 ) -> Result<()> {
+    check_m_node_role(id, kind, role)?;
     if let Some(inv) = role.invocation().filter(|inv| inv.index() >= invocations) {
         return Err(StorageError::Corrupt(format!(
             "node {id} names invocation {} beyond the table of {invocations}",
@@ -231,9 +245,11 @@ pub fn decode_graph(bytes: &[u8]) -> Result<ProvGraph> {
     // (both directions) and tombstones.
     for (idx, preds) in pred_lists.into_iter().enumerate() {
         let to = NodeId(idx as u32);
+        let node = graph.node(to);
         check_refs(
             to,
-            graph.node(to).role,
+            &node.kind,
+            node.role,
             &preds,
             node_count,
             invocations.len(),
@@ -400,6 +416,21 @@ mod tests {
             matches!(&err, StorageError::Corrupt(m) if m.contains("invocation 7")),
             "{err}"
         );
+    }
+
+    /// An `m` node without an invocation role used to load, and the
+    /// first `WHY` over it panicked in expression extraction.
+    #[test]
+    fn invocation_node_without_an_invocation_role_is_rejected() {
+        let mut g = ProvGraph::new();
+        g.add_node(NodeKind::Invocation, Role::Free);
+        for bytes in [encode_graph(&g).unwrap(), encode_graph_v2(&g).unwrap()] {
+            let err = decode_graph(&bytes).unwrap_err();
+            assert!(
+                matches!(&err, StorageError::Corrupt(m) if m.contains("invocation node N0 has role free")),
+                "{err}"
+            );
+        }
     }
 
     #[test]

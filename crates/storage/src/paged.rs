@@ -194,7 +194,14 @@ impl PagedLog {
             .ok_or_else(|| StorageError::Corrupt(format!("record {id} out of file bounds")))?;
         let record = get_record(&mut Reader::new(bytes))?;
         let (node_count, invocations) = (self.index.node_count(), self.invocations.len());
-        check_refs(id, record.role, &record.preds, node_count, invocations)?;
+        check_refs(
+            id,
+            &record.kind,
+            record.role,
+            &record.preds,
+            node_count,
+            invocations,
+        )?;
         let (kind, role, preds) = (record.kind, record.role, record.preds.into_boxed_slice());
 
         let block = self.cache[id.index() / BLOCK]
@@ -575,6 +582,21 @@ mod tests {
             matches!(&err, StorageError::Corrupt(m) if m.contains("invocation 7")),
             "{err}"
         );
+    }
+
+    /// The fault path used to install such a record, and expression
+    /// extraction over it panicked.
+    #[test]
+    fn invocation_node_without_an_invocation_role_is_corrupt() {
+        let mut g = ProvGraph::new();
+        let node = g.add_node(NodeKind::Invocation, Role::Free);
+        let paged = PagedLog::from_bytes(encode_graph_v2(&g).unwrap()).unwrap();
+        let err = paged.record(node).unwrap_err();
+        assert!(
+            matches!(&err, StorageError::Corrupt(m) if m.contains("has role free")),
+            "{err}"
+        );
+        assert_eq!(paged.faults(), 0, "nothing installed");
     }
 
     #[test]

@@ -6,14 +6,16 @@
 //! of bit flips, byte overwrites and truncations to each encoding. The
 //! assertions: no decoder panics, and whatever decodes is safe to query
 //! — a loaded graph or a verified paged log names only invocations its
-//! table holds, since a query indexes the table by that id. The budget
+//! table holds, since a query indexes the table by that id, and every
+//! `m` node carries an invocation role, which expression extraction
+//! reads. The budget
 //! is `PROPTEST_CASES` graphs × `MUTATIONS`, pinned in CI.
 
 mod common;
 
 use common::{random_graph, Rng};
 use lipstick_core::store::GraphStore;
-use lipstick_core::{NodeId, ProvGraph, Role};
+use lipstick_core::{NodeId, NodeKind, ProvGraph, Role};
 use lipstick_storage::codec::NodeRecord;
 use lipstick_storage::tail::{self, TailRecord, FRAME_LEN};
 use lipstick_storage::{decode_graph, encode_graph, encode_graph_v2, LogIndex, PagedLog};
@@ -43,12 +45,21 @@ fn mutate(src: &[u8], rng: &mut Rng) -> Vec<u8> {
     out
 }
 
-fn assert_invocations_exist(what: &str, role: Role, invocations: usize) {
+/// What a query reads through a node's role: the invocation it names
+/// must be in the table, and an `m` node must name one.
+fn assert_role_is_queryable(what: &str, kind: &NodeKind, role: Role, invocations: usize) {
     if let Some(inv) = role.invocation() {
         assert!(
             inv.index() < invocations,
             "{what} names invocation {} of {invocations}",
             inv.0
+        );
+    }
+    if matches!(kind, NodeKind::Invocation) {
+        assert!(
+            matches!(role, Role::Invocation(_)),
+            "{what} is an invocation node with role {}",
+            role.name()
         );
     }
 }
@@ -58,8 +69,9 @@ fn assert_invocations_exist(what: &str, role: Role, invocations: usize) {
 fn decode_log(bytes: &[u8], node_count: usize) {
     if let Ok(g) = decode_graph(bytes) {
         for (id, node) in g.iter() {
-            assert_invocations_exist(
+            assert_role_is_queryable(
                 &format!("loaded node {id}"),
+                &node.kind,
                 node.role,
                 g.invocations().len(),
             );
@@ -75,9 +87,13 @@ fn decode_log(bytes: &[u8], node_count: usize) {
     // Verified: every accessor is now safe to call.
     for i in 0..paged.node_count() {
         let id = NodeId(i as u32);
-        let role = paged.role_of(id);
-        assert_invocations_exist(&format!("paged node {id}"), role, paged.invocations().len());
-        let _ = (paged.kind_of(id), paged.preds_of(id), paged.succs_of(id));
+        assert_role_is_queryable(
+            &format!("paged node {id}"),
+            &paged.kind_of(id),
+            paged.role_of(id),
+            paged.invocations().len(),
+        );
+        let _ = (paged.preds_of(id), paged.succs_of(id));
         let _ = paged.is_visible(id);
     }
 }
