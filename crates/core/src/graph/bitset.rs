@@ -71,16 +71,6 @@ impl BitSet {
         self.words.fill(0);
     }
 
-    /// Grow capacity to `new_capacity`; new bits start cleared. No-op
-    /// if the set is already at least that large. Used by the reach
-    /// index when mutations (ZoomOut) append nodes to the graph.
-    pub fn grow(&mut self, new_capacity: usize) {
-        if new_capacity > self.capacity {
-            self.words.resize(new_capacity.div_ceil(64), 0);
-            self.capacity = new_capacity;
-        }
-    }
-
     /// Heap bytes held by the word buffer (spare capacity included).
     pub fn heap_bytes(&self) -> usize {
         crate::obs::vec_alloc_bytes(&self.words)
@@ -159,24 +149,5 @@ mod tests {
     fn contains_out_of_range_is_false() {
         let b = BitSet::new(10);
         assert!(!b.contains(1000));
-    }
-
-    #[test]
-    fn grow_preserves_bits_and_extends_capacity() {
-        let mut b = BitSet::new(10);
-        b.insert(3);
-        b.grow(200);
-        assert_eq!(b.capacity(), 200);
-        assert!(b.contains(3));
-        b.insert(199);
-        assert_eq!(b.iter().collect::<Vec<_>>(), vec![3, 199]);
-        // Growing smaller is a no-op.
-        b.grow(50);
-        assert_eq!(b.capacity(), 200);
-        // A grown set equals a freshly built one with the same bits.
-        let mut fresh = BitSet::new(200);
-        fresh.insert(3);
-        fresh.insert(199);
-        assert_eq!(b, fresh);
     }
 }

@@ -4,10 +4,10 @@
 //! the transitive closure of each node, or to keep pair-wise reachability
 //! information. Both these options would result in higher memory
 //! overhead, but may speed up query processing." This module implements
-//! that alternative — in **both directions**: one descendant bitset and
-//! one ancestor bitset per node, so `DESCENDANTS OF` and `ANCESTORS OF`
-//! are symmetric closure lookups and the planner's cost model does not
-//! privilege one walk direction over the other.
+//! that alternative — in **both directions**: one sorted descendant row
+//! and one sorted ancestor row of node ids per node, so `DESCENDANTS OF`
+//! and `ANCESTORS OF` are symmetric closure lookups and the planner's
+//! cost model does not privilege one walk direction over the other.
 //!
 //! The index is **incrementally maintained** rather than rebuilt.
 //! Mutations in this system are structured: deletion propagation only
@@ -15,24 +15,27 @@
 //! node set while wiring in (or retiring) composite nodes. After any
 //! such mutation, [`ReachIndex::repair`] recomputes only the *affected
 //! region* — the nodes that can reach (or be reached from) a changed
-//! node — instead of the whole closure. [`ReachIndex::matches_fresh_build`]
-//! is the exactness oracle: a repaired index must be bit-identical to a
-//! from-scratch build (asserted in debug builds by `proql::Session` and
-//! property-tested over random mutation sequences).
+//! node — instead of the whole closure; a build is the same kernel with
+//! every node changed. [`ReachIndex::matches_fresh_build`] is the
+//! exactness oracle: a repaired index must equal a from-scratch build
+//! (asserted in debug builds by `proql::Session` and property-tested
+//! over random mutation sequences).
 
 use crate::graph::bitset::BitSet;
 use crate::graph::node::NodeId;
 use crate::store::GraphStore;
 
-/// Bidirectional transitive closure: per node, a descendant bitset and
-/// an ancestor bitset (its transpose).
+/// Bidirectional transitive closure: per node, the ascending ids of its
+/// descendants and of its ancestors (the transpose).
 ///
-/// Memory is O(2·V²/8) bytes — the index reports its own footprint so
-/// the ablation can chart memory against query speedup.
+/// Memory is O(V + Σ cone sizes): a node with an empty cone (a leaf, a
+/// hidden node) holds an empty row and no allocation. The index reports
+/// its own footprint so the ablation can chart memory against query
+/// speedup.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ReachIndex {
-    descendants: Vec<BitSet>,
-    ancestors: Vec<BitSet>,
+    descendants: Vec<Box<[NodeId]>>,
+    ancestors: Vec<Box<[NodeId]>>,
 }
 
 /// Which closure a repair pass recomputes.
@@ -43,92 +46,43 @@ enum Closure {
 }
 
 impl ReachIndex {
-    /// Build both closures over visible nodes.
-    ///
-    /// Provenance graphs are DAGs; descendant sets are computed in
-    /// reverse topological order (each node's set is the union of its
-    /// visible successors' sets plus the successors themselves) and
-    /// ancestor sets in one mirror pass in forward order.
+    /// Build both closures over visible nodes: the repair of an empty
+    /// index in which every node changed, whose local dependency order
+    /// is then the graph's topological order.
     pub fn build<S: GraphStore + ?Sized>(graph: &S) -> ReachIndex {
-        let n = graph.node_count();
-        let order = topo_order(graph);
-        let mut descendants: Vec<BitSet> = (0..n).map(|_| BitSet::new(n)).collect();
-        for &v in order.iter().rev() {
-            if !graph.is_visible(v) {
-                continue;
-            }
-            // Collect into a scratch set, then store (avoids aliasing
-            // two entries of `descendants` at once).
-            let mut acc = BitSet::new(n);
-            for &s in graph.succs_of(v).iter() {
-                if graph.is_visible(s) {
-                    acc.insert(s.index());
-                    acc.union_with(&descendants[s.index()]);
-                }
-            }
-            descendants[v.index()] = acc;
-        }
-        let mut ancestors: Vec<BitSet> = (0..n).map(|_| BitSet::new(n)).collect();
-        for &v in order.iter() {
-            if !graph.is_visible(v) {
-                continue;
-            }
-            let mut acc = BitSet::new(n);
-            for &p in graph.preds_of(v).iter() {
-                if graph.is_visible(p) {
-                    acc.insert(p.index());
-                    acc.union_with(&ancestors[p.index()]);
-                }
-            }
-            ancestors[v.index()] = acc;
-        }
-        ReachIndex {
-            descendants,
-            ancestors,
-        }
+        let mut index = ReachIndex {
+            descendants: Vec::new(),
+            ancestors: Vec::new(),
+        };
+        let every: Vec<NodeId> = (0..graph.node_count() as u32).map(NodeId).collect();
+        index.repair(graph, &every);
+        index
     }
 
     /// Is `to` a (strict) descendant of `from`?
     pub fn reaches(&self, from: NodeId, to: NodeId) -> bool {
-        self.descendants[from.index()].contains(to.index())
+        row(&self.descendants, from).binary_search(&to).is_ok()
     }
 
     /// All descendants of `from`, ascending.
     pub fn descendants(&self, from: NodeId) -> Vec<NodeId> {
-        self.descendants[from.index()]
-            .iter()
-            .map(|i| NodeId(i as u32))
-            .collect()
+        row(&self.descendants, from).to_vec()
     }
 
     /// All ancestors of `of`, ascending.
     pub fn ancestors(&self, of: NodeId) -> Vec<NodeId> {
-        self.ancestors[of.index()]
-            .iter()
-            .map(|i| NodeId(i as u32))
-            .collect()
+        row(&self.ancestors, of).to_vec()
     }
 
     /// Size of the descendant cone (the exact work an indexed
     /// descendant walk does — the planner's cost estimate).
     pub fn descendant_count(&self, from: NodeId) -> usize {
-        self.descendants[from.index()].count()
+        row(&self.descendants, from).len()
     }
 
     /// Size of the ancestor cone.
     pub fn ancestor_count(&self, of: NodeId) -> usize {
-        self.ancestors[of.index()].count()
-    }
-
-    /// Approximate heap footprint in bytes (both closures, word
-    /// buffers only — see [`crate::obs::HeapSize`] for the full
-    /// breakdown including row headers).
-    pub fn memory_bytes(&self) -> usize {
-        self.descendants
-            .iter()
-            .chain(self.ancestors.iter())
-            .map(|b| b.capacity().div_ceil(64) * 8)
-            .sum()
+        row(&self.ancestors, of).len()
     }
 
     /// Repair both closures in place after a graph mutation.
@@ -143,19 +97,14 @@ impl ReachIndex {
     /// visible) — and only that region is recomputed, in dependency
     /// order local to the region.
     ///
-    /// New nodes appended by the mutation (zoom composites) grow every
-    /// bitset, so a repaired index stays bit-identical to a fresh
+    /// New nodes appended by the mutation (zoom composites) first get
+    /// empty rows, so a repaired index equals a fresh
     /// [`ReachIndex::build`] — see [`ReachIndex::matches_fresh_build`].
     pub fn repair<S: GraphStore + ?Sized>(&mut self, graph: &S, changed: &[NodeId]) {
         let n = graph.node_count();
         if n > self.descendants.len() {
-            for set in self.descendants.iter_mut().chain(self.ancestors.iter_mut()) {
-                set.grow(n);
-            }
-            while self.descendants.len() < n {
-                self.descendants.push(BitSet::new(n));
-                self.ancestors.push(BitSet::new(n));
-            }
+            self.descendants.resize_with(n, Box::default);
+            self.ancestors.resize_with(n, Box::default);
         }
         self.repair_closure(graph, changed, Closure::Descendants);
         self.repair_closure(graph, changed, Closure::Ancestors);
@@ -173,7 +122,7 @@ impl ReachIndex {
         which: Closure,
     ) {
         let n = graph.node_count();
-        let sets = match which {
+        let rows = match which {
             Closure::Descendants => &mut self.descendants,
             Closure::Ancestors => &mut self.ancestors,
         };
@@ -215,19 +164,36 @@ impl ReachIndex {
             .copied()
             .filter(|v| deg[v.index()] == 0)
             .collect();
+
+        // 3. The row kernel: mark each visible down-neighbour and its row
+        //    in one scratch bitset, collecting ids as they are first
+        //    marked; emit them sorted (a word sweep once the row is denser
+        //    than n/16), then unmark exactly what was marked.
+        let mut scratch = BitSet::new(n);
+        let mut found: Vec<NodeId> = Vec::new();
         let mut processed = 0usize;
         while let Some(v) = ready.pop() {
             processed += 1;
-            let mut acc = BitSet::new(sets[v.index()].capacity());
             if graph.is_visible(v) {
                 for &d in down(v).iter() {
                     if graph.is_visible(d) {
-                        acc.insert(d.index());
-                        acc.union_with(&sets[d.index()]);
+                        for &x in std::iter::once(&d).chain(rows[d.index()].iter()) {
+                            if scratch.insert(x.index()) {
+                                found.push(x);
+                            }
+                        }
                     }
                 }
             }
-            sets[v.index()] = acc;
+            rows[v.index()] = if found.len() > n / 16 {
+                scratch.iter().map(|i| NodeId(i as u32)).collect()
+            } else {
+                found.sort_unstable();
+                found.as_slice().into()
+            };
+            for x in found.drain(..) {
+                scratch.remove(x.index());
+            }
             for &u in up(v).iter() {
                 if dirty.contains(u.index()) {
                     deg[u.index()] -= 1;
@@ -244,60 +210,40 @@ impl ReachIndex {
         );
     }
 
-    /// Is this index bit-identical to a fresh build over `graph`? The
-    /// exactness oracle behind the incremental-repair debug assertion
-    /// and the property tests.
+    /// Does this index equal a fresh build over `graph`? Rows are
+    /// canonical (sorted, deduplicated), so equality is exact. The
+    /// oracle behind the incremental-repair debug assertion and the
+    /// property tests.
     pub fn matches_fresh_build<S: GraphStore + ?Sized>(&self, graph: &S) -> bool {
         *self == ReachIndex::build(graph)
     }
 }
 
+/// One node's row; empty for an id the index has never seen.
+fn row(rows: &[Box<[NodeId]>], v: NodeId) -> &[NodeId] {
+    rows.get(v.index()).map_or(&[], |r| r)
+}
+
 impl crate::obs::HeapSize for ReachIndex {
     fn heap_breakdown(&self) -> Vec<(&'static str, usize)> {
-        let desc: usize = self.descendants.iter().map(BitSet::heap_bytes).sum();
-        let anc: usize = self.ancestors.iter().map(BitSet::heap_bytes).sum();
+        let ids = |rows: &[Box<[NodeId]>]| {
+            rows.iter().map(|r| r.len()).sum::<usize>() * std::mem::size_of::<NodeId>()
+        };
         let rows = crate::obs::vec_alloc_bytes(&self.descendants)
             + crate::obs::vec_alloc_bytes(&self.ancestors);
         vec![
-            ("descendant_closure", desc),
-            ("ancestor_closure", anc),
+            ("descendant_closure", ids(&self.descendants)),
+            ("ancestor_closure", ids(&self.ancestors)),
             ("row_headers", rows),
         ]
     }
-}
-
-/// Kahn topological order over all allocated nodes (hidden nodes keep
-/// their structural edges, so the order covers them too).
-fn topo_order<S: GraphStore + ?Sized>(graph: &S) -> Vec<NodeId> {
-    let n = graph.node_count();
-    let mut indeg = vec![0usize; n];
-    for i in 0..n {
-        for &s in graph.succs_of(NodeId(i as u32)).iter() {
-            indeg[s.index()] += 1;
-        }
-    }
-    let mut queue: Vec<NodeId> = (0..n)
-        .map(|i| NodeId(i as u32))
-        .filter(|id| indeg[id.index()] == 0)
-        .collect();
-    let mut order = Vec::with_capacity(n);
-    while let Some(v) = queue.pop() {
-        order.push(v);
-        for &s in graph.succs_of(v).iter() {
-            indeg[s.index()] -= 1;
-            if indeg[s.index()] == 0 {
-                queue.push(s);
-            }
-        }
-    }
-    debug_assert_eq!(order.len(), n, "provenance graph must be acyclic");
-    order
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::graph::ProvGraph;
+    use crate::obs::HeapSize;
     use crate::query::{propagate_deletion_inplace, zoom_in, zoom_out};
 
     #[test]
@@ -355,15 +301,76 @@ mod tests {
         assert!(idx.ancestors(u).is_empty(), "transpose agrees");
     }
 
+    /// Row bytes are the ids the cones hold, 4 bytes each: none for
+    /// isolated nodes, n·(n−1)/2 per direction for a chain.
     #[test]
-    fn memory_reporting_scales_quadratically() {
-        let mut g = ProvGraph::new();
+    fn memory_reporting_follows_cone_sizes() {
+        let row_bytes = |idx: &ReachIndex| -> usize {
+            idx.heap_breakdown()
+                .iter()
+                .filter(|(name, _)| *name != "row_headers")
+                .map(|(_, b)| b)
+                .sum()
+        };
+        let mut isolated = ProvGraph::new();
         for i in 0..130 {
-            g.add_base(&format!("t{i}"));
+            isolated.add_base(&format!("t{i}"));
+        }
+        assert_eq!(row_bytes(&ReachIndex::build(&isolated)), 0);
+
+        let mut chain = ProvGraph::new();
+        let first = chain.add_base("t0");
+        let mut last = first;
+        for _ in 1..130 {
+            last = chain.add_plus(&[last]);
+        }
+        let idx = ReachIndex::build(&chain);
+        assert_eq!(row_bytes(&idx), 2 * (130 * 129 / 2) * 4);
+        assert_eq!(idx.descendant_count(first), 129);
+        assert_eq!(idx.ancestor_count(last), 129);
+    }
+
+    /// A row denser than n/16 is emitted by the word sweep, a sparser
+    /// one by sorting; both come out ascending and deduplicated.
+    #[test]
+    fn dense_and_sparse_rows_are_both_canonical() {
+        let mut g = ProvGraph::new();
+        let a = g.add_base("a");
+        let b = g.add_base("b");
+        let mut layers = vec![vec![g.add_times(&[a, b])]];
+        for _ in 0..40 {
+            let prev = layers.last().unwrap().clone();
+            layers.push(vec![g.add_plus(&prev), g.add_plus(&prev)]);
         }
         let idx = ReachIndex::build(&g);
-        // 130 nodes → ⌈130/64⌉ = 3 words = 24 bytes each, two closures
-        assert_eq!(idx.memory_bytes(), 2 * 130 * 24);
+        let n = g.len();
+        for i in 0..n {
+            let v = NodeId(i as u32);
+            for r in [idx.descendants(v), idx.ancestors(v)] {
+                assert!(
+                    r.windows(2).all(|w| w[0] < w[1]),
+                    "row of {v} not canonical"
+                );
+            }
+        }
+        // `a` reaches all but itself and `b` (a sweep); a node two
+        // layers from the end reaches four, collected out of order (a
+        // sort).
+        assert!(n - 2 > n / 16);
+        assert_eq!(idx.descendant_count(a), n - 2);
+        assert_eq!(idx.descendant_count(layers[38][0]), 4);
+        assert_eq!(idx.descendants(layers[39][1]), layers[40]);
+    }
+
+    #[test]
+    fn unknown_ids_have_empty_rows() {
+        let mut g = ProvGraph::new();
+        let a = g.add_base("a");
+        let idx = ReachIndex::build(&g);
+        let ghost = NodeId(a.0 + 1000);
+        assert!(!idx.reaches(ghost, a));
+        assert!(idx.descendants(ghost).is_empty());
+        assert_eq!(idx.ancestor_count(ghost), 0);
     }
 
     #[test]

@@ -21,8 +21,8 @@
 //!    index is bidirectional, so `ANCESTORS OF` costs the same as
 //!    `DESCENDANTS OF` — and the estimate is the exact cone size read
 //!    off the index), `WHY` plans carry the ancestor-cone bound of the
-//!    extraction they are about to run, and dependency tests get an
-//!    O(1) unreachability prefilter before falling back to deletion
+//!    extraction they are about to run, and dependency tests get a
+//!    binary-search unreachability prefilter before falling back to deletion
 //!    propagation.
 //! 3. **Zoom fusion.** Consecutive `ZOOM OUT` (or `ZOOM IN TO`)
 //!    statements fuse into one atomic multi-module operation, so a

@@ -216,8 +216,8 @@ impl Instruments {
 }
 
 /// Query-processor state: the graph under interrogation plus the
-/// optional §5.1 reachability closure (bidirectional: descendant and
-/// ancestor bitsets). Mutating statements (`DELETE`, `ZOOM`) **repair
+/// optional §5.1 reachability closure (bidirectional: sorted descendant
+/// and ancestor id rows). Mutating statements (`DELETE`, `ZOOM`) **repair
 /// the closure in place** — deletion subtracts the dead cone, zooms
 /// remap the affected region — so an index built once stays exact and
 /// indexed plans keep serving across mutations; `DROP INDEX` is the
@@ -408,7 +408,7 @@ impl Session {
     /// Repair the reachability closure in place after a change.
     /// `changed` must list every node whose visibility or adjacency the
     /// change touched. In debug builds the repaired index is checked
-    /// bit-for-bit against a fresh build — the incremental path must
+    /// for equality with a fresh build — the incremental path must
     /// never drift.
     fn repair_index(&mut self, changed: &[NodeId]) {
         let Some(index) = self.reach.as_mut().filter(|_| !changed.is_empty()) else {
@@ -653,7 +653,7 @@ impl Session {
         match step {
             Step::Answer(out) => Ok(out),
             Step::BuildIndex(index) => {
-                let bytes = index.memory_bytes();
+                let bytes = obs::HeapSize::heap_bytes(&index);
                 self.reach = Some(index);
                 // Per-session count (tests pin exact values) plus the
                 // process-wide registry series.
@@ -916,7 +916,6 @@ pub fn render_memory_report(components: &[MemoryComponent]) -> String {
 /// `STATS` for a resident graph: node/edge statistics, zoom and index
 /// state, and the heap breakdown of graph and closure.
 fn resident_stats(graph: &ProvGraph, reach: Option<&ReachIndex>) -> String {
-    use lipstick_core::obs::HeapSize;
     let mut text = lipstick_core::graph::stats::stats(graph).to_string();
     text.push_str(&format!(
         "  {} invocation(s), {} zoomed-out module(s), reach index: {}\n",
@@ -924,44 +923,49 @@ fn resident_stats(graph: &ProvGraph, reach: Option<&ReachIndex>) -> String {
         graph.zoomed_out_modules().len(),
         if reach.is_some() { "present" } else { "absent" }
     ));
+    push_memory(&mut text, "graph", graph.memory_breakdown(), reach);
+    text
+}
+
+/// `STATS` for an on-disk log: record counts, how many records queries
+/// have decoded so far, index state, and the heap breakdown of store
+/// and closure.
+fn log_stats<S: GraphStore>(store: &S, reach: Option<&ReachIndex>) -> String {
+    let mut text = format!(
+        "paged log: {} record(s), {} visible, {} invocation(s), {} record(s) decoded so far\n  \
+         reach index: {}\n",
+        store.node_count(),
+        store.visible_count(),
+        store.invocations().len(),
+        store.records_read(),
+        if reach.is_some() { "present" } else { "absent" }
+    );
+    push_memory(&mut text, "store", store.memory_breakdown(), reach);
+    text
+}
+
+/// The `memory` lines of `STATS`: the store's components under `group`,
+/// the reach index's under `reach`, then their total — the figure
+/// [`Session::heap_bytes`] reports.
+fn push_memory(
+    text: &mut String,
+    group: &str,
+    store: Vec<(&'static str, usize)>,
+    reach: Option<&ReachIndex>,
+) {
+    use lipstick_core::obs::HeapSize;
+    let reach = reach.map(HeapSize::heap_breakdown).unwrap_or_default();
     let mut total = 0usize;
-    for (name, bytes) in graph.heap_breakdown() {
-        total += bytes;
-        text.push_str(&format!("  memory graph.{name}={bytes}\n"));
-    }
-    if let Some(idx) = reach {
-        for (name, bytes) in idx.heap_breakdown() {
+    for (group, parts) in [(group, store), ("reach", reach)] {
+        for (name, bytes) in parts {
             total += bytes;
-            text.push_str(&format!("  memory reach.{name}={bytes}\n"));
+            text.push_str(&format!("  memory {group}.{name}={bytes}\n"));
         }
     }
     text.push_str(&format!(
         "  memory total={total} ({})",
         obs::format_bytes(total)
     ));
-    text
-}
-
-/// `STATS` for an on-disk log: record counts, how many records queries
-/// have decoded so far, and the store's heap breakdown.
-fn log_stats<S: GraphStore>(store: &S, _reach: Option<&ReachIndex>) -> String {
-    let mut text = format!(
-        "paged log: {} record(s), {} visible, {} invocation(s), {} record(s) decoded so far\n",
-        store.node_count(),
-        store.visible_count(),
-        store.invocations().len(),
-        store.records_read()
-    );
-    let mut total = 0usize;
-    for (name, bytes) in store.memory_breakdown() {
-        total += bytes;
-        text.push_str(&format!("  memory store.{name}={bytes}\n"));
-    }
-    text.push_str(&format!(
-        "  memory total={total} ({})",
-        obs::format_bytes(total)
-    ));
-    text
 }
 
 fn storage_error(e: StorageError) -> ProqlError {

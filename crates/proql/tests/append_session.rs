@@ -58,6 +58,51 @@ fn nodes_of(out: &QueryOutput) -> Vec<u32> {
         .collect()
 }
 
+/// With a reach index built, every backend's `STATS` says so and sums
+/// its `memory total=` over the components `Session::heap_bytes()`
+/// sums, and `BUILD INDEX` answers with the bytes the memory report
+/// files under `reach`.
+#[test]
+fn stats_and_build_index_report_the_session_heap_on_every_backend() {
+    let g = dealers_graph(24, 7);
+    let path = temp_log("stats-reach.lpstk", &g);
+    let sessions = [
+        ("resident", Session::new(g)),
+        ("paged", Session::open(&path).unwrap()),
+        ("append", Session::open_append(&path).unwrap()),
+    ];
+    for (backend, mut session) in sessions {
+        let reply = session.run_one("BUILD INDEX").unwrap().to_string();
+        let reach: usize = session
+            .memory_report()
+            .iter()
+            .filter(|(group, _, _)| *group == "reach")
+            .map(|(_, _, bytes)| bytes)
+            .sum();
+        assert!(reach > 0, "{backend}");
+        assert_eq!(
+            reply,
+            format!("reach index built ({reach} bytes)"),
+            "{backend}"
+        );
+
+        let stats = session.run_read("STATS").unwrap().to_string();
+        assert!(stats.contains("reach index: present"), "{backend}: {stats}");
+        let total: usize = stats
+            .lines()
+            .find_map(|l| {
+                l.trim()
+                    .strip_prefix("memory total=")?
+                    .split(' ')
+                    .next()?
+                    .parse()
+                    .ok()
+            })
+            .expect("a memory total line");
+        assert_eq!(total, session.heap_bytes(), "{backend}: {stats}");
+    }
+}
+
 /// `records_read` must never go backwards — not across reads, not
 /// across append-committed mutations, and not across `COMPACT`, which
 /// swings a new sealed base in (the pre-compaction fault count is

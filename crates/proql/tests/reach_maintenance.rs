@@ -1,13 +1,18 @@
-//! Property test: the incrementally-repaired reach index is
-//! **bit-identical** to a from-scratch `ReachIndex::build` after random
+//! Property test: the incrementally-repaired reach index equals a
+//! from-scratch `ReachIndex::build` and an independent BFS after random
 //! delete/zoom sequences.
 //!
 //! The session repairs the closure in place on every mutation (deletion
-//! subtracts the dead cone; zooms remap the affected region, growing
-//! the index for appended composite nodes). This harness drives random
-//! WorkflowGen graphs through random mutation scripts and compares the
-//! maintained index against a fresh build after *every* step — in both
-//! directions, at full bitset granularity, including capacities. The
+//! subtracts the dead cone; zooms remap the affected region, adding
+//! empty rows for appended composite nodes). This harness drives random
+//! WorkflowGen graphs through random mutation scripts and checks the
+//! maintained index after *every* step, in both directions: against a
+//! fresh build (exact equality of the sorted id rows), and against an
+//! unbounded `core::query::traverse` from every visible node, which
+//! shares no code with the index — a build is itself a repair, so the
+//! fresh-build oracle alone would compare the row kernel with itself.
+//! Arctic's dense topology (fully bipartite layers, the worst case for
+//! closure size) gets an explicit case beside the random graphs. The
 //! case budget honours `PROPTEST_CASES` like the other property suites.
 //!
 //! The same generator drives a second property: a store's visible
@@ -17,6 +22,7 @@
 
 use lipstick_core::graph::validate::check_structure;
 use lipstick_core::graph::ShardTracker;
+use lipstick_core::query::{traverse, Direction, ReachIndex};
 use lipstick_core::{GraphStore, GraphTracker, NodeId, ProvGraph, Tracker};
 use lipstick_proql::ast::Statement;
 use lipstick_proql::testgen::{self, Rng, Vocab};
@@ -70,48 +76,118 @@ fn random_tracker(rng: &mut Rng) -> GraphTracker {
     tracker
 }
 
+/// Drive `graph` through `mutations` random mutation statements on an
+/// indexed session, checking the maintained index after every step.
+fn mutate_and_check(graph: ProvGraph, mutations: usize, rng: &mut Rng) {
+    let vocab = Vocab::from_graph(&graph);
+    let mut session = Session::new(graph);
+    session.run_one("BUILD INDEX").unwrap();
+    let mut builds = 1;
+    assert_eq!(session.index_builds(), builds);
+    let built = session.reach_index().expect("just built");
+    assert_matches_bfs(built, session.graph(), rng, "BUILD INDEX");
+
+    for _ in 0..mutations {
+        let stmt = testgen::mutation(&vocab, rng);
+        // Failed mutations (dangling deletes, double zooms) must leave
+        // the index untouched; successful ones must repair it exactly.
+        // Either way the oracles below decide.
+        let _ = session.run_one(&stmt.to_string());
+        if stmt == Statement::DropIndex {
+            // The one way to lose the index: build it afresh so the
+            // rest of the script still exercises repair.
+            assert!(!session.has_reach_index(), "DROP INDEX drops it");
+            session.run_one("BUILD INDEX").unwrap();
+            builds += 1;
+        }
+        let index = session
+            .reach_index()
+            .expect("mutations repair, never drop, the index");
+        assert!(
+            index.matches_fresh_build(session.graph()),
+            "maintained index diverged from fresh build after: {stmt}"
+        );
+        assert_matches_bfs(index, session.graph(), rng, &stmt.to_string());
+    }
+
+    // Incremental maintenance means the build counter moved only for
+    // the rebuilds after a DROP INDEX, whatever else the script did.
+    assert_eq!(session.index_builds(), builds, "silent rebuild detected");
+}
+
+/// The independent oracle: every visible node's rows equal an unbounded
+/// BFS in that direction, its counts equal those BFS sizes (the row
+/// lengths), and `reaches` agrees with the rows on sampled pairs.
+fn assert_matches_bfs(index: &ReachIndex, graph: &ProvGraph, rng: &mut Rng, after: &str) {
+    let visible: Vec<NodeId> = graph.iter_visible().map(|(id, _)| id).collect();
+    let bfs = |v: NodeId, direction: Direction| {
+        traverse(graph, v, direction, None, |_| true)
+            .expect("visible root")
+            .0
+    };
+    for &v in &visible {
+        let descendants = bfs(v, Direction::Descendants);
+        let ancestors = bfs(v, Direction::Ancestors);
+        assert_eq!(
+            index.descendant_count(v),
+            descendants.len(),
+            "{v} after {after}"
+        );
+        assert_eq!(
+            index.ancestor_count(v),
+            ancestors.len(),
+            "{v} after {after}"
+        );
+        assert_eq!(
+            index.descendants(v),
+            descendants,
+            "descendants of {v} after {after}"
+        );
+        assert_eq!(
+            index.ancestors(v),
+            ancestors,
+            "ancestors of {v} after {after}"
+        );
+    }
+    for _ in 0..visible.len().min(64) {
+        let a = visible[rng.below(visible.len())];
+        let b = visible[rng.below(visible.len())];
+        assert_eq!(
+            index.reaches(a, b),
+            index.descendants(a).contains(&b),
+            "reaches({a}, {b}) after {after}"
+        );
+    }
+}
+
 #[test]
 fn repaired_index_is_bit_identical_to_fresh_build() {
     let budget = case_budget();
     let mut rng = Rng::new(0x005e_a1c1_050f_f1ce);
     let mut executed = 0usize;
-
     while executed < budget {
         let graph = random_graph(&mut rng);
-        let vocab = Vocab::from_graph(&graph);
-        let mut session = Session::new(graph);
-        session.run_one("BUILD INDEX").unwrap();
-        let mut builds = 1;
-        assert_eq!(session.index_builds(), builds);
-
-        for _ in 0..MUTATIONS_PER_GRAPH.min(budget - executed) {
-            let stmt = testgen::mutation(&vocab, &mut rng);
-            // Failed mutations (dangling deletes, double zooms) must
-            // leave the index untouched; successful ones must repair it
-            // exactly. Either way the oracle below decides.
-            let _ = session.run_one(&stmt.to_string());
-            if stmt == Statement::DropIndex {
-                // The one way to lose the index: build it afresh so the
-                // rest of the script still exercises repair.
-                assert!(!session.has_reach_index(), "DROP INDEX drops it");
-                session.run_one("BUILD INDEX").unwrap();
-                builds += 1;
-            }
-            let index = session
-                .reach_index()
-                .expect("mutations repair, never drop, the index");
-            assert!(
-                index.matches_fresh_build(session.graph()),
-                "maintained index diverged from fresh build after: {stmt}"
-            );
-            executed += 1;
-        }
-
-        // Incremental maintenance means the build counter moved only
-        // for the rebuilds after a DROP INDEX, whatever else the
-        // mutation script did.
-        assert_eq!(session.index_builds(), builds, "silent rebuild detected");
+        let steps = MUTATIONS_PER_GRAPH.min(budget - executed);
+        mutate_and_check(graph, steps, &mut rng);
+        executed += steps;
     }
+}
+
+/// Bipartite layers, every station of one layer feeding every station
+/// of the next, are the worst case for a closure's size.
+#[test]
+fn dense_arctic_index_matches_bfs_through_mutations() {
+    let params = ArcticParams {
+        stations: 12,
+        topology: Topology::Dense { fanout: 6 },
+        selectivity: Selectivity::Year,
+        num_exec: 2,
+        seed: 6,
+    };
+    let mut tracker = GraphTracker::new();
+    arctic::run(&params, &mut tracker).expect("arctic run");
+    let mut rng = Rng::new(0x0de5_e6a2_c1c0_0006);
+    mutate_and_check(tracker.finish(), MUTATIONS_PER_GRAPH, &mut rng);
 }
 
 /// `check_structure` compares the maintained count against a sweep of

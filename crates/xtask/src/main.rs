@@ -21,11 +21,14 @@
 //!    outside `io.rs`: every file operation must route through the
 //!    `StorageIo` trait, or the fault-injection harness silently stops
 //!    covering that call site.
-//! 5. **Panic-free planner and read executor**
-//!    (`crates/proql/src/{planner,exec}.rs`). A plan is data: it can be
+//! 5. **Panic-free planner, read executor and reach index**
+//!    (`crates/proql/src/{planner,exec}.rs`,
+//!    `crates/core/src/query/reach.rs`). A plan is data: it can be
 //!    replayed against a store or an index state other than the one it
 //!    was made for, so a strategy the store cannot serve must fall back
-//!    (full scan, BFS, propagation), never `expect` the plan's world.
+//!    (full scan, BFS, propagation), never `expect` the plan's world;
+//!    the index, which both call on every indexed walk, `WHY` and
+//!    `DEPENDS`, answers an id it holds no row for with an empty row.
 //! 6. **Panic-free storage decoders** (`crates/storage/src/{reader,
 //!    varint,codec,footer,tail,log}.rs`). They read bytes from disk, and
 //!    corrupt bytes must come back as `StorageError::Corrupt`. Every read
@@ -234,6 +237,13 @@ const DECODE_CONTEXT: &str =
 /// Storage files under rule 2 (no bare numeric casts).
 const CAST_FREE_FILES: &[&str] = &["codec.rs", "reader.rs", "varint.rs"];
 
+/// Files under rule 5 (no panicking calls), from the workspace root.
+const PLAN_FILES: &[&str] = &[
+    "crates/proql/src/planner.rs",
+    "crates/proql/src/exec.rs",
+    "crates/core/src/query/reach.rs",
+];
+
 /// Storage files under rule 6 (no panicking calls).
 const DECODER_FILES: &[&str] = &[
     "reader.rs",
@@ -364,9 +374,10 @@ fn run_lint(root: &Path) -> std::io::Result<Vec<String>> {
         }
     }
 
-    // Rule 5: the one planner and the one read executor.
-    for file in ["planner.rs", "exec.rs"] {
-        let path = root.join("crates/proql/src").join(file);
+    // Rule 5: the one planner, the one read executor, and the reach
+    // index they call.
+    for file in PLAN_FILES {
+        let path = root.join(file);
         let src = std::fs::read_to_string(&path)?;
         for v in check_no_panics(&src, PLAN_CONTEXT) {
             findings.push(format!("{}:{}: {}", path.display(), v.line, v.message));
@@ -445,6 +456,24 @@ mod tests {
         let ok = "fn fold() {\n    let out = acc.unwrap_or_default();\n    let ids = \
                   key.candidates(store).map_or(0, |ids| ids.len());\n}\n";
         assert_eq!(check_no_panics(ok, PLAN_CONTEXT), Vec::new());
+    }
+
+    /// Every rule-5 file is covered, the reach index included: a row
+    /// lookup that `expect`s instead of answering an empty row is caught
+    /// on the seeded line.
+    #[test]
+    fn seeded_plan_file_violations_are_caught() {
+        assert!(PLAN_FILES.contains(&"crates/core/src/query/reach.rs"));
+        for file in PLAN_FILES {
+            let src = std::fs::read_to_string(workspace_root().join(file)).expect("readable");
+            let bad = format!(
+                "fn row(rows: &[Box<[NodeId]>], v: NodeId) -> &[NodeId] {{ \
+                 rows.get(v.index()).expect(\"row\") }}\n{src}"
+            );
+            let vs = check_no_panics(&bad, PLAN_CONTEXT);
+            assert_eq!(vs.len(), 1, "{file}: {vs:?}");
+            assert_eq!(vs[0].line, 1, "{file}");
+        }
     }
 
     #[test]
