@@ -8,6 +8,7 @@
 
 use std::collections::HashMap;
 use std::fmt;
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 use lipstick_nrel::{Schema, Value};
@@ -53,9 +54,35 @@ impl fmt::Debug for UdfDef {
 }
 
 /// Registry of UDFs available to a program.
-#[derive(Debug, Default)]
+///
+/// A compiled plan depends on the UDF names, kinds and output schemas it
+/// was compiled against, so every registry carries an [`id`]: unique in
+/// the process, drawn at creation and drawn again by every
+/// [`register`]. Two registries never share an id, and an id is never
+/// reused, so a plan cache keyed on it cannot serve a stale plan.
+///
+/// [`id`]: UdfRegistry::id
+/// [`register`]: UdfRegistry::register
+#[derive(Debug)]
 pub struct UdfRegistry {
     map: HashMap<String, Arc<UdfDef>>,
+    id: u64,
+}
+
+/// Source of registry ids. `Relaxed` suffices: an id publishes no other
+/// data, and `fetch_add` alone makes each one unique.
+fn next_registry_id() -> u64 {
+    static NEXT: AtomicU64 = AtomicU64::new(0);
+    NEXT.fetch_add(1, Ordering::Relaxed)
+}
+
+impl Default for UdfRegistry {
+    fn default() -> Self {
+        UdfRegistry {
+            map: HashMap::new(),
+            id: next_registry_id(),
+        }
+    }
 }
 
 impl UdfRegistry {
@@ -64,8 +91,14 @@ impl UdfRegistry {
         UdfRegistry::default()
     }
 
+    /// This registry's identity: the same value for as long as its
+    /// definitions stay as they are.
+    pub fn id(&self) -> u64 {
+        self.id
+    }
+
     /// Register a UDF. Re-registering a name replaces the previous
-    /// definition.
+    /// definition. Either way the registry gets a fresh [`id`](Self::id).
     pub fn register(
         &mut self,
         name: impl Into<String>,
@@ -83,6 +116,7 @@ impl UdfRegistry {
                 func: Box::new(func),
             }),
         );
+        self.id = next_registry_id();
     }
 
     /// Look up a UDF by name.
@@ -145,6 +179,18 @@ mod tests {
             reg.get("CalcBid").unwrap().output_schema.as_ref(),
             Some(&schema)
         );
+    }
+
+    #[test]
+    fn ids_are_unique_and_change_on_register() {
+        let mut a = UdfRegistry::new();
+        let b = UdfRegistry::default();
+        assert_ne!(a.id(), b.id());
+        let before = a.id();
+        a.register("f", true, None, |_| Ok(Value::Null));
+        assert_ne!(a.id(), before);
+        assert_ne!(a.id(), b.id());
+        assert_eq!(a.id(), a.id());
     }
 
     #[test]

@@ -1,7 +1,11 @@
 //! Workflow DAGs (Definition 2.2) and their validation.
 
+use std::borrow::Cow;
 use std::collections::{HashMap, HashSet, VecDeque};
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
+
+use lipstick_piglatin::plan::{compile, Compiled, SchemaMap};
+use lipstick_piglatin::udf::UdfRegistry;
 
 use crate::error::{Result, WfError};
 use crate::module::ModuleSpec;
@@ -36,6 +40,11 @@ pub struct WfEdge {
 }
 
 /// A validated workflow (Definition 2.2).
+///
+/// It also holds its compiled module plans: every node's `Qstate; Qout`
+/// is parsed and compiled once, on the first execution, against that
+/// execution's UDF registry, and every later execution with the same
+/// registry reuses the plans.
 #[derive(Debug, Clone)]
 pub struct Workflow {
     nodes: Vec<WfNode>,
@@ -43,6 +52,15 @@ pub struct Workflow {
     inputs: Vec<NodeIdx>,
     outputs: Vec<NodeIdx>,
     topo: Vec<NodeIdx>,
+    plans: OnceLock<Plans>,
+}
+
+/// Every node's compiled plan, in node order, and the id of the UDF
+/// registry they were compiled against.
+#[derive(Debug, Clone)]
+struct Plans {
+    registry: u64,
+    compiled: Vec<Compiled>,
 }
 
 impl Workflow {
@@ -91,6 +109,48 @@ impl Workflow {
     /// True iff the workflow has no nodes.
     pub fn is_empty(&self) -> bool {
         self.nodes.is_empty()
+    }
+
+    /// Every node's compiled plan, indexed by [`NodeIdx`], for `udfs`.
+    /// This is the one place module scripts compile. The first registry
+    /// a workflow meets gets its plans cached here; a call with any
+    /// other registry (a different one, or the same one after a
+    /// `register`, which gives it a new id) compiles its own.
+    ///
+    /// All nodes compile before any result is returned, so a script that
+    /// fails to compile fails the execution before any module runs.
+    pub(crate) fn plans(&self, udfs: &UdfRegistry) -> Result<Cow<'_, [Compiled]>> {
+        if self.plans.get().is_none() {
+            let compiled = self.compile_all(udfs)?;
+            // A racing first call may have set it already; either set of
+            // plans is checked against its registry below.
+            let _ = self.plans.set(Plans {
+                registry: udfs.id(),
+                compiled,
+            });
+        }
+        match self.plans.get() {
+            Some(p) if p.registry == udfs.id() => Ok(Cow::Borrowed(&p.compiled)),
+            _ => self.compile_all(udfs).map(Cow::Owned),
+        }
+    }
+
+    fn compile_all(&self, udfs: &UdfRegistry) -> Result<Vec<Compiled>> {
+        self.nodes
+            .iter()
+            .map(|node| {
+                let mut schemas = SchemaMap::new();
+                for (rel, schema) in node.spec.input_schema.iter().chain(&node.spec.state_schema) {
+                    schemas.insert(rel.clone(), Arc::new(schema.clone()));
+                }
+                lipstick_piglatin::parse(&node.spec.combined_script())
+                    .and_then(|program| compile(&program, &schemas, udfs))
+                    .map_err(|error| WfError::Pig {
+                        node: node.instance.clone(),
+                        error,
+                    })
+            })
+            .collect()
     }
 }
 
@@ -251,6 +311,7 @@ impl WorkflowBuilder {
             inputs,
             outputs,
             topo,
+            plans: OnceLock::new(),
         })
     }
 }

@@ -1,4 +1,8 @@
 //! Workflow execution (Definition 2.3) with provenance capture (§3.1).
+//!
+//! Module scripts compile once per workflow and UDF registry: the plans
+//! live on the [`Workflow`], and every execution — sequential here or
+//! module-parallel in [`crate::parallel`] — reads them from there.
 
 use std::collections::HashMap;
 use std::sync::Arc;
@@ -6,7 +10,7 @@ use std::sync::Arc;
 use lipstick_core::Tracker;
 use lipstick_nrel::Tuple;
 use lipstick_piglatin::eval::{execute as run_pig, ARelation, ATuple, Ann, Env};
-use lipstick_piglatin::plan::{compile, Compiled};
+use lipstick_piglatin::plan::Compiled;
 use lipstick_piglatin::udf::UdfRegistry;
 
 use crate::dag::{NodeIdx, Workflow};
@@ -119,8 +123,19 @@ impl<R: Copy> WorkflowState<R> {
             .sum()
     }
 
-    pub(crate) fn module_state_mut(&mut self, module: &str) -> &mut HashMap<String, ARelation<R>> {
-        self.per_module.entry(module.to_string()).or_default()
+    /// A module's state relations, to read while it runs.
+    pub(crate) fn module_state(&self, module: &str) -> Result<&HashMap<String, ARelation<R>>> {
+        self.per_module
+            .get(module)
+            .ok_or_else(|| WfError::UnknownNode(module.to_string()))
+    }
+
+    /// Commit the state relations a successful invocation re-bound.
+    pub(crate) fn commit(&mut self, module: &str, rebound: Vec<(String, ARelation<R>)>) {
+        self.per_module
+            .entry(module.to_string())
+            .or_default()
+            .extend(rebound);
     }
 }
 
@@ -142,17 +157,25 @@ impl<R: Copy> ExecutionOutput<R> {
 pub(crate) struct InvocationResult<R: Copy> {
     /// Output relations, rows annotated with their `o` nodes.
     pub outputs: HashMap<String, ARelation<R>>,
-    /// The full post-invocation state (rebound relations replaced,
-    /// untouched ones carried through with their original refs).
-    pub new_state: HashMap<String, ARelation<R>>,
+    /// The state relations the scripts re-bound. Committing them over
+    /// the module's state is the caller's job, and only on success;
+    /// untouched state relations keep their stored rows.
+    pub rebound: Vec<(String, ARelation<R>)>,
 }
 
+/// Relations staged on edges: (consumer, relation) → rows.
+pub(crate) type Staged<R> = HashMap<(NodeIdx, String), ARelation<R>>;
+
 /// Invoke one module: wrap inputs/state in `i`/`s` nodes, run
-/// `Qstate; Qout`, wrap outputs in `o` nodes, and return the new state.
+/// `Qstate; Qout`, wrap outputs in `o` nodes, and return the outputs
+/// and re-bound state relations.
 ///
-/// `external_inputs` holds raw workflow-input tuples for input nodes;
-/// `edge_inputs` holds relations staged by upstream modules (their rows
-/// already annotated with `o`-node refs in this tracker's space).
+/// `external` is the execution's workflow input, given for an input
+/// node only; `edge_inputs` holds relations staged by upstream modules
+/// (their rows already annotated with `o`-node refs in this tracker's
+/// space). The module's state is only read: a failed invocation leaves
+/// it as it was, and the tracker is outside any invocation whether the
+/// call succeeds or fails.
 // Nine arguments mirror the module-invocation protocol (inputs, state,
 // tracker, registry, execution counter); bundling them would only move
 // the list into a struct literal at each call site.
@@ -161,9 +184,9 @@ pub(crate) fn invoke_module<T: Tracker>(
     instance: &str,
     spec: &ModuleSpec,
     compiled: &Compiled,
-    external_inputs: &HashMap<String, Vec<Tuple>>,
-    mut edge_inputs: HashMap<String, ARelation<T::Ref>>,
-    state_rels: HashMap<String, ARelation<T::Ref>>,
+    external: Option<&WorkflowInput>,
+    edge_inputs: HashMap<String, ARelation<T::Ref>>,
+    state: &HashMap<String, ARelation<T::Ref>>,
     tracker: &mut T,
     udfs: &UdfRegistry,
     execution: u32,
@@ -172,13 +195,41 @@ pub(crate) fn invoke_module<T: Tracker>(
     // same module may label several DAG nodes (unfolded loops), and zoom
     // must treat all of their invocations as one unit (§4.1).
     tracker.begin_invocation(&spec.name, execution);
+    let result = run_invocation(
+        instance,
+        spec,
+        compiled,
+        external,
+        edge_inputs,
+        state,
+        tracker,
+        udfs,
+        execution,
+    );
+    tracker.end_invocation();
+    result
+}
+
+/// The body of [`invoke_module`], inside the tracker's invocation.
+#[allow(clippy::too_many_arguments)]
+fn run_invocation<T: Tracker>(
+    instance: &str,
+    spec: &ModuleSpec,
+    compiled: &Compiled,
+    external: Option<&WorkflowInput>,
+    mut edge_inputs: HashMap<String, ARelation<T::Ref>>,
+    state: &HashMap<String, ARelation<T::Ref>>,
+    tracker: &mut T,
+    udfs: &UdfRegistry,
+    execution: u32,
+) -> Result<InvocationResult<T::Ref>> {
     let mut env: Env<T::Ref> = Env::new();
 
     // ---- inputs: wrap each tuple in an `i` node ----
     for (rel, schema) in &spec.input_schema {
-        let wrapped = if let Some(tuples) = external_inputs.get(rel) {
+        let wrapped = if let Some(input) = external {
             let mut r = ARelation::empty(Arc::new(schema.clone()));
-            for (i, t) in tuples.iter().enumerate() {
+            for (i, t) in input.get(instance, rel).iter().enumerate() {
                 let wf_in = if T::TRACKING {
                     tracker.workflow_input(&format!("I{execution}.{instance}.{rel}.{i}"))
                 } else {
@@ -211,7 +262,9 @@ pub(crate) fn invoke_module<T: Tracker>(
 
     // ---- state: wrap each tuple in an `s` node ----
     for (rel, _schema) in &spec.state_schema {
-        let stored = state_rels.get(rel).expect("state initialized per schema");
+        let stored = state
+            .get(rel)
+            .ok_or_else(|| WfError::UnknownNode(format!("{}.{rel}", spec.name)))?;
         let mut r = ARelation::empty(stored.schema.clone());
         for row in &stored.rows {
             let prov = tracker.state_node(row.ann.prov);
@@ -233,23 +286,28 @@ pub(crate) fn invoke_module<T: Tracker>(
         error,
     })?;
 
-    // ---- commit state ----
-    let mut new_state = state_rels;
+    // ---- new state: the relations the scripts re-bound ----
+    let mut rebound = Vec::new();
     for (rel, _schema) in &spec.state_schema {
-        if compiled.schemas.contains_key(rel) {
-            let mut rebound = env.take(rel).expect("script-bound relations stay in env");
-            // Value references do not cross invocation boundaries: a
-            // v-node belongs to the invocation that computed it (its
-            // edges end at that invocation's `o` nodes, Figure 2(c));
-            // later invocations pair state values as constants.
-            for row in &mut rebound.rows {
-                row.ann.vrefs.clear();
-                row.members.clear();
-            }
-            new_state.insert(rel.clone(), rebound);
+        // A state relation the scripts never bound is still the stored
+        // one: `s` nodes are per-invocation views, not part of the state.
+        let Some(mut r) = compiled
+            .schemas
+            .contains_key(rel)
+            .then(|| env.take(rel))
+            .flatten()
+        else {
+            continue;
+        };
+        // Value references do not cross invocation boundaries: a
+        // v-node belongs to the invocation that computed it (its
+        // edges end at that invocation's `o` nodes, Figure 2(c));
+        // later invocations pair state values as constants.
+        for row in &mut r.rows {
+            row.ann.vrefs.clear();
+            row.members.clear();
         }
-        // Untouched state relations keep their stored (unwrapped) rows:
-        // `s` nodes are per-invocation views, not part of the state.
+        rebound.push((rel.clone(), r));
     }
 
     // ---- outputs: wrap each tuple in an `o` node ----
@@ -274,122 +332,60 @@ pub(crate) fn invoke_module<T: Tracker>(
         }
         outputs.insert(rel.clone(), r);
     }
-    tracker.end_invocation();
-    Ok(InvocationResult { outputs, new_state })
+    Ok(InvocationResult { outputs, rebound })
 }
 
-/// A workflow executor with a per-node compiled-plan cache (module
-/// scripts compile once; schemas are fixed per specification).
-pub struct Executor<'a> {
-    wf: &'a Workflow,
-    udfs: &'a UdfRegistry,
-    compiled: Vec<Option<Arc<Compiled>>>,
+/// Take the relations staged for a node's inputs off their edges.
+pub(crate) fn take_edge_inputs<R: Copy>(
+    staged: &mut Staged<R>,
+    idx: NodeIdx,
+    spec: &ModuleSpec,
+) -> HashMap<String, ARelation<R>> {
+    spec.input_names()
+        .filter_map(|rel| {
+            staged
+                .remove(&(idx, rel.to_string()))
+                .map(|r| (rel.to_string(), r))
+        })
+        .collect()
 }
 
-impl<'a> Executor<'a> {
-    pub fn new(wf: &'a Workflow, udfs: &'a UdfRegistry) -> Self {
-        Executor {
-            wf,
-            udfs,
-            compiled: vec![None; wf.len()],
+/// Stage a finished invocation's outputs on the node's outgoing edges.
+/// Value references stay within their invocation: downstream modules
+/// see a tuple through its `o` node.
+pub(crate) fn route<R: Copy>(
+    wf: &Workflow,
+    idx: NodeIdx,
+    outputs: &HashMap<String, ARelation<R>>,
+    staged: &mut Staged<R>,
+) -> Result<()> {
+    for edge in wf.outgoing(idx) {
+        for rel in &edge.relations {
+            let mut routed = outputs
+                .get(rel)
+                .ok_or_else(|| WfError::MissingOutput {
+                    node: wf.node(idx).instance.clone(),
+                    relation: rel.clone(),
+                })?
+                .clone();
+            for row in &mut routed.rows {
+                row.ann.vrefs.clear();
+            }
+            staged.insert((edge.to, rel.clone()), routed);
         }
     }
-
-    /// The workflow being executed.
-    pub fn workflow(&self) -> &Workflow {
-        self.wf
-    }
-
-    pub(crate) fn compiled_for(&mut self, idx: NodeIdx) -> Result<Arc<Compiled>> {
-        if self.compiled[idx.index()].is_none() {
-            let node = self.wf.node(idx);
-            let mut schemas = lipstick_piglatin::plan::SchemaMap::new();
-            for (rel, schema) in node.spec.input_schema.iter().chain(&node.spec.state_schema) {
-                schemas.insert(rel.clone(), Arc::new(schema.clone()));
-            }
-            let program =
-                lipstick_piglatin::parse(&node.spec.combined_script()).map_err(|error| {
-                    WfError::Pig {
-                        node: node.instance.clone(),
-                        error,
-                    }
-                })?;
-            let compiled =
-                compile(&program, &schemas, self.udfs).map_err(|error| WfError::Pig {
-                    node: node.instance.clone(),
-                    error,
-                })?;
-            self.compiled[idx.index()] = Some(Arc::new(compiled));
-        }
-        Ok(self.compiled[idx.index()].clone().expect("just inserted"))
-    }
-
-    /// Run a single execution (Definition 2.3): every module once, in
-    /// topological order.
-    pub fn execute_once<T: Tracker>(
-        &mut self,
-        input: &WorkflowInput,
-        state: &mut WorkflowState<T::Ref>,
-        tracker: &mut T,
-        execution: u32,
-    ) -> Result<ExecutionOutput<T::Ref>> {
-        // Relations staged on edges: (consumer, relation) → rows.
-        let mut staged: HashMap<(NodeIdx, String), ARelation<T::Ref>> = HashMap::new();
-        let mut result = ExecutionOutput {
-            outputs: HashMap::new(),
-        };
-
-        for &idx in self.wf.topo_order() {
-            let compiled = self.compiled_for(idx)?;
-            let node = self.wf.node(idx);
-            let is_input_node = self.wf.input_nodes().contains(&idx);
-            let is_output_node = self.wf.output_nodes().contains(&idx);
-
-            let mut external_inputs = HashMap::new();
-            let mut edge_inputs = HashMap::new();
-            for (rel, _schema) in &node.spec.input_schema {
-                if is_input_node {
-                    external_inputs.insert(rel.clone(), input.get(&node.instance, rel).to_vec());
-                } else if let Some(r) = staged.remove(&(idx, rel.clone())) {
-                    edge_inputs.insert(rel.clone(), r);
-                }
-            }
-            let state_rels = std::mem::take(state.module_state_mut(&node.spec.name));
-
-            let inv = invoke_module(
-                &node.instance,
-                &node.spec,
-                &compiled,
-                &external_inputs,
-                edge_inputs,
-                state_rels,
-                tracker,
-                self.udfs,
-                execution,
-            )?;
-            *state.module_state_mut(&node.spec.name) = inv.new_state;
-
-            // ---- route along edges (vrefs stay in their invocation;
-            // downstream modules see the tuple through its `o` node) ----
-            for edge in self.wf.outgoing(idx) {
-                for rel in &edge.relations {
-                    let out = inv.outputs.get(rel).expect("edge validated against Sout");
-                    let mut routed = out.clone();
-                    for row in &mut routed.rows {
-                        row.ann.vrefs.clear();
-                    }
-                    staged.insert((edge.to, rel.clone()), routed);
-                }
-            }
-            if is_output_node {
-                result.outputs.insert(node.instance.clone(), inv.outputs);
-            }
-        }
-        Ok(result)
-    }
+    Ok(())
 }
 
-/// One-shot convenience: run a single execution.
+/// Run a single execution (Definition 2.3): every module once, in
+/// topological order.
+///
+/// Module scripts compile once per workflow and UDF registry (see
+/// [`Workflow`]), and all of them before the first module runs: a
+/// script that fails to compile fails the execution with the state
+/// untouched. A module that fails while running leaves its own state as
+/// it was; modules that completed earlier in the same execution keep
+/// the state they committed.
 pub fn execute_once<T: Tracker>(
     wf: &Workflow,
     input: &WorkflowInput,
@@ -398,11 +394,14 @@ pub fn execute_once<T: Tracker>(
     udfs: &UdfRegistry,
     execution: u32,
 ) -> Result<ExecutionOutput<T::Ref>> {
-    Executor::new(wf, udfs).execute_once(input, state, tracker, execution)
+    let plans = wf.plans(udfs)?;
+    execute_with(wf, &plans, input, state, tracker, udfs, execution)
 }
 
 /// Run a sequence of executions E₀…Eₙ (Definition 2.3's sequences):
-/// state threads from each execution into the next.
+/// state threads from each execution into the next. Plans compile once
+/// for the whole sequence; a failure stops it, with
+/// [`execute_once`]'s rule for the state.
 pub fn execute_sequence<T: Tracker>(
     wf: &Workflow,
     inputs: &[WorkflowInput],
@@ -410,12 +409,50 @@ pub fn execute_sequence<T: Tracker>(
     tracker: &mut T,
     udfs: &UdfRegistry,
 ) -> Result<Vec<ExecutionOutput<T::Ref>>> {
-    let mut executor = Executor::new(wf, udfs);
+    let plans = wf.plans(udfs)?;
     let mut outputs = Vec::with_capacity(inputs.len());
     for (i, input) in inputs.iter().enumerate() {
-        outputs.push(executor.execute_once(input, state, tracker, i as u32)?);
+        outputs.push(execute_with(
+            wf, &plans, input, state, tracker, udfs, i as u32,
+        )?);
     }
     Ok(outputs)
+}
+
+/// [`execute_once`] with the plans already compiled.
+fn execute_with<T: Tracker>(
+    wf: &Workflow,
+    plans: &[Compiled],
+    input: &WorkflowInput,
+    state: &mut WorkflowState<T::Ref>,
+    tracker: &mut T,
+    udfs: &UdfRegistry,
+    execution: u32,
+) -> Result<ExecutionOutput<T::Ref>> {
+    let mut staged: Staged<T::Ref> = HashMap::new();
+    let mut result = ExecutionOutput {
+        outputs: HashMap::new(),
+    };
+    for &idx in wf.topo_order() {
+        let node = wf.node(idx);
+        let inv = invoke_module(
+            &node.instance,
+            &node.spec,
+            &plans[idx.index()],
+            wf.input_nodes().contains(&idx).then_some(input),
+            take_edge_inputs(&mut staged, idx, &node.spec),
+            state.module_state(&node.spec.name)?,
+            tracker,
+            udfs,
+            execution,
+        )?;
+        route(wf, idx, &inv.outputs, &mut staged)?;
+        state.commit(&node.spec.name, inv.rebound);
+        if wf.output_nodes().contains(&idx) {
+            result.outputs.insert(node.instance.clone(), inv.outputs);
+        }
+    }
+    Ok(result)
 }
 
 /// Pretty-print an execution's outputs (used by examples).

@@ -12,7 +12,9 @@
 //! current state, commit the new state, copy outputs along edges —
 //! and, with a [`lipstick_core::GraphTracker`], capture workflow-level
 //! provenance: `m` nodes per invocation, `i`/`o` nodes per module
-//! input/output tuple, `s` nodes per state tuple (§3.1).
+//! input/output tuple, `s` nodes per state tuple (§3.1). Module
+//! scripts compile once per workflow and UDF registry; the plans live on
+//! the [`Workflow`].
 //!
 //! [`parallel`] is the Hadoop substitute for the paper's Figure 5(c):
 //! ready modules execute on a pool of `reducers` worker threads, each

@@ -8,19 +8,23 @@
 //! critical section that models the reducer-commit overhead) and
 //! schedules newly-ready modules. Data semantics are serializable and
 //! identical to the sequential executor — a property the tests check.
+//! Module plans are the sequential executor's: compiled once per
+//! workflow and UDF registry and shared by the workers by reference.
 
 use std::collections::HashMap;
 use std::sync::{mpsc, Mutex, PoisonError};
 
 use lipstick_core::graph::shard::ShardTracker;
 use lipstick_core::{GraphTracker, NoTracker, NodeId, Tracker};
-use lipstick_nrel::Tuple;
 use lipstick_piglatin::eval::{ARelation, ATuple, Ann};
+use lipstick_piglatin::plan::Compiled;
 use lipstick_piglatin::udf::UdfRegistry;
 
 use crate::dag::{NodeIdx, Workflow};
 use crate::error::Result;
-use crate::exec::{invoke_module, ExecutionOutput, Executor, WorkflowInput, WorkflowState};
+use crate::exec::{
+    invoke_module, route, take_edge_inputs, ExecutionOutput, Staged, WorkflowInput, WorkflowState,
+};
 
 /// A tracker that can hand out worker shards and absorb them back.
 pub trait ParallelTracker: Tracker {
@@ -128,6 +132,14 @@ fn import_relation<T: ParallelTracker>(
 /// `reducers` worker threads. Specializations exist because shard
 /// absorption needs access to the concrete tracker; the generic entry
 /// point is [`execute_once_parallel`].
+///
+/// Plans come from the same per-workflow, per-registry cache as the
+/// sequential executor's, and every module compiles before the first
+/// one is dispatched. A failure follows
+/// [`execute_once`](crate::exec::execute_once)'s rule: the failed
+/// module's state is left as it was, modules committed before the
+/// failure keep their new state, and a failed module's shard is
+/// dropped, never absorbed.
 pub fn execute_once_parallel<T: ParallelTracker + Send>(
     wf: &Workflow,
     input: &WorkflowInput,
@@ -142,13 +154,8 @@ where
     RemapTable<T::Ref>: RefMapper<T::Ref>,
 {
     let reducers = reducers.max(1);
-    // Pre-compile every module (the cache is per-Executor; in the
-    // parallel path plans are cloned into tasks).
-    let mut plan_cache = Executor::new(wf, udfs);
-    let mut compiled = Vec::with_capacity(wf.len());
-    for i in 0..wf.len() {
-        compiled.push(plan_cache.compiled_for(NodeIdx(i as u32))?);
-    }
+    let plans = wf.plans(udfs)?;
+    let plans: &[Compiled] = &plans;
 
     // Scheduling state.
     let n = wf.len();
@@ -156,7 +163,7 @@ where
     for e in wf.edges() {
         indeg[e.to.index()] += 1;
     }
-    let mut staged: HashMap<(NodeIdx, String), ARelation<T::Ref>> = HashMap::new();
+    let mut staged: Staged<T::Ref> = HashMap::new();
     let mut result = ExecutionOutput {
         outputs: HashMap::new(),
     };
@@ -164,16 +171,14 @@ where
     struct Task<T: ParallelTracker> {
         idx: NodeIdx,
         shard: T::Shard,
-        external_inputs: HashMap<String, Vec<Tuple>>,
         edge_inputs: HashMap<String, ARelation<T::Ref>>,
         state_rels: HashMap<String, ARelation<T::Ref>>,
-        compiled: std::sync::Arc<lipstick_piglatin::plan::Compiled>,
     }
     struct Done<T: ParallelTracker> {
         idx: NodeIdx,
         shard: T::Shard,
         outputs: HashMap<String, ARelation<T::Ref>>,
-        new_state: HashMap<String, ARelation<T::Ref>>,
+        rebound: Vec<(String, ARelation<T::Ref>)>,
     }
 
     let (task_tx, task_rx) = mpsc::channel::<Task<T>>();
@@ -190,7 +195,6 @@ where
         for _ in 0..reducers {
             let task_rx = &task_rx;
             let done_tx = done_tx.clone();
-            let wf_ref = &*wf;
             scope.spawn(move || loop {
                 // Not `while let`: the guard must drop before the work.
                 let next = task_rx
@@ -198,14 +202,14 @@ where
                     .unwrap_or_else(PoisonError::into_inner)
                     .recv();
                 let Ok(mut task) = next else { break };
-                let node = wf_ref.node(task.idx);
+                let node = wf.node(task.idx);
                 let outcome = invoke_module(
                     &node.instance,
                     &node.spec,
-                    &task.compiled,
-                    &task.external_inputs,
-                    std::mem::take(&mut task.edge_inputs),
-                    std::mem::take(&mut task.state_rels),
+                    &plans[task.idx.index()],
+                    wf.input_nodes().contains(&task.idx).then_some(input),
+                    task.edge_inputs,
+                    &task.state_rels,
                     &mut task.shard,
                     udfs,
                     execution,
@@ -214,7 +218,7 @@ where
                     idx: task.idx,
                     shard: task.shard,
                     outputs: inv.outputs,
-                    new_state: inv.new_state,
+                    rebound: inv.rebound,
                 });
                 if done_tx.send(msg).is_err() {
                     break;
@@ -223,35 +227,30 @@ where
         }
         drop(done_tx);
 
+        // The task reads copies of the module's state imported into its
+        // shard; the state itself changes only when the task commits.
         let dispatch = |idx: NodeIdx,
-                        staged: &mut HashMap<(NodeIdx, String), ARelation<T::Ref>>,
-                        state: &mut WorkflowState<T::Ref>,
+                        staged: &mut Staged<T::Ref>,
+                        state: &WorkflowState<T::Ref>,
                         tracker: &mut T|
          -> Result<()> {
             let node = wf.node(idx);
-            let is_input_node = wf.input_nodes().contains(&idx);
             let mut shard = tracker.make_shard();
-            let mut external_inputs = HashMap::new();
-            let mut edge_inputs = HashMap::new();
-            for (rel, _schema) in &node.spec.input_schema {
-                if is_input_node {
-                    external_inputs.insert(rel.clone(), input.get(&node.instance, rel).to_vec());
-                } else if let Some(r) = staged.remove(&(idx, rel.clone())) {
-                    edge_inputs.insert(rel.clone(), import_relation::<T>(&r, &mut shard));
-                }
-            }
-            let mut state_rels = HashMap::new();
-            for (rel, r) in state.module_state_mut(&node.spec.name).drain() {
-                state_rels.insert(rel.clone(), import_relation::<T>(&r, &mut shard));
-            }
+            let edge_inputs = take_edge_inputs(staged, idx, &node.spec)
+                .into_iter()
+                .map(|(rel, r)| (rel, import_relation::<T>(&r, &mut shard)))
+                .collect();
+            let state_rels = state
+                .module_state(&node.spec.name)?
+                .iter()
+                .map(|(rel, r)| (rel.clone(), import_relation::<T>(r, &mut shard)))
+                .collect();
             task_tx
                 .send(Task {
                     idx,
                     shard,
-                    external_inputs,
                     edge_inputs,
                     state_rels,
-                    compiled: compiled[idx.index()].clone(),
                 })
                 .expect("workers outlive dispatch");
             Ok(())
@@ -267,40 +266,29 @@ where
                 .expect("a worker or a pending task always exists")?;
             completed += 1;
             let idx = done.idx;
-            let table = tracker.absorb(done.shard);
-            // Commit state with refs remapped into global space.
-            let node_state = state.module_state_mut(&wf.node(idx).spec.name);
-            for (rel, r) in done.new_state {
-                node_state.insert(rel, RefMapper::remap(&table, r));
-            }
-            // Route outputs.
             let node = wf.node(idx);
-            let mut remapped_outputs: HashMap<String, ARelation<T::Ref>> = HashMap::new();
-            for (rel, r) in done.outputs {
-                remapped_outputs.insert(rel, RefMapper::remap(&table, r));
-            }
+            let table = tracker.absorb(done.shard);
+            // Outputs and state, with refs remapped into global space.
+            let outputs: HashMap<String, ARelation<T::Ref>> = done
+                .outputs
+                .into_iter()
+                .map(|(rel, r)| (rel, RefMapper::remap(&table, r)))
+                .collect();
+            route(wf, idx, &outputs, &mut staged)?;
+            let rebound = done
+                .rebound
+                .into_iter()
+                .map(|(rel, r)| (rel, RefMapper::remap(&table, r)))
+                .collect();
+            state.commit(&node.spec.name, rebound);
             for edge in wf.outgoing(idx) {
-                for rel in &edge.relations {
-                    let out = remapped_outputs
-                        .get(rel)
-                        .expect("edge validated against Sout");
-                    // vrefs stay within their invocation (see the
-                    // sequential executor's routing).
-                    let mut routed = out.clone();
-                    for row in &mut routed.rows {
-                        row.ann.vrefs.clear();
-                    }
-                    staged.insert((edge.to, rel.clone()), routed);
-                }
                 indeg[edge.to.index()] -= 1;
                 if indeg[edge.to.index()] == 0 {
                     dispatch(edge.to, &mut staged, state, tracker)?;
                 }
             }
             if wf.output_nodes().contains(&idx) {
-                result
-                    .outputs
-                    .insert(node.instance.clone(), remapped_outputs);
+                result.outputs.insert(node.instance.clone(), outputs);
             }
         }
         drop(task_tx);

@@ -6,14 +6,16 @@ use std::sync::Arc;
 use lipstick_core::graph::validate::{check_intermediate_tags, check_structure};
 use lipstick_core::graph::{GraphTracker, NoTracker};
 use lipstick_core::query::{propagate_deletion, zoom_in, zoom_out};
-use lipstick_core::{NodeKind, Role};
+use lipstick_core::{NodeKind, Role, Tracker};
 use lipstick_nrel::{tuple, Bag, DataType, Schema, Value};
 use lipstick_piglatin::udf::UdfRegistry;
+use lipstick_piglatin::PigError;
 
 use crate::dag::{Workflow, WorkflowBuilder};
+use crate::error::WfError;
 use crate::exec::{execute_once, execute_sequence, WorkflowInput, WorkflowState};
 use crate::module::ModuleSpec;
-use crate::parallel::execute_once_parallel;
+use crate::parallel::{execute_once_parallel, ParallelTracker, RefMapper, RemapTable};
 
 /// A two-stage workflow: source module forwards readings; sink module
 /// keeps a running minimum using its state.
@@ -449,4 +451,267 @@ fn bag_semantics_of_worker_outputs() {
     let total = &out.relation("sink", "Total").unwrap().rows[0].tuple;
     assert_eq!(total.get(0).unwrap(), &Value::Int(4));
     let _ = Bag::empty(); // keep Bag import exercised
+}
+
+// ---------- failures and the plan cache ----------
+
+/// A two-module chain: `src` keeps every reading it forwards in its
+/// `Seen` state; `chk` keeps a `History` and passes it through the UDF
+/// `Check`, which rejects negative readings.
+fn checked_chain() -> (Workflow, UdfRegistry) {
+    let readings = Schema::named(&[("Temp", DataType::Float)]);
+    let source = Arc::new(ModuleSpec {
+        name: "Msrc".into(),
+        input_schema: vec![("Readings".into(), readings.clone())],
+        state_schema: vec![("Seen".into(), readings.clone())],
+        output_schema: vec![("Out".into(), readings.clone())],
+        q_state: "Seen = UNION Seen, Readings;".into(),
+        q_out: "Out = FILTER Readings BY true;".into(),
+    });
+    let check = Arc::new(ModuleSpec {
+        name: "Mcheck".into(),
+        input_schema: vec![("Out".into(), readings.clone())],
+        state_schema: vec![("History".into(), readings.clone())],
+        output_schema: vec![("Checked".into(), readings)],
+        q_state: "History = UNION History, Out;".into(),
+        q_out: "Checked = FOREACH History GENERATE Check(Temp) AS Temp;".into(),
+    });
+    let mut b = WorkflowBuilder::new();
+    let s = b.add_node("src", source);
+    let c = b.add_node("chk", check);
+    b.add_edge(s, c, &["Out"]);
+    let mut udfs = UdfRegistry::new();
+    udfs.register("Check", true, None, |args| {
+        let t = args[0].as_f64().map_err(|e| e.to_string())?;
+        if t < 0.0 {
+            Err(format!("negative reading {t}"))
+        } else {
+            Ok(Value::Float(t))
+        }
+    });
+    (b.build().unwrap(), udfs)
+}
+
+fn rel_len<R: Copy>(state: &WorkflowState<R>, wf: &Workflow, module: &str, rel: &str) -> usize {
+    state.relation(wf, module, rel).map_or(0, |r| r.len())
+}
+
+/// A UDF error in `chk` fails the execution, leaves `chk`'s state as it
+/// was and the tracker outside any invocation, so the next execution
+/// runs normally. `src`, which completed before the failure, keeps its
+/// committed state.
+fn failed_invocation_keeps_state<T: ParallelTracker + Send>(tracker: &mut T, parallel: bool)
+where
+    T::Ref: Send + Sync,
+    RemapTable<T::Ref>: RefMapper<T::Ref>,
+{
+    let (wf, udfs) = checked_chain();
+    let mut state = WorkflowState::empty(&wf);
+    let mut run = |temps: &[f64], state: &mut WorkflowState<T::Ref>, e: u32| {
+        let input = input_with(temps);
+        if parallel {
+            execute_once_parallel(&wf, &input, state, tracker, &udfs, e, 2)
+        } else {
+            execute_once(&wf, &input, state, tracker, &udfs, e)
+        }
+    };
+    run(&[1.0], &mut state, 0).unwrap();
+    let err = run(&[-1.0], &mut state, 1).unwrap_err();
+    assert!(
+        matches!(
+            &err,
+            WfError::Pig { node, error: PigError::Udf { name, .. } }
+                if node == "chk" && name == "Check"
+        ),
+        "{err}"
+    );
+    assert_eq!(rel_len(&state, &wf, "Mcheck", "History"), 1);
+    assert_eq!(rel_len(&state, &wf, "Msrc", "Seen"), 2);
+
+    let out = run(&[2.0], &mut state, 2).unwrap();
+    assert_eq!(
+        out.relation("chk", "Checked").unwrap().tuples().len(),
+        2,
+        "History holds the readings of the two executions that succeeded"
+    );
+    assert_eq!(rel_len(&state, &wf, "Mcheck", "History"), 2);
+    assert_eq!(rel_len(&state, &wf, "Msrc", "Seen"), 3);
+}
+
+#[test]
+fn failed_invocation_keeps_state_sequential_untracked() {
+    failed_invocation_keeps_state(&mut NoTracker, false);
+}
+
+#[test]
+fn failed_invocation_keeps_state_sequential_tracked() {
+    let mut tracker = GraphTracker::new();
+    failed_invocation_keeps_state(&mut tracker, false);
+    // The failed invocation is recorded; both later ones are whole.
+    assert_eq!(tracker.finish().invocations_of("Mcheck").len(), 3);
+}
+
+#[test]
+fn failed_invocation_keeps_state_parallel_untracked() {
+    failed_invocation_keeps_state(&mut NoTracker, true);
+}
+
+#[test]
+fn failed_invocation_keeps_state_parallel_tracked() {
+    let mut tracker = GraphTracker::new();
+    failed_invocation_keeps_state(&mut tracker, true);
+    let g = tracker.finish();
+    check_structure(&g).unwrap();
+    // A failed worker's shard is dropped, never absorbed.
+    assert_eq!(g.invocations_of("Mcheck").len(), 2);
+}
+
+/// The tracker is usable after a failure: a fresh invocation begins.
+#[test]
+fn tracker_leaves_a_failed_invocation() {
+    let (wf, udfs) = checked_chain();
+    let mut state = WorkflowState::empty(&wf);
+    let mut tracker = GraphTracker::new();
+    execute_once(
+        &wf,
+        &input_with(&[-1.0]),
+        &mut state,
+        &mut tracker,
+        &udfs,
+        0,
+    )
+    .unwrap_err();
+    tracker.begin_invocation("Mprobe", 1);
+    tracker.end_invocation();
+}
+
+/// A module whose one UDF, `Bid`, flattens into a bag typed by the
+/// registry's declared output schema.
+fn bid_workflow() -> Workflow {
+    let req = Schema::named(&[("X", DataType::Int)]);
+    let bids = Schema::named(&[("Amount", DataType::Float)]);
+    let mut b = WorkflowBuilder::new();
+    b.add_node(
+        "bid",
+        ModuleSpec::stateless(
+            "Mbid",
+            ("Req", req),
+            ("Bids", bids),
+            "Bids = FOREACH Req GENERATE FLATTEN(Bid(X));",
+        ),
+    );
+    b.build().unwrap()
+}
+
+/// Register `Bid` as `x ↦ {(2x)}` with schema `(Amount)`.
+fn register_doubling(udfs: &mut UdfRegistry) {
+    let schema = Schema::named(&[("Amount", DataType::Float)]);
+    udfs.register("Bid", true, Some(schema), |args| {
+        let x = args[0].as_f64().map_err(|e| e.to_string())?;
+        Ok(Value::Bag(lipstick_nrel::bag![tuple![2.0 * x]]))
+    });
+}
+
+/// Register `Bid` as `x ↦ {(3x, 'B')}` with schema `(Amount, Dealer)`.
+fn register_tripling(udfs: &mut UdfRegistry) {
+    let schema = Schema::named(&[("Amount", DataType::Float), ("Dealer", DataType::Str)]);
+    udfs.register("Bid", true, Some(schema), |args| {
+        let x = args[0].as_f64().map_err(|e| e.to_string())?;
+        Ok(Value::Bag(lipstick_nrel::bag![tuple![3.0 * x, "B"]]))
+    });
+}
+
+/// Run `bid` once on `X = 5` and return its output fields and tuples.
+fn bid_once(wf: &Workflow, udfs: &UdfRegistry, e: u32) -> (Vec<Option<String>>, Vec<String>) {
+    let input = WorkflowInput::new().provide("bid", "Req", vec![tuple![5i64]]);
+    let mut state = WorkflowState::empty(wf);
+    let out = execute_once(wf, &input, &mut state, &mut NoTracker, udfs, e).unwrap();
+    let bids = out.relation("bid", "Bids").unwrap();
+    let fields = bids
+        .schema
+        .fields()
+        .iter()
+        .map(|f| f.name.clone())
+        .collect();
+    let rows = bids.rows.iter().map(|r| r.tuple.to_string()).collect();
+    (fields, rows)
+}
+
+#[test]
+fn one_workflow_follows_each_registry() {
+    let wf = bid_workflow();
+    let mut doubling = UdfRegistry::new();
+    register_doubling(&mut doubling);
+    let mut tripling = UdfRegistry::new();
+    register_tripling(&mut tripling);
+    let want_doubling = (
+        vec![Some("Amount".to_string())],
+        vec![tuple![10.0].to_string()],
+    );
+    let want_tripling = (
+        vec![Some("Amount".to_string()), Some("Dealer".to_string())],
+        vec![tuple![15.0, "B"].to_string()],
+    );
+    for e in 0..2 {
+        assert_eq!(bid_once(&wf, &doubling, 2 * e), want_doubling);
+        assert_eq!(bid_once(&wf, &tripling, 2 * e + 1), want_tripling);
+    }
+    // Sequential and parallel read the same plans.
+    let input = WorkflowInput::new().provide("bid", "Req", vec![tuple![5i64]]);
+    let mut state = WorkflowState::empty(&wf);
+    let par =
+        execute_once_parallel(&wf, &input, &mut state, &mut NoTracker, &tripling, 4, 2).unwrap();
+    assert_eq!(
+        par.relation("bid", "Bids").unwrap().tuples(),
+        vec![tuple![15.0, "B"]]
+    );
+}
+
+#[test]
+fn register_between_executions_takes_effect() {
+    let wf = bid_workflow();
+    let mut udfs = UdfRegistry::new();
+    register_doubling(&mut udfs);
+    let (fields, rows) = bid_once(&wf, &udfs, 0);
+    assert_eq!((fields.len(), rows), (1, vec![tuple![10.0].to_string()]));
+    register_tripling(&mut udfs);
+    let (fields, rows) = bid_once(&wf, &udfs, 1);
+    assert_eq!(
+        (fields.len(), rows),
+        (2, vec![tuple![15.0, "B"].to_string()])
+    );
+}
+
+/// Every module compiles before the first one runs: `chk` cannot
+/// compile against a registry without `Check`, and the execution fails
+/// before `src`, upstream of it and stateful, changes anything. The
+/// plans cached for the first registry are not reused for the second.
+#[test]
+fn compile_failure_downstream_changes_no_state() {
+    let (wf, udfs) = checked_chain();
+    let mut state = WorkflowState::empty(&wf);
+    let mut tracker = GraphTracker::new();
+    execute_once(&wf, &input_with(&[1.0]), &mut state, &mut tracker, &udfs, 0).unwrap();
+    let before = state.total_tuples();
+    let no_check = UdfRegistry::new();
+    for parallel in [false, true] {
+        let input = input_with(&[2.0]);
+        let err = if parallel {
+            execute_once_parallel(&wf, &input, &mut state, &mut tracker, &no_check, 1, 2)
+        } else {
+            execute_once(&wf, &input, &mut state, &mut tracker, &no_check, 1)
+        }
+        .unwrap_err();
+        assert!(
+            matches!(&err, WfError::Pig { node, error: PigError::UnknownUdf(name) }
+                if node == "chk" && name == "Check"),
+            "{err}"
+        );
+        assert_eq!(state.total_tuples(), before, "parallel={parallel}");
+    }
+    assert_eq!(
+        tracker.finish().invocations().len(),
+        2,
+        "only execution 0 ran"
+    );
 }

@@ -37,6 +37,11 @@
 //!    panic is how an infallible `GraphStore` accessor reports late
 //!    corruption, and ProQL contains it. `append.rs` is out because its
 //!    `#[cfg(test)]` oracle sits mid-file, where this scanner stops.)
+//! 7. **Panic-free workflow execution** (`crates/workflow/src/exec.rs`).
+//!    A module invocation can fail — a UDF error, a missing output — and
+//!    that failure must come back as a `WfError` with the workflow state
+//!    and the tracker left runnable for the next execution, not unwind
+//!    through a half-committed execution.
 //!
 //! The scanner strips comments, strings, and char literals first (so
 //! prose mentioning `panic!` doesn't trip it) and ignores everything
@@ -234,6 +239,15 @@ const DECODE_CONTEXT: &str =
     "in a storage decoder (corrupt bytes must come back as StorageError::Corrupt; read \
      through the fallible Reader)";
 
+/// Rule 7's message context: why panics are banned in workflow
+/// execution.
+const WORKFLOW_CONTEXT: &str =
+    "in workflow execution (a failed invocation must come back as a WfError and leave the \
+     state runnable)";
+
+/// Files under rule 7 (no panicking calls), from the workspace root.
+const WORKFLOW_FILES: &[&str] = &["crates/workflow/src/exec.rs"];
+
 /// Storage files under rule 2 (no bare numeric casts).
 const CAST_FREE_FILES: &[&str] = &["codec.rs", "reader.rs", "varint.rs"];
 
@@ -389,6 +403,15 @@ fn run_lint(root: &Path) -> std::io::Result<Vec<String>> {
         let path = root.join("crates/storage/src").join(file);
         let src = std::fs::read_to_string(&path)?;
         for v in check_no_panics(&src, DECODE_CONTEXT) {
+            findings.push(format!("{}:{}: {}", path.display(), v.line, v.message));
+        }
+    }
+
+    // Rule 7: workflow execution.
+    for file in WORKFLOW_FILES {
+        let path = root.join(file);
+        let src = std::fs::read_to_string(&path)?;
+        for v in check_no_panics(&src, WORKFLOW_CONTEXT) {
             findings.push(format!("{}:{}: {}", path.display(), v.line, v.message));
         }
     }
@@ -573,6 +596,24 @@ mod tests {
         assert_eq!(check_no_panics(ok, DECODE_CONTEXT), Vec::new());
         let bad = "fn tag(t: u8) -> u8 { match t { 1 => 1, _ => unreachable!() } }\n";
         assert_eq!(check_no_panics(bad, DECODE_CONTEXT).len(), 1);
+    }
+
+    /// Every rule-7 file is covered: the shapes the rule exists for — an
+    /// `expect` on a relation the script bound and on an edge's output —
+    /// are caught on the seeded lines.
+    #[test]
+    fn seeded_workflow_exec_violations_are_caught() {
+        for file in WORKFLOW_FILES {
+            let src = std::fs::read_to_string(workspace_root().join(file)).expect("readable");
+            let bad = format!(
+                "fn commit(env: &mut Env) {{ env.take(rel).expect(\"bound\"); }}\n\
+                 fn route(out: &Outputs) {{ out.get(rel).unwrap(); }}\n{src}"
+            );
+            let vs = check_no_panics(&bad, WORKFLOW_CONTEXT);
+            assert_eq!(vs.len(), 2, "{file}: {vs:?}");
+            assert_eq!((vs[0].line, vs[1].line), (1, 2), "{file}");
+            assert!(vs[0].message.contains("WfError"), "{file}");
+        }
     }
 
     /// The real repo must currently be clean — this is the same check
