@@ -191,6 +191,11 @@ impl QueryCache {
         self.bytes_gauge.add(added as i64);
     }
 
+    /// Entries this cache holds at most; 0 means disabled.
+    pub fn capacity(&self) -> usize {
+        self.capacity
+    }
+
     /// Cache hits served so far.
     pub fn hits(&self) -> u64 {
         self.hits.load(Ordering::Relaxed)

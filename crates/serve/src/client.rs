@@ -6,7 +6,7 @@ use std::net::{SocketAddr, TcpStream, ToSocketAddrs};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Duration;
 
-use crate::proto::{read_reply, Reply};
+use crate::proto::{read_reply, write_request, FrameWriter, Reply};
 
 /// How [`Client::query_with_retry`] behaves under `BUSY` shedding and
 /// transient transport failures.
@@ -84,7 +84,7 @@ fn transient(e: &std::io::Error) -> bool {
 /// One persistent line-protocol connection.
 pub struct Client {
     reader: BufReader<TcpStream>,
-    writer: TcpStream,
+    writer: FrameWriter<TcpStream>,
     /// Resolved at connect time so retries can re-dial the same server
     /// without repeating (possibly nondeterministic) name resolution.
     addr: SocketAddr,
@@ -105,7 +105,7 @@ impl Client {
         stream.set_nodelay(true).ok();
         Ok(Client {
             reader: BufReader::new(stream.try_clone()?),
-            writer: stream,
+            writer: FrameWriter::new(stream),
             addr: resolved,
             retries: 0,
         })
@@ -126,18 +126,19 @@ impl Client {
         let stream = TcpStream::connect(self.addr)?;
         stream.set_nodelay(true).ok();
         self.reader = BufReader::new(stream.try_clone()?);
-        self.writer = stream;
+        self.writer = FrameWriter::new(stream);
         Ok(())
     }
 
     /// Send one statement and wait for its framed reply. Newlines in
     /// the statement collapse to spaces (the protocol is one statement
-    /// per line).
+    /// per line). The statement and its `\n` leave in one write, so the
+    /// request is one segment and the server never wakes on half a
+    /// line; the server answers `ERR` to, and then closes, a statement
+    /// longer than [`MAX_REQUEST_LINE`](crate::proto::MAX_REQUEST_LINE)
+    /// bytes.
     pub fn query(&mut self, statement: &str) -> std::io::Result<Reply> {
-        let flat = statement.replace(['\n', '\r'], " ");
-        self.writer.write_all(flat.as_bytes())?;
-        self.writer.write_all(b"\n")?;
-        self.writer.flush()?;
+        self.writer.send(|buf| write_request(buf, statement))?;
         read_reply(&mut self.reader)?.ok_or_else(|| {
             std::io::Error::new(
                 std::io::ErrorKind::UnexpectedEof,

@@ -24,6 +24,15 @@
 //! sniff for prompts or blank lines. Connections are persistent: a
 //! client issues any number of statements before disconnecting.
 //!
+//! **One write per frame, in each direction.** A request (statement
+//! plus `\n`) and a whole response (header, payload, final `\n`) each
+//! reach the socket in a single write. With `TCP_NODELAY` on both ends
+//! every write is its own segment, so a frame split across writes costs
+//! an extra segment and wakes the peer on half a message. **A request
+//! line is bounded:** the server reads at most [`MAX_REQUEST_LINE`]
+//! bytes of a statement (or of an HTTP header line); past that it
+//! answers `ERR` naming the limit and closes the connection.
+//!
 //! `BUSY` is overload shedding, not failure: the server's bounded
 //! group-commit queue is full and the statement was **not** executed.
 //! `retry_after_ms` is the server's estimate of when a retry will find
@@ -40,7 +49,7 @@
 //! never contain `/`).
 
 use std::fmt;
-use std::io::{BufRead, Result, Write};
+use std::io::{BufRead, IoSlice, Read, Result, Write};
 
 /// What went wrong while reading a peer's bytes: transport failure, or
 /// bytes that don't follow the protocol. Typed so callers can tell a
@@ -55,6 +64,9 @@ pub enum ProtoError {
     Malformed(String),
     /// The connection closed mid-frame (after a header promised more).
     UnexpectedEof(&'static str),
+    /// A request line (a statement, or an HTTP header line) ran past
+    /// [`MAX_REQUEST_LINE`] bytes without a newline.
+    LineTooLong,
 }
 
 impl fmt::Display for ProtoError {
@@ -63,6 +75,10 @@ impl fmt::Display for ProtoError {
             ProtoError::Io(e) => write!(f, "protocol transport error: {e}"),
             ProtoError::Malformed(what) => write!(f, "malformed protocol data: {what}"),
             ProtoError::UnexpectedEof(what) => write!(f, "connection closed {what}"),
+            ProtoError::LineTooLong => write!(
+                f,
+                "request line exceeds {MAX_REQUEST_LINE} bytes (MAX_REQUEST_LINE)"
+            ),
         }
     }
 }
@@ -94,6 +110,9 @@ impl From<ProtoError> for std::io::Error {
             }
             ProtoError::UnexpectedEof(what) => {
                 std::io::Error::new(std::io::ErrorKind::UnexpectedEof, what)
+            }
+            too_long @ ProtoError::LineTooLong => {
+                std::io::Error::new(std::io::ErrorKind::InvalidData, too_long.to_string())
             }
         }
     }
@@ -205,8 +224,10 @@ impl Reply {
     }
 }
 
-/// Write a success response: header line, then the payload split into
-/// counted lines.
+/// Write a success response: a header line that counts the payload's
+/// lines, then the payload and a final `\n`. An empty payload has no
+/// lines; otherwise every `\n` in it starts another (so a trailing or
+/// doubled `\n` yields empty lines, which [`read_reply`] restores).
 pub fn write_ok(
     w: &mut impl Write,
     payload: &str,
@@ -215,22 +236,33 @@ pub fn write_ok(
     time_us: u64,
     reads: u64,
 ) -> Result<()> {
-    let lines: Vec<&str> = if payload.is_empty() {
-        Vec::new()
+    let end = write_ok_header(w, payload, cache_hit, epoch, time_us, reads)?;
+    w.write_all(payload.as_bytes())?;
+    w.write_all(end)?;
+    w.flush()
+}
+
+/// [`write_ok`]'s header line; returns what follows the payload (`\n`,
+/// or nothing for an empty payload).
+fn write_ok_header(
+    w: &mut impl Write,
+    payload: &str,
+    cache_hit: bool,
+    epoch: u64,
+    time_us: u64,
+    reads: u64,
+) -> Result<&'static [u8]> {
+    let lines = if payload.is_empty() {
+        0
     } else {
-        payload.split('\n').collect()
+        1 + payload.bytes().filter(|&b| b == b'\n').count()
     };
     writeln!(
         w,
-        "OK {} cache_hit={} epoch={epoch} time_us={time_us} reads={reads}",
-        lines.len(),
+        "OK {lines} cache_hit={} epoch={epoch} time_us={time_us} reads={reads}",
         u8::from(cache_hit)
     )?;
-    for line in lines {
-        w.write_all(line.as_bytes())?;
-        w.write_all(b"\n")?;
-    }
-    w.flush()
+    Ok(if lines == 0 { b"" } else { b"\n" })
 }
 
 /// Write an error response. Multi-line messages collapse onto one line
@@ -246,6 +278,86 @@ pub fn write_err(w: &mut impl Write, message: &str) -> Result<()> {
 pub fn write_busy(w: &mut impl Write, retry_after_ms: u64) -> Result<()> {
     writeln!(w, "BUSY retry_after_ms={retry_after_ms}")?;
     w.flush()
+}
+
+/// Write a request: one statement on one line. Newlines in the
+/// statement become spaces (the protocol is one statement per line).
+pub(crate) fn write_request(w: &mut impl Write, statement: &str) -> Result<()> {
+    for (i, part) in statement.split(['\n', '\r']).enumerate() {
+        if i > 0 {
+            w.write_all(b" ")?;
+        }
+        w.write_all(part.as_bytes())?;
+    }
+    w.write_all(b"\n")
+}
+
+/// A connection's sending half: each frame reaches the transport in
+/// one write, so a request or a response is one segment on the wire
+/// however its writer ([`write_request`], [`write_err`], …) composes
+/// it. Frames are built in one reusable buffer, except that a success
+/// response's payload is not copied: [`FrameWriter::send_ok`] sends the
+/// header, the payload and the final `\n` in one vectored write.
+pub(crate) struct FrameWriter<W: Write> {
+    inner: W,
+    buf: Vec<u8>,
+}
+
+impl<W: Write> FrameWriter<W> {
+    pub fn new(inner: W) -> FrameWriter<W> {
+        FrameWriter {
+            inner,
+            buf: Vec::new(),
+        }
+    }
+
+    /// Build one frame with `frame` and send it in one write.
+    pub fn send(&mut self, frame: impl FnOnce(&mut Vec<u8>) -> Result<()>) -> Result<()> {
+        self.buf.clear();
+        frame(&mut self.buf)?;
+        self.inner.write_all(&self.buf)?;
+        self.inner.flush()
+    }
+
+    /// Send [`write_ok`]'s bytes in one write without copying `payload`.
+    pub fn send_ok(
+        &mut self,
+        payload: &str,
+        cache_hit: bool,
+        epoch: u64,
+        time_us: u64,
+        reads: u64,
+    ) -> Result<()> {
+        self.buf.clear();
+        let end = write_ok_header(&mut self.buf, payload, cache_hit, epoch, time_us, reads)?;
+        let mut frame = [
+            IoSlice::new(&self.buf),
+            IoSlice::new(payload.as_bytes()),
+            IoSlice::new(end),
+        ];
+        write_all_vectored(&mut self.inner, &mut frame)?;
+        self.inner.flush()
+    }
+}
+
+/// Write every byte of `bufs`, each call passing all that is left (what
+/// the unstable `Write::write_all_vectored` does).
+fn write_all_vectored(w: &mut impl Write, mut bufs: &mut [IoSlice<'_>]) -> Result<()> {
+    IoSlice::advance_slices(&mut bufs, 0);
+    while !bufs.is_empty() {
+        match w.write_vectored(bufs) {
+            Ok(0) => {
+                return Err(std::io::Error::new(
+                    std::io::ErrorKind::WriteZero,
+                    "failed to write a whole frame",
+                ))
+            }
+            Ok(n) => IoSlice::advance_slices(&mut bufs, n),
+            Err(e) if e.kind() == std::io::ErrorKind::Interrupted => {}
+            Err(e) => return Err(e),
+        }
+    }
+    Ok(())
 }
 
 /// Read one framed response off the wire (client side). Returns `None`
@@ -299,44 +411,85 @@ pub fn read_reply(r: &mut impl BufRead) -> std::result::Result<Option<Reply>, Pr
             reads = v.parse().map_err(|_| parse_fail("reads"))?;
         }
     }
-    // The header is untrusted wire input: never let a declared count
-    // drive the allocation (the payload lines themselves will grow the
-    // vector if they actually arrive).
-    let mut body_lines = Vec::with_capacity(nlines.min(1024));
-    for _ in 0..nlines {
-        let mut line = String::new();
-        if r.read_line(&mut line)? == 0 {
+    // The payload lines are read straight into the body, each line's
+    // terminator (and any `\r` before it) cut off and a `\n` put between
+    // lines. The header is untrusted wire input, so the declared count
+    // sizes nothing: the body grows only as lines actually arrive.
+    let mut body = String::new();
+    for i in 0..nlines {
+        if i > 0 {
+            body.push('\n');
+        }
+        let start = body.len();
+        if r.read_line(&mut body)? == 0 {
             return Err(ProtoError::UnexpectedEof("mid-payload"));
         }
-        body_lines.push(line.trim_end_matches(['\r', '\n']).to_string());
+        let kept = body[start..].trim_end_matches(['\r', '\n']).len();
+        body.truncate(start + kept);
     }
+    // Growing by doubling can leave up to half the capacity unused; a
+    // caller that keeps replies should not keep that too.
+    body.shrink_to_fit();
     Ok(Some(Reply::Ok {
         cache_hit,
         epoch,
         time_us,
         reads,
-        body: body_lines.join("\n"),
+        body,
     }))
 }
 
 /// Largest request body the HTTP shim accepts.
 pub const MAX_HTTP_BODY: usize = 1 << 20;
 
+/// Longest request line the server reads: a line-protocol statement or
+/// one HTTP header line, terminator excluded. Without a bound one peer
+/// could make a worker buffer any amount of memory, and the idle
+/// timeout never fires on a peer that keeps sending.
+pub const MAX_REQUEST_LINE: usize = 1 << 20;
+
+/// Read one request line into `buf` (cleared first) and return it with
+/// its terminator and any `\r` before it cut off, or `None` on clean EOF
+/// before any byte. A final line without a newline is still a line.
+/// More than [`MAX_REQUEST_LINE`] bytes without a newline is
+/// [`ProtoError::LineTooLong`]; bytes that are not UTF-8 are an
+/// `InvalidData` transport error, as `BufRead::read_line` reports them.
+pub(crate) fn read_request_line<'a>(
+    r: &mut impl BufRead,
+    buf: &'a mut Vec<u8>,
+) -> std::result::Result<Option<&'a str>, ProtoError> {
+    buf.clear();
+    // One byte past the bound tells an over-long line from one that
+    // exactly fills it.
+    let n = r.take(MAX_REQUEST_LINE as u64 + 1).read_until(b'\n', buf)?;
+    if n == 0 {
+        return Ok(None);
+    }
+    if n > MAX_REQUEST_LINE && buf.last() != Some(&b'\n') {
+        return Err(ProtoError::LineTooLong);
+    }
+    let line = std::str::from_utf8(buf).map_err(|_| {
+        std::io::Error::new(
+            std::io::ErrorKind::InvalidData,
+            "stream did not contain valid UTF-8",
+        )
+    })?;
+    Ok(Some(line.trim_end_matches(['\r', '\n'])))
+}
+
 /// Read HTTP headers (after the request line) and the body demanded by
 /// `Content-Length`. Headers other than `Content-Length` are ignored.
 /// Returns `None` when the declared body exceeds [`MAX_HTTP_BODY`] —
 /// silently truncating could execute a different (valid-prefix)
-/// statement than the one sent, so the caller must reject instead.
+/// statement than the one sent, so the caller must reject instead. A
+/// header line longer than [`MAX_REQUEST_LINE`] is
+/// [`ProtoError::LineTooLong`].
 pub fn read_http_request_rest(
     r: &mut impl BufRead,
 ) -> std::result::Result<Option<String>, ProtoError> {
     let mut content_length = 0usize;
-    loop {
-        let mut line = String::new();
-        if r.read_line(&mut line)? == 0 {
-            break;
-        }
-        let line = line.trim_end_matches(['\r', '\n']);
+    let mut buf = Vec::new();
+    while let Some(line) = read_request_line(r, &mut buf)? {
         if line.is_empty() {
             break;
         }
@@ -349,10 +502,16 @@ pub fn read_http_request_rest(
     if content_length > MAX_HTTP_BODY {
         return Ok(None);
     }
-    let mut body = vec![0u8; content_length];
-    r.read_exact(&mut body)
-        .map_err(|_| ProtoError::UnexpectedEof("before the declared Content-Length arrived"))?;
-    Ok(Some(String::from_utf8_lossy(&body).into_owned()))
+    // The body grows with the bytes that arrive, not with the declared
+    // length.
+    buf.clear();
+    r.take(content_length as u64).read_to_end(&mut buf)?;
+    if buf.len() < content_length {
+        return Err(ProtoError::UnexpectedEof(
+            "before the declared Content-Length arrived",
+        ));
+    }
+    Ok(Some(String::from_utf8_lossy(&buf).into_owned()))
 }
 
 /// Write an HTTP response with a JSON body.
@@ -563,6 +722,187 @@ mod tests {
         assert_eq!(io.kind(), std::io::ErrorKind::InvalidData);
         let io: std::io::Error = ProtoError::UnexpectedEof("y").into();
         assert_eq!(io.kind(), std::io::ErrorKind::UnexpectedEof);
+    }
+
+    fn framed_ok(payload: &str) -> Vec<u8> {
+        let mut buf = Vec::new();
+        let framed = write_ok(&mut buf, payload, true, 3, 17, 2);
+        assert!(framed.is_ok(), "a Vec never fails a write");
+        buf
+    }
+
+    /// A payload over 8 KiB: 400 lines of 24 bytes, so a buffered writer
+    /// would have split its frame.
+    fn big_payload() -> String {
+        (0..400)
+            .map(|i| format!("N{i:05} = t{i:05} * t{:05}", i + 1))
+            .collect::<Vec<_>>()
+            .join("\n")
+    }
+
+    /// The reply bytes are pinned: one header counting the lines, the
+    /// payload verbatim, one final `\n` (none for an empty payload).
+    #[test]
+    fn ok_frames_match_the_golden_bytes() {
+        let head = "cache_hit=1 epoch=3 time_us=17 reads=2";
+        for (payload, golden) in [
+            ("", format!("OK 0 {head}\n")),
+            ("one line", format!("OK 1 {head}\none line\n")),
+            ("trailing\n", format!("OK 2 {head}\ntrailing\n\n")),
+            ("a\n\n\nb", format!("OK 4 {head}\na\n\n\nb\n")),
+        ] {
+            assert_eq!(
+                String::from_utf8_lossy(&framed_ok(payload)),
+                golden,
+                "{payload:?}"
+            );
+        }
+        let big = big_payload();
+        assert_eq!(big.len(), 9_999);
+        assert_eq!(
+            framed_ok(&big),
+            format!("OK 400 {head}\n{big}\n").into_bytes()
+        );
+    }
+
+    /// Every payload without a `\r` reads back exactly as written.
+    #[test]
+    fn read_reply_inverts_write_ok() -> TestResult {
+        let mut payloads: Vec<String> = [
+            "",
+            "\n",
+            "\n\n",
+            "a",
+            "a\n",
+            "\na",
+            "a\n\nb",
+            " x \n y ",
+            "é\n—\n",
+        ]
+        .iter()
+        .map(|p| p.to_string())
+        .collect();
+        payloads.push(big_payload());
+        // Seeded strings over an alphabet heavy in newlines.
+        let mut x = 0x2545_f491_4f6c_dd1du64;
+        for _ in 0..500 {
+            let mut p = String::new();
+            x ^= x << 13;
+            x ^= x >> 7;
+            x ^= x << 17;
+            for k in 0..x % 24 {
+                p.push(['a', '\n', ' ', 'é', ';'][((x >> (2 * k)) % 5) as usize]);
+            }
+            payloads.push(p);
+        }
+        for payload in payloads {
+            let wire = framed_ok(&payload);
+            let reply = read_reply(&mut &wire[..])?.ok_or("missing reply")?;
+            assert_eq!(reply.body(), payload, "{payload:?}");
+        }
+        Ok(())
+    }
+
+    /// A `Write` that records each call it receives.
+    #[derive(Default)]
+    struct Recorder {
+        writes: Vec<Vec<u8>>,
+    }
+
+    impl Write for Recorder {
+        fn write(&mut self, buf: &[u8]) -> Result<usize> {
+            self.writes.push(buf.to_vec());
+            Ok(buf.len())
+        }
+        fn write_vectored(&mut self, bufs: &[IoSlice<'_>]) -> Result<usize> {
+            let call: Vec<u8> = bufs.iter().flat_map(|b| b.iter().copied()).collect();
+            let n = call.len();
+            self.writes.push(call);
+            Ok(n)
+        }
+        fn flush(&mut self) -> Result<()> {
+            Ok(())
+        }
+    }
+
+    /// A request and each kind of reply reach the transport as exactly
+    /// one `write` call carrying the whole frame.
+    #[test]
+    fn each_frame_is_one_write() -> TestResult {
+        let mut out = FrameWriter::new(Recorder::default());
+        out.send(|buf| write_request(buf, "MATCH\nm-nodes\r\nWHERE module = 'M'"))?;
+        let big = big_payload();
+        out.send_ok(&big, false, 1, 2, 3)?;
+        out.send_ok("", false, 1, 2, 3)?;
+        out.send(|buf| write_err(buf, "two\nlines"))?;
+        out.send(|buf| write_busy(buf, 9))?;
+        let writes = &out.inner.writes;
+        assert_eq!(writes.len(), 5, "one write per frame");
+        assert_eq!(writes[0], b"MATCH m-nodes  WHERE module = 'M'\n");
+        let mut framed = Vec::new();
+        write_ok(&mut framed, &big, false, 1, 2, 3)?;
+        assert_eq!(writes[1], framed);
+        assert_eq!(writes[2], b"OK 0 cache_hit=0 epoch=1 time_us=2 reads=3\n");
+        assert_eq!(writes[3], b"ERR two; lines\n");
+        assert_eq!(writes[4], b"BUSY retry_after_ms=9\n");
+        Ok(())
+    }
+
+    /// A transport that takes at most 7 bytes per call.
+    #[derive(Default)]
+    struct Trickle(Vec<u8>);
+
+    impl Write for Trickle {
+        fn write(&mut self, buf: &[u8]) -> Result<usize> {
+            let n = buf.len().min(7);
+            self.0.extend_from_slice(&buf[..n]);
+            Ok(n)
+        }
+        fn flush(&mut self) -> Result<()> {
+            Ok(())
+        }
+    }
+
+    /// Short writes resume where they stopped, across the header, the
+    /// payload and the final `\n`.
+    #[test]
+    fn short_writes_still_send_the_whole_frame() -> TestResult {
+        let big = big_payload();
+        for payload in ["", "x", "one\ntwo\n", &big] {
+            let mut out = FrameWriter::new(Trickle::default());
+            out.send_ok(payload, true, 3, 17, 2)?;
+            assert_eq!(out.inner.0, framed_ok(payload), "{payload:?}");
+        }
+        Ok(())
+    }
+
+    #[test]
+    fn request_lines_are_bounded() -> TestResult {
+        let mut buf = Vec::new();
+        let wire = b"STATS\r\n\nlast";
+        let mut r = &wire[..];
+        assert_eq!(read_request_line(&mut r, &mut buf)?, Some("STATS"));
+        assert_eq!(read_request_line(&mut r, &mut buf)?, Some(""));
+        assert_eq!(read_request_line(&mut r, &mut buf)?, Some("last"));
+        assert_eq!(read_request_line(&mut r, &mut buf)?, None);
+        // Exactly the bound, then its newline: accepted.
+        let mut fits = vec![b'x'; MAX_REQUEST_LINE];
+        fits.push(b'\n');
+        let line = read_request_line(&mut &fits[..], &mut buf)?.ok_or("missing line")?;
+        assert_eq!(line.len(), MAX_REQUEST_LINE);
+        // One byte more, newline or not: refused.
+        let over = vec![b'x'; MAX_REQUEST_LINE + 1];
+        assert!(matches!(
+            read_request_line(&mut &over[..], &mut buf),
+            Err(ProtoError::LineTooLong)
+        ));
+        let mut header = b"POST /query HTTP/1.1\r\nX-Pad: ".to_vec();
+        header.extend_from_slice(&over);
+        assert!(matches!(
+            read_http_request_rest(&mut &header[22..]),
+            Err(ProtoError::LineTooLong)
+        ));
+        Ok(())
     }
 
     #[test]

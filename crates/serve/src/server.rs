@@ -57,7 +57,7 @@
 //! shutdown.
 
 use std::collections::{HashMap, VecDeque};
-use std::io::{BufRead, BufReader, BufWriter, Write};
+use std::io::{BufReader, Write};
 use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{mpsc, Arc, Mutex, RwLock, RwLockReadGuard};
@@ -72,8 +72,8 @@ use lipstick_proql::{ProqlError, Session};
 
 use crate::cache::{CachedResult, QueryCache};
 use crate::proto::{
-    classify_first_line, percent_decode, read_http_request_rest, write_busy, write_err,
-    write_http_json, write_http_text, write_ok, FirstLine,
+    classify_first_line, percent_decode, read_http_request_rest, read_request_line, write_busy,
+    write_err, write_http_json, write_http_text, FirstLine, FrameWriter, ProtoError,
 };
 use crate::qlog::{QueryEvent, QueryLog, QueryLogConfig};
 
@@ -508,7 +508,8 @@ impl Shared {
                     text: out.to_string(),
                     json: out.to_json(),
                 };
-                if cacheable {
+                // A disabled cache would drop both copies unread.
+                if cacheable && self.cache.capacity() > 0 {
                     self.cache.insert(key.clone(), epoch, result.clone());
                 }
                 if time_us >= self.slow_threshold_us || self.trace_sampled() {
@@ -1075,39 +1076,51 @@ fn handle_connection(shared: &Shared, stream: TcpStream) -> std::io::Result<()> 
 }
 
 /// The protocol loop for one connection (line protocol or HTTP shim).
+/// Every response is framed whole and sent in one write. A request line
+/// longer than [`MAX_REQUEST_LINE`](crate::proto::MAX_REQUEST_LINE) is
+/// answered with an error naming the limit, then the connection closes.
 fn serve_connection(shared: &Shared, stream: TcpStream, client: u64) -> std::io::Result<()> {
     let mut reader = BufReader::new(stream.try_clone()?);
-    let mut writer = BufWriter::new(stream);
-    let mut first = String::new();
-    if reader.read_line(&mut first)? == 0 {
-        return Ok(()); // connected and left
-    }
-    match classify_first_line(first.trim_end_matches(['\r', '\n'])) {
-        FirstLine::Http { method, target } => {
-            let Some(body) = read_http_request_rest(&mut reader)? else {
-                return write_http_json(
-                    &mut writer,
-                    "413 Payload Too Large",
-                    r#"{"ok":false,"error":"request body exceeds 1 MiB"}"#,
-                );
-            };
-            handle_http(shared, &mut writer, &method, &target, &body, client)
-        }
-        FirstLine::Proql(stmt) => {
-            serve_line_statement(shared, &mut writer, &stmt, client)?;
-            loop {
-                let mut line = String::new();
-                if reader.read_line(&mut line)? == 0 {
-                    return Ok(());
-                }
-                serve_line_statement(
-                    shared,
-                    &mut writer,
-                    line.trim_end_matches(['\r', '\n']),
-                    client,
-                )?;
+    let mut out = FrameWriter::new(stream);
+    let mut line = Vec::new();
+    let mut first = true;
+    loop {
+        let stmt = match read_request_line(&mut reader, &mut line) {
+            Ok(Some(stmt)) => stmt,
+            Ok(None) => return Ok(()), // the peer left
+            Err(too_long @ ProtoError::LineTooLong) => {
+                return out.send(|buf| write_err(buf, &too_long.to_string()))
+            }
+            Err(e) => return Err(e.into()),
+        };
+        if std::mem::take(&mut first) {
+            if let FirstLine::Http { method, target } = classify_first_line(stmt) {
+                return match read_http_request_rest(&mut reader) {
+                    Ok(Some(body)) => {
+                        out.send(|buf| handle_http(shared, buf, &method, &target, &body, client))
+                    }
+                    Ok(None) => out.send(|buf| {
+                        write_http_json(
+                            buf,
+                            "413 Payload Too Large",
+                            r#"{"ok":false,"error":"request body exceeds 1 MiB"}"#,
+                        )
+                    }),
+                    Err(too_long @ ProtoError::LineTooLong) => out.send(|buf| {
+                        write_http_json(
+                            buf,
+                            "431 Request Header Fields Too Large",
+                            &format!(
+                                r#"{{"ok":false,"error":"{}"}}"#,
+                                json_escape(&too_long.to_string())
+                            ),
+                        )
+                    }),
+                    Err(e) => Err(e.into()),
+                };
             }
         }
+        serve_line_statement(shared, &mut out, stmt, client)?;
     }
 }
 
@@ -1116,33 +1129,27 @@ fn serve_connection(shared: &Shared, stream: TcpStream, client: u64) -> std::io:
 /// can pipeline them without desynchronizing.
 fn serve_line_statement(
     shared: &Shared,
-    writer: &mut impl Write,
+    out: &mut FrameWriter<impl Write>,
     line: &str,
     client: u64,
 ) -> std::io::Result<()> {
     let trimmed = line.trim().trim_end_matches(';').trim();
     if trimmed.is_empty() {
-        return write_ok(
-            writer,
-            "",
-            false,
-            shared.epoch.load(Ordering::Acquire),
-            0,
-            0,
-        );
+        return out.send_ok("", false, shared.epoch.load(Ordering::Acquire), 0, 0);
     }
     let outcome = shared.run_statement(trimmed, client);
     match &outcome.result {
-        Ok(result) => write_ok(
-            writer,
+        Ok(result) => out.send_ok(
             &result.text,
             outcome.cache_hit,
             outcome.epoch,
             outcome.time_us,
             outcome.reads,
         ),
-        Err(ErrorReply::Message(message)) => write_err(writer, message),
-        Err(ErrorReply::Busy { retry_after_ms }) => write_busy(writer, *retry_after_ms),
+        Err(ErrorReply::Message(message)) => out.send(|buf| write_err(buf, message)),
+        Err(ErrorReply::Busy { retry_after_ms }) => {
+            out.send(|buf| write_busy(buf, *retry_after_ms))
+        }
     }
 }
 

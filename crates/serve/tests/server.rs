@@ -400,6 +400,53 @@ fn http_shim_serves_query_and_explain() {
     handle.shutdown();
 }
 
+/// Send `head` then 4 MiB with no newline on a fresh connection (from a
+/// second thread, since the server stops reading and closes), and
+/// return the first line the server answers within five seconds.
+fn flood_without_newline(addr: std::net::SocketAddr, head: &[u8]) -> std::io::Result<String> {
+    use std::io::{BufRead, Write};
+    let stream = std::net::TcpStream::connect(addr)?;
+    stream.set_read_timeout(Some(std::time::Duration::from_secs(5)))?;
+    let mut sender = stream.try_clone()?;
+    let head = head.to_vec();
+    let flood = std::thread::spawn(move || {
+        let chunk = vec![b'x'; 64 << 10];
+        let _ = sender.write_all(&head);
+        for _ in 0..64 {
+            if sender.write_all(&chunk).is_err() {
+                break;
+            }
+        }
+    });
+    let mut reply = String::new();
+    let read = std::io::BufReader::new(stream).read_line(&mut reply);
+    let _ = flood.join();
+    read.map(|_| reply)
+}
+
+/// A request line may not grow without bound: past the limit the
+/// server answers an error naming it and closes, for a line-protocol
+/// statement and for an HTTP header line alike, and keeps serving
+/// other connections.
+#[test]
+fn an_over_long_request_line_is_refused_and_closed() {
+    let handle = serve_paged("long_line.lpstk", 2);
+    let addr = handle.addr();
+
+    let reply = flood_without_newline(addr, b"MATCH ").expect("a reply, not a timeout");
+    assert!(
+        reply.starts_with("ERR ") && reply.contains("MAX_REQUEST_LINE"),
+        "{reply:?}"
+    );
+    let reply = flood_without_newline(addr, b"POST /query HTTP/1.1\r\nX-Pad: ")
+        .expect("a reply, not a timeout");
+    assert!(reply.starts_with("HTTP/1.1 431 "), "{reply:?}");
+
+    let mut client = Client::connect(addr).unwrap();
+    assert!(client.query("MATCH base-nodes").unwrap().is_ok());
+    handle.shutdown();
+}
+
 /// A paged server serves a read-only snapshot of its log: `DELETE`
 /// and `ZOOM` are refused with the typed snapshot error and change
 /// nothing — the session stays paged, decodes no record for them, and
