@@ -26,6 +26,9 @@ pub use node::{InvocationId, Node, NodeId, NodeKind, Role, RETIRED_STASH};
 pub use shard::ShardTracker;
 pub use tracker::{GraphTracker, NoTracker, Tracker};
 
+use std::collections::HashMap;
+use std::sync::OnceLock;
+
 use lipstick_nrel::Value;
 
 use crate::agg::AggOp;
@@ -60,18 +63,113 @@ pub struct ZoomStash {
 pub type VisibleSignature = (Vec<(NodeId, String)>, Vec<(NodeId, NodeId)>);
 
 /// The provenance graph.
+///
+/// Besides the arena it keeps the module and kind [`Postings`] every
+/// [`crate::store::GraphStore`] answers, built in one pass on first use
+/// ([`ProvGraph::postings`]). **Invalidation rule:** every mutator that
+/// can change what a posting holds — [`ProvGraph::add_node`], the
+/// visibility flips, [`ProvGraph::register_invocation`] /
+/// [`ProvGraph::add_invocation`] and `node_mut` — drops them, and the
+/// next read rebuilds them. A read-mostly session builds them once; the
+/// tracker's `add_node` pays one check of whether they are built.
 #[derive(Debug, Clone, Default)]
 pub struct ProvGraph {
     nodes: Vec<Node>,
     invocations: Vec<InvocationInfo>,
     stashes: Vec<ZoomStash>,
     /// Module names currently zoomed out → stash index.
-    zoomed_modules: std::collections::HashMap<String, u32>,
+    zoomed_modules: HashMap<String, u32>,
     /// Count of visible nodes. Every visibility flip goes through
     /// [`ProvGraph::add_node`], [`ProvGraph::set_node_deleted`] or
     /// `set_zoom_hidden` — the node flags are private to this module
     /// tree — so the count cannot drift from the arena.
     visible: usize,
+    /// Boxed: a graph that never reads its postings stays small.
+    postings: OnceLock<Box<Postings>>,
+}
+
+/// Visible node ids by module and by kind, each list ascending — what
+/// the v2 footer's postings hold: a node belongs to the module of its
+/// role's invocation, and to its [`NodeKind::name`].
+#[derive(Debug, Clone, Default)]
+pub struct Postings {
+    by_module: HashMap<String, Vec<NodeId>>,
+    /// Indexed by [`NodeKind::ordinal`].
+    by_kind: [Vec<NodeId>; NodeKind::NAMES.len()],
+}
+
+impl Postings {
+    /// One sweep of the arena. Module names are resolved once per
+    /// invocation, kinds by ordinal, so no node costs a string hash.
+    fn build(graph: &ProvGraph) -> Postings {
+        let mut slots: HashMap<&str, usize> = HashMap::new();
+        let slot_of: Vec<usize> = graph
+            .invocations
+            .iter()
+            .map(|info| {
+                let next = slots.len();
+                *slots.entry(info.module.as_str()).or_insert(next)
+            })
+            .collect();
+        let mut modules = vec![Vec::new(); slots.len()];
+        let mut by_kind: [Vec<NodeId>; NodeKind::NAMES.len()] = Default::default();
+        for (id, node) in graph.iter_visible() {
+            let inv = node.role.invocation();
+            if let Some(&slot) = inv.and_then(|inv| slot_of.get(inv.index())) {
+                modules[slot].push(id);
+            }
+            by_kind[node.kind.ordinal()].push(id);
+        }
+        by_kind.iter_mut().for_each(Vec::shrink_to_fit);
+        let by_module = slots
+            .into_iter()
+            .map(|(name, slot)| {
+                let mut ids = std::mem::take(&mut modules[slot]);
+                ids.shrink_to_fit();
+                (name.to_string(), ids)
+            })
+            .collect();
+        Postings { by_module, by_kind }
+    }
+
+    /// Visible ids owned by the module's invocations (empty if none).
+    pub fn module(&self, module: &str) -> &[NodeId] {
+        self.by_module.get(module).map_or(&[], Vec::as_slice)
+    }
+
+    /// Visible ids of the kind named `kind` (empty if none).
+    pub fn kind(&self, kind: &str) -> &[NodeId] {
+        NodeKind::NAMES
+            .binary_search(&kind)
+            .map_or(&[], |k| &self.by_kind[k])
+    }
+
+    /// Every module's list, in no particular order.
+    pub fn modules(&self) -> impl Iterator<Item = (&str, &[NodeId])> {
+        self.by_module
+            .iter()
+            .map(|(m, ids)| (m.as_str(), ids.as_slice()))
+    }
+
+    /// Every kind's list, by name.
+    pub fn kinds(&self) -> impl Iterator<Item = (&'static str, &[NodeId])> {
+        NodeKind::NAMES
+            .into_iter()
+            .zip(self.by_kind.iter().map(Vec::as_slice))
+    }
+
+    fn heap_bytes(&self) -> usize {
+        use crate::obs::vec_alloc_bytes;
+        let entry = std::mem::size_of::<(String, Vec<NodeId>)>() + 1;
+        std::mem::size_of::<Postings>()
+            + self.by_module.capacity() * entry
+            + self
+                .by_module
+                .iter()
+                .map(|(m, ids)| m.len() + vec_alloc_bytes(ids))
+                .sum::<usize>()
+            + self.by_kind.iter().map(vec_alloc_bytes).sum::<usize>()
+    }
 }
 
 impl ProvGraph {
@@ -117,7 +215,15 @@ impl ProvGraph {
     }
 
     pub(crate) fn node_mut(&mut self, id: NodeId) -> &mut Node {
+        self.postings.take();
         &mut self.nodes[id.index()]
+    }
+
+    /// The module and kind postings, built on first use and kept until
+    /// a mutation drops them (see the type doc).
+    pub fn postings(&self) -> &Postings {
+        self.postings
+            .get_or_init(|| Box::new(Postings::build(self)))
     }
 
     /// Set or clear a node's tombstone (deletion propagation, ZoomIn
@@ -134,6 +240,7 @@ impl ProvGraph {
     /// Apply a flag change and carry its effect on visibility into the
     /// count (a tombstoned node that is also zoom-hidden flips nothing).
     fn flip(&mut self, id: NodeId, change: impl FnOnce(&mut Node)) {
+        self.postings.take();
         let node = &mut self.nodes[id.index()];
         let was = node.is_visible();
         change(node);
@@ -233,6 +340,7 @@ impl ProvGraph {
 
     /// Allocate a node.
     pub fn add_node(&mut self, kind: NodeKind, role: Role) -> NodeId {
+        self.postings.take();
         let id = NodeId(self.nodes.len() as u32);
         self.nodes.push(Node::new(kind, role));
         self.visible += 1;
@@ -254,6 +362,7 @@ impl ProvGraph {
         execution: u32,
         m_node: NodeId,
     ) -> InvocationId {
+        self.postings.take();
         let id = InvocationId(self.invocations.len() as u32);
         self.invocations.push(InvocationInfo {
             module,
@@ -263,20 +372,42 @@ impl ProvGraph {
         id
     }
 
-    pub(crate) fn push_invocation_raw(&mut self, module: String, execution: u32, m_node: NodeId) {
-        self.register_invocation(module, execution, m_node);
-    }
-
     /// Register an invocation and create its `m` node.
     pub fn add_invocation(&mut self, module: &str, execution: u32) -> (InvocationId, NodeId) {
         let inv = InvocationId(self.invocations.len() as u32);
         let m_node = self.add_node(NodeKind::Invocation, Role::Invocation(inv));
-        self.invocations.push(InvocationInfo {
-            module: module.to_string(),
-            execution,
-            m_node,
-        });
+        self.register_invocation(module.to_string(), execution, m_node);
         (inv, m_node)
+    }
+
+    /// A graph of decoded nodes ([`Node::decoded`], in id order) and
+    /// their invocation table, at exact size: each node keeps the pred
+    /// list it was decoded with, and each successor list is reserved
+    /// from the counted out-degree. Every pred id must name a node
+    /// (decoders check that first).
+    pub fn from_nodes(mut nodes: Vec<Node>, invocations: Vec<InvocationInfo>) -> ProvGraph {
+        let mut out_degree = vec![0usize; nodes.len()];
+        for p in nodes.iter().flat_map(|n| &n.preds) {
+            out_degree[p.index()] += 1;
+        }
+        for (node, degree) in nodes.iter_mut().zip(out_degree) {
+            node.succs.reserve_exact(degree);
+        }
+        // Successors in the order `add_edge` would have pushed them:
+        // results ascending, each result's preds in record order.
+        for to in 0..nodes.len() {
+            for k in 0..nodes[to].preds.len() {
+                let from = nodes[to].preds[k];
+                nodes[from.index()].succs.push(NodeId(to as u32));
+            }
+        }
+        let visible = nodes.iter().filter(|n| n.is_visible()).count();
+        ProvGraph {
+            nodes,
+            invocations,
+            visible,
+            ..ProvGraph::default()
+        }
     }
 
     /// Append a self-contained fragment graph — new workflow output from
@@ -428,13 +559,17 @@ impl crate::obs::HeapSize for ProvGraph {
             + self.zoomed_modules.capacity()
                 * (std::mem::size_of::<String>() + std::mem::size_of::<u32>() + 1)
             + self.zoomed_modules.keys().map(String::len).sum::<usize>();
-        vec![
+        let mut parts = vec![
             ("node_arena", vec_alloc_bytes(&self.nodes)),
             ("adjacency", adjacency),
             ("labels", labels),
             ("invocations", invocations),
             ("zoom_stashes", stashes),
-        ]
+        ];
+        if let Some(postings) = self.postings.get() {
+            parts.push(("postings", postings.heap_bytes()));
+        }
+        parts
     }
 }
 
@@ -618,6 +753,107 @@ mod tests {
         assert_eq!(g.node(NodeId(4)).succs(), &[NodeId(3)]);
         assert_eq!(g.invocation(InvocationId(1)).m_node, NodeId(2));
         assert_eq!(g.visible_count(), 4);
+    }
+
+    fn postings_sweep(g: &ProvGraph) -> Vec<(String, Vec<NodeId>)> {
+        let mut lists: Vec<(String, Vec<NodeId>)> = Vec::new();
+        let mut push = |name: String, id| match lists.iter_mut().find(|(n, _)| *n == name) {
+            Some((_, ids)) => ids.push(id),
+            None => lists.push((name, vec![id])),
+        };
+        for (id, n) in g.iter_visible() {
+            if let Some(inv) = n.role.invocation() {
+                push(format!("module {}", g.invocation(inv).module), id);
+            }
+            push(format!("kind {}", n.kind.name()), id);
+        }
+        lists.sort();
+        lists
+    }
+
+    fn postings_listed(g: &ProvGraph) -> Vec<(String, Vec<NodeId>)> {
+        let p = g.postings();
+        let modules = p.modules().map(|(m, ids)| (format!("module {m}"), ids));
+        let kinds = p.kinds().map(|(k, ids)| (format!("kind {k}"), ids));
+        let mut lists: Vec<(String, Vec<NodeId>)> = modules
+            .chain(kinds)
+            .filter(|(_, ids)| !ids.is_empty())
+            .map(|(name, ids)| (name, ids.to_vec()))
+            .collect();
+        lists.sort();
+        lists
+    }
+
+    #[test]
+    fn postings_are_built_on_first_use_and_dropped_by_every_mutator() {
+        let mut g = ProvGraph::new();
+        let (_, m) = g.add_invocation("M", 0);
+        let a = g.add_base("a");
+        let i = g.add_node(NodeKind::ModuleInput, Role::ModuleInput(InvocationId(0)));
+        g.add_edge(a, i);
+        g.add_edge(m, i);
+        let built = |g: &ProvGraph| g.postings.get().is_some();
+        assert!(!built(&g), "nothing reads them yet");
+        assert_eq!(postings_listed(&g), postings_sweep(&g));
+        assert_eq!(g.postings().module("M"), &[m, i]);
+        assert_eq!(g.postings().kind("base_tuple"), &[a]);
+        assert!(g.postings().kind("no_such_kind").is_empty());
+        assert!(g.postings().module("N").is_empty());
+        let heap = crate::obs::HeapSize::heap_breakdown(&g);
+        assert!(heap
+            .iter()
+            .any(|&(name, bytes)| name == "postings" && bytes > 0));
+
+        let mutations: [&dyn Fn(&mut ProvGraph); 5] = [
+            &|g| {
+                g.add_node(NodeKind::StateUnit, Role::State(InvocationId(0)));
+            },
+            &|g| g.set_node_deleted(a, true),
+            &|g| {
+                g.add_invocation("N", 1);
+            },
+            &|g| {
+                g.register_invocation("N".into(), 2, m);
+            },
+            &|g| g.node_mut(i).kind = NodeKind::ModuleOutput,
+        ];
+        for mutate in mutations {
+            g.postings();
+            mutate(&mut g);
+            assert!(!built(&g));
+            assert_eq!(postings_listed(&g), postings_sweep(&g));
+        }
+        // An edge changes no posting, so it keeps them.
+        g.add_edge(a, m);
+        assert!(built(&g));
+    }
+
+    #[test]
+    fn from_nodes_matches_the_graph_built_edge_by_edge() {
+        let mut g = ProvGraph::new();
+        g.add_invocation("M", 0);
+        let a = g.add_base("a");
+        let b = g.add_base("b");
+        let t = g.add_times(&[a, b]);
+        let p = g.add_plus(&[t, a]);
+        g.add_delta(&[p, t, b]);
+        g.set_node_deleted(b, true);
+        let nodes = g
+            .nodes
+            .iter()
+            .map(|n| Node::decoded(n.kind.clone(), n.role, n.preds.clone(), n.deleted))
+            .collect();
+        let built = ProvGraph::from_nodes(nodes, g.invocations.clone());
+        assert_eq!(built.visible_count(), g.visible_count());
+        assert_eq!(built.invocations(), g.invocations());
+        for ((_, x), (_, y)) in built.iter().zip(g.iter()) {
+            assert_eq!((x.preds(), x.succs()), (y.preds(), y.succs()));
+            assert_eq!(x.succs.capacity(), x.succs.len(), "exact-size successors");
+            assert_eq!(
+                (x.is_deleted(), &x.kind, x.role),
+                (y.is_deleted(), &y.kind, y.role)
+            );
+        }
     }
 
     #[test]

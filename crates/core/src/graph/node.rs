@@ -120,25 +120,50 @@ impl NodeKind {
         )
     }
 
+    /// Every kind name ([`NodeKind::name`]), sorted; a kind's position
+    /// here is its [`NodeKind::ordinal`].
+    pub const NAMES: [&'static str; 14] = [
+        "agg",
+        "base_tuple",
+        "blackbox",
+        "const",
+        "delta",
+        "invocation",
+        "module_input",
+        "module_output",
+        "plus",
+        "state",
+        "tensor",
+        "times",
+        "workflow_input",
+        "zoomed",
+    ];
+
+    /// The kind's index into [`NodeKind::NAMES`] — a dense tag for
+    /// per-kind tables, read without touching a string.
+    pub fn ordinal(&self) -> usize {
+        match self {
+            NodeKind::AggResult { .. } => 0,
+            NodeKind::BaseTuple { .. } => 1,
+            NodeKind::BlackBox { .. } => 2,
+            NodeKind::Const { .. } => 3,
+            NodeKind::Delta => 4,
+            NodeKind::Invocation => 5,
+            NodeKind::ModuleInput => 6,
+            NodeKind::ModuleOutput => 7,
+            NodeKind::Plus => 8,
+            NodeKind::StateUnit => 9,
+            NodeKind::Tensor => 10,
+            NodeKind::Times => 11,
+            NodeKind::WorkflowInput { .. } => 12,
+            NodeKind::Zoomed { .. } => 13,
+        }
+    }
+
     /// Stable textual name of the kind, used by statistics breakdowns
     /// and ProQL `kind = '…'` predicates.
     pub fn name(&self) -> &'static str {
-        match self {
-            NodeKind::WorkflowInput { .. } => "workflow_input",
-            NodeKind::Invocation => "invocation",
-            NodeKind::ModuleInput => "module_input",
-            NodeKind::ModuleOutput => "module_output",
-            NodeKind::StateUnit => "state",
-            NodeKind::BaseTuple { .. } => "base_tuple",
-            NodeKind::Plus => "plus",
-            NodeKind::Times => "times",
-            NodeKind::Delta => "delta",
-            NodeKind::AggResult { .. } => "agg",
-            NodeKind::Tensor => "tensor",
-            NodeKind::Const { .. } => "const",
-            NodeKind::BlackBox { .. } => "blackbox",
-            NodeKind::Zoomed { .. } => "zoomed",
-        }
+        Self::NAMES[self.ordinal()]
     }
 
     /// Short label for display / DOT export.
@@ -263,6 +288,17 @@ impl Node {
         }
     }
 
+    /// A node as a decoder reads it back: kind, role, ingredients and
+    /// tombstone, no successors yet ([`crate::ProvGraph::from_nodes`]
+    /// wires those).
+    pub fn decoded(kind: NodeKind, role: Role, preds: Vec<NodeId>, deleted: bool) -> Node {
+        Node {
+            preds,
+            deleted,
+            ..Node::new(kind, role)
+        }
+    }
+
     /// Is the node part of the currently visible graph?
     pub fn is_visible(&self) -> bool {
         !self.deleted && !self.zoom_hidden
@@ -322,6 +358,42 @@ mod tests {
         }
         .is_value_node());
         assert!(!NodeKind::Plus.is_value_node());
+    }
+
+    #[test]
+    fn kind_names_are_sorted_and_indexed_by_ordinal() {
+        // Sorted, because postings look a kind name up by binary search.
+        assert!(NodeKind::NAMES.windows(2).all(|w| w[0] < w[1]));
+        let token = || Token::new("t");
+        for (kind, name) in [
+            (NodeKind::AggResult { op: AggOp::Count }, "agg"),
+            (NodeKind::BaseTuple { token: token() }, "base_tuple"),
+            (
+                NodeKind::BlackBox {
+                    name: "f".into(),
+                    is_value: false,
+                },
+                "blackbox",
+            ),
+            (
+                NodeKind::Const {
+                    value: Value::Int(1),
+                },
+                "const",
+            ),
+            (NodeKind::Delta, "delta"),
+            (NodeKind::Invocation, "invocation"),
+            (NodeKind::ModuleInput, "module_input"),
+            (NodeKind::ModuleOutput, "module_output"),
+            (NodeKind::Plus, "plus"),
+            (NodeKind::StateUnit, "state"),
+            (NodeKind::Tensor, "tensor"),
+            (NodeKind::Times, "times"),
+            (NodeKind::WorkflowInput { token: token() }, "workflow_input"),
+            (NodeKind::Zoomed { stash: 0 }, "zoomed"),
+        ] {
+            assert_eq!(kind.name(), name);
+        }
     }
 
     #[test]

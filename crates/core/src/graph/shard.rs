@@ -134,7 +134,7 @@ impl ProvGraph {
         }
         // Invocation table.
         for info in other.invocations() {
-            self.push_invocation_raw(
+            self.register_invocation(
                 info.module.clone(),
                 info.execution,
                 remap[info.m_node.index()],

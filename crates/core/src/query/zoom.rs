@@ -16,13 +16,12 @@
 //! `ModuleOutput` nodes), and the visible base tuples (step 4). Those
 //! are, by definition, [`GraphStore::module_postings`] of the module
 //! and [`GraphStore::kind_postings`] of `"base_tuple"`: ascending, and
-//! exact — no node outside them can match, none inside is invisible. So
-//! the planner walks the postings when the store keeps them (a paged or
-//! append log: a few thousand ids instead of every record of the log,
-//! and no `kind_of` fault at all) and sweeps `0..node_count` when it
-//! does not (the resident graph). Both walks visit the same candidates
-//! in the same order, so the plan is the same on every store — which is
-//! what lets a tail `ZoomOut` record be replayed by planning again.
+//! exact — no node outside them can match, none inside is invisible.
+//! Every store keeps them, so the planner walks only those lists — a
+//! few thousand ids instead of every node, and no `kind_of` read at all
+//! — in the same order on every store. The plan is therefore the same
+//! everywhere, which is what lets a tail `ZoomOut` record be replayed
+//! by planning again.
 
 use crate::graph::node::{NodeId, NodeKind, Role};
 use crate::graph::{InvocationId, ProvGraph, ZoomStash};
@@ -140,7 +139,7 @@ pub fn plan_zoom_out<S: GraphStore + ?Sized>(
 
         // Steps 3-4: hide intermediates and state nodes of all
         // invocations of this module.
-        for id in candidates(owned.as_deref(), n) {
+        for &id in owned.iter() {
             if !visible(&sim_hidden, store, id) {
                 continue;
             }
@@ -155,11 +154,8 @@ pub fn plan_zoom_out<S: GraphStore + ?Sized>(
         }
         // Step 4 (second half): base tuple nodes that fed only
         // now-hidden nodes (a module's private initial-state tuples).
-        for id in candidates(base_tuples.as_deref(), n) {
-            if !visible(&sim_hidden, store, id)
-                || (base_tuples.is_none()
-                    && !matches!(*store.kind_of(id), NodeKind::BaseTuple { .. }))
-            {
+        for &id in base_tuples.iter() {
+            if !visible(&sim_hidden, store, id) {
                 continue;
             }
             let succs = store.succs_of(id);
@@ -179,7 +175,7 @@ pub fn plan_zoom_out<S: GraphStore + ?Sized>(
         // output nodes in ONE pass (a per-invocation scan would make
         // ZoomOut quadratic on long execution histories).
         let mut io: Vec<(Vec<NodeId>, Vec<NodeId>)> = vec![Default::default(); invocations.len()];
-        for id in candidates(owned.as_deref(), n) {
+        for &id in owned.iter() {
             if !visible(&sim_hidden, store, id) {
                 continue;
             }
@@ -215,14 +211,6 @@ pub fn plan_zoom_out<S: GraphStore + ?Sized>(
         });
     }
     Ok(plans)
-}
-
-/// The ids a sweep has to look at, ascending: the store's postings when
-/// it keeps them, every id when it does not.
-fn candidates(postings: Option<&[NodeId]>, n: usize) -> impl Iterator<Item = NodeId> + '_ {
-    let every = if postings.is_some() { 0 } else { n as u32 };
-    let listed = postings.unwrap_or(&[]);
-    listed.iter().copied().chain((0..every).map(NodeId))
 }
 
 /// Apply a previously computed zoom plan to the resident graph.
@@ -485,17 +473,16 @@ mod tests {
     }
 
     /// A resident graph behind the store trait, counting `role_of`
-    /// calls, with postings (computed by a scan) on or off.
+    /// calls, with postings computed by a sweep of its own.
     struct Probe<'a> {
         graph: &'a ProvGraph,
-        postings: bool,
         role_calls: std::cell::Cell<usize>,
     }
 
     impl Probe<'_> {
-        fn scan(&self, keep: impl Fn(NodeId) -> bool) -> Option<Cow<'_, [NodeId]>> {
-            let ids = self.graph.iter_visible().map(|(id, _)| id);
-            self.postings.then(|| ids.filter(|id| keep(*id)).collect())
+        fn sweep(&self, keep: impl Fn(&crate::graph::Node) -> bool) -> Cow<'_, [NodeId]> {
+            let ids = self.graph.iter_visible().filter(|(_, n)| keep(n));
+            Cow::Owned(ids.map(|(id, _)| id).collect())
         }
     }
 
@@ -505,6 +492,9 @@ mod tests {
         }
         fn is_visible(&self, id: NodeId) -> bool {
             self.graph.node(id).is_visible()
+        }
+        fn visible_count(&self) -> usize {
+            self.graph.visible_count()
         }
         fn kind_of(&self, id: NodeId) -> Cow<'_, NodeKind> {
             Cow::Borrowed(&self.graph.node(id).kind)
@@ -522,37 +512,34 @@ mod tests {
         fn invocations(&self) -> &[crate::graph::InvocationInfo] {
             self.graph.invocations()
         }
-        fn module_postings(&self, module: &str) -> Option<Cow<'_, [NodeId]>> {
-            self.scan(|id| {
-                let inv = self.graph.node(id).role.invocation();
+        fn module_postings(&self, module: &str) -> Cow<'_, [NodeId]> {
+            self.sweep(|n| {
+                let inv = n.role.invocation();
                 inv.is_some_and(|inv| self.graph.invocation(inv).module == module)
             })
         }
-        fn kind_postings(&self, kind: &str) -> Option<Cow<'_, [NodeId]>> {
-            self.scan(|id| self.graph.node(id).kind.name() == kind)
+        fn kind_postings(&self, kind: &str) -> Cow<'_, [NodeId]> {
+            self.sweep(|n| n.kind.name() == kind)
         }
     }
 
     #[test]
-    fn a_store_without_postings_is_swept_and_plans_the_same() {
+    fn planning_reads_the_roles_of_the_module_postings_only() {
         let (g, _) = workflow_graph();
-        let probe = |postings| Probe {
+        let probe = Probe {
             graph: &g,
-            postings,
             role_calls: std::cell::Cell::new(0),
         };
-        let (swept, listed) = (probe(false), probe(true));
         for call in [&["M"][..], &["Agg"], &["M", "Agg"], &["Agg", "M"]] {
             let expect = plan_zoom_out(&g, call, &[], 0).unwrap();
-            for store in [&swept, &listed] {
-                store.role_calls.set(0);
-                assert_eq!(plan_zoom_out(store, call, &[], 0).unwrap(), expect);
-            }
-            // The sweep reads the role of every visible node, twice per
-            // module (steps 3-4, step 5); the postings walk only those
-            // of the module's own nodes.
-            assert!(swept.role_calls.get() >= g.visible_count());
-            assert!(listed.role_calls.get() < swept.role_calls.get());
+            probe.role_calls.set(0);
+            assert_eq!(plan_zoom_out(&probe, call, &[], 0).unwrap(), expect);
+            // Steps 3-4 read the role of every node in the module's
+            // postings, step 5 of those still visible, and no other
+            // node is asked.
+            let owned: usize = call.iter().map(|m| g.postings().module(m).len()).sum();
+            let calls = probe.role_calls.get();
+            assert!(owned < calls && calls <= 2 * owned, "{call:?}: {calls}");
         }
     }
 

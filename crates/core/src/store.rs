@@ -8,14 +8,19 @@
 //! and read executor are written once against this trait and run
 //! unchanged on all three.
 //!
+//! Every store keeps module and kind postings — the v2 footer's, a
+//! [`ProvGraph`]'s lazily built [`crate::graph::Postings`], an append
+//! log's sealed lists merged with its tail — so planners read a list
+//! instead of sweeping.
+//!
 //! The adjacency, kind and postings accessors **lend**: they return a
 //! [`Cow`], so a store that owns what is asked for — [`ProvGraph`]'s
-//! arena, a paged log's decoded-record cache and footer — hands out
-//! `Cow::Borrowed` and the generic walk compiles to the same loop a
-//! store-specific one would, while a store that has to assemble the
-//! answer (an append log's row the tail grew, its visibility-filtered
-//! postings) returns `Cow::Owned`. Callers read through the `Cow` and
-//! never need to know which they got.
+//! arena and postings, a paged log's decoded-record cache and footer —
+//! hands out `Cow::Borrowed` and the generic walk compiles to the same
+//! loop a store-specific one would, while a store that has to assemble
+//! the answer (an append log's row the tail grew, its
+//! visibility-filtered postings) returns `Cow::Owned`. Callers read
+//! through the `Cow` and never need to know which they got.
 
 use std::borrow::Cow;
 use std::collections::HashMap;
@@ -38,13 +43,9 @@ pub trait GraphStore {
     fn is_visible(&self, id: NodeId) -> bool;
 
     /// Number of visible nodes — the full-scan cost unit of planners
-    /// and lints. Index-level like [`GraphStore::is_visible`]; stores
-    /// that keep a count or a bitmap answer without this sweep.
-    fn visible_count(&self) -> usize {
-        (0..self.node_count())
-            .filter(|&i| self.is_visible(NodeId(i as u32)))
-            .count()
-    }
+    /// and lints. Index-level like [`GraphStore::is_visible`]: every
+    /// store keeps a count or a bitmap, and answers without a sweep.
+    fn visible_count(&self) -> usize;
 
     /// The node's kind. May fault in the node's record.
     fn kind_of(&self, id: NodeId) -> Cow<'_, NodeKind>;
@@ -84,19 +85,16 @@ pub trait GraphStore {
         0
     }
 
-    /// Visible node ids owned by the module's invocations, if the store
-    /// maintains postings for them (`None` = not indexed; scan instead).
-    /// Lent like the adjacency accessors: a store that keeps the list
-    /// hands out the slice.
-    fn module_postings(&self, _module: &str) -> Option<Cow<'_, [NodeId]>> {
-        None
-    }
+    /// Visible node ids whose role names one of the module's
+    /// invocations, ascending (empty for an unknown module) — the v2
+    /// footer's module postings, which every store keeps. Lent like the
+    /// adjacency accessors: a store that holds the list hands out the
+    /// slice.
+    fn module_postings(&self, module: &str) -> Cow<'_, [NodeId]>;
 
     /// Visible node ids of the given kind name (see [`NodeKind::name`]),
-    /// if the store maintains postings for them.
-    fn kind_postings(&self, _kind: &str) -> Option<Cow<'_, [NodeId]>> {
-        None
-    }
+    /// ascending.
+    fn kind_postings(&self, kind: &str) -> Cow<'_, [NodeId]>;
 
     /// Named heap components of the store itself (the
     /// [`crate::obs::HeapSize`] breakdown, surfaced through the trait so
@@ -150,6 +148,14 @@ impl GraphStore for ProvGraph {
     #[inline]
     fn invocations(&self) -> &[InvocationInfo] {
         ProvGraph::invocations(self)
+    }
+
+    fn module_postings(&self, module: &str) -> Cow<'_, [NodeId]> {
+        Cow::Borrowed(self.postings().module(module))
+    }
+
+    fn kind_postings(&self, kind: &str) -> Cow<'_, [NodeId]> {
+        Cow::Borrowed(self.postings().kind(kind))
     }
 
     fn memory_breakdown(&self) -> Vec<(&'static str, usize)> {

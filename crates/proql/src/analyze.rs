@@ -211,22 +211,7 @@ fn line_of(src: &str, at: usize) -> (usize, usize, &str) {
 }
 
 /// Every kind name a node can carry ([`NodeKind::name`]), sorted.
-const ALL_KINDS: &[&str] = &[
-    "agg",
-    "base_tuple",
-    "blackbox",
-    "const",
-    "delta",
-    "invocation",
-    "module_input",
-    "module_output",
-    "plus",
-    "state",
-    "tensor",
-    "times",
-    "workflow_input",
-    "zoomed",
-];
+const ALL_KINDS: &[&str] = &NodeKind::NAMES;
 
 /// Every role name ([`lipstick_core::Role::name`]), sorted.
 const ALL_ROLES: &[&str] = &[

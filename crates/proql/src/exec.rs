@@ -24,7 +24,6 @@
 
 use std::collections::BTreeSet;
 
-use lipstick_core::graph::bitset::BitSet;
 use lipstick_core::obs::{QueryTrace, SpanGuard, TraceCtx, Tracer};
 use lipstick_core::query::{depends_on, subgraph, traverse, Direction, ReachIndex};
 use lipstick_core::semiring::boolean::Bools;
@@ -34,7 +33,7 @@ use lipstick_core::semiring::natural::Natural;
 use lipstick_core::semiring::tropical::Tropical;
 use lipstick_core::semiring::whyprov::Why;
 use lipstick_core::store::{expr_of_store, GraphStore};
-use lipstick_core::{InvocationId, NodeId, NodeKind, Polynomial, ProvExpr, Semiring, Token};
+use lipstick_core::{NodeId, NodeKind, Polynomial, ProvExpr, Semiring, Token};
 
 use crate::ast::{Comparison, Field, FieldValue, NodeClass, Predicate, SemiringName, WalkDir};
 use crate::error::{ProqlError, Result};
@@ -203,27 +202,16 @@ fn run_set<S: GraphStore + ?Sized>(
             filter,
             strategy,
             limit,
-        } => {
-            // A postings plan run against a store that does not keep
-            // them takes the id-ordered full scan, which is always
-            // correct.
-            let postings = match strategy {
-                ScanStrategy::PostingsScan { key, .. } => key.candidates(store),
-                _ => None,
-            };
-            Ok(match (strategy, postings) {
-                // The module scan collects in invocation-component
-                // order and sorts afterwards, so an early-exit limit
-                // would be unsound here — the planner never plants one
-                // (see `SetPlan::push_limit`); the shaping stage
-                // truncates.
-                (ScanStrategy::ModuleScan { module, .. }, _) => {
-                    module_scan(store, module, *class, filter)
-                }
-                (_, Some(ids)) => scan_ids(store, ids.iter().copied(), *class, filter, *limit),
-                (_, None) => scan_ids(store, all_ids(store), *class, filter, *limit),
-            })
-        }
+        } => Ok(match strategy {
+            ScanStrategy::PostingsScan { key, .. } => {
+                let ids = key.candidates(store);
+                scan_ids(store, ids.iter().copied(), *class, filter, *limit)
+            }
+            ScanStrategy::FullScan { .. } => {
+                let ids = (0..store.node_count() as u32).map(NodeId);
+                scan_ids(store, ids, *class, filter, *limit)
+            }
+        }),
         SetPlan::Walk {
             root,
             dir,
@@ -325,11 +313,6 @@ fn render_analyze(plan: &StmtPlan, trace: &QueryTrace, output: &QueryOutput) -> 
     text
 }
 
-/// Every allocated id, ascending — the full scan's candidate stream.
-fn all_ids<S: GraphStore + ?Sized>(store: &S) -> impl Iterator<Item = NodeId> {
-    (0..store.node_count() as u32).map(NodeId)
-}
-
 /// Examine the visible nodes among `candidates`, which must ascend by
 /// id — which is what makes the planner's pushed-down `limit` sound:
 /// the first `n` matches are the set's `n` smallest members, so the
@@ -355,68 +338,6 @@ fn scan_ids<S: GraphStore + ?Sized>(
             out.push(id);
         }
     }
-    (out, visited)
-}
-
-/// Drive the scan from the invocation table: visit only nodes owned by
-/// the target module's invocations (reached by a role-bounded sweep
-/// from each invocation's `m` node) instead of the whole graph.
-fn module_scan<S: GraphStore + ?Sized>(
-    store: &S,
-    module: &str,
-    class: NodeClass,
-    filter: &Predicate,
-) -> (Vec<NodeId>, usize) {
-    let invocations = store.invocations_of(module);
-    let inv_set: BTreeSet<InvocationId> = invocations.iter().copied().collect();
-    let mut visited = 0;
-    let mut out = Vec::new();
-
-    if class == NodeClass::Invocation {
-        // m-nodes come straight off the invocation table.
-        for inv in invocations {
-            let m = store.invocation(inv).m_node;
-            if !store.is_visible(m) {
-                continue;
-            }
-            visited += 1;
-            if pred_matches(store, m, filter) {
-                out.push(m);
-            }
-        }
-        out.sort();
-        return (out, visited);
-    }
-
-    // General classes: sweep each invocation's role-owned component
-    // (both edge directions) starting from its m node.
-    let mut seen = BitSet::new(store.node_count());
-    let mut stack: Vec<NodeId> = Vec::new();
-    for inv in invocations {
-        let m = store.invocation(inv).m_node;
-        if store.is_visible(m) && seen.insert(m.index()) {
-            stack.push(m);
-        }
-    }
-    while let Some(id) = stack.pop() {
-        visited += 1;
-        if class_matches(store, class, id) && pred_matches(store, id, filter) {
-            out.push(id);
-        }
-        let (preds, succs) = (store.preds_of(id), store.succs_of(id));
-        for &n in preds.iter().chain(succs.iter()) {
-            let owned = |n| {
-                store
-                    .role_of(n)
-                    .invocation()
-                    .is_some_and(|inv| inv_set.contains(&inv))
-            };
-            if store.is_visible(n) && owned(n) && seen.insert(n.index()) {
-                stack.push(n);
-            }
-        }
-    }
-    out.sort();
     (out, visited)
 }
 

@@ -55,12 +55,14 @@
 //! ## Resident, paged and append sessions
 //!
 //! [`Session::load`] decodes the whole log up front. [`Session::open`]
-//! instead keeps a v2 (footer-indexed) log **paged**: the log keeps
-//! postings, so the planner turns `MATCH` into postings reads, and
-//! walks fault records only where a filter needs them, so cold-start
-//! cost scales with what the query touches, not with graph size.
-//! `EXPLAIN` of a postings scan reports how many of the log's records
-//! the plan will read. A paged session is a read-only snapshot of its
+//! instead keeps a v2 (footer-indexed) log **paged**: walks fault
+//! records only where a filter needs them, so cold-start cost scales
+//! with what the query touches, not with graph size. Every store keeps
+//! module and kind postings — the footer's, the resident graph's (built
+//! on first use), the append log's merged lists — so on every session
+//! the planner turns a narrowed `MATCH` into postings reads, and
+//! `EXPLAIN` reports how many of the store's records the plan will
+//! read. A paged session is a read-only snapshot of its
 //! log: `DELETE`, `ZOOM` and [`Session::ingest`] fail with
 //! [`ProqlError::Snapshot`] before reading a record, while `BUILD
 //! INDEX` (built over the log, nothing decoded into a graph), `DROP

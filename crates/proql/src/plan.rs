@@ -27,7 +27,7 @@ pub enum WalkStrategy {
     ReachIndex { est_visited: usize },
 }
 
-/// Which postings list(s) drive a scan on a store that keeps them.
+/// Which postings list(s) drive a scan.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum PostingsKey {
     /// `module = '…'` equality conjunct → the module's owned nodes.
@@ -49,18 +49,14 @@ pub enum PostingsKey {
 
 impl PostingsKey {
     /// The ascending, deduplicated candidate ids this key selects —
-    /// exactly the records a postings scan examines. `None` when the
-    /// store does not keep the postings the key names. A single list is
+    /// exactly the records a postings scan examines. A single list is
     /// lent as the store lends it; only a union is assembled.
-    pub(crate) fn candidates<'s, S: GraphStore + ?Sized>(
-        &self,
-        store: &'s S,
-    ) -> Option<Cow<'s, [NodeId]>> {
-        let union = |lists: Vec<Option<Cow<'s, [NodeId]>>>| {
-            let mut ids: Vec<NodeId> = lists.into_iter().collect::<Option<Vec<_>>>()?.concat();
+    pub(crate) fn candidates<'s, S: GraphStore + ?Sized>(&self, store: &'s S) -> Cow<'s, [NodeId]> {
+        let union = |lists: Vec<Cow<'s, [NodeId]>>| {
+            let mut ids: Vec<NodeId> = lists.concat();
             ids.sort_unstable();
             ids.dedup();
-            Some(Cow::Owned(ids))
+            Cow::Owned(ids)
         };
         match self {
             PostingsKey::Module(m) => store.module_postings(m),
@@ -94,13 +90,6 @@ impl fmt::Display for PostingsKey {
 pub enum ScanStrategy {
     /// Examine every visible node.
     FullScan { est_visited: usize },
-    /// Drive the scan from the invocation table: enumerate the target
-    /// module's invocations and walk only their role-owned nodes.
-    ModuleScan {
-        module: String,
-        invocations: usize,
-        est_visited: usize,
-    },
     /// Read only the records listed in the store's postings.
     /// `postings` of `total_records` is the records-read figure
     /// `EXPLAIN` reports.
@@ -118,12 +107,9 @@ pub enum SetPlan {
         class: NodeClass,
         filter: Predicate,
         strategy: ScanStrategy,
-        /// Stop after collecting this many matches — sound only on
-        /// id-ordered candidate streams, which is where the planner
-        /// plants it (see [`SetPlan::push_limit`]). Strategies that
-        /// collect out of order (the module scan) ignore it;
-        /// the shaping stage re-truncates, so an ignored hint costs
-        /// work but never correctness.
+        /// Stop after collecting this many matches — sound because
+        /// every scan streams its candidates in id order (see
+        /// [`SetPlan::push_limit`]); the shaping stage re-truncates.
         limit: Option<u64>,
     },
     Walk {
@@ -167,22 +153,17 @@ impl SetPlan {
         }
         out
     }
-    /// Plant an early-exit limit where it is sound: id-ordered scans
-    /// produce their matches ascending, so the first `n` matches *are*
-    /// the query's first `n` rows; a union's first `n` members all sit
+    /// Plant an early-exit limit where it is sound: scans produce
+    /// their matches ascending, so the first `n` matches *are* the
+    /// query's first `n` rows; a union's first `n` members all sit
     /// within the first `n` of its operands. No hint goes where it
-    /// would be unsound or ignored — the module scan (which
-    /// collects in invocation-component order and sorts afterwards),
-    /// intersections (a member may pair with an arbitrarily deep
-    /// counterpart), walks, and subgraphs (BFS discovery order is not
-    /// id order) all rely on the shaping stage's truncation instead,
-    /// and their `EXPLAIN` output shows no early-exit marker.
+    /// would be unsound — intersections (a member may pair with an
+    /// arbitrarily deep counterpart), walks, and subgraphs (BFS
+    /// discovery order is not id order) rely on the shaping stage's
+    /// truncation instead, and their `EXPLAIN` output shows no
+    /// early-exit marker.
     pub fn push_limit(&mut self, n: u64) {
         match self {
-            SetPlan::Scan {
-                strategy: ScanStrategy::ModuleScan { .. },
-                ..
-            } => {}
             SetPlan::Scan { limit, .. } => *limit = Some(n),
             SetPlan::Union(a, b) => {
                 a.push_limit(n);
@@ -292,23 +273,13 @@ impl SetPlan {
                     ScanStrategy::FullScan { est_visited } => {
                         write!(f, " [full scan, est visited {est_visited}]")
                     }
-                    ScanStrategy::ModuleScan {
-                        module,
-                        invocations,
-                        est_visited,
-                    } => write!(
-                        f,
-                        " [module scan of '{module}' via invocation table, {invocations} \
-                         invocations, est visited {est_visited}]"
-                    ),
                     ScanStrategy::PostingsScan {
                         key,
                         postings,
                         total_records,
                     } => write!(
                         f,
-                        " [paged postings scan on {key}, reads {postings} of {total_records} \
-                         records]"
+                        " [postings scan on {key}, reads {postings} of {total_records} records]"
                     ),
                 }
             }

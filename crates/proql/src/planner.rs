@@ -5,16 +5,14 @@
 //! backend it is. Three decisions are made here rather than in the
 //! executor:
 //!
-//! 1. **Scan strategy for `MATCH`.** On a store that keeps postings, a
-//!    `module = '…'` or `kind = '…'` conjunct (or a single-kind node
-//!    class) turns the scan into a read of the smallest applicable
-//!    list, whose size — known before any record is touched — is what
-//!    `EXPLAIN` reports as records read. Without postings, a
-//!    `module = '…'` conjunct lets the scan be driven from the
-//!    invocation table instead of sweeping every visible node; the
-//!    planner estimates both costs from graph statistics and picks the
-//!    cheaper. Predicates always ride inside the chosen scan
-//!    (pushdown), never as a post-filter.
+//! 1. **Scan strategy for `MATCH`.** Every store keeps module and kind
+//!    postings, so a `module = '…'` or `kind = '…'` conjunct, a
+//!    single-kind node class, a token-demanding predicate or a
+//!    `module LIKE '…'` pattern turns the scan into a read of the
+//!    smallest applicable list, whose size — known before any record is
+//!    touched — is what `EXPLAIN` reports as records read. Only a scan
+//!    no list narrows sweeps every visible node. Predicates always ride
+//!    inside the chosen scan (pushdown), never as a post-filter.
 //! 2. **Traversal strategy for walks and `DEPENDS`.** With a
 //!    [`ReachIndex`](lipstick_core::query::ReachIndex) present,
 //!    unbounded walks in *either* direction become closure lookups (the
@@ -51,7 +49,9 @@ impl<'a, S: GraphStore + ?Sized> Planner<'a, S> {
         let visible = store.visible_count();
         debug_assert_eq!(
             visible,
-            visible_ids(store).count(),
+            (0..store.node_count() as u32)
+                .filter(|&i| store.is_visible(NodeId(i)))
+                .count(),
             "the store's visible count drifted from its visibility index"
         );
         Planner {
@@ -62,9 +62,8 @@ impl<'a, S: GraphStore + ?Sized> Planner<'a, S> {
     }
 
     /// Resolve a node reference. A token resolves to the lowest-id
-    /// visible node carrying it on every store; one that keeps kind
-    /// postings faults only the token-bearing records instead of
-    /// sweeping the log.
+    /// visible node carrying it, found among the token-bearing kinds'
+    /// postings — a paged store faults only those records.
     pub fn resolve(&self, r: &NodeRef) -> Result<NodeId> {
         match r {
             NodeRef::Id(n) => {
@@ -82,11 +81,12 @@ impl<'a, S: GraphStore + ?Sized> Planner<'a, S> {
                     }
                     _ => false,
                 };
-                match PostingsKey::TokenKinds.candidates(self.store) {
-                    Some(ids) => ids.iter().copied().find(carries),
-                    None => visible_ids(self.store).find(carries),
-                }
-                .ok_or_else(|| ProqlError::UnknownNode(r.to_string()))
+                PostingsKey::TokenKinds
+                    .candidates(self.store)
+                    .iter()
+                    .copied()
+                    .find(carries)
+                    .ok_or_else(|| ProqlError::UnknownNode(r.to_string()))
             }
         }
     }
@@ -231,55 +231,32 @@ impl<'a, S: GraphStore + ?Sized> Planner<'a, S> {
         })
     }
 
-    /// The smallest applicable postings list if the store keeps any;
-    /// otherwise full scan vs invocation-table-driven module scan.
+    /// The smallest applicable postings list, or a full scan when no
+    /// list narrows the scan.
     fn scan_strategy(&self, class: NodeClass, filter: &Predicate) -> ScanStrategy {
-        if let Some(key) = self.smallest_postings(class, filter) {
-            // The per-list sizes compared below are cheap *comparison*
-            // costs; the number the plan reports ("reads X of Y
-            // records") is the deduplicated union the executor will
-            // actually materialize, so the estimate and `EXPLAIN
-            // ANALYZE` actuals are comparable.
-            let postings = key.candidates(self.store).map_or(0, |ids| ids.len());
-            return ScanStrategy::PostingsScan {
-                key,
-                postings,
-                total_records: self.store.node_count(),
+        let Some(key) = self.smallest_postings(class, filter) else {
+            return ScanStrategy::FullScan {
+                est_visited: self.visible,
             };
-        }
-        let full = ScanStrategy::FullScan {
-            est_visited: self.visible,
         };
-        let Some(module) = filter.required_module() else {
-            return full;
-        };
-        let module_invs = self.store.invocations_of(module).len();
-        let total_invs = self.store.invocations().len().max(1);
-        let est_visited = if class == NodeClass::Invocation {
-            // m-nodes come straight off the invocation table.
-            module_invs
-        } else {
-            // Assume invocations own similar node counts: this module's
-            // share of the visible graph.
-            (self.visible * module_invs).div_ceil(total_invs)
-        };
-        if est_visited < self.visible {
-            ScanStrategy::ModuleScan {
-                module: module.to_string(),
-                invocations: module_invs,
-                est_visited,
-            }
-        } else {
-            full
+        // The per-list sizes compared below are cheap *comparison*
+        // costs; the number the plan reports ("reads X of Y records")
+        // is the deduplicated union the executor will actually
+        // materialize, so the estimate and `EXPLAIN ANALYZE` actuals
+        // are comparable.
+        ScanStrategy::PostingsScan {
+            postings: key.candidates(self.store).len(),
+            key,
+            total_records: self.store.node_count(),
         }
     }
 
-    /// Which postings key narrows this scan the most, if the store
-    /// keeps postings. Beyond the module/kind equality postings, a
-    /// token-demanding predicate (`token LIKE 'C%'`) narrows to the
-    /// union of the two token-bearing kind postings, and
-    /// `module LIKE '…'` resolves the pattern against the resident
-    /// invocation table and unions the matching modules' postings.
+    /// Which postings key narrows this scan the most. Beyond the
+    /// module/kind equality postings, a token-demanding predicate
+    /// (`token LIKE 'C%'`) narrows to the union of the two
+    /// token-bearing kind postings, and `module LIKE '…'` resolves the
+    /// pattern against the resident invocation table and unions the
+    /// matching modules' postings.
     fn smallest_postings(&self, class: NodeClass, filter: &Predicate) -> Option<PostingsKey> {
         let mut best: Option<(PostingsKey, usize)> = None;
         let mut consider = |key: PostingsKey, len: usize| {
@@ -288,24 +265,20 @@ impl<'a, S: GraphStore + ?Sized> Planner<'a, S> {
             }
         };
         if let Some(m) = filter.required_module() {
-            if let Some(ids) = self.store.module_postings(m) {
-                consider(PostingsKey::Module(m.to_string()), ids.len());
-            }
+            let len = self.store.module_postings(m).len();
+            consider(PostingsKey::Module(m.to_string()), len);
         }
-        let kind_key = filter.required_kind().or(class.single_kind_name());
-        if let Some(k) = kind_key {
-            if let Some(ids) = self.store.kind_postings(k) {
-                consider(PostingsKey::Kind(k.to_string()), ids.len());
-            }
+        if let Some(k) = filter.required_kind().or(class.single_kind_name()) {
+            consider(
+                PostingsKey::Kind(k.to_string()),
+                self.store.kind_postings(k).len(),
+            );
         }
         if filter.requires_token() {
-            if let (Some(base), Some(inputs)) = (
-                self.store.kind_postings("base_tuple"),
-                self.store.kind_postings("workflow_input"),
-            ) {
-                // Disjoint kinds: the union's size is the sum.
-                consider(PostingsKey::TokenKinds, base.len() + inputs.len());
-            }
+            // Disjoint kinds: the union's size is the sum.
+            let len = self.store.kind_postings("base_tuple").len()
+                + self.store.kind_postings("workflow_input").len();
+            consider(PostingsKey::TokenKinds, len);
         }
         if let Some(pattern) = filter.module_like_pattern() {
             let mut modules: Vec<String> = self
@@ -317,36 +290,20 @@ impl<'a, S: GraphStore + ?Sized> Planner<'a, S> {
                 .collect();
             modules.sort();
             modules.dedup();
-            // A pattern matching no module reads zero records — but
-            // only on a store that keeps module postings at all, which
-            // the (never matching) pattern itself probes.
-            let lens: Option<usize> = if modules.is_empty() {
-                self.store.module_postings(pattern).map(|_| 0)
-            } else {
-                modules
-                    .iter()
-                    .map(|m| self.store.module_postings(m).map(|ids| ids.len()))
-                    .sum()
-            };
-            if let Some(len) = lens {
-                consider(
-                    PostingsKey::ModuleLike {
-                        pattern: pattern.to_string(),
-                        modules,
-                    },
-                    len,
-                );
-            }
+            let len = modules
+                .iter()
+                .map(|m| self.store.module_postings(m).len())
+                .sum();
+            consider(
+                PostingsKey::ModuleLike {
+                    pattern: pattern.to_string(),
+                    modules,
+                },
+                len,
+            );
         }
         best.map(|(key, _)| key)
     }
-}
-
-/// Visible node ids, ascending.
-fn visible_ids<S: GraphStore + ?Sized>(store: &S) -> impl Iterator<Item = NodeId> + '_ {
-    (0..store.node_count() as u32)
-        .map(NodeId)
-        .filter(|id| store.is_visible(*id))
 }
 
 /// A source statement plus how many source statements fused into it.

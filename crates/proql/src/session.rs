@@ -812,9 +812,8 @@ impl Session {
         on_store!(self, |env| Planner::new(env.store, env.reach).plan(stmt))
     }
 
-    /// The physical plan for a statement, as `EXPLAIN` would print it.
-    /// On a paged session this includes the records-read figures the
-    /// footer postings predict.
+    /// The physical plan for a statement, as `EXPLAIN` would print it,
+    /// including the records-read figures the store's postings predict.
     pub fn explain(&self, statement: &str) -> Result<String> {
         let stmt = parse_statement(statement)?;
         Ok(self.plan(&stmt)?.to_string())

@@ -72,6 +72,9 @@ fn stats_and_build_index_report_the_session_heap_on_every_backend() {
         ("append", Session::open_append(&path).unwrap()),
     ];
     for (backend, mut session) in sessions {
+        // A scan builds the resident graph's postings, which the heap
+        // report then counts.
+        session.run_read("MATCH base-nodes").unwrap();
         let reply = session.run_one("BUILD INDEX").unwrap().to_string();
         let reach: usize = session
             .memory_report()
@@ -100,6 +103,17 @@ fn stats_and_build_index_report_the_session_heap_on_every_backend() {
             })
             .expect("a memory total line");
         assert_eq!(total, session.heap_bytes(), "{backend}: {stats}");
+        if backend == "resident" {
+            let postings = session
+                .memory_report()
+                .into_iter()
+                .find(|&(group, name, _)| (group, name) == ("graph", "postings"))
+                .map(|(_, _, bytes)| bytes)
+                .expect("built postings are reported");
+            assert!(postings > 0);
+            let line = format!("memory graph.postings={postings}\n");
+            assert!(stats.contains(&line), "{stats}");
+        }
     }
 }
 

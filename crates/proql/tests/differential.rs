@@ -13,9 +13,9 @@
 //! 4. a round trip through **`lipstick-serve`**, serving a second append
 //!    session on its own copy of the log,
 //!
-//! and every answer must agree byte-for-byte once the one sanctioned
-//! difference — the backend-dependent `(visited N)` work figure — is
-//! masked. Error paths are differential too: if one engine rejects a
+//! and every answer must agree byte-for-byte, the `(visited N)` work
+//! figure included: every store scans the same postings and walks the
+//! same adjacency. Error paths are differential too: if one engine rejects a
 //! statement, all of them must reject it with the same message. On
 //! divergence the harness *shrinks* the statement (dropping clauses,
 //! conjuncts, and operands while the divergence persists) and reports
@@ -105,31 +105,9 @@ fn temp_log(graph: &ProvGraph, tag: usize) -> std::path::PathBuf {
     path
 }
 
-/// Mask the backend-dependent `(visited N)` figure: resident scans
-/// count swept nodes, paged scans count postings candidates, and both
-/// are legitimate costs of the *same* answer.
-fn mask_visited(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    let mut rest = s;
-    while let Some(at) = rest.find("(visited ") {
-        let tail = &rest[at + "(visited ".len()..];
-        let digits = tail.chars().take_while(char::is_ascii_digit).count();
-        if digits > 0 && tail[digits..].starts_with(')') {
-            out.push_str(&rest[..at]);
-            out.push_str("(visited _)");
-            rest = &tail[digits + 1..];
-        } else {
-            out.push_str(&rest[..at + "(visited ".len()]);
-            rest = tail;
-        }
-    }
-    out.push_str(rest);
-    out
-}
-
 /// One engine's answer, comparable across engines: the rendered
-/// payload (visited-masked) or the error message (newlines flattened
-/// the way the server's `ERR` frame flattens them).
+/// payload or the error message (newlines flattened the way the
+/// server's `ERR` frame flattens them).
 #[derive(Debug, Clone, PartialEq, Eq)]
 enum Answer {
     Ok(String),
@@ -138,7 +116,7 @@ enum Answer {
 
 fn local_answer(session: &Session, text: &str) -> Answer {
     match session.run_read(text) {
-        Ok(out) => Answer::Ok(mask_visited(&out.to_string())),
+        Ok(out) => Answer::Ok(out.to_string()),
         Err(e) => Answer::Err(e.to_string().replace('\n', "; ")),
     }
 }
@@ -147,14 +125,14 @@ fn local_answer(session: &Session, text: &str) -> Answer {
 /// through its write lock on its own).
 fn local_mutation_answer(session: &mut Session, text: &str) -> Answer {
     match session.run_one(text) {
-        Ok(out) => Answer::Ok(mask_visited(&out.to_string())),
+        Ok(out) => Answer::Ok(out.to_string()),
         Err(e) => Answer::Err(e.to_string().replace('\n', "; ")),
     }
 }
 
 fn server_answer(client: &mut Client, text: &str) -> Answer {
     match client.query(text).expect("server connection") {
-        Reply::Ok { body, .. } => Answer::Ok(mask_visited(&body)),
+        Reply::Ok { body, .. } => Answer::Ok(body),
         Reply::Err(m) => Answer::Err(m),
         // The harness server has no write-queue limit, so it never
         // sheds; a BUSY here is itself a divergence worth failing on.
@@ -252,25 +230,18 @@ fn strip_reads(s: &str) -> String {
 }
 
 /// Reduce an `EXPLAIN ANALYZE` answer to its cross-engine-comparable
-/// core: the `actuals:` section onward (the plan section above it is
-/// legitimately backend-specific), with wall times masked, visited
-/// figures masked (resident scans sweep nodes, paged scans count
-/// postings candidates), and paged-only `reads=` attributes dropped.
-/// What remains — the span tree's shape, labels, and `rows=` values —
-/// must agree byte-for-byte across engines.
+/// form: wall times masked and paged-only `reads=` attributes dropped.
+/// What remains — the plan, the span tree's shape and labels, its
+/// `rows=` and `visited=` values — must agree byte-for-byte across
+/// engines, since every store scans the same postings.
 fn comparable_actuals(answer: Answer) -> Answer {
     match answer {
         Answer::Ok(body) => {
-            let at = body
-                .find("actuals:")
-                .unwrap_or_else(|| panic!("no actuals section in: {body}"));
+            assert!(body.contains("actuals:"), "no actuals section in: {body}");
             Answer::Ok(strip_reads(&mask_digits_after(
-                &mask_digits_after(
-                    // The summary line's wall time: `total: N row(s), T µs`.
-                    &mask_digits_after(&body[at..], "row(s), "),
-                    "time_us=",
-                ),
-                "visited=",
+                // The summary line's wall time: `total: N row(s), T µs`.
+                &mask_digits_after(&body, "row(s), "),
+                "time_us=",
             )))
         }
         err => err,
@@ -278,10 +249,10 @@ fn comparable_actuals(answer: Answer) -> Answer {
 }
 
 /// `EXPLAIN ANALYZE` is differential too: for every generated read-only
-/// statement, the span tree of actuals (structure, labels, row counts)
-/// must be identical across the resident executor, the paged executor,
-/// and a server round trip — only timings, visited costs, and paged
-/// fault counts are backend-dependent.
+/// statement, the plan and the span tree of actuals (structure, labels,
+/// row and visited counts) must be identical across the resident
+/// executor, the paged executor, and a server round trip — only timings
+/// and paged fault counts are backend-dependent.
 #[test]
 fn explain_analyze_actuals_agree_across_engines() {
     let budget = (case_budget() / 4).max(16);

@@ -233,7 +233,7 @@ fn eval_semantics_on_a_known_graph() {
 fn match_module_scan_agrees_with_naive_full_scan_and_visits_fewer() {
     let mut s = dealers_session();
     let module = some_module(s.graph());
-    let visible = s.graph().visible_count();
+    let (visible, records) = (s.graph().visible_count(), s.graph().len());
 
     // Naive reference: full sweep + post-filter.
     let naive: Vec<NodeId> = s
@@ -247,47 +247,72 @@ fn match_module_scan_agrees_with_naive_full_scan_and_visits_fewer() {
         .map(|(id, _)| id)
         .collect();
     assert!(!naive.is_empty());
+    let owned = naive.len();
 
-    let explain = s
-        .explain(&format!("MATCH nodes WHERE module = '{module}'"))
-        .unwrap();
-    assert!(explain.contains("module scan"), "planner chose: {explain}");
+    let stmt = format!("MATCH nodes WHERE module = '{module}'");
+    let explain = s.explain(&stmt).unwrap();
+    let bracket =
+        format!("[postings scan on module '{module}', reads {owned} of {records} records]");
+    assert!(explain.ends_with(&bracket), "planner chose: {explain}");
 
-    let out = s
-        .run_one(&format!("MATCH nodes WHERE module = '{module}'"))
-        .unwrap();
+    let out = s.run_one(&stmt).unwrap();
     let ns = out.nodes().unwrap();
-    assert_eq!(ns.nodes, naive, "module scan returns the full-scan answer");
+    assert_eq!(
+        ns.nodes, naive,
+        "postings scan returns the full-scan answer"
+    );
+    assert_eq!(
+        ns.visited, owned,
+        "the scan visits the postings EXPLAIN read"
+    );
     assert!(
-        ns.visited < visible,
-        "pushdown visited {} of {} visible nodes",
-        ns.visited,
-        visible
+        owned < visible,
+        "pushdown: {owned} of {visible} visible nodes"
     );
 
-    // m-nodes via the invocation table touch only the invocations.
-    let out = s
-        .run_one(&format!("MATCH m-nodes WHERE module = '{module}'"))
-        .unwrap();
+    // m-nodes of a module: the module's postings are no longer than
+    // the invocation kind's, so the scan reads them and keeps the
+    // module's m-nodes.
+    assert!(owned <= stats(s.graph()).by_kind["invocation"]);
+    let stmt = format!("MATCH m-nodes WHERE module = '{module}'");
+    let explain = s.explain(&stmt).unwrap();
+    assert!(explain.ends_with(&bracket), "planner chose: {explain}");
+    let out = s.run_one(&stmt).unwrap();
     let ns = out.nodes().unwrap();
     assert_eq!(ns.len(), s.graph().invocations_of(&module).len());
     assert_eq!(
-        ns.visited,
-        ns.len(),
-        "m-node scan reads the invocation table"
+        ns.visited, owned,
+        "the scan visits the postings EXPLAIN read"
     );
 }
 
 #[test]
 fn match_without_module_filter_full_scans() {
     let mut s = dealers_session();
+    let (visible, records) = (s.graph().visible_count(), s.graph().len());
+
+    // No postings list narrows a role predicate: every visible node.
+    let stmt = "MATCH nodes WHERE role = 'state'";
+    let explain = s.explain(stmt).unwrap();
+    assert!(
+        explain.ends_with(&format!("[full scan, est visited {visible}]")),
+        "got: {explain}"
+    );
+    let out = s.run_one(stmt).unwrap();
+    let ns = out.nodes().unwrap();
+    assert_eq!(ns.len(), stats(s.graph()).by_kind["state"]);
+    assert_eq!(ns.visited, visible);
+
+    // A node class reads its kind's postings and nothing else.
+    let base = stats(s.graph()).by_kind["base_tuple"];
     let explain = s.explain("MATCH base-nodes").unwrap();
-    assert!(explain.contains("full scan"), "got: {explain}");
+    let bracket =
+        format!("[postings scan on kind 'base_tuple', reads {base} of {records} records]");
+    assert!(explain.ends_with(&bracket), "got: {explain}");
     let out = s.run_one("MATCH base-nodes").unwrap();
     let ns = out.nodes().unwrap();
-    let base = stats(s.graph()).by_kind["base_tuple"];
     assert_eq!(ns.len(), base);
-    assert_eq!(ns.visited, s.graph().visible_count());
+    assert_eq!(ns.visited, base);
 }
 
 #[test]

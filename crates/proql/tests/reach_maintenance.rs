@@ -18,16 +18,18 @@
 //! The same generator drives a second property: a store's visible
 //! count — maintained by the resident graph, derived in O(tail) by the
 //! append log — equals a sweep of its visibility index after every way
-//! a graph is built, mutated, persisted or reloaded.
+//! a graph is built, mutated, persisted or reloaded. So do its module
+//! and kind postings, which the resident graph drops on every mutation
+//! and rebuilds on the next read, and which its v2 footer must repeat.
 
 use lipstick_core::graph::validate::check_structure;
 use lipstick_core::graph::ShardTracker;
 use lipstick_core::query::{traverse, Direction, ReachIndex};
-use lipstick_core::{GraphStore, GraphTracker, NodeId, ProvGraph, Tracker};
+use lipstick_core::{GraphStore, GraphTracker, NodeId, NodeKind, ProvGraph, Tracker};
 use lipstick_proql::ast::Statement;
 use lipstick_proql::testgen::{self, Rng, Vocab};
 use lipstick_proql::{ProqlError, Session};
-use lipstick_storage::{write_graph, write_graph_v2};
+use lipstick_storage::{encode_graph_v2, write_graph, write_graph_v2, LogIndex};
 use lipstick_workflowgen::arctic::{self, ArcticParams, Selectivity, Topology};
 use lipstick_workflowgen::dealers::{self, DealersParams};
 
@@ -295,8 +297,73 @@ fn visible_count_matches_arena_after_every_step() {
             };
             assert_count_matches_arena(session.graph(), &step);
             assert_append_count_matches_sweep(&append, &session, &step);
+            assert_resident_postings(session.graph(), &step);
+            let log = append.append_log().expect("append session");
+            assert_postings_match_sweep(log, &format!("append log after {step}"));
             executed += 1;
         }
+    }
+}
+
+/// Every module and every kind posting of `store` equals a sweep of
+/// its visible nodes.
+fn assert_postings_match_sweep<S: GraphStore>(store: &S, what: &str) {
+    let visible: Vec<NodeId> = (0..store.node_count() as u32)
+        .map(NodeId)
+        .filter(|&id| store.is_visible(id))
+        .collect();
+    for m in module_names(store) {
+        let owned = |id: &NodeId| {
+            let inv = store.role_of(*id).invocation();
+            inv.is_some_and(|inv| store.invocation(inv).module == m)
+        };
+        let sweep: Vec<NodeId> = visible.iter().copied().filter(owned).collect();
+        assert_eq!(*store.module_postings(m), *sweep, "{what}: module {m}");
+    }
+    for k in NodeKind::NAMES {
+        let sweep: Vec<NodeId> = visible
+            .iter()
+            .copied()
+            .filter(|id| store.kind_of(*id).name() == k)
+            .collect();
+        assert_eq!(*store.kind_postings(k), *sweep, "{what}: kind {k}");
+    }
+}
+
+fn module_names<S: GraphStore>(store: &S) -> Vec<&str> {
+    let mut names: Vec<&str> = store
+        .invocations()
+        .iter()
+        .map(|i| i.module.as_str())
+        .collect();
+    names.sort_unstable();
+    names.dedup();
+    names
+}
+
+/// The resident graph's postings equal a sweep and, while no module is
+/// zoomed out (a zoomed graph does not encode), the footer postings of
+/// its v2 bytes.
+fn assert_resident_postings(graph: &ProvGraph, after: &str) {
+    assert_postings_match_sweep(graph, &format!("resident graph after {after}"));
+    let Ok(bytes) = encode_graph_v2(graph) else {
+        assert!(!graph.zoomed_out_modules().is_empty(), "after {after}");
+        return;
+    };
+    let footer = LogIndex::parse(&bytes, graph.len()).unwrap();
+    for m in module_names(graph) {
+        assert_eq!(
+            footer.module_postings(m),
+            &*graph.module_postings(m),
+            "footer after {after}: module {m}"
+        );
+    }
+    for k in NodeKind::NAMES {
+        assert_eq!(
+            footer.kind_postings(k),
+            &*graph.kind_postings(k),
+            "footer after {after}: kind {k}"
+        );
     }
 }
 

@@ -1243,7 +1243,7 @@ impl GraphStore for AppendLog {
         self.faults()
     }
 
-    fn module_postings(&self, module: &str) -> Option<Cow<'_, [NodeId]>> {
+    fn module_postings(&self, module: &str) -> Cow<'_, [NodeId]> {
         // Sealed postings filtered through current visibility, then the
         // overlay's matches. Overlay ids all exceed base ids, so the
         // merged list stays ascending.
@@ -1269,10 +1269,10 @@ impl GraphStore for AppendLog {
                 }
             }
         }
-        Some(Cow::Owned(out))
+        Cow::Owned(out)
     }
 
-    fn kind_postings(&self, kind: &str) -> Option<Cow<'_, [NodeId]>> {
+    fn kind_postings(&self, kind: &str) -> Cow<'_, [NodeId]> {
         let mut out: Vec<NodeId> = self
             .base
             .index()
@@ -1286,7 +1286,7 @@ impl GraphStore for AppendLog {
                 out.push(NodeId((self.base_nodes + k) as u32));
             }
         }
-        Some(Cow::Owned(out))
+        Cow::Owned(out)
     }
 
     fn memory_breakdown(&self) -> Vec<(&'static str, usize)> {
@@ -1568,7 +1568,7 @@ mod tests {
 
         let expect = resident_append(&base, &fragment_graph());
         for module in ["M", "Agg", "nope"] {
-            let got = log.module_postings(module).unwrap();
+            let got = log.module_postings(module);
             let want: Vec<NodeId> = expect
                 .iter_visible()
                 .filter(|(_, n)| {
@@ -1581,7 +1581,7 @@ mod tests {
             assert_eq!(*got, *want, "module postings for {module}");
         }
         for kind in ["base_tuple", "module_input", "plus", "delta"] {
-            let got = log.kind_postings(kind).unwrap();
+            let got = log.kind_postings(kind);
             let want: Vec<NodeId> = expect
                 .iter_visible()
                 .filter(|(_, n)| n.kind.name() == kind)

@@ -284,6 +284,11 @@ pub fn put_record(
     Ok(())
 }
 
+/// The fewest bytes a node record can take: the flags byte, a role
+/// tag, a kind tag and a pred count. A decoder sizing a table from a
+/// declared record count bounds it by `remaining / MIN_RECORD_BYTES`.
+pub const MIN_RECORD_BYTES: usize = 4;
+
 /// Read one node record.
 pub fn get_record(r: &mut Reader<'_>) -> Result<NodeRecord> {
     let flags = r.u8()?;

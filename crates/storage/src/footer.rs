@@ -85,16 +85,17 @@ impl FooterSource for ProvGraph {
         out.extend_from_slice(self.node(id).succs());
     }
 
+    /// The graph's own postings ([`ProvGraph::postings`]), so what a
+    /// posting holds is defined once.
     fn postings(&self) -> (Postings<'_>, Postings<'_>) {
-        let (mut by_module, mut by_kind) = (Postings::new(), Postings::new());
-        for (id, node) in self.iter_visible() {
-            if let Some(inv) = node.role.invocation() {
-                let module = self.invocation(inv).module.as_str();
-                by_module.entry(module).or_default().push(id);
-            }
-            by_kind.entry(node.kind.name()).or_default().push(id);
-        }
-        (by_module, by_kind)
+        let postings = ProvGraph::postings(self);
+        (
+            postings
+                .modules()
+                .map(|(m, ids)| (m, ids.to_vec()))
+                .collect(),
+            postings.kinds().map(|(k, ids)| (k, ids.to_vec())).collect(),
+        )
     }
 }
 

@@ -29,10 +29,10 @@
 
 use std::path::Path;
 
-use lipstick_core::graph::InvocationInfo;
+use lipstick_core::graph::{InvocationInfo, Node};
 use lipstick_core::{NodeId, NodeKind, ProvGraph, Role};
 
-use crate::codec::{get_record, put_record};
+use crate::codec::{get_record, put_record, MIN_RECORD_BYTES};
 use crate::error::{Result, StorageError};
 use crate::footer::FooterWriter;
 use crate::io::{default_io, StorageIo};
@@ -223,50 +223,40 @@ pub(crate) fn check_refs(
     Ok(())
 }
 
-/// Deserialize a graph from bytes.
+/// Deserialize a graph from bytes, at exact size
+/// ([`ProvGraph::from_nodes`]). The arena is reserved from the header's
+/// node count capped at one node per [`MIN_RECORD_BYTES`] of input —
+/// exact on every well-formed log, so a count the bytes cannot hold
+/// sizes nothing.
 pub fn decode_graph(bytes: &[u8]) -> Result<ProvGraph> {
     let header = read_header(bytes)?;
     let node_count = header.node_count;
     // v2 records are identical to v1; the sequential decode simply
     // stops before the trailing footer, which only lazy readers parse.
     let mut r = Reader::new(&bytes[header.records_start..]);
-    let mut graph = ProvGraph::new();
-    // First pass: create nodes; collect pred lists.
-    let mut pred_lists: Vec<Vec<NodeId>> = Vec::with_capacity(node_count);
-    let mut deleted_flags: Vec<bool> = Vec::with_capacity(node_count);
+    let mut nodes = Vec::with_capacity(node_count.min(r.remaining() / MIN_RECORD_BYTES));
     for _ in 0..node_count {
         let record = get_record(&mut r)?;
-        graph.add_node(record.kind, record.role);
-        pred_lists.push(record.preds);
-        deleted_flags.push(record.deleted);
+        nodes.push(Node::decoded(
+            record.kind,
+            record.role,
+            record.preds,
+            record.deleted,
+        ));
     }
     let invocations = get_sealed_invocations(&mut r, node_count)?;
-    // Second pass, now that the table is known: references, edges
-    // (both directions) and tombstones.
-    for (idx, preds) in pred_lists.into_iter().enumerate() {
-        let to = NodeId(idx as u32);
-        let node = graph.node(to);
+    // Now that the table is known: every reference.
+    for (idx, node) in nodes.iter().enumerate() {
         check_refs(
-            to,
+            NodeId(idx as u32),
             &node.kind,
             node.role,
-            &preds,
+            node.preds(),
             node_count,
             invocations.len(),
         )?;
-        for from in preds {
-            graph.add_edge(from, to);
-        }
     }
-    for (idx, deleted) in deleted_flags.into_iter().enumerate() {
-        if deleted {
-            graph.set_node_deleted(NodeId(idx as u32), true);
-        }
-    }
-    for info in invocations {
-        graph.register_invocation(info.module, info.execution, info.m_node);
-    }
-    Ok(graph)
+    Ok(ProvGraph::from_nodes(nodes, invocations))
 }
 
 /// Write a graph to a file.

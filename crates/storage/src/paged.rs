@@ -328,12 +328,12 @@ impl GraphStore for PagedLog {
         self.faults()
     }
 
-    fn module_postings(&self, module: &str) -> Option<Cow<'_, [NodeId]>> {
-        Some(Cow::Borrowed(self.index.module_postings(module)))
+    fn module_postings(&self, module: &str) -> Cow<'_, [NodeId]> {
+        Cow::Borrowed(self.index.module_postings(module))
     }
 
-    fn kind_postings(&self, kind: &str) -> Option<Cow<'_, [NodeId]>> {
-        Some(Cow::Borrowed(self.index.kind_postings(kind)))
+    fn kind_postings(&self, kind: &str) -> Cow<'_, [NodeId]> {
+        Cow::Borrowed(self.index.kind_postings(kind))
     }
 
     fn memory_breakdown(&self) -> Vec<(&'static str, usize)> {
@@ -444,7 +444,7 @@ mod tests {
             );
         }
         for kind in ["base_tuple", "times", "no_such_kind"] {
-            let (Some(Cow::Borrowed(ids)), Some(Cow::Borrowed(again))) =
+            let (Cow::Borrowed(ids), Cow::Borrowed(again)) =
                 (paged.kind_postings(kind), paged.kind_postings(kind))
             else {
                 panic!("postings of kind {kind} are a copy");
@@ -453,7 +453,7 @@ mod tests {
         }
         assert!(matches!(
             paged.module_postings("no_such_module"),
-            Some(Cow::Borrowed([]))
+            Cow::Borrowed([])
         ));
     }
 

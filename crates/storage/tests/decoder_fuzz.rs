@@ -8,18 +8,76 @@
 //! — a loaded graph or a verified paged log names only invocations its
 //! table holds, since a query indexes the table by that id, and every
 //! `m` node carries an invocation role, which expression extraction
-//! reads. The budget
-//! is `PROPTEST_CASES` graphs × `MUTATIONS`, pinned in CI.
+//! reads. The full loader, `decode_graph`, must also size nothing
+//! from what the bytes merely declare: its largest single allocation
+//! stays within [`allocation_bound`] of its input. The budget is
+//! `PROPTEST_CASES` graphs × `MUTATIONS`, pinned in CI.
 
 mod common;
 
+use std::alloc::{GlobalAlloc, Layout, System};
+use std::cell::Cell;
+
 use common::{random_graph, Rng};
+use lipstick_core::graph::Node;
 use lipstick_core::store::GraphStore;
 use lipstick_core::{NodeId, NodeKind, ProvGraph, Role};
-use lipstick_storage::codec::NodeRecord;
+use lipstick_storage::codec::{NodeRecord, MIN_RECORD_BYTES};
 use lipstick_storage::tail::{self, TailRecord, FRAME_LEN};
 use lipstick_storage::{decode_graph, encode_graph, encode_graph_v2, LogIndex, PagedLog};
 use proptest::prelude::*;
+
+/// Records the largest single allocation this thread asks for.
+struct LargestAllocation;
+
+thread_local! {
+    static LARGEST: Cell<usize> = const { Cell::new(0) };
+}
+
+fn note(size: usize) {
+    let _ = LARGEST.try_with(|largest| largest.set(largest.get().max(size)));
+}
+
+// SAFETY: every method forwards to the system allocator with the
+// caller's arguments unchanged, so the caller's `GlobalAlloc` contract
+// carries over; the bookkeeping on the side only touches a
+// const-initialised thread-local `Cell`, which never allocates.
+unsafe impl GlobalAlloc for LargestAllocation {
+    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+        note(layout.size());
+        System.alloc(layout)
+    }
+    unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
+        note(layout.size());
+        System.alloc_zeroed(layout)
+    }
+    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
+        note(new_size);
+        System.realloc(ptr, layout, new_size)
+    }
+    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        System.dealloc(ptr, layout)
+    }
+}
+
+#[global_allocator]
+static ALLOCATOR: LargestAllocation = LargestAllocation;
+
+/// `f`'s result and the largest single allocation it made.
+fn largest_allocation<T>(f: impl FnOnce() -> T) -> (T, usize) {
+    LARGEST.with(|largest| largest.set(0));
+    let out = f();
+    (out, LARGEST.with(Cell::get))
+}
+
+/// The most `decode_graph` may allocate at once for `input_len` bytes:
+/// one arena [`Node`] per smallest possible record
+/// (`size_of::<Node>() / MIN_RECORD_BYTES` per input byte), plus 1 KiB.
+/// An arena or table reserved from the header's node count, which
+/// `Reader::count` bounds at only one byte per record, breaks it.
+fn allocation_bound(input_len: usize) -> usize {
+    std::mem::size_of::<Node>() / MIN_RECORD_BYTES * input_len + 1024
+}
 
 /// Mutated inputs per encoding per case.
 const MUTATIONS: usize = 64;
@@ -67,7 +125,13 @@ fn assert_role_is_queryable(what: &str, kind: &NodeKind, role: Role, invocations
 /// Every decoder of a sealed log over `bytes`, which claims
 /// `node_count` nodes before it was mutated.
 fn decode_log(bytes: &[u8], node_count: usize) {
-    if let Ok(g) = decode_graph(bytes) {
+    let (loaded, largest) = largest_allocation(|| decode_graph(bytes));
+    assert!(
+        largest <= allocation_bound(bytes.len()),
+        "decode_graph: a {largest}-byte allocation from {} input bytes",
+        bytes.len()
+    );
+    if let Ok(g) = loaded {
         for (id, node) in g.iter() {
             assert_role_is_queryable(
                 &format!("loaded node {id}"),
@@ -159,4 +223,25 @@ proptest! {
             let _ = tail::decode_payload(&mutate(&frame[FRAME_LEN..], &mut rng));
         }
     }
+}
+
+/// The allocation check bites: a log whose header declares as many
+/// records as it has bytes loads within the bound, and an arena
+/// reserved from that declared count would not.
+#[test]
+fn a_declared_node_count_would_break_the_allocation_bound() {
+    let declared = 4096;
+    let mut log = b"LPSTK\x01".to_vec();
+    let mut n = declared;
+    while n >= 0x80 {
+        log.push((n as u8) | 0x80);
+        n >>= 7;
+    }
+    log.push(n as u8);
+    log.resize(log.len() + declared, 0);
+    let (loaded, largest) = largest_allocation(|| decode_graph(&log));
+    assert!(loaded.is_err(), "zero bytes are no records");
+    assert!(largest <= allocation_bound(log.len()), "{largest}");
+    let (_, upfront) = largest_allocation(|| Vec::<Node>::with_capacity(declared));
+    assert!(upfront > allocation_bound(log.len()), "{upfront}");
 }

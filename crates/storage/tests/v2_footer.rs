@@ -54,7 +54,7 @@ fn assert_three_way_agreement(g: &ProvGraph) {
             })
             .map(|(id, _)| id)
             .collect();
-        assert_eq!(paged.module_postings(m).unwrap(), expect, "postings of {m}");
+        assert_eq!(*paged.module_postings(m), *expect, "postings of {m}");
     }
 }
 

@@ -21,9 +21,10 @@
 //!    outside `io.rs`: every file operation must route through the
 //!    `StorageIo` trait, or the fault-injection harness silently stops
 //!    covering that call site.
-//! 5. **Panic-free planner, read executor and reach index**
-//!    (`crates/proql/src/{planner,exec}.rs`,
-//!    `crates/core/src/query/reach.rs`). A plan is data: it can be
+//! 5. **Panic-free planner, plans, read executor, reach index and
+//!    ZoomOut planner** (`crates/proql/src/{planner,plan,exec}.rs`,
+//!    `crates/core/src/query/{reach,zoom}.rs` — every store's read
+//!    path). A plan is data: it can be
 //!    replayed against a store or an index state other than the one it
 //!    was made for, so a strategy the store cannot serve must fall back
 //!    (full scan, BFS, propagation), never `expect` the plan's world;
@@ -254,8 +255,10 @@ const CAST_FREE_FILES: &[&str] = &["codec.rs", "reader.rs", "varint.rs"];
 /// Files under rule 5 (no panicking calls), from the workspace root.
 const PLAN_FILES: &[&str] = &[
     "crates/proql/src/planner.rs",
+    "crates/proql/src/plan.rs",
     "crates/proql/src/exec.rs",
     "crates/core/src/query/reach.rs",
+    "crates/core/src/query/zoom.rs",
 ];
 
 /// Storage files under rule 6 (no panicking calls).
@@ -388,8 +391,8 @@ fn run_lint(root: &Path) -> std::io::Result<Vec<String>> {
         }
     }
 
-    // Rule 5: the one planner, the one read executor, and the reach
-    // index they call.
+    // Rule 5: the one planner, its plans, the one read executor, and
+    // the reach index and ZoomOut planner they call.
     for file in PLAN_FILES {
         let path = root.join(file);
         let src = std::fs::read_to_string(&path)?;
@@ -481,12 +484,19 @@ mod tests {
         assert_eq!(check_no_panics(ok, PLAN_CONTEXT), Vec::new());
     }
 
-    /// Every rule-5 file is covered, the reach index included: a row
+    /// Every rule-5 file is covered — the plans, the reach index and the
+    /// ZoomOut planner included: a row
     /// lookup that `expect`s instead of answering an empty row is caught
     /// on the seeded line.
     #[test]
     fn seeded_plan_file_violations_are_caught() {
-        assert!(PLAN_FILES.contains(&"crates/core/src/query/reach.rs"));
+        for file in [
+            "crates/core/src/query/reach.rs",
+            "crates/core/src/query/zoom.rs",
+            "crates/proql/src/plan.rs",
+        ] {
+            assert!(PLAN_FILES.contains(&file), "{file}");
+        }
         for file in PLAN_FILES {
             let src = std::fs::read_to_string(workspace_root().join(file)).expect("readable");
             let bad = format!(
