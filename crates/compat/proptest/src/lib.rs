@@ -3,46 +3,28 @@
 //! `Just`, ranges, tuples, string patterns, and
 //! `prop::collection::vec`.
 //!
-//! Generation is deterministic: each test derives its RNG seed from
-//! the test name, so failures reproduce exactly. There is no
+//! Cases are drawn from the workspace's one seeded generator
+//! (`rand::rngs::StdRng`, re-exported as [`TestRng`]), seeded from a
+//! hash of the test's name, so failures reproduce exactly. There is no
 //! shrinking — a failing case is reported at the size it was drawn.
 
 use std::ops::Range;
 use std::rc::Rc;
 
-/// Deterministic generator driving all strategies (splitmix64).
-pub struct TestRng {
-    state: u64,
-}
+use rand::SeedableRng;
 
-impl TestRng {
-    /// Seeded from the test's name, so every run draws the same cases.
-    pub fn deterministic(name: &str) -> TestRng {
-        let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-        for b in name.bytes() {
-            h ^= u64::from(b);
-            h = h.wrapping_mul(0x1000_0000_01b3);
-        }
-        TestRng { state: h }
-    }
+/// The generator driving all strategies.
+pub use rand::rngs::StdRng as TestRng;
 
-    pub fn next_u64(&mut self) -> u64 {
-        self.state = self.state.wrapping_add(0x9E37_79B9_7F4A_7C15);
-        let mut z = self.state;
-        z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-        z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-        z ^ (z >> 31)
+/// A generator seeded from the test's name (FNV-1a), so every run
+/// draws the same cases.
+pub fn test_rng(name: &str) -> TestRng {
+    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
+    for b in name.bytes() {
+        h ^= u64::from(b);
+        h = h.wrapping_mul(0x1000_0000_01b3);
     }
-
-    pub fn next_bool(&mut self) -> bool {
-        self.next_u64() & 1 == 1
-    }
-
-    /// Uniform draw from a half-open usize range.
-    pub fn usize_in(&mut self, range: Range<usize>) -> usize {
-        assert!(range.start < range.end, "empty range");
-        range.start + (self.next_u64() as usize) % (range.end - range.start)
-    }
+    TestRng::seed_from_u64(h)
 }
 
 /// A value generator.
@@ -81,7 +63,7 @@ pub trait Strategy {
             let expanded = f(cur).boxed();
             let leaf = leaf.clone();
             cur = ArcStrategy::new(move |rng| {
-                if rng.next_bool() {
+                if rng.chance(50) {
                     leaf.generate(rng)
                 } else {
                     expanded.generate(rng)
@@ -153,7 +135,7 @@ impl<T: Clone> Strategy for Just<T> {
 pub fn one_of<T: 'static>(arms: Vec<ArcStrategy<T>>) -> ArcStrategy<T> {
     assert!(!arms.is_empty(), "prop_oneof! needs at least one arm");
     ArcStrategy::new(move |rng| {
-        let i = rng.usize_in(0..arms.len());
+        let i = rng.below(arms.len());
         arms[i].generate(rng)
     })
 }
@@ -198,7 +180,7 @@ pub trait Arbitrary: Sized {
 
 impl Arbitrary for bool {
     fn arbitrary(rng: &mut TestRng) -> bool {
-        rng.next_bool()
+        rng.chance(50)
     }
 }
 
@@ -331,12 +313,12 @@ fn generate_pattern(pattern: &str, rng: &mut TestRng) -> String {
         } else {
             (1, 1)
         };
-        let reps = rng.usize_in(min..max + 1);
+        let reps = min + rng.below(max + 1 - min);
         for _ in 0..reps {
             if alphabet.is_empty() {
                 continue;
             }
-            out.push(alphabet[rng.usize_in(0..alphabet.len())]);
+            out.push(*rng.pick(&alphabet));
         }
     }
     out
@@ -361,11 +343,7 @@ pub mod prop {
         impl<S: Strategy> Strategy for VecStrategy<S> {
             type Value = Vec<S::Value>;
             fn generate(&self, rng: &mut TestRng) -> Vec<S::Value> {
-                let n = if self.len.start < self.len.end {
-                    rng.usize_in(self.len.clone())
-                } else {
-                    self.len.start
-                };
+                let n = self.len.start + rng.below(self.len.len());
                 (0..n).map(|_| self.element.generate(rng)).collect()
             }
         }
@@ -422,7 +400,7 @@ macro_rules! __proptest_tests {
         $(#[$meta])*
         fn $name() {
             let cfg: $crate::ProptestConfig = $cfg;
-            let mut rng = $crate::TestRng::deterministic(concat!(module_path!(), "::", stringify!($name)));
+            let mut rng = $crate::test_rng(concat!(module_path!(), "::", stringify!($name)));
             for _case in 0..cfg.cases {
                 $(let $arg = $crate::Strategy::generate(&($strat), &mut rng);)+
                 $body
@@ -439,7 +417,7 @@ macro_rules! __proptest_tests {
         $(#[$meta])*
         fn $name() {
             let cfg: $crate::ProptestConfig = $cfg;
-            let mut rng = $crate::TestRng::deterministic(concat!(module_path!(), "::", stringify!($name)));
+            let mut rng = $crate::test_rng(concat!(module_path!(), "::", stringify!($name)));
             for _case in 0..cfg.cases {
                 $(let $arg = <$ty as $crate::Arbitrary>::arbitrary(&mut rng);)+
                 $body
@@ -470,7 +448,9 @@ macro_rules! prop_assert_eq {
 
 pub mod prelude {
     pub use crate::prop;
-    pub use crate::{any, one_of, Arbitrary, ArcStrategy, Just, ProptestConfig, Strategy, TestRng};
+    pub use crate::{
+        any, one_of, test_rng, Arbitrary, ArcStrategy, Just, ProptestConfig, Strategy, TestRng,
+    };
     pub use crate::{prop_assert, prop_assert_eq, prop_oneof, proptest};
 }
 
@@ -480,7 +460,7 @@ mod tests {
 
     #[test]
     fn pattern_strategy_respects_class_and_bounds() {
-        let mut rng = TestRng::deterministic("pattern");
+        let mut rng = test_rng("pattern");
         for _ in 0..200 {
             let s = "[a-z]{0,8}".generate(&mut rng);
             assert!(s.len() <= 8);
@@ -491,7 +471,7 @@ mod tests {
     #[test]
     fn oneof_covers_all_arms() {
         let s = prop_oneof![Just(1u32), Just(2u32), Just(3u32)];
-        let mut rng = TestRng::deterministic("oneof");
+        let mut rng = test_rng("oneof");
         let mut seen = [false; 3];
         for _ in 0..100 {
             seen[(s.generate(&mut rng) - 1) as usize] = true;
@@ -511,7 +491,7 @@ mod tests {
             .prop_recursive(4, 32, 4, |inner| {
                 prop::collection::vec(inner, 0..3).prop_map(Tree::Node)
             });
-        let mut rng = TestRng::deterministic("rec");
+        let mut rng = test_rng("rec");
         for _ in 0..50 {
             let t = s.generate(&mut rng);
             fn depth(t: &Tree) -> usize {

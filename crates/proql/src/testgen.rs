@@ -7,48 +7,16 @@
 //! `tests/differential.rs` — and downstream crates can drive it. The
 //! generator only produces statements the parser accepts and the
 //! canonical [`Display`](crate::ast::Statement) round-trips, which is
-//! itself property-tested in `tests/integration.rs`.
+//! itself property-tested in `tests/integration.rs`. Every draw comes
+//! from the workspace's one seeded generator, `rand::rngs::StdRng`.
 
 use lipstick_core::{NodeKind, ProvGraph};
+use rand::rngs::StdRng;
 
 use crate::ast::{
     Aggregate, CmpOp, Comparison, Field, Lit, NodeClass, NodeRef, OrderBy, Predicate, Query,
     SemiringName, SetExpr, SetTerm, Shaping, SortKey, Statement, WalkDir,
 };
-
-/// Deterministic splitmix64 generator — self-contained so the library
-/// does not depend on any proptest machinery.
-pub struct Rng {
-    state: u64,
-}
-
-impl Rng {
-    pub fn new(seed: u64) -> Rng {
-        Rng { state: seed }
-    }
-
-    pub fn next_u64(&mut self) -> u64 {
-        self.state = self.state.wrapping_add(0x9E37_79B9_7F4A_7C15);
-        let mut z = self.state;
-        z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-        z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-        z ^ (z >> 31)
-    }
-
-    /// Uniform draw from `0..n` (`n` > 0).
-    pub fn below(&mut self, n: usize) -> usize {
-        (self.next_u64() as usize) % n
-    }
-
-    /// True with probability `percent`/100.
-    pub fn chance(&mut self, percent: usize) -> bool {
-        self.below(100) < percent
-    }
-
-    fn pick<'a, T>(&mut self, items: &'a [T]) -> &'a T {
-        &items[self.below(items.len())]
-    }
-}
 
 /// What a graph offers the generator: its visible node ids, base
 /// tokens, and module names.
@@ -108,7 +76,7 @@ impl Vocab {
 /// dangle and some zooms target already-zoomed (or never-zoomed)
 /// modules on purpose: failed mutations must also fail identically
 /// everywhere.
-pub fn mutation(v: &Vocab, rng: &mut Rng) -> Statement {
+pub fn mutation(v: &Vocab, rng: &mut StdRng) -> Statement {
     match rng.below(100) {
         0..=39 => Statement::DeletePropagate(node_ref(v, rng)),
         40..=59 if !v.modules.is_empty() => Statement::ZoomOut(vec![rng.pick(&v.modules).clone()]),
@@ -130,7 +98,7 @@ pub fn mutation(v: &Vocab, rng: &mut Rng) -> Statement {
 /// succeeds still depends on session state (a `ZOOM IN` of a module
 /// that is not zoomed out fails cleanly), which is exactly the mix of
 /// acked and erroring mutations the harness wants.
-pub fn mutation_script(v: &Vocab, rng: &mut Rng, len: usize) -> Vec<Statement> {
+pub fn mutation_script(v: &Vocab, rng: &mut StdRng, len: usize) -> Vec<Statement> {
     (0..len).map(|_| mutation(v, rng)).collect()
 }
 
@@ -138,7 +106,7 @@ pub fn mutation_script(v: &Vocab, rng: &mut Rng, len: usize) -> Vec<Statement> {
 /// with `WHY`/`DEPENDS`/`EVAL` mixed in. A few percent of node
 /// references are deliberately dangling so the error paths are
 /// differentially tested too.
-pub fn statement(v: &Vocab, rng: &mut Rng) -> Statement {
+pub fn statement(v: &Vocab, rng: &mut StdRng) -> Statement {
     match rng.below(100) {
         0..=69 => Statement::Query(query(v, rng)),
         70..=79 => Statement::Why(node_ref(v, rng)),
@@ -156,7 +124,7 @@ pub fn statement(v: &Vocab, rng: &mut Rng) -> Statement {
     }
 }
 
-fn query(v: &Vocab, rng: &mut Rng) -> Query {
+fn query(v: &Vocab, rng: &mut StdRng) -> Query {
     let expr = set_expr(v, rng, 2);
     let shaping = if rng.chance(15) {
         Shaping {
@@ -204,7 +172,7 @@ fn query(v: &Vocab, rng: &mut Rng) -> Query {
     Query { expr, shaping }
 }
 
-fn set_expr(v: &Vocab, rng: &mut Rng, depth: usize) -> SetExpr {
+fn set_expr(v: &Vocab, rng: &mut StdRng, depth: usize) -> SetExpr {
     if depth > 0 && rng.chance(25) {
         let lhs = set_expr(v, rng, depth - 1);
         let rhs = SetExpr::Term(set_term(v, rng, depth - 1));
@@ -218,7 +186,7 @@ fn set_expr(v: &Vocab, rng: &mut Rng, depth: usize) -> SetExpr {
     }
 }
 
-fn set_term(v: &Vocab, rng: &mut Rng, depth: usize) -> SetTerm {
+fn set_term(v: &Vocab, rng: &mut StdRng, depth: usize) -> SetTerm {
     match rng.below(100) {
         0..=54 => SetTerm::Match {
             class: *rng.pick(&[
@@ -248,7 +216,7 @@ fn set_term(v: &Vocab, rng: &mut Rng, depth: usize) -> SetTerm {
     }
 }
 
-fn field(rng: &mut Rng) -> Field {
+fn field(rng: &mut StdRng) -> Field {
     *rng.pick(&[
         Field::Module,
         Field::Kind,
@@ -258,7 +226,7 @@ fn field(rng: &mut Rng) -> Field {
     ])
 }
 
-fn predicate(v: &Vocab, rng: &mut Rng) -> Predicate {
+fn predicate(v: &Vocab, rng: &mut StdRng) -> Predicate {
     let n = match rng.below(100) {
         0..=39 => 0,
         40..=79 => 1,
@@ -269,7 +237,7 @@ fn predicate(v: &Vocab, rng: &mut Rng) -> Predicate {
     }
 }
 
-fn comparison(v: &Vocab, rng: &mut Rng) -> Comparison {
+fn comparison(v: &Vocab, rng: &mut StdRng) -> Comparison {
     let field = field(rng);
     let like = rng.chance(30);
     let op = if like {
@@ -298,7 +266,7 @@ fn comparison(v: &Vocab, rng: &mut Rng) -> Comparison {
 
 /// A `%`/`_` pattern derived from a real value of the field (so some
 /// patterns match) or junk (so some don't).
-fn pattern(v: &Vocab, rng: &mut Rng, field: Field) -> String {
+fn pattern(v: &Vocab, rng: &mut StdRng, field: Field) -> String {
     let source = match field {
         Field::Module if !v.modules.is_empty() => rng.pick(&v.modules).clone(),
         Field::Token if !v.tokens.is_empty() => rng.pick(&v.tokens).clone(),
@@ -331,7 +299,7 @@ fn pattern(v: &Vocab, rng: &mut Rng, field: Field) -> String {
     }
 }
 
-fn literal(v: &Vocab, rng: &mut Rng, field: Field) -> Lit {
+fn literal(v: &Vocab, rng: &mut StdRng, field: Field) -> Lit {
     // Occasionally a type-mismatched or junk literal, to cover the
     // `=`-fails / `!=`-holds semantics.
     if rng.chance(10) {
@@ -361,7 +329,7 @@ fn literal(v: &Vocab, rng: &mut Rng, field: Field) -> Lit {
     }
 }
 
-fn node_ref(v: &Vocab, rng: &mut Rng) -> NodeRef {
+fn node_ref(v: &Vocab, rng: &mut StdRng) -> NodeRef {
     if rng.chance(5) {
         // Dangling on purpose: both backends must report the same
         // resolution error.

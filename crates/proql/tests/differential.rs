@@ -40,14 +40,16 @@
 //! pins a deterministic, bounded run; generation itself is seeded and
 //! deterministic.
 
-use lipstick_core::{GraphTracker, ProvGraph};
+mod common;
+
+use common::{case_budget, random_graph};
+use lipstick_core::ProvGraph;
 use lipstick_proql::ast::Statement;
-use lipstick_proql::testgen::{self, Rng, Vocab};
+use lipstick_proql::testgen::{self, Vocab};
 use lipstick_proql::{ProqlError, Session};
 use lipstick_serve::{Client, Reply, Server, ServerConfig};
 use lipstick_storage::write_graph_v2;
-use lipstick_workflowgen::arctic::{self, ArcticParams, Selectivity, Topology};
-use lipstick_workflowgen::dealers::{self, DealersParams};
+use rand::{rngs::StdRng, SeedableRng};
 
 /// Statements per generated graph (each graph pays for a log write,
 /// two session opens, and a server start).
@@ -56,46 +58,6 @@ const STMTS_PER_GRAPH: usize = 32;
 /// One mutation is interleaved after every run of this many read-only
 /// statements.
 const MUTATE_EVERY: usize = 8;
-
-fn case_budget() -> usize {
-    std::env::var("PROPTEST_CASES")
-        .ok()
-        .and_then(|s| s.parse().ok())
-        .unwrap_or(256)
-}
-
-/// A random small WorkflowGen graph: alternate the two workload
-/// families, varying their shape parameters.
-fn random_graph(rng: &mut Rng) -> ProvGraph {
-    let mut tracker = GraphTracker::new();
-    if rng.chance(50) {
-        let params = DealersParams {
-            num_cars: 6 + rng.below(20),
-            num_exec: 1 + rng.below(3),
-            seed: rng.next_u64(),
-        };
-        dealers::run_declining(&params, &mut tracker).expect("dealers run");
-    } else {
-        let params = ArcticParams {
-            stations: 2 + rng.below(4),
-            topology: match rng.below(3) {
-                0 => Topology::Serial,
-                1 => Topology::Parallel,
-                _ => Topology::Dense { fanout: 2 },
-            },
-            selectivity: [
-                Selectivity::All,
-                Selectivity::Season,
-                Selectivity::Month,
-                Selectivity::Year,
-            ][rng.below(4)],
-            num_exec: 1 + rng.below(2),
-            seed: rng.next_u64(),
-        };
-        arctic::run(&params, &mut tracker).expect("arctic run");
-    }
-    tracker.finish()
-}
 
 fn temp_log(graph: &ProvGraph, tag: usize) -> std::path::PathBuf {
     let dir = std::env::temp_dir().join(format!("lipstick-proql-diff-{}", std::process::id()));
@@ -256,7 +218,7 @@ fn comparable_actuals(answer: Answer) -> Answer {
 #[test]
 fn explain_analyze_actuals_agree_across_engines() {
     let budget = (case_budget() / 4).max(16);
-    let mut rng = Rng::new(0x0b5e_12ab_1e0a_c715);
+    let mut rng = StdRng::seed_from_u64(0x0b5e_12ab_1e0a_c715);
     let mut executed = 0usize;
     let mut graph_tag = 1_000usize; // distinct temp-file range from the main test
 
@@ -333,7 +295,7 @@ const INVALID_CORPUS: &[&str] = &[
 /// invalid statements and for a seeded stream of generated valid ones.
 #[test]
 fn check_diagnostics_agree_byte_for_byte_across_engines() {
-    let mut rng = Rng::new(0xc4ec_d1a6_0357_11ab);
+    let mut rng = StdRng::seed_from_u64(0xc4ec_d1a6_0357_11ab);
     let graph = random_graph(&mut rng);
     let vocab = Vocab::from_graph(&graph);
     let path = temp_log(&graph, 9_000);
@@ -405,7 +367,7 @@ fn reopen_paged(path: &std::path::Path, resident: &Session) -> Session {
 #[test]
 fn differential_resident_paged_server() {
     let budget = case_budget();
-    let mut rng = Rng::new(0x11f5_71c4_d1ff_e001);
+    let mut rng = StdRng::seed_from_u64(0x11f5_71c4_d1ff_e001);
     let mut executed = 0usize;
     let mut graph_tag = 0usize;
 

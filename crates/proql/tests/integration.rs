@@ -761,10 +761,11 @@ fn limit_zero_and_empty_aggregates_are_well_formed() {
 #[test]
 fn display_round_trips_generated_statements() {
     use lipstick_proql::parser::parse_statement;
-    use lipstick_proql::testgen::{self, Rng, Vocab};
+    use lipstick_proql::testgen::{self, Vocab};
+    use rand::{rngs::StdRng, SeedableRng};
 
     let vocab = Vocab::from_graph(&dealers_graph());
-    let mut rng = Rng::new(0xd15b_1a4f_600d_cafe);
+    let mut rng = StdRng::seed_from_u64(0xd15b_1a4f_600d_cafe);
     let cases = std::env::var("PROPTEST_CASES")
         .ok()
         .and_then(|s| s.parse().ok())

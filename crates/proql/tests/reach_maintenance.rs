@@ -22,65 +22,26 @@
 //! and kind postings, which the resident graph drops on every mutation
 //! and rebuilds on the next read, and which its v2 footer must repeat.
 
+mod common;
+
+use common::{case_budget, random_graph, random_tracker};
 use lipstick_core::graph::validate::check_structure;
 use lipstick_core::graph::ShardTracker;
 use lipstick_core::query::{traverse, Direction, ReachIndex};
 use lipstick_core::{GraphStore, GraphTracker, NodeId, NodeKind, ProvGraph, Tracker};
 use lipstick_proql::ast::Statement;
-use lipstick_proql::testgen::{self, Rng, Vocab};
+use lipstick_proql::testgen::{self, Vocab};
 use lipstick_proql::{ProqlError, Session};
 use lipstick_storage::{encode_graph_v2, write_graph, write_graph_v2, LogIndex};
 use lipstick_workflowgen::arctic::{self, ArcticParams, Selectivity, Topology};
-use lipstick_workflowgen::dealers::{self, DealersParams};
+use rand::{rngs::StdRng, SeedableRng};
 
 /// Mutations per generated graph.
 const MUTATIONS_PER_GRAPH: usize = 12;
 
-fn case_budget() -> usize {
-    std::env::var("PROPTEST_CASES")
-        .ok()
-        .and_then(|s| s.parse().ok())
-        .unwrap_or(256)
-}
-
-fn random_graph(rng: &mut Rng) -> ProvGraph {
-    random_tracker(rng).finish()
-}
-
-fn random_tracker(rng: &mut Rng) -> GraphTracker {
-    let mut tracker = GraphTracker::new();
-    if rng.chance(50) {
-        let params = DealersParams {
-            num_cars: 6 + rng.below(16),
-            num_exec: 1 + rng.below(3),
-            seed: rng.next_u64(),
-        };
-        dealers::run_declining(&params, &mut tracker).expect("dealers run");
-    } else {
-        let params = ArcticParams {
-            stations: 2 + rng.below(4),
-            topology: match rng.below(3) {
-                0 => Topology::Serial,
-                1 => Topology::Parallel,
-                _ => Topology::Dense { fanout: 2 },
-            },
-            selectivity: [
-                Selectivity::All,
-                Selectivity::Season,
-                Selectivity::Month,
-                Selectivity::Year,
-            ][rng.below(4)],
-            num_exec: 1 + rng.below(2),
-            seed: rng.next_u64(),
-        };
-        arctic::run(&params, &mut tracker).expect("arctic run");
-    }
-    tracker
-}
-
 /// Drive `graph` through `mutations` random mutation statements on an
 /// indexed session, checking the maintained index after every step.
-fn mutate_and_check(graph: ProvGraph, mutations: usize, rng: &mut Rng) {
+fn mutate_and_check(graph: ProvGraph, mutations: usize, rng: &mut StdRng) {
     let vocab = Vocab::from_graph(&graph);
     let mut session = Session::new(graph);
     session.run_one("BUILD INDEX").unwrap();
@@ -120,7 +81,7 @@ fn mutate_and_check(graph: ProvGraph, mutations: usize, rng: &mut Rng) {
 /// The independent oracle: every visible node's rows equal an unbounded
 /// BFS in that direction, its counts equal those BFS sizes (the row
 /// lengths), and `reaches` agrees with the rows on sampled pairs.
-fn assert_matches_bfs(index: &ReachIndex, graph: &ProvGraph, rng: &mut Rng, after: &str) {
+fn assert_matches_bfs(index: &ReachIndex, graph: &ProvGraph, rng: &mut StdRng, after: &str) {
     let visible: Vec<NodeId> = graph.iter_visible().map(|(id, _)| id).collect();
     let bfs = |v: NodeId, direction: Direction| {
         traverse(graph, v, direction, None, |_| true)
@@ -165,7 +126,7 @@ fn assert_matches_bfs(index: &ReachIndex, graph: &ProvGraph, rng: &mut Rng, afte
 #[test]
 fn repaired_index_is_bit_identical_to_fresh_build() {
     let budget = case_budget();
-    let mut rng = Rng::new(0x005e_a1c1_050f_f1ce);
+    let mut rng = StdRng::seed_from_u64(0x005e_a1c1_050f_f1ce);
     let mut executed = 0usize;
     while executed < budget {
         let graph = random_graph(&mut rng);
@@ -188,7 +149,7 @@ fn dense_arctic_index_matches_bfs_through_mutations() {
     };
     let mut tracker = GraphTracker::new();
     arctic::run(&params, &mut tracker).expect("arctic run");
-    let mut rng = Rng::new(0x0de5_e6a2_c1c0_0006);
+    let mut rng = StdRng::seed_from_u64(0x0de5_e6a2_c1c0_0006);
     mutate_and_check(tracker.finish(), MUTATIONS_PER_GRAPH, &mut rng);
 }
 
@@ -202,7 +163,7 @@ fn assert_count_matches_arena(graph: &ProvGraph, after: &str) {
 
 /// A worker shard deriving one module's worth of nodes from two
 /// imported global nodes, merged the way the parallel executor does.
-fn absorb_random_shard(tracker: &mut GraphTracker, rng: &mut Rng) {
+fn absorb_random_shard(tracker: &mut GraphTracker, rng: &mut StdRng) {
     let globals = tracker.graph().len();
     let mut shard = ShardTracker::new();
     let a = shard.import(NodeId(rng.below(globals) as u32));
@@ -242,7 +203,7 @@ fn assert_append_count_matches_sweep(append: &Session, resident: &Session, after
 #[test]
 fn visible_count_matches_arena_after_every_step() {
     let budget = case_budget();
-    let mut rng = Rng::new(0x00c0_ffee_0fa1_15ee);
+    let mut rng = StdRng::seed_from_u64(0x00c0_ffee_0fa1_15ee);
     let v1 = temp_path("round_trip_v1.lpstk");
     let v2 = temp_path("round_trip_v2.lpstk");
     let tailed = temp_path("append.lpstk");

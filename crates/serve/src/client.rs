@@ -46,23 +46,20 @@ impl RetryPolicy {
     }
 }
 
-/// Cheap process-wide jitter source: a splitmix64 stream seeded from
-/// the clock once. Statistical quality hardly matters — the point is
-/// only that concurrent clients desynchronize their retries.
+/// Cheap process-wide jitter source: a counter seeded from the clock
+/// once, hashed by `rand::mix`. Statistical quality hardly matters —
+/// the point is only that concurrent clients desynchronize their
+/// retries.
 fn jitter_below(bound: u64) -> u64 {
     static STATE: AtomicU64 = AtomicU64::new(0);
     if STATE.load(Ordering::Relaxed) == 0 {
         let seed = std::time::SystemTime::now()
             .duration_since(std::time::UNIX_EPOCH)
-            .map_or(0x9e37_79b9, |d| d.as_nanos() as u64)
+            .map_or(1, |d| d.as_nanos() as u64)
             | 1;
         let _ = STATE.compare_exchange(0, seed, Ordering::Relaxed, Ordering::Relaxed);
     }
-    let mut x = STATE.fetch_add(0x9e37_79b9_7f4a_7c15, Ordering::Relaxed);
-    x = (x ^ (x >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-    x = (x ^ (x >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-    x ^= x >> 31;
-    x % bound.max(1)
+    rand::mix(STATE.fetch_add(1, Ordering::Relaxed)) % bound.max(1)
 }
 
 /// Is this transport error worth a reconnect-and-retry? Connection

@@ -580,6 +580,7 @@ fn hex_val(b: Option<&u8>) -> Option<u8> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use rand::{rngs::StdRng, SeedableRng};
 
     #[test]
     fn classifies_http_and_proql_first_lines() {
@@ -784,16 +785,14 @@ mod tests {
         .collect();
         payloads.push(big_payload());
         // Seeded strings over an alphabet heavy in newlines.
-        let mut x = 0x2545_f491_4f6c_dd1du64;
+        let mut rng = StdRng::seed_from_u64(0x2545_f491_4f6c_dd1d);
         for _ in 0..500 {
-            let mut p = String::new();
-            x ^= x << 13;
-            x ^= x >> 7;
-            x ^= x << 17;
-            for k in 0..x % 24 {
-                p.push(['a', '\n', ' ', 'é', ';'][((x >> (2 * k)) % 5) as usize]);
-            }
-            payloads.push(p);
+            let len = rng.below(24);
+            payloads.push(
+                (0..len)
+                    .map(|_| *rng.pick(&['a', '\n', ' ', 'é', ';']))
+                    .collect(),
+            );
         }
         for payload in payloads {
             let wire = framed_ok(&payload);

@@ -20,6 +20,7 @@ use lipstick_serve::proto::{
     FirstLine, ProtoError, Reply,
 };
 use proptest::prelude::*;
+use rand::{mutate, rngs::StdRng, SeedableRng};
 
 /// Mutated inputs per framing per case.
 const MUTATIONS: usize = 64;
@@ -85,69 +86,28 @@ fn bounded<T>(what: &str, input: &[u8], decode: impl FnOnce(&[u8]) -> T) -> T {
     out
 }
 
-struct Rng(u64);
-
-impl Rng {
-    fn next(&mut self) -> u64 {
-        let mut x = self.0.wrapping_add(0x9e37_79b9_7f4a_7c15);
-        x ^= x >> 30;
-        x = x.wrapping_mul(0xbf58_476d_1ce4_e5b9);
-        x ^= x >> 27;
-        self.0 = x;
-        x
-    }
-
-    fn below(&mut self, n: usize) -> usize {
-        (self.next() % n.max(1) as u64) as usize
-    }
-}
-
-/// One to three bit flips, byte overwrites, truncations, or a large
-/// decimal spliced in (so declared counts and lengths get big).
-fn mutate(src: &[u8], rng: &mut Rng) -> Vec<u8> {
-    let mut out = src.to_vec();
-    for _ in 0..1 + rng.below(3) {
-        if out.is_empty() {
-            break;
-        }
-        let at = rng.below(out.len());
-        match rng.below(4) {
-            0 => out[at] ^= 1 << rng.below(8),
-            1 => out[at] = rng.next().to_le_bytes()[0],
-            2 => out.truncate(at),
-            _ => {
-                let digits = (rng.next() >> rng.below(64)).to_string();
-                out.splice(at..at, digits.into_bytes());
-            }
-        }
-    }
-    out
-}
-
 /// A payload of up to 12 lines over an alphabet with blank lines,
 /// `\r`, multi-byte characters and protocol keywords.
-fn payload(rng: &mut Rng) -> String {
+fn payload(rng: &mut StdRng) -> String {
     const PIECES: [&str; 8] = ["N12", " ", "\n", "\r", "é", "OK 3", "cache_hit=1", ""];
-    (0..rng.below(24))
-        .map(|_| PIECES[rng.below(PIECES.len())])
-        .collect()
+    (0..rng.below(24)).map(|_| *rng.pick(&PIECES)).collect()
 }
 
 /// Two framed replies back to back, as a pipelined connection would
 /// see them.
-fn framed_replies(rng: &mut Rng) -> Vec<u8> {
+fn framed_replies(rng: &mut StdRng) -> Vec<u8> {
     let mut wire = Vec::new();
     for _ in 0..2 {
         let framed = match rng.below(4) {
             0 => write_err(&mut wire, &payload(rng)),
-            1 => write_busy(&mut wire, rng.next() % 10_000),
+            1 => write_busy(&mut wire, rng.next_u64() % 10_000),
             _ => write_ok(
                 &mut wire,
                 &payload(rng),
                 rng.below(2) == 1,
-                rng.next() % 1_000,
-                rng.next() % 100_000,
-                rng.next() % 100,
+                rng.next_u64() % 1_000,
+                rng.next_u64() % 100_000,
+                rng.next_u64() % 100,
             ),
         };
         assert!(framed.is_ok(), "a Vec never fails a write");
@@ -156,7 +116,7 @@ fn framed_replies(rng: &mut Rng) -> Vec<u8> {
 }
 
 /// An HTTP request the shim answers.
-fn http_request(rng: &mut Rng) -> Vec<u8> {
+fn http_request(rng: &mut StdRng) -> Vec<u8> {
     let body = payload(rng);
     match rng.below(3) {
         0 => format!(
@@ -270,7 +230,7 @@ fn decode_http(wire: &[u8]) {
 proptest! {
     #[test]
     fn mutated_frames_never_panic_or_overallocate(seed: u64) {
-        let mut rng = Rng(seed);
+        let mut rng = StdRng::seed_from_u64(seed);
         let replies = framed_replies(&mut rng);
         let request = http_request(&mut rng);
         for _ in 0..MUTATIONS {

@@ -6,24 +6,7 @@ use std::path::PathBuf;
 
 use lipstick_serve::qlog::{read_log, QueryEvent, QueryLog, QueryLogConfig};
 use proptest::prelude::*;
-
-/// Deterministic xorshift so every case reproduces from its seed.
-struct Rng(u64);
-
-impl Rng {
-    fn next(&mut self) -> u64 {
-        let mut x = self.0.wrapping_add(0x9e37_79b9_7f4a_7c15);
-        x ^= x >> 30;
-        x = x.wrapping_mul(0xbf58_476d_1ce4_e5b9);
-        x ^= x >> 27;
-        self.0 = x;
-        x
-    }
-
-    fn below(&mut self, n: usize) -> usize {
-        (self.next() % n.max(1) as u64) as usize
-    }
-}
+use rand::{rngs::StdRng, SeedableRng};
 
 fn scratch_path(tag: u64) -> PathBuf {
     std::env::temp_dir().join(format!(
@@ -44,7 +27,7 @@ fn cleanup(path: &PathBuf) {
 proptest! {
     #[test]
     fn rotation_loses_and_duplicates_nothing(seed: u64) {
-        let mut rng = Rng(seed);
+        let mut rng = StdRng::seed_from_u64(seed);
         let events = 20 + rng.below(60);
         // Tiny rotation thresholds force rotation every few appends
         // (an event line is ~150 bytes); `keep` is sized so nothing is
@@ -60,16 +43,16 @@ proptest! {
         for i in 0..events {
             log.append(QueryEvent {
                 seq: u64::MAX, // overwritten by the log
-                ts_us: rng.next() % 1_000_000,
-                client: rng.next() % 8,
+                ts_us: rng.next_u64() % 1_000_000,
+                client: rng.next_u64() % 8,
                 stmt: format!("MATCH base-nodes LIMIT {i}"),
                 key: format!("MATCH base-nodes LIMIT {i}"),
                 outcome: if rng.below(10) == 0 { "err" } else { "ok" }.into(),
                 cache_hit: rng.below(2) == 0,
-                time_us: rng.next() % 10_000,
-                reads: rng.next() % 100,
-                epoch: rng.next() % 4,
-                result_fnv: rng.next(),
+                time_us: rng.next_u64() % 10_000,
+                reads: rng.next_u64() % 100,
+                epoch: rng.next_u64() % 4,
+                result_fnv: rng.next_u64(),
             });
         }
         let rotations = log.generation();

@@ -68,9 +68,9 @@ pub fn get_value(r: &mut Reader<'_>) -> Result<Value> {
         3 => Value::Float(f64::from_bits(u64::from_be_bytes(r.array()?))),
         4 => Value::Str(Arc::from(r.str()?.as_str())),
         5 => Value::Tuple(get_tuple(r)?),
-        6 => Value::Bag(Bag::from_tuples(r.list(get_tuple)?)),
+        6 => Value::Bag(Bag::from_tuples(r.list(1, get_tuple)?)),
         7 => {
-            let entries = r.list(|r| Ok((r.str()?, get_value(r)?)))?;
+            let entries = r.list(2, |r| Ok((r.str()?, get_value(r)?)))?;
             Value::Map(Arc::new(entries.into_iter().collect::<BTreeMap<_, _>>()))
         }
         other => return Err(StorageError::Corrupt(format!("unknown value tag {other}"))),
@@ -87,7 +87,7 @@ pub fn put_tuple(buf: &mut Vec<u8>, t: &Tuple) {
 
 /// Read a tuple.
 pub fn get_tuple(r: &mut Reader<'_>) -> Result<Tuple> {
-    Ok(Tuple::new(r.list(get_value)?))
+    Ok(Tuple::new(r.list(1, get_value)?))
 }
 
 // ----- node kinds -----
@@ -294,7 +294,7 @@ pub fn get_record(r: &mut Reader<'_>) -> Result<NodeRecord> {
     let flags = r.u8()?;
     let role = get_role(r)?;
     let kind = get_kind(r)?;
-    let preds = r.list(|r| Ok(NodeId(r.var_u32()?)))?;
+    let preds = r.list(1, |r| Ok(NodeId(r.var_u32()?)))?;
     Ok(NodeRecord {
         deleted: flags & 1 != 0,
         role,

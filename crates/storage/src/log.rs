@@ -152,7 +152,8 @@ pub(crate) fn put_invocations(buf: &mut Vec<u8>, invocations: &[InvocationInfo])
 /// tail's may point forward into its own batch); a sealed file's go
 /// through [`get_sealed_invocations`].
 pub(crate) fn get_invocations(r: &mut Reader<'_>) -> Result<Vec<InvocationInfo>> {
-    r.list(|r| {
+    // The narrowest entry: an empty module name and two one-byte ids.
+    r.list(3, |r| {
         Ok(InvocationInfo {
             module: r.str()?,
             execution: r.var_u32()?,

@@ -37,7 +37,7 @@ use lipstick_core::graph::InvocationInfo;
 use lipstick_core::obs::fnv1a64;
 use lipstick_core::NodeId;
 
-use crate::codec::{get_record, put_record, NodeRecord};
+use crate::codec::{get_record, put_record, NodeRecord, MIN_RECORD_BYTES};
 use crate::error::{Result, StorageError};
 use crate::log::{get_invocations, put_invocations};
 use crate::reader::Reader;
@@ -176,17 +176,17 @@ pub fn decode_payload(payload: &[u8]) -> Result<TailRecord> {
     let mut r = Reader::new(payload);
     let record = match r.u8()? {
         TAG_APPEND_GRAPH => TailRecord::AppendGraph {
-            nodes: r.list(get_record)?,
+            nodes: r.list(MIN_RECORD_BYTES, get_record)?,
             invocations: get_invocations(&mut r)?,
         },
         TAG_TOMBSTONES => TailRecord::Tombstones {
-            ids: r.list(|r| Ok(NodeId(r.var_u32()?)))?,
+            ids: r.list(1, |r| Ok(NodeId(r.var_u32()?)))?,
         },
         TAG_ZOOM_OUT => TailRecord::ZoomOut {
-            modules: r.list(Reader::str)?,
+            modules: r.list(1, Reader::str)?,
         },
         TAG_ZOOM_IN => TailRecord::ZoomIn {
-            modules: r.list(Reader::str)?,
+            modules: r.list(1, Reader::str)?,
         },
         other => {
             return Err(StorageError::Corrupt(format!(

@@ -98,10 +98,17 @@ impl Reader<'_> {
             .map_err(|_| StorageError::Corrupt("invalid UTF-8".into()))
     }
 
-    /// Read a count, then that many elements with `item`.
-    pub fn list<T>(&mut self, mut item: impl FnMut(&mut Self) -> Result<T>) -> Result<Vec<T>> {
+    /// Read a count, then that many elements with `item`, each at least
+    /// `min_width` bytes long. The reservation is capped at what the
+    /// remaining input can hold, so a corrupt count sizes nothing larger
+    /// than the bytes themselves and a valid list never reallocates.
+    pub fn list<T>(
+        &mut self,
+        min_width: usize,
+        mut item: impl FnMut(&mut Self) -> Result<T>,
+    ) -> Result<Vec<T>> {
         let n = self.count()?;
-        let mut out = Vec::with_capacity(n);
+        let mut out = Vec::with_capacity(n.min(self.remaining() / min_width.max(1)));
         for _ in 0..n {
             out.push(item(self)?);
         }

@@ -1,33 +1,15 @@
-//! What the storage integration tests share: a seeded generator and
-//! the random provenance graphs built from it.
+//! What the storage integration tests share: the random provenance
+//! graphs built from the workspace's seeded generator.
 
 use lipstick_core::agg::AggOp;
 use lipstick_core::{NodeId, NodeKind, ProvGraph, Role};
 use lipstick_nrel::Value;
-
-/// Deterministic xorshift so every proptest case is reproducible from
-/// its seed.
-pub struct Rng(pub u64);
-
-impl Rng {
-    pub fn next(&mut self) -> u64 {
-        let mut x = self.0.wrapping_add(0x9e37_79b9_7f4a_7c15);
-        x ^= x >> 30;
-        x = x.wrapping_mul(0xbf58_476d_1ce4_e5b9);
-        x ^= x >> 27;
-        self.0 = x;
-        x
-    }
-
-    pub fn below(&mut self, n: usize) -> usize {
-        (self.next() % n.max(1) as u64) as usize
-    }
-}
+use rand::{rngs::StdRng, SeedableRng};
 
 /// A random DAG exercising kinds, roles, invocations, edges to earlier
 /// nodes, and tombstones.
 pub fn random_graph(seed: u64) -> ProvGraph {
-    let mut rng = Rng(seed);
+    let mut rng = StdRng::seed_from_u64(seed);
     let mut g = ProvGraph::new();
     let modules = ["Malpha", "Mbeta"];
     let mut invs = Vec::new();
@@ -45,7 +27,7 @@ pub fn random_graph(seed: u64) -> ProvGraph {
             2 => NodeKind::Times,
             3 => NodeKind::Delta,
             4 => NodeKind::Const {
-                value: Value::Int(rng.next() as i64),
+                value: Value::Int(rng.next_u64() as i64),
             },
             5 => NodeKind::Tensor,
             6 => NodeKind::AggResult { op: AggOp::Count },

@@ -7,6 +7,8 @@
 //! splice makes possible: the fault cache survives the COMPACT and
 //! answers exactly like a cold open of the new file.
 
+mod signature;
+
 use std::fs;
 use std::path::PathBuf;
 
@@ -17,25 +19,8 @@ use lipstick_core::store::GraphStore;
 use lipstick_core::{NodeId, NodeKind, ProvGraph, Tracker};
 use lipstick_storage::{encode_graph_v2, write_graph_v2, AppendLog, PagedLog};
 use proptest::prelude::*;
-
-/// Deterministic xorshift so every proptest case is reproducible from
-/// its seed (same idiom as the torn-write suite).
-struct Rng(u64);
-
-impl Rng {
-    fn next(&mut self) -> u64 {
-        let mut x = self.0.wrapping_add(0x9e37_79b9_7f4a_7c15);
-        x ^= x >> 30;
-        x = x.wrapping_mul(0xbf58_476d_1ce4_e5b9);
-        x ^= x >> 27;
-        self.0 = x;
-        x
-    }
-
-    fn below(&mut self, n: usize) -> usize {
-        (self.next() % n.max(1) as u64) as usize
-    }
-}
+use rand::{rngs::StdRng, SeedableRng};
+use signature::store_signature;
 
 const MODULES: [&str; 3] = ["Mload", "Mjoin", "Magg"];
 
@@ -44,7 +29,7 @@ const MODULES: [&str; 3] = ["Mload", "Mjoin", "Magg"];
 /// with a state tuple per invocation. Ends with a node wired *into* an
 /// earlier one, so the fragment carries a forward reference — a pred
 /// whose id is larger than the node's own.
-fn workflow_graph(rng: &mut Rng, execution: u32, extra_module: Option<&str>) -> ProvGraph {
+fn workflow_graph(rng: &mut StdRng, execution: u32, extra_module: Option<&str>) -> ProvGraph {
     let mut t = GraphTracker::new();
     let mut feed: Vec<_> = (0..2 + rng.below(3))
         .map(|i| t.base(&format!("t{execution}_{i}")))
@@ -73,29 +58,6 @@ fn workflow_graph(rng: &mut Rng, execution: u32, extra_module: Option<&str>) -> 
     let late = g.add_base(&format!("late{execution}"));
     g.add_edge(late, first_plus.unwrap_or(last));
     g
-}
-
-/// Visible labelled nodes + visible edges (successor order is a
-/// store's own business, so edges are compared sorted).
-type StoreSignature = (Vec<(u32, String)>, Vec<(u32, u32)>);
-
-fn store_signature<S: GraphStore + ?Sized>(s: &S) -> StoreSignature {
-    let mut nodes = Vec::new();
-    let mut edges = Vec::new();
-    for i in 0..s.node_count() {
-        let id = NodeId(i as u32);
-        if !s.is_visible(id) {
-            continue;
-        }
-        nodes.push((id.0, s.kind_of(id).label()));
-        for &t in s.succs_of(id).iter() {
-            if s.is_visible(t) {
-                edges.push((id.0, t.0));
-            }
-        }
-    }
-    edges.sort_unstable();
-    (nodes, edges)
 }
 
 fn temp_path(tag: &str) -> PathBuf {
@@ -130,7 +92,7 @@ impl Mirrored {
         }
     }
 
-    fn ingest(&mut self, rng: &mut Rng, extra_module: Option<&str>) {
+    fn ingest(&mut self, rng: &mut StdRng, extra_module: Option<&str>) {
         self.execution += 1;
         let fragment = workflow_graph(rng, self.execution, extra_module);
         assert!(
@@ -145,7 +107,7 @@ impl Mirrored {
 
     /// Tombstone the deletion cone of a random visible node — sealed or
     /// appended, whichever the roll lands on.
-    fn delete(&mut self, rng: &mut Rng) {
+    fn delete(&mut self, rng: &mut StdRng) {
         let visible: Vec<NodeId> = self.mirror.iter_visible().map(|(id, _)| id).collect();
         if visible.is_empty() {
             return;
@@ -159,7 +121,7 @@ impl Mirrored {
     }
 
     /// ZOOM OUT a module, commit `between` while it is out, ZOOM IN.
-    fn zoom_pair(&mut self, rng: &mut Rng, between: impl FnOnce(&mut Mirrored, &mut Rng)) {
+    fn zoom_pair(&mut self, rng: &mut StdRng, between: impl FnOnce(&mut Mirrored, &mut StdRng)) {
         let module = MODULES[rng.below(MODULES.len())];
         let Ok(plans) = plan_zoom_out(&self.log, &[module], &[], self.log.stash_count()) else {
             return; // the module never ran
@@ -218,7 +180,7 @@ impl Mirrored {
     }
 }
 
-fn random_step(m: &mut Mirrored, rng: &mut Rng) {
+fn random_step(m: &mut Mirrored, rng: &mut StdRng) {
     match rng.below(6) {
         0 | 1 => m.ingest(rng, None),
         2 => {
@@ -237,7 +199,7 @@ fn random_step(m: &mut Mirrored, rng: &mut Rng) {
 proptest! {
     #[test]
     fn spliced_image_is_the_reencode_byte_for_byte(seed: u64) {
-        let mut rng = Rng(seed);
+        let mut rng = StdRng::seed_from_u64(seed);
         let mut base = workflow_graph(&mut rng, 0, None);
         // Some seeds start from a base that already holds tombstones.
         if rng.below(2) == 0 {
@@ -272,7 +234,7 @@ proptest! {
 /// footer with it.
 #[test]
 fn header_varint_growth_shifts_every_sealed_record() {
-    let mut rng = Rng(128);
+    let mut rng = StdRng::seed_from_u64(128);
     let mut base = ProvGraph::new();
     base.splice(&workflow_graph(&mut rng, 0, None));
     while base.len() < 127 {
@@ -296,7 +258,7 @@ fn header_varint_growth_shifts_every_sealed_record() {
 /// nothing it had already decoded.
 #[test]
 fn warm_cache_across_compact_answers_like_a_cold_open() {
-    let mut rng = Rng(7);
+    let mut rng = StdRng::seed_from_u64(7);
     let mut m = Mirrored::create("warm", workflow_graph(&mut rng, 0, None));
     m.ingest(&mut rng, None);
     m.compact_and_check();
@@ -358,7 +320,7 @@ fn warm_cache_across_compact_answers_like_a_cold_open() {
 #[test]
 fn carried_cache_meets_new_records_inside_a_block() {
     const SEALED: usize = 127;
-    let mut rng = Rng(64);
+    let mut rng = StdRng::seed_from_u64(64);
     let mut base = ProvGraph::new();
     base.splice(&workflow_graph(&mut rng, 0, None));
     while base.len() < SEALED {

@@ -3,22 +3,23 @@
 //! sidecar (recovery, and payload decode past the checksum).
 //!
 //! Each case encodes one random graph, then applies `MUTATIONS` rounds
-//! of bit flips, byte overwrites and truncations to each encoding. The
-//! assertions: no decoder panics, and whatever decodes is safe to query
-//! — a loaded graph or a verified paged log names only invocations its
-//! table holds, since a query indexes the table by that id, and every
-//! `m` node carries an invocation role, which expression extraction
-//! reads. The full loader, `decode_graph`, must also size nothing
-//! from what the bytes merely declare: its largest single allocation
-//! stays within [`allocation_bound`] of its input. The budget is
-//! `PROPTEST_CASES` graphs × `MUTATIONS`, pinned in CI.
+//! of `rand::mutate` (bit flips, byte overwrites, truncations and
+//! spliced large decimals) to each encoding. The assertions: no decoder
+//! panics, and whatever decodes is safe to query — a loaded graph or a
+//! verified paged log names only invocations its table holds, since a
+//! query indexes the table by that id, and every `m` node carries an
+//! invocation role, which expression extraction reads. Every decoder
+//! must also size nothing from what the bytes merely declare: its
+//! largest single allocation stays within [`allocation_bound`] of its
+//! input. The budget is `PROPTEST_CASES` graphs × `MUTATIONS`, pinned
+//! in CI.
 
 mod common;
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 
-use common::{random_graph, Rng};
+use common::random_graph;
 use lipstick_core::graph::Node;
 use lipstick_core::store::GraphStore;
 use lipstick_core::{NodeId, NodeKind, ProvGraph, Role};
@@ -26,6 +27,7 @@ use lipstick_storage::codec::{NodeRecord, MIN_RECORD_BYTES};
 use lipstick_storage::tail::{self, TailRecord, FRAME_LEN};
 use lipstick_storage::{decode_graph, encode_graph, encode_graph_v2, LogIndex, PagedLog};
 use proptest::prelude::*;
+use rand::{mutate, rngs::StdRng, SeedableRng};
 
 /// Records the largest single allocation this thread asks for.
 struct LargestAllocation;
@@ -70,13 +72,24 @@ fn largest_allocation<T>(f: impl FnOnce() -> T) -> (T, usize) {
     (out, LARGEST.with(Cell::get))
 }
 
-/// The most `decode_graph` may allocate at once for `input_len` bytes:
+/// The most a decoder may allocate at once for `input_len` bytes:
 /// one arena [`Node`] per smallest possible record
 /// (`size_of::<Node>() / MIN_RECORD_BYTES` per input byte), plus 1 KiB.
-/// An arena or table reserved from the header's node count, which
-/// `Reader::count` bounds at only one byte per record, breaks it.
+/// An arena, table or record list reserved from a declared count,
+/// which `Reader::count` bounds at only one byte per item, breaks it.
 fn allocation_bound(input_len: usize) -> usize {
     std::mem::size_of::<Node>() / MIN_RECORD_BYTES * input_len + 1024
+}
+
+/// Run `decode` on `input` and check its allocations stay in bound.
+fn bounded<T>(what: &str, input: &[u8], decode: impl FnOnce(&[u8]) -> T) -> T {
+    let (out, largest) = largest_allocation(|| decode(input));
+    assert!(
+        largest <= allocation_bound(input.len()),
+        "{what}: a {largest}-byte allocation from {} input bytes",
+        input.len()
+    );
+    out
 }
 
 /// Mutated inputs per encoding per case.
@@ -85,23 +98,6 @@ const MUTATIONS: usize = 64;
 /// What the tail header binds to; any values do for decoding.
 const BASE_LEN: u64 = 4096;
 const BASE_NODES: u64 = 64;
-
-/// One to three bit flips, byte overwrites or truncations of `src`.
-fn mutate(src: &[u8], rng: &mut Rng) -> Vec<u8> {
-    let mut out = src.to_vec();
-    for _ in 0..1 + rng.below(3) {
-        if out.is_empty() {
-            break;
-        }
-        let at = rng.below(out.len());
-        match rng.below(3) {
-            0 => out[at] ^= 1 << rng.below(8),
-            1 => out[at] = rng.next().to_le_bytes()[0],
-            _ => out.truncate(at),
-        }
-    }
-    out
-}
 
 /// What a query reads through a node's role: the invocation it names
 /// must be in the table, and an `m` node must name one.
@@ -125,13 +121,7 @@ fn assert_role_is_queryable(what: &str, kind: &NodeKind, role: Role, invocations
 /// Every decoder of a sealed log over `bytes`, which claims
 /// `node_count` nodes before it was mutated.
 fn decode_log(bytes: &[u8], node_count: usize) {
-    let (loaded, largest) = largest_allocation(|| decode_graph(bytes));
-    assert!(
-        largest <= allocation_bound(bytes.len()),
-        "decode_graph: a {largest}-byte allocation from {} input bytes",
-        bytes.len()
-    );
-    if let Ok(g) = loaded {
+    if let Ok(g) = bounded("decode_graph", bytes, decode_graph) {
         for (id, node) in g.iter() {
             assert_role_is_queryable(
                 &format!("loaded node {id}"),
@@ -141,13 +131,13 @@ fn decode_log(bytes: &[u8], node_count: usize) {
             );
         }
     }
-    let _ = LogIndex::parse(bytes, node_count);
-    let Ok(paged) = PagedLog::from_bytes(bytes.to_vec()) else {
+    let _ = bounded("LogIndex::parse", bytes, |b| LogIndex::parse(b, node_count));
+    let Some(paged) = bounded("PagedLog::from_bytes + verify_all", bytes, |b| {
+        let paged = PagedLog::from_bytes(b.to_vec()).ok()?;
+        paged.verify_all().is_ok().then_some(paged)
+    }) else {
         return;
     };
-    if paged.verify_all().is_err() {
-        return;
-    }
     // Verified: every accessor is now safe to call.
     for i in 0..paged.node_count() {
         let id = NodeId(i as u32);
@@ -206,21 +196,22 @@ proptest! {
             tail_file.extend_from_slice(frame);
         }
 
-        let mut rng = Rng(seed ^ 0xf022);
+        let mut rng = StdRng::seed_from_u64(seed ^ 0xf022);
         for _ in 0..MUTATIONS {
             decode_log(&mutate(&v1, &mut rng), g.len());
             decode_log(&mutate(&v2, &mut rng), g.len());
 
             // Recovery keeps a clean prefix of what was written...
             let torn = mutate(&tail_file, &mut rng);
-            if let Ok((recovered, clean)) = tail::recover(&torn, BASE_LEN, BASE_NODES) {
+            let recover = |b: &[u8]| tail::recover(b, BASE_LEN, BASE_NODES);
+            if let Ok((recovered, clean)) = bounded("tail::recover", &torn, recover) {
                 prop_assert!(clean <= torn.len());
                 prop_assert_eq!(recovered.as_slice(), &records[..recovered.len()]);
             }
             // ...so the payload decoder only ever sees checksummed
             // bytes there; hand it garbage directly.
-            let frame = &frames[rng.below(frames.len())];
-            let _ = tail::decode_payload(&mutate(&frame[FRAME_LEN..], &mut rng));
+            let payload = mutate(&rng.pick(&frames)[FRAME_LEN..], &mut rng);
+            let _ = bounded("tail::decode_payload", &payload, tail::decode_payload);
         }
     }
 }
@@ -232,16 +223,28 @@ proptest! {
 fn a_declared_node_count_would_break_the_allocation_bound() {
     let declared = 4096;
     let mut log = b"LPSTK\x01".to_vec();
-    let mut n = declared;
-    while n >= 0x80 {
-        log.push((n as u8) | 0x80);
-        n >>= 7;
-    }
-    log.push(n as u8);
+    lipstick_storage::varint::put_len(&mut log, declared);
     log.resize(log.len() + declared, 0);
     let (loaded, largest) = largest_allocation(|| decode_graph(&log));
     assert!(loaded.is_err(), "zero bytes are no records");
     assert!(largest <= allocation_bound(log.len()), "{largest}");
     let (_, upfront) = largest_allocation(|| Vec::<Node>::with_capacity(declared));
     assert!(upfront > allocation_bound(log.len()), "{upfront}");
+}
+
+/// So is a tail payload's: an `AppendGraph` declaring as many records
+/// as its remaining bytes allow reserves only what they could hold.
+#[test]
+fn a_declared_record_count_is_capped_by_the_payload() {
+    let empty = TailRecord::AppendGraph {
+        nodes: Vec::new(),
+        invocations: Vec::new(),
+    };
+    let mut payload = tail::encode_record(&empty).unwrap()[FRAME_LEN..=FRAME_LEN].to_vec();
+    payload.push(35);
+    payload.resize(45, 0);
+    let (_, largest) = largest_allocation(|| tail::decode_payload(&payload));
+    assert!(largest <= allocation_bound(payload.len()), "{largest}");
+    let (_, upfront) = largest_allocation(|| Vec::<NodeRecord>::with_capacity(35));
+    assert!(upfront > allocation_bound(payload.len()), "{upfront}");
 }

@@ -28,6 +28,8 @@
 //! `FAULT_POINTS=<n>` caps how many op indices each enumeration test
 //! replays (CI pins a budget); unset, every op is exercised.
 
+mod signature;
+
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
 
@@ -38,29 +40,8 @@ use lipstick_core::store::GraphStore;
 use lipstick_core::{NodeId, ProvGraph, Tracker};
 use lipstick_proql::{testgen, ProqlError, QueryOutput, Session};
 use lipstick_storage::{write_graph_v2_io, AppendLog, FaultIo, FaultKind, StorageIo};
-
-/// Visible labelled nodes + visible edges — the cross-backend signature
-/// the recovery checks compare (same as the torn-write suite).
-type StoreSignature = (Vec<(u32, String)>, Vec<(u32, u32)>);
-
-fn store_signature<S: GraphStore + ?Sized>(s: &S) -> StoreSignature {
-    let mut nodes = Vec::new();
-    let mut edges = Vec::new();
-    for i in 0..s.node_count() {
-        let id = NodeId(i as u32);
-        if !s.is_visible(id) {
-            continue;
-        }
-        nodes.push((id.0, s.kind_of(id).label()));
-        for &t in s.succs_of(id).iter() {
-            if s.is_visible(t) {
-                edges.push((id.0, t.0));
-            }
-        }
-    }
-    edges.sort_unstable();
-    (nodes, edges)
-}
+use rand::{rngs::StdRng, SeedableRng};
+use signature::{store_signature, StoreSignature};
 
 const MODULES: [&str; 3] = ["Mload", "Mjoin", "Magg"];
 
@@ -404,7 +385,7 @@ fn proql_session_survives_io_errors_differentially_vs_resident() {
     let vocab = testgen::Vocab::from_graph(&graph);
 
     for seed in 0..4u64 {
-        let mut rng = testgen::Rng::new((0xfa << 32) | seed);
+        let mut rng = StdRng::seed_from_u64((0xfa << 32) | seed);
         let script = testgen::mutation_script(&vocab, &mut rng, 8);
 
         let (io, _) = seeded_disk(&path);
@@ -440,7 +421,7 @@ fn proql_session_survives_io_errors_differentially_vs_resident() {
         io.clear_fault();
 
         // Read statements agree after the faulted mutation script...
-        let mut read_rng = testgen::Rng::new(0xbeef ^ seed);
+        let mut read_rng = StdRng::seed_from_u64(0xbeef ^ seed);
         for _ in 0..6 {
             let stmt = testgen::statement(&vocab, &mut read_rng);
             assert_eq!(
@@ -462,7 +443,7 @@ fn proql_session_survives_io_errors_differentially_vs_resident() {
             tail_records,
             "seed {seed}: reopen lost acknowledged records"
         );
-        let mut read_rng = testgen::Rng::new(0xbeef ^ seed);
+        let mut read_rng = StdRng::seed_from_u64(0xbeef ^ seed);
         for _ in 0..6 {
             let stmt = testgen::statement(&vocab, &mut read_rng);
             assert_eq!(

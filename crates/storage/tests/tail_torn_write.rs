@@ -4,6 +4,8 @@
 //! the store after recovery equals the store after the first k commits
 //! for some k — and must never panic or refuse to open.
 
+mod signature;
+
 use std::fs;
 use std::path::{Path, PathBuf};
 
@@ -14,32 +16,15 @@ use lipstick_core::store::GraphStore;
 use lipstick_core::{NodeId, ProvGraph, Tracker};
 use lipstick_storage::{write_graph_v2, AppendLog};
 use proptest::prelude::*;
-
-/// Deterministic xorshift so every proptest case is reproducible from
-/// its seed (same idiom as the v2 footer corruption tests).
-struct Rng(u64);
-
-impl Rng {
-    fn next(&mut self) -> u64 {
-        let mut x = self.0.wrapping_add(0x9e37_79b9_7f4a_7c15);
-        x ^= x >> 30;
-        x = x.wrapping_mul(0xbf58_476d_1ce4_e5b9);
-        x ^= x >> 27;
-        self.0 = x;
-        x
-    }
-
-    fn below(&mut self, n: usize) -> usize {
-        (self.next() % n.max(1) as u64) as usize
-    }
-}
+use rand::{rngs::StdRng, SeedableRng};
+use signature::store_signature;
 
 const MODULES: [&str; 3] = ["Mload", "Mjoin", "Magg"];
 
 /// Small multi-module workflow graph: a run of each module chained off
 /// shared base tuples, so deletes propagate across modules and zooms
 /// have real inputs/outputs.
-fn workflow_graph(rng: &mut Rng, execution: u32) -> ProvGraph {
+fn workflow_graph(rng: &mut StdRng, execution: u32) -> ProvGraph {
     let mut t = GraphTracker::new();
     let mut feed: Vec<_> = (0..2 + rng.below(3))
         .map(|i| t.base(&format!("t{execution}_{i}")))
@@ -67,32 +52,9 @@ fn workflow_graph(rng: &mut Rng, execution: u32) -> ProvGraph {
     t.finish()
 }
 
-/// Visible labelled nodes + visible edges — the cross-backend
-/// signature the recovery check compares.
-type StoreSignature = (Vec<(u32, String)>, Vec<(u32, u32)>);
-
-fn store_signature<S: GraphStore + ?Sized>(s: &S) -> StoreSignature {
-    let mut nodes = Vec::new();
-    let mut edges = Vec::new();
-    for i in 0..s.node_count() {
-        let id = NodeId(i as u32);
-        if !s.is_visible(id) {
-            continue;
-        }
-        nodes.push((id.0, s.kind_of(id).label()));
-        for &t in s.succs_of(id).iter() {
-            if s.is_visible(t) {
-                edges.push((id.0, t.0));
-            }
-        }
-    }
-    edges.sort_unstable();
-    (nodes, edges)
-}
-
 /// Commit one random mutation; returns false if the roll produced a
 /// no-op (nothing visible to delete, no module to zoom, …).
-fn random_mutation(log: &mut AppendLog, rng: &mut Rng, execution: &mut u32) -> bool {
+fn random_mutation(log: &mut AppendLog, rng: &mut StdRng, execution: &mut u32) -> bool {
     match rng.below(5) {
         0 | 1 => {
             *execution += 1;
@@ -169,7 +131,7 @@ fn tail_path_of(base: &Path) -> PathBuf {
 proptest! {
     #[test]
     fn every_byte_truncation_recovers_a_record_prefix(seed: u64) {
-        let mut rng = Rng(seed);
+        let mut rng = StdRng::seed_from_u64(seed);
         let dir = temp_dir();
         let base_path = dir.join(format!("graph-{seed:016x}.lpstk"));
         let mut execution = 0u32;

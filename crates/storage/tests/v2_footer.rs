@@ -4,13 +4,14 @@
 
 mod common;
 
-use common::{random_graph, Rng};
+use common::random_graph;
 use lipstick_core::graph::RETIRED_STASH;
 use lipstick_core::query::{zoom_in, zoom_out};
 use lipstick_core::store::GraphStore;
 use lipstick_core::{NodeId, NodeKind, ProvGraph};
 use lipstick_storage::{decode_graph, encode_graph_v2, PagedLog};
 use proptest::prelude::*;
+use rand::{rngs::StdRng, SeedableRng};
 
 /// Node-for-node agreement between the original graph, the lazy reader,
 /// and the full loader.
@@ -70,7 +71,7 @@ proptest! {
         let bytes = encode_graph_v2(&g).unwrap();
         // Any truncation loses the trailer (it sits at EOF), so the
         // lazy open must fail cleanly.
-        let mut rng = Rng(seed ^ 0xdead);
+        let mut rng = StdRng::seed_from_u64(seed ^ 0xdead);
         for _ in 0..16 {
             let cut = rng.below(bytes.len());
             prop_assert!(PagedLog::from_bytes(bytes[..cut].to_vec()).is_err());
@@ -96,7 +97,7 @@ proptest! {
         // table. Flipping bytes there may still parse (e.g. inside a
         // posted name) but must never panic or wrap into a huge
         // allocation.
-        let mut rng = Rng(seed ^ 0xbeef);
+        let mut rng = StdRng::seed_from_u64(seed ^ 0xbeef);
         for _ in 0..24 {
             let mut mutated = bytes.clone();
             let at = bytes.len() - 1 - rng.below(bytes.len().min(96));

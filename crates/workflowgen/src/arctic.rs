@@ -28,6 +28,7 @@ use lipstick_workflow::{
     execute_once, ExecutionOutput, ModuleSpec, Result, Workflow, WorkflowBuilder, WorkflowInput,
     WorkflowState,
 };
+use rand::mix;
 
 /// Workflow topology (§5.2).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -149,16 +150,7 @@ fn min_schema() -> Schema {
     Schema::named(&[("Temp", DataType::Float)])
 }
 
-/// Deterministic pseudo-random stream (splitmix64) — keeps the dataset
-/// generator independent of RNG crate versions.
-fn mix(mut x: u64) -> u64 {
-    x = x.wrapping_add(0x9E3779B97F4A7C15);
-    let mut z = x;
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58476D1CE4E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D049BB133111EB);
-    z ^ (z >> 31)
-}
-
+/// A keyed draw in `[0, 1)` from an observation's coordinates.
 fn noise(seed: u64, a: u64, b: u64, c: u64) -> f64 {
     let z = mix(seed ^ mix(a) ^ mix(b.wrapping_mul(31)) ^ mix(c.wrapping_mul(1009)));
     (z >> 11) as f64 / (1u64 << 53) as f64 // [0, 1)

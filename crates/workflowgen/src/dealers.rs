@@ -25,8 +25,7 @@ use lipstick_workflow::{
     execute_once, ExecutionOutput, ModuleSpec, Result, Workflow, WorkflowBuilder, WorkflowInput,
     WorkflowState,
 };
-use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
+use rand::{rngs::StdRng, SeedableRng};
 
 /// The twelve German car models of §5.2.
 pub const MODELS: [&str; 12] = [
@@ -382,7 +381,7 @@ pub fn seed_state<T: Tracker>(
     for k in 1..=NUM_DEALERS {
         let cars: Vec<Tuple> = (0..per_dealer)
             .map(|i| {
-                let model = MODELS[rng.random_range(0..MODELS.len())];
+                let model = *rng.pick(&MODELS);
                 Tuple::new(vec![Value::str(format!("C{k}.{i}")), Value::str(model)])
             })
             .collect();
@@ -410,12 +409,12 @@ pub struct Buyer {
 impl Buyer {
     /// Draw a buyer from the run's RNG.
     pub fn draw(rng: &mut StdRng) -> Buyer {
-        let model = MODELS[rng.random_range(0..MODELS.len())].to_string();
+        let model = rng.pick(&MODELS).to_string();
         let base = base_price(&model);
         Buyer {
             user: "P1".into(),
-            reserve: base * rng.random_range(0.85..1.15),
-            accept_p: rng.random_range(0.3..0.9),
+            reserve: base * rng.uniform(0.85..1.15),
+            accept_p: rng.uniform(0.3..0.9),
             model,
         }
     }
@@ -496,7 +495,7 @@ pub fn run_with<T: Tracker>(
     let mut purchased = None;
     let mut executions = 0;
     for e in 0..params.num_exec {
-        let input = execution_input(&buyer, e as u32, rng.random_range(0.0..1.0));
+        let input = execution_input(&buyer, e as u32, rng.unit());
         let out = execute_once(wf, &input, state, tracker, udfs, e as u32)?;
         executions += 1;
         let car = out.relation("Mcar", "Car").expect("Mcar always outputs");

@@ -43,6 +43,11 @@
 //!    that failure must come back as a `WfError` with the workflow state
 //!    and the tracker left runnable for the next execution, not unwind
 //!    through a half-committed execution.
+//! 8. **One seeded generator.** No splitmix64 constant, in any case or
+//!    digit grouping, in `crates/`, `tests/` or `examples/` (comments
+//!    included) outside `crates/compat/rand`: every seeded draw goes
+//!    through its pinned `StdRng` or `mix`. (`bench_spine/` keeps its
+//!    own generator and is not scanned.)
 //!
 //! The scanner strips comments, strings, and char literals first (so
 //! prose mentioning `panic!` doesn't trip it) and ignores everything
@@ -329,6 +334,51 @@ fn check_no_direct_fs(src: &str) -> Vec<Violation> {
     out
 }
 
+/// splitmix64's increment and multipliers, lower-case and ungrouped
+/// (spelled in halves so this file does not trip its own rule).
+const SPLITMIX_CONSTANTS: [&str; 3] = [
+    concat!("9e3779b9", "7f4a7c15"),
+    concat!("bf58476d", "1ce4e5b9"),
+    concat!("94d049bb", "133111eb"),
+];
+
+/// Rule 8: no splitmix64 constant, whatever its case or `_` grouping.
+/// Test modules count: they are where hand-copied generators lived.
+fn check_no_splitmix(src: &str) -> Vec<Violation> {
+    let mut out = Vec::new();
+    for (n, line) in src.lines().enumerate() {
+        let flat = line.replace('_', "").to_ascii_lowercase();
+        if let Some(k) = SPLITMIX_CONSTANTS.iter().find(|k| flat.contains(*k)) {
+            out.push(Violation {
+                line: n + 1,
+                message: format!(
+                    "splitmix64 constant 0x{k} outside crates/compat/rand (draw from \
+                     rand::rngs::StdRng or hash with rand::mix)"
+                ),
+            });
+        }
+    }
+    out
+}
+
+/// Every `.rs` file under `dir`, recursively and sorted, without
+/// entering `skip` or a `target` directory.
+fn rust_files(dir: &Path, skip: &[PathBuf]) -> std::io::Result<Vec<PathBuf>> {
+    let mut out = Vec::new();
+    for entry in std::fs::read_dir(dir)? {
+        let path = entry?.path();
+        if path.is_dir() {
+            if !skip.contains(&path) && path.file_name().is_none_or(|f| f != "target") {
+                out.extend(rust_files(&path, skip)?);
+            }
+        } else if path.extension().is_some_and(|x| x == "rs") {
+            out.push(path);
+        }
+    }
+    out.sort();
+    Ok(out)
+}
+
 /// The workspace root, two levels up from this crate's manifest.
 fn workspace_root() -> PathBuf {
     Path::new(env!("CARGO_MANIFEST_DIR"))
@@ -343,13 +393,7 @@ fn run_lint(root: &Path) -> std::io::Result<Vec<String>> {
     let mut findings = Vec::new();
 
     // Rule 1: the whole serve crate's sources.
-    let serve_dir = root.join("crates/serve/src");
-    let mut serve_files: Vec<PathBuf> = std::fs::read_dir(&serve_dir)?
-        .filter_map(|e| e.ok().map(|e| e.path()))
-        .filter(|p| p.extension().is_some_and(|x| x == "rs"))
-        .collect();
-    serve_files.sort();
-    for path in serve_files {
+    for path in rust_files(&root.join("crates/serve/src"), &[])? {
         let src = std::fs::read_to_string(&path)?;
         for v in check_no_panics(&src, SERVE_CONTEXT) {
             findings.push(format!("{}:{}: {}", path.display(), v.line, v.message));
@@ -378,13 +422,10 @@ fn run_lint(root: &Path) -> std::io::Result<Vec<String>> {
     // `StorageIo` passthrough module — the one place allowed to touch
     // the real filesystem).
     let storage_dir = root.join("crates/storage/src");
-    let mut storage_files: Vec<PathBuf> = std::fs::read_dir(&storage_dir)?
-        .filter_map(|e| e.ok().map(|e| e.path()))
-        .filter(|p| p.extension().is_some_and(|x| x == "rs"))
-        .filter(|p| p.file_name().is_none_or(|f| f != "io.rs"))
-        .collect();
-    storage_files.sort();
-    for path in storage_files {
+    for path in rust_files(&storage_dir, &[])? {
+        if path.file_name().is_some_and(|f| f == "io.rs") {
+            continue;
+        }
         let src = std::fs::read_to_string(&path)?;
         for v in check_no_direct_fs(&src) {
             findings.push(format!("{}:{}: {}", path.display(), v.line, v.message));
@@ -416,6 +457,17 @@ fn run_lint(root: &Path) -> std::io::Result<Vec<String>> {
         let src = std::fs::read_to_string(&path)?;
         for v in check_no_panics(&src, WORKFLOW_CONTEXT) {
             findings.push(format!("{}:{}: {}", path.display(), v.line, v.message));
+        }
+    }
+
+    // Rule 8: the seeded generator lives in compat `rand` only.
+    let skip = [root.join("crates/compat/rand")];
+    for dir in ["crates", "tests", "examples"] {
+        for path in rust_files(&root.join(dir), &skip)? {
+            let src = std::fs::read_to_string(&path)?;
+            for v in check_no_splitmix(&src) {
+                findings.push(format!("{}:{}: {}", path.display(), v.line, v.message));
+            }
         }
     }
 
@@ -624,6 +676,37 @@ mod tests {
             assert_eq!((vs[0].line, vs[1].line), (1, 2), "{file}");
             assert!(vs[0].message.contains("WfError"), "{file}");
         }
+    }
+
+    /// Each constant is caught whatever its case and grouping, in a
+    /// test module's comment too, and the walk skips only the
+    /// generator's own crate.
+    #[test]
+    fn seeded_splitmix_copies_are_caught() {
+        let [inc, mul1, mul2] = SPLITMIX_CONSTANTS;
+        let (a, b) = inc.split_at(8);
+        let bad = format!(
+            "fn next() {{\n    s.wrapping_add(0x{}_{}_{}_{});\n    z.wrapping_mul(0x{});\n}}\n\
+             #[cfg(test)]\nmod tests {{ /* 0x{mul2} */ }}\n",
+            &a[..4],
+            &a[4..],
+            &b[..4],
+            &b[4..],
+            mul1.to_ascii_uppercase()
+        );
+        let vs = check_no_splitmix(&bad);
+        let lines: Vec<usize> = vs.iter().map(|v| v.line).collect();
+        assert_eq!(lines, [2, 3, 6], "{vs:?}");
+        assert!(vs[0].message.contains("rand::mix"));
+        // A prefix of a constant is not the constant.
+        assert_eq!(check_no_splitmix(&format!("mix(x ^ 0x{a})")), Vec::new());
+
+        let root = workspace_root();
+        let rand_dir = root.join("crates/compat/rand");
+        let scanned = rust_files(&root.join("crates"), std::slice::from_ref(&rand_dir))
+            .expect("crates readable");
+        assert!(!scanned.contains(&rand_dir.join("src/lib.rs")));
+        assert!(scanned.contains(&root.join("crates/storage/tests/common/mod.rs")));
     }
 
     /// The real repo must currently be clean — this is the same check
