@@ -14,7 +14,7 @@
 use std::collections::HashMap;
 
 use crate::agg::AggOp;
-use crate::graph::node::{InvocationId, NodeId, NodeKind, Role};
+use crate::graph::node::{NodeId, NodeKind};
 use crate::graph::tracker::{AggItemValue, GraphTracker, Tracker};
 use crate::graph::ProvGraph;
 
@@ -122,8 +122,7 @@ impl ProvGraph {
                 !matches!(node.kind, NodeKind::Zoomed { .. }),
                 "shards must not contain zoom nodes"
             );
-            let role = remap_role(node.role, inv_offset);
-            let new_id = self.add_node(node.kind.clone(), role);
+            let new_id = self.add_node(node.kind.clone(), node.role.rebased(inv_offset));
             remap.push(new_id);
         }
         // Edges: iterate successors only, so each edge is added once.
@@ -144,22 +143,10 @@ impl ProvGraph {
     }
 }
 
-fn remap_role(role: Role, inv_offset: u32) -> Role {
-    let shift = |i: InvocationId| InvocationId(i.0 + inv_offset);
-    match role {
-        Role::Invocation(i) => Role::Invocation(shift(i)),
-        Role::ModuleInput(i) => Role::ModuleInput(shift(i)),
-        Role::ModuleOutput(i) => Role::ModuleOutput(shift(i)),
-        Role::State(i) => Role::State(shift(i)),
-        Role::Intermediate(i) => Role::Intermediate(shift(i)),
-        Role::Zoom(i) => Role::Zoom(shift(i)),
-        other => other,
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::graph::node::{InvocationId, Role};
     use crate::graph::validate::check_structure;
 
     #[test]

@@ -699,7 +699,9 @@ impl QueryTrace {
     }
 }
 
-/// Minimal JSON string escaping for trace labels and statement text.
+/// Escape a string for embedding in a JSON document: quotes,
+/// backslashes and control characters; everything else passes through,
+/// JSON being UTF-8. Every JSON writer in the workspace uses this one.
 pub fn json_escape(s: &str) -> String {
     let mut out = String::with_capacity(s.len());
     for c in s.chars() {

@@ -26,13 +26,17 @@ pub enum ProqlError {
     /// A mutating statement reached a read-only execution path
     /// ([`crate::Session::run_read`]).
     ReadOnly(String),
-    /// A graph change (`DELETE`, `ZOOM`, ingest) on a paged session,
-    /// which is a read-only snapshot of its log.
+    /// A graph change (`DELETE`, `ZOOM`, ingest) on a paged session
+    /// ([`crate::Session::open`]), which is a read-only snapshot of its
+    /// log.
     Snapshot(String),
     /// [`crate::Session::open`] or [`crate::Session::load`] of a log
     /// whose `.tail` sidecar still holds this many acked mutations: the
     /// base file alone would answer from before them.
     LiveTail(usize),
+    /// [`crate::Session::open`] of a v1 log, which has no footer index
+    /// to page from.
+    UnindexedLog,
     /// The request deadline passed mid-execution; the statement was
     /// cancelled cooperatively at a span boundary. Only read statements
     /// carry deadlines — a half-applied mutation is never abandoned.
@@ -74,6 +78,10 @@ impl fmt::Display for ProqlError {
                 f,
                 "the log's .tail sidecar holds {records} acked mutation(s) the base file \
                  does not show: open it with Session::open_append, or run COMPACT there first"
+            ),
+            ProqlError::UnindexedLog => write!(
+                f,
+                "a v1 log has no footer index to page from: Session::load decodes it whole"
             ),
             ProqlError::DeadlineExceeded => {
                 write!(

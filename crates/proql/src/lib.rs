@@ -55,11 +55,13 @@
 //! ## Resident, paged and append sessions
 //!
 //! [`Session::load`] decodes the whole log up front. [`Session::open`]
-//! instead keeps a v2 (footer-indexed) log **paged**: walks fault
-//! records only where a filter needs them, so cold-start cost scales
-//! with what the query touches, not with graph size. Every store keeps
-//! module and kind postings — the footer's, the resident graph's (built
-//! on first use), the append log's merged lists — so on every session
+//! and [`Session::open_append`] instead keep a v2 (footer-indexed) log
+//! **paged**, through one store, `lipstick_storage::AppendLog`: walks
+//! fault records only where a filter needs them, so cold-start cost
+//! scales with what the query touches, not with graph size. Every store
+//! keeps module and kind postings — the footer's, lent as they are until
+//! a tail changes them, and the resident graph's (built on first use) —
+//! so on every session
 //! the planner turns a narrowed `MATCH` into postings reads, and
 //! `EXPLAIN` reports how many of the store's records the plan will
 //! read. A paged session is a read-only snapshot of its
@@ -70,7 +72,9 @@
 //! [`Session::load`] makes the in-memory copy to change for what-if
 //! analysis; [`Session::open_append`] commits changes durably to a WAL
 //! tail beside the sealed log. Both `open` and `load` refuse a log
-//! whose tail still holds acked changes ([`ProqlError::LiveTail`]).
+//! whose tail still holds acked changes ([`ProqlError::LiveTail`]), and
+//! `open` refuses a v1 log, which has no footer
+//! ([`ProqlError::UnindexedLog`]).
 //!
 //! Every change takes one path on every backend that can change.
 //! [`Session::prepare_write`] decides it once against the store — the

@@ -162,26 +162,9 @@ pub enum QueryOutput {
     Diagnostics(crate::analyze::Diagnostics),
 }
 
-/// Escape a string for embedding in a JSON document (quotes,
-/// backslashes, and control characters; everything else passes
-/// through, JSON being UTF-8).
-pub fn json_escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                out.push_str(&format!("\\u{:04x}", c as u32));
-            }
-            c => out.push(c),
-        }
-    }
-    out
-}
+/// Re-exported for `lipstick-serve`, whose JSON replies embed the same
+/// strings.
+pub use lipstick_core::obs::json_escape;
 
 fn json_id_array(nodes: &[NodeId]) -> String {
     let ids: Vec<String> = nodes.iter().map(|n| n.0.to_string()).collect();

@@ -1,5 +1,6 @@
-//! A ProQL session: a provenance graph (resident, paged or append), an
-//! optional reachability index, and the parse → plan → execute loop.
+//! A ProQL session: a provenance graph (resident, or a v2 log read
+//! through [`AppendLog`]), an optional reachability index, and the
+//! parse → plan → execute loop.
 //!
 //! Reads — planning, `CHECK`, execution — are written once against
 //! [`GraphStore`] and reach the backend through one dispatch
@@ -23,7 +24,7 @@ use lipstick_core::query::deletion::compute_deletion;
 use lipstick_core::query::{plan_zoom_out, GraphChange, QueryError, ReachIndex, ZoomModulePlan};
 use lipstick_core::store::GraphStore;
 use lipstick_core::{NodeId, ProvGraph};
-use lipstick_storage::{AppendLog, PagedLog, PreparedCompact, PreparedRecord, StorageError};
+use lipstick_storage::{AppendLog, PreparedCompact, PreparedRecord, StorageError};
 
 use crate::ast::Statement;
 use crate::error::{ProqlError, Result};
@@ -37,15 +38,14 @@ use crate::result::QueryOutput;
 enum Backend {
     /// Fully decoded, mutable graph.
     Resident(ProvGraph),
-    /// Footer-indexed v2 log; records fault in per query. A read-only
-    /// snapshot: graph changes are refused. Boxed: the log (fault
+    /// A footer-indexed v2 log whose records fault in per query: a
+    /// sealed base segment plus a WAL-style mutable tail, whose changes
+    /// commit as durable tail records and which `COMPACT` merges into a
+    /// fresh sealed base — or, from [`Session::open`], a read-only
+    /// snapshot of the sealed segment alone. Boxed: the log (fault
     /// cache, postings, instruments) dwarfs the resident variant's
     /// inline size.
-    Paged(Box<PagedLog>),
-    /// Sealed v2 base segment plus a WAL-style mutable tail: changes
-    /// commit as durable tail records, and `COMPACT` merges the tail
-    /// into a fresh sealed base.
-    Append(Box<AppendLog>),
+    Log(Box<AppendLog>),
 }
 
 /// Evaluate `$body` (a `Result`) with `$env` bound to the backend's
@@ -67,21 +67,12 @@ macro_rules! on_store {
                 };
                 $body
             }
-            Backend::Paged(log) => {
+            Backend::Log(log) => {
                 let $env = ReadEnv {
                     store: log.as_ref(),
                     reach,
                     reads: true,
-                    stats: log_stats::<PagedLog>,
-                };
-                contain_corruption(|| $body)
-            }
-            Backend::Append(log) => {
-                let $env = ReadEnv {
-                    store: log.as_ref(),
-                    reach,
-                    reads: true,
-                    stats: log_stats::<AppendLog>,
+                    stats: log_stats,
                 };
                 contain_corruption(|| $body)
             }
@@ -223,14 +214,15 @@ impl Instruments {
 /// indexed plans keep serving across mutations; `DROP INDEX` is the
 /// only way to lose it.
 ///
-/// Sessions come in three flavours. [`Session::new`]/[`Session::load`]
-/// hold a **resident** graph. [`Session::open`] keeps a v2 log
-/// **paged**: queries read only the records they touch, and the session
-/// is a read-only snapshot of the log — `DELETE`, `ZOOM` and
-/// [`Session::ingest`] fail with [`ProqlError::Snapshot`], while
-/// `BUILD INDEX`, `DROP INDEX` and `COMPACT` answer as on the other
-/// backends. [`Session::open_append`] commits changes durably to a tail
-/// beside the log.
+/// Sessions hold their graph one of two ways.
+/// [`Session::new`]/[`Session::load`] hold a **resident** graph.
+/// [`Session::open_append`] and [`Session::open`] hold a v2 **log**
+/// through [`AppendLog`], **paged**: queries read only the records they
+/// touch. An append session commits changes durably to a tail beside
+/// the log. [`Session::open`] opens the log as a read-only snapshot —
+/// `DELETE`, `ZOOM` and [`Session::ingest`] fail with
+/// [`ProqlError::Snapshot`], while `BUILD INDEX`, `DROP INDEX` and
+/// `COMPACT` answer as on the other backends.
 pub struct Session {
     backend: Backend,
     reach: Option<ReachIndex>,
@@ -270,31 +262,25 @@ impl Session {
             .read(path)
             .map_err(|e| storage_error(e.into()))?;
         let graph = lipstick_storage::decode_graph(&data).map_err(storage_error)?;
-        refuse_live_tail(path, data.len(), graph.len())?;
+        refuse_live_tail(path, data.len() as u64, graph.len())?;
         Ok(Session::new(graph))
     }
 
-    /// Open a provenance log lazily. A v2 log (written by
-    /// `lipstick_storage::write_graph_v2`) becomes a paged session that
-    /// answers `MATCH`/`WHY`/`DEPENDS`/walks without materialising the
-    /// graph; a v1 log has no footer and falls back to a full load.
-    /// Refused with [`ProqlError::LiveTail`] while the log's `.tail`
-    /// sidecar holds acked changes.
+    /// Open a v2 log (written by `lipstick_storage::write_graph_v2`)
+    /// lazily, as a read-only snapshot ([`AppendLog::open_snapshot`]):
+    /// a paged session that answers `MATCH`/`WHY`/`DEPENDS`/walks
+    /// without materialising the graph, and never touches the log's
+    /// `.tail` sidecar. Refused with [`ProqlError::LiveTail`] while that
+    /// sidecar holds acked changes, and with [`ProqlError::UnindexedLog`]
+    /// for a v1 log, which has no footer to page from.
     pub fn open(path: impl AsRef<Path>) -> Result<Session> {
         let path = path.as_ref();
-        let data = std::fs::read(path).map_err(|e| ProqlError::Storage(e.to_string()))?;
-        let len = data.len();
-        // Sniff the version first so the v1 fallback decodes the bytes
-        // already in hand instead of re-reading the file.
-        let (nodes, backend) = if lipstick_storage::log_version(&data) == Some(1) {
-            let graph = lipstick_storage::decode_graph(&data).map_err(storage_error)?;
-            (graph.len(), Backend::Resident(graph))
-        } else {
-            let log = PagedLog::from_bytes(data).map_err(storage_error)?;
-            (log.node_count(), Backend::Paged(Box::new(log)))
-        };
-        refuse_live_tail(path, len, nodes)?;
-        Ok(Session::with_backend(backend))
+        let log = AppendLog::open_snapshot(path).map_err(|e| match e {
+            StorageError::BadVersion(1) => ProqlError::UnindexedLog,
+            e => storage_error(e),
+        })?;
+        refuse_live_tail(path, log.base_len(), log.node_count())?;
+        Ok(Session::with_backend(Backend::Log(Box::new(log))))
     }
 
     /// Open a v2 log with a streaming append write path: the sealed
@@ -305,7 +291,7 @@ impl Session {
     /// tail back into a fresh sealed base segment.
     pub fn open_append(path: impl AsRef<Path>) -> Result<Session> {
         let log = AppendLog::open(path.as_ref()).map_err(storage_error)?;
-        Ok(Session::with_backend(Backend::Append(Box::new(log))))
+        Ok(Session::with_backend(Backend::Log(Box::new(log))))
     }
 
     /// [`Session::open_append`] through an explicit
@@ -317,17 +303,17 @@ impl Session {
         io: std::sync::Arc<dyn lipstick_storage::StorageIo>,
     ) -> Result<Session> {
         let log = AppendLog::open_with_io(path.as_ref(), io).map_err(storage_error)?;
-        Ok(Session::with_backend(Backend::Append(Box::new(log))))
+        Ok(Session::with_backend(Backend::Log(Box::new(log))))
     }
 
     /// Flush the backend's durable state (the append backend's WAL
     /// tail). Commits already sync per record, so this is a barrier for
-    /// graceful shutdown, not a durability requirement; resident and
-    /// paged backends have nothing to flush and return `Ok`.
+    /// graceful shutdown, not a durability requirement; a resident
+    /// session or a snapshot has nothing to flush and returns `Ok`.
     pub fn sync_storage(&self) -> Result<()> {
         match &self.backend {
-            Backend::Append(log) => log.sync().map_err(storage_error),
-            Backend::Resident(_) | Backend::Paged(_) => Ok(()),
+            Backend::Log(log) => log.sync().map_err(storage_error),
+            Backend::Resident(_) => Ok(()),
         }
     }
 
@@ -337,24 +323,25 @@ impl Session {
         self.index_builds
     }
 
-    /// Is the session paged (a read-only snapshot of a v2 log)?
+    /// Is the session a read-only snapshot of a v2 log
+    /// ([`Session::open`])?
     pub fn is_paged(&self) -> bool {
-        matches!(self.backend, Backend::Paged(_))
+        self.append_log().is_some_and(AppendLog::is_snapshot)
     }
 
-    /// Does the session use the append backend (sealed base + WAL
-    /// tail)?
+    /// Does the session commit changes to a WAL tail
+    /// ([`Session::open_append`])?
     pub fn is_append(&self) -> bool {
-        matches!(self.backend, Backend::Append(_))
+        self.append_log().is_some_and(|log| !log.is_snapshot())
     }
 
-    /// The append backend, when the session has one — lets tests and
-    /// servers inspect tail state (`tail_records`, `tail_len`) without
-    /// widening the session API per field.
+    /// The log, when the session reads one (append or snapshot) — lets
+    /// tests and servers inspect tail state (`tail_records`,
+    /// `tail_len`) without widening the session API per field.
     pub fn append_log(&self) -> Option<&AppendLog> {
         match &self.backend {
-            Backend::Append(log) => Some(log),
-            _ => None,
+            Backend::Log(log) => Some(log),
+            Backend::Resident(_) => None,
         }
     }
 
@@ -365,22 +352,17 @@ impl Session {
         0
     }
 
-    /// Node records decoded by the session's log (paged or append;
-    /// monotonic across `COMPACT`). A resident session reports 0.
+    /// Node records decoded by the session's log (monotonic across
+    /// `COMPACT`). A resident session reports 0.
     pub fn records_read(&self) -> usize {
-        match &self.backend {
-            Backend::Resident(_) => 0,
-            Backend::Paged(log) => log.records_read(),
-            Backend::Append(log) => log.records_read(),
-        }
+        self.append_log().map_or(0, AppendLog::records_read)
     }
 
-    /// The resident graph, when there is one (`None` while paged or
-    /// append-backed).
+    /// The resident graph, when there is one (`None` on a log).
     pub fn resident_graph(&self) -> Option<&ProvGraph> {
         match &self.backend {
             Backend::Resident(g) => Some(g),
-            Backend::Paged(_) | Backend::Append(_) => None,
+            Backend::Log(_) => None,
         }
     }
 
@@ -417,8 +399,7 @@ impl Session {
         let start = Instant::now();
         match &self.backend {
             Backend::Resident(graph) => repair(index, graph, changed),
-            Backend::Paged(log) => repair(index, log.as_ref(), changed),
-            Backend::Append(log) => repair(index, log.as_ref(), changed),
+            Backend::Log(log) => repair(index, log.as_ref(), changed),
         }
         self.instruments
             .repair_us
@@ -471,8 +452,8 @@ impl Session {
     /// Nothing is visible until [`Session::publish_write`], which must
     /// see the session exactly as this call left it — a server
     /// serialises its writers around the pair. An error means nothing
-    /// was made durable. On a paged session `DELETE` and `ZOOM` fail
-    /// with [`ProqlError::Snapshot`] before a record is read.
+    /// was made durable. On a snapshot `DELETE` and `ZOOM` fail with
+    /// [`ProqlError::Snapshot`] before a record is read.
     pub fn prepare_write(&self, stmt: &Statement) -> Result<PreparedWrite> {
         self.prepare_fused(&FusedStatement {
             stmt: stmt.clone(),
@@ -497,18 +478,18 @@ impl Session {
     fn prepare_step(&self, fs: &FusedStatement) -> Result<Step> {
         match &self.backend {
             Backend::Resident(graph) => self.prepare_on(graph, fs),
-            Backend::Append(log) => contain_corruption(|| self.prepare_on(log.as_ref(), fs)),
-            Backend::Paged(_)
-                if matches!(
-                    fs.stmt,
-                    Statement::DeletePropagate(_) | Statement::ZoomOut(_) | Statement::ZoomIn(_)
-                ) =>
+            Backend::Log(log)
+                if log.is_snapshot()
+                    && matches!(
+                        fs.stmt,
+                        Statement::DeletePropagate(_)
+                            | Statement::ZoomOut(_)
+                            | Statement::ZoomIn(_)
+                    ) =>
             {
                 Err(ProqlError::Snapshot(stmt_summary(&fs.stmt)))
             }
-            Backend::Paged(log) => contain_corruption(|| {
-                self.prepare_other(Planner::new(log.as_ref(), self.reach.as_ref()).plan_fused(fs)?)
-            }),
+            Backend::Log(log) => contain_corruption(|| self.prepare_on(log.as_ref(), fs)),
         }
     }
 
@@ -686,10 +667,10 @@ impl Session {
     fn apply(&mut self, staged: Staged<'_>) -> Result<Vec<NodeId>> {
         match (&mut self.backend, staged) {
             (Backend::Resident(graph), Staged::Held(change)) => Ok(graph.apply(change)),
-            (Backend::Append(log), Staged::Durable(record)) => {
+            (Backend::Log(log), Staged::Durable(record)) => {
                 log.publish(record).map_err(storage_error)
             }
-            (Backend::Append(log), Staged::Compact(image)) => {
+            (Backend::Log(log), Staged::Compact(image)) => {
                 log.install_compact(*image).map_err(storage_error)?;
                 Ok(Vec::new())
             }
@@ -717,7 +698,7 @@ impl Session {
     /// its nodes received. It takes a statement's two steps at once: the
     /// append log commits it as one durable tail record, the resident
     /// graph splices it in ([`ProvGraph::splice`]), and the reach index
-    /// is repaired in place. A paged session refuses it with
+    /// is repaired in place. A snapshot refuses it with
     /// [`ProqlError::Snapshot`]; a fragment with zoomed-out modules is
     /// refused on every backend, mirroring the storage layer's refusal.
     pub fn ingest(&mut self, fragment: &ProvGraph) -> Result<Vec<NodeId>> {
@@ -729,8 +710,7 @@ impl Session {
         let change = GraphChange::Splice(fragment);
         let staged = match &self.backend {
             Backend::Resident(graph) => graph.stage(change),
-            Backend::Append(log) => log.stage(change),
-            Backend::Paged(_) => Err(ProqlError::Snapshot("ingest".into())),
+            Backend::Log(log) => log.stage(change),
         }?;
         // Fragment edges are internal, so the changed set is exactly
         // the appended ids.
@@ -820,7 +800,7 @@ impl Session {
     }
 
     /// Per-component heap breakdown of everything the session holds:
-    /// the backend store (resident graph or paged log) and the reach
+    /// the backend store (resident graph or log) and the reach
     /// closure. Groups are `"graph"`, `"paged_log"`, and `"reach"`;
     /// component names come from each structure's
     /// [`lipstick_core::obs::HeapSize`] breakdown, so this report, the
@@ -833,17 +813,10 @@ impl Session {
             Backend::Resident(g) => {
                 out.extend(g.heap_breakdown().into_iter().map(|(k, v)| ("graph", k, v)));
             }
-            Backend::Paged(log) => {
-                out.extend(
-                    log.heap_breakdown()
-                        .into_iter()
-                        .map(|(k, v)| ("paged_log", k, v)),
-                );
-            }
-            // The append log reports its sealed base plus a
-            // "tail_overlay" component; both land in the `paged_log`
-            // gauge group so serve's heap gauges need no new names.
-            Backend::Append(log) => {
+            // The log reports its sealed base plus its "visibility" and
+            // "tail_overlay" components, all in the `paged_log` gauge
+            // group.
+            Backend::Log(log) => {
                 out.extend(
                     log.memory_breakdown()
                         .into_iter()
@@ -929,7 +902,7 @@ fn resident_stats(graph: &ProvGraph, reach: Option<&ReachIndex>) -> String {
 /// `STATS` for an on-disk log: record counts, how many records queries
 /// have decoded so far, index state, and the heap breakdown of store
 /// and closure.
-fn log_stats<S: GraphStore>(store: &S, reach: Option<&ReachIndex>) -> String {
+fn log_stats(store: &AppendLog, reach: Option<&ReachIndex>) -> String {
     let mut text = format!(
         "paged log: {} record(s), {} visible, {} invocation(s), {} record(s) decoded so far\n  \
          reach index: {}\n",
@@ -968,13 +941,16 @@ fn push_memory(
 }
 
 fn storage_error(e: StorageError) -> ProqlError {
-    ProqlError::Storage(e.to_string())
+    match e {
+        StorageError::Snapshot(what) => ProqlError::Snapshot(what),
+        e => ProqlError::Storage(e.to_string()),
+    }
 }
 
 /// Refuse to read a log from its base file alone while its `.tail`
 /// sidecar holds acked changes.
-fn refuse_live_tail(path: &Path, base_len: usize, base_nodes: usize) -> Result<()> {
-    match lipstick_storage::live_tail_records(path, base_len as u64, base_nodes as u64)
+fn refuse_live_tail(path: &Path, base_len: u64, base_nodes: usize) -> Result<()> {
+    match lipstick_storage::live_tail_records(path, base_len, base_nodes as u64)
         .map_err(storage_error)?
     {
         0 => Ok(()),

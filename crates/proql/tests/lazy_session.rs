@@ -475,15 +475,67 @@ fn run_read_is_concurrent_and_rejects_mutations() {
     }
 }
 
+/// A v1 log has no footer to page from: `Session::open` refuses it
+/// with a typed error naming `Session::load`, which answers from the
+/// same file.
 #[test]
-fn v1_logs_fall_back_to_a_full_load() {
+fn v1_logs_are_refused_by_open_and_answered_by_load() {
     let g = dealers_graph();
     let path = temp_path("v1.lpstk");
     write_graph(&g, &path).unwrap();
-    let mut s = Session::open(&path).unwrap();
-    assert!(!s.is_paged(), "v1 has no footer; open falls back to load");
+    let err = Session::open(&path).err().expect("open refuses a v1 log");
+    assert!(matches!(err, ProqlError::UnindexedLog), "{err}");
+    assert!(err.to_string().contains("Session::load"), "{err}");
+    let mut s = Session::load(&path).unwrap();
     let out = s.run_one("MATCH base-nodes").unwrap();
     assert!(!nodes_of(&out).is_empty());
+}
+
+/// A snapshot never writes: beside a stale `.tail` bound to another
+/// base, and beside none, refused changes, `COMPACT`, `BUILD INDEX`
+/// and a refused ingest leave the sidecar's bytes as they were and
+/// create no `.tail` or `.compact.tmp`.
+#[test]
+fn a_snapshot_never_writes() {
+    let g = dealers_graph();
+    let module = g.invocations()[0].module.clone();
+    for stale in [true, false] {
+        let path = temp_path(&format!("never-writes-{stale}.lpstk"));
+        write_graph_v2(&g, &path).unwrap();
+        let sidecar = |suffix: &str| {
+            let mut os = path.clone().into_os_string();
+            os.push(suffix);
+            std::path::PathBuf::from(os)
+        };
+        let (tail, tmp) = (sidecar(".tail"), sidecar(".compact.tmp"));
+        std::fs::remove_file(&tail).ok();
+        std::fs::remove_file(&tmp).ok();
+        if stale {
+            let len = std::fs::metadata(&path).unwrap().len();
+            let header = lipstick_storage::tail::encode_header(len + 1, g.len() as u64);
+            std::fs::write(&tail, header).unwrap();
+        }
+        let before = std::fs::read(&tail).ok();
+
+        let mut s = Session::open(&path).unwrap();
+        for stmt in [
+            "DELETE #0 PROPAGATE".to_string(),
+            format!("ZOOM OUT TO {module}"),
+        ] {
+            let err = s.run_one(&stmt).unwrap_err();
+            assert!(matches!(err, ProqlError::Snapshot(_)), "{stmt}: {err}");
+        }
+        let out = s.run_one("COMPACT").unwrap();
+        assert_eq!(out.to_string(), "nothing to compact (no tail segment)");
+        s.run_one("BUILD INDEX").unwrap();
+        let err = s.ingest(&dealers_graph()).unwrap_err();
+        assert!(matches!(err, ProqlError::Snapshot(_)), "{err}");
+        drop(s);
+
+        assert_eq!(std::fs::read(&tail).ok(), before, "stale tail: {stale}");
+        assert!(!tmp.exists(), "stale tail: {stale}");
+        std::fs::remove_file(&tail).ok();
+    }
 }
 
 #[test]

@@ -4,8 +4,9 @@
 //!
 //! The session sits behind an [`RwLock`]. Read-only statements take the
 //! read side and execute concurrently — `proql::Session::run_read`
-//! borrows `&self`, and all backends (resident graph, paged log with
-//! its lock-free write-once fault cache, append log) are `Sync`.
+//! borrows `&self`, and both backends (the resident graph, and the log
+//! with its lock-free write-once fault cache, open for append or as a
+//! read-only snapshot) are `Sync`.
 //!
 //! Mutating statements **group-commit** through one leader loop, the
 //! same for every backend. Each writer enqueues its statement and
@@ -24,8 +25,8 @@
 //!
 //! Each statement publishes on its own, so the epoch bumps once per
 //! statement that succeeded; a failed one changed nothing. A paged
-//! session is a read-only snapshot: its `DELETE` and `ZOOM` fail in
-//! prepare, without a write hold. The epoch is an atomic counter
+//! session (`Session::open`) is a read-only snapshot of its log: its
+//! `DELETE` and `ZOOM` fail in prepare, without a write hold. The epoch is an atomic counter
 //! that stamps every cached result; a stale stamp is what invalidates a
 //! cache entry. It only changes while the write side is held, so a
 //! result computed under a read guard is always tagged with the epoch
@@ -847,7 +848,7 @@ pub struct Server {
 }
 
 impl Server {
-    /// Wrap a session (resident, paged or append) for serving.
+    /// Wrap a session (resident, paged snapshot or append) for serving.
     pub fn new(session: Session, config: ServerConfig) -> Server {
         let compact_every = if session.is_append() {
             config.compact_every

@@ -20,6 +20,9 @@ pub enum StorageError {
     /// against (something was committed or compacted in between), so
     /// applying it would mix two states. Nothing was changed.
     Stale(String),
+    /// A change (named here) on a log opened as a read-only snapshot
+    /// (`AppendLog::open_snapshot`). Nothing was read or written.
+    Snapshot(String),
 }
 
 impl fmt::Display for StorageError {
@@ -35,6 +38,9 @@ impl fmt::Display for StorageError {
                 mods.join(", ")
             ),
             StorageError::Stale(m) => write!(f, "stale prepared write: {m}"),
+            StorageError::Snapshot(what) => {
+                write!(f, "{what} refused: the log is open as a read-only snapshot")
+            }
         }
     }
 }

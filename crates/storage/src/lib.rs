@@ -49,8 +49,8 @@ pub use error::{Result, StorageError};
 pub use footer::{FooterWriter, LogIndex};
 pub use io::{default_io, FaultIo, FaultKind, StdIo, StorageIo};
 pub use log::{
-    decode_graph, encode_graph, encode_graph_v2, load_graph, log_version, write_graph,
-    write_graph_v2, write_graph_v2_io,
+    decode_graph, encode_graph, encode_graph_v2, load_graph, write_graph, write_graph_v2,
+    write_graph_v2_io,
 };
 pub use paged::PagedLog;
 pub use reader::Reader;

@@ -112,7 +112,10 @@ pub(crate) struct Header {
 
 /// Read the header of a v1 or v2 log.
 pub(crate) fn read_header(data: &[u8]) -> Result<Header> {
-    let version = log_version(data).ok_or(StorageError::BadMagic)?;
+    let version = match data.split_first_chunk::<5>() {
+        Some((magic, [version, ..])) if magic == MAGIC => *version,
+        _ => return Err(StorageError::BadMagic),
+    };
     if version != VERSION_V1 && version != VERSION_V2 {
         return Err(StorageError::BadVersion(version));
     }
@@ -123,16 +126,6 @@ pub(crate) fn read_header(data: &[u8]) -> Result<Header> {
         node_count,
         records_start: data.len() - r.remaining(),
     })
-}
-
-/// The format version of an encoded log, if the header is recognisable
-/// (`None` = not a Lipstick provenance file). Lets callers choose
-/// between a full decode and a lazy open without reading twice.
-pub fn log_version(data: &[u8]) -> Option<u8> {
-    match data.split_first_chunk::<5>() {
-        Some((magic, [version, ..])) if magic == MAGIC => Some(*version),
-        _ => None,
-    }
 }
 
 // ----- invocation table -----

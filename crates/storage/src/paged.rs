@@ -76,7 +76,12 @@ type Block = Box<[OnceLock<Record>]>;
 pub struct PagedLog {
     data: Vec<u8>,
     index: LogIndex,
+    /// The sealed invocation table, then any an [`crate::AppendLog`]
+    /// appended over it — the store's one copy of the table.
     invocations: Vec<InvocationInfo>,
+    /// Entries of `invocations` the file holds: the bound a sealed
+    /// record's invocation id is checked against.
+    sealed_invocations: usize,
     /// Slot `id / BLOCK` holds the block of record `id`, once touched.
     cache: Box<[OnceLock<Block>]>,
     /// Per-log fault counter (tests and `STATS` report per-instance
@@ -122,6 +127,7 @@ impl PagedLog {
         Ok(PagedLog {
             data,
             index,
+            sealed_invocations: invocations.len(),
             invocations,
             cache: (0..node_count.div_ceil(BLOCK))
                 .map(|_| OnceLock::new())
@@ -155,6 +161,13 @@ impl PagedLog {
     /// invocation table.
     pub(crate) fn record_section(&self) -> &[u8] {
         &self.data[self.index.records_offset()..self.index.invocations_offset()]
+    }
+
+    /// Append invocations to the table, for an append log whose tail
+    /// registered them; sealed records still check against the sealed
+    /// entries only.
+    pub(crate) fn extend_invocations(&mut self, more: &[InvocationInfo]) {
+        self.invocations.extend_from_slice(more);
     }
 
     /// Take over `old`'s fault cache. Sound only when this log's first
@@ -193,14 +206,13 @@ impl PagedLog {
             .get(self.index.record_range(id))
             .ok_or_else(|| StorageError::Corrupt(format!("record {id} out of file bounds")))?;
         let record = get_record(&mut Reader::new(bytes))?;
-        let (node_count, invocations) = (self.index.node_count(), self.invocations.len());
         check_refs(
             id,
             &record.kind,
             record.role,
             &record.preds,
-            node_count,
-            invocations,
+            self.index.node_count(),
+            self.sealed_invocations,
         )?;
         let (kind, role, preds) = (record.kind, record.role, record.preds.into_boxed_slice());
 

@@ -16,11 +16,11 @@
 //!    them corrupt. Widths change via `From`/`TryFrom`, which either
 //!    cannot fail or fail loudly.
 //! 3. **Panic-free observability** (`crates/core/src/obs.rs`).
-//! 4. **One IO seam in storage.** No direct `std::fs` / `File::` /
-//!    `OpenOptions` use in `crates/storage/src/**` non-test code
-//!    outside `io.rs`: every file operation must route through the
-//!    `StorageIo` trait, or the fault-injection harness silently stops
-//!    covering that call site.
+//! 4. **One IO seam.** No direct `std::fs` / `File::` / `OpenOptions`
+//!    use in `crates/storage/src/**` non-test code outside `io.rs`, nor
+//!    in `crates/proql/src/**` non-test code: every file operation must
+//!    route through the `StorageIo` trait, or the fault-injection
+//!    harness silently stops covering that call site.
 //! 5. **Panic-free planner, plans, read executor, reach index and
 //!    ZoomOut planner** (`crates/proql/src/{planner,plan,exec}.rs`,
 //!    `crates/core/src/query/{reach,zoom}.rs` — every store's read
@@ -304,8 +304,8 @@ fn check_no_numeric_casts(src: &str) -> Vec<Violation> {
     out
 }
 
-/// Rule 4: no filesystem calls in storage sources outside the
-/// `StorageIo` passthrough module. One violation per line (a single
+/// Rule 4: no filesystem calls in storage and ProQL sources outside
+/// the `StorageIo` passthrough module. One violation per line (a single
 /// `std::fs::File::open` would otherwise report three times).
 fn check_no_direct_fs(src: &str) -> Vec<Violation> {
     let stripped = strip_comments_and_strings(src);
@@ -324,9 +324,9 @@ fn check_no_direct_fs(src: &str) -> Vec<Violation> {
             out.push(Violation {
                 line: n + 1,
                 message: format!(
-                    "direct filesystem access `{pat}` in crates/storage (route file IO \
-                     through the StorageIo trait in io.rs so the fault-injection harness \
-                     covers this call site)"
+                    "direct filesystem access `{pat}` (route file IO through the \
+                     StorageIo trait in crates/storage/src/io.rs so the fault-injection \
+                     harness covers this call site)"
                 ),
             });
         }
@@ -418,12 +418,15 @@ fn run_lint(root: &Path) -> std::io::Result<Vec<String>> {
         findings.push(format!("{}:{}: {}", obs.display(), v.line, v.message));
     }
 
-    // Rule 4: storage sources route file IO through io.rs (the
-    // `StorageIo` passthrough module — the one place allowed to touch
-    // the real filesystem).
-    let storage_dir = root.join("crates/storage/src");
-    for path in rust_files(&storage_dir, &[])? {
-        if path.file_name().is_some_and(|f| f == "io.rs") {
+    // Rule 4: storage and ProQL sources route file IO through
+    // storage's io.rs (the `StorageIo` passthrough module — the one
+    // place allowed to touch the real filesystem).
+    let io_rs = root.join("crates/storage/src/io.rs");
+    for path in rust_files(&root.join("crates/storage/src"), &[])?
+        .into_iter()
+        .chain(rust_files(&root.join("crates/proql/src"), &[])?)
+    {
+        if path == io_rs {
             continue;
         }
         let src = std::fs::read_to_string(&path)?;
@@ -612,6 +615,21 @@ mod tests {
         assert_eq!(vs[0].line, 1);
         assert!(vs[0].message.contains("std::fs"));
         assert_eq!(vs[2].line, 4);
+    }
+
+    /// ProQL reaches files only through the storage crate: a direct
+    /// read seeded into the session is caught on its line, and the
+    /// committed session is clean.
+    #[test]
+    fn seeded_proql_fs_access_is_caught() {
+        let path = workspace_root().join("crates/proql/src/session.rs");
+        let src = std::fs::read_to_string(path).expect("proql source readable");
+        assert_eq!(check_no_direct_fs(&src), Vec::new());
+        let bad = format!("fn open(p: &Path) {{ let data = std::fs::read(p); }}\n{src}");
+        let vs = check_no_direct_fs(&bad);
+        assert_eq!(vs.len(), 1, "{vs:?}");
+        assert_eq!(vs[0].line, 1);
+        assert!(vs[0].message.contains("StorageIo"));
     }
 
     #[test]
