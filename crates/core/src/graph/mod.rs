@@ -462,9 +462,19 @@ impl ProvGraph {
     ///
     /// Invocation nodes appear as opaque tokens `⟨module#k⟩`, black-box
     /// p-nodes as the product of their inputs (coarse-grained, as the
-    /// paper prescribes for UDFs).
+    /// paper prescribes for UDFs). One pass over the visible cone
+    /// ([`crate::query::eval_node`] in [`crate::query::Symbolic`]),
+    /// unbounded and without a deadline.
+    ///
+    /// # Panics
+    ///
+    /// On a malformed cone — an invocation node whose role names no
+    /// invocation, or an ingredient cycle — which a tracker never
+    /// builds. `WHY` answers such a cone with a typed error.
     pub fn expr_of(&self, id: NodeId) -> ProvExpr {
-        crate::store::expr_of_store(self, id)
+        use crate::query::{eval_node, Symbolic};
+        eval_node(self, id, &Symbolic, crate::obs::TraceCtx::disabled())
+            .unwrap_or_else(|e| panic!("expr_of: {e}"))
     }
 
     /// Reconstruct the [`crate::agg::AggValue`] formal sum recorded at an

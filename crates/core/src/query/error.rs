@@ -16,6 +16,14 @@ pub enum QueryError {
     /// The zoom stash table is full (the last index is reserved for
     /// retired composites).
     StashOverflow,
+    /// A circuit pass ([`crate::query::circuit`]) ran past its deadline.
+    DeadlineExceeded,
+    /// A node the circuit evaluator cannot read: an invocation node
+    /// that names no invocation, or a node on an ingredient cycle.
+    Malformed(crate::graph::NodeId, &'static str),
+    /// A bounded symbolic value would pass one of
+    /// [`crate::query::Limits`]' bounds.
+    TooLarge { what: &'static str, limit: u64 },
 }
 
 impl fmt::Display for QueryError {
@@ -27,6 +35,11 @@ impl fmt::Display for QueryError {
             QueryError::NodeNotVisible(n) => write!(f, "node {n} is deleted or hidden"),
             QueryError::StashOverflow => {
                 write!(f, "zoom stash table is full (index u32::MAX is reserved)")
+            }
+            QueryError::DeadlineExceeded => write!(f, "deadline exceeded"),
+            QueryError::Malformed(n, why) => write!(f, "node {n} {why}"),
+            QueryError::TooLarge { what, limit } => {
+                write!(f, "the value would pass {limit} {what}")
             }
         }
     }

@@ -7,10 +7,13 @@
 //! - [`subgraph`]: ancestor/descendant/sibling subgraph extraction
 //!   (the Query Processor's third query, §5.1);
 //! - [`dependency`]: "does n depend on n′?" via deletion propagation;
+//! - [`circuit`]: a p-node's provenance in any semiring, or as a
+//!   symbolic expression, in one pass over its shared visible cone;
 //! - [`reach`]: an optional precomputed reachability index (the §5.1
 //!   memory/time trade-off, measured by the `ablation_reach` bench).
 
 pub mod change;
+pub mod circuit;
 pub mod deletion;
 pub mod dependency;
 pub mod error;
@@ -19,6 +22,7 @@ pub mod subgraph;
 pub mod zoom;
 
 pub use change::GraphChange;
+pub use circuit::{eval_node, Circuit, Limits, Symbolic, Valued};
 pub use deletion::{propagate_deletion, propagate_deletion_inplace, DeletionReport};
 pub use dependency::depends_on;
 pub use error::QueryError;

@@ -133,15 +133,6 @@ impl ProvExpr {
             ProvExpr::Delta(p) => 1 + p.size(),
         }
     }
-
-    /// Does the expression contain any δ operator?
-    pub fn has_delta(&self) -> bool {
-        match self {
-            ProvExpr::Zero | ProvExpr::One | ProvExpr::Tok(_) => false,
-            ProvExpr::Sum(v) | ProvExpr::Prod(v) => v.iter().any(ProvExpr::has_delta),
-            ProvExpr::Delta(_) => true,
-        }
-    }
 }
 
 impl fmt::Display for ProvExpr {
@@ -221,7 +212,10 @@ mod tests {
     #[test]
     fn delta_of_zero_is_zero() {
         assert_eq!(ProvExpr::delta(ProvExpr::Zero), ProvExpr::Zero);
-        assert!(ProvExpr::delta(ProvExpr::tok("a")).has_delta());
+        assert!(matches!(
+            ProvExpr::delta(ProvExpr::tok("a")),
+            ProvExpr::Delta(_)
+        ));
     }
 
     #[test]

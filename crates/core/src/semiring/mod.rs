@@ -17,10 +17,11 @@
 //! [`Semiring`] trait plus [`eval::eval_expr`] realize the framework's
 //! central theorem — evaluation commutes with semiring homomorphisms — so
 //! the same expression can be specialized to a count, a boolean, a cost,
-//! a lineage set, or why-provenance.
+//! a lineage set, or why-provenance. `WHY` and `EVAL` evaluate the graph
+//! itself rather than its expansion ([`crate::query::circuit`]);
+//! `eval_expr` is their test oracle.
 
 pub mod boolean;
-pub mod delta;
 pub mod eval;
 pub mod expr;
 pub mod lineage;
@@ -52,11 +53,18 @@ pub trait Semiring: Clone + PartialEq + std::fmt::Debug {
     /// Joint use of data (join / cartesian product).
     fn times(&self, other: &Self) -> Self;
 
-    /// Duplicate elimination. The default is the idempotent-δ of
-    /// semirings where dup-elim is absorption (`δ(a) = a` for + -idempotent
-    /// semirings like boolean/lineage); N\[X\] overrides this to keep δ
-    /// symbolic. For numeric semirings δ(a) = "1 if a ≠ 0 else 0" matches
-    /// set-semantics counting.
+    /// Duplicate elimination (§2.3): a group-by or DISTINCT result whose
+    /// members have provenances t₁…tₙ is annotated `δ(t₁ + … + tₙ)`.
+    /// δ is characterized by the equations
+    ///
+    /// - `δ(0) = 0`, `δ(1) = 1`;
+    /// - `δ(δ(a)) = δ(a)` (idempotence);
+    /// - `δ(a)·δ(a) = δ(a)` (multiplicative idempotence of dedup).
+    ///
+    /// The default is the identity, which satisfies them wherever `+`
+    /// is idempotent (boolean, tropical, lineage, why). For counting,
+    /// δ(a) = "1 if a ≠ 0 else 0" matches set semantics; [`ProvExpr`]
+    /// keeps δ symbolic.
     fn delta(&self) -> Self {
         self.clone()
     }
@@ -67,12 +75,13 @@ pub trait Semiring: Clone + PartialEq + std::fmt::Debug {
     }
 }
 
-/// Sum an iterator of semiring values.
+/// Sum an iterator of semiring values (a `+` node's fold in
+/// [`crate::query::circuit::Valued`]).
 pub fn sum<K: Semiring>(items: impl IntoIterator<Item = K>) -> K {
     items.into_iter().fold(K::zero(), |acc, x| acc.plus(&x))
 }
 
-/// Multiply an iterator of semiring values.
+/// Multiply an iterator of semiring values (a `·` node's fold).
 pub fn product<K: Semiring>(items: impl IntoIterator<Item = K>) -> K {
     items.into_iter().fold(K::one(), |acc, x| acc.times(&x))
 }

@@ -98,11 +98,6 @@ impl Polynomial {
         &self.terms
     }
 
-    /// Number of monomials.
-    pub fn num_terms(&self) -> usize {
-        self.terms.len()
-    }
-
     /// The size of the fully expanded polynomial: Σ over terms of
     /// (coefficient-is-counted-once + monomial degree). Used by the
     /// representation ablation against graph node counts.
@@ -228,7 +223,7 @@ mod tests {
     fn join_produces_products() {
         // (a + b) · c = a·c + b·c
         let p = tok("a").plus(&tok("b")).times(&tok("c"));
-        assert_eq!(p.num_terms(), 2);
+        assert_eq!(p.terms().len(), 2);
         assert_eq!(p.to_string(), "a·c + b·c");
     }
 
@@ -279,7 +274,7 @@ mod tests {
     fn expanded_size_grows_with_distribution() {
         // (a+b)·(c+d) has 4 monomials of degree 2 → expanded 12
         let p = tok("a").plus(&tok("b")).times(&tok("c").plus(&tok("d")));
-        assert_eq!(p.num_terms(), 4);
+        assert_eq!(p.terms().len(), 4);
         assert_eq!(p.expanded_size(), 12);
     }
 

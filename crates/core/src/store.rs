@@ -4,9 +4,11 @@
 //! (see `lipstick-storage`) keeps records on disk and faults them in on
 //! demand; an append log layers a mutable tail over a sealed one. The
 //! query primitives in [`crate::query`] — traversal, subgraph, deletion
-//! propagation, dependency tests, the reach index — and ProQL's planner
-//! and read executor are written once against this trait and run
-//! unchanged on all three.
+//! propagation, dependency tests, the reach index, and the circuit
+//! evaluator behind `WHY` and `EVAL` ([`crate::query::eval_node`], one
+//! iterative pass over a node's visible cone) — and ProQL's planner and
+//! read executor are written once against this trait and run unchanged
+//! on all three.
 //!
 //! Every store keeps module and kind postings — the v2 footer's, a
 //! [`ProvGraph`]'s lazily built [`crate::graph::Postings`], an append
@@ -23,10 +25,8 @@
 //! through the `Cow` and never need to know which they got.
 
 use std::borrow::Cow;
-use std::collections::HashMap;
 
 use crate::graph::{InvocationId, InvocationInfo, NodeId, NodeKind, ProvGraph, Role};
-use crate::semiring::{ProvExpr, Token};
 
 /// Read-only access to a provenance graph, resident or paged.
 ///
@@ -161,65 +161,6 @@ impl GraphStore for ProvGraph {
     fn memory_breakdown(&self) -> Vec<(&'static str, usize)> {
         crate::obs::HeapSize::heap_breakdown(self)
     }
-}
-
-/// Store-generic provenance-expression extraction: the symbolic
-/// expression rooted at a p-node, following only visible p-node
-/// ingredients. Agrees with [`ProvGraph::expr_of`] (which delegates
-/// here).
-pub fn expr_of_store<S: GraphStore + ?Sized>(store: &S, id: NodeId) -> ProvExpr {
-    let mut memo: HashMap<NodeId, ProvExpr> = HashMap::new();
-    expr_rec_store(store, id, &mut memo)
-}
-
-fn expr_rec_store<S: GraphStore + ?Sized>(
-    store: &S,
-    id: NodeId,
-    memo: &mut HashMap<NodeId, ProvExpr>,
-) -> ProvExpr {
-    if let Some(e) = memo.get(&id) {
-        return e.clone();
-    }
-    let kind = store.kind_of(id);
-    let pred_exprs = |store: &S, memo: &mut HashMap<NodeId, ProvExpr>| {
-        store
-            .preds_of(id)
-            .iter()
-            .copied()
-            .filter(|p| {
-                // Hidden/deleted ingredients no longer contribute, and
-                // v-nodes contribute to values rather than to tuple
-                // provenance.
-                store.is_visible(*p) && !store.kind_of(*p).is_value_node()
-            })
-            .map(|p| expr_rec_store(store, p, memo))
-            .collect::<Vec<_>>()
-    };
-    let expr = match &*kind {
-        NodeKind::WorkflowInput { token } | NodeKind::BaseTuple { token } => {
-            ProvExpr::Tok(token.clone())
-        }
-        NodeKind::Invocation => {
-            let inv = store
-                .role_of(id)
-                .invocation()
-                .expect("invocation node has inv");
-            let info = store.invocation(inv);
-            ProvExpr::Tok(Token::new(format!("⟨{}#{}⟩", info.module, info.execution)))
-        }
-        NodeKind::Plus => ProvExpr::sum(pred_exprs(store, memo)),
-        NodeKind::Times
-        | NodeKind::ModuleInput
-        | NodeKind::ModuleOutput
-        | NodeKind::StateUnit
-        | NodeKind::Zoomed { .. }
-        | NodeKind::BlackBox { .. } => ProvExpr::prod(pred_exprs(store, memo)),
-        NodeKind::Delta => ProvExpr::delta(ProvExpr::sum(pred_exprs(store, memo))),
-        // v-nodes have no tuple provenance of their own.
-        NodeKind::AggResult { .. } | NodeKind::Tensor | NodeKind::Const { .. } => ProvExpr::One,
-    };
-    memo.insert(id, expr.clone());
-    expr
 }
 
 #[cfg(test)]

@@ -38,9 +38,14 @@ pub enum ProqlError {
     /// to page from.
     UnindexedLog,
     /// The request deadline passed mid-execution; the statement was
-    /// cancelled cooperatively at a span boundary. Only read statements
+    /// cancelled cooperatively at a span boundary, or inside the circuit
+    /// pass behind `WHY` and `EVAL`. Only read statements
     /// carry deadlines — a half-applied mutation is never abandoned.
     DeadlineExceeded,
+    /// A `WHY` or `EVAL … IN why` answer would pass one of the constant
+    /// bounds on symbolic values (`lipstick_core::query::Limits`): this
+    /// many of `what`.
+    TooLarge { what: &'static str, limit: u64 },
 }
 
 impl fmt::Display for ProqlError {
@@ -89,6 +94,12 @@ impl fmt::Display for ProqlError {
                     "deadline exceeded: statement cancelled before completion"
                 )
             }
+            ProqlError::TooLarge { what, limit } => write!(
+                f,
+                "answer too large: it would pass {limit} {what}, the bound on WHY and \
+                 EVAL … IN why answers (EVAL … IN counting, boolean, tropical or lineage \
+                 still answers)"
+            ),
         }
     }
 }
@@ -97,7 +108,11 @@ impl std::error::Error for ProqlError {}
 
 impl From<QueryError> for ProqlError {
     fn from(e: QueryError) -> Self {
-        ProqlError::Query(e)
+        match e {
+            QueryError::DeadlineExceeded => ProqlError::DeadlineExceeded,
+            QueryError::TooLarge { what, limit } => ProqlError::TooLarge { what, limit },
+            e => ProqlError::Query(e),
+        }
     }
 }
 

@@ -12,6 +12,15 @@
 //! actually examined — so tests (and the `proql_planner` bench) can
 //! verify the planner's cost model against observed work.
 //!
+//! `WHY` and `EVAL` are one circuit pass each over the node's visible
+//! cone (`lipstick_core::query::circuit`), never its expansion: `EVAL`
+//! folds the semiring's values, `WHY` builds the expression. The
+//! symbolic answers first run a bounding pass (`Limits`) that refuses
+//! an answer past the constant bounds with [`ProqlError::TooLarge`], so
+//! a refusal costs one pass over the cone: `WHY` is bounded on its
+//! expression's size and depth and on its expanded polynomial's size,
+//! `EVAL … IN why`, which builds no expression, on the latter alone.
+//!
 //! ## Set operations
 //!
 //! A `UNION`/`INTERSECT` chain runs its flattened branches left to
@@ -22,18 +31,17 @@
 //! `lipstick-serve` run [`execute_read`] concurrently under a shared
 //! read lock.
 
-use std::collections::BTreeSet;
-
 use lipstick_core::obs::{QueryTrace, SpanGuard, TraceCtx, Tracer};
-use lipstick_core::query::{depends_on, subgraph, traverse, Direction, ReachIndex};
+use lipstick_core::query::{
+    depends_on, eval_node, subgraph, traverse, Direction, Limits, ReachIndex, Symbolic, Valued,
+};
 use lipstick_core::semiring::boolean::Bools;
-use lipstick_core::semiring::eval::{eval_expr, Valuation};
 use lipstick_core::semiring::lineage::Lineage;
 use lipstick_core::semiring::natural::Natural;
 use lipstick_core::semiring::tropical::Tropical;
 use lipstick_core::semiring::whyprov::Why;
-use lipstick_core::store::{expr_of_store, GraphStore};
-use lipstick_core::{NodeId, NodeKind, Polynomial, ProvExpr, Semiring, Token};
+use lipstick_core::store::GraphStore;
+use lipstick_core::{NodeId, NodeKind, Polynomial, Token};
 
 use crate::ast::{Comparison, Field, FieldValue, NodeClass, Predicate, SemiringName, WalkDir};
 use crate::error::{ProqlError, Result};
@@ -87,7 +95,8 @@ type SetResult = Result<(Vec<NodeId>, usize)>;
 
 /// Cooperative cancellation: consulted at span boundaries (statement
 /// entry and each set-plan operator), so a runaway read gives up within
-/// one operator's work of its deadline.
+/// one operator's work of its deadline. The circuit pass behind `WHY`
+/// and `EVAL` also checks inside its loop, every few thousand nodes.
 fn check_deadline(ctx: &TraceCtx<'_>) -> Result<()> {
     if ctx.deadline_exceeded() {
         return Err(ProqlError::DeadlineExceeded);
@@ -120,9 +129,15 @@ pub(crate) fn execute_read<S: GraphStore + ?Sized>(
         StmtPlan::Why { n, .. } => {
             let mut span = ctx.span("why");
             let mark = env.reads_mark();
-            let expr = expr_of_store(store, *n);
+            let expr = eval_node(store, *n, &Limits::Expression, span.ctx())
+                .and_then(|_| eval_node(store, *n, &Symbolic, span.ctx()));
             env.stamp_reads(&mut span, mark);
-            Ok(QueryOutput::Text(why_text(*n, &expr)))
+            let expr = expr?;
+            let mut text = format!("{n}: {expr}");
+            if let Some(poly) = Polynomial::from_expr(&expr) {
+                text.push_str(&format!("\n  = {poly} (expanded N[X] polynomial)"));
+            }
+            Ok(QueryOutput::Text(text))
         }
         StmtPlan::Depends {
             n,
@@ -147,11 +162,9 @@ pub(crate) fn execute_read<S: GraphStore + ?Sized>(
         StmtPlan::Eval(n, semiring) => {
             let mut span = ctx.span("eval");
             let mark = env.reads_mark();
-            let expr = expr_of_store(store, *n);
+            let text = eval_in(store, *n, *semiring, span.ctx());
             env.stamp_reads(&mut span, mark);
-            Ok(QueryOutput::Text(eval_expr_in_semiring(
-                *n, &expr, *semiring,
-            )))
+            Ok(QueryOutput::Text(text?))
         }
         StmtPlan::Stats => Ok(QueryOutput::Text((env.stats)(store, env.reach))),
         StmtPlan::Explain(inner) => Ok(QueryOutput::Text(inner.to_string())),
@@ -435,87 +448,53 @@ fn merge_intersect(xs: Vec<NodeId>, ys: Vec<NodeId>) -> Vec<NodeId> {
     out
 }
 
-/// Render a `WHY` answer: the symbolic expression plus its expanded
-/// N\[X\] polynomial when one exists.
-fn why_text(n: NodeId, expr: &ProvExpr) -> String {
-    let mut text = format!("{n}: {expr}");
-    if let Some(poly) = Polynomial::from_expr(expr) {
-        text.push_str(&format!("\n  = {poly} (expanded N[X] polynomial)"));
-    }
-    text
-}
-
-/// Collect the distinct tokens of an expression.
-fn collect_tokens(e: &ProvExpr, out: &mut BTreeSet<Token>) {
-    match e {
-        ProvExpr::Zero | ProvExpr::One => {}
-        ProvExpr::Tok(t) => {
-            out.insert(t.clone());
-        }
-        ProvExpr::Sum(parts) | ProvExpr::Prod(parts) => {
-            for p in parts {
-                collect_tokens(p, out);
-            }
-        }
-        ProvExpr::Delta(inner) => collect_tokens(inner, out),
-    }
-}
-
-/// Evaluate an extracted provenance expression under the named
-/// semiring.
-///
-/// Valuations: counting and tropical give every token weight 1 (number
-/// of derivations / minimum tuples on a derivation); boolean marks all
-/// tokens present; lineage and why map each token to itself, producing
+/// `EVAL n IN semiring`: one circuit pass over `n`'s visible cone
+/// under the semiring's token valuation. Counting and tropical give
+/// every token weight 1 (number of derivations, saturating at
+/// `u64::MAX` / fewest tuples on a derivation); boolean marks every
+/// token present; lineage and why map each token to itself, producing
 /// contributing-token sets and minimal witnesses respectively.
-fn eval_expr_in_semiring(id: NodeId, expr: &ProvExpr, semiring: SemiringName) -> String {
-    let mut tokens = BTreeSet::new();
-    collect_tokens(expr, &mut tokens);
-    let tokens: Vec<Token> = tokens.into_iter().collect();
-    match semiring {
+fn eval_in<S: GraphStore + ?Sized>(
+    store: &S,
+    id: NodeId,
+    semiring: SemiringName,
+    ctx: TraceCtx<'_>,
+) -> Result<String> {
+    let names = |set: &std::collections::BTreeSet<Token>| {
+        let names: Vec<&str> = set.iter().map(Token::as_str).collect();
+        format!("{{{}}}", names.join(", "))
+    };
+    Ok(match semiring {
         SemiringName::Counting => {
-            let v = Valuation::<Natural>::with_default(Natural(1));
-            let n = eval_expr(expr, &v);
-            format!("{id} in counting: {} derivation(s)", n.0)
+            let n = eval_node(store, id, &Valued(|_: &Token| Natural(1)), ctx)?.0;
+            let at_least = if n == u64::MAX { "at least " } else { "" };
+            format!("{id} in counting: {at_least}{n} derivation(s)")
         }
         SemiringName::Boolean => {
-            let v = Valuation::<Bools>::with_default(Bools(true));
-            let b = eval_expr(expr, &v);
+            let b = eval_node(store, id, &Valued(|_: &Token| Bools(true)), ctx)?;
             format!("{id} in boolean: {}", b.0)
         }
         SemiringName::Tropical => {
-            let v = Valuation::<Tropical>::with_default(Tropical(1.0));
-            let t = eval_expr(expr, &v);
+            let t = eval_node(store, id, &Valued(|_: &Token| Tropical(1.0)), ctx)?;
             format!("{id} in tropical (unit costs): {}", t.0)
         }
         SemiringName::Lineage => {
-            let mut v = Valuation::<Lineage>::with_default(Lineage::one());
-            for t in &tokens {
-                v = v.set(t.as_str(), Lineage::token(t.clone()));
-            }
-            match eval_expr(expr, &v).tokens() {
-                Some(set) => {
-                    let names: Vec<&str> = set.iter().map(|t| t.as_str()).collect();
-                    format!("{id} in lineage: {{{}}}", names.join(", "))
-                }
+            let lineage = eval_node(
+                store,
+                id,
+                &Valued(|t: &Token| Lineage::token(t.clone())),
+                ctx,
+            )?;
+            match lineage.tokens() {
+                Some(set) => format!("{id} in lineage: {}", names(set)),
                 None => format!("{id} in lineage: underivable"),
             }
         }
         SemiringName::Why => {
-            let mut v = Valuation::<Why>::with_default(Why::one());
-            for t in &tokens {
-                v = v.set(t.as_str(), Why::token(t.clone()));
-            }
-            let why = eval_expr(expr, &v);
-            let witnesses: Vec<String> = why
-                .witnesses()
-                .iter()
-                .map(|w| {
-                    let names: Vec<&str> = w.iter().map(|t| t.as_str()).collect();
-                    format!("{{{}}}", names.join(", "))
-                })
-                .collect();
+            eval_node(store, id, &Limits::Witnesses, ctx)?;
+            let why = eval_node(store, id, &Valued(|t: &Token| Why::token(t.clone())), ctx)?;
+            let witnesses: Vec<String> = why.witnesses().iter().map(names).collect();
             format!("{id} in why: {{{}}}", witnesses.join(", "))
         }
-    }
+    })
 }

@@ -357,8 +357,8 @@ impl GraphStore for PagedLog {
 mod tests {
     use super::*;
     use crate::log::{decode_graph, encode_graph, encode_graph_v2};
-    use lipstick_core::query::{depends_on, traverse, Direction};
-    use lipstick_core::store::expr_of_store;
+    use lipstick_core::obs::TraceCtx;
+    use lipstick_core::query::{depends_on, eval_node, traverse, Direction, Symbolic};
     use lipstick_core::ProvGraph;
 
     fn sample() -> ProvGraph {
@@ -416,7 +416,9 @@ mod tests {
         let (expect, _) = traverse(&g, root, Direction::Descendants, None, |_| true).unwrap();
         assert_eq!(nodes, expect);
         assert_eq!(
-            expr_of_store(&paged, NodeId(5)).to_string(),
+            eval_node(&paged, NodeId(5), &Symbolic, TraceCtx::disabled())
+                .unwrap()
+                .to_string(),
             g.expr_of(NodeId(5)).to_string()
         );
         for (n, _) in g.iter_visible() {

@@ -264,6 +264,8 @@ const PLAN_FILES: &[&str] = &[
     "crates/proql/src/exec.rs",
     "crates/core/src/query/reach.rs",
     "crates/core/src/query/zoom.rs",
+    "crates/core/src/query/circuit.rs",
+    "crates/core/src/store.rs",
 ];
 
 /// Storage files under rule 6 (no panicking calls).
@@ -436,7 +438,8 @@ fn run_lint(root: &Path) -> std::io::Result<Vec<String>> {
     }
 
     // Rule 5: the one planner, its plans, the one read executor, and
-    // the reach index and ZoomOut planner they call.
+    // the reach index, ZoomOut planner, circuit evaluator and store
+    // accessors they call.
     for file in PLAN_FILES {
         let path = root.join(file);
         let src = std::fs::read_to_string(&path)?;
@@ -539,15 +542,17 @@ mod tests {
         assert_eq!(check_no_panics(ok, PLAN_CONTEXT), Vec::new());
     }
 
-    /// Every rule-5 file is covered — the plans, the reach index and the
-    /// ZoomOut planner included: a row
-    /// lookup that `expect`s instead of answering an empty row is caught
-    /// on the seeded line.
+    /// Every rule-5 file is covered — the plans, the reach index, the
+    /// ZoomOut planner, the circuit evaluator behind `WHY`/`EVAL` and the
+    /// store accessors included: a row lookup that `expect`s instead of
+    /// answering an empty row is caught on the seeded line.
     #[test]
     fn seeded_plan_file_violations_are_caught() {
         for file in [
             "crates/core/src/query/reach.rs",
             "crates/core/src/query/zoom.rs",
+            "crates/core/src/query/circuit.rs",
+            "crates/core/src/store.rs",
             "crates/proql/src/plan.rs",
         ] {
             assert!(PLAN_FILES.contains(&file), "{file}");
