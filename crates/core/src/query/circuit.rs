@@ -15,13 +15,17 @@
 //!
 //! - every [`Semiring`], through [`Valued`] and a token valuation;
 //! - [`ProvExpr`], through [`Symbolic`] and its smart constructors (not
-//!   a `Semiring`: its structural `Eq` breaks the laws);
-//! - [`Shape`], through [`Limits`], which measures what a symbolic
-//!   value would expand to and refuses one past its bounds. A pass in
-//!   `Limits` before a symbolic one keeps a refusal at one pass over
-//!   the cone.
+//!   a `Semiring`: its structural `Eq` breaks the laws). `WHY` runs the
+//!   same constructors in shared form ([`shared_lines`]): a composite
+//!   the cone reads twice or more, or one too deep to inline, gets a
+//!   line of its own, so the answer is the circuit, not its expansion;
+//! - [`Shape`], through [`Limits`], which measures a value's expanded
+//!   polynomial and refuses one past [`MAX_SIZE`]: a pass in `Limits`
+//!   before the N\[X\] or why-provenance pass keeps a refusal at one
+//!   pass over the cone.
 
-use std::collections::HashMap;
+use std::cell::RefCell;
+use std::collections::{BTreeMap, HashMap};
 use std::ops::Range;
 
 use crate::graph::{NodeId, NodeKind};
@@ -51,6 +55,12 @@ pub trait Circuit {
     fn token(&self, t: &Token) -> Self::Value;
     /// A composite node's value. Only [`Limits`] refuses one.
     fn combine(&self, op: Op, parts: Vec<Self::Value>) -> Result<Self::Value, QueryError>;
+    /// Node `id`'s combined value, before the `reads` ingredient edges
+    /// of the cone that read it do: kept as it is, unless the algebra
+    /// names shared values.
+    fn node(&self, _id: NodeId, _reads: u32, value: Self::Value) -> Self::Value {
+        value
+    }
 }
 
 /// A [`Semiring`] as a circuit, valuing each input token with `F`.
@@ -91,132 +101,134 @@ impl Circuit for Symbolic {
     }
 }
 
-/// Bound on a symbolic answer's size: the nodes of its expression tree,
-/// and its expanded N\[X\] polynomial's monomials plus the tokens they
-/// multiply — which also bounds its why-witnesses and their tokens.
+/// Bound on a symbolic answer's size: its expanded N\[X\] polynomial's
+/// monomials plus the tokens they multiply — which also bounds its
+/// why-witnesses and their tokens.
 pub const MAX_SIZE: u64 = 1 << 15;
-/// Bound on its expression's nesting depth, which keeps `ProvExpr`'s
-/// recursive `Display`, `Polynomial::from_expr` and drop inside a
-/// worker's stack.
+/// Bound on how deep one line of a `WHY` answer nests, which keeps
+/// `ProvExpr`'s recursive `Display` and drop inside a worker's stack. A
+/// deeper value is split into lines ([`shared_lines`]).
 pub const MAX_DEPTH: u32 = 1 << 9;
 
-/// What a value would expand to: the tree [`Symbolic`] builds (its top
-/// operator, node count and nesting depth) and its N\[X\] polynomial,
-/// counted with multiplicity and with δ read as the identity: `terms`
-/// monomials of total degree `degrees`.
+/// What a value expands to, `Shape(terms, degrees)`: its N\[X\]
+/// polynomial, counted with multiplicity and with δ read as the
+/// identity, has `terms` monomials of total degree `degrees`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct Shape {
-    top: Top,
-    nodes: u64,
-    depth: u32,
-    terms: u64,
-    degrees: u64,
-}
+pub struct Shape(u64, u64);
 
-/// A tree's top operator, as `ProvExpr::sum` and `prod` treat a part.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum Top {
-    Zero,
-    One,
-    Sum,
-    Prod,
-    Other,
-}
-
-/// Measures a symbolic value's [`Shape`] and refuses one past the
-/// bounds: [`Limits::Expression`] for `WHY`'s expression and
-/// polynomial, [`Limits::Witnesses`] for why-provenance, which builds
-/// no tree and so is bounded by [`MAX_SIZE`] on its expansion alone.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Limits {
-    /// Expression nodes, nesting depth and the expansion's size.
-    Expression,
-    /// The expansion's size: monomials and their tokens.
-    Witnesses,
-}
-
-impl Shape {
-    const ZERO: Shape = Shape::leaf(Top::Zero, 0, 0);
-    const ONE: Shape = Shape::leaf(Top::One, 1, 0);
-    const TOKEN: Shape = Shape::leaf(Top::Other, 1, 1);
-
-    const fn leaf(top: Top, terms: u64, degrees: u64) -> Shape {
-        Shape {
-            top,
-            nodes: 1,
-            depth: 1,
-            terms,
-            degrees,
-        }
-    }
-}
+/// Measures a value's [`Shape`] and refuses one past [`MAX_SIZE`]: the
+/// bound on `WHY`'s expanded N\[X\] line and on why-provenance.
+pub struct Limits;
 
 impl Circuit for Limits {
     type Value = Shape;
     fn token(&self, _: &Token) -> Shape {
-        Shape::TOKEN
+        Shape(1, 1)
     }
-    /// The tree follows `ProvExpr::sum`, `prod` and `delta`: a value
-    /// with no monomial is 0, parts equal to the operator's unit drop
-    /// out, a lone part is the result, a part with the same operator is
-    /// flattened into it, and δ wraps anything but 0. Monomials add
-    /// under `+`; under `·` they multiply, and each part's degrees count
-    /// once per monomial of the others.
+    /// Monomials add under `+`; under `·` they multiply, and each part's
+    /// degrees count once per monomial of the others.
     fn combine(&self, op: Op, parts: Vec<Shape>) -> Result<Shape, QueryError> {
-        let (top, unit) = match op {
-            Op::Prod => (Top::Prod, Top::One),
-            _ => (Top::Sum, Top::Zero),
-        };
         let (mut terms, mut degrees) = (u64::from(op == Op::Prod), 0u64);
-        for p in &parts {
+        for Shape(t, d) in parts {
             (terms, degrees) = match op {
                 Op::Prod => (
-                    terms.saturating_mul(p.terms),
-                    (terms.saturating_mul(p.degrees))
-                        .saturating_add(degrees.saturating_mul(p.terms)),
+                    terms.saturating_mul(t),
+                    (terms.saturating_mul(d)).saturating_add(degrees.saturating_mul(t)),
                 ),
-                _ => (
-                    terms.saturating_add(p.terms),
-                    degrees.saturating_add(p.degrees),
-                ),
+                _ => (terms.saturating_add(t), degrees.saturating_add(d)),
             };
         }
-        let kept: Vec<Shape> = parts.into_iter().filter(|p| p.top != unit).collect();
-        let flat = |p: &Shape| u32::from(p.top == top);
-        let mut shape = match kept[..] {
-            _ if terms == 0 => Shape::ZERO,
-            [] => Shape::ONE,
-            [lone] => lone,
-            _ => Shape {
-                top,
-                nodes: kept
-                    .iter()
-                    .fold(1, |n, p| n.saturating_add(p.nodes - u64::from(flat(p)))),
-                depth: 1 + kept.iter().map(|p| p.depth - flat(p)).max().unwrap_or(0),
-                terms,
-                degrees,
-            },
-        };
-        if op == Op::Delta && terms != 0 {
-            shape = Shape {
-                top: Top::Other,
-                nodes: shape.nodes.saturating_add(1),
-                depth: shape.depth + 1,
-                ..shape
-            };
-        }
-        let tree = *self == Limits::Expression;
-        let too_large = |what, limit| Err(QueryError::TooLarge { what, limit });
-        if tree && shape.nodes > MAX_SIZE {
-            too_large("expression nodes", MAX_SIZE)
-        } else if tree && shape.depth > MAX_DEPTH {
-            too_large("levels of nesting", u64::from(MAX_DEPTH))
-        } else if terms.saturating_add(degrees) > MAX_SIZE {
-            too_large("monomials and tokens in the expanded polynomial", MAX_SIZE)
-        } else {
-            Ok(shape)
+        match terms.saturating_add(degrees) > MAX_SIZE {
+            true => Err(QueryError::TooLarge { limit: MAX_SIZE }),
+            false => Ok(Shape(terms, degrees)),
         }
     }
+}
+
+/// A [`Shared`] value: its expression, a bound on how deep that nests
+/// (exact once measured), and the cone node it is the value of.
+#[derive(Clone)]
+struct Part {
+    expr: ProvExpr,
+    depth: u32,
+    node: Option<NodeId>,
+}
+
+/// [`Symbolic`] in shared form. A composite node whose value is not a
+/// leaf is *named* when the cone reads it twice or more, or when
+/// inlining it would nest its reader deeper than [`MAX_DEPTH`]: its
+/// expression moves to a line of its own, and its readers read the
+/// reference `#id`, a leaf, instead.
+#[derive(Default)]
+struct Shared(RefCell<BTreeMap<NodeId, ProvExpr>>);
+
+impl Shared {
+    fn name(&self, part: &mut Part) {
+        let leaf = matches!(part.expr, ProvExpr::Zero | ProvExpr::One | ProvExpr::Tok(_));
+        if let (Some(id), false) = (part.node, leaf) {
+            let reference = ProvExpr::Tok(Token::new(format!("#{}", id.0)));
+            let expr = std::mem::replace(&mut part.expr, reference);
+            self.0.borrow_mut().insert(id, expr);
+            part.depth = 1;
+        }
+    }
+}
+
+impl Circuit for Shared {
+    type Value = Part;
+    fn token(&self, t: &Token) -> Part {
+        let (expr, depth, node) = (Symbolic.token(t), 1, None);
+        Part { expr, depth, node }
+    }
+    /// Built by [`Symbolic`]. A built value nests at most two levels
+    /// above its deepest part (δ of a sum), so only past that bound is
+    /// it built from copies and measured; while it is too deep, its
+    /// deepest parts are named.
+    fn combine(&self, op: Op, mut parts: Vec<Part>) -> Result<Part, QueryError> {
+        let build = |p: Vec<Part>| Symbolic.combine(op, p.into_iter().map(|p| p.expr).collect());
+        let (depth, node) = (2 + parts.iter().map(|p| p.depth).max().unwrap_or(0), None);
+        if depth <= MAX_DEPTH {
+            let expr = build(parts)?;
+            return Ok(Part { expr, depth, node });
+        }
+        parts.iter_mut().for_each(|p| p.depth = p.expr.depth());
+        loop {
+            let expr = build(parts.clone())?;
+            let depth = expr.depth();
+            let deepest = parts.iter().filter_map(|p| p.node.map(|_| p.depth)).max();
+            let Some(d) = deepest.filter(|&d| d > 1 && depth > MAX_DEPTH) else {
+                return Ok(Part { expr, depth, node });
+            };
+            for p in parts.iter_mut().filter(|p| p.depth == d) {
+                self.name(p);
+            }
+        }
+    }
+    fn node(&self, id: NodeId, reads: u32, mut value: Part) -> Part {
+        value.node = Some(id);
+        if reads > 1 {
+            self.name(&mut value);
+        }
+        value
+    }
+}
+
+/// `root`'s provenance in shared form, one line per entry: the root's
+/// expression, then each named node's in ascending id order, where
+/// `#id` stands for node `id`'s line. A composite is named when the
+/// cone reads it twice or more, or when inlining it would nest its
+/// reader deeper than [`MAX_DEPTH`]. One pass in
+/// [`Symbolic`]'s constructors, and no line nests deeper than
+/// [`MAX_DEPTH`]; a cone that reads no composite twice and nests no
+/// deeper than that is one line, its expression.
+pub fn shared_lines<S: GraphStore + ?Sized>(
+    store: &S,
+    root: NodeId,
+    ctx: TraceCtx<'_>,
+) -> Result<Vec<(NodeId, ProvExpr)>, QueryError> {
+    let shared = Shared::default();
+    let root = (root, eval_node(store, root, &shared, ctx)?.expr);
+    Ok(std::iter::once(root).chain(shared.0.into_inner()).collect())
 }
 
 /// How often, in steps of a pass, it looks at the deadline.
@@ -235,7 +247,8 @@ struct Slot<V> {
 /// The value of `root`'s provenance in `circuit`, in one iterative pass
 /// over its visible cone: it reads each cone node's record and the
 /// kinds of its visible ingredients, skipping v-node ingredients, then
-/// combines the values in post-order, one per cone node. Fails on a
+/// combines the values in post-order, one per cone node, handing each
+/// composite's to [`Circuit::node`] with its read count. Fails on a
 /// passed deadline (checked every few thousand steps), a value
 /// [`Circuit::combine`] refuses, or a malformed cone.
 pub fn eval_node<S, C>(
@@ -336,7 +349,8 @@ where
             parts.push(value.ok_or(cycle(k))?);
         }
         let value = circuit.combine(op, parts)?;
-        cone.get_mut(&id).ok_or(cycle(id))?.value = Some(value);
+        let slot = cone.get_mut(&id).ok_or(cycle(id))?;
+        slot.value = Some(circuit.node(id, slot.uses, value));
     }
     cone.remove(&root).and_then(|s| s.value).ok_or(cycle(root))
 }
@@ -418,14 +432,6 @@ mod tests {
             v = v.set(t.as_str(), leaf(t));
         }
         eval_expr(e, &v)
-    }
-
-    fn depth(e: &ProvExpr) -> u32 {
-        match e {
-            ProvExpr::Sum(v) | ProvExpr::Prod(v) => 1 + v.iter().map(depth).max().unwrap_or(0),
-            ProvExpr::Delta(inner) => 1 + depth(inner),
-            _ => 1,
-        }
     }
 
     /// Monomials and their total degree, with multiplicity and δ read
@@ -553,36 +559,100 @@ mod tests {
         eval_node(g, root, circuit, TraceCtx::disabled()).expect("well-formed cone")
     }
 
+    /// How often the visible cone of `root` reads each of its nodes:
+    /// the ingredient edges of its composites, v-node ingredients
+    /// skipped.
+    fn reads(g: &ProvGraph, root: NodeId) -> HashMap<NodeId, u32> {
+        let (mut reads, mut stack) = (HashMap::from([(root, 0)]), vec![root]);
+        while let Some(id) = stack.pop() {
+            let composite = matches!(
+                g.kind_of(id).as_ref(),
+                NodeKind::Plus
+                    | NodeKind::Delta
+                    | NodeKind::Times
+                    | NodeKind::ModuleInput
+                    | NodeKind::ModuleOutput
+                    | NodeKind::StateUnit
+                    | NodeKind::Zoomed { .. }
+                    | NodeKind::BlackBox { .. }
+            );
+            for &p in g.preds_of(id).iter().filter(|_| composite) {
+                if g.is_visible(p) && !g.kind_of(p).is_value_node() {
+                    let n = reads.entry(p).or_insert(0);
+                    *n += 1;
+                    if *n == 1 {
+                        stack.push(p);
+                    }
+                }
+            }
+        }
+        reads
+    }
+
+    /// A shared-form line with every reference replaced by its line,
+    /// through the smart constructors.
+    fn unfold(e: &ProvExpr, named: &BTreeMap<NodeId, ProvExpr>) -> ProvExpr {
+        let id = |t: &Token| t.as_str().strip_prefix('#')?.parse().ok().map(NodeId);
+        match e {
+            ProvExpr::Tok(t) => match id(t).and_then(|id| named.get(&id)) {
+                Some(line) => unfold(line, named),
+                None => e.clone(),
+            },
+            ProvExpr::Sum(v) => ProvExpr::sum(v.iter().map(|p| unfold(p, named))),
+            ProvExpr::Prod(v) => ProvExpr::prod(v.iter().map(|p| unfold(p, named))),
+            ProvExpr::Delta(p) => ProvExpr::delta(unfold(p, named)),
+            leaf => leaf.clone(),
+        }
+    }
+
     proptest! {
         /// The circuit pass agrees with extract-then-evaluate on every
-        /// node: the same expression (so `WHY`'s text is byte-identical),
-        /// the same value in all five semirings, the same records read,
-        /// and a `Shape` that measures the expression exactly.
+        /// node: the same expression, the same value in all five
+        /// semirings, the same records read, and a `Shape` that counts
+        /// the expansion exactly. `WHY`'s shared form reads the same
+        /// records and unfolds to the same expression; it names only
+        /// composites read twice or more, and a cone that reads none
+        /// twice is the expression alone.
         #[test]
         fn circuit_pass_matches_the_expanding_oracle(g in arb_graph()) {
             let store = Recording { graph: &g, read: RefCell::new(BTreeSet::new()) };
             for (root, _) in g.iter() {
-                let shape = match eval_node(&store, root, &Limits::Expression, TraceCtx::disabled()) {
+                let expr = eval_node(&store, root, &Symbolic, TraceCtx::disabled()).unwrap();
+                let read = store.take();
+                let lines = shared_lines(&store, root, TraceCtx::disabled()).unwrap();
+                prop_assert_eq!(&store.take(), &read);
+                let reads = reads(&g, root);
+                for (id, line) in &lines[1..] {
+                    let split = line.depth() + 2 > MAX_DEPTH;
+                    prop_assert!(reads[id] >= 2 || split, "{} named with {} read(s)", id, reads[id]);
+                    prop_assert!(!matches!(line, ProvExpr::Zero | ProvExpr::One | ProvExpr::Tok(_)));
+                }
+                if reads.values().all(|&n| n < 2) {
+                    prop_assert_eq!(&lines, &vec![(root, expr.clone())]);
+                }
+                // Every composite read twice is named, or passes a named
+                // node's value through and reads as its reference.
+                let named: BTreeMap<_, _> = lines[1..].iter().cloned().collect();
+                let bounded = |id| eval_node(&g, id, &Limits, TraceCtx::disabled()).is_ok();
+                let full: Vec<_> = named.keys().filter(|&&id| bounded(id)).map(|&id| eval(&g, id, &Symbolic)).collect();
+                for (&id, &n) in reads.iter().filter(|&(&id, &n)| n >= 2 && bounded(id)) {
+                    let value = eval(&g, id, &Symbolic);
+                    let leaf = matches!(value, ProvExpr::Zero | ProvExpr::One | ProvExpr::Tok(_));
+                    prop_assert!(leaf || named.contains_key(&id) || full.contains(&value), "{} read {} times", id, n);
+                }
+                let shape = match eval_node(&g, root, &Limits, TraceCtx::disabled()) {
                     Ok(shape) => shape,
                     Err(e) => {
-                        prop_assert!(matches!(e, QueryError::TooLarge { .. }), "{e}");
-                        store.take();
+                        prop_assert_eq!(e, QueryError::TooLarge { limit: MAX_SIZE });
                         continue;
                     }
                 };
-                let read = store.take();
-                let witnesses = eval_node(&g, root, &Limits::Witnesses, TraceCtx::disabled());
-                prop_assert_eq!(witnesses, Ok(shape));
-                let expr = eval_node(&store, root, &Symbolic, TraceCtx::disabled()).unwrap();
-                prop_assert_eq!(&store.take(), &read);
+                prop_assert_eq!(&unfold(&lines[0].1, &named), &expr);
                 let old = expr_rec_store(&store, root, &mut HashMap::new());
                 prop_assert_eq!(&store.take(), &read, "records read at {}", root);
                 prop_assert_eq!(&expr, &old);
                 prop_assert_eq!(expr.to_string(), old.to_string());
-                prop_assert_eq!(
-                    (shape.nodes, shape.depth, (shape.terms, shape.degrees)),
-                    (old.size() as u64, depth(&old), terms(&old))
-                );
+                prop_assert_eq!((shape.0, shape.1), terms(&old));
 
                 let ones = |_: &Token| Natural(1);
                 prop_assert_eq!(eval(&g, root, &Valued(ones)), old_eval(&old, Natural(1), ones));
@@ -597,9 +667,14 @@ mod tests {
                 );
                 let why = |t: &Token| Why::token(t.clone());
                 prop_assert_eq!(eval(&g, root, &Valued(why)), old_eval(&old, Why::one(), why));
-                if let Some(poly) = Polynomial::from_expr(&old) {
-                    let circuit = Valued(|t: &Token| Polynomial::token(t.clone()));
-                    prop_assert_eq!(eval(&g, root, &circuit), poly);
+                // `WHY` prints the N[X] line when no line holds δ.
+                let delta = lines.iter().any(|(_, l)| l.to_string().contains('δ'));
+                match Polynomial::from_expr(&old) {
+                    Some(poly) => {
+                        let circuit = Valued(|t: &Token| Polynomial::token(t.clone()));
+                        prop_assert_eq!(eval(&g, root, &circuit), poly);
+                    }
+                    None => prop_assert!(delta),
                 }
             }
         }
@@ -632,10 +707,17 @@ mod tests {
             eval(&g, x, &Valued(|_: &Token| Tropical(1.0))),
             Tropical(71.0)
         );
-        for limits in [Limits::Expression, Limits::Witnesses] {
-            let err = eval_node(&g, x, &limits, TraceCtx::disabled()).unwrap_err();
-            assert!(matches!(err, QueryError::TooLarge { .. }), "{err}");
-        }
+        let err = eval_node(&g, x, &Limits, TraceCtx::disabled()).unwrap_err();
+        assert_eq!(err, QueryError::TooLarge { limit: MAX_SIZE });
+        // The shared form names x₁…x₆₉, each read by both products.
+        let lines = shared_lines(&g, x, TraceCtx::disabled()).unwrap();
+        assert_eq!(lines.len(), 70);
+        let x1 = NodeId(x.0 - 5 * 69);
+        assert_eq!(lines[1].1.to_string(), "a·a0 + a·b0");
+        assert_eq!(
+            lines[2].1.to_string(),
+            format!("#{}·a1 + #{}·b1", x1.0, x1.0)
+        );
     }
 
     #[test]

@@ -21,9 +21,9 @@ pub enum QueryError {
     /// A node the circuit evaluator cannot read: an invocation node
     /// that names no invocation, or a node on an ingredient cycle.
     Malformed(crate::graph::NodeId, &'static str),
-    /// A bounded symbolic value would pass one of
-    /// [`crate::query::Limits`]' bounds.
-    TooLarge { what: &'static str, limit: u64 },
+    /// A value's expanded polynomial would pass this many monomials and
+    /// tokens ([`crate::query::Limits`]).
+    TooLarge { limit: u64 },
 }
 
 impl fmt::Display for QueryError {
@@ -38,9 +38,10 @@ impl fmt::Display for QueryError {
             }
             QueryError::DeadlineExceeded => write!(f, "deadline exceeded"),
             QueryError::Malformed(n, why) => write!(f, "node {n} {why}"),
-            QueryError::TooLarge { what, limit } => {
-                write!(f, "the value would pass {limit} {what}")
-            }
+            QueryError::TooLarge { limit } => write!(
+                f,
+                "the value's expanded polynomial would pass {limit} monomials and tokens"
+            ),
         }
     }
 }

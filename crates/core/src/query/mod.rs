@@ -22,7 +22,7 @@ pub mod subgraph;
 pub mod zoom;
 
 pub use change::GraphChange;
-pub use circuit::{eval_node, Circuit, Limits, Symbolic, Valued};
+pub use circuit::{eval_node, shared_lines, Circuit, Limits, Symbolic, Valued};
 pub use deletion::{propagate_deletion, propagate_deletion_inplace, DeletionReport};
 pub use dependency::depends_on;
 pub use error::QueryError;

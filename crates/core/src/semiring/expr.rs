@@ -133,45 +133,47 @@ impl ProvExpr {
             ProvExpr::Delta(p) => 1 + p.size(),
         }
     }
+
+    /// Nesting depth: 1 for a leaf, one more than the deepest part for
+    /// an operator. Recursive, like `Display` and drop.
+    pub fn depth(&self) -> u32 {
+        match self {
+            ProvExpr::Zero | ProvExpr::One | ProvExpr::Tok(_) => 1,
+            ProvExpr::Sum(v) | ProvExpr::Prod(v) => {
+                1 + v.iter().map(ProvExpr::depth).max().unwrap_or(0)
+            }
+            ProvExpr::Delta(p) => 1 + p.depth(),
+        }
+    }
 }
 
 impl fmt::Display for ProvExpr {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        /// Writes `e`, parenthesised if it is a sum inside a product.
         fn wrap(e: &ProvExpr, f: &mut fmt::Formatter<'_>, parent_prod: bool) -> fmt::Result {
-            match e {
-                ProvExpr::Zero => write!(f, "0"),
-                ProvExpr::One => write!(f, "1"),
-                ProvExpr::Tok(t) => write!(f, "{t}"),
-                ProvExpr::Sum(v) => {
-                    if parent_prod {
-                        write!(f, "(")?;
-                    }
-                    for (i, p) in v.iter().enumerate() {
-                        if i > 0 {
-                            write!(f, " + ")?;
-                        }
-                        wrap(p, f, false)?;
-                    }
-                    if parent_prod {
-                        write!(f, ")")?;
-                    }
-                    Ok(())
-                }
-                ProvExpr::Prod(v) => {
-                    for (i, p) in v.iter().enumerate() {
-                        if i > 0 {
-                            write!(f, "·")?;
-                        }
-                        wrap(p, f, true)?;
-                    }
-                    Ok(())
-                }
+            let (parts, prod) = match e {
+                ProvExpr::Zero => return f.write_str("0"),
+                ProvExpr::One => return f.write_str("1"),
+                ProvExpr::Tok(t) => return f.write_str(t.as_str()),
                 ProvExpr::Delta(p) => {
-                    write!(f, "δ(")?;
+                    f.write_str("δ(")?;
                     wrap(p, f, false)?;
-                    write!(f, ")")
+                    return f.write_str(")");
                 }
+                ProvExpr::Sum(v) => (v, false),
+                ProvExpr::Prod(v) => (v, true),
+            };
+            let (sep, paren) = if prod {
+                ("·", false)
+            } else {
+                (" + ", parent_prod)
+            };
+            f.write_str(if paren { "(" } else { "" })?;
+            for (i, p) in parts.iter().enumerate() {
+                f.write_str(if i == 0 { "" } else { sep })?;
+                wrap(p, f, prod)?;
             }
+            f.write_str(if paren { ")" } else { "" })
         }
         wrap(self, f, false)
     }

@@ -76,14 +76,20 @@ pub trait Semiring: Clone + PartialEq + std::fmt::Debug {
 }
 
 /// Sum an iterator of semiring values (a `+` node's fold in
-/// [`crate::query::circuit::Valued`]).
+/// [`crate::query::circuit::Valued`]). The first value seeds the fold,
+/// so a lone part passes through without a copy.
 pub fn sum<K: Semiring>(items: impl IntoIterator<Item = K>) -> K {
-    items.into_iter().fold(K::zero(), |acc, x| acc.plus(&x))
+    let mut items = items.into_iter();
+    let first = items.next().unwrap_or_else(K::zero);
+    items.fold(first, |acc, x| acc.plus(&x))
 }
 
-/// Multiply an iterator of semiring values (a `·` node's fold).
+/// Multiply an iterator of semiring values (a `·` node's fold), seeded
+/// like [`sum`].
 pub fn product<K: Semiring>(items: impl IntoIterator<Item = K>) -> K {
-    items.into_iter().fold(K::one(), |acc, x| acc.times(&x))
+    let mut items = items.into_iter();
+    let first = items.next().unwrap_or_else(K::one);
+    items.fold(first, |acc, x| acc.times(&x))
 }
 
 #[cfg(test)]

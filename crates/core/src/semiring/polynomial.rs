@@ -157,9 +157,14 @@ impl Semiring for Polynomial {
         Polynomial::constant(1)
     }
 
+    /// Copies the larger operand and adds the smaller one's terms in.
     fn plus(&self, other: &Self) -> Self {
-        let mut terms = self.terms.clone();
-        for (m, c) in &other.terms {
+        let (big, small) = match self.terms.len() >= other.terms.len() {
+            true => (self, other),
+            false => (other, self),
+        };
+        let mut terms = big.terms.clone();
+        for (m, c) in &small.terms {
             *terms.entry(m.clone()).or_insert(0) += c;
         }
         Polynomial { terms }

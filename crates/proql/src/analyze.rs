@@ -23,14 +23,14 @@
 //!   of a base node (`I402`), `LIMIT 0` (`I403`), `DEPTH 0` (`I404`),
 //!   and mutating statements under `CHECK` (`I405`).
 //!
-//! Determinism is load-bearing: the resident executor, the paged
-//! executor, and both serve protocols must render byte-identical
-//! diagnostics for the same source over the same graph (locked down by
-//! `tests/differential.rs`). The analyzer therefore consults only
-//! [`GraphStore`] facts that agree across backends — `node_count`,
-//! `visible_count`, `is_visible`, `kind_of`, and the (always resident)
-//! invocation table — and never backend-specific state like reach-index
-//! presence or postings availability.
+//! Determinism is load-bearing: the one executor must render
+//! byte-identical diagnostics for the same source over the same graph
+//! on every kind of session — resident, paged and append — and through
+//! both serve protocols (locked down by `tests/differential.rs`). The
+//! analyzer therefore consults only [`GraphStore`] facts that agree
+//! across stores — `node_count`, `visible_count`, `is_visible`,
+//! `kind_of`, and the (always resident) invocation table — and never
+//! session state like reach-index presence.
 
 use std::fmt;
 

@@ -42,10 +42,9 @@ pub enum ProqlError {
     /// pass behind `WHY` and `EVAL`. Only read statements
     /// carry deadlines — a half-applied mutation is never abandoned.
     DeadlineExceeded,
-    /// A `WHY` or `EVAL … IN why` answer would pass one of the constant
-    /// bounds on symbolic values (`lipstick_core::query::Limits`): this
-    /// many of `what`.
-    TooLarge { what: &'static str, limit: u64 },
+    /// An `EVAL … IN why` answer would pass this many monomials and
+    /// tokens in its expansion (`lipstick_core::query::Limits`).
+    TooLarge { limit: u64 },
 }
 
 impl fmt::Display for ProqlError {
@@ -89,16 +88,13 @@ impl fmt::Display for ProqlError {
                 "a v1 log has no footer index to page from: Session::load decodes it whole"
             ),
             ProqlError::DeadlineExceeded => {
-                write!(
-                    f,
-                    "deadline exceeded: statement cancelled before completion"
-                )
+                f.write_str("deadline exceeded: statement cancelled before completion")
             }
-            ProqlError::TooLarge { what, limit } => write!(
+            ProqlError::TooLarge { limit } => write!(
                 f,
-                "answer too large: it would pass {limit} {what}, the bound on WHY and \
-                 EVAL … IN why answers (EVAL … IN counting, boolean, tropical or lineage \
-                 still answers)"
+                "answer too large: it would pass {limit} monomials and tokens in the expanded \
+                 polynomial, the bound on EVAL … IN why answers (EVAL … IN counting, boolean, \
+                 tropical or lineage still answers)"
             ),
         }
     }
@@ -110,7 +106,7 @@ impl From<QueryError> for ProqlError {
     fn from(e: QueryError) -> Self {
         match e {
             QueryError::DeadlineExceeded => ProqlError::DeadlineExceeded,
-            QueryError::TooLarge { what, limit } => ProqlError::TooLarge { what, limit },
+            QueryError::TooLarge { limit } => ProqlError::TooLarge { limit },
             e => ProqlError::Query(e),
         }
     }

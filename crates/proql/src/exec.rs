@@ -12,14 +12,15 @@
 //! actually examined — so tests (and the `proql_planner` bench) can
 //! verify the planner's cost model against observed work.
 //!
-//! `WHY` and `EVAL` are one circuit pass each over the node's visible
-//! cone (`lipstick_core::query::circuit`), never its expansion: `EVAL`
-//! folds the semiring's values, `WHY` builds the expression. The
-//! symbolic answers first run a bounding pass (`Limits`) that refuses
-//! an answer past the constant bounds with [`ProqlError::TooLarge`], so
-//! a refusal costs one pass over the cone: `WHY` is bounded on its
-//! expression's size and depth and on its expanded polynomial's size,
-//! `EVAL … IN why`, which builds no expression, on the latter alone.
+//! `WHY` and `EVAL` are circuit passes over the node's visible cone
+//! (`lipstick_core::query::circuit`), never its expansion: `EVAL` folds
+//! the semiring's values; `WHY` prints the circuit in shared form, a
+//! line for each composite the cone reads twice or more or that nests
+//! too deep to inline, and always answers. Its expanded N\[X\] line and
+//! `EVAL … IN why` first run a bounding pass (`Limits`) on the
+//! expansion's size: past it, `WHY` prints a note instead of the line
+//! and `EVAL … IN why` refuses with [`ProqlError::TooLarge`], each after
+//! one pass over the cone.
 //!
 //! ## Set operations
 //!
@@ -33,7 +34,8 @@
 
 use lipstick_core::obs::{QueryTrace, SpanGuard, TraceCtx, Tracer};
 use lipstick_core::query::{
-    depends_on, eval_node, subgraph, traverse, Direction, Limits, ReachIndex, Symbolic, Valued,
+    depends_on, eval_node, shared_lines, subgraph, traverse, Direction, Limits, QueryError,
+    ReachIndex, Valued,
 };
 use lipstick_core::semiring::boolean::Bools;
 use lipstick_core::semiring::lineage::Lineage;
@@ -41,7 +43,7 @@ use lipstick_core::semiring::natural::Natural;
 use lipstick_core::semiring::tropical::Tropical;
 use lipstick_core::semiring::whyprov::Why;
 use lipstick_core::store::GraphStore;
-use lipstick_core::{NodeId, NodeKind, Polynomial, Token};
+use lipstick_core::{NodeId, NodeKind, Polynomial, ProvExpr, Token};
 
 use crate::ast::{Comparison, Field, FieldValue, NodeClass, Predicate, SemiringName, WalkDir};
 use crate::error::{ProqlError, Result};
@@ -129,15 +131,9 @@ pub(crate) fn execute_read<S: GraphStore + ?Sized>(
         StmtPlan::Why { n, .. } => {
             let mut span = ctx.span("why");
             let mark = env.reads_mark();
-            let expr = eval_node(store, *n, &Limits::Expression, span.ctx())
-                .and_then(|_| eval_node(store, *n, &Symbolic, span.ctx()));
+            let text = why(store, *n, span.ctx());
             env.stamp_reads(&mut span, mark);
-            let expr = expr?;
-            let mut text = format!("{n}: {expr}");
-            if let Some(poly) = Polynomial::from_expr(&expr) {
-                text.push_str(&format!("\n  = {poly} (expanded N[X] polynomial)"));
-            }
-            Ok(QueryOutput::Text(text))
+            Ok(QueryOutput::Text(text?))
         }
         StmtPlan::Depends {
             n,
@@ -448,6 +444,33 @@ fn merge_intersect(xs: Vec<NodeId>, ys: Vec<NodeId>) -> Vec<NodeId> {
     out
 }
 
+/// `WHY n`: the circuit in shared form, one `id: expression` line for
+/// the root and one for each named node, then — when no line holds δ —
+/// the expanded N\[X\] polynomial, or past [`Limits`]' bound a note
+/// naming it.
+fn why<S: GraphStore + ?Sized>(store: &S, n: NodeId, ctx: TraceCtx<'_>) -> Result<String> {
+    fn has_delta(e: &ProvExpr) -> bool {
+        match e {
+            ProvExpr::Delta(_) => true,
+            ProvExpr::Sum(v) | ProvExpr::Prod(v) => v.iter().any(has_delta),
+            _ => false,
+        }
+    }
+    let lines = shared_lines(store, n, ctx)?;
+    let mut text: Vec<String> = lines.iter().map(|(id, e)| format!("{id}: {e}")).collect();
+    if !lines.iter().any(|(_, e)| has_delta(e)) {
+        let poly = Valued(|t: &Token| Polynomial::token(t.clone()));
+        text.push(match eval_node(store, n, &Limits, ctx) {
+            Ok(_) => format!("  = {} (expanded N[X] polynomial)", eval_node(store, n, &poly, ctx)?),
+            Err(QueryError::TooLarge { limit }) => format!(
+                "  (expanded N[X] polynomial not printed: it would pass {limit} monomials and tokens)"
+            ),
+            Err(e) => return Err(e.into()),
+        });
+    }
+    Ok(text.join("\n"))
+}
+
 /// `EVAL n IN semiring`: one circuit pass over `n`'s visible cone
 /// under the semiring's token valuation. Counting and tropical give
 /// every token weight 1 (number of derivations, saturating at
@@ -479,19 +502,14 @@ fn eval_in<S: GraphStore + ?Sized>(
             format!("{id} in tropical (unit costs): {}", t.0)
         }
         SemiringName::Lineage => {
-            let lineage = eval_node(
-                store,
-                id,
-                &Valued(|t: &Token| Lineage::token(t.clone())),
-                ctx,
-            )?;
-            match lineage.tokens() {
+            let lineage = Valued(|t: &Token| Lineage::token(t.clone()));
+            match eval_node(store, id, &lineage, ctx)?.tokens() {
                 Some(set) => format!("{id} in lineage: {}", names(set)),
                 None => format!("{id} in lineage: underivable"),
             }
         }
         SemiringName::Why => {
-            eval_node(store, id, &Limits::Witnesses, ctx)?;
+            eval_node(store, id, &Limits, ctx)?;
             let why = eval_node(store, id, &Valued(|t: &Token| Why::token(t.clone())), ctx)?;
             let witnesses: Vec<String> = why.witnesses().iter().map(names).collect();
             format!("{id} in why: {{{}}}", witnesses.join(", "))

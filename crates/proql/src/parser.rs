@@ -345,7 +345,7 @@ impl<'s> Parser<'s> {
             order_by,
             limit,
         };
-        validate_shaping(&shaping)?;
+        crate::shape::validate(&shaping)?;
         Ok(shaping)
     }
 
@@ -529,51 +529,6 @@ impl<'s> Parser<'s> {
                 other.map_or_else(|| "end of input".into(), |t| format!("'{t}'"))
             ))),
         }
-    }
-}
-
-/// Reject shaped statements whose clauses cannot compose:
-/// an aggregate projection is a single row (nothing to group, order,
-/// or limit), `ORDER BY count` needs a count column, and a grouped
-/// table can only order by its own columns.
-fn validate_shaping(s: &Shaping) -> Result<()> {
-    if s.agg.is_some() && (s.group_by.is_some() || s.order_by.is_some() || s.limit.is_some()) {
-        return Err(ProqlError::Parse(
-            "COUNT(…) produces a single row; GROUP BY / ORDER BY / LIMIT cannot apply".into(),
-        ));
-    }
-    match (s.group_by, s.order_by) {
-        (
-            None,
-            Some(OrderBy {
-                key: SortKey::Count,
-                ..
-            }),
-        ) => Err(ProqlError::Parse("ORDER BY count requires GROUP BY".into())),
-        (
-            Some(g),
-            Some(OrderBy {
-                key: SortKey::Field(f),
-                ..
-            }),
-        ) if f != g => Err(ProqlError::Parse(format!(
-            "ORDER BY {} does not name a column of the GROUP BY {} table (order by {} or \
-                 count)",
-            f.name(),
-            g.name(),
-            g.name()
-        ))),
-        (
-            Some(g),
-            Some(OrderBy {
-                key: SortKey::Id, ..
-            }),
-        ) => Err(ProqlError::Parse(format!(
-            "ORDER BY id does not name a column of the GROUP BY {} table (order by {} or count)",
-            g.name(),
-            g.name()
-        ))),
-        _ => Ok(()),
     }
 }
 

@@ -198,9 +198,9 @@ pub enum StmtPlan {
         shaping: Shaping,
     },
     /// `est_cone` is the ancestor-cone size read off the reach index at
-    /// plan time (`None` without an index): expression extraction walks
-    /// exactly the root's visible ancestors, so the index bounds the
-    /// work before execution.
+    /// plan time (`None` without an index): each circuit pass behind
+    /// `WHY` walks exactly the root's visible ancestors, so the index
+    /// bounds the work before execution.
     Why {
         n: NodeId,
         est_cone: Option<usize>,
@@ -348,7 +348,7 @@ impl fmt::Display for StmtPlan {
                 Ok(())
             }
             StmtPlan::Why { n, est_cone } => {
-                write!(f, "why {n} [graph expression extraction")?;
+                write!(f, "why {n} [circuit pass over the visible cone")?;
                 if let Some(k) = est_cone {
                     write!(f, ", ancestor cone {k} node(s) via reach index")?;
                 }

@@ -19,7 +19,7 @@
 //!    index is bidirectional, so `ANCESTORS OF` costs the same as
 //!    `DESCENDANTS OF` — and the estimate is the exact cone size read
 //!    off the index), `WHY` plans carry the ancestor-cone bound of the
-//!    extraction they are about to run, and dependency tests get a
+//!    circuit pass they are about to run, and dependency tests get a
 //!    binary-search unreachability prefilter before falling back to deletion
 //!    propagation.
 //! 3. **Zoom fusion.** Consecutive `ZOOM OUT` (or `ZOOM IN TO`)
@@ -94,6 +94,7 @@ impl<'a, S: GraphStore + ?Sized> Planner<'a, S> {
     pub fn plan(&self, stmt: &Statement) -> Result<StmtPlan> {
         Ok(match stmt {
             Statement::Query(q) => {
+                crate::shape::validate(&q.shaping)?;
                 let mut plan = self.plan_set(&q.expr)?;
                 if let Some(n) = q.shaping.pushdown_limit() {
                     plan.push_limit(n);

@@ -12,7 +12,35 @@ use lipstick_core::store::GraphStore;
 use lipstick_core::{NodeId, NodeKind};
 
 use crate::ast::{Aggregate, Field, OrderBy, Shaping, SortKey};
+use crate::error::{ProqlError, Result};
 use crate::result::{Cell, NodeSetResult, QueryOutput, TableResult};
+
+/// Reject shaped statements whose clauses cannot compose: an aggregate
+/// projection is a single row (nothing to group, order, or limit),
+/// `ORDER BY count` needs a count column, and a grouped table can only
+/// order by its own columns. The parser and the planner both call it,
+/// so a statement built without the parser is checked too.
+pub(crate) fn validate(s: &Shaping) -> Result<()> {
+    let reject = |m: String| Err(ProqlError::Parse(m));
+    if s.agg.is_some() && (s.group_by.is_some() || s.order_by.is_some() || s.limit.is_some()) {
+        return reject(
+            "COUNT(…) produces a single row; GROUP BY / ORDER BY / LIMIT cannot apply".into(),
+        );
+    }
+    let not_a_column = |key: &str, g: Field| {
+        let g = g.name();
+        reject(format!(
+            "ORDER BY {key} does not name a column of the GROUP BY {g} table (order by {g} or \
+             count)"
+        ))
+    };
+    match (s.group_by, s.order_by.map(|o| o.key)) {
+        (None, Some(SortKey::Count)) => reject("ORDER BY count requires GROUP BY".into()),
+        (Some(g), Some(SortKey::Field(f))) if f != g => not_a_column(f.name(), g),
+        (Some(g), Some(SortKey::Id)) => not_a_column("id", g),
+        _ => Ok(()),
+    }
+}
 
 /// The cell a `GROUP BY` (or `ORDER BY field`) key renders for nodes
 /// the field does not apply to.
@@ -92,7 +120,8 @@ pub(crate) fn apply_shaping<S: GraphStore + ?Sized>(
     let mut nodes = nodes;
     if let Some(OrderBy { key, desc }) = shaping.order_by {
         match key {
-            SortKey::Id => {
+            // `validate` rejects `count` without GROUP BY.
+            SortKey::Id | SortKey::Count => {
                 if desc {
                     nodes.reverse(); // sets arrive ascending by id
                 }
@@ -112,8 +141,6 @@ pub(crate) fn apply_shaping<S: GraphStore + ?Sized>(
                 }
                 nodes = keyed.into_iter().map(|(_, id)| id).collect();
             }
-            // The parser rejects ORDER BY count without GROUP BY.
-            SortKey::Count => unreachable!("validated at parse time"),
         }
     }
     if let Some(n) = shaping.limit {

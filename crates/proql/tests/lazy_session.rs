@@ -259,6 +259,29 @@ fn shaped_results_agree_between_backends() {
     assert!(lazy.is_paged());
 }
 
+/// A statement built without the parser meets the same shaping check:
+/// `ORDER BY count` without `GROUP BY` is a typed error on both
+/// backends — not a panic on the resident one, nor a corrupt-log report
+/// on the paged one.
+#[test]
+fn a_hand_built_order_by_count_is_refused_on_both_backends() {
+    use lipstick_proql::ast::{SortKey, Statement};
+    let (lazy, full, _) = open_both("hand_built.lpstk");
+    let Statement::Query(mut q) =
+        lipstick_proql::parser::parse_statement("MATCH nodes ORDER BY id DESC").unwrap()
+    else {
+        panic!("a query")
+    };
+    q.shaping.order_by.as_mut().expect("ordered").key = SortKey::Count;
+    let stmt = Statement::Query(q);
+    for session in [&lazy, &full] {
+        match session.run_read_stmt(&stmt) {
+            Err(ProqlError::Parse(m)) => assert_eq!(m, "ORDER BY count requires GROUP BY"),
+            other => panic!("{other:?}"),
+        }
+    }
+}
+
 #[test]
 fn why_walks_depends_and_eval_agree_with_full_load() {
     let (mut lazy, mut full, g) = open_both("agree.lpstk");

@@ -21,10 +21,11 @@
 //!    in `crates/proql/src/**` non-test code: every file operation must
 //!    route through the `StorageIo` trait, or the fault-injection
 //!    harness silently stops covering that call site.
-//! 5. **Panic-free planner, plans, read executor, reach index and
-//!    ZoomOut planner** (`crates/proql/src/{planner,plan,exec}.rs`,
-//!    `crates/core/src/query/{reach,zoom}.rs` — every store's read
-//!    path). A plan is data: it can be
+//! 5. **Panic-free planner, plans, read executor, result shaping,
+//!    reach index, ZoomOut planner, circuit evaluator and store
+//!    accessors** (`crates/proql/src/{planner,plan,exec,shape}.rs`,
+//!    `crates/core/src/query/{reach,zoom,circuit}.rs`,
+//!    `crates/core/src/store.rs` — every store's read path). A plan is data: it can be
 //!    replayed against a store or an index state other than the one it
 //!    was made for, so a strategy the store cannot serve must fall back
 //!    (full scan, BFS, propagation), never `expect` the plan's world;
@@ -262,6 +263,7 @@ const PLAN_FILES: &[&str] = &[
     "crates/proql/src/planner.rs",
     "crates/proql/src/plan.rs",
     "crates/proql/src/exec.rs",
+    "crates/proql/src/shape.rs",
     "crates/core/src/query/reach.rs",
     "crates/core/src/query/zoom.rs",
     "crates/core/src/query/circuit.rs",
@@ -437,9 +439,9 @@ fn run_lint(root: &Path) -> std::io::Result<Vec<String>> {
         }
     }
 
-    // Rule 5: the one planner, its plans, the one read executor, and
-    // the reach index, ZoomOut planner, circuit evaluator and store
-    // accessors they call.
+    // Rule 5: the one planner, its plans, the one read executor and its
+    // result shaping, and the reach index, ZoomOut planner, circuit
+    // evaluator and store accessors they call.
     for file in PLAN_FILES {
         let path = root.join(file);
         let src = std::fs::read_to_string(&path)?;
@@ -542,9 +544,9 @@ mod tests {
         assert_eq!(check_no_panics(ok, PLAN_CONTEXT), Vec::new());
     }
 
-    /// Every rule-5 file is covered — the plans, the reach index, the
-    /// ZoomOut planner, the circuit evaluator behind `WHY`/`EVAL` and the
-    /// store accessors included: a row lookup that `expect`s instead of
+    /// Every rule-5 file is covered — the plans, the result shaping, the
+    /// reach index, the ZoomOut planner, the circuit evaluator behind
+    /// `WHY`/`EVAL` and the store accessors included: a row lookup that `expect`s instead of
     /// answering an empty row is caught on the seeded line.
     #[test]
     fn seeded_plan_file_violations_are_caught() {
@@ -554,6 +556,7 @@ mod tests {
             "crates/core/src/query/circuit.rs",
             "crates/core/src/store.rs",
             "crates/proql/src/plan.rs",
+            "crates/proql/src/shape.rs",
         ] {
             assert!(PLAN_FILES.contains(&file), "{file}");
         }
