@@ -231,7 +231,8 @@ pub fn shared_lines<S: GraphStore + ?Sized>(
     Ok(std::iter::once(root).chain(shared.0.into_inner()).collect())
 }
 
-/// How often, in steps of a pass, it looks at the deadline.
+/// How often, in steps of the walk over the cone, it looks at the
+/// deadline.
 const DEADLINE_EVERY: usize = 4096;
 
 /// A cone node's entry in [`eval_node`]'s table.
@@ -249,7 +250,8 @@ struct Slot<V> {
 /// kinds of its visible ingredients, skipping v-node ingredients, then
 /// combines the values in post-order, one per cone node, handing each
 /// composite's to [`Circuit::node`] with its read count. Fails on a
-/// passed deadline (checked every few thousand steps), a value
+/// passed deadline (checked every few thousand steps of the walk and
+/// after every combine), a value
 /// [`Circuit::combine`] refuses, or a malformed cone.
 pub fn eval_node<S, C>(
     store: &S,
@@ -337,7 +339,6 @@ where
     // back to a node not yet combined.
     let cycle = |id| QueryError::Malformed(id, "lies on an ingredient cycle");
     for (id, op, range) in order {
-        tick()?;
         let mut parts = Vec::with_capacity(range.len());
         for &k in &kids[range] {
             let kid = cone.get_mut(&k).ok_or(cycle(k))?;
@@ -349,6 +350,11 @@ where
             parts.push(value.ok_or(cycle(k))?);
         }
         let value = circuit.combine(op, parts)?;
+        // A combine may be slow (a long N[X] sum), so the deadline is
+        // looked at after each one, not every few thousand steps.
+        if ctx.deadline_exceeded() {
+            return Err(QueryError::DeadlineExceeded);
+        }
         let slot = cone.get_mut(&id).ok_or(cycle(id))?;
         slot.value = Some(circuit.node(id, slot.uses, value));
     }
@@ -726,6 +732,38 @@ mod tests {
         let ctx = TraceCtx::disabled().with_deadline(Some(Instant::now()));
         let err = eval_node(&g, x, &Valued(|_: &Token| Natural(1)), ctx).unwrap_err();
         assert_eq!(err, QueryError::DeadlineExceeded);
+    }
+
+    /// Takes about a millisecond per combine and notes when each
+    /// began.
+    struct Slow(RefCell<Vec<Instant>>);
+
+    impl Circuit for Slow {
+        type Value = ();
+        fn token(&self, _: &Token) {}
+        fn combine(&self, _: Op, _: Vec<()>) -> Result<(), QueryError> {
+            self.0.borrow_mut().push(Instant::now());
+            std::thread::sleep(std::time::Duration::from_millis(1));
+            Ok(())
+        }
+    }
+
+    #[test]
+    fn slow_combines_stop_at_the_deadline() {
+        // 210 composites, far fewer steps than a deadline check's period.
+        let (g, x) = diamond_chain(70);
+        let deadline = Instant::now() + std::time::Duration::from_millis(10);
+        let slow = Slow(RefCell::new(Vec::new()));
+        let ctx = TraceCtx::disabled().with_deadline(Some(deadline));
+        let err = eval_node(&g, x, &slow, ctx).unwrap_err();
+        assert_eq!(err, QueryError::DeadlineExceeded);
+        let begun = slow.0.into_inner();
+        let late = begun.iter().filter(|&&at| at >= deadline).count();
+        assert!(
+            late <= 2,
+            "{late} of {} combines began past the deadline",
+            begun.len()
+        );
     }
 
     #[test]

@@ -23,6 +23,12 @@
 //!   of a base node (`I402`), `LIMIT 0` (`I403`), `DEPTH 0` (`I404`),
 //!   and mutating statements under `CHECK` (`I405`).
 //!
+//! Every span comes from the one parse of the statement:
+//! [`parse_with_sites`] records, as it reads, where each construct the
+//! analyzer reports on sits — each comparison's field and value, each
+//! `MATCH` class, walk keyword, `DEPTH` and `LIMIT` integer, and `#id`
+//! — and the analyzer reads those sites, never the tokens.
+//!
 //! Determinism is load-bearing: the one executor must render
 //! byte-identical diagnostics for the same source over the same graph
 //! on every kind of session — resident, paged and append — and through
@@ -38,12 +44,11 @@ use lipstick_core::store::GraphStore;
 use lipstick_core::{NodeId, NodeKind};
 
 use crate::ast::{
-    like_match, CmpOp, Comparison, Field, Lit, NodeClass, NodeRef, SetExpr, SetTerm, Statement,
-    WalkDir,
+    like_match, CmpOp, Comparison, Field, Lit, NodeClass, NodeRef, Statement, WalkDir,
 };
 use crate::error::ProqlError;
-use crate::lexer::{lex_spanned, Span, SpannedTok, Tok};
-use crate::parser::parse_spanned_statement;
+use crate::lexer::Span;
+use crate::parser::{parse_with_sites, ConjunctSite, Sites};
 use crate::result::json_escape;
 
 /// Diagnostic severity, ordered from worst to mildest.
@@ -331,119 +336,6 @@ struct Analyzer<'s> {
     items: Vec<Diagnostic>,
 }
 
-/// Span-anchored occurrences of analyzable constructs, recovered by
-/// scanning the spanned token stream. Parse order is source order, so
-/// the nth site of each category pairs with the nth AST occurrence.
-#[derive(Default)]
-struct Sites {
-    /// `(field span, value span)` per comparison, in source order.
-    comparisons: Vec<(Span, Span)>,
-    /// The class identifier after each `MATCH`.
-    classes: Vec<Span>,
-    /// Each `ANCESTORS`/`DESCENDANTS` keyword.
-    walks: Vec<Span>,
-    /// `(value, span)` of the integer after each `DEPTH`.
-    depths: Vec<(u64, Span)>,
-    /// `(value, span)` of the integer after each `LIMIT`.
-    limits: Vec<(u64, Span)>,
-    /// Each `#id` token.
-    node_ids: Vec<(u32, Span)>,
-    /// The semiring identifier after `IN` (EVAL statements).
-    semiring: Option<Span>,
-}
-
-fn is_kw(t: &Tok, kw: &str) -> bool {
-    matches!(t, Tok::Ident(s) if s.eq_ignore_ascii_case(kw))
-}
-
-fn is_cmp_op(t: &Tok) -> bool {
-    matches!(t, Tok::Eq | Tok::Ne | Tok::Lt | Tok::Le | Tok::Gt | Tok::Ge)
-}
-
-/// One left-to-right pass over the token stream. Comparison sites are
-/// consumed whole so a bare-identifier *value* (`module = ancestors`)
-/// can never masquerade as a keyword site.
-fn scan_sites(toks: &[SpannedTok]) -> Sites {
-    let mut s = Sites::default();
-    let mut i = 0;
-    while i < toks.len() {
-        // `field <op> value` / `field LIKE 'p'` / `field NOT LIKE 'p'`.
-        if matches!(toks[i].tok, Tok::Ident(_)) {
-            if i + 2 < toks.len() && is_cmp_op(&toks[i + 1].tok) {
-                s.comparisons.push((toks[i].span, toks[i + 2].span));
-                i += 3;
-                continue;
-            }
-            if i + 2 < toks.len()
-                && is_kw(&toks[i + 1].tok, "LIKE")
-                && matches!(toks[i + 2].tok, Tok::Str(_))
-            {
-                s.comparisons.push((toks[i].span, toks[i + 2].span));
-                i += 3;
-                continue;
-            }
-            if i + 3 < toks.len()
-                && is_kw(&toks[i + 1].tok, "NOT")
-                && is_kw(&toks[i + 2].tok, "LIKE")
-                && matches!(toks[i + 3].tok, Tok::Str(_))
-            {
-                s.comparisons.push((toks[i].span, toks[i + 3].span));
-                i += 4;
-                continue;
-            }
-        }
-        match &toks[i].tok {
-            Tok::Ident(w) if w.eq_ignore_ascii_case("MATCH") => {
-                if let Some(next) = toks.get(i + 1) {
-                    if matches!(next.tok, Tok::Ident(_)) {
-                        s.classes.push(next.span);
-                        i += 2;
-                        continue;
-                    }
-                }
-            }
-            Tok::Ident(w)
-                if w.eq_ignore_ascii_case("ANCESTORS") || w.eq_ignore_ascii_case("DESCENDANTS") =>
-            {
-                s.walks.push(toks[i].span);
-            }
-            Tok::Ident(w) if w.eq_ignore_ascii_case("DEPTH") => {
-                if let Some(SpannedTok {
-                    tok: Tok::Int(n),
-                    span,
-                }) = toks.get(i + 1)
-                {
-                    s.depths.push((*n, *span));
-                    i += 2;
-                    continue;
-                }
-            }
-            Tok::Ident(w) if w.eq_ignore_ascii_case("LIMIT") => {
-                if let Some(SpannedTok {
-                    tok: Tok::Int(n),
-                    span,
-                }) = toks.get(i + 1)
-                {
-                    s.limits.push((*n, *span));
-                    i += 2;
-                    continue;
-                }
-            }
-            Tok::Ident(w) if w.eq_ignore_ascii_case("IN") && s.semiring.is_none() => {
-                if let Some(next) = toks.get(i + 1) {
-                    if matches!(next.tok, Tok::Ident(_)) {
-                        s.semiring = Some(next.span);
-                    }
-                }
-            }
-            Tok::NodeId(n) => s.node_ids.push((*n, toks[i].span)),
-            _ => {}
-        }
-        i += 1;
-    }
-    s
-}
-
 impl Analyzer<'_> {
     fn whole_span(&self) -> Span {
         Span::new(0, self.source.len())
@@ -467,54 +359,30 @@ impl Analyzer<'_> {
     }
 
     fn run<S: GraphStore + ?Sized>(&mut self, store: &S) {
-        let toks = match lex_spanned(self.source) {
-            Ok(toks) => toks,
-            Err(ProqlError::Lex { pos, message }) => {
-                let end = self.source[pos.min(self.source.len())..]
-                    .chars()
-                    .next()
-                    .map_or(pos, |c| pos + c.len_utf8());
-                self.push("E001", Severity::Error, Span::new(pos, end), message, None);
-                return;
-            }
-            Err(other) => {
-                self.push(
-                    "E001",
-                    Severity::Error,
-                    self.whole_span(),
-                    other.to_string(),
-                    None,
-                );
-                return;
-            }
+        let (err, span) = match parse_with_sites(self.source) {
+            Ok((stmt, sites)) => return self.statement(store, &stmt, &sites),
+            Err(failed) => failed,
         };
-        let stmt = match parse_spanned_statement(self.source, toks.clone()) {
-            Ok(stmt) => stmt,
-            Err((err, span)) => {
-                let (code, message, suggestion) = match &err {
-                    ProqlError::UnknownClass(name) => (
-                        "E003",
-                        err.to_string(),
-                        did_you_mean(name, ALL_CLASSES.iter().copied()),
-                    ),
-                    ProqlError::UnknownField(name) => (
-                        "E004",
-                        err.to_string(),
-                        did_you_mean(name, ALL_FIELDS.iter().copied()),
-                    ),
-                    ProqlError::UnknownSemiring(name) => (
-                        "E005",
-                        err.to_string(),
-                        did_you_mean(name, ALL_SEMIRINGS.iter().copied()),
-                    ),
-                    _ => ("E002", err.to_string(), None),
-                };
-                self.push(code, Severity::Error, span, message, suggestion);
-                return;
-            }
+        let (code, message, suggestion) = match &err {
+            ProqlError::Lex { message, .. } => ("E001", message.clone(), None),
+            ProqlError::UnknownClass(name) => (
+                "E003",
+                err.to_string(),
+                did_you_mean(name, ALL_CLASSES.iter().copied()),
+            ),
+            ProqlError::UnknownField(name) => (
+                "E004",
+                err.to_string(),
+                did_you_mean(name, ALL_FIELDS.iter().copied()),
+            ),
+            ProqlError::UnknownSemiring(name) => (
+                "E005",
+                err.to_string(),
+                did_you_mean(name, ALL_SEMIRINGS.iter().copied()),
+            ),
+            _ => ("E002", err.to_string(), None),
         };
-        let sites = scan_sites(&toks);
-        self.statement(store, &stmt, &sites);
+        self.push(code, Severity::Error, span, message, suggestion);
     }
 
     fn statement<S: GraphStore + ?Sized>(&mut self, store: &S, stmt: &Statement, sites: &Sites) {
@@ -529,13 +397,7 @@ impl Analyzer<'_> {
         }
         // Node-id references resolve identically everywhere:
         // bounds + visibility are index-level on both backends.
-        let ast_ids = collect_id_refs(stmt);
-        let id_spans: Vec<Span> = if ast_ids.len() == sites.node_ids.len() {
-            sites.node_ids.iter().map(|(_, sp)| *sp).collect()
-        } else {
-            vec![self.whole_span(); ast_ids.len()]
-        };
-        for (&id, &span) in ast_ids.iter().zip(&id_spans) {
+        for &(id, span) in &sites.ids {
             if id as usize >= self.node_count {
                 self.push(
                     "E101",
@@ -558,7 +420,7 @@ impl Analyzer<'_> {
             }
         }
         match stmt {
-            Statement::Query(q) => self.query(q, sites),
+            Statement::Query(_) => self.query(sites),
             Statement::Eval(NodeRef::Id(id), _)
                 if (*id as usize) < self.node_count && store.is_visible(NodeId(*id)) =>
             {
@@ -567,7 +429,7 @@ impl Analyzer<'_> {
                     *kind,
                     NodeKind::BaseTuple { .. } | NodeKind::WorkflowInput { .. }
                 ) {
-                    let span = id_spans.first().copied().unwrap_or(self.whole_span());
+                    let span = sites.ids.first().map_or(self.whole_span(), |&(_, s)| s);
                     self.push(
                         "I402",
                         Severity::Info,
@@ -587,45 +449,16 @@ impl Analyzer<'_> {
         }
     }
 
-    fn query(&mut self, q: &crate::ast::Query, sites: &Sites) {
-        // Pair AST constructs with token-scan sites; a count mismatch
-        // (defensive — parse success should preclude it) degrades to
-        // whole-statement spans rather than misattributing.
-        let mut walk = WalkState {
-            comps: Vec::new(),
-            classes: Vec::new(),
-            walks: Vec::new(),
-        };
-        collect_query(&q.expr, &mut walk);
-        let comp_spans: Vec<(Span, Span)> = if walk.comps.len() == sites.comparisons.len() {
-            sites.comparisons.clone()
-        } else {
-            vec![(self.whole_span(), self.whole_span()); walk.comps.len()]
-        };
-        let class_spans: Vec<Span> = if walk.classes.len() == sites.classes.len() {
-            sites.classes.clone()
-        } else {
-            vec![self.whole_span(); walk.classes.len()]
-        };
-        let walk_spans: Vec<Span> = if walk.walks.len() == sites.walks.len() {
-            sites.walks.clone()
-        } else {
-            vec![self.whole_span(); walk.walks.len()]
-        };
-
+    fn query(&mut self, sites: &Sites) {
         // Predicate-level checks, grouped per predicate with the
         // owning MATCH class (when there is one).
-        let mut cursor = 0usize;
-        for (owner, pred) in collect_predicates(&q.expr) {
-            let n = pred.conjuncts.len();
-            let spans = &comp_spans[cursor..cursor + n];
-            self.predicate(owner, pred, spans);
-            cursor += n;
+        for (owner, conjuncts) in &sites.predicates {
+            self.predicate(*owner, conjuncts);
         }
 
         // Cost lints: unselective scans and unbounded walks.
-        for ((class, filter), &span) in walk.classes.iter().zip(&class_spans) {
-            if *class == NodeClass::All && filter.is_empty() {
+        for &(class, narrowed, span) in &sites.classes {
+            if class == NodeClass::All && !narrowed {
                 self.push(
                     "C302",
                     Severity::Info,
@@ -638,7 +471,7 @@ impl Analyzer<'_> {
                 );
             }
         }
-        for ((dir, depth), &span) in walk.walks.iter().zip(&walk_spans) {
+        for &(dir, depth, span) in &sites.walks {
             if depth.is_none() {
                 let kw = match dir {
                     WalkDir::Ancestors => "ANCESTORS",
@@ -659,8 +492,8 @@ impl Analyzer<'_> {
                 );
             }
         }
-        for &(n, span) in &sites.depths {
-            if n == 0 {
+        for &(_, depth, _) in &sites.walks {
+            if let Some((0, span)) = depth {
                 self.push(
                     "I404",
                     Severity::Info,
@@ -670,37 +503,29 @@ impl Analyzer<'_> {
                 );
             }
         }
-        for &(n, span) in &sites.limits {
-            if n == 0 && q.shaping.limit == Some(0) {
-                self.push(
-                    "I403",
-                    Severity::Info,
-                    span,
-                    "LIMIT 0 returns no rows".into(),
-                    None,
-                );
-            }
+        if let Some((0, span)) = sites.limit {
+            self.push(
+                "I403",
+                Severity::Info,
+                span,
+                "LIMIT 0 returns no rows".into(),
+                None,
+            );
         }
     }
 
-    /// All per-predicate checks. `spans` pairs `(field, value)` spans
-    /// with `pred.conjuncts` positionally.
-    fn predicate(
-        &mut self,
-        owner: Option<NodeClass>,
-        pred: &crate::ast::Predicate,
-        spans: &[(Span, Span)],
-    ) {
+    /// All checks of one `WHERE` clause: each conjunct with the spans
+    /// of its field and value.
+    fn predicate(&mut self, owner: Option<NodeClass>, conjuncts: &[ConjunctSite]) {
         let mut eq_seen: Vec<(Field, &Lit, Span)> = Vec::new();
         let mut exec_lo: u64 = 0;
         let mut exec_hi: u64 = u64::MAX;
         let mut exec_last: Option<Span> = None;
-        for (idx, c) in pred.conjuncts.iter().enumerate() {
-            let (field_span, value_span) = spans[idx];
+        for (idx, &(ref c, field_span, value_span)) in conjuncts.iter().enumerate() {
             let whole = field_span.to(value_span);
 
             // W216: an exact duplicate of an earlier conjunct.
-            if pred.conjuncts[..idx].contains(c) {
+            if conjuncts[..idx].iter().any(|(earlier, ..)| earlier == c) {
                 self.push(
                     "W216",
                     Severity::Warning,
@@ -996,99 +821,6 @@ fn render_executions(execs: &[u32]) -> String {
         .join(", ")
 }
 
-/// AST occurrences collected in source order, to pair with token sites.
-struct WalkState<'a> {
-    comps: Vec<&'a Comparison>,
-    classes: Vec<(NodeClass, &'a crate::ast::Predicate)>,
-    walks: Vec<(WalkDir, Option<u32>)>,
-}
-
-fn collect_query<'a>(e: &'a SetExpr, out: &mut WalkState<'a>) {
-    match e {
-        SetExpr::Term(t) => collect_term(t, out),
-        SetExpr::Union(a, b) | SetExpr::Intersect(a, b) => {
-            collect_query(a, out);
-            collect_query(b, out);
-        }
-    }
-}
-
-fn collect_term<'a>(t: &'a SetTerm, out: &mut WalkState<'a>) {
-    match t {
-        SetTerm::Subgraph(_) => {}
-        SetTerm::Walk {
-            dir, depth, filter, ..
-        } => {
-            out.walks.push((*dir, *depth));
-            out.comps.extend(filter.conjuncts.iter());
-        }
-        SetTerm::Match { class, filter } => {
-            out.classes.push((*class, filter));
-            out.comps.extend(filter.conjuncts.iter());
-        }
-        SetTerm::Paren(inner) => collect_query(inner, out),
-    }
-}
-
-/// Every predicate of a query in source order, with the owning MATCH
-/// class when the predicate belongs to one.
-fn collect_predicates(e: &SetExpr) -> Vec<(Option<NodeClass>, &crate::ast::Predicate)> {
-    fn go<'a>(e: &'a SetExpr, out: &mut Vec<(Option<NodeClass>, &'a crate::ast::Predicate)>) {
-        match e {
-            SetExpr::Term(SetTerm::Walk { filter, .. }) => out.push((None, filter)),
-            SetExpr::Term(SetTerm::Match { class, filter }) => out.push((Some(*class), filter)),
-            SetExpr::Term(SetTerm::Paren(inner)) => go(inner, out),
-            SetExpr::Term(SetTerm::Subgraph(_)) => {}
-            SetExpr::Union(a, b) | SetExpr::Intersect(a, b) => {
-                go(a, out);
-                go(b, out);
-            }
-        }
-    }
-    let mut out = Vec::new();
-    go(e, &mut out);
-    out
-}
-
-/// Every `#id` node reference of a statement, in source order.
-fn collect_id_refs(stmt: &Statement) -> Vec<u32> {
-    fn push_ref(r: &NodeRef, out: &mut Vec<u32>) {
-        if let NodeRef::Id(n) = r {
-            out.push(*n);
-        }
-    }
-    fn walk_expr(e: &SetExpr, out: &mut Vec<u32>) {
-        match e {
-            SetExpr::Term(t) => match t {
-                SetTerm::Subgraph(r) => push_ref(r, out),
-                SetTerm::Walk { root, .. } => push_ref(root, out),
-                SetTerm::Match { .. } => {}
-                SetTerm::Paren(inner) => walk_expr(inner, out),
-            },
-            SetExpr::Union(a, b) | SetExpr::Intersect(a, b) => {
-                walk_expr(a, out);
-                walk_expr(b, out);
-            }
-        }
-    }
-    let mut out = Vec::new();
-    match stmt {
-        Statement::Query(q) => walk_expr(&q.expr, &mut out),
-        Statement::Why(r) | Statement::DeletePropagate(r) | Statement::Eval(r, _) => {
-            push_ref(r, &mut out)
-        }
-        Statement::Depends(a, b) => {
-            push_ref(a, &mut out);
-            push_ref(b, &mut out);
-        }
-        Statement::Explain(inner) | Statement::ExplainAnalyze(inner) => {
-            out = collect_id_refs(inner)
-        }
-        _ => {}
-    }
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1119,29 +851,5 @@ mod tests {
         assert_eq!(line_of(src, 5), (2, 4, "def"));
         assert_eq!(line_of(src, 10), (3, 8, "ghi"));
         assert_eq!(line_of(src, 99), (3, 8, "ghi"));
-    }
-
-    #[test]
-    fn site_scan_matches_source_order() {
-        let toks = lex_spanned(
-            "MATCH m-nodes WHERE module = 'a' AND kind != delta UNION ANCESTORS OF #3 DEPTH 2",
-        )
-        .unwrap();
-        let s = scan_sites(&toks);
-        assert_eq!(s.comparisons.len(), 2);
-        assert_eq!(s.classes.len(), 1);
-        assert_eq!(s.walks.len(), 1);
-        assert_eq!(s.depths, vec![(2, s.depths[0].1)]);
-        assert_eq!(s.node_ids.len(), 1);
-        assert_eq!(s.node_ids[0].0, 3);
-    }
-
-    #[test]
-    fn bare_ident_values_do_not_fake_keyword_sites() {
-        // `ancestors` here is a comparison *value*, not a walk keyword.
-        let toks = lex_spanned("MATCH nodes WHERE module = ancestors").unwrap();
-        let s = scan_sites(&toks);
-        assert_eq!(s.comparisons.len(), 1);
-        assert!(s.walks.is_empty());
     }
 }

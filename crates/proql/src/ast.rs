@@ -1,5 +1,6 @@
 //! Typed abstract syntax for ProQL statements.
 
+use std::cmp::Ordering;
 use std::fmt;
 
 /// How a statement names a graph node.
@@ -223,28 +224,24 @@ impl Comparison {
     /// lexicographically; `LIKE` matches string fields against a
     /// `%`/`_` wildcard pattern.
     pub fn eval(&self, actual: Option<FieldValue<'_>>) -> bool {
-        if matches!(self.op, CmpOp::Like | CmpOp::NotLike) {
-            let matched = match (actual, &self.value) {
-                (Some(FieldValue::Str(a)), Lit::Str(pattern)) => like_match(pattern, a),
-                _ => false,
-            };
-            return (self.op == CmpOp::NotLike) != matched;
-        }
-        let ord = match (actual, &self.value) {
+        let like = || match (actual, &self.value) {
+            (Some(FieldValue::Str(a)), Lit::Str(pattern)) => like_match(pattern, a),
+            _ => false,
+        };
+        let ord = || match (actual, &self.value) {
             (Some(FieldValue::Str(a)), Lit::Str(want)) => Some(a.cmp(want.as_str())),
             (Some(FieldValue::Int(a)), Lit::Int(want)) => Some(a.cmp(want)),
             _ => None,
         };
-        match (self.op, ord) {
-            (CmpOp::Ne, None) => true,
-            (_, None) => false,
-            (CmpOp::Eq, Some(o)) => o.is_eq(),
-            (CmpOp::Ne, Some(o)) => o.is_ne(),
-            (CmpOp::Lt, Some(o)) => o.is_lt(),
-            (CmpOp::Le, Some(o)) => o.is_le(),
-            (CmpOp::Gt, Some(o)) => o.is_gt(),
-            (CmpOp::Ge, Some(o)) => o.is_ge(),
-            (CmpOp::Like | CmpOp::NotLike, Some(_)) => unreachable!("handled above"),
+        match self.op {
+            CmpOp::Like => like(),
+            CmpOp::NotLike => !like(),
+            CmpOp::Eq => ord().is_some_and(Ordering::is_eq),
+            CmpOp::Ne => ord().is_none_or(Ordering::is_ne),
+            CmpOp::Lt => ord().is_some_and(Ordering::is_lt),
+            CmpOp::Le => ord().is_some_and(Ordering::is_le),
+            CmpOp::Gt => ord().is_some_and(Ordering::is_gt),
+            CmpOp::Ge => ord().is_some_and(Ordering::is_ge),
         }
     }
 }

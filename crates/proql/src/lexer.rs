@@ -7,8 +7,9 @@
 //! is what makes the `m-nodes` class names single tokens.
 //!
 //! Every token carries a [`Span`] — a half-open **byte** range into the
-//! original source — so the analyzer ([`crate::analyze`]) and the shell
-//! can point diagnostics at the exact offending text.
+//! original source — which the parser records for the constructs the
+//! analyzer ([`crate::analyze`]) reports on, so diagnostics point at
+//! the exact offending text.
 
 use crate::error::{ProqlError, Result};
 
@@ -109,15 +110,9 @@ fn is_ident_continue(c: char) -> bool {
     c.is_alphanumeric() || c == '_' || c == '-'
 }
 
-/// Tokenize a ProQL script. `--` starts a comment running to end of
-/// line. Convenience wrapper over [`lex_spanned`] for callers that
-/// don't need positions.
-pub fn lex(input: &str) -> Result<Vec<Tok>> {
-    Ok(lex_spanned(input)?.into_iter().map(|s| s.tok).collect())
-}
-
 /// Tokenize a ProQL script, attaching a byte [`Span`] to every token.
-/// [`ProqlError::Lex`] positions are byte offsets into `input`.
+/// `--` starts a comment running to end of line. [`ProqlError::Lex`]
+/// positions are byte offsets into `input`.
 pub fn lex_spanned(input: &str) -> Result<Vec<SpannedTok>> {
     let mut out = Vec::new();
     let bytes = input.as_bytes();
@@ -267,6 +262,11 @@ pub fn lex_spanned(input: &str) -> Result<Vec<SpannedTok>> {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// The tokens of `input`, without their spans.
+    fn lex(input: &str) -> Result<Vec<Tok>> {
+        Ok(lex_spanned(input)?.into_iter().map(|s| s.tok).collect())
+    }
 
     #[test]
     fn lexes_statement_shapes() {

@@ -119,9 +119,10 @@
 //! cost lints — **without executing** the statement. Diagnostics are
 //! typed values ([`analyze::Diagnostic`]: code, severity, byte span
 //! into the original source, message, optional suggestion) rendered
-//! byte-identically by every backend and both serve protocols; the
-//! lexer tracks byte spans ([`lexer::lex_spanned`]) so each diagnostic
-//! can underline the exact offending token.
+//! byte-identically by every backend and both serve protocols. The
+//! spans come from the one parse: as it reads the statement, the
+//! [`parser`] records where each construct the analyzer reports on
+//! sits, so each diagnostic can underline the exact offending token.
 
 pub mod analyze;
 pub mod ast;

@@ -3,26 +3,53 @@
 //! Keywords are matched case-insensitively against identifiers, so
 //! `match m-nodes where module = 'x'` and the upper-case spelling are
 //! the same script.
+//!
+//! The parser is the only code that reads statement text. For the
+//! static analyzer ([`crate::analyze`]) it also records, as it reads,
+//! where each construct the analyzer reports on sits in the source
+//! ([`Sites`]); [`parse_script`] and [`parse_statement`] record
+//! nothing.
 
 use crate::ast::*;
 use crate::error::{ProqlError, Result};
 use crate::lexer::{lex_spanned, Span, SpannedTok, Tok};
 
+/// A `WHERE` conjunct with the spans of its field and its value.
+pub(crate) type ConjunctSite = (Comparison, Span, Span);
+
+/// An integer and the span of its text.
+pub(crate) type IntSite<N> = (N, Span);
+
+/// The byte spans of the constructs the analyzer reports on, in source
+/// order, as one parse read them.
+#[derive(Debug, Default)]
+pub(crate) struct Sites {
+    /// Each `#id` node reference.
+    pub ids: Vec<(u32, Span)>,
+    /// Each `WHERE` clause: the `MATCH` class it narrows (`None` on a
+    /// walk), and each conjunct with the spans of its field and value.
+    pub predicates: Vec<(Option<NodeClass>, Vec<ConjunctSite>)>,
+    /// Each `MATCH` class, whether a `WHERE` narrows it, and the span
+    /// of its name.
+    pub classes: Vec<(NodeClass, bool, Span)>,
+    /// Each walk: its direction, its `DEPTH` bound with the bound's
+    /// span, and the span of its `ANCESTORS`/`DESCENDANTS` keyword.
+    pub walks: Vec<(WalkDir, Option<IntSite<u32>>, Span)>,
+    /// The `LIMIT` count and its span.
+    pub limit: Option<IntSite<u64>>,
+}
+
 /// Parse a whole script: statements separated/terminated by `;`.
 pub fn parse_script(input: &str) -> Result<Vec<Statement>> {
-    let toks = lex_spanned(input)?;
-    let mut p = Parser::new(input, toks);
+    let mut p = Parser::new(input, lex_spanned(input)?, None);
     let mut out = Vec::new();
     while !p.at_end() {
         if p.eat_symbol(&Tok::Semi) {
             continue; // empty statement
         }
         out.push(p.statement()?);
-        if !p.at_end() && !p.eat_symbol(&Tok::Semi) {
-            return Err(ProqlError::Parse(format!(
-                "expected ';' between statements, found {}",
-                p.peek_desc()
-            )));
+        if !p.eat_symbol(&Tok::Semi) {
+            p.expect_end()?;
         }
     }
     Ok(out)
@@ -40,35 +67,37 @@ pub fn parse_statement(input: &str) -> Result<Statement> {
     }
 }
 
-/// Parse exactly one statement from pre-lexed spanned tokens and, on
-/// failure, report the byte [`Span`] where parsing stopped. The
-/// analyzer uses this to anchor parse diagnostics in the source text;
-/// plain callers use [`parse_statement`].
-pub(crate) fn parse_spanned_statement(
+/// Lex and parse exactly one statement, with at most one trailing `;`,
+/// recording its [`Sites`]. On failure, the error comes with the byte
+/// [`Span`] where reading stopped: the offending character of a lex
+/// error, the identifier an `Unknown*` error names, the token parsing
+/// failed on otherwise.
+pub(crate) fn parse_with_sites(
     src: &str,
-    toks: Vec<SpannedTok>,
-) -> std::result::Result<Statement, (ProqlError, Span)> {
-    let mut p = Parser::new(src, toks);
+) -> std::result::Result<(Statement, Sites), (ProqlError, Span)> {
+    let toks = lex_spanned(src).map_err(|err| {
+        let span = match &err {
+            ProqlError::Lex { pos, .. } => {
+                let width = src.get(*pos..).and_then(|rest| rest.chars().next());
+                Span::new(*pos, *pos + width.map_or(0, char::len_utf8))
+            }
+            _ => Span::new(0, src.len()),
+        };
+        (err, span)
+    })?;
+    let mut p = Parser::new(src, toks, Some(Sites::default()));
     if p.at_end() {
         return Err((
             ProqlError::Parse("empty statement".into()),
             Span::point(src.len()),
         ));
     }
-    match p.statement() {
-        Ok(stmt) => {
-            let _ = p.eat_symbol(&Tok::Semi); // trailing ';' allowed
-            if p.at_end() {
-                Ok(stmt)
-            } else {
-                let err = ProqlError::Parse(format!(
-                    "expected ';' between statements, found {}",
-                    p.peek_desc()
-                ));
-                let span = p.error_span(&err);
-                Err((err, span))
-            }
-        }
+    let parsed = p.statement().and_then(|stmt| {
+        let _ = p.eat_symbol(&Tok::Semi); // trailing ';' allowed
+        p.expect_end().map(|()| stmt)
+    });
+    match parsed {
+        Ok(stmt) => Ok((stmt, p.sites.unwrap_or_default())),
         Err(e) => {
             let span = p.error_span(&e);
             Err((e, span))
@@ -80,15 +109,40 @@ struct Parser<'s> {
     src: &'s str,
     toks: Vec<SpannedTok>,
     pos: usize,
+    /// Where the analyzed constructs sit, when the caller asked.
+    sites: Option<Sites>,
 }
 
 impl<'s> Parser<'s> {
-    fn new(src: &'s str, toks: Vec<SpannedTok>) -> Parser<'s> {
-        Parser { src, toks, pos: 0 }
+    fn new(src: &'s str, toks: Vec<SpannedTok>, sites: Option<Sites>) -> Parser<'s> {
+        Parser {
+            src,
+            toks,
+            pos: 0,
+            sites,
+        }
     }
 
     fn at_end(&self) -> bool {
         self.pos >= self.toks.len()
+    }
+
+    /// Fail unless every token has been read.
+    fn expect_end(&self) -> Result<()> {
+        match self.at_end() {
+            true => Ok(()),
+            false => Err(ProqlError::Parse(format!(
+                "expected ';' between statements, found {}",
+                self.peek_desc()
+            ))),
+        }
+    }
+
+    /// Note a site, when the caller asked for them.
+    fn record(&mut self, note: impl FnOnce(&mut Sites)) {
+        if let Some(sites) = &mut self.sites {
+            note(sites);
+        }
     }
 
     fn peek(&self) -> Option<&Tok> {
@@ -104,6 +158,11 @@ impl<'s> Parser<'s> {
         }
     }
 
+    /// The span of the token read last.
+    fn last_span(&self) -> Span {
+        self.span_at(self.pos.saturating_sub(1))
+    }
+
     /// Best-effort span for a parse error raised at the current
     /// position. `Unknown*` errors are raised just *after* consuming
     /// the offending identifier; everything else fails on the
@@ -112,11 +171,7 @@ impl<'s> Parser<'s> {
         match err {
             ProqlError::UnknownSemiring(_)
             | ProqlError::UnknownClass(_)
-            | ProqlError::UnknownField(_)
-                if self.pos > 0 =>
-            {
-                self.span_at(self.pos - 1)
-            }
+            | ProqlError::UnknownField(_) => self.last_span(),
             _ => self.span_at(self.pos),
         }
     }
@@ -330,7 +385,11 @@ impl<'s> Parser<'s> {
         let mut limit = None;
         if self.eat_kw("LIMIT") {
             match self.bump() {
-                Some(Tok::Int(n)) => limit = Some(n),
+                Some(Tok::Int(n)) => {
+                    let span = self.last_span();
+                    self.record(|s| s.limit = Some((n, span)));
+                    limit = Some(n);
+                }
                 other => {
                     return Err(ProqlError::Parse(format!(
                         "expected integer after LIMIT, found {}",
@@ -383,9 +442,11 @@ impl<'s> Parser<'s> {
         }
         if self.eat_kw("MATCH") {
             let name = self.ident("node class")?;
+            let span = self.last_span();
             let class =
                 NodeClass::parse(&name).ok_or_else(|| ProqlError::UnknownClass(name.clone()))?;
-            let filter = self.opt_where()?;
+            let filter = self.opt_where(Some(class))?;
+            self.record(|s| s.classes.push((class, !filter.is_empty(), span)));
             return Ok(SetTerm::Match { class, filter });
         }
         Err(ProqlError::Parse(format!(
@@ -397,14 +458,16 @@ impl<'s> Parser<'s> {
 
     /// `[OF] ref [DEPTH k] [WHERE pred]` after ANCESTORS/DESCENDANTS.
     fn walk_tail(&mut self, dir: WalkDir) -> Result<SetTerm> {
+        let keyword = self.last_span();
         let _ = self.eat_kw("OF"); // optional
         let root = self.node_ref()?;
         let depth = if self.eat_kw("DEPTH") {
             match self.bump() {
-                Some(Tok::Int(n)) => Some(
+                Some(Tok::Int(n)) => Some((
                     u32::try_from(n)
                         .map_err(|_| ProqlError::Parse(format!("depth {n} out of range")))?,
-                ),
+                    self.last_span(),
+                )),
                 other => {
                     return Err(ProqlError::Parse(format!(
                         "expected integer after DEPTH, found {}",
@@ -415,24 +478,37 @@ impl<'s> Parser<'s> {
         } else {
             None
         };
-        let filter = self.opt_where()?;
+        let filter = self.opt_where(None)?;
+        self.record(|s| s.walks.push((dir, depth, keyword)));
         Ok(SetTerm::Walk {
             dir,
             root,
-            depth,
+            depth: depth.map(|(n, _)| n),
             filter,
         })
     }
 
-    fn opt_where(&mut self) -> Result<Predicate> {
+    /// `[WHERE cmp (AND cmp)*]`, narrowing `owner`'s `MATCH` or a walk.
+    fn opt_where(&mut self, owner: Option<NodeClass>) -> Result<Predicate> {
         if !self.eat_kw("WHERE") {
             return Ok(Predicate::default());
         }
-        let mut conjuncts = vec![self.comparison()?];
-        while self.eat_kw("AND") {
-            conjuncts.push(self.comparison()?);
+        self.record(|s| s.predicates.push((owner, Vec::new())));
+        let mut conjuncts = Vec::new();
+        loop {
+            let field = self.span_at(self.pos);
+            let c = self.comparison()?;
+            let value = self.last_span();
+            self.record(|s| {
+                if let Some((_, sites)) = s.predicates.last_mut() {
+                    sites.push((c.clone(), field, value));
+                }
+            });
+            conjuncts.push(c);
+            if !self.eat_kw("AND") {
+                return Ok(Predicate { conjuncts });
+            }
         }
-        Ok(Predicate { conjuncts })
     }
 
     fn comparison(&mut self) -> Result<Comparison> {
@@ -493,7 +569,11 @@ impl<'s> Parser<'s> {
 
     fn node_ref(&mut self) -> Result<NodeRef> {
         match self.bump() {
-            Some(Tok::NodeId(n)) => Ok(NodeRef::Id(n)),
+            Some(Tok::NodeId(n)) => {
+                let span = self.last_span();
+                self.record(|s| s.ids.push((n, span)));
+                Ok(NodeRef::Id(n))
+            }
             Some(Tok::Str(s)) => Ok(NodeRef::Token(s)),
             other => Err(ProqlError::Parse(format!(
                 "expected a node reference (#id or 'token'), found {}",
@@ -876,22 +956,57 @@ mod tests {
     #[test]
     fn spanned_parse_reports_error_positions() {
         let src = "MATCH q-nodes";
-        let toks = crate::lexer::lex_spanned(src).unwrap();
-        let (err, span) = parse_spanned_statement(src, toks).unwrap_err();
+        let (err, span) = parse_with_sites(src).unwrap_err();
         assert!(matches!(err, ProqlError::UnknownClass(_)));
         assert_eq!(&src[span.start..span.end], "q-nodes");
 
         let src = "MATCH nodes WHERE size = 3";
-        let toks = crate::lexer::lex_spanned(src).unwrap();
-        let (err, span) = parse_spanned_statement(src, toks).unwrap_err();
+        let (err, span) = parse_with_sites(src).unwrap_err();
         assert!(matches!(err, ProqlError::UnknownField(_)));
         assert_eq!(&src[span.start..span.end], "size");
 
         // Errors at end-of-input get a zero-width span at the end.
         let src = "MATCH nodes WHERE";
-        let toks = crate::lexer::lex_spanned(src).unwrap();
-        let (_, span) = parse_spanned_statement(src, toks).unwrap_err();
+        let (_, span) = parse_with_sites(src).unwrap_err();
         assert_eq!((span.start, span.end), (src.len(), src.len()));
+    }
+
+    /// The text a recorded span covers.
+    fn text(src: &str, span: Span) -> &str {
+        &src[span.start..span.end]
+    }
+
+    #[test]
+    fn recorded_sites_follow_source_order() {
+        let src =
+            "MATCH m-nodes WHERE module = 'a' AND kind != delta UNION ANCESTORS OF #3 DEPTH 2";
+        let (_, s) = parse_with_sites(src).unwrap();
+        assert_eq!(s.predicates.len(), 1);
+        let (owner, conjuncts) = &s.predicates[0];
+        assert_eq!(*owner, Some(NodeClass::Invocation));
+        let spans: Vec<(&str, &str)> = conjuncts
+            .iter()
+            .map(|(_, field, value)| (text(src, *field), text(src, *value)))
+            .collect();
+        assert_eq!(spans, [("module", "'a'"), ("kind", "delta")]);
+        assert_eq!(s.classes.len(), 1);
+        assert_eq!(text(src, s.classes[0].2), "m-nodes");
+        assert_eq!(s.walks.len(), 1);
+        let (dir, depth, keyword) = s.walks[0];
+        assert_eq!(dir, WalkDir::Ancestors);
+        assert_eq!(text(src, keyword), "ANCESTORS");
+        assert_eq!(depth.map(|(n, span)| (n, text(src, span))), Some((2, "2")));
+        assert_eq!(s.ids.len(), 1);
+        assert_eq!((s.ids[0].0, text(src, s.ids[0].1)), (3, "#3"));
+    }
+
+    #[test]
+    fn bare_ident_values_do_not_fake_keyword_sites() {
+        // `ancestors` here is a comparison *value*, not a walk keyword.
+        let (_, s) = parse_with_sites("MATCH nodes WHERE module = ancestors").unwrap();
+        assert_eq!(s.predicates.len(), 1);
+        assert_eq!(s.predicates[0].1.len(), 1);
+        assert!(s.walks.is_empty());
     }
 
     #[test]

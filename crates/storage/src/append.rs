@@ -68,7 +68,7 @@ use crate::codec::{put_record, NodeRecord};
 use crate::error::{Result, StorageError};
 use crate::footer::{FooterSource, FooterWriter, Postings};
 use crate::io::{default_io, StorageIo};
-use crate::log::{check_m_node_role, put_header, put_invocations, VERSION_V2};
+use crate::log::{check_refs, put_header, put_invocations, VERSION_V2};
 use crate::paged::PagedLog;
 use crate::tail::{self, TailRecord, TAIL_HEADER_LEN};
 
@@ -628,30 +628,14 @@ impl AppendLog {
         let node_base = self.node_count();
         let inv_limit = self.invocations().len() + new_invs.len();
         for (k, node) in nodes.iter().enumerate() {
-            check_m_node_role(NodeId((node_base + k) as u32), &node.kind, node.role)?;
-            if let Some(bad) = node
-                .preds
-                .iter()
-                .find(|p| p.index() >= node_base + nodes.len())
-            {
-                return Err(StorageError::Corrupt(format!(
-                    "appended node references future node {bad}"
-                )));
-            }
-            if node.preds.iter().any(|p| p.index() == node_base + k) {
-                return Err(StorageError::Corrupt(format!(
-                    "appended node {} references itself",
-                    node_base + k
-                )));
-            }
-            if let Some(inv) = node.role.invocation() {
-                if inv.index() >= inv_limit {
-                    return Err(StorageError::Corrupt(format!(
-                        "appended node references unknown invocation {}",
-                        inv.0
-                    )));
-                }
-            }
+            check_refs(
+                NodeId((node_base + k) as u32),
+                &node.kind,
+                node.role,
+                &node.preds,
+                node_base + nodes.len(),
+                inv_limit,
+            )?;
         }
         if let Some(bad) = new_invs
             .iter()

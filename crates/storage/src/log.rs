@@ -173,22 +173,13 @@ pub(crate) fn get_sealed_invocations(
 
 // ----- records -----
 
-/// An `m` node names its invocation through its role, and expression
-/// extraction reads it from there. Shared by sealed and tail records.
-pub(crate) fn check_m_node_role(id: NodeId, kind: &NodeKind, role: Role) -> Result<()> {
-    if matches!(kind, NodeKind::Invocation) && !matches!(role, Role::Invocation(_)) {
-        return Err(StorageError::Corrupt(format!(
-            "invocation node {id} has role {}, not an invocation",
-            role.name()
-        )));
-    }
-    Ok(())
-}
-
-/// What a sealed record may reference: other records of its file, and
-/// invocations of the file's table. Checked as records are decoded, so
-/// a corrupt file is an error at load instead of an index out of bounds
-/// (or a missing invocation) in a later query.
+/// What a record may reference: other records below `node_count`, and
+/// invocations below `invocations` — for a sealed record, its file's
+/// records and table; for an appended one, the store's and its own
+/// record's. An `m` node names its invocation through its role, and
+/// expression extraction reads it from there. Checked as records are
+/// decoded, so a corrupt file is an error at load instead of an index
+/// out of bounds (or a missing invocation) in a later query.
 pub(crate) fn check_refs(
     id: NodeId,
     kind: &NodeKind,
@@ -197,7 +188,12 @@ pub(crate) fn check_refs(
     node_count: usize,
     invocations: usize,
 ) -> Result<()> {
-    check_m_node_role(id, kind, role)?;
+    if matches!(kind, NodeKind::Invocation) && !matches!(role, Role::Invocation(_)) {
+        return Err(StorageError::Corrupt(format!(
+            "invocation node {id} has role {}, not an invocation",
+            role.name()
+        )));
+    }
     if let Some(inv) = role.invocation().filter(|inv| inv.index() >= invocations) {
         return Err(StorageError::Corrupt(format!(
             "node {id} names invocation {} beyond the table of {invocations}",

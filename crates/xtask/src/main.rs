@@ -21,11 +21,14 @@
 //!    in `crates/proql/src/**` non-test code: every file operation must
 //!    route through the `StorageIo` trait, or the fault-injection
 //!    harness silently stops covering that call site.
-//! 5. **Panic-free planner, plans, read executor, result shaping,
-//!    reach index, ZoomOut planner, circuit evaluator and store
-//!    accessors** (`crates/proql/src/{planner,plan,exec,shape}.rs`,
+//! 5. **Panic-free ProQL front end, planner, plans, read executor,
+//!    result shaping, reach index, ZoomOut planner, circuit evaluator
+//!    and store accessors** (`crates/proql/src/{lexer,parser,analyze,
+//!    ast}.rs`, `crates/proql/src/{planner,plan,exec,shape}.rs`,
 //!    `crates/core/src/query/{reach,zoom,circuit}.rs`,
-//!    `crates/core/src/store.rs` — every store's read path). A plan is data: it can be
+//!    `crates/core/src/store.rs` — every store's read path). The front
+//!    end reads every request's text, so malformed text must come back
+//!    as a parse error or a diagnostic. A plan is data: it can be
 //!    replayed against a store or an index state other than the one it
 //!    was made for, so a strategy the store cannot serve must fall back
 //!    (full scan, BFS, propagation), never `expect` the plan's world;
@@ -235,11 +238,12 @@ const OBS_CONTEXT: &str =
     "in core::obs non-test code (observability must never take the process down; \
      recover poisoned locks with into_inner)";
 
-/// Rule 5's message context: why panics are banned in the ProQL planner
-/// and read executor.
+/// Rule 5's message context: why panics are banned in the ProQL front
+/// end, planner and read executor.
 const PLAN_CONTEXT: &str =
-    "in the ProQL planner/executor (a plan may meet a store or index state it was not made \
-     for; fall back to the scan, BFS or propagation that is always correct)";
+    "in the ProQL planner/executor or front end (malformed text must come back as an error or a \
+     diagnostic; a plan may meet a store or index state it was not made for, so fall back to \
+     the scan, BFS or propagation that is always correct)";
 
 /// Rule 6's message context: why panics are banned in storage decoders.
 const DECODE_CONTEXT: &str =
@@ -260,6 +264,10 @@ const CAST_FREE_FILES: &[&str] = &["codec.rs", "reader.rs", "varint.rs"];
 
 /// Files under rule 5 (no panicking calls), from the workspace root.
 const PLAN_FILES: &[&str] = &[
+    "crates/proql/src/lexer.rs",
+    "crates/proql/src/parser.rs",
+    "crates/proql/src/analyze.rs",
+    "crates/proql/src/ast.rs",
     "crates/proql/src/planner.rs",
     "crates/proql/src/plan.rs",
     "crates/proql/src/exec.rs",
@@ -439,9 +447,9 @@ fn run_lint(root: &Path) -> std::io::Result<Vec<String>> {
         }
     }
 
-    // Rule 5: the one planner, its plans, the one read executor and its
-    // result shaping, and the reach index, ZoomOut planner, circuit
-    // evaluator and store accessors they call.
+    // Rule 5: the ProQL front end, the one planner, its plans, the one
+    // read executor and its result shaping, and the reach index, ZoomOut
+    // planner, circuit evaluator and store accessors they call.
     for file in PLAN_FILES {
         let path = root.join(file);
         let src = std::fs::read_to_string(&path)?;
@@ -544,13 +552,18 @@ mod tests {
         assert_eq!(check_no_panics(ok, PLAN_CONTEXT), Vec::new());
     }
 
-    /// Every rule-5 file is covered — the plans, the result shaping, the
-    /// reach index, the ZoomOut planner, the circuit evaluator behind
-    /// `WHY`/`EVAL` and the store accessors included: a row lookup that `expect`s instead of
+    /// Every rule-5 file is covered — the ProQL lexer, parser, analyzer
+    /// and AST, the plans, the result shaping, the reach index, the
+    /// ZoomOut planner, the circuit evaluator behind `WHY`/`EVAL` and the
+    /// store accessors included: a row lookup that `expect`s instead of
     /// answering an empty row is caught on the seeded line.
     #[test]
     fn seeded_plan_file_violations_are_caught() {
         for file in [
+            "crates/proql/src/lexer.rs",
+            "crates/proql/src/parser.rs",
+            "crates/proql/src/analyze.rs",
+            "crates/proql/src/ast.rs",
             "crates/core/src/query/reach.rs",
             "crates/core/src/query/zoom.rs",
             "crates/core/src/query/circuit.rs",
