@@ -229,6 +229,7 @@ impl Role {
     }
 
     /// The invocation this role is attached to, if any.
+    #[inline]
     pub fn invocation(&self) -> Option<InvocationId> {
         match self {
             Role::Invocation(i)

@@ -50,7 +50,9 @@ pub trait GraphStore {
     /// The node's kind. May fault in the node's record.
     fn kind_of(&self, id: NodeId) -> Cow<'_, NodeKind>;
 
-    /// The node's role. May fault in the node's record.
+    /// The node's role. Index-level on paged stores, which answer from
+    /// a role column; only a record whose leading bytes are damaged is
+    /// faulted in (and reports the damage).
     fn role_of(&self, id: NodeId) -> Role;
 
     /// Ingredient ids (may include invisible nodes). May fault in the

@@ -38,8 +38,10 @@
 //! `kind_of`, and the (always resident) invocation table — and never
 //! session state like reach-index presence.
 
+use std::cell::OnceCell;
 use std::fmt;
 
+use lipstick_core::graph::InvocationInfo;
 use lipstick_core::store::GraphStore;
 use lipstick_core::{NodeId, NodeKind};
 
@@ -291,8 +293,9 @@ where
 /// comes back as diagnostics, not errors.
 pub fn analyze<S: GraphStore + ?Sized>(store: &S, source: &str) -> Diagnostics {
     let mut a = Analyzer {
-        store_modules: module_universe(store),
-        store_executions: execution_universe(store),
+        invocations: store.invocations(),
+        modules: OnceCell::new(),
+        executions: OnceCell::new(),
         visible: store.visible_count(),
         node_count: store.node_count(),
         source,
@@ -309,34 +312,40 @@ pub fn analyze<S: GraphStore + ?Sized>(store: &S, source: &str) -> Diagnostics {
     }
 }
 
-fn module_universe<S: GraphStore + ?Sized>(store: &S) -> Vec<String> {
-    let mut mods: Vec<String> = store
-        .invocations()
-        .iter()
-        .map(|i| i.module.clone())
-        .collect();
-    mods.sort();
-    mods.dedup();
-    mods
-}
-
-fn execution_universe<S: GraphStore + ?Sized>(store: &S) -> Vec<u32> {
-    let mut execs: Vec<u32> = store.invocations().iter().map(|i| i.execution).collect();
-    execs.sort_unstable();
-    execs.dedup();
-    execs
-}
-
 struct Analyzer<'s> {
-    store_modules: Vec<String>,
-    store_executions: Vec<u32>,
+    /// The store's invocation table, the schema module and execution
+    /// literals resolve against.
+    invocations: &'s [InvocationInfo],
+    /// Its distinct module names and executions, sorted — built only
+    /// when a statement names a module or execution literal to check.
+    modules: OnceCell<Vec<&'s str>>,
+    executions: OnceCell<Vec<u32>>,
     visible: usize,
     node_count: usize,
     source: &'s str,
     items: Vec<Diagnostic>,
 }
 
-impl Analyzer<'_> {
+impl<'s> Analyzer<'s> {
+    fn modules(&self) -> &[&'s str] {
+        self.modules.get_or_init(|| {
+            let mut modules: Vec<&str> =
+                self.invocations.iter().map(|i| i.module.as_str()).collect();
+            modules.sort_unstable();
+            modules.dedup();
+            modules
+        })
+    }
+
+    fn executions(&self) -> &[u32] {
+        self.executions.get_or_init(|| {
+            let mut executions: Vec<u32> = self.invocations.iter().map(|i| i.execution).collect();
+            executions.sort_unstable();
+            executions.dedup();
+            executions
+        })
+    }
+
     fn whole_span(&self) -> Span {
         Span::new(0, self.source.len())
     }
@@ -385,18 +394,10 @@ impl Analyzer<'_> {
         self.push(code, Severity::Error, span, message, suggestion);
     }
 
+    /// Node-id references resolve identically everywhere: bounds and
+    /// visibility are index-level on every backend. Checked once per
+    /// statement, however many `EXPLAIN` levels wrap it.
     fn statement<S: GraphStore + ?Sized>(&mut self, store: &S, stmt: &Statement, sites: &Sites) {
-        if !stmt.is_read_only() {
-            self.push(
-                "I405",
-                Severity::Info,
-                self.whole_span(),
-                "statement mutates the session; CHECK only analyzed it, nothing executed".into(),
-                None,
-            );
-        }
-        // Node-id references resolve identically everywhere:
-        // bounds + visibility are index-level on both backends.
         for &(id, span) in &sites.ids {
             if id as usize >= self.node_count {
                 self.push(
@@ -418,6 +419,25 @@ impl Analyzer<'_> {
                     None,
                 );
             }
+        }
+        self.statement_form(store, stmt, sites);
+    }
+
+    /// The checks a statement's form asks for, at each `EXPLAIN` level.
+    fn statement_form<S: GraphStore + ?Sized>(
+        &mut self,
+        store: &S,
+        stmt: &Statement,
+        sites: &Sites,
+    ) {
+        if !stmt.is_read_only() {
+            self.push(
+                "I405",
+                Severity::Info,
+                self.whole_span(),
+                "statement mutates the session; CHECK only analyzed it, nothing executed".into(),
+                None,
+            );
         }
         match stmt {
             Statement::Query(_) => self.query(sites),
@@ -443,7 +463,7 @@ impl Analyzer<'_> {
                 }
             }
             Statement::Explain(inner) | Statement::ExplainAnalyze(inner) => {
-                self.statement(store, inner, sites)
+                self.statement_form(store, inner, sites)
             }
             _ => {}
         }
@@ -586,18 +606,13 @@ impl Analyzer<'_> {
                 }
                 (Field::Execution, Lit::Int(n))
                     if c.op == CmpOp::Eq
-                        && !self.store_executions.iter().any(|&e| u64::from(e) == *n) =>
+                        && !self.executions().iter().any(|&e| u64::from(e) == *n) =>
                 {
-                    self.push(
-                        "W204",
-                        Severity::Warning,
-                        value_span,
-                        format!(
-                            "no invocation has execution {n} (executions recorded: {})",
-                            render_executions(&self.store_executions)
-                        ),
-                        None,
+                    let message = format!(
+                        "no invocation has execution {n} (executions recorded: {})",
+                        render_executions(self.executions())
                     );
+                    self.push("W204", Severity::Warning, value_span, message, None);
                 }
                 _ => {}
             }
@@ -738,8 +753,8 @@ impl Analyzer<'_> {
     /// backend).
     fn module_name(&mut self, c: &Comparison, s: &str, span: Span) {
         match c.op {
-            CmpOp::Eq | CmpOp::Ne if !self.store_modules.iter().any(|m| m == s) => {
-                let sugg = did_you_mean(s, self.store_modules.iter().map(|m| m.as_str()));
+            CmpOp::Eq | CmpOp::Ne if !self.modules().contains(&s) => {
+                let sugg = did_you_mean(s, self.modules().iter().copied());
                 let always = if c.op == CmpOp::Ne {
                     "; '!=' against it is always true"
                 } else {
@@ -753,7 +768,7 @@ impl Analyzer<'_> {
                     sugg,
                 );
             }
-            CmpOp::Like if !self.store_modules.iter().any(|m| like_match(s, m)) => {
+            CmpOp::Like if !self.modules().iter().any(|m| like_match(s, m)) => {
                 self.push(
                     "W201",
                     Severity::Warning,
@@ -824,6 +839,41 @@ fn render_executions(execs: &[u32]) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn explain_levels_report_a_node_once() {
+        let mut g = lipstick_core::ProvGraph::new();
+        g.add_base("a");
+        for src in [
+            "SUBGRAPH OF #999999",
+            "EXPLAIN SUBGRAPH OF #999999",
+            "EXPLAIN ANALYZE SUBGRAPH OF #999999",
+        ] {
+            let d = analyze(&g, src);
+            let e101 = d.items.iter().filter(|i| i.code == "E101").count();
+            assert_eq!(e101, 1, "{src}: {:?}", d.items);
+        }
+    }
+
+    #[test]
+    fn stray_semicolons_are_not_errors() {
+        let g = lipstick_core::ProvGraph::new();
+        for src in ["MATCH nodes;;", "; MATCH nodes"] {
+            let d = analyze(&g, src);
+            assert!(
+                d.items.iter().all(|i| i.code != "E002"),
+                "{src}: {:?}",
+                d.items
+            );
+        }
+        let d = analyze(&g, "MATCH nodes; STATS");
+        assert_eq!(d.items.len(), 1, "{:?}", d.items);
+        assert_eq!(d.items[0].code, "E002");
+        assert_eq!(
+            d.items[0].message,
+            "parse error: expected one statement, found 2"
+        );
+    }
 
     #[test]
     fn edit_distance_and_suggestions() {

@@ -45,9 +45,10 @@ use lipstick_core::semiring::whyprov::Why;
 use lipstick_core::store::GraphStore;
 use lipstick_core::{NodeId, NodeKind, Polynomial, ProvExpr, Token};
 
-use crate::ast::{Comparison, Field, FieldValue, NodeClass, Predicate, SemiringName, WalkDir};
+use crate::ast::{NodeClass, SemiringName, WalkDir};
 use crate::error::{ProqlError, Result};
-use crate::plan::{DependsStrategy, ScanStrategy, SetPlan, StmtPlan, WalkStrategy};
+use crate::filter::CompiledPredicate;
+use crate::plan::{DependsStrategy, PostingsKey, ScanStrategy, SetPlan, StmtPlan, WalkStrategy};
 use crate::result::QueryOutput;
 
 /// What a read runs against: the store, the session's reach index if
@@ -211,24 +212,35 @@ fn run_set<S: GraphStore + ?Sized>(
             filter,
             strategy,
             limit,
-        } => Ok(match strategy {
-            ScanStrategy::PostingsScan { key, .. } => {
-                let ids = key.candidates(store);
-                scan_ids(store, ids.iter().copied(), *class, filter, *limit)
-            }
-            ScanStrategy::FullScan { .. } => {
-                let ids = (0..store.node_count() as u32).map(NodeId);
-                scan_ids(store, ids, *class, filter, *limit)
-            }
-        }),
+        } => {
+            let filter = CompiledPredicate::new(store, filter);
+            Ok(match strategy {
+                ScanStrategy::PostingsScan { key, .. } => {
+                    // A kind's list holds only nodes of that kind: a
+                    // class naming it needs no re-check per candidate.
+                    let class = match key {
+                        PostingsKey::Kind(k) if class.single_kind_name() == Some(k.as_str()) => {
+                            NodeClass::All
+                        }
+                        _ => *class,
+                    };
+                    let ids = key.candidates(store);
+                    scan_ids(store, ids.iter().copied(), class, &filter, *limit)
+                }
+                ScanStrategy::FullScan { .. } => {
+                    let ids = (0..store.node_count() as u32).map(NodeId);
+                    scan_ids(store, ids, *class, &filter, *limit)
+                }
+            })
+        }
         SetPlan::Walk {
             root,
             dir,
             depth,
             filter,
             strategy,
-        } => match (strategy, env.reach) {
-            (WalkStrategy::ReachIndex { .. }, Some(index)) => {
+        } => match (strategy, env.reach, CompiledPredicate::new(store, filter)) {
+            (WalkStrategy::ReachIndex { .. }, Some(index), filter) => {
                 let candidates = match dir {
                     WalkDir::Descendants => index.descendants(*root),
                     WalkDir::Ancestors => index.ancestors(*root),
@@ -236,19 +248,19 @@ fn run_set<S: GraphStore + ?Sized>(
                 let visited = candidates.len();
                 let nodes: Vec<NodeId> = candidates
                     .into_iter()
-                    .filter(|id| store.is_visible(*id) && pred_matches(store, *id, filter))
+                    .filter(|id| store.is_visible(*id) && filter.matches(store, *id))
                     .collect();
                 Ok((nodes, visited))
             }
             // Bounded walks — and a reach plan whose index is gone —
             // sweep, with the predicate pushed into the collect step.
-            _ => {
+            (_, _, filter) => {
                 let direction = match dir {
                     WalkDir::Ancestors => Direction::Ancestors,
                     WalkDir::Descendants => Direction::Descendants,
                 };
                 traverse(store, *root, direction, *depth, |id| {
-                    pred_matches(store, id, filter)
+                    filter.matches(store, id)
                 })
                 .map(|(nodes, stats)| (nodes, stats.visited))
                 .map_err(ProqlError::from)
@@ -325,12 +337,15 @@ fn render_analyze(plan: &StmtPlan, trace: &QueryTrace, output: &QueryOutput) -> 
 /// Examine the visible nodes among `candidates`, which must ascend by
 /// id — which is what makes the planner's pushed-down `limit` sound:
 /// the first `n` matches are the set's `n` smallest members, so the
-/// scan stops early.
+/// scan stops early. Each candidate takes the cheapest test first:
+/// visibility (index-level; it decides `visited`), then what the role
+/// decides, and only then what reads the record — the class and the
+/// `kind` / `token` conjuncts.
 fn scan_ids<S: GraphStore + ?Sized>(
     store: &S,
     candidates: impl Iterator<Item = NodeId>,
     class: NodeClass,
-    filter: &Predicate,
+    filter: &CompiledPredicate<'_>,
     limit: Option<u64>,
 ) -> (Vec<NodeId>, usize) {
     let mut visited = 0;
@@ -343,7 +358,10 @@ fn scan_ids<S: GraphStore + ?Sized>(
             continue;
         }
         visited += 1;
-        if class_matches(store, class, id) && pred_matches(store, id, filter) {
+        if filter.matches_role(store, id)
+            && class_matches(store, class, id)
+            && filter.matches_record(store, id)
+        {
             out.push(id);
         }
     }
@@ -352,7 +370,11 @@ fn scan_ids<S: GraphStore + ?Sized>(
 
 /// Does a node belong to a `MATCH` class? `nodes` never asks the store
 /// for the kind, so an unfiltered scan faults nothing.
-fn class_matches<S: GraphStore + ?Sized>(store: &S, class: NodeClass, id: NodeId) -> bool {
+pub(crate) fn class_matches<S: GraphStore + ?Sized>(
+    store: &S,
+    class: NodeClass,
+    id: NodeId,
+) -> bool {
     if class == NodeClass::All {
         return true;
     }
@@ -369,40 +391,7 @@ fn class_matches<S: GraphStore + ?Sized>(store: &S, class: NodeClass, id: NodeId
     }
 }
 
-/// Evaluate a predicate conjunction on one node. Fields that don't
-/// apply (e.g. `module` on a free node) make `=` false and `!=` true.
-fn pred_matches<S: GraphStore + ?Sized>(store: &S, id: NodeId, pred: &Predicate) -> bool {
-    pred.conjuncts
-        .iter()
-        .all(|c| comparison_matches(store, id, c))
-}
-
-fn comparison_matches<S: GraphStore + ?Sized>(store: &S, id: NodeId, c: &Comparison) -> bool {
-    let invocation = || {
-        store
-            .role_of(id)
-            .invocation()
-            .map(|inv| store.invocation(inv))
-    };
-    match c.field {
-        Field::Kind => c.eval(Some(FieldValue::Str(store.kind_of(id).name()))),
-        Field::Role => c.eval(Some(FieldValue::Str(store.role_of(id).name()))),
-        Field::Module => c.eval(invocation().map(|info| FieldValue::Str(info.module.as_str()))),
-        Field::Execution => {
-            c.eval(invocation().map(|info| FieldValue::Int(u64::from(info.execution))))
-        }
-        // The kind may be a decoded temporary; the token borrows from
-        // it for the comparison's lifetime.
-        Field::Token => match &*store.kind_of(id) {
-            NodeKind::BaseTuple { token } | NodeKind::WorkflowInput { token } => {
-                c.eval(Some(FieldValue::Str(token.as_str())))
-            }
-            _ => c.eval(None),
-        },
-    }
-}
-
-fn merge_union(xs: Vec<NodeId>, ys: Vec<NodeId>) -> Vec<NodeId> {
+pub(crate) fn merge_union(xs: Vec<NodeId>, ys: Vec<NodeId>) -> Vec<NodeId> {
     let mut out = Vec::with_capacity(xs.len() + ys.len());
     let (mut i, mut j) = (0, 0);
     while i < xs.len() && j < ys.len() {
@@ -427,7 +416,7 @@ fn merge_union(xs: Vec<NodeId>, ys: Vec<NodeId>) -> Vec<NodeId> {
     out
 }
 
-fn merge_intersect(xs: Vec<NodeId>, ys: Vec<NodeId>) -> Vec<NodeId> {
+pub(crate) fn merge_intersect(xs: Vec<NodeId>, ys: Vec<NodeId>) -> Vec<NodeId> {
     let mut out = Vec::new();
     let (mut i, mut j) = (0, 0);
     while i < xs.len() && j < ys.len() {

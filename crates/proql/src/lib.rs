@@ -128,7 +128,10 @@ pub mod analyze;
 pub mod ast;
 pub mod error;
 pub mod exec;
+mod filter;
 pub mod lexer;
+#[cfg(test)]
+mod oracle;
 pub mod parser;
 pub mod plan;
 pub mod planner;

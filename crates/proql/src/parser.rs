@@ -42,36 +42,21 @@ pub(crate) struct Sites {
 /// Parse a whole script: statements separated/terminated by `;`.
 pub fn parse_script(input: &str) -> Result<Vec<Statement>> {
     let mut p = Parser::new(input, lex_spanned(input)?, None);
-    let mut out = Vec::new();
-    while !p.at_end() {
-        if p.eat_symbol(&Tok::Semi) {
-            continue; // empty statement
-        }
-        out.push(p.statement()?);
-        if !p.eat_symbol(&Tok::Semi) {
-            p.expect_end()?;
-        }
-    }
-    Ok(out)
+    Ok(p.script()?.into_iter().map(|(stmt, _)| stmt).collect())
 }
 
-/// Parse exactly one statement (trailing `;` allowed).
+/// Parse exactly one statement (stray `;` allowed).
 pub fn parse_statement(input: &str) -> Result<Statement> {
-    let mut stmts = parse_script(input)?;
-    match stmts.len() {
-        1 => Ok(stmts.remove(0)),
-        0 => Err(ProqlError::Parse("empty statement".into())),
-        n => Err(ProqlError::Parse(format!(
-            "expected one statement, found {n}"
-        ))),
-    }
+    let mut p = Parser::new(input, lex_spanned(input)?, None);
+    only_statement(p.script()?, input).map_err(|(err, _)| err)
 }
 
-/// Lex and parse exactly one statement, with at most one trailing `;`,
-/// recording its [`Sites`]. On failure, the error comes with the byte
-/// [`Span`] where reading stopped: the offending character of a lex
-/// error, the identifier an `Unknown*` error names, the token parsing
-/// failed on otherwise.
+/// Lex and parse exactly one statement, accepting exactly the texts
+/// [`parse_statement`] accepts, and record its [`Sites`]. On failure,
+/// the error comes with the byte [`Span`] where reading stopped: the
+/// offending character of a lex error, the identifier an `Unknown*`
+/// error names, the token parsing failed on, or the first token of a
+/// second statement.
 pub(crate) fn parse_with_sites(
     src: &str,
 ) -> std::result::Result<(Statement, Sites), (ProqlError, Span)> {
@@ -86,22 +71,30 @@ pub(crate) fn parse_with_sites(
         (err, span)
     })?;
     let mut p = Parser::new(src, toks, Some(Sites::default()));
-    if p.at_end() {
-        return Err((
+    let stmts = p.script().map_err(|err| {
+        let span = p.error_span(&err);
+        (err, span)
+    })?;
+    let stmt = only_statement(stmts, src)?;
+    Ok((stmt, p.sites.unwrap_or_default()))
+}
+
+/// The one statement of a script, or the error for none or several —
+/// pointing at the end of the text, or at the second statement.
+fn only_statement(
+    mut stmts: Vec<(Statement, Span)>,
+    src: &str,
+) -> std::result::Result<Statement, (ProqlError, Span)> {
+    match stmts.len() {
+        1 => Ok(stmts.remove(0).0),
+        0 => Err((
             ProqlError::Parse("empty statement".into()),
             Span::point(src.len()),
-        ));
-    }
-    let parsed = p.statement().and_then(|stmt| {
-        let _ = p.eat_symbol(&Tok::Semi); // trailing ';' allowed
-        p.expect_end().map(|()| stmt)
-    });
-    match parsed {
-        Ok(stmt) => Ok((stmt, p.sites.unwrap_or_default())),
-        Err(e) => {
-            let span = p.error_span(&e);
-            Err((e, span))
-        }
+        )),
+        n => Err((
+            ProqlError::Parse(format!("expected one statement, found {n}")),
+            stmts[1].1,
+        )),
     }
 }
 
@@ -125,6 +118,23 @@ impl<'s> Parser<'s> {
 
     fn at_end(&self) -> bool {
         self.pos >= self.toks.len()
+    }
+
+    /// Statements separated or terminated by `;`, empty ones skipped,
+    /// to the end of the input — each with its first token's span.
+    fn script(&mut self) -> Result<Vec<(Statement, Span)>> {
+        let mut out = Vec::new();
+        while !self.at_end() {
+            if self.eat_symbol(&Tok::Semi) {
+                continue; // empty statement
+            }
+            let at = self.span_at(self.pos);
+            out.push((self.statement()?, at));
+            if !self.eat_symbol(&Tok::Semi) {
+                self.expect_end()?;
+            }
+        }
+        Ok(out)
     }
 
     /// Fail unless every token has been read.
@@ -974,6 +984,35 @@ mod tests {
     /// The text a recorded span covers.
     fn text(src: &str, span: Span) -> &str {
         &src[span.start..span.end]
+    }
+
+    /// `CHECK` reads statement text as `run` does: stray `;` are
+    /// empty statements, and two statements are one too many.
+    #[test]
+    fn spanned_parse_accepts_exactly_what_run_accepts() {
+        for src in ["MATCH nodes;;", "; MATCH nodes", ";;MATCH nodes;"] {
+            let (stmt, _) = parse_with_sites(src).unwrap();
+            assert_eq!(stmt, parse_statement(src).unwrap(), "{src}");
+        }
+        let src = "MATCH nodes; STATS";
+        let (err, span) = parse_with_sites(src).unwrap_err();
+        assert_eq!(
+            err.to_string(),
+            parse_statement(src).unwrap_err().to_string()
+        );
+        assert!(
+            err.to_string().contains("expected one statement, found 2"),
+            "{err}"
+        );
+        assert_eq!(text(src, span), "STATS");
+        for src in ["", ";", " ;; "] {
+            let (err, span) = parse_with_sites(src).unwrap_err();
+            assert!(
+                err.to_string().contains("empty statement"),
+                "{src:?}: {err}"
+            );
+            assert_eq!(span, Span::point(src.len()));
+        }
     }
 
     #[test]

@@ -799,6 +799,15 @@ impl Session {
         Ok(self.plan(&stmt)?.to_string())
     }
 
+    /// The backend store, for the per-node oracle (`oracle.rs`).
+    #[cfg(test)]
+    pub(crate) fn store(&self) -> &dyn GraphStore {
+        match &self.backend {
+            Backend::Resident(graph) => graph,
+            Backend::Log(log) => log.as_ref(),
+        }
+    }
+
     /// Per-component heap breakdown of everything the session holds:
     /// the backend store (resident graph or log) and the reach
     /// closure. Groups are `"graph"`, `"paged_log"`, and `"reach"`;

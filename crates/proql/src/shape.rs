@@ -5,9 +5,16 @@
 //! they run the same code over the same node sets. All orderings are total (ties break on the group value or
 //! node id), so shaped results are byte-for-byte deterministic, which
 //! the differential harness (`tests/differential.rs`) relies on.
+//!
+//! `module` and `execution` are a node's invocation's, so shaping by
+//! them reads each node's role only: `GROUP BY` and `COUNT(DISTINCT …)`
+//! count nodes per invocation and fold the counts by value, and `ORDER
+//! BY` sorts on a key borrowed from the invocation table. No per-node
+//! cell is built for them.
 
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, BTreeSet};
 
+use lipstick_core::graph::InvocationInfo;
 use lipstick_core::store::GraphStore;
 use lipstick_core::{NodeId, NodeKind};
 
@@ -46,9 +53,10 @@ pub(crate) fn validate(s: &Shaping) -> Result<()> {
 /// the field does not apply to.
 const NONE_MARKER: &str = "(none)";
 
-/// A node's value for a shaping field, when the field applies.
-/// Mirrors the predicate semantics of the executor's
-/// `comparison_matches`.
+/// A node's value for a shaping field, when the field applies — the
+/// values a predicate compares. Shaping reads `kind`, `role` and
+/// `token` through it; `module` and `execution` go through
+/// [`InvocationKey`] and must fold to the same cells.
 pub(crate) fn field_cell<S: GraphStore + ?Sized>(
     store: &S,
     id: NodeId,
@@ -72,6 +80,64 @@ pub(crate) fn field_cell<S: GraphStore + ?Sized>(
             _ => None,
         },
     }
+}
+
+/// An invocation's value for `module` or `execution`, borrowed from the
+/// invocation table. The keys of one field order like their cells.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
+enum InvocationKey<'s> {
+    Module(&'s str),
+    Execution(u32),
+}
+
+impl<'s> InvocationKey<'s> {
+    /// Every invocation's key for `field`, by invocation id, when the
+    /// field is read per invocation.
+    fn table<S: GraphStore + ?Sized>(store: &'s S, field: Field) -> Option<Vec<Self>> {
+        let key = |info: &'s InvocationInfo| match field {
+            Field::Module => InvocationKey::Module(&info.module),
+            _ => InvocationKey::Execution(info.execution),
+        };
+        matches!(field, Field::Module | Field::Execution)
+            .then(|| store.invocations().iter().map(key).collect())
+    }
+
+    fn cell(self) -> Cell {
+        match self {
+            InvocationKey::Module(m) => Cell::Str(m.to_string()),
+            InvocationKey::Execution(e) => Cell::Int(u64::from(e)),
+        }
+    }
+}
+
+/// How many of `nodes` each invocation owns, by invocation id, and how
+/// many belong to none.
+fn count_by_invocation<S: GraphStore + ?Sized>(store: &S, nodes: &[NodeId]) -> (Vec<u64>, u64) {
+    let mut counts = vec![0; store.invocations().len()];
+    let mut none = 0;
+    for &id in nodes {
+        match store.role_of(id).invocation() {
+            Some(inv) => counts[inv.index()] += 1,
+            None => none += 1,
+        }
+    }
+    (counts, none)
+}
+
+/// The keys of the invocations that own any of `nodes`, each with
+/// the number of nodes it owns, folded by key; and the number of nodes
+/// no invocation owns.
+fn fold_by_key<'s, S: GraphStore + ?Sized>(
+    store: &S,
+    keys: &[InvocationKey<'s>],
+    nodes: &[NodeId],
+) -> (BTreeMap<InvocationKey<'s>, u64>, u64) {
+    let (counts, none) = count_by_invocation(store, nodes);
+    let mut folded = BTreeMap::new();
+    for (&key, &n) in keys.iter().zip(&counts).filter(|(_, &n)| n > 0) {
+        *folded.entry(key).or_insert(0) += n;
+    }
+    (folded, none)
 }
 
 /// A grouping key with the order the shaped output uses: every present
@@ -126,20 +192,17 @@ pub(crate) fn apply_shaping<S: GraphStore + ?Sized>(
                     nodes.reverse(); // sets arrive ascending by id
                 }
             }
+            // Total order: (field value — missing last, id); DESC
+            // reverses the whole order, ids included, so every ordering
+            // is deterministic for the differential harness.
             SortKey::Field(f) => {
-                // Total order: (field value — missing last, id); DESC
-                // reverses the whole order, ids included, so every
-                // ordering is deterministic for the differential
-                // harness.
-                let mut keyed: Vec<(GroupKey, NodeId)> = nodes
-                    .into_iter()
-                    .map(|id| (GroupKey::new(field_cell(store, id, f)), id))
-                    .collect();
-                keyed.sort();
-                if desc {
-                    keyed.reverse();
-                }
-                nodes = keyed.into_iter().map(|(_, id)| id).collect();
+                nodes = match InvocationKey::table(store, f) {
+                    Some(keys) => sorted_by(nodes, desc, |id| {
+                        let key = store.role_of(id).invocation().map(|i| keys[i.index()]);
+                        (key.is_none(), key)
+                    }),
+                    None => sorted_by(nodes, desc, |id| GroupKey::new(field_cell(store, id, f))),
+                };
             }
         }
     }
@@ -147,6 +210,16 @@ pub(crate) fn apply_shaping<S: GraphStore + ?Sized>(
         nodes.truncate(usize::try_from(n).unwrap_or(usize::MAX));
     }
     QueryOutput::Nodes(NodeSetResult { nodes, visited })
+}
+
+/// `nodes` ordered by `(key, id)`, reversed whole for `desc`.
+fn sorted_by<K: Ord>(nodes: Vec<NodeId>, desc: bool, key: impl Fn(NodeId) -> K) -> Vec<NodeId> {
+    let mut keyed: Vec<(K, NodeId)> = nodes.into_iter().map(|id| (key(id), id)).collect();
+    keyed.sort_unstable();
+    if desc {
+        keyed.reverse();
+    }
+    keyed.into_iter().map(|(_, id)| id).collect()
 }
 
 /// `COUNT(*)` / `COUNT(DISTINCT f)`: always exactly one row, zero
@@ -160,16 +233,14 @@ fn aggregate<S: GraphStore + ?Sized>(
     let (column, value) = match agg {
         Aggregate::CountStar => ("count".to_string(), nodes.len() as u64),
         Aggregate::CountDistinct(f) => {
-            let mut distinct: Vec<Cell> = nodes
-                .iter()
-                .filter_map(|&id| field_cell(store, id, f))
-                .collect();
-            distinct.sort();
-            distinct.dedup();
-            (
-                format!("count(distinct {})", f.name()),
-                distinct.len() as u64,
-            )
+            let distinct = match InvocationKey::table(store, f) {
+                Some(keys) => fold_by_key(store, &keys, nodes).0.len(),
+                None => {
+                    let cells = nodes.iter().filter_map(|&id| field_cell(store, id, f));
+                    cells.collect::<BTreeSet<Cell>>().len()
+                }
+            };
+            (format!("count(distinct {})", f.name()), distinct as u64)
         }
     };
     TableResult {
@@ -191,10 +262,25 @@ fn group<S: GraphStore + ?Sized>(
     shaping: &Shaping,
 ) -> TableResult {
     let mut counts: BTreeMap<GroupKey, u64> = BTreeMap::new();
-    for &id in nodes {
-        *counts
-            .entry(GroupKey::new(field_cell(store, id, field)))
-            .or_insert(0) += 1;
+    match InvocationKey::table(store, field) {
+        Some(keys) => {
+            let (folded, none) = fold_by_key(store, &keys, nodes);
+            counts.extend(
+                folded
+                    .into_iter()
+                    .map(|(key, n)| (GroupKey::Present(key.cell()), n)),
+            );
+            if none > 0 {
+                counts.insert(GroupKey::Missing, none);
+            }
+        }
+        None => {
+            for &id in nodes {
+                *counts
+                    .entry(GroupKey::new(field_cell(store, id, field)))
+                    .or_insert(0) += 1;
+            }
+        }
     }
     // BTreeMap iteration is already the default order: group value
     // ascending, missing last.

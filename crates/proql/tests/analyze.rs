@@ -159,14 +159,19 @@ fn analyze_of_a_mutation_is_rejected_by_both_planners() {
 #[test]
 fn records_read_is_unchanged_by_a_refused_change() {
     let mut session = Session::open(temp_log("snapshot.lpstk")).unwrap();
-    session.run_one("MATCH base-nodes").unwrap();
+    session
+        .run_one("MATCH base-nodes WHERE token LIKE '%'")
+        .unwrap();
     let paged_reads = session.records_read();
-    assert!(paged_reads > 0, "a paged scan decodes records");
+    assert!(paged_reads > 0, "a token test decodes records");
     let state = |session: &Session| {
         (
             session.records_read(),
             session.run_read("STATS").unwrap().to_string(),
-            session.run_read("MATCH base-nodes").unwrap().to_string(),
+            session
+                .run_read("MATCH base-nodes WHERE token LIKE '%'")
+                .unwrap()
+                .to_string(),
         )
     };
     let before = state(&session);

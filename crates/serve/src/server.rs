@@ -21,7 +21,9 @@
 //! 2. **publish**, under the *write* side: apply the decided change,
 //!    repair the reach index, and bump the **write epoch** —
 //!    microseconds, and no IO. The time each write guard is held is
-//!    observed in `lipstick_serve_write_lock_hold_us`.
+//!    observed in `lipstick_serve_write_lock_hold_us`, and the time
+//!    the writer waited for it, while readers drained, in
+//!    `lipstick_serve_write_lock_wait_us`.
 //!
 //! Each statement publishes on its own, so the epoch bumps once per
 //! statement that succeeded; a failed one changed nothing. A paged
@@ -180,6 +182,9 @@ struct Instruments {
     shutdown_drain_us: Arc<obs::Gauge>,
     /// How long each hold of the session's write guard lasted.
     write_lock_hold_us: Arc<obs::Histogram>,
+    /// How long the writer waited for the session's write guard —
+    /// for readers under the read side to finish.
+    write_lock_wait_us: Arc<obs::Histogram>,
 }
 
 impl Instruments {
@@ -253,6 +258,12 @@ impl Instruments {
             write_lock_hold_us: r.histogram(
                 "lipstick_serve_write_lock_hold_us",
                 "Time each hold of the session write guard lasted (publish or COMPACT install), \
+                 microseconds",
+                obs::LATENCY_BUCKETS_US,
+            ),
+            write_lock_wait_us: r.histogram(
+                "lipstick_serve_write_lock_wait_us",
+                "Time the writer waited to take the session write guard (readers draining), \
                  microseconds",
                 obs::LATENCY_BUCKETS_US,
             ),
@@ -687,10 +698,14 @@ impl Shared {
     }
 
     /// Run `f` under the session's write guard, observing how long the
-    /// guard was held.
+    /// writer waited for the guard and how long it held it.
     fn with_write<T>(&self, f: impl FnOnce(&mut Session) -> T) -> T {
+        let asked = Instant::now();
         let mut session = self.session.write().unwrap_or_else(|e| e.into_inner());
         let held = Instant::now();
+        self.instruments
+            .write_lock_wait_us
+            .observe(elapsed_us(asked));
         let out = f(&mut session);
         drop(session);
         self.instruments

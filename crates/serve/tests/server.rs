@@ -652,6 +652,16 @@ fn metrics_endpoint_stays_valid_and_monotonic_under_concurrent_load() {
             assert!(del.is_ok(), "{del:?}");
         });
     });
+    // The DELETE published under the write guard: the writer's wait for
+    // it is observed beside the hold.
+    let (_, text) = lipstick_serve::client::http_get(addr, "/metrics").unwrap();
+    let samples = parse_plain_samples(&text);
+    for key in [
+        "lipstick_serve_write_lock_wait_us_count",
+        "lipstick_serve_write_lock_hold_us_count",
+    ] {
+        assert!(samples.get(key).is_some_and(|&n| n >= 1.0), "{key}\n{text}");
+    }
     handle.shutdown();
 }
 
@@ -673,13 +683,18 @@ fn timing_trailers_and_slow_query_log() {
     .unwrap();
     let mut client = Client::connect(handle.addr()).unwrap();
 
-    let miss = client.query("MATCH base-nodes").unwrap();
+    // A token test reads each base tuple's record.
+    let miss = client
+        .query("MATCH base-nodes WHERE token LIKE '%'")
+        .unwrap();
     assert!(miss.is_ok(), "{miss:?}");
     assert!(
         miss.reads().unwrap() > 0,
         "an uncached paged read must charge record decodes: {miss:?}"
     );
-    let hit = client.query("MATCH base-nodes").unwrap();
+    let hit = client
+        .query("MATCH base-nodes WHERE token LIKE '%'")
+        .unwrap();
     assert!(hit.cache_hit());
     assert_eq!(hit.reads(), Some(0), "a cache hit decodes nothing");
 
@@ -697,7 +712,7 @@ fn timing_trailers_and_slow_query_log() {
     assert_eq!(status, "HTTP/1.1 200 OK");
     assert!(body.contains(r#""ok":true"#), "{body}");
     assert!(
-        body.contains(r#""stmt":"MATCH base-nodes""#),
+        body.contains(r#""stmt":"MATCH base-nodes WHERE token LIKE '%'""#),
         "slow entries carry the canonical statement: {body}"
     );
     assert!(
@@ -1007,7 +1022,9 @@ fn append_heap_gauges_agree_with_stats_with_non_empty_tail() {
     let handle = serve_append("append-mem.lpstk", 2, 0);
     let mut client = Client::connect(handle.addr()).unwrap();
 
-    let cold = client.query("MATCH base-nodes").unwrap();
+    let cold = client
+        .query("MATCH base-nodes WHERE token LIKE '%'")
+        .unwrap();
     assert!(cold.is_ok(), "{cold:?}");
     assert!(
         cold.reads().unwrap() > 0,
@@ -1065,7 +1082,9 @@ fn append_heap_gauges_agree_with_stats_with_non_empty_tail() {
     // uncached reads still fault records in and charge them.
     let compacted = client.query("COMPACT").unwrap();
     assert!(compacted.is_ok(), "{compacted:?}");
-    let warm = client.query("MATCH m-nodes").unwrap();
+    let warm = client
+        .query("MATCH m-nodes WHERE kind = 'invocation'")
+        .unwrap();
     assert!(warm.is_ok() && !warm.cache_hit(), "{warm:?}");
     assert!(
         warm.reads().unwrap() > 0,

@@ -1470,6 +1470,49 @@ mod tests {
         assert_eq!(reopened.invocations(), invocations_before);
     }
 
+    /// COMPACT carries the role column like the fault cache: the
+    /// records it appends into the partial last block get their roles
+    /// from their own bytes, and no role read faults a record.
+    #[test]
+    fn compact_carries_the_role_column() {
+        use crate::codec::get_record;
+        use crate::reader::Reader;
+        let base = workflow_graph();
+        assert!(!base.len().is_multiple_of(32), "the last block is partial");
+        let path = temp_log("roles", &base);
+        let mut log = AppendLog::open(&path).unwrap();
+        for (id, node) in base.iter() {
+            assert_eq!(log.role_of(id), node.role);
+        }
+        let fragment = fragment_graph();
+        let created = log.commit_fragment(&fragment).unwrap();
+        let expect = resident_append(&base, &fragment);
+        for &id in &created {
+            assert_eq!(log.role_of(id), expect.node(id).role, "overlay {id}");
+        }
+        log.compact().unwrap();
+        let role_column = log
+            .memory_breakdown()
+            .into_iter()
+            .find(|(n, _)| *n == "role_column");
+        assert_eq!(
+            role_column,
+            Some(("role_column", 4 * expect.len())),
+            "carried"
+        );
+
+        let index = log.base.index();
+        let section = log.base.record_section();
+        for (id, node) in expect.iter() {
+            let range = index.record_range(id);
+            let at = range.start - index.records_offset()..range.end - index.records_offset();
+            let record = get_record(&mut Reader::new(&section[at])).unwrap();
+            assert_eq!(log.role_of(id), record.role, "role of {id}");
+            assert_eq!(log.role_of(id), node.role, "role of {id}");
+        }
+        assert_eq!(log.faults(), 0, "no role read faulted a record");
+    }
+
     #[test]
     fn live_tail_probe_counts_records_and_changes_nothing() {
         let base = workflow_graph();

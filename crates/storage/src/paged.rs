@@ -8,8 +8,11 @@
 //! decode.
 //!
 //! Visibility and successor adjacency come from the footer, so pure
-//! reachability sweeps fault nothing; kinds, roles, and predecessor
-//! lists fault one record each, once.
+//! reachability sweeps fault nothing; kinds and predecessor lists fault
+//! one record each, once. Roles come from a *role column*, 4 bytes per
+//! record, filled on the first role read by one sequential pass over
+//! each record's leading bytes (the flags byte, then the role), so a
+//! scan that tests only roles, modules or executions faults nothing.
 //!
 //! The fault cache is an id-indexed table of write-once slots: a top
 //! table with one slot per `BLOCK` (32) consecutive ids, each holding —
@@ -34,7 +37,7 @@ use lipstick_core::obs;
 use lipstick_core::store::GraphStore;
 use lipstick_core::{InvocationId, NodeId, NodeKind, Role};
 
-use crate::codec::get_record;
+use crate::codec::{get_record, get_record_role};
 use crate::error::{Result, StorageError};
 use crate::footer::LogIndex;
 use crate::log::{check_refs, get_sealed_invocations, read_header, VERSION_V2};
@@ -62,6 +65,52 @@ struct Record {
 /// block and ≈ 0.3 ms at 32, with dense sweeps unchanged.
 const BLOCK: usize = 32;
 
+/// A role column entry: the role's codec tag in the top three bits, its
+/// invocation id in the other [`INV_BITS`].
+const INV_BITS: u32 = 29;
+const INV_MASK: u32 = (1 << INV_BITS) - 1;
+
+/// The entry of a record whose role the column does not hold: its
+/// leading bytes do not decode, it names an invocation past the sealed
+/// table, it is an invocation node without an invocation role, or its
+/// invocation id does not fit [`INV_BITS`]. No role packs to it (a
+/// `free` tag with invocation bits), and its role is read through the
+/// fault path, so the damage surfaces where a statement touches the
+/// record.
+const DAMAGED: u32 = u32::MAX;
+
+fn pack_role(role: Role) -> Option<u32> {
+    let (tag, inv) = match role {
+        Role::WorkflowInput => (0, 0),
+        Role::Invocation(i) => (1, i.0),
+        Role::ModuleInput(i) => (2, i.0),
+        Role::ModuleOutput(i) => (3, i.0),
+        Role::State(i) => (4, i.0),
+        Role::Intermediate(i) => (5, i.0),
+        Role::Zoom(i) => (6, i.0),
+        Role::Free => (7, 0),
+    };
+    (inv <= INV_MASK).then_some((tag << INV_BITS) | inv)
+}
+
+// `#[inline]`: it runs per role read, inside the accessors other crates
+// inline into their scans.
+#[inline]
+fn unpack_role(packed: u32) -> Option<Role> {
+    let inv = InvocationId(packed & INV_MASK);
+    Some(match packed >> INV_BITS {
+        0 => Role::WorkflowInput,
+        1 => Role::Invocation(inv),
+        2 => Role::ModuleInput(inv),
+        3 => Role::ModuleOutput(inv),
+        4 => Role::State(inv),
+        5 => Role::Intermediate(inv),
+        6 => Role::Zoom(inv),
+        _ if packed == DAMAGED => return None,
+        _ => Role::Free,
+    })
+}
+
 /// The cache slots of `BLOCK` consecutive ids (always `BLOCK` long, also
 /// at the end of the id space — COMPACT grows the log under a block it
 /// carries over).
@@ -84,6 +133,9 @@ pub struct PagedLog {
     sealed_invocations: usize,
     /// Slot `id / BLOCK` holds the block of record `id`, once touched.
     cache: Box<[OnceLock<Block>]>,
+    /// Every record's packed role (see [`pack_role`]), filled on the
+    /// first role read; empty until then, so opening costs nothing.
+    roles: OnceLock<Box<[u32]>>,
     /// Per-log fault counter (tests and `STATS` report per-instance
     /// figures); every fault also feeds the process-wide
     /// `lipstick_storage_faults_total` registry instrument.
@@ -132,6 +184,7 @@ impl PagedLog {
             cache: (0..node_count.div_ceil(BLOCK))
                 .map(|_| OnceLock::new())
                 .collect(),
+            roles: OnceLock::new(),
             faults: obs::Counter::new(),
             faults_total: obs::registry().counter(
                 "lipstick_storage_faults_total",
@@ -179,10 +232,57 @@ impl PagedLog {
     /// other. The flags byte, the one thing a splice patches, is not
     /// part of a [`Record`], so a node tombstoned since it was decoded
     /// cannot go stale here.
+    ///
+    /// The role column carries over the same way, if `old` built one:
+    /// the appended records' roles are read from their leading bytes.
     pub(crate) fn take_fault_cache(&mut self, old: PagedLog) {
         debug_assert!(old.index.node_count() <= self.index.node_count());
         for (slot, block) in self.cache.iter_mut().zip(old.cache.into_vec()) {
             *slot = block;
+        }
+        if let Some(roles) = old.roles.into_inner() {
+            let mut roles = roles.into_vec();
+            roles.extend(self.read_roles(roles.len()..self.index.node_count()));
+            let _ = self.roles.set(roles.into_boxed_slice());
+        }
+    }
+
+    /// The role column, filled on first use.
+    #[inline]
+    fn role_column(&self) -> &[u32] {
+        self.roles
+            .get_or_init(|| self.read_roles(0..self.index.node_count()).collect())
+    }
+
+    /// The packed roles of records `ids`, read from each record's
+    /// leading bytes — [`DAMAGED`] where they do not pass what
+    /// [`check_refs`] asks of a role.
+    fn read_roles(&self, ids: std::ops::Range<usize>) -> impl Iterator<Item = u32> + '_ {
+        ids.map(|i| {
+            let Some(bytes) = self.data.get(self.index.record_range(NodeId(i as u32))) else {
+                return DAMAGED;
+            };
+            match get_record_role(&mut Reader::new(bytes)) {
+                Ok((role, invocation_kind))
+                    if role
+                        .invocation()
+                        .is_none_or(|inv| inv.index() < self.sealed_invocations)
+                        && (!invocation_kind || matches!(role, Role::Invocation(_))) =>
+                {
+                    pack_role(role).unwrap_or(DAMAGED)
+                }
+                _ => DAMAGED,
+            }
+        })
+    }
+
+    /// Node `id`'s role: a column read, or — for a record the column
+    /// marks [`DAMAGED`] — the fault path's answer or error.
+    #[inline]
+    pub fn try_role_of(&self, id: NodeId) -> Result<Role> {
+        match unpack_role(self.role_column()[id.index()]) {
+            Some(role) => Ok(role),
+            None => self.record(id).map(|rec| rec.role),
         }
     }
 
@@ -281,11 +381,13 @@ impl obs::HeapSize for PagedLog {
                 .iter()
                 .map(|i| i.module.len())
                 .sum::<usize>();
+        let role_column = self.roles.get().map_or(0, |roles| size_of_val(&**roles));
         vec![
             ("raw_log", vec_alloc_bytes(&self.data)),
             ("footer_index", obs::HeapSize::heap_bytes(&self.index)),
             ("invocations", invocations),
             ("fault_cache", fault_cache),
+            ("role_column", role_column),
         ]
     }
 }
@@ -315,7 +417,8 @@ impl GraphStore for PagedLog {
 
     #[inline]
     fn role_of(&self, id: NodeId) -> Role {
-        self.expect_record(id).role
+        self.try_role_of(id)
+            .unwrap_or_else(|e| panic!("corrupt record {id}: {e}"))
     }
 
     #[inline]
@@ -558,7 +661,7 @@ mod tests {
             let node = g.node(id);
             size_of_val(node.preds()) + kind_heap_bytes(&node.kind)
         };
-        let _ = paged.role_of(id);
+        let _ = paged.kind_of(id);
         assert_eq!(fault_cache(&paged), top + one_block + owned(id));
 
         paged.verify_all().unwrap();
@@ -567,6 +670,54 @@ mod tests {
             fault_cache(&paged),
             top + n.div_ceil(BLOCK) * one_block + records
         );
+    }
+
+    /// The role column answers what the records say, and reading it
+    /// faults nothing; it is counted once it exists.
+    #[test]
+    fn role_column_matches_every_record_and_faults_nothing() {
+        use obs::HeapSize;
+        let g = dealers_graph();
+        let bytes = encode_graph_v2(&g).unwrap();
+        let paged = PagedLog::from_bytes(bytes.clone()).unwrap();
+        let column = |log: &PagedLog| {
+            let parts = log.heap_breakdown();
+            parts
+                .iter()
+                .find(|(name, _)| *name == "role_column")
+                .unwrap()
+                .1
+        };
+        assert_eq!(column(&paged), 0, "opening builds nothing");
+        for (id, node) in g.iter() {
+            let range = paged.index().record_range(id);
+            let record = get_record(&mut Reader::new(&bytes[range])).unwrap();
+            assert_eq!(paged.role_of(id), record.role, "role of {id}");
+            assert_eq!(paged.role_of(id), node.role, "role of {id}");
+        }
+        assert_eq!(paged.faults(), 0, "roles come from the column");
+        assert_eq!(column(&paged), 4 * g.len());
+    }
+
+    #[test]
+    fn roles_pack_and_unpack() {
+        let inv = InvocationId(INV_MASK);
+        for role in [
+            Role::WorkflowInput,
+            Role::Invocation(inv),
+            Role::ModuleInput(InvocationId(0)),
+            Role::ModuleOutput(inv),
+            Role::State(InvocationId(7)),
+            Role::Intermediate(inv),
+            Role::Zoom(InvocationId(1)),
+            Role::Free,
+        ] {
+            let packed = pack_role(role).unwrap();
+            assert_ne!(packed, DAMAGED);
+            assert_eq!(unpack_role(packed), Some(role));
+        }
+        assert_eq!(pack_role(Role::State(InvocationId(INV_MASK + 1))), None);
+        assert_eq!(unpack_role(DAMAGED), None);
     }
 
     #[test]
@@ -596,6 +747,13 @@ mod tests {
             matches!(&err, StorageError::Corrupt(m) if m.contains("invocation 7")),
             "{err}"
         );
+        // The column holds no role for it: the role read reports the
+        // damage instead of answering.
+        let err = paged.try_role_of(node).unwrap_err();
+        assert!(
+            matches!(&err, StorageError::Corrupt(m) if m.contains("invocation 7")),
+            "{err}"
+        );
     }
 
     /// The fault path used to install such a record, and expression
@@ -606,6 +764,11 @@ mod tests {
         let node = g.add_node(NodeKind::Invocation, Role::Free);
         let paged = PagedLog::from_bytes(encode_graph_v2(&g).unwrap()).unwrap();
         let err = paged.record(node).unwrap_err();
+        assert!(
+            matches!(&err, StorageError::Corrupt(m) if m.contains("has role free")),
+            "{err}"
+        );
+        let err = paged.try_role_of(node).unwrap_err();
         assert!(
             matches!(&err, StorageError::Corrupt(m) if m.contains("has role free")),
             "{err}"

@@ -1,5 +1,6 @@
 //! Seeded mutation fuzzing of every storage decoder: v1 and v2 logs
-//! (full load, lazy open + `verify_all`, footer parse) and the `.tail`
+//! (full load, lazy open + the role column's prefix pass + `verify_all`,
+//! footer parse) and the `.tail`
 //! sidecar (recovery, and payload decode past the checksum).
 //!
 //! Each case encodes one random graph, then applies `MUTATIONS` rounds
@@ -121,7 +122,8 @@ fn assert_role_is_queryable(what: &str, kind: &NodeKind, role: Role, invocations
 /// Every decoder of a sealed log over `bytes`, which claims
 /// `node_count` nodes before it was mutated.
 fn decode_log(bytes: &[u8], node_count: usize) {
-    if let Ok(g) = bounded("decode_graph", bytes, decode_graph) {
+    let loaded = bounded("decode_graph", bytes, decode_graph).ok();
+    if let Some(g) = &loaded {
         for (id, node) in g.iter() {
             assert_role_is_queryable(
                 &format!("loaded node {id}"),
@@ -132,15 +134,33 @@ fn decode_log(bytes: &[u8], node_count: usize) {
         }
     }
     let _ = bounded("LogIndex::parse", bytes, |b| LogIndex::parse(b, node_count));
-    let Some(paged) = bounded("PagedLog::from_bytes + verify_all", bytes, |b| {
-        let paged = PagedLog::from_bytes(b.to_vec()).ok()?;
-        paged.verify_all().is_ok().then_some(paged)
+    let Some(paged) = bounded("PagedLog::from_bytes", bytes, |b| {
+        PagedLog::from_bytes(b.to_vec()).ok()
     }) else {
         return;
     };
-    // Verified: every accessor is now safe to call.
+    // The role column's pass reads every record's leading bytes before
+    // any record is verified: it stays in bounds, and a damaged record
+    // answers with the fault path's error, not a panic.
+    bounded("role column", bytes, |_| {
+        for i in 0..paged.node_count() {
+            let _ = paged.try_role_of(NodeId(i as u32));
+        }
+    });
+    if bounded("verify_all", bytes, |_| paged.verify_all()).is_err() {
+        return;
+    }
+    // Verified: every accessor is now safe to call, and the column
+    // agrees with the records.
     for i in 0..paged.node_count() {
         let id = NodeId(i as u32);
+        if let Some(g) = loaded.as_ref().filter(|g| g.len() == paged.node_count()) {
+            assert_eq!(
+                paged.try_role_of(id).ok(),
+                Some(g.node(id).role),
+                "role of {id}"
+            );
+        }
         assert_role_is_queryable(
             &format!("paged node {id}"),
             &paged.kind_of(id),

@@ -271,6 +271,7 @@ const PLAN_FILES: &[&str] = &[
     "crates/proql/src/planner.rs",
     "crates/proql/src/plan.rs",
     "crates/proql/src/exec.rs",
+    "crates/proql/src/filter.rs",
     "crates/proql/src/shape.rs",
     "crates/core/src/query/reach.rs",
     "crates/core/src/query/zoom.rs",
