@@ -8,9 +8,8 @@
 //!
 //! `module` and `execution` are a node's invocation's, so shaping by
 //! them reads each node's role only: `GROUP BY` and `COUNT(DISTINCT …)`
-//! count nodes per invocation and fold the counts by value, and `ORDER
-//! BY` sorts on a key borrowed from the invocation table. No per-node
-//! cell is built for them.
+//! count nodes per invocation and fold the counts by value, building no
+//! per-node cell.
 
 use std::collections::{BTreeMap, BTreeSet};
 
@@ -54,9 +53,9 @@ pub(crate) fn validate(s: &Shaping) -> Result<()> {
 const NONE_MARKER: &str = "(none)";
 
 /// A node's value for a shaping field, when the field applies — the
-/// values a predicate compares. Shaping reads `kind`, `role` and
-/// `token` through it; `module` and `execution` go through
-/// [`InvocationKey`] and must fold to the same cells.
+/// values a predicate compares. `GROUP BY` and `COUNT(DISTINCT …)`
+/// over `module` and `execution` go through [`InvocationKey`] instead
+/// and must fold to the same cells.
 pub(crate) fn field_cell<S: GraphStore + ?Sized>(
     store: &S,
     id: NodeId,
@@ -192,17 +191,20 @@ pub(crate) fn apply_shaping<S: GraphStore + ?Sized>(
                     nodes.reverse(); // sets arrive ascending by id
                 }
             }
-            // Total order: (field value — missing last, id); DESC
-            // reverses the whole order, ids included, so every ordering
-            // is deterministic for the differential harness.
             SortKey::Field(f) => {
-                nodes = match InvocationKey::table(store, f) {
-                    Some(keys) => sorted_by(nodes, desc, |id| {
-                        let key = store.role_of(id).invocation().map(|i| keys[i.index()]);
-                        (key.is_none(), key)
-                    }),
-                    None => sorted_by(nodes, desc, |id| GroupKey::new(field_cell(store, id, f))),
-                };
+                // Total order: (field value — missing last, id); DESC
+                // reverses the whole order, ids included, so every
+                // ordering is deterministic for the differential
+                // harness.
+                let mut keyed: Vec<(GroupKey, NodeId)> = nodes
+                    .into_iter()
+                    .map(|id| (GroupKey::new(field_cell(store, id, f)), id))
+                    .collect();
+                keyed.sort();
+                if desc {
+                    keyed.reverse();
+                }
+                nodes = keyed.into_iter().map(|(_, id)| id).collect();
             }
         }
     }
@@ -210,16 +212,6 @@ pub(crate) fn apply_shaping<S: GraphStore + ?Sized>(
         nodes.truncate(usize::try_from(n).unwrap_or(usize::MAX));
     }
     QueryOutput::Nodes(NodeSetResult { nodes, visited })
-}
-
-/// `nodes` ordered by `(key, id)`, reversed whole for `desc`.
-fn sorted_by<K: Ord>(nodes: Vec<NodeId>, desc: bool, key: impl Fn(NodeId) -> K) -> Vec<NodeId> {
-    let mut keyed: Vec<(K, NodeId)> = nodes.into_iter().map(|id| (key(id), id)).collect();
-    keyed.sort_unstable();
-    if desc {
-        keyed.reverse();
-    }
-    keyed.into_iter().map(|(_, id)| id).collect()
 }
 
 /// `COUNT(*)` / `COUNT(DISTINCT f)`: always exactly one row, zero

@@ -703,14 +703,14 @@ impl Shared {
         let asked = Instant::now();
         let mut session = self.session.write().unwrap_or_else(|e| e.into_inner());
         let held = Instant::now();
-        self.instruments
-            .write_lock_wait_us
-            .observe(elapsed_us(asked));
         let out = f(&mut session);
         drop(session);
         self.instruments
             .write_lock_hold_us
             .observe(elapsed_us(held));
+        self.instruments
+            .write_lock_wait_us
+            .observe(micros(held.duration_since(asked)));
         out
     }
 
@@ -853,7 +853,11 @@ impl Shared {
 }
 
 fn elapsed_us(start: Instant) -> u64 {
-    start.elapsed().as_micros().min(u128::from(u64::MAX)) as u64
+    micros(start.elapsed())
+}
+
+fn micros(d: Duration) -> u64 {
+    d.as_micros().min(u128::from(u64::MAX)) as u64
 }
 
 /// A ProQL server ready to bind.

@@ -202,18 +202,42 @@ fn get_kind(r: &mut Reader<'_>) -> Result<NodeKind> {
 
 // ----- roles -----
 
+/// A role's tag and invocation id as the codec stores them. The paged
+/// store's role column packs the same pair.
+pub(crate) fn role_tag(role: Role) -> (u8, Option<InvocationId>) {
+    match role {
+        Role::WorkflowInput => (0, None),
+        Role::Invocation(i) => (1, Some(i)),
+        Role::ModuleInput(i) => (2, Some(i)),
+        Role::ModuleOutput(i) => (3, Some(i)),
+        Role::State(i) => (4, Some(i)),
+        Role::Intermediate(i) => (5, Some(i)),
+        Role::Zoom(i) => (6, Some(i)),
+        Role::Free => (7, None),
+    }
+}
+
+/// The role `tag` names, with `inv` as its invocation where it has one
+/// (the inverse of [`role_tag`]); `None` for a tag no role has. Always
+/// inlined, like [`get_role`], since both run per record.
+#[inline(always)]
+pub(crate) fn role_from_tag(tag: u8, inv: InvocationId) -> Option<Role> {
+    Some(match tag {
+        0 => Role::WorkflowInput,
+        1 => Role::Invocation(inv),
+        2 => Role::ModuleInput(inv),
+        3 => Role::ModuleOutput(inv),
+        4 => Role::State(inv),
+        5 => Role::Intermediate(inv),
+        6 => Role::Zoom(inv),
+        7 => Role::Free,
+        _ => return None,
+    })
+}
+
 /// Append a role.
 fn put_role(buf: &mut Vec<u8>, role: &Role) {
-    let (tag, inv): (u8, Option<InvocationId>) = match role {
-        Role::WorkflowInput => (0, None),
-        Role::Invocation(i) => (1, Some(*i)),
-        Role::ModuleInput(i) => (2, Some(*i)),
-        Role::ModuleOutput(i) => (3, Some(*i)),
-        Role::State(i) => (4, Some(*i)),
-        Role::Intermediate(i) => (5, Some(*i)),
-        Role::Zoom(i) => (6, Some(*i)),
-        Role::Free => (7, None),
-    };
+    let (tag, inv) = role_tag(*role);
     buf.push(tag);
     if let Some(i) = inv {
         put_u64(buf, u64::from(i.0));
@@ -233,17 +257,7 @@ fn get_role(r: &mut Reader<'_>) -> Result<Role> {
         1..=6 => InvocationId(r.var_u32()?),
         _ => InvocationId(0),
     };
-    Ok(match tag {
-        0 => Role::WorkflowInput,
-        1 => Role::Invocation(inv),
-        2 => Role::ModuleInput(inv),
-        3 => Role::ModuleOutput(inv),
-        4 => Role::State(inv),
-        5 => Role::Intermediate(inv),
-        6 => Role::Zoom(inv),
-        7 => Role::Free,
-        other => return Err(StorageError::Corrupt(format!("unknown role tag {other}"))),
-    })
+    role_from_tag(tag, inv).ok_or_else(|| StorageError::Corrupt(format!("unknown role tag {tag}")))
 }
 
 // ----- node records -----

@@ -37,7 +37,7 @@ use lipstick_core::obs;
 use lipstick_core::store::GraphStore;
 use lipstick_core::{InvocationId, NodeId, NodeKind, Role};
 
-use crate::codec::{get_record, get_record_role};
+use crate::codec::{get_record, get_record_role, role_from_tag, role_tag};
 use crate::error::{Result, StorageError};
 use crate::footer::LogIndex;
 use crate::log::{check_refs, get_sealed_invocations, read_header, VERSION_V2};
@@ -45,11 +45,11 @@ use crate::reader::Reader;
 
 /// One decoded node record, as cached: [`crate::codec::NodeRecord`]
 /// without the flags byte (the footer's bitmap answers visibility, and
-/// COMPACT patches flags under a carried cache).
+/// COMPACT patches flags under a carried cache) or the role (the role
+/// column holds it).
 #[derive(Debug)]
 struct Record {
     kind: NodeKind,
-    role: Role,
     preds: Box<[NodeId]>,
 }
 
@@ -65,8 +65,8 @@ struct Record {
 /// block and ≈ 0.3 ms at 32, with dense sweeps unchanged.
 const BLOCK: usize = 32;
 
-/// A role column entry: the role's codec tag in the top three bits, its
-/// invocation id in the other [`INV_BITS`].
+/// A role column entry: the role's codec tag ([`role_tag`]) in the top
+/// three bits, its invocation id in the other [`INV_BITS`].
 const INV_BITS: u32 = 29;
 const INV_MASK: u32 = (1 << INV_BITS) - 1;
 
@@ -80,35 +80,19 @@ const INV_MASK: u32 = (1 << INV_BITS) - 1;
 const DAMAGED: u32 = u32::MAX;
 
 fn pack_role(role: Role) -> Option<u32> {
-    let (tag, inv) = match role {
-        Role::WorkflowInput => (0, 0),
-        Role::Invocation(i) => (1, i.0),
-        Role::ModuleInput(i) => (2, i.0),
-        Role::ModuleOutput(i) => (3, i.0),
-        Role::State(i) => (4, i.0),
-        Role::Intermediate(i) => (5, i.0),
-        Role::Zoom(i) => (6, i.0),
-        Role::Free => (7, 0),
-    };
-    (inv <= INV_MASK).then_some((tag << INV_BITS) | inv)
+    let (tag, inv) = role_tag(role);
+    let inv = inv.map_or(0, |i| i.0);
+    (inv <= INV_MASK).then_some((u32::from(tag) << INV_BITS) | inv)
 }
 
 // `#[inline]`: it runs per role read, inside the accessors other crates
 // inline into their scans.
 #[inline]
 fn unpack_role(packed: u32) -> Option<Role> {
-    let inv = InvocationId(packed & INV_MASK);
-    Some(match packed >> INV_BITS {
-        0 => Role::WorkflowInput,
-        1 => Role::Invocation(inv),
-        2 => Role::ModuleInput(inv),
-        3 => Role::ModuleOutput(inv),
-        4 => Role::State(inv),
-        5 => Role::Intermediate(inv),
-        6 => Role::Zoom(inv),
-        _ if packed == DAMAGED => return None,
-        _ => Role::Free,
-    })
+    if packed == DAMAGED {
+        return None;
+    }
+    role_from_tag((packed >> INV_BITS) as u8, InvocationId(packed & INV_MASK))
 }
 
 /// The cache slots of `BLOCK` consecutive ids (always `BLOCK` long, also
@@ -277,13 +261,23 @@ impl PagedLog {
     }
 
     /// Node `id`'s role: a column read, or — for a record the column
-    /// marks [`DAMAGED`] — the fault path's answer or error.
+    /// marks [`DAMAGED`] — [`PagedLog::uncolumned_role`].
     #[inline]
     pub fn try_role_of(&self, id: NodeId) -> Result<Role> {
         match unpack_role(self.role_column()[id.index()]) {
             Some(role) => Ok(role),
-            None => self.record(id).map(|rec| rec.role),
+            None => self.uncolumned_role(id),
         }
+    }
+
+    /// The role of a record the column marks [`DAMAGED`]: the fault
+    /// path's error for a damaged record; for a sound one (an
+    /// invocation id past [`INV_BITS`]), its leading bytes read again.
+    #[cold]
+    fn uncolumned_role(&self, id: NodeId) -> Result<Role> {
+        self.record(id)?;
+        let bytes = &self.data[self.index.record_range(id)];
+        Ok(get_record_role(&mut Reader::new(bytes))?.0)
     }
 
     /// Record `id`, decoded on first touch and lent from the cache ever
@@ -314,7 +308,7 @@ impl PagedLog {
             self.index.node_count(),
             self.sealed_invocations,
         )?;
-        let (kind, role, preds) = (record.kind, record.role, record.preds.into_boxed_slice());
+        let (kind, preds) = (record.kind, record.preds.into_boxed_slice());
 
         let block = self.cache[id.index() / BLOCK]
             .get_or_init(|| (0..BLOCK).map(|_| OnceLock::new()).collect());
@@ -323,7 +317,7 @@ impl PagedLog {
         let mut installed = false;
         let rec = block[id.index() % BLOCK].get_or_init(|| {
             installed = true;
-            Record { kind, role, preds }
+            Record { kind, preds }
         });
         if installed {
             self.faults.inc();
