@@ -1,7 +1,9 @@
 //! The provenance graph (paper §3).
 //!
-//! A [`ProvGraph`] is an arena of [`Node`]s with bidirectional adjacency.
-//! Edges point from ingredients to results, matching the paper's figures
+//! A [`ProvGraph`] is a table of [`Node`] slots plus flat edge arrays
+//! (see `adjacency.rs`): every node's ingredients in one shared buffer, and
+//! its dependents in a second one derived from the first. Edges point
+//! from ingredients to results, matching the paper's figures
 //! (`t₁ → + ← t₂`). The graph records both *provenance* structure
 //! (p-nodes: tokens, +, ·, δ, module input/output/state, invocations)
 //! and *values* (v-nodes: constants, ⊗ tensors, aggregate results,
@@ -13,6 +15,7 @@
 //! ([`GraphTracker`]) or without ([`NoTracker`]) — the two arms of the
 //! paper's Figure 5 experiments.
 
+mod adjacency;
 pub mod bitset;
 pub mod dot;
 pub mod node;
@@ -28,6 +31,8 @@ pub use tracker::{GraphTracker, NoTracker, Tracker};
 
 use std::collections::HashMap;
 use std::sync::OnceLock;
+
+use adjacency::Adjacency;
 
 use lipstick_nrel::Value;
 
@@ -64,7 +69,17 @@ pub type VisibleSignature = (Vec<(NodeId, String)>, Vec<(NodeId, NodeId)>);
 
 /// The provenance graph.
 ///
-/// Besides the arena it keeps the module and kind [`Postings`] every
+/// Nodes live in one table of 48-byte slots ([`Node`]: kind, role,
+/// flags). A node's ingredients are a span of one shared pred buffer;
+/// its dependents a span of the successor index, which is derived from
+/// the preds in one counting pass (CSR: starts plus ids) — by
+/// [`GraphTracker::finish`] and the storage decoder, or on first read —
+/// and from then on kept in step edge by edge. Every mutation costs what
+/// it changes: adding an edge to a node whose span does not end its
+/// buffer moves the span to the end, removing one shrinks the span in
+/// place, and the holes both leave stay allocated (and counted).
+///
+/// Besides the edges it keeps the module and kind [`Postings`] every
 /// [`crate::store::GraphStore`] answers, built in one pass on first use
 /// ([`ProvGraph::postings`]). **Invalidation rule:** every mutator that
 /// can change what a posting holds — [`ProvGraph::add_node`], the
@@ -72,9 +87,14 @@ pub type VisibleSignature = (Vec<(NodeId, String)>, Vec<(NodeId, NodeId)>);
 /// [`ProvGraph::add_invocation`] and `node_mut` — drops them, and the
 /// next read rebuilds them. A read-mostly session builds them once; the
 /// tracker's `add_node` pays one check of whether they are built.
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Clone)]
 pub struct ProvGraph {
     nodes: Vec<Node>,
+    preds: Adjacency,
+    /// Dependents, built from `preds` on first need (a tracker's graph
+    /// has none until `finish`) and maintained by every edge mutation
+    /// once built.
+    succs: OnceLock<Adjacency>,
     invocations: Vec<InvocationInfo>,
     stashes: Vec<ZoomStash>,
     /// Module names currently zoomed out → stash index.
@@ -86,6 +106,56 @@ pub struct ProvGraph {
     visible: usize,
     /// Boxed: a graph that never reads its postings stays small.
     postings: OnceLock<Box<Postings>>,
+}
+
+/// An empty graph holding an (empty) successor index, so edges added one
+/// at a time keep their dependents in insertion order.
+impl Default for ProvGraph {
+    fn default() -> Self {
+        let graph = ProvGraph::unindexed(0);
+        let _ = graph.succs.set(Adjacency::default());
+        graph
+    }
+}
+
+/// A node as [`ProvGraph::node`] lends it: a `Copy` view that derefs to
+/// the node's slot (`node.kind`, `node.role`, `node.is_visible()`) and
+/// reads its edges from the graph's arrays.
+#[derive(Clone, Copy)]
+pub struct NodeRef<'g> {
+    graph: &'g ProvGraph,
+    slot: &'g Node,
+    id: NodeId,
+}
+
+impl<'g> NodeRef<'g> {
+    /// The slot itself, for the graph's lifetime (a borrow through
+    /// `Deref` lasts only as long as the view).
+    pub fn slot(self) -> &'g Node {
+        self.slot
+    }
+
+    /// Ingredient nodes (may include hidden/deleted ids; filter against
+    /// visibility when traversing).
+    #[inline]
+    pub fn preds(self) -> &'g [NodeId] {
+        self.graph.preds.list(self.id.index())
+    }
+
+    /// Dependent nodes.
+    #[inline]
+    pub fn succs(self) -> &'g [NodeId] {
+        self.graph.succ_index().list(self.id.index())
+    }
+}
+
+impl std::ops::Deref for NodeRef<'_> {
+    type Target = Node;
+
+    #[inline]
+    fn deref(&self) -> &Node {
+        self.slot
+    }
 }
 
 /// Visible node ids by module and by kind, each list ascending — what
@@ -178,6 +248,40 @@ impl ProvGraph {
         ProvGraph::default()
     }
 
+    /// An empty graph without a successor index, with room for `nodes`
+    /// slots: a tracker's or a decoder's ([`ProvGraph::push_decoded`]),
+    /// which write preds only and derive the index once at the end.
+    pub fn unindexed(nodes: usize) -> Self {
+        ProvGraph {
+            nodes: Vec::with_capacity(nodes),
+            preds: Adjacency::with_capacity(nodes),
+            succs: OnceLock::new(),
+            invocations: Vec::new(),
+            stashes: Vec::new(),
+            zoomed_modules: HashMap::new(),
+            visible: 0,
+            postings: OnceLock::new(),
+        }
+    }
+
+    /// The successor index, derived from the preds if not yet built.
+    #[inline]
+    fn succ_index(&self) -> &Adjacency {
+        self.succs.get_or_init(|| self.preds.transpose())
+    }
+
+    /// The successor index for a mutation, built first if need be.
+    fn succ_index_mut(&mut self) -> &mut Adjacency {
+        self.succ_index();
+        self.succs.get_mut().expect("built just above")
+    }
+
+    /// Build the successor index (exact-size by construction), if it is
+    /// not built: a finished or decoded graph always holds it.
+    pub(crate) fn index_successors(&mut self) {
+        self.succ_index();
+    }
+
     /// Number of nodes ever allocated (including hidden/deleted).
     pub fn len(&self) -> usize {
         self.nodes.len()
@@ -195,14 +299,11 @@ impl ProvGraph {
 
     /// Number of edges between visible nodes.
     pub fn visible_edge_count(&self) -> usize {
-        self.nodes
-            .iter()
-            .enumerate()
-            .filter(|(_, n)| n.is_visible())
+        self.iter_visible()
             .map(|(_, n)| {
-                n.succs
+                n.preds()
                     .iter()
-                    .filter(|s| self.node(**s).is_visible())
+                    .filter(|p| self.nodes[p.index()].is_visible())
                     .count()
             })
             .sum()
@@ -210,8 +311,13 @@ impl ProvGraph {
 
     /// Access a node (panics on out-of-range id — ids are only minted by
     /// this graph, so an invalid id is a logic error).
-    pub fn node(&self, id: NodeId) -> &Node {
-        &self.nodes[id.index()]
+    #[inline]
+    pub fn node(&self, id: NodeId) -> NodeRef<'_> {
+        NodeRef {
+            graph: self,
+            slot: &self.nodes[id.index()],
+            id,
+        }
     }
 
     pub(crate) fn node_mut(&mut self, id: NodeId) -> &mut Node {
@@ -252,15 +358,22 @@ impl ProvGraph {
     }
 
     /// Iterate over `(id, node)` for all allocated nodes.
-    pub fn iter(&self) -> impl Iterator<Item = (NodeId, &Node)> {
-        self.nodes
-            .iter()
-            .enumerate()
-            .map(|(i, n)| (NodeId(i as u32), n))
+    pub fn iter(&self) -> impl Iterator<Item = (NodeId, NodeRef<'_>)> {
+        self.nodes.iter().enumerate().map(move |(i, slot)| {
+            let id = NodeId(i as u32);
+            (
+                id,
+                NodeRef {
+                    graph: self,
+                    slot,
+                    id,
+                },
+            )
+        })
     }
 
     /// Iterate over visible nodes only.
-    pub fn iter_visible(&self) -> impl Iterator<Item = (NodeId, &Node)> {
+    pub fn iter_visible(&self) -> impl Iterator<Item = (NodeId, NodeRef<'_>)> {
         self.iter().filter(|(_, n)| n.is_visible())
     }
 
@@ -343,15 +456,63 @@ impl ProvGraph {
         self.postings.take();
         let id = NodeId(self.nodes.len() as u32);
         self.nodes.push(Node::new(kind, role));
+        self.preds.push_list();
+        if let Some(succs) = self.succs.get_mut() {
+            succs.push_list();
+        }
         self.visible += 1;
         id
     }
 
     /// Add an edge ingredient → result.
     pub fn add_edge(&mut self, from: NodeId, to: NodeId) {
-        debug_assert_ne!(from, to, "self-loop in provenance graph");
-        self.nodes[from.index()].succs.push(to);
-        self.nodes[to.index()].preds.push(from);
+        self.add_edges(&[from], to);
+    }
+
+    /// Add edges from each of `froms`, in order, to `to` — one span move
+    /// at most, however many edges.
+    pub fn add_edges(&mut self, froms: &[NodeId], to: NodeId) {
+        debug_assert!(!froms.contains(&to), "self-loop in provenance graph");
+        self.preds.extend(to.index(), froms);
+        if let Some(succs) = self.succs.get_mut() {
+            for from in froms {
+                succs.push(from.index(), to);
+            }
+        }
+    }
+
+    /// Append a node as a decoder reads it back: kind, role and
+    /// tombstone, with `read_preds` appending its ingredients straight
+    /// to the shared pred buffer. Only for a graph without a successor
+    /// index, which [`ProvGraph::finish_decoded`] then builds; ids are
+    /// not checked here (decoders check every reference before that).
+    pub fn push_decoded<E>(
+        &mut self,
+        kind: NodeKind,
+        role: Role,
+        deleted: bool,
+        read_preds: impl FnOnce(&mut Vec<NodeId>) -> Result<(), E>,
+    ) -> Result<NodeId, E> {
+        debug_assert!(self.succs.get().is_none(), "decoding into an indexed graph");
+        let id = NodeId(self.nodes.len() as u32);
+        self.nodes.push(Node {
+            deleted,
+            ..Node::new(kind, role)
+        });
+        self.visible += usize::from(!deleted);
+        self.preds.push_list_with(read_preds)?;
+        Ok(id)
+    }
+
+    /// Finish a decoded graph: install its invocation table, trim the
+    /// pred buffer (it grew as records were read) and build the
+    /// successor index — every array at exact size.
+    pub fn finish_decoded(&mut self, invocations: Vec<InvocationInfo>) {
+        self.postings.take();
+        self.invocations = invocations;
+        self.nodes.shrink_to_fit();
+        self.preds.shrink_to_fit();
+        self.index_successors();
     }
 
     /// Register an invocation whose `m` node already exists (used when
@@ -380,36 +541,6 @@ impl ProvGraph {
         (inv, m_node)
     }
 
-    /// A graph of decoded nodes ([`Node::decoded`], in id order) and
-    /// their invocation table, at exact size: each node keeps the pred
-    /// list it was decoded with, and each successor list is reserved
-    /// from the counted out-degree. Every pred id must name a node
-    /// (decoders check that first).
-    pub fn from_nodes(mut nodes: Vec<Node>, invocations: Vec<InvocationInfo>) -> ProvGraph {
-        let mut out_degree = vec![0usize; nodes.len()];
-        for p in nodes.iter().flat_map(|n| &n.preds) {
-            out_degree[p.index()] += 1;
-        }
-        for (node, degree) in nodes.iter_mut().zip(out_degree) {
-            node.succs.reserve_exact(degree);
-        }
-        // Successors in the order `add_edge` would have pushed them:
-        // results ascending, each result's preds in record order.
-        for to in 0..nodes.len() {
-            for k in 0..nodes[to].preds.len() {
-                let from = nodes[to].preds[k];
-                nodes[from.index()].succs.push(NodeId(to as u32));
-            }
-        }
-        let visible = nodes.iter().filter(|n| n.is_visible()).count();
-        ProvGraph {
-            nodes,
-            invocations,
-            visible,
-            ..ProvGraph::default()
-        }
-    }
-
     /// Append a self-contained fragment graph — new workflow output from
     /// the Provenance Tracker. Its nodes take the next ids and its
     /// invocations the next invocation ids ([`Role::rebased`]), and its
@@ -426,12 +557,19 @@ impl ProvGraph {
                 id
             })
             .collect();
-        // Second pass: a fragment edge may point at a later fragment
-        // node, so every node must exist before wiring.
-        for (n, &id) in fragment.nodes.iter().zip(&created) {
-            for &p in &n.preds {
-                self.add_edge(NodeId(p.0 + node_off), id);
-            }
+        // Every node exists before wiring: a fragment edge may point at a
+        // later fragment node.
+        let mut preds = Vec::new();
+        for (k, &id) in created.iter().enumerate() {
+            preds.clear();
+            preds.extend(
+                fragment
+                    .preds
+                    .list(k)
+                    .iter()
+                    .map(|p| NodeId(p.0 + node_off)),
+            );
+            self.add_edges(&preds, id);
         }
         for inv in &fragment.invocations {
             let m_node = NodeId(inv.m_node.0 + node_off);
@@ -443,13 +581,14 @@ impl ProvGraph {
     /// Disconnect a node from all neighbours and tombstone it. Used by
     /// ZoomIn to retire composite zoom nodes.
     pub(crate) fn unlink_and_delete(&mut self, id: NodeId) {
-        let preds = std::mem::take(&mut self.nodes[id.index()].preds);
+        let preds = self.preds.take(id.index());
+        let succs = self.succ_index_mut();
         for p in preds {
-            self.nodes[p.index()].succs.retain(|s| *s != id);
+            succs.remove(p.index(), id);
         }
-        let succs = std::mem::take(&mut self.nodes[id.index()].succs);
-        for s in succs {
-            self.nodes[s.index()].preds.retain(|p| *p != id);
+        let dependents = succs.take(id.index());
+        for s in dependents {
+            self.preds.remove(s.index(), id);
         }
         self.set_node_deleted(id, true);
     }
@@ -485,14 +624,14 @@ impl ProvGraph {
             return None;
         };
         let mut terms = Vec::new();
-        for &t in &node.preds {
+        for &t in node.preds() {
             let tensor = self.node(t);
             if !matches!(tensor.kind, NodeKind::Tensor) {
                 continue;
             }
             let mut prov = ProvExpr::One;
             let mut value = None;
-            for &ing in &tensor.preds {
+            for &ing in tensor.preds() {
                 match &self.node(ing).kind {
                     NodeKind::Const { value: v } => value = Some(v.clone()),
                     _ => prov = self.expr_of(ing),
@@ -517,9 +656,9 @@ impl ProvGraph {
         nodes.sort();
         let mut edges: Vec<(NodeId, NodeId)> = Vec::new();
         for (id, n) in self.iter_visible() {
-            for &s in &n.succs {
-                if self.node(s).is_visible() {
-                    edges.push((id, s));
+            for &p in n.preds() {
+                if self.nodes[p.index()].is_visible() {
+                    edges.push((p, id));
                 }
             }
         }
@@ -531,13 +670,13 @@ impl ProvGraph {
     /// paper's §5.6 methodology of picking the 50 highest-fanout nodes
     /// as query roots.
     pub fn fanout(&self, id: NodeId) -> usize {
-        self.node(id).succs.len()
+        self.node(id).succs().len()
     }
 
     /// Visible ids sorted by descending fanout, capped at `k`.
     pub fn top_fanout_nodes(&self, k: usize) -> Vec<NodeId> {
         let mut ids: Vec<NodeId> = self.iter_visible().map(|(id, _)| id).collect();
-        ids.sort_by_key(|id| std::cmp::Reverse(self.node(*id).succs.len()));
+        ids.sort_by_key(|id| std::cmp::Reverse(self.fanout(*id)));
         ids.truncate(k);
         ids
     }
@@ -546,12 +685,7 @@ impl ProvGraph {
 impl crate::obs::HeapSize for ProvGraph {
     fn heap_breakdown(&self) -> Vec<(&'static str, usize)> {
         use crate::obs::vec_alloc_bytes;
-        let mut adjacency = 0usize;
-        let mut labels = 0usize;
-        for n in &self.nodes {
-            adjacency += vec_alloc_bytes(&n.preds) + vec_alloc_bytes(&n.succs);
-            labels += kind_heap_bytes(&n.kind);
-        }
+        let labels: usize = self.nodes.iter().map(|n| kind_heap_bytes(&n.kind)).sum();
         let invocations = vec_alloc_bytes(&self.invocations)
             + self
                 .invocations
@@ -571,7 +705,11 @@ impl crate::obs::HeapSize for ProvGraph {
             + self.zoomed_modules.keys().map(String::len).sum::<usize>();
         let mut parts = vec![
             ("node_arena", vec_alloc_bytes(&self.nodes)),
-            ("adjacency", adjacency),
+            ("preds", self.preds.heap_bytes()),
+            (
+                "succ_index",
+                self.succs.get().map_or(0, Adjacency::heap_bytes),
+            ),
             ("labels", labels),
             ("invocations", invocations),
             ("zoom_stashes", stashes),
@@ -617,9 +755,7 @@ impl ProvGraph {
     /// Add an operation node with the given ingredients.
     pub fn add_op(&mut self, kind: NodeKind, preds: &[NodeId]) -> NodeId {
         let id = self.add_node(kind, Role::Free);
-        for &p in preds {
-            self.add_edge(p, id);
-        }
+        self.add_edges(preds, id);
         id
     }
 
@@ -839,7 +975,7 @@ mod tests {
     }
 
     #[test]
-    fn from_nodes_matches_the_graph_built_edge_by_edge() {
+    fn a_decoded_graph_matches_the_graph_built_edge_by_edge() {
         let mut g = ProvGraph::new();
         g.add_invocation("M", 0);
         let a = g.add_base("a");
@@ -848,22 +984,76 @@ mod tests {
         let p = g.add_plus(&[t, a]);
         g.add_delta(&[p, t, b]);
         g.set_node_deleted(b, true);
-        let nodes = g
-            .nodes
-            .iter()
-            .map(|n| Node::decoded(n.kind.clone(), n.role, n.preds.clone(), n.deleted))
-            .collect();
-        let built = ProvGraph::from_nodes(nodes, g.invocations.clone());
+        let mut built = ProvGraph::unindexed(g.len());
+        for (_, n) in g.iter() {
+            let preds = n.preds();
+            built
+                .push_decoded(n.kind.clone(), n.role, n.is_deleted(), |buf| {
+                    buf.extend_from_slice(preds);
+                    Ok::<_, ()>(())
+                })
+                .unwrap();
+        }
+        built.finish_decoded(g.invocations.clone());
         assert_eq!(built.visible_count(), g.visible_count());
         assert_eq!(built.invocations(), g.invocations());
         for ((_, x), (_, y)) in built.iter().zip(g.iter()) {
             assert_eq!((x.preds(), x.succs()), (y.preds(), y.succs()));
-            assert_eq!(x.succs.capacity(), x.succs.len(), "exact-size successors");
-            assert_eq!(
-                (x.is_deleted(), &x.kind, x.role),
-                (y.is_deleted(), &y.kind, y.role)
-            );
+            assert_eq!(x.slot(), y.slot());
         }
+        // Both edge arrays at exact size: no spare capacity, no holes.
+        let succs = built.succs.get().unwrap();
+        for adj in [&built.preds, succs] {
+            assert_eq!(adj.holes(), 0);
+            assert_eq!(adj.heap_bytes(), 8 * built.len() + 4 * 7);
+        }
+    }
+
+    #[test]
+    fn a_tracker_graph_indexes_successors_on_first_read_then_keeps_them() {
+        let mut g = ProvGraph::unindexed(0);
+        let a = g.add_base("a");
+        let b = g.add_base("b");
+        let p = g.add_plus(&[a, b]);
+        assert!(g.succs.get().is_none());
+        assert_eq!(g.node(a).succs(), &[p]);
+        let q = g.add_plus(&[a]);
+        assert_eq!(g.node(a).succs(), &[p, q]);
+        g.unlink_and_delete(p);
+        assert_eq!(g.node(a).succs(), &[q]);
+        assert!(g.node(b).succs().is_empty());
+        validate::check_structure(&g).unwrap();
+    }
+
+    #[test]
+    fn heap_components_include_holes_and_sum_to_the_total() {
+        use crate::obs::HeapSize;
+        let mut g = ProvGraph::new();
+        let a = g.add_base("a");
+        let b = g.add_base("b");
+        let p = g.add_plus(&[a]);
+        let q = g.add_plus(&[b]);
+        let before = g.preds.heap_bytes();
+        // p's and then q's preds, and a's succs, no longer end their
+        // buffers: each push moves a list and leaves its old slot behind.
+        g.add_edge(b, p);
+        g.add_edge(a, q);
+        assert_eq!((g.preds.holes(), g.succs.get().unwrap().holes()), (2, 1));
+        assert!(g.preds.heap_bytes() > before);
+        let parts = g.heap_breakdown();
+        let names: Vec<&str> = parts.iter().map(|(n, _)| *n).collect();
+        assert_eq!(
+            names,
+            [
+                "node_arena",
+                "preds",
+                "succ_index",
+                "labels",
+                "invocations",
+                "zoom_stashes"
+            ]
+        );
+        assert_eq!(parts.iter().map(|(_, b)| b).sum::<usize>(), g.heap_bytes());
     }
 
     #[test]

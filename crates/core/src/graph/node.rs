@@ -259,16 +259,14 @@ impl Role {
     }
 }
 
-/// A provenance graph node. Edges are stored adjacency-list style in
-/// both directions: `preds` are the node's ingredients (edges point
-/// ingredient → result, as in the paper's figures), `succs` its
-/// dependents.
-#[derive(Debug, Clone)]
+/// A provenance graph node's slot in the node table: what it is, who
+/// owns it, and its two visibility flags. Its edges live in the graph's
+/// flat arrays; [`crate::graph::NodeRef`], the view `ProvGraph::node`
+/// hands out, derefs to the slot and reads them.
+#[derive(Debug, Clone, PartialEq)]
 pub struct Node {
     pub kind: NodeKind,
     pub role: Role,
-    pub(crate) preds: Vec<NodeId>,
-    pub(crate) succs: Vec<NodeId>,
     /// Tombstone set by deletion propagation or ZoomIn cleanup. Like
     /// `zoom_hidden`, written only by `ProvGraph`'s flip methods, which
     /// keep the graph's visible count in step.
@@ -282,25 +280,13 @@ impl Node {
         Node {
             kind,
             role,
-            preds: Vec::new(),
-            succs: Vec::new(),
             deleted: false,
             zoom_hidden: false,
         }
     }
 
-    /// A node as a decoder reads it back: kind, role, ingredients and
-    /// tombstone, no successors yet ([`crate::ProvGraph::from_nodes`]
-    /// wires those).
-    pub fn decoded(kind: NodeKind, role: Role, preds: Vec<NodeId>, deleted: bool) -> Node {
-        Node {
-            preds,
-            deleted,
-            ..Node::new(kind, role)
-        }
-    }
-
     /// Is the node part of the currently visible graph?
+    #[inline]
     pub fn is_visible(&self) -> bool {
         !self.deleted && !self.zoom_hidden
     }
@@ -314,22 +300,16 @@ impl Node {
     pub fn is_zoom_hidden(&self) -> bool {
         self.zoom_hidden
     }
-
-    /// Ingredient nodes (may include hidden/deleted ids; filter against
-    /// visibility when traversing).
-    pub fn preds(&self) -> &[NodeId] {
-        &self.preds
-    }
-
-    /// Dependent nodes.
-    pub fn succs(&self) -> &[NodeId] {
-        &self.succs
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn a_slot_is_48_bytes() {
+        assert_eq!(std::mem::size_of::<Node>(), 48);
+    }
 
     #[test]
     fn joint_kinds_match_paper_rule() {

@@ -101,20 +101,25 @@ impl GraphTracker {
         let ShardTracker {
             inner, external, ..
         } = shard;
-        let local = inner.finish();
+        let local = inner.into_graph();
         self.graph_mut().absorb(&local, &external)
     }
 }
 
 impl ProvGraph {
     /// Append another graph's nodes (except placeholders listed in
-    /// `external`), remapping edges, roles, and invocations. Returns
-    /// the local→global id table.
+    /// `external`), then their pred spans, remapping edges, roles, and
+    /// invocations. Returns the local→global id table.
+    ///
+    /// Each absorbed node lists its ingredients by ascending shard id —
+    /// the order encoded logs of module-parallel runs have always had —
+    /// and each ingredient gains its dependents by ascending shard id.
     pub fn absorb(&mut self, other: &ProvGraph, external: &HashMap<NodeId, NodeId>) -> Vec<NodeId> {
         let inv_offset = self.invocations().len() as u32;
+        let first_new = self.len();
         let mut remap: Vec<NodeId> = Vec::with_capacity(other.len());
-        for (id, node) in other.iter() {
-            if let Some(&global) = external.get(&id) {
+        for (id, node) in other.nodes.iter().enumerate() {
+            if let Some(&global) = external.get(&NodeId(id as u32)) {
                 remap.push(global);
                 continue;
             }
@@ -122,16 +127,19 @@ impl ProvGraph {
                 !matches!(node.kind, NodeKind::Zoomed { .. }),
                 "shards must not contain zoom nodes"
             );
-            let new_id = self.add_node(node.kind.clone(), node.role.rebased(inv_offset));
-            remap.push(new_id);
+            remap.push(self.add_node(node.kind.clone(), node.role.rebased(inv_offset)));
         }
-        // Edges: iterate successors only, so each edge is added once.
-        for (id, node) in other.iter() {
-            for &succ in node.succs() {
-                self.add_edge(remap[id.index()], remap[succ.index()]);
+        let mut preds: Vec<NodeId> = Vec::new();
+        for (local, &global) in remap.iter().enumerate() {
+            if global.index() < first_new {
+                continue; // a placeholder
             }
+            preds.clear();
+            preds.extend_from_slice(other.preds.list(local));
+            preds.sort_unstable();
+            preds.iter_mut().for_each(|p| *p = remap[p.index()]);
+            self.add_edges(&preds, global);
         }
-        // Invocation table.
         for info in other.invocations() {
             self.register_invocation(
                 info.module.clone(),

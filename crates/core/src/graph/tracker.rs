@@ -123,8 +123,10 @@ impl Tracker for NoTracker {
     fn state_node(&mut self, _tuple: Self::Ref) -> Self::Ref {}
 }
 
-/// The graph-building tracker.
-#[derive(Debug, Default)]
+/// The graph-building tracker. It appends each node's ingredients as the
+/// node is made and derives the successor index once, in
+/// [`GraphTracker::finish`].
+#[derive(Debug)]
 pub struct GraphTracker {
     graph: ProvGraph,
     current: Option<(InvocationId, NodeId)>,
@@ -136,14 +138,34 @@ pub struct GraphTracker {
     const_nodes: HashMap<(Option<InvocationId>, Value), NodeId>,
 }
 
+impl Default for GraphTracker {
+    fn default() -> Self {
+        GraphTracker {
+            graph: ProvGraph::unindexed(0),
+            current: None,
+            const_nodes: HashMap::new(),
+        }
+    }
+}
+
 impl GraphTracker {
     /// Fresh tracker with an empty graph.
     pub fn new() -> Self {
         GraphTracker::default()
     }
 
-    /// Finish tracking and take the graph.
+    /// Finish tracking and take the graph, successor index built. The
+    /// node table and pred buffer keep their growth capacity: trimming
+    /// them would reallocate a run's largest buffers to save at most
+    /// half of each.
     pub fn finish(self) -> ProvGraph {
+        let mut graph = self.graph;
+        graph.index_successors();
+        graph
+    }
+
+    /// The graph as tracked: preds only, no successor index built.
+    pub(crate) fn into_graph(self) -> ProvGraph {
         self.graph
     }
 
@@ -168,9 +190,7 @@ impl GraphTracker {
     fn add_op(&mut self, kind: NodeKind, preds: &[NodeId]) -> NodeId {
         let role = self.op_role();
         let id = self.graph.add_node(kind, role);
-        for &p in preds {
-            self.graph.add_edge(p, id);
-        }
+        self.graph.add_edges(preds, id);
         id
     }
 
@@ -220,18 +240,22 @@ impl Tracker for GraphTracker {
     fn agg(&mut self, op: AggOp, items: &[(NodeId, AggItemValue<NodeId>)]) -> NodeId {
         let role = self.op_role();
         let op_node = self.graph.add_node(NodeKind::AggResult { op }, role);
-        for (prov, value) in items {
-            let value_node = match value {
-                AggItemValue::Const(v) => self.const_node(v),
-                AggItemValue::Node(n) => *n,
-            };
-            let tensor = self.graph.add_node(NodeKind::Tensor, role);
-            self.graph.add_edge(*prov, tensor);
-            if value_node != *prov {
-                self.graph.add_edge(value_node, tensor);
-            }
-            self.graph.add_edge(tensor, op_node);
-        }
+        let tensors: Vec<NodeId> = items
+            .iter()
+            .map(|(prov, value)| {
+                let value_node = match value {
+                    AggItemValue::Const(v) => self.const_node(v),
+                    AggItemValue::Node(n) => *n,
+                };
+                let tensor = self.graph.add_node(NodeKind::Tensor, role);
+                let preds = [*prov, value_node];
+                let distinct = if value_node == *prov { 1 } else { 2 };
+                self.graph.add_edges(&preds[..distinct], tensor);
+                tensor
+            })
+            .collect();
+        // The op node's preds in one span, now that its tensors exist.
+        self.graph.add_edges(&tensors, op_node);
         op_node
     }
 
@@ -274,8 +298,7 @@ impl Tracker for GraphTracker {
         let id = self
             .graph
             .add_node(NodeKind::ModuleInput, Role::ModuleInput(inv));
-        self.graph.add_edge(tuple, id);
-        self.graph.add_edge(m_node, id);
+        self.graph.add_edges(&[tuple, m_node], id);
         id
     }
 
@@ -284,19 +307,15 @@ impl Tracker for GraphTracker {
         let id = self
             .graph
             .add_node(NodeKind::ModuleOutput, Role::ModuleOutput(inv));
-        self.graph.add_edge(tuple, id);
-        self.graph.add_edge(m_node, id);
-        for &v in vrefs {
-            self.graph.add_edge(v, id);
-        }
+        self.graph.add_edges(&[tuple, m_node], id);
+        self.graph.add_edges(vrefs, id);
         id
     }
 
     fn state_node(&mut self, tuple: NodeId) -> NodeId {
         let (inv, m_node) = self.current.expect("state_node outside invocation");
         let id = self.graph.add_node(NodeKind::StateUnit, Role::State(inv));
-        self.graph.add_edge(tuple, id);
-        self.graph.add_edge(m_node, id);
+        self.graph.add_edges(&[tuple, m_node], id);
         id
     }
 }

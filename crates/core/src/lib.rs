@@ -33,7 +33,8 @@ pub mod semiring;
 pub mod store;
 
 pub use graph::{
-    GraphTracker, InvocationId, NoTracker, Node, NodeId, NodeKind, ProvGraph, Role, Tracker,
+    GraphTracker, InvocationId, NoTracker, Node, NodeId, NodeKind, NodeRef, ProvGraph, Role,
+    Tracker,
 };
 pub use semiring::{Polynomial, ProvExpr, Semiring, Token};
 pub use store::GraphStore;

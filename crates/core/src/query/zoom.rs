@@ -497,7 +497,7 @@ mod tests {
             self.graph.visible_count()
         }
         fn kind_of(&self, id: NodeId) -> Cow<'_, NodeKind> {
-            Cow::Borrowed(&self.graph.node(id).kind)
+            Cow::Borrowed(&self.graph.node(id).slot().kind)
         }
         fn role_of(&self, id: NodeId) -> Role {
             self.role_calls.set(self.role_calls.get() + 1);

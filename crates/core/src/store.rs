@@ -129,7 +129,7 @@ impl GraphStore for ProvGraph {
 
     #[inline]
     fn kind_of(&self, id: NodeId) -> Cow<'_, NodeKind> {
-        Cow::Borrowed(&self.node(id).kind)
+        Cow::Borrowed(&self.node(id).slot().kind)
     }
 
     #[inline]

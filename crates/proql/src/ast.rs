@@ -103,6 +103,13 @@ pub enum Field {
 }
 
 impl Field {
+    /// Is the field in the node's record (`kind`, `token`), rather than
+    /// decided by its role (`module`, `execution`, `role`)? Only such
+    /// fields make a scan decode records.
+    pub fn in_record(self) -> bool {
+        matches!(self, Field::Kind | Field::Token)
+    }
+
     pub fn parse(name: &str) -> Option<Field> {
         Some(match name.to_ascii_lowercase().as_str() {
             "module" => Field::Module,

@@ -48,7 +48,7 @@ use lipstick_core::{NodeId, NodeKind, Polynomial, ProvExpr, Token};
 use crate::ast::{NodeClass, SemiringName, WalkDir};
 use crate::error::{ProqlError, Result};
 use crate::filter::CompiledPredicate;
-use crate::plan::{DependsStrategy, PostingsKey, ScanStrategy, SetPlan, StmtPlan, WalkStrategy};
+use crate::plan::{DependsStrategy, ScanStrategy, SetPlan, StmtPlan, WalkStrategy};
 use crate::result::QueryOutput;
 
 /// What a read runs against: the store, the session's reach index if
@@ -216,15 +216,8 @@ fn run_set<S: GraphStore + ?Sized>(
             let filter = CompiledPredicate::new(store, filter);
             Ok(match strategy {
                 ScanStrategy::PostingsScan { key, .. } => {
-                    // A kind's list holds only nodes of that kind: a
-                    // class naming it needs no re-check per candidate.
-                    let class = match key {
-                        PostingsKey::Kind(k) if class.single_kind_name() == Some(k.as_str()) => {
-                            NodeClass::All
-                        }
-                        _ => *class,
-                    };
                     let ids = key.candidates(store);
+                    let class = key.class_to_check(*class);
                     scan_ids(store, ids.iter().copied(), class, &filter, *limit)
                 }
                 ScanStrategy::FullScan { .. } => {

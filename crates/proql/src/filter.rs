@@ -38,9 +38,9 @@ impl<'p> CompiledPredicate<'p> {
         let mut record = Vec::new();
         for c in &pred.conjuncts {
             match c.field {
-                Field::Module | Field::Execution => per_invocation.push(c),
+                f if f.in_record() => record.push(c),
                 Field::Role => role.push(c),
-                Field::Kind | Field::Token => record.push(c),
+                _ => per_invocation.push(c),
             }
         }
         let verdict = |info: Option<&InvocationInfo>| {

@@ -48,6 +48,15 @@ pub enum PostingsKey {
 }
 
 impl PostingsKey {
+    /// The class a scan of this list still tests per candidate: none
+    /// ([`NodeClass::All`]) when the list is the class's own kind.
+    pub(crate) fn class_to_check(&self, class: NodeClass) -> NodeClass {
+        match self {
+            PostingsKey::Kind(k) if class.single_kind_name() == Some(k.as_str()) => NodeClass::All,
+            _ => class,
+        }
+    }
+
     /// The ascending, deduplicated candidate ids this key selects —
     /// exactly the records a postings scan examines. A single list is
     /// lent as the store lends it; only a union is assembled.
@@ -90,12 +99,14 @@ impl fmt::Display for PostingsKey {
 pub enum ScanStrategy {
     /// Examine every visible node.
     FullScan { est_visited: usize },
-    /// Read only the records listed in the store's postings.
-    /// `postings` of `total_records` is the records-read figure
-    /// `EXPLAIN` reports.
+    /// Visit only the nodes listed in the store's postings: `postings`
+    /// candidates, of which the scan decodes at most `reads` records
+    /// (of `total_records`) — none when the list and the candidates'
+    /// roles decide everything, every candidate otherwise.
     PostingsScan {
         key: PostingsKey,
         postings: usize,
+        reads: usize,
         total_records: usize,
     },
 }
@@ -276,10 +287,12 @@ impl SetPlan {
                     ScanStrategy::PostingsScan {
                         key,
                         postings,
+                        reads,
                         total_records,
                     } => write!(
                         f,
-                        " [postings scan on {key}, reads {postings} of {total_records} records]"
+                        " [postings scan on {key}, visits {postings}, \
+                         reads {reads} of {total_records} records]"
                     ),
                 }
             }

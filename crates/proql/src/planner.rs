@@ -241,12 +241,17 @@ impl<'a, S: GraphStore + ?Sized> Planner<'a, S> {
             };
         };
         // The per-list sizes compared below are cheap *comparison*
-        // costs; the number the plan reports ("reads X of Y records")
-        // is the deduplicated union the executor will actually
-        // materialize, so the estimate and `EXPLAIN ANALYZE` actuals
-        // are comparable.
+        // costs; the numbers the plan reports ("visits X, reads R of Y
+        // records") are the deduplicated union the executor will
+        // actually materialize and, of those, the records it may
+        // decode, so the estimate and `EXPLAIN ANALYZE` actuals are
+        // comparable.
+        let postings = key.candidates(self.store).len();
+        let decodes = key.class_to_check(class) != NodeClass::All
+            || filter.conjuncts.iter().any(|c| c.field.in_record());
         ScanStrategy::PostingsScan {
-            postings: key.candidates(self.store).len(),
+            reads: if decodes { postings } else { 0 },
+            postings,
             key,
             total_records: self.store.node_count(),
         }

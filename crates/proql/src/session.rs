@@ -36,8 +36,9 @@ use crate::result::QueryOutput;
 
 /// How the session holds its graph.
 enum Backend {
-    /// Fully decoded, mutable graph.
-    Resident(ProvGraph),
+    /// Fully decoded, mutable graph. Boxed: the graph's node table,
+    /// edge arrays and zoom bookkeeping are held inline.
+    Resident(Box<ProvGraph>),
     /// A footer-indexed v2 log whose records fault in per query: a
     /// sealed base segment plus a WAL-style mutable tail, whose changes
     /// commit as durable tail records and which `COMPACT` merges into a
@@ -60,7 +61,7 @@ macro_rules! on_store {
         match &$session.backend {
             Backend::Resident(graph) => {
                 let $env = ReadEnv {
-                    store: graph,
+                    store: graph.as_ref(),
                     reach,
                     reads: false,
                     stats: resident_stats,
@@ -238,7 +239,7 @@ pub struct Session {
 impl Session {
     /// A session over an in-memory graph.
     pub fn new(graph: ProvGraph) -> Session {
-        Session::with_backend(Backend::Resident(graph))
+        Session::with_backend(Backend::Resident(Box::new(graph)))
     }
 
     fn with_backend(backend: Backend) -> Session {
@@ -398,7 +399,7 @@ impl Session {
         };
         let start = Instant::now();
         match &self.backend {
-            Backend::Resident(graph) => repair(index, graph, changed),
+            Backend::Resident(graph) => repair(index, graph.as_ref(), changed),
             Backend::Log(log) => repair(index, log.as_ref(), changed),
         }
         self.instruments
@@ -477,7 +478,7 @@ impl Session {
 
     fn prepare_step(&self, fs: &FusedStatement) -> Result<Step> {
         match &self.backend {
-            Backend::Resident(graph) => self.prepare_on(graph, fs),
+            Backend::Resident(graph) => self.prepare_on(graph.as_ref(), fs),
             Backend::Log(log)
                 if log.is_snapshot()
                     && matches!(
@@ -803,7 +804,7 @@ impl Session {
     #[cfg(test)]
     pub(crate) fn store(&self) -> &dyn GraphStore {
         match &self.backend {
-            Backend::Resident(graph) => graph,
+            Backend::Resident(graph) => graph.as_ref(),
             Backend::Log(log) => log.as_ref(),
         }
     }
@@ -874,7 +875,7 @@ impl Session {
 }
 
 /// One heap component of a session: `(group, component, bytes)` —
-/// e.g. `("graph", "adjacency", 81920)`.
+/// e.g. `("graph", "preds", 81920)`.
 pub type MemoryComponent = (&'static str, &'static str, usize);
 
 /// Render a memory report for humans (the shell's `\mem` command):

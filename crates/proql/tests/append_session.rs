@@ -117,6 +117,59 @@ fn stats_and_build_index_report_the_session_heap_on_every_backend() {
     }
 }
 
+/// A resident session's memory lines follow the graph's layout — its
+/// node table, pred buffer and successor index, no per-node lists — and
+/// their sum is `memory total=` and `Session::heap_bytes()`, before and
+/// after a zoom pair whose moved spans leave holes in both edge arrays
+/// (a loaded graph's arrays are exact-size, so any hole shows).
+#[test]
+fn resident_memory_lines_follow_the_node_table_and_edge_arrays() {
+    let path = temp_log("memory-lines.lpstk", &dealers_graph(24, 7));
+    let mut session = Session::load(&path).unwrap();
+    let lines = |session: &Session| -> Vec<(String, usize)> {
+        let stats = session.run_read("STATS").unwrap().to_string();
+        let parse = |l: &str| {
+            let (name, bytes) = l.trim().strip_prefix("memory ")?.split_once('=')?;
+            Some((name.to_string(), bytes.split(' ').next()?.parse().ok()?))
+        };
+        stats.lines().filter_map(parse).collect()
+    };
+    let component = |lines: &[(String, usize)], name: &str| {
+        lines.iter().find(|(n, _)| n == name).map(|&(_, b)| b)
+    };
+    let mut edges = Vec::new();
+    for step in ["fresh", "after ZOOM OUT and ZOOM IN"] {
+        if step != "fresh" {
+            session.run_one("ZOOM OUT TO Mdealer1").unwrap();
+            session.run_one("ZOOM IN TO Mdealer1").unwrap();
+        }
+        let lines = lines(&session);
+        let (parts, total): (Vec<_>, Vec<_>) = lines.iter().partition(|(n, _)| n != "total");
+        let sum: usize = parts.iter().map(|(_, b)| b).sum();
+        assert_eq!(
+            total,
+            vec![&("total".to_string(), sum)],
+            "{step}: {lines:?}"
+        );
+        assert_eq!(sum, session.heap_bytes(), "{step}");
+        for name in ["graph.node_arena", "graph.preds", "graph.succ_index"] {
+            assert!(component(&lines, name).unwrap_or(0) > 0, "{step}: {name}");
+        }
+        assert_eq!(component(&lines, "graph.adjacency"), None, "{step}");
+        edges.push((
+            component(&lines, "graph.preds").unwrap(),
+            component(&lines, "graph.succ_index").unwrap(),
+        ));
+    }
+    // ZOOM OUT appended the composites' edges by moving the touched
+    // spans to the ends of both buffers; ZOOM IN shrank them in place.
+    // The holes stay allocated, and counted.
+    assert!(
+        edges[1].0 > edges[0].0 && edges[1].1 > edges[0].1,
+        "{edges:?}"
+    );
+}
+
 /// `records_read` must never go backwards — not across reads, not
 /// across append-committed mutations, and not across `COMPACT`, which
 /// swings a new sealed base in (the pre-compaction fault count is

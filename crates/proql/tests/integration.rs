@@ -249,10 +249,12 @@ fn match_module_scan_agrees_with_naive_full_scan_and_visits_fewer() {
     assert!(!naive.is_empty());
     let owned = naive.len();
 
+    // The roles decide every candidate: the scan decodes no record.
     let stmt = format!("MATCH nodes WHERE module = '{module}'");
     let explain = s.explain(&stmt).unwrap();
-    let bracket =
-        format!("[postings scan on module '{module}', reads {owned} of {records} records]");
+    let bracket = format!(
+        "[postings scan on module '{module}', visits {owned}, reads 0 of {records} records]"
+    );
     assert!(explain.ends_with(&bracket), "planner chose: {explain}");
 
     let out = s.run_one(&stmt).unwrap();
@@ -271,11 +273,14 @@ fn match_module_scan_agrees_with_naive_full_scan_and_visits_fewer() {
     );
 
     // m-nodes of a module: the module's postings are no longer than
-    // the invocation kind's, so the scan reads them and keeps the
-    // module's m-nodes.
+    // the invocation kind's, so the scan visits them, reads each
+    // candidate's kind, and keeps the module's m-nodes.
     assert!(owned <= stats(s.graph()).by_kind["invocation"]);
     let stmt = format!("MATCH m-nodes WHERE module = '{module}'");
     let explain = s.explain(&stmt).unwrap();
+    let bracket = format!(
+        "[postings scan on module '{module}', visits {owned}, reads {owned} of {records} records]"
+    );
     assert!(explain.ends_with(&bracket), "planner chose: {explain}");
     let out = s.run_one(&stmt).unwrap();
     let ns = out.nodes().unwrap();
@@ -303,11 +308,12 @@ fn match_without_module_filter_full_scans() {
     assert_eq!(ns.len(), stats(s.graph()).by_kind["state"]);
     assert_eq!(ns.visited, visible);
 
-    // A node class reads its kind's postings and nothing else.
+    // A node class visits its kind's postings and decodes nothing.
     let base = stats(s.graph()).by_kind["base_tuple"];
     let explain = s.explain("MATCH base-nodes").unwrap();
-    let bracket =
-        format!("[postings scan on kind 'base_tuple', reads {base} of {records} records]");
+    let bracket = format!(
+        "[postings scan on kind 'base_tuple', visits {base}, reads 0 of {records} records]"
+    );
     assert!(explain.ends_with(&bracket), "got: {explain}");
     let out = s.run_one("MATCH base-nodes").unwrap();
     let ns = out.nodes().unwrap();

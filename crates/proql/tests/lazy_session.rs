@@ -76,25 +76,84 @@ fn explain_reports_records_read_below_total() {
     let plan = lazy
         .explain(&format!("MATCH nodes WHERE module = '{module}'"))
         .unwrap();
-    // e.g. "[postings scan on module 'Mdealer1', reads 37 of 412 records]"
-    let (reads, total) = parse_records_read(&plan).expect("explain names records read");
-    assert_eq!(total, g.len());
-    assert!(reads > 0);
+    // e.g. "[postings scan on module 'Mdealer1', visits 37, reads 0 of
+    // 412 records]": the roles decide a module filter, so nothing is
+    // decoded.
+    let (visits, reads, total) = parse_scan_figures(&plan).expect("explain names its figures");
+    assert_eq!((reads, total), (0, g.len()), "{plan}");
+    assert!(visits > 0);
     assert!(
-        reads < total,
-        "indexed scan must read strictly fewer than all records: {plan}"
+        visits < total,
+        "indexed scan must visit strictly fewer than all records: {plan}"
     );
 }
 
-/// Pull "reads X of Y records" out of an EXPLAIN line.
-fn parse_records_read(plan: &str) -> Option<(usize, usize)> {
-    let at = plan.find("reads ")? + "reads ".len();
-    let rest = &plan[at..];
-    let mut parts = rest.split_whitespace();
+/// Pull "visits V, reads R of Y records" out of an EXPLAIN line.
+fn parse_scan_figures(plan: &str) -> Option<(usize, usize, usize)> {
+    let at = plan.find("visits ")? + "visits ".len();
+    let mut parts = plan[at..].split_whitespace();
+    let visits = parts.next()?.trim_end_matches(',').parse().ok()?;
+    assert_eq!(parts.next(), Some("reads"));
     let reads = parts.next()?.parse().ok()?;
     assert_eq!(parts.next(), Some("of"));
     let total = parts.next()?.parse().ok()?;
-    Some((reads, total))
+    Some((visits, reads, total))
+}
+
+/// `EXPLAIN`'s reads figure is a bound on what the scan decodes: on a
+/// fresh paged snapshot, `EXPLAIN ANALYZE`'s `reads=` never exceeds it,
+/// and is 0 exactly where it is 0 — role-decided scans and scans of the
+/// class's own kind list decode nothing; `kind` / `token` conjuncts and
+/// classes with no list of their own decode each candidate they test.
+#[test]
+fn explain_reads_bound_the_records_a_scan_decodes() {
+    let g = dealers_graph();
+    let path = temp_path("explain-reads.lpstk");
+    write_graph_v2(&g, &path).unwrap();
+    let module = g.invocations()[0].module.clone();
+    for (stmt, decodes) in [
+        (format!("MATCH nodes WHERE module = '{module}'"), false),
+        (
+            format!("MATCH nodes WHERE module = '{module}' AND execution < 1"),
+            false,
+        ),
+        (
+            format!("MATCH nodes WHERE module = '{module}' AND role = 'state'"),
+            false,
+        ),
+        ("MATCH base-nodes".to_string(), false),
+        ("MATCH m-nodes WHERE execution >= 0".to_string(), false),
+        ("MATCH nodes WHERE kind = 'delta'".to_string(), true),
+        ("MATCH base-nodes WHERE token LIKE 'C%'".to_string(), true),
+        (
+            format!("MATCH nodes WHERE module = '{module}' AND kind = 'plus'"),
+            true,
+        ),
+        (format!("MATCH m-nodes WHERE module = '{module}'"), true),
+        (format!("MATCH v-nodes WHERE module = '{module}'"), true),
+        (format!("MATCH p-nodes WHERE module = '{module}'"), true),
+    ] {
+        let session = Session::open(&path).unwrap();
+        let plan = session.explain(&stmt).unwrap();
+        let (visits, reads, _) = parse_scan_figures(&plan).expect("a postings scan");
+        let analyzed = session
+            .run_read(&format!("EXPLAIN ANALYZE {stmt}"))
+            .unwrap()
+            .to_string();
+        let actual: usize = analyzed
+            .split_whitespace()
+            .find_map(|w| w.strip_prefix("reads=")?.parse().ok())
+            .expect("the scan reports its reads");
+        assert!(
+            actual <= reads && reads <= visits,
+            "{stmt}: {plan}\n{analyzed}"
+        );
+        assert_eq!(
+            (reads > 0, actual > 0),
+            (decodes, decodes),
+            "{stmt}: {plan}\n{analyzed}"
+        );
+    }
 }
 
 #[test]
@@ -173,9 +232,12 @@ fn prefix_like_match_narrows_to_token_kind_postings() {
         plan.contains("postings scan on token-bearing kinds"),
         "got: {plan}"
     );
-    let (reads, total) = parse_records_read(&plan).expect("explain names records read");
+    let (visits, reads, total) = parse_scan_figures(&plan).expect("explain names its figures");
     assert_eq!(total, g.len());
-    assert!(reads > 0 && reads < total, "narrowed scan: {plan}");
+    assert!(
+        reads > 0 && reads == visits && visits < total,
+        "narrowed scan: {plan}"
+    );
 
     // Both backends answer identically, and the paged side touches no
     // more records than the postings estimate announced.
@@ -195,8 +257,8 @@ fn prefix_like_match_narrows_to_token_kind_postings() {
     let stmt = format!("MATCH nodes WHERE module LIKE '{mprefix}%'");
     let plan = lazy.explain(&stmt).unwrap();
     assert!(plan.contains("modules LIKE"), "got: {plan}");
-    let (reads, total) = parse_records_read(&plan).unwrap();
-    assert!(reads < total, "got: {plan}");
+    let (visits, reads, total) = parse_scan_figures(&plan).unwrap();
+    assert!(visits < total && reads == 0, "got: {plan}");
     let a = lazy.run_one(&stmt).unwrap();
     let b = full.run_one(&stmt).unwrap();
     assert_eq!(nodes_of(&a), nodes_of(&b));

@@ -9,7 +9,7 @@ use std::sync::Arc;
 use lipstick_core::agg::AggOp;
 use lipstick_core::graph::RETIRED_STASH;
 use lipstick_core::semiring::Token;
-use lipstick_core::{InvocationId, NodeId, NodeKind, Role};
+use lipstick_core::{InvocationId, NodeId, NodeKind, ProvGraph, Role};
 use lipstick_nrel::{Bag, Tuple, Value};
 
 use crate::error::{Result, StorageError};
@@ -334,6 +334,21 @@ pub fn get_record(r: &mut Reader<'_>) -> Result<NodeRecord> {
         role,
         kind,
         preds,
+    })
+}
+
+/// Read one node record into a decoder's graph
+/// ([`ProvGraph::push_decoded`]): its preds go straight to the graph's
+/// shared pred buffer, with no list of their own.
+pub(crate) fn push_record(r: &mut Reader<'_>, graph: &mut ProvGraph) -> Result<NodeId> {
+    let flags = r.u8()?;
+    let role = get_role(r)?;
+    let kind = get_kind(r)?;
+    graph.push_decoded(kind, role, flags & 1 != 0, |preds| {
+        for _ in 0..r.count()? {
+            preds.push(NodeId(r.var_u32()?));
+        }
+        Ok(())
     })
 }
 

@@ -29,10 +29,10 @@
 
 use std::path::Path;
 
-use lipstick_core::graph::{InvocationInfo, Node};
+use lipstick_core::graph::InvocationInfo;
 use lipstick_core::{NodeId, NodeKind, ProvGraph, Role};
 
-use crate::codec::{get_record, put_record, MIN_RECORD_BYTES};
+use crate::codec::{push_record, put_record, MIN_RECORD_BYTES};
 use crate::error::{Result, StorageError};
 use crate::footer::FooterWriter;
 use crate::io::{default_io, StorageIo};
@@ -213,32 +213,28 @@ pub(crate) fn check_refs(
     Ok(())
 }
 
-/// Deserialize a graph from bytes, at exact size
-/// ([`ProvGraph::from_nodes`]). The arena is reserved from the header's
-/// node count capped at one node per [`MIN_RECORD_BYTES`] of input —
-/// exact on every well-formed log, so a count the bytes cannot hold
-/// sizes nothing.
+/// Deserialize a graph from bytes, at exact size: each record's preds
+/// go straight to the graph's shared buffer
+/// ([`ProvGraph::push_decoded`]), every reference is checked, and then
+/// the successor index is built once ([`ProvGraph::finish_decoded`]).
+/// The node table is reserved from the header's node count capped at
+/// one node per [`MIN_RECORD_BYTES`] of input — exact on every
+/// well-formed log, so a count the bytes cannot hold sizes nothing.
 pub fn decode_graph(bytes: &[u8]) -> Result<ProvGraph> {
     let header = read_header(bytes)?;
     let node_count = header.node_count;
     // v2 records are identical to v1; the sequential decode simply
     // stops before the trailing footer, which only lazy readers parse.
     let mut r = Reader::new(&bytes[header.records_start..]);
-    let mut nodes = Vec::with_capacity(node_count.min(r.remaining() / MIN_RECORD_BYTES));
+    let mut graph = ProvGraph::unindexed(node_count.min(r.remaining() / MIN_RECORD_BYTES));
     for _ in 0..node_count {
-        let record = get_record(&mut r)?;
-        nodes.push(Node::decoded(
-            record.kind,
-            record.role,
-            record.preds,
-            record.deleted,
-        ));
+        push_record(&mut r, &mut graph)?;
     }
     let invocations = get_sealed_invocations(&mut r, node_count)?;
     // Now that the table is known: every reference.
-    for (idx, node) in nodes.iter().enumerate() {
+    for (id, node) in graph.iter() {
         check_refs(
-            NodeId(idx as u32),
+            id,
             &node.kind,
             node.role,
             node.preds(),
@@ -246,7 +242,8 @@ pub fn decode_graph(bytes: &[u8]) -> Result<ProvGraph> {
             invocations.len(),
         )?;
     }
-    Ok(ProvGraph::from_nodes(nodes, invocations))
+    graph.finish_decoded(invocations);
+    Ok(graph)
 }
 
 /// Write a graph to a file.

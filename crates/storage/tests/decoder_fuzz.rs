@@ -73,13 +73,16 @@ fn largest_allocation<T>(f: impl FnOnce() -> T) -> (T, usize) {
     (out, LARGEST.with(Cell::get))
 }
 
-/// The most a decoder may allocate at once for `input_len` bytes:
-/// one arena [`Node`] per smallest possible record
-/// (`size_of::<Node>() / MIN_RECORD_BYTES` per input byte), plus 1 KiB.
-/// An arena, table or record list reserved from a declared count,
-/// which `Reader::count` bounds at only one byte per item, breaks it.
+/// The most a decoder may allocate at once for `input_len` bytes: one
+/// per-record element — a node-table [`Node`] slot or a tail's
+/// [`NodeRecord`], whichever is larger — per smallest possible record
+/// (`size / MIN_RECORD_BYTES` per input byte), plus 1 KiB. A node
+/// table, pred buffer, table or record list reserved from a declared
+/// count, which `Reader::count` bounds at only one byte per item,
+/// breaks it.
 fn allocation_bound(input_len: usize) -> usize {
-    std::mem::size_of::<Node>() / MIN_RECORD_BYTES * input_len + 1024
+    let per_record = std::mem::size_of::<Node>().max(std::mem::size_of::<NodeRecord>());
+    per_record / MIN_RECORD_BYTES * input_len + 1024
 }
 
 /// Run `decode` on `input` and check its allocations stay in bound.

@@ -273,6 +273,8 @@ const PLAN_FILES: &[&str] = &[
     "crates/proql/src/exec.rs",
     "crates/proql/src/filter.rs",
     "crates/proql/src/shape.rs",
+    "crates/proql/src/result.rs",
+    "crates/proql/src/error.rs",
     "crates/core/src/query/reach.rs",
     "crates/core/src/query/zoom.rs",
     "crates/core/src/query/circuit.rs",
@@ -449,8 +451,9 @@ fn run_lint(root: &Path) -> std::io::Result<Vec<String>> {
     }
 
     // Rule 5: the ProQL front end, the one planner, its plans, the one
-    // read executor and its result shaping, and the reach index, ZoomOut
-    // planner, circuit evaluator and store accessors they call.
+    // read executor, its result shaping, the reply and error renderers,
+    // and the reach index, ZoomOut planner, circuit evaluator and store
+    // accessors they call.
     for file in PLAN_FILES {
         let path = root.join(file);
         let src = std::fs::read_to_string(&path)?;
@@ -554,7 +557,8 @@ mod tests {
     }
 
     /// Every rule-5 file is covered — the ProQL lexer, parser, analyzer
-    /// and AST, the plans, the result shaping, the reach index, the
+    /// and AST, the plans, the result shaping, the reply and error
+    /// renderers every serve-path answer goes through, the reach index, the
     /// ZoomOut planner, the circuit evaluator behind `WHY`/`EVAL` and the
     /// store accessors included: a row lookup that `expect`s instead of
     /// answering an empty row is caught on the seeded line.
@@ -571,6 +575,8 @@ mod tests {
             "crates/core/src/store.rs",
             "crates/proql/src/plan.rs",
             "crates/proql/src/shape.rs",
+            "crates/proql/src/result.rs",
+            "crates/proql/src/error.rs",
         ] {
             assert!(PLAN_FILES.contains(&file), "{file}");
         }
