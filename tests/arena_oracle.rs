@@ -680,6 +680,25 @@ fn full_size_workloads_match_the_model() {
     }
 }
 
+/// A module input nothing reads: ZOOM OUT makes the composite its first
+/// dependent, so ZOOM IN must remove a list's first entry.
+#[test]
+fn a_zoom_pair_over_an_unread_input_matches_the_model() {
+    let mut tee = new_tee();
+    let (w0, w1) = (tee.workflow_input("I0"), tee.workflow_input("I1"));
+    tee.begin_invocation("M", 0);
+    tee.module_input(w0);
+    let read = tee.module_input(w1);
+    let kept = tee.plus(&[read]);
+    tee.module_output(kept, &[]);
+    tee.end_invocation();
+    let mut arena = tee.arena.finish();
+    let mut model = tee.model.graph;
+    assert_same(&arena, &model, "tracking");
+    zoom_pair(&mut arena, &mut model, "M");
+    assert_same(&arena, &model, "ZOOM IN M");
+}
+
 fn parallel_dealers(params: &DealersParams, reducers: usize) -> ProvGraph {
     let mut udfs = UdfRegistry::new();
     let wf = dealers::build(&mut udfs);
