@@ -665,6 +665,62 @@ fn metrics_endpoint_stays_valid_and_monotonic_under_concurrent_load() {
     handle.shutdown();
 }
 
+/// COMPACT's phases are on `GET /metrics`: once an auto-COMPACT has
+/// folded the tail away, the splice, write, reopen and install
+/// histograms have each observed it, and the exposition stays valid.
+#[test]
+fn auto_compact_phases_are_exported_on_metrics() {
+    use lipstick_core::obs::{parse_plain_samples, validate_prometheus_text};
+
+    const PHASES: [&str; 4] = [
+        "lipstick_storage_compact_splice_us_count",
+        "lipstick_storage_compact_write_us_count",
+        "lipstick_storage_compact_reopen_us_count",
+        "lipstick_storage_compact_install_us_count",
+    ];
+    let name = "compact-phases.lpstk";
+    let handle = serve_append(name, 2, 2);
+    let tail = std::env::temp_dir()
+        .join("lipstick-serve-tests")
+        .join(format!("{name}.tail"));
+    let scrape = || {
+        let (status, text) = lipstick_serve::client::http_get(handle.addr(), "/metrics").unwrap();
+        assert_eq!(status, "HTTP/1.1 200 OK");
+        validate_prometheus_text(&text).unwrap_or_else(|e| panic!("{e}\n{text}"));
+        text
+    };
+    // The registry is process-wide: other tests may compact meanwhile,
+    // which only adds to the counts.
+    let before = parse_plain_samples(&scrape());
+    let mut client = Client::connect(handle.addr()).unwrap();
+    for victim in base_victims(2) {
+        let reply = client
+            .query(&format!("DELETE #{} PROPAGATE", victim.0))
+            .unwrap();
+        assert!(reply.is_ok(), "{reply:?}");
+    }
+    // The reply goes out before the writer compacts: wait for the tail
+    // to fold away and the install after its unlink to be observed.
+    let grew = |after: &std::collections::BTreeMap<String, f64>, key: &str| {
+        let was = before.get(key).copied().unwrap_or(0.0);
+        after.get(key).is_some_and(|&now| now >= 1.0 && now > was)
+    };
+    let deadline = std::time::Instant::now() + std::time::Duration::from_secs(10);
+    loop {
+        let text = scrape();
+        let samples = parse_plain_samples(&text);
+        if !tail.exists() && PHASES.iter().all(|key| grew(&samples, key)) {
+            break;
+        }
+        assert!(
+            std::time::Instant::now() < deadline,
+            "no auto-COMPACT\n{text}"
+        );
+        std::thread::sleep(std::time::Duration::from_millis(5));
+    }
+    handle.shutdown();
+}
+
 /// The OK header carries `time_us`/`reads` trailers; slow reads land in
 /// the ring with their full trace, servable as JSON via `GET /slow`.
 #[test]

@@ -56,17 +56,18 @@
 use std::borrow::Cow;
 use std::collections::{BTreeMap, HashMap};
 use std::path::{Path, PathBuf};
-use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
+use std::sync::{Arc, Mutex, MutexGuard, OnceLock, PoisonError};
+use std::time::Instant;
 
 use lipstick_core::graph::{kind_heap_bytes, InvocationInfo, ZoomStash, RETIRED_STASH};
-use lipstick_core::obs::vec_alloc_bytes;
+use lipstick_core::obs::{self, vec_alloc_bytes, Histogram};
 use lipstick_core::query::{plan_zoom_out, GraphChange, ZoomModulePlan};
 use lipstick_core::store::GraphStore;
 use lipstick_core::{NodeId, NodeKind, ProvGraph, Role};
 
 use crate::codec::{put_record, NodeRecord};
 use crate::error::{Result, StorageError};
-use crate::footer::{FooterSource, FooterWriter, Postings};
+use crate::footer::{FooterPostings, FooterSource, FooterWriter, PostingGroup, TRAILER_LEN};
 use crate::io::{default_io, StorageIo};
 use crate::log::{check_refs, put_header, put_invocations, VERSION_V2};
 use crate::paged::PagedLog;
@@ -843,12 +844,24 @@ impl AppendLog {
     }
 
     /// Sealed nodes whose visibility the tail changed — the records
-    /// whose flags byte a splice patches.
+    /// whose flags byte a splice patches. The two bitmaps are compared a
+    /// byte at a time; the last sealed byte may hold overlay bits, which
+    /// end the walk.
     fn flipped_sealed(&self) -> impl Iterator<Item = NodeId> + '_ {
-        let sealed = self.base.index();
-        (0..self.base_nodes as u32)
-            .map(NodeId)
-            .filter(move |&id| self.is_visible(id) != sealed.is_visible(id))
+        let sealed = self.base.index().visibility();
+        let base_nodes = self.base_nodes;
+        sealed
+            .iter()
+            .zip(&self.visibility)
+            .enumerate()
+            .filter(|(_, (was, is))| was != is)
+            .flat_map(|(byte, (was, is))| {
+                let diff = was ^ is;
+                (0..8u32)
+                    .filter(move |bit| diff >> bit & 1 != 0)
+                    .map(move |bit| NodeId(byte as u32 * 8 + bit))
+            })
+            .take_while(move |id| id.index() < base_nodes)
     }
 
     /// Node `id` when it is an overlay node; `None` for a sealed one.
@@ -941,8 +954,20 @@ impl AppendLog {
             self.extra_preds.is_empty(),
             "only zoom composites prepend to sealed rows, and zoom-in removes them"
         );
+        // Zoom-in takes a composite off its inputs' rows too, so what a
+        // sealed row still gained is a replayed node naming a sealed pred.
+        debug_assert!(
+            self.extra_succs.values().flatten().all(|&s| !matches!(
+                self.overlay_node(s).map(|n| &n.kind),
+                Some(NodeKind::Zoomed { .. })
+            )),
+            "no zoom composite is left on a sealed row"
+        );
 
+        let phases = compact_phases();
+        let started = Instant::now();
         let image = self.splice_image()?;
+        phases.splice.observe(micros(started));
         #[cfg(test)]
         assert!(
             image == self.reencode_oracle()?,
@@ -950,7 +975,7 @@ impl AppendLog {
         );
 
         let tmp = sidecar_path(&self.path, ".compact.tmp");
-        let (base, len) = match self.write_image(&tmp, &image) {
+        let (base, len) = match self.write_image(&tmp, &image, phases) {
             Ok(written) => written,
             Err(e) => {
                 let _ = self.io.unlink(&tmp);
@@ -974,6 +999,7 @@ impl AppendLog {
     /// unlink the temp file and leave everything as it was. Once the
     /// rename succeeds, the rest is infallible in-memory bookkeeping.
     pub fn install_compact(&mut self, prepared: PreparedCompact) -> Result<()> {
+        let started = Instant::now();
         let PreparedCompact {
             tmp,
             base,
@@ -1018,26 +1044,59 @@ impl AppendLog {
         self.stashes = Vec::new();
         self.zoomed_modules = HashMap::new();
         self.compactions += 1;
+        compact_phases().install.observe(micros(started));
         Ok(())
     }
 
     /// Write the image to `tmp`, sync it, and re-open it from there
     /// (full header / footer / invocation-table validation).
-    fn write_image(&self, tmp: &Path, image: &[u8]) -> Result<(PagedLog, u64)> {
+    fn write_image(
+        &self,
+        tmp: &Path,
+        image: &[u8],
+        phases: &CompactPhases,
+    ) -> Result<(PagedLog, u64)> {
+        let started = Instant::now();
         self.io.create(tmp, image)?;
         self.io.sync(tmp)?;
+        phases.write.observe(micros(started));
+        let started = Instant::now();
         let base = PagedLog::open_with_io(tmp, self.io.as_ref())?;
         let len = self.io.len(tmp)?;
+        phases.reopen.observe(micros(started));
         Ok((base, len))
     }
 
     /// The sealed v2 image of base + overlay (see [`AppendLog::compact`]).
+    /// The tail's records and the invocation table are encoded aside
+    /// first, so that the image is allocated once, at a size that holds
+    /// it (see [`AppendLog::footer_bound`]).
     fn splice_image(&self) -> Result<Vec<u8>> {
         let index = self.base.index();
         let sealed = self.base.record_section();
+        let sections = self
+            .base
+            .sealed_sections()
+            .ok_or_else(|| StorageError::Corrupt("footer sections outside the file".into()))?;
         let n = self.node_count();
-        // About the old image plus what the tail added to it.
-        let mut buf = Vec::with_capacity((self.base_len + self.tail().len) as usize);
+
+        let mut appended = Vec::new();
+        let mut starts = Vec::with_capacity(self.overlay.len());
+        for (id, node) in self.overlay_nodes() {
+            starts.push(appended.len());
+            let deleted = !self.is_visible(id);
+            put_record(&mut appended, deleted, &node.role, &node.kind, &node.preds)?;
+        }
+        let records_len = appended.len();
+        put_invocations(&mut appended, self.invocations());
+
+        let capacity = index.records_offset()
+            + VARINT_MAX
+            + sealed.len()
+            + appended.len()
+            + self.footer_bound()
+            + TRAILER_LEN;
+        let mut buf = Vec::with_capacity(capacity);
         put_header(&mut buf, VERSION_V2, n);
 
         // Sealed records: the same bytes, at an offset that moved only
@@ -1045,10 +1104,6 @@ impl AppendLog {
         let at = buf.len();
         let moved = |old: usize| at + (old - index.records_offset());
         buf.extend_from_slice(sealed);
-        let mut footer = FooterWriter::new(n);
-        for i in 0..self.base_nodes {
-            footer.record_starts_at(moved(index.record_range(NodeId(i as u32)).start) as u64);
-        }
         // The flags byte leads each record, and the encoder only ever
         // writes `deleted` into it. Nothing is zoomed out, so a hidden
         // node is a deleted one.
@@ -1060,15 +1115,42 @@ impl AppendLog {
             buf[moved(range.start)] = u8::from(!self.is_visible(id));
         }
 
-        for (id, node) in self.overlay_nodes() {
-            footer.record_starts_at(buf.len() as u64);
-            let deleted = !self.is_visible(id);
-            put_record(&mut buf, deleted, &node.role, &node.kind, &node.preds)?;
+        // Only the rows the tail grew are encoded again; every other
+        // sealed row, and every record length, is copied.
+        let mut rewritten: Vec<u32> = self.extra_succs.keys().copied().collect();
+        rewritten.sort_unstable();
+        let mut footer = FooterWriter::splice(n, sections, at as u64, rewritten);
+        let overlay_at = buf.len();
+        for start in starts {
+            footer.record_starts_at((overlay_at + start) as u64);
         }
-        footer.records_end_at(buf.len() as u64);
-        put_invocations(&mut buf, self.invocations());
+        footer.records_end_at((overlay_at + records_len) as u64);
+        buf.extend_from_slice(&appended);
         footer.finish(&SpliceFooter(self), &mut buf);
+        debug_assert_eq!(buf.capacity(), capacity, "the image never reallocates");
         Ok(buf)
+    }
+
+    /// An upper bound on the spliced footer's payload: the sealed one,
+    /// plus what the overlay, and the sealed rows it grew, add to it.
+    fn footer_bound(&self) -> usize {
+        // Per overlay node: a record length, a bitmap byte, a row count,
+        // a module and a kind posting, and the two groups it may open.
+        let per_node = |node: &OverlayNode| {
+            let module = node
+                .role
+                .invocation()
+                .and_then(|inv| self.invocations().get(inv.index()))
+                .map_or(0, |inv| inv.module.len());
+            5 * VARINT_MAX + 1 + 2 * ID_MAX + module + node.kind.name().len()
+        };
+        let grown: usize = self.extra_succs.values().map(Vec::len).sum();
+        let overlay_succs: usize = self.overlay.iter().map(|node| node.succs.len()).sum();
+        self.base.index().footer_len()
+            + 4 * VARINT_MAX
+            + self.overlay.iter().map(per_node).sum::<usize>()
+            + (grown + overlay_succs) * ID_MAX
+            + self.extra_succs.len() * VARINT_MAX
     }
 
     /// What COMPACT did before it spliced — decode the base into a
@@ -1125,36 +1207,27 @@ impl AppendLog {
 }
 
 /// The footer of a spliced image, answered from what the log already
-/// holds instead of from a decoded graph: the live bitmap, sealed CSR
-/// rows followed by `extra_succs` / overlay `succs`, and the live
-/// postings.
+/// holds instead of from a decoded graph: the live bitmap, the sealed
+/// CSR rows (or `extra_succs`-grown copies) and overlay `succs`, and the
+/// sealed postings with the overlay's ids appended — all lent.
 struct SpliceFooter<'a>(&'a AppendLog);
 
-impl<'a> FooterSource for SpliceFooter<'a> {
-    fn visibility(&self) -> Vec<u8> {
-        self.0.visibility.clone()
+impl FooterSource for SpliceFooter<'_> {
+    fn visibility(&self) -> Cow<'_, [u8]> {
+        Cow::Borrowed(&self.0.visibility)
     }
 
-    fn succs_into(&self, id: NodeId, out: &mut Vec<NodeId>) {
-        out.extend_from_slice(&self.0.succs_of(id));
+    fn succs(&self, id: NodeId) -> Cow<'_, [NodeId]> {
+        self.0.succs_of(id)
     }
 
     // Overlay ids all exceed sealed ids and are walked in id order, so
-    // appending them keeps every group ascending.
-    fn postings(&self) -> (Postings<'_>, Postings<'_>) {
+    // appending them keeps every group ascending. The sealed lists are
+    // filtered only once the tail has hidden a sealed node.
+    fn postings(&self) -> FooterPostings<'_> {
         let log = self.0;
-        let still_visible = |sealed: &'a BTreeMap<String, Vec<NodeId>>| -> Postings<'a> {
-            sealed
-                .iter()
-                .map(|(name, ids)| {
-                    let ids = ids.iter().copied().filter(|&id| log.is_visible(id));
-                    (name.as_str(), ids.collect())
-                })
-                .collect()
-        };
-        let index = log.base.index();
-        let mut by_module = still_visible(index.all_module_postings());
-        let mut by_kind = still_visible(index.all_kind_postings());
+        let mut by_module: BTreeMap<&str, Vec<NodeId>> = BTreeMap::new();
+        let mut by_kind: BTreeMap<&str, Vec<NodeId>> = BTreeMap::new();
         for (id, node) in log.overlay_nodes().filter(|&(id, _)| log.is_visible(id)) {
             if let Some(inv) = node.role.invocation() {
                 let module = log.invocations()[inv.index()].module.as_str();
@@ -1162,8 +1235,79 @@ impl<'a> FooterSource for SpliceFooter<'a> {
             }
             by_kind.entry(node.kind.name()).or_default().push(id);
         }
-        (by_module, by_kind)
+        let index = log.base.index();
+        FooterPostings {
+            by_module: merged(index.all_module_postings(), by_module),
+            by_kind: merged(index.all_kind_postings(), by_kind),
+            filtered: log.sealed_flips > 0,
+        }
     }
+}
+
+/// The sealed groups, lent, with the overlay's ids appended, and the
+/// overlay's new groups, in name order.
+fn merged<'a>(
+    sealed: &'a BTreeMap<String, Vec<NodeId>>,
+    mut appended: BTreeMap<&'a str, Vec<NodeId>>,
+) -> Vec<PostingGroup<'a>> {
+    let mut groups: Vec<PostingGroup<'a>> = sealed
+        .iter()
+        .map(|(name, ids)| PostingGroup {
+            name,
+            ids,
+            appended: appended.remove(name.as_str()).unwrap_or_default(),
+        })
+        .collect();
+    groups.extend(appended.into_iter().map(|(name, ids)| PostingGroup {
+        name,
+        ids: &[],
+        appended: ids,
+    }));
+    groups.sort_unstable_by_key(|group| group.name);
+    groups
+}
+
+/// The widest varint of a `u64` and of a `u32`.
+const VARINT_MAX: usize = 10;
+const ID_MAX: usize = 5;
+
+/// COMPACT's phases, on the process-wide registry (`GET /metrics`).
+struct CompactPhases {
+    splice: Arc<Histogram>,
+    write: Arc<Histogram>,
+    reopen: Arc<Histogram>,
+    install: Arc<Histogram>,
+}
+
+fn compact_phases() -> &'static CompactPhases {
+    static PHASES: OnceLock<CompactPhases> = OnceLock::new();
+    PHASES.get_or_init(|| {
+        let r = obs::registry();
+        let phase = |name, help| r.histogram(name, help, obs::LATENCY_BUCKETS_US);
+        CompactPhases {
+            splice: phase(
+                "lipstick_storage_compact_splice_us",
+                "COMPACT: assembling the image from the sealed bytes and the overlay, microseconds",
+            ),
+            write: phase(
+                "lipstick_storage_compact_write_us",
+                "COMPACT: creating and syncing the temp image, microseconds",
+            ),
+            reopen: phase(
+                "lipstick_storage_compact_reopen_us",
+                "COMPACT: the validating reopen of the temp image, microseconds",
+            ),
+            install: phase(
+                "lipstick_storage_compact_install_us",
+                "COMPACT: rename over the base, tail unlink and swap, microseconds",
+            ),
+        }
+    })
+}
+
+/// Whole microseconds since `started`.
+fn micros(started: Instant) -> u64 {
+    u64::try_from(started.elapsed().as_micros()).unwrap_or(u64::MAX)
 }
 
 /// Heap bytes per slot of a `HashMap<u32, V>`: the `(key, value)` pair
@@ -1705,6 +1849,68 @@ mod tests {
             );
         }
         assert!(log.extra_preds.is_empty() && log.extra_succs.is_empty());
+    }
+
+    /// A zoom pair grows sealed rows and then takes the growth back
+    /// off: afterwards no sealed key is left in either side table (every
+    /// key is a sealed id), so a COMPACT copies every sealed row.
+    #[test]
+    fn zoom_pairs_leave_no_sealed_row_grown() {
+        let base = workflow_graph();
+        let path = temp_log("zoom-rows", &base);
+        let mut log = AppendLog::open(&path).unwrap();
+        for module in ["M", "Agg", "M"] {
+            let plans = plan_zoom_out(&log, &[module], &[], log.stash_count()).unwrap();
+            log.commit_zoom_out(plans).unwrap();
+            assert!(!log.extra_succs.is_empty(), "{module} grew sealed rows");
+            log.commit_zoom_in(&[module.to_string()]).unwrap();
+            assert!(log.extra_succs.is_empty(), "after {module}");
+            assert!(log.extra_preds.is_empty(), "after {module}");
+        }
+        log.compact().unwrap();
+    }
+
+    /// A replayed `AppendGraph` record may name sealed preds: the public
+    /// path never writes one (a fragment's preds are its own nodes), but
+    /// replay accepts it. The sealed rows it grows are the rows a splice
+    /// encodes again, between and after copied ones, and the image must
+    /// still be the re-encode of the graph the tail describes.
+    #[test]
+    fn compact_encodes_the_sealed_rows_a_replayed_record_grew() {
+        let base = workflow_graph();
+        let path = temp_log("sealed-pred", &base);
+        let len = fs::metadata(&path).unwrap().len();
+        let (a, c) = (NodeId(0), NodeId(2));
+        assert!(!base.node(c).succs().is_empty(), "a non-empty row grows");
+        let record = TailRecord::AppendGraph {
+            nodes: vec![NodeRecord {
+                deleted: false,
+                role: Role::Free,
+                kind: NodeKind::Plus,
+                preds: vec![c, a],
+            }],
+            invocations: Vec::new(),
+        };
+        let mut tail = tail::encode_header(len, base.len() as u64);
+        tail.extend_from_slice(&tail::encode_record(&record).unwrap());
+        fs::write(tail_path_for(&path), &tail).unwrap();
+
+        let mut log = AppendLog::open(&path).unwrap();
+        assert_eq!(log.tail_records(), 1);
+        let mut grown: Vec<u32> = log.extra_succs.keys().copied().collect();
+        grown.sort_unstable();
+        assert_eq!(grown, [a.0, c.0]);
+
+        let mut mirror = base.clone();
+        let id = mirror.add_node(NodeKind::Plus, Role::Free);
+        mirror.add_edge(c, id);
+        mirror.add_edge(a, id);
+        log.compact().unwrap();
+        assert_eq!(
+            fs::read(&path).unwrap(),
+            crate::log::encode_graph_v2(&mirror).unwrap()
+        );
+        assert_eq!(store_signature(&log), store_signature(&mirror));
     }
 
     /// Side-table slots are sized as the `(u32, V)` pair is laid out —

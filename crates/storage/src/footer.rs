@@ -31,7 +31,9 @@
 //! `succs()` — traversals filter by visibility, exactly as they do in
 //! memory.
 
+use std::borrow::Cow;
 use std::collections::BTreeMap;
+use std::ops::Range;
 
 use lipstick_core::{NodeId, ProvGraph};
 
@@ -46,71 +48,150 @@ pub const FOOTER_VERSION: u8 = 1;
 /// Fixed trailer width: footer_len (8) + magic (4) + version (1).
 pub const TRAILER_LEN: usize = 13;
 
-/// Visible node ids grouped by name, each group ascending.
-pub type Postings<'a> = BTreeMap<&'a str, Vec<NodeId>>;
+/// One posting group as a [`FooterSource`] lends it: the kept `ids`,
+/// then `appended`.
+#[derive(Debug)]
+pub struct PostingGroup<'a> {
+    pub name: &'a str,
+    /// Ascending. Under [`FooterPostings::filtered`] only the ids the
+    /// footer's bitmap shows visible are written.
+    pub ids: &'a [NodeId],
+    /// Ascending, each above every id in `ids`, all visible.
+    pub appended: Vec<NodeId>,
+}
+
+/// Posting groups by module and by kind, each list in ascending name
+/// order with every name once. A group that ends up empty is dropped.
+#[derive(Debug)]
+pub struct FooterPostings<'a> {
+    pub by_module: Vec<PostingGroup<'a>>,
+    pub by_kind: Vec<PostingGroup<'a>>,
+    /// The lent `ids` may name nodes hidden since they were listed, so
+    /// the writer keeps only those the footer's bitmap shows visible.
+    pub filtered: bool,
+}
 
 /// What the footer is built from, besides the record offsets the
 /// [`FooterWriter`] collected while the records were written. Two things
 /// feed it: a [`ProvGraph`] being encoded, and `AppendLog`'s COMPACT,
 /// which assembles the same answers from the sealed index it already
 /// holds plus its overlay — both go through [`FooterWriter::finish`], so
-/// the byte layout exists once.
+/// the byte layout exists once. Rows and lists are lent, not copied.
 pub trait FooterSource {
     /// `ceil(node_count / 8)` bytes, bit i set = node i visible, padding
     /// bits clear.
-    fn visibility(&self) -> Vec<u8>;
+    fn visibility(&self) -> Cow<'_, [u8]>;
 
-    /// Append node `id`'s successors to `out`, in any order (the writer
-    /// sorts them).
-    fn succs_into(&self, id: NodeId, out: &mut Vec<NodeId>);
+    /// Node `id`'s successors. An ascending row is written as lent; any
+    /// other is copied and sorted first.
+    fn succs(&self, id: NodeId) -> Cow<'_, [NodeId]>;
 
-    /// `(by module, by kind)`: the visible nodes whose role names an
-    /// invocation, grouped by that invocation's module, and every
-    /// visible node grouped by [`lipstick_core::NodeKind::name`].
-    fn postings(&self) -> (Postings<'_>, Postings<'_>);
+    /// The visible nodes whose role names an invocation, grouped by that
+    /// invocation's module, and every visible node grouped by
+    /// [`lipstick_core::NodeKind::name`].
+    fn postings(&self) -> FooterPostings<'_>;
 }
 
 impl FooterSource for ProvGraph {
-    fn visibility(&self) -> Vec<u8> {
+    fn visibility(&self) -> Cow<'_, [u8]> {
         // Persisted graphs have no zoom-hidden nodes (the encoder
         // rejects active zooms), so visible = !deleted.
         let mut bitmap = vec![0u8; self.len().div_ceil(8)];
         for (id, _) in self.iter_visible() {
             bitmap[id.index() / 8] |= 1 << (id.index() % 8);
         }
-        bitmap
+        Cow::Owned(bitmap)
     }
 
-    fn succs_into(&self, id: NodeId, out: &mut Vec<NodeId>) {
-        out.extend_from_slice(self.node(id).succs());
+    fn succs(&self, id: NodeId) -> Cow<'_, [NodeId]> {
+        Cow::Borrowed(self.node(id).succs())
     }
 
     /// The graph's own postings ([`ProvGraph::postings`]), so what a
     /// posting holds is defined once.
-    fn postings(&self) -> (Postings<'_>, Postings<'_>) {
+    fn postings(&self) -> FooterPostings<'_> {
         let postings = ProvGraph::postings(self);
-        (
-            postings
-                .modules()
-                .map(|(m, ids)| (m, ids.to_vec()))
-                .collect(),
-            postings.kinds().map(|(k, ids)| (k, ids.to_vec())).collect(),
-        )
+        FooterPostings {
+            by_module: by_name(postings.modules()),
+            by_kind: by_name(postings.kinds()),
+            filtered: false,
+        }
     }
+}
+
+/// Lent lists as posting groups, in name order.
+fn by_name<'a, 'n: 'a>(
+    groups: impl Iterator<Item = (&'n str, &'a [NodeId])>,
+) -> Vec<PostingGroup<'a>> {
+    let mut groups: Vec<PostingGroup<'a>> = groups
+        .map(|(name, ids)| PostingGroup {
+            name,
+            ids,
+            appended: Vec::new(),
+        })
+        .collect();
+    groups.sort_unstable_by_key(|g| g.name);
+    groups
+}
+
+/// The encoded record lengths and successor rows of a parsed footer,
+/// lent from its file, for a splice to copy as they are.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct SealedSections<'a> {
+    /// Nodes the sections cover.
+    pub(crate) nodes: usize,
+    pub(crate) record_lens: &'a [u8],
+    pub(crate) succ_rows: &'a [u8],
+}
+
+/// A footer prefix copied from a sealed one (see [`FooterWriter::splice`]).
+struct Copied<'a> {
+    sections: SealedSections<'a>,
+    first_record: u64,
+    /// Strictly ascending ids below `sections.nodes` whose row changed.
+    rewritten: Vec<u32>,
 }
 
 /// Accumulates record offsets during encoding, then serializes the
 /// footer and trailer.
-pub struct FooterWriter {
+pub struct FooterWriter<'a> {
+    /// The start of every record announced, then (at finish) the end of
+    /// the last.
     offsets: Vec<u64>,
     records_end: u64,
+    copied: Option<Copied<'a>>,
 }
 
-impl FooterWriter {
-    pub fn new(node_count: usize) -> FooterWriter {
+impl<'a> FooterWriter<'a> {
+    pub fn new(node_count: usize) -> FooterWriter<'a> {
         FooterWriter {
             offsets: Vec::with_capacity(node_count + 1),
             records_end: 0,
+            copied: None,
+        }
+    }
+
+    /// A footer whose first `sealed.nodes` nodes are a sealed footer's:
+    /// their records were copied verbatim, record 0 now starting at
+    /// `first_record`, so their lengths are copied too, and so is every
+    /// successor row but the `rewritten` ones (strictly ascending), which
+    /// [`FooterSource::succs`] answers afresh. Only the records after
+    /// them are announced.
+    pub(crate) fn splice(
+        node_count: usize,
+        sealed: SealedSections<'a>,
+        first_record: u64,
+        rewritten: Vec<u32>,
+    ) -> FooterWriter<'a> {
+        debug_assert!(rewritten.is_sorted_by(|a, b| a < b));
+        FooterWriter {
+            offsets: Vec::with_capacity(node_count.saturating_sub(sealed.nodes) + 1),
+            records_end: 0,
+            copied: Some(Copied {
+                sections: sealed,
+                first_record,
+                rewritten,
+            }),
         }
     }
 
@@ -128,12 +209,20 @@ impl FooterWriter {
     /// Serialize the footer payload and trailer onto `buf` — the only
     /// place the footer's byte layout is written.
     pub fn finish(mut self, source: &impl FooterSource, buf: &mut Vec<u8>) {
-        let n = self.offsets.len();
         self.offsets.push(self.records_end);
+        let copied = self.copied.as_ref();
+        let sealed = copied.map_or(0, |c| c.sections.nodes);
+        let n = sealed + self.offsets.len() - 1;
 
         let start = buf.len();
         put_len(buf, n);
-        put_u64(buf, self.offsets[0]);
+        match copied {
+            Some(c) => {
+                put_u64(buf, c.first_record);
+                buf.extend_from_slice(c.sections.record_lens);
+            }
+            None => put_u64(buf, self.offsets[0]),
+        }
         for w in self.offsets.windows(2) {
             put_u64(buf, w[1] - w[0]);
         }
@@ -143,23 +232,76 @@ impl FooterWriter {
         buf.extend_from_slice(&bitmap);
 
         // Successor adjacency (sorted, delta-encoded).
-        let mut succs: Vec<NodeId> = Vec::new();
-        for i in 0..n {
-            succs.clear();
-            source.succs_into(NodeId(i as u32), &mut succs);
-            succs.sort_unstable();
-            put_id_deltas(buf, &succs);
+        let mut scratch = Vec::new();
+        if let Some(c) = copied {
+            copy_rows(buf, c, source, &mut scratch);
+        }
+        for id in (0u32..).map(NodeId).take(n).skip(sealed) {
+            put_row(buf, &source.succs(id), &mut scratch);
         }
 
-        let (by_module, by_kind) = source.postings();
-        put_postings(buf, by_module);
-        put_postings(buf, by_kind);
+        let postings = source.postings();
+        let filter = postings.filtered.then_some(&*bitmap);
+        put_postings(buf, &postings.by_module, filter, &mut scratch);
+        put_postings(buf, &postings.by_kind, filter, &mut scratch);
 
         // Trailer.
-        let footer_len = (buf.len() - start) as u64;
+        let footer_len = u64::try_from(buf.len() - start).unwrap_or(u64::MAX);
         buf.extend_from_slice(&footer_len.to_le_bytes());
         buf.extend_from_slice(FOOTER_MAGIC);
         buf.push(FOOTER_VERSION);
+    }
+}
+
+/// The copied footer's successor rows: the sealed bytes, but for the
+/// rewritten rows, which `source` answers.
+fn copy_rows(
+    buf: &mut Vec<u8>,
+    copied: &Copied<'_>,
+    source: &impl FooterSource,
+    scratch: &mut Vec<NodeId>,
+) {
+    let rows = copied.sections.succ_rows;
+    let (mut row, mut at) = (0u32, 0usize);
+    for &changed in &copied.rewritten {
+        let from = at;
+        while row < changed {
+            at = row_end(rows, at);
+            row += 1;
+        }
+        buf.extend_from_slice(rows.get(from..at).unwrap_or_default());
+        at = row_end(rows, at);
+        row += 1;
+        put_row(buf, &source.succs(NodeId(changed)), scratch);
+    }
+    buf.extend_from_slice(rows.get(at..).unwrap_or_default());
+}
+
+/// Where the encoded successor row starting at byte `at` of `rows`
+/// ends. Run only over rows a parse accepted; anything else ends the
+/// walk at the end of `rows`.
+fn row_end(rows: &[u8], at: usize) -> usize {
+    let mut cursor = Cursor { buf: rows, at };
+    let Ok(count) = cursor.varint() else {
+        return rows.len();
+    };
+    for _ in 0..count {
+        if cursor.varint().is_err() {
+            return rows.len();
+        }
+    }
+    cursor.at
+}
+
+/// A successor row, sorted (a copy, only if it is not already).
+fn put_row(buf: &mut Vec<u8>, row: &[NodeId], scratch: &mut Vec<NodeId>) {
+    if row.is_sorted() {
+        put_id_deltas(buf, row);
+    } else {
+        scratch.clear();
+        scratch.extend_from_slice(row);
+        scratch.sort_unstable();
+        put_id_deltas(buf, scratch);
     }
 }
 
@@ -173,14 +315,35 @@ fn put_id_deltas(buf: &mut Vec<u8>, ids: &[NodeId]) {
     }
 }
 
+/// Bit `id` of a visibility bitmap.
+fn shown(bitmap: &[u8], id: NodeId) -> bool {
+    bitmap
+        .get(id.index() / 8)
+        .is_some_and(|byte| byte >> (id.index() % 8) & 1 != 0)
+}
+
 /// Postings cover visible nodes only, so a name none of whose nodes is
-/// visible has no group.
-fn put_postings(buf: &mut Vec<u8>, mut groups: Postings<'_>) {
-    groups.retain(|_, ids| !ids.is_empty());
-    put_len(buf, groups.len());
-    for (name, ids) in &groups {
-        put_str(buf, name);
-        put_id_deltas(buf, ids);
+/// visible has no group. Under `filter`, the lent ids are kept only if
+/// its bit is set.
+fn put_postings(
+    buf: &mut Vec<u8>,
+    groups: &[PostingGroup<'_>],
+    filter: Option<&[u8]>,
+    scratch: &mut Vec<NodeId>,
+) {
+    let kept = |id: &NodeId| filter.is_none_or(|bitmap| shown(bitmap, *id));
+    let live = |g: &&PostingGroup<'_>| !g.appended.is_empty() || g.ids.iter().any(kept);
+    put_len(buf, groups.iter().filter(live).count());
+    for group in groups.iter().filter(live) {
+        put_str(buf, group.name);
+        if filter.is_none() && group.appended.is_empty() {
+            put_id_deltas(buf, group.ids);
+            continue;
+        }
+        scratch.clear();
+        scratch.extend(group.ids.iter().copied().filter(kept));
+        scratch.extend_from_slice(&group.appended);
+        put_id_deltas(buf, scratch);
     }
 }
 
@@ -188,7 +351,7 @@ fn put_postings(buf: &mut Vec<u8>, mut groups: Postings<'_>) {
 #[derive(Debug, Clone)]
 pub struct LogIndex {
     /// File offset of record 0.
-    records_base: u64,
+    records_base: usize,
     /// `node_count + 1` entries: byte offset of each record *within the
     /// record section* (entry 0 is 0), then the section's length — half
     /// the width of file offsets, on the footer's largest per-node
@@ -204,6 +367,12 @@ pub struct LogIndex {
     succ_ids: Vec<NodeId>,
     module_postings: BTreeMap<String, Vec<NodeId>>,
     kind_postings: BTreeMap<String, Vec<NodeId>>,
+    /// File byte ranges of the encoded record lengths and successor
+    /// rows, which a splice copies (see [`FooterWriter::splice`]).
+    record_lens: Range<usize>,
+    succ_rows: Range<usize>,
+    /// Length of the footer payload.
+    footer_len: usize,
 }
 
 impl lipstick_core::obs::HeapSize for LogIndex {
@@ -228,87 +397,77 @@ impl lipstick_core::obs::HeapSize for LogIndex {
     }
 }
 
+/// Record offsets are `u32`s: a section end must stay below this.
+const RECORD_SECTION_LIMIT: u64 = 1 << 32;
+
 impl LogIndex {
     /// Parse the footer of a v2 log. `data` is the whole file;
     /// `node_count` comes from the header. Every structural claim the
     /// footer makes is validated against the file's bounds, so a
     /// truncated or garbled footer is an error, never a panic or an
-    /// oversized allocation.
+    /// oversized allocation. Every list — record lengths, successor
+    /// rows, postings — goes through one decoder, [`Cursor::sums`].
     pub fn parse(data: &[u8], node_count: usize) -> Result<LogIndex> {
-        let body_len = data
-            .len()
-            .checked_sub(TRAILER_LEN)
-            .ok_or_else(|| StorageError::Corrupt("missing footer trailer".into()))?;
-        let mut trailer = Reader::new(&data[body_len..]);
-        let footer_len = trailer.u64_le()?;
-        if trailer.bytes(FOOTER_MAGIC.len())? != FOOTER_MAGIC {
-            return Err(StorageError::Corrupt("bad footer magic".into()));
-        }
-        let version = trailer.u8()?;
-        if version != FOOTER_VERSION {
-            return Err(StorageError::Corrupt(format!(
-                "unsupported footer version {version}"
-            )));
-        }
-        let footer_start = usize::try_from(footer_len)
-            .ok()
-            .and_then(|len| body_len.checked_sub(len))
-            .ok_or_else(|| {
-                StorageError::Corrupt(format!("footer length {footer_len} exceeds file size"))
-            })?;
-        let mut r = Reader::new(&data[footer_start..body_len]);
+        let (footer_start, body_len) = locate_footer(data)?;
+        let mut r = Cursor {
+            buf: data.get(footer_start..body_len).unwrap_or_default(),
+            at: 0,
+        };
 
-        let declared = r.var_u64()?;
+        let declared = r.varint()?;
         if usize::try_from(declared) != Ok(node_count) {
             return Err(StorageError::Corrupt(format!(
                 "footer node count {declared} does not match header {node_count}"
             )));
         }
-        let records_base = r.var_u64()?;
+        let records_base = r.varint()?;
+        let lens_start = r.at;
         let mut offsets = Vec::with_capacity(node_count + 1);
-        let mut at = 0u32;
-        offsets.push(at);
-        for _ in 0..node_count {
-            at = u32::try_from(r.var_u64()?)
-                .ok()
-                .and_then(|len| at.checked_add(len))
-                .ok_or_else(|| too_large("record section"))?;
-            offsets.push(at);
-        }
-        if records_base
-            .checked_add(u64::from(at))
-            .is_none_or(|end| end > footer_start as u64)
-        {
-            return Err(StorageError::Corrupt(
-                "record offsets run past the footer".into(),
-            ));
-        }
+        offsets.push(0u32);
+        let end = r.sums(
+            node_count,
+            RECORD_SECTION_LIMIT,
+            &mut offsets,
+            |at| at,
+            |_| too_large("record section"),
+        )?;
+        let record_lens = footer_start + lens_start..footer_start + r.at;
+        let records_base = records_within(records_base, end, footer_start)?;
 
         let bitmap_len = node_count.div_ceil(8);
         let visible = r.bytes(bitmap_len)?.to_vec();
         // `visible_count` is a popcount of the bitmap, so padding bits
         // past the last node must be clear for it to equal a sweep.
         let used_bits = node_count % 8;
-        if used_bits != 0 && visible[bitmap_len - 1] >> used_bits != 0 {
+        if used_bits != 0 && visible.last().is_some_and(|&b| b >> used_bits != 0) {
             return Err(StorageError::Corrupt(
                 "visibility bitmap has bits set past the node count".into(),
             ));
         }
-        let visible_count = visible.iter().map(|b| b.count_ones() as usize).sum();
+        let visible_count = popcount(&visible);
 
+        // Ids must name a node, and fit the `u32` a `NodeId` holds.
+        let id_limit =
+            u64::try_from(node_count).map_or(RECORD_SECTION_LIMIT, |n| n.min(RECORD_SECTION_LIMIT));
+        let rows_start = r.at;
         let mut succ_starts = Vec::with_capacity(node_count + 1);
         let mut succ_ids = Vec::new();
         succ_starts.push(0u32);
         for _ in 0..node_count {
             let count = r.count()?;
-            push_id_deltas(&mut r, count, node_count, "successor", &mut succ_ids)?;
+            r.sums(count, id_limit, &mut succ_ids, NodeId, |delta| {
+                beyond("successor", node_count, delta)
+            })?;
             let end = u32::try_from(succ_ids.len()).map_err(|_| too_large("successor table"))?;
             succ_starts.push(end);
         }
+        let succ_rows = footer_start + rows_start..footer_start + r.at;
 
-        let module_postings = get_postings(&mut r, node_count)?;
-        let kind_postings = get_postings(&mut r, node_count)?;
-        r.finish("footer")?;
+        let module_postings = r.postings(id_limit, node_count)?;
+        let kind_postings = r.postings(id_limit, node_count)?;
+        if r.at != r.buf.len() {
+            return Err(trailing(r.buf.len() - r.at, "footer"));
+        }
         Ok(LogIndex {
             records_base,
             offsets,
@@ -318,6 +477,9 @@ impl LogIndex {
             succ_ids,
             module_postings,
             kind_postings,
+            record_lens,
+            succ_rows,
+            footer_len: body_len - footer_start,
         })
     }
 
@@ -329,19 +491,19 @@ impl LogIndex {
     /// Byte range of record `id` within the file.
     pub fn record_range(&self, id: NodeId) -> std::ops::Range<usize> {
         let base = self.records_offset();
-        base + self.offsets[id.index()] as usize..base + self.offsets[id.index() + 1] as usize
+        base + widen(self.offsets[id.index()])..base + widen(self.offsets[id.index() + 1])
     }
 
     /// Byte offset of record 0 (= [`LogIndex::invocations_offset`] on
     /// an empty log).
     pub(crate) fn records_offset(&self) -> usize {
-        self.records_base as usize
+        self.records_base
     }
 
     /// Byte offset where the invocation table starts.
     pub fn invocations_offset(&self) -> usize {
         // `offsets` always holds at least the section's end.
-        self.records_offset() + self.offsets.last().map_or(0, |&end| end as usize)
+        self.records_offset() + self.offsets.last().map_or(0, |&end| widen(end))
     }
 
     /// Is node `id` visible (not tombstoned)?
@@ -352,8 +514,8 @@ impl LogIndex {
     /// Successors of node `id` (raw adjacency; may include invisible
     /// nodes).
     pub fn succs(&self, id: NodeId) -> &[NodeId] {
-        let lo = self.succ_starts[id.index()] as usize;
-        let hi = self.succ_starts[id.index() + 1] as usize;
+        let lo = widen(self.succ_starts[id.index()]);
+        let hi = widen(self.succ_starts[id.index() + 1]);
         &self.succ_ids[lo..hi]
     }
 
@@ -387,49 +549,434 @@ impl LogIndex {
     pub(crate) fn all_kind_postings(&self) -> &BTreeMap<String, Vec<NodeId>> {
         &self.kind_postings
     }
+
+    /// The encoded record lengths and successor rows, lent from `data`,
+    /// the file this index was parsed from.
+    pub(crate) fn sealed_sections<'a>(&self, data: &'a [u8]) -> Option<SealedSections<'a>> {
+        Some(SealedSections {
+            nodes: self.node_count(),
+            record_lens: data.get(self.record_lens.clone())?,
+            succ_rows: data.get(self.succ_rows.clone())?,
+        })
+    }
+
+    /// Length of the footer payload in bytes, trailer excluded.
+    pub(crate) fn footer_len(&self) -> usize {
+        self.footer_len
+    }
+}
+
+/// `(footer start, trailer start)`: where the trailer says the footer
+/// payload lies, checked against the file.
+fn locate_footer(data: &[u8]) -> Result<(usize, usize)> {
+    let body_len = data
+        .len()
+        .checked_sub(TRAILER_LEN)
+        .ok_or_else(|| StorageError::Corrupt("missing footer trailer".into()))?;
+    let mut trailer = Reader::new(data.get(body_len..).unwrap_or_default());
+    let footer_len = trailer.u64_le()?;
+    if trailer.bytes(FOOTER_MAGIC.len())? != FOOTER_MAGIC {
+        return Err(StorageError::Corrupt("bad footer magic".into()));
+    }
+    let version = trailer.u8()?;
+    if version != FOOTER_VERSION {
+        return Err(StorageError::Corrupt(format!(
+            "unsupported footer version {version}"
+        )));
+    }
+    let footer_start = usize::try_from(footer_len)
+        .ok()
+        .and_then(|len| body_len.checked_sub(len))
+        .ok_or_else(|| {
+            StorageError::Corrupt(format!("footer length {footer_len} exceeds file size"))
+        })?;
+    Ok((footer_start, body_len))
+}
+
+/// Record 0's file offset, once the record section it starts — `len`
+/// bytes — is known to end before the footer does.
+fn records_within(base: u64, len: u32, footer_start: usize) -> Result<usize> {
+    let footer_start = u64::try_from(footer_start).unwrap_or(u64::MAX);
+    base.checked_add(u64::from(len))
+        .filter(|&end| end <= footer_start)
+        .and_then(|_| usize::try_from(base).ok())
+        .ok_or_else(|| StorageError::Corrupt("record offsets run past the footer".into()))
+}
+
+/// Set bits in a bitmap.
+fn popcount(bitmap: &[u8]) -> usize {
+    let ones: u64 = bitmap.iter().map(|b| u64::from(b.count_ones())).sum();
+    usize::try_from(ones).unwrap_or(usize::MAX)
+}
+
+/// A stored `u32` offset as an index (lossless on every supported
+/// target).
+#[inline]
+fn widen(x: u32) -> usize {
+    usize::try_from(x).unwrap_or(usize::MAX)
+}
+
+/// The footer parse's read cursor: an index into the payload. It makes
+/// every check [`Reader`] makes, with the same errors, but reads a
+/// one-byte varint — most record lengths and id deltas — in one branch.
+struct Cursor<'a> {
+    buf: &'a [u8],
+    at: usize,
+}
+
+impl<'a> Cursor<'a> {
+    #[inline]
+    fn remaining(&self) -> usize {
+        self.buf.len().saturating_sub(self.at)
+    }
+
+    /// An unsigned varint.
+    #[inline(always)]
+    fn varint(&mut self) -> Result<u64> {
+        match self.buf.get(self.at) {
+            Some(&byte) if byte < 0x80 => {
+                self.at += 1;
+                Ok(u64::from(byte))
+            }
+            _ => self.long_varint(),
+        }
+    }
+
+    /// A varint of any width, as [`Reader::var_u64`] reads it.
+    #[inline(never)]
+    fn long_varint(&mut self) -> Result<u64> {
+        let mut v: u64 = 0;
+        let mut shift = 0u32;
+        loop {
+            let Some(&byte) = self.buf.get(self.at) else {
+                return Err(truncated(1, 0));
+            };
+            self.at += 1;
+            if shift >= 64 {
+                return Err(varint_overflow());
+            }
+            v |= u64::from(byte & 0x7f) << shift;
+            if byte & 0x80 == 0 {
+                return Ok(v);
+            }
+            shift += 7;
+        }
+    }
+
+    /// A count of elements of a byte or more each, bounded by the bytes
+    /// left (as [`Reader::count`]).
+    #[inline]
+    fn count(&mut self) -> Result<usize> {
+        let n = self.varint()?;
+        match usize::try_from(n) {
+            Ok(n) if n <= self.remaining() => Ok(n),
+            _ => Err(count_exceeds(n, self.remaining())),
+        }
+    }
+
+    /// The next `n` bytes, borrowed.
+    fn bytes(&mut self, n: usize) -> Result<&'a [u8]> {
+        let Some(bytes) = self
+            .at
+            .checked_add(n)
+            .and_then(|end| self.buf.get(self.at..end))
+        else {
+            return Err(truncated(n, self.remaining()));
+        };
+        self.at += n;
+        Ok(bytes)
+    }
+
+    /// The id-list kernel every footer list goes through: `count`
+    /// varints, each a delta from the value before (from 0), whose
+    /// running sums are pushed onto `out` through `wrap`. A sum at or
+    /// past `limit` (at most 2³²) is the error `bad` builds from the
+    /// delta. Returns the last sum.
+    #[inline(always)]
+    fn sums<T>(
+        &mut self,
+        count: usize,
+        limit: u64,
+        out: &mut Vec<T>,
+        wrap: impl Fn(u32) -> T,
+        bad: impl Fn(u64) -> StorageError,
+    ) -> Result<u32> {
+        let mut sum = 0u32;
+        for _ in 0..count {
+            let delta = self.varint()?;
+            let next = u64::from(sum).saturating_add(delta);
+            sum = match u32::try_from(next) {
+                Ok(next32) if next < limit => next32,
+                _ => return Err(bad(delta)),
+            };
+            out.push(wrap(sum));
+        }
+        Ok(sum)
+    }
+
+    /// One postings section: a group count, then per group a name and
+    /// an id list. A repeated name keeps its last list.
+    fn postings(
+        &mut self,
+        id_limit: u64,
+        node_count: usize,
+    ) -> Result<BTreeMap<String, Vec<NodeId>>> {
+        let groups = self.count()?;
+        let mut out = BTreeMap::new();
+        for _ in 0..groups {
+            let len = self.count()?;
+            let name = std::str::from_utf8(self.bytes(len)?)
+                .map_err(|_| StorageError::Corrupt("invalid UTF-8".into()))?;
+            let count = self.count()?;
+            let mut ids = Vec::with_capacity(count);
+            self.sums(count, id_limit, &mut ids, NodeId, |delta| {
+                beyond("posting", node_count, delta)
+            })?;
+            out.insert(name.to_owned(), ids);
+        }
+        Ok(out)
+    }
 }
 
 /// The index addresses records and successor entries with `u32`s.
+#[cold]
+#[inline(never)]
 fn too_large(what: &str) -> StorageError {
     StorageError::Corrupt(format!("{what} of 4 GiB or more"))
 }
 
-/// Read the `count` ascending ids, written as deltas, that follow a
-/// count [`put_id_deltas`] wrote, onto `out`; each is checked against
-/// the node count.
-#[inline]
-fn push_id_deltas(
-    r: &mut Reader<'_>,
-    count: usize,
-    node_count: usize,
-    what: &str,
-    out: &mut Vec<NodeId>,
-) -> Result<()> {
-    let mut prev = 0u32;
-    for _ in 0..count {
-        prev = prev
-            .checked_add(r.var_u32()?)
-            .filter(|&id| (id as usize) < node_count)
-            .ok_or_else(|| {
-                StorageError::Corrupt(format!("{what} id beyond node count {node_count}"))
-            })?;
-        out.push(NodeId(prev));
+/// An id delta that is no `u32`, or an id that names no node.
+#[cold]
+#[inline(never)]
+fn beyond(what: &str, node_count: usize, delta: u64) -> StorageError {
+    if u32::try_from(delta).is_err() {
+        return StorageError::Corrupt(format!("value {delta} overflows 32-bit field"));
     }
-    Ok(())
+    StorageError::Corrupt(format!("{what} id beyond node count {node_count}"))
 }
 
-fn get_postings(r: &mut Reader<'_>, node_count: usize) -> Result<BTreeMap<String, Vec<NodeId>>> {
-    let groups = r.count()?;
-    let mut out = BTreeMap::new();
-    for _ in 0..groups {
-        let name = r.str()?;
-        let count = r.count()?;
-        let mut ids = Vec::with_capacity(count);
-        push_id_deltas(r, count, node_count, "posting", &mut ids)?;
-        out.insert(name, ids);
-    }
-    Ok(out)
+#[cold]
+#[inline(never)]
+fn truncated(wanted: usize, left: usize) -> StorageError {
+    StorageError::Corrupt(format!(
+        "truncated input: {wanted} bytes wanted, {left} left"
+    ))
 }
+
+#[cold]
+#[inline(never)]
+fn varint_overflow() -> StorageError {
+    StorageError::Corrupt("varint overflows u64".into())
+}
+
+#[cold]
+#[inline(never)]
+fn count_exceeds(n: u64, left: usize) -> StorageError {
+    StorageError::Corrupt(format!("declared count {n} exceeds {left} remaining bytes"))
+}
+
+#[cold]
+#[inline(never)]
+fn trailing(n: usize, what: &str) -> StorageError {
+    StorageError::Corrupt(format!("{n} trailing bytes inside {what}"))
+}
+
+/// The `Reader`-based parse `LogIndex::parse` replaced, kept as its
+/// oracle: on every input both reject with the same error, or both
+/// accept and build the same index.
+#[cfg(test)]
+pub(crate) mod reference {
+    use super::*;
+    use lipstick_core::obs::HeapSize;
+
+    pub(crate) fn parse(data: &[u8], node_count: usize) -> Result<LogIndex> {
+        let body_len = data
+            .len()
+            .checked_sub(TRAILER_LEN)
+            .ok_or_else(|| StorageError::Corrupt("missing footer trailer".into()))?;
+        let mut trailer = Reader::new(&data[body_len..]);
+        let footer_len = trailer.u64_le()?;
+        if trailer.bytes(FOOTER_MAGIC.len())? != FOOTER_MAGIC {
+            return Err(StorageError::Corrupt("bad footer magic".into()));
+        }
+        let version = trailer.u8()?;
+        if version != FOOTER_VERSION {
+            return Err(StorageError::Corrupt(format!(
+                "unsupported footer version {version}"
+            )));
+        }
+        let footer_start = usize::try_from(footer_len)
+            .ok()
+            .and_then(|len| body_len.checked_sub(len))
+            .ok_or_else(|| {
+                StorageError::Corrupt(format!("footer length {footer_len} exceeds file size"))
+            })?;
+        let payload = &data[footer_start..body_len];
+        let mut r = Reader::new(payload);
+        let at = |r: &Reader<'_>| footer_start + payload.len() - r.remaining();
+
+        let declared = r.var_u64()?;
+        if usize::try_from(declared) != Ok(node_count) {
+            return Err(StorageError::Corrupt(format!(
+                "footer node count {declared} does not match header {node_count}"
+            )));
+        }
+        let records_base = r.var_u64()?;
+        let lens_start = at(&r);
+        let mut offsets = Vec::with_capacity(node_count + 1);
+        let mut end = 0u32;
+        offsets.push(end);
+        for _ in 0..node_count {
+            end = u32::try_from(r.var_u64()?)
+                .ok()
+                .and_then(|len| end.checked_add(len))
+                .ok_or_else(|| too_large("record section"))?;
+            offsets.push(end);
+        }
+        let record_lens = lens_start..at(&r);
+        if records_base
+            .checked_add(u64::from(end))
+            .is_none_or(|end| end > footer_start as u64)
+        {
+            return Err(StorageError::Corrupt(
+                "record offsets run past the footer".into(),
+            ));
+        }
+
+        let bitmap_len = node_count.div_ceil(8);
+        let visible = r.bytes(bitmap_len)?.to_vec();
+        let used_bits = node_count % 8;
+        if used_bits != 0 && visible[bitmap_len - 1] >> used_bits != 0 {
+            return Err(StorageError::Corrupt(
+                "visibility bitmap has bits set past the node count".into(),
+            ));
+        }
+        let visible_count = visible.iter().map(|b| b.count_ones() as usize).sum();
+
+        let rows_start = at(&r);
+        let mut succ_starts = Vec::with_capacity(node_count + 1);
+        let mut succ_ids = Vec::new();
+        succ_starts.push(0u32);
+        for _ in 0..node_count {
+            let count = r.count()?;
+            push_id_deltas(&mut r, count, node_count, "successor", &mut succ_ids)?;
+            let end = u32::try_from(succ_ids.len()).map_err(|_| too_large("successor table"))?;
+            succ_starts.push(end);
+        }
+        let succ_rows = rows_start..at(&r);
+
+        let module_postings = get_postings(&mut r, node_count)?;
+        let kind_postings = get_postings(&mut r, node_count)?;
+        r.finish("footer")?;
+        Ok(LogIndex {
+            records_base: records_base as usize,
+            offsets,
+            visible,
+            visible_count,
+            succ_starts,
+            succ_ids,
+            module_postings,
+            kind_postings,
+            record_lens,
+            succ_rows,
+            footer_len: payload.len(),
+        })
+    }
+
+    fn push_id_deltas(
+        r: &mut Reader<'_>,
+        count: usize,
+        node_count: usize,
+        what: &str,
+        out: &mut Vec<NodeId>,
+    ) -> Result<()> {
+        let mut prev = 0u32;
+        for _ in 0..count {
+            prev = prev
+                .checked_add(r.var_u32()?)
+                .filter(|&id| (id as usize) < node_count)
+                .ok_or_else(|| {
+                    StorageError::Corrupt(format!("{what} id beyond node count {node_count}"))
+                })?;
+            out.push(NodeId(prev));
+        }
+        Ok(())
+    }
+
+    fn get_postings(
+        r: &mut Reader<'_>,
+        node_count: usize,
+    ) -> Result<BTreeMap<String, Vec<NodeId>>> {
+        let groups = r.count()?;
+        let mut out = BTreeMap::new();
+        for _ in 0..groups {
+            let name = r.str()?;
+            let count = r.count()?;
+            let mut ids = Vec::with_capacity(count);
+            push_id_deltas(r, count, node_count, "posting", &mut ids)?;
+            out.insert(name, ids);
+        }
+        Ok(out)
+    }
+
+    /// Both parsers over `data`: the same error, or the same index
+    /// through every accessor, in the same allocations. Returns whether
+    /// they accepted it.
+    pub(crate) fn assert_agree(data: &[u8], node_count: usize) -> bool {
+        match (LogIndex::parse(data, node_count), parse(data, node_count)) {
+            (Ok(fast), Ok(oracle)) => {
+                assert_same(&fast, &oracle);
+                true
+            }
+            (Err(fast), Err(oracle)) => {
+                assert_eq!(fast.to_string(), oracle.to_string());
+                false
+            }
+            (fast, oracle) => panic!("the parsers disagree: {fast:?} against {oracle:?}"),
+        }
+    }
+
+    fn assert_same(a: &LogIndex, b: &LogIndex) {
+        assert_eq!(a.node_count(), b.node_count());
+        assert_eq!(a.records_offset(), b.records_offset());
+        assert_eq!(a.invocations_offset(), b.invocations_offset());
+        assert_eq!(a.visible_count(), b.visible_count());
+        assert_eq!(a.visibility(), b.visibility());
+        for id in (0..a.node_count() as u32).map(NodeId) {
+            assert_eq!(a.record_range(id), b.record_range(id), "record {id}");
+            assert_eq!(a.is_visible(id), b.is_visible(id), "visibility of {id}");
+            assert_eq!(a.succs(id), b.succs(id), "succs of {id}");
+        }
+        assert_eq!(a.all_module_postings(), b.all_module_postings());
+        assert_eq!(a.all_kind_postings(), b.all_kind_postings());
+        for name in a
+            .all_module_postings()
+            .keys()
+            .map(String::as_str)
+            .chain(["none"])
+        {
+            assert_eq!(a.module_postings(name), b.module_postings(name));
+        }
+        for name in a
+            .all_kind_postings()
+            .keys()
+            .map(String::as_str)
+            .chain(["none"])
+        {
+            assert_eq!(a.kind_postings(name), b.kind_postings(name));
+        }
+        assert_eq!(
+            (&a.record_lens, &a.succ_rows, a.footer_len()),
+            (&b.record_lens, &b.succ_rows, b.footer_len())
+        );
+        assert_eq!(a.heap_breakdown(), b.heap_breakdown(), "allocations");
+    }
+}
+
+/// The storage integration tests' random graphs.
+#[cfg(test)]
+#[path = "../tests/common/mod.rs"]
+mod test_graphs;
 
 #[cfg(test)]
 mod tests {
@@ -546,5 +1093,240 @@ mod tests {
         let at = bytes.len() - TRAILER_LEN;
         bytes[at..at + 8].copy_from_slice(&u64::MAX.to_le_bytes());
         assert!(LogIndex::parse(&bytes, g.len()).is_err());
+    }
+
+    /// `tests/golden_format.rs`'s sample, built the same way: the v2
+    /// log it pins is this graph's encoding (the hash is asserted).
+    fn golden_sample() -> ProvGraph {
+        use lipstick_core::agg::AggOp;
+        use lipstick_core::graph::tracker::AggItemValue;
+        use lipstick_core::graph::GraphTracker;
+        use lipstick_core::query::{zoom_in, zoom_out};
+        use lipstick_core::{NodeKind, Role, Tracker};
+        use lipstick_nrel::{bag, tuple, Tuple, Value};
+        use std::sync::Arc;
+
+        let mut t = GraphTracker::new();
+        let wi = t.workflow_input("I1");
+        let c2 = t.base("C2");
+        let c3 = t.base(&"C".repeat(200));
+        t.begin_invocation("Mdealer1", 0);
+        let i = t.module_input(wi);
+        let s2 = t.state_node(c2);
+        let s3 = t.state_node(c3);
+        let join = t.times(&[i, s2]);
+        let grp = t.delta(&[join, s3]);
+        let agg = t.agg(
+            AggOp::Avg,
+            &[
+                (join, AggItemValue::Const(Value::Int(-3))),
+                (s3, AggItemValue::Const(Value::Float(2.5))),
+            ],
+        );
+        let bb = t.blackbox("CalcBid", &[grp, agg], true);
+        let proj = t.plus(&[grp]);
+        let out = t.module_output(proj, &[bb]);
+        t.end_invocation();
+        t.begin_invocation("Mzoomed", 70_000);
+        let i2 = t.module_input(out);
+        let x = t.times(&[i2]);
+        let opaque = t.blackbox("Opaque", &[x], false);
+        t.module_output(opaque, &[]);
+        t.end_invocation();
+        let mut g = t.finish();
+        zoom_out(&mut g, &["Mzoomed"]).unwrap();
+        zoom_in(&mut g, &["Mzoomed"]).unwrap();
+        let mut map = BTreeMap::new();
+        map.insert("k".to_string(), Value::Bool(false));
+        map.insert("z".to_string(), Value::str("v"));
+        let values = [
+            Value::Null,
+            Value::Bool(true),
+            Value::Int(i64::MIN),
+            Value::Float(-0.0),
+            Value::str("héllo ⊗"),
+            Value::Tuple(tuple![1i64, "a"]),
+            Value::Bag(bag![tuple!["b", 2i64], Tuple::new(vec![])]),
+            Value::Map(Arc::new(map)),
+        ];
+        let mut consts = Vec::new();
+        for value in values {
+            let c = g.add_node(NodeKind::Const { value }, Role::Free);
+            let tensor = g.add_node(NodeKind::Tensor, Role::Free);
+            g.add_edge(c, tensor);
+            g.add_edge(tensor, agg);
+            consts.push(c);
+        }
+        g.set_node_deleted(consts[3], true);
+        g.set_node_deleted(s2, true);
+        g
+    }
+
+    /// The golden sample grown past three-byte ids, some tombstoned.
+    fn large_graph() -> ProvGraph {
+        let mut g = golden_sample();
+        let mut prev = NodeId(1);
+        for k in 0..20_000u32 {
+            let n = g.add_plus(&[prev]);
+            if k % 7 == 0 {
+                g.set_node_deleted(n, true);
+            }
+            if k % 5000 == 0 {
+                prev = n;
+            }
+        }
+        g
+    }
+
+    /// The parsers agree on whole encodings, on every truncation and on
+    /// every single-bit flip of a footer.
+    #[test]
+    fn parsers_agree_on_every_cut_and_bit_flip() {
+        let golden = golden_sample();
+        let pinned = encode_graph_v2(&golden).unwrap();
+        assert_eq!(
+            (pinned.len(), lipstick_core::obs::fnv1a64(&pinned)),
+            (894, 0xa92f_b734_b79b_e0b8),
+            "the golden v2 log"
+        );
+        for g in [small_graph(), workflow_sample(), golden] {
+            let bytes = encode_graph_v2(&g).unwrap();
+            assert!(reference::assert_agree(&bytes, g.len()));
+            let footer_start = LogIndex::parse(&bytes, g.len()).unwrap().records_offset();
+            for cut in 0..bytes.len() {
+                assert!(!reference::assert_agree(&bytes[..cut], g.len()) || cut == bytes.len());
+            }
+            for at in footer_start..bytes.len() {
+                for bit in 0..8 {
+                    let mut flipped = bytes.clone();
+                    flipped[at] ^= 1 << bit;
+                    reference::assert_agree(&flipped, g.len());
+                }
+            }
+        }
+        let g = large_graph();
+        assert!(reference::assert_agree(
+            &encode_graph_v2(&g).unwrap(),
+            g.len()
+        ));
+    }
+
+    /// A small workflow graph with two invocations and a tombstone.
+    fn workflow_sample() -> ProvGraph {
+        let mut g = test_graphs::random_graph(7);
+        let a = g.add_base("a");
+        g.add_plus(&[a]);
+        g
+    }
+
+    /// The parsers agree on `random_graph` encodings and on every input
+    /// `tests/decoder_fuzz.rs` mutates from them: its cases are drawn
+    /// from the same generator, seeded from that test's name, and every
+    /// mutation draws in the same order, the tail's included.
+    #[test]
+    fn parsers_agree_on_every_decoder_fuzz_input() {
+        use crate::codec::NodeRecord;
+        use crate::log::{encode_graph, read_header};
+        use crate::tail::{self, TailRecord, FRAME_LEN};
+        use proptest::{Arbitrary, ProptestConfig};
+        use rand::{mutate, rngs::StdRng, SeedableRng};
+
+        let agree_as_read = |bytes: &[u8], node_count: usize| {
+            reference::assert_agree(bytes, node_count);
+            if let Ok(header) = read_header(bytes) {
+                reference::assert_agree(bytes, header.node_count);
+            }
+        };
+        let mut cases =
+            proptest::test_rng("decoder_fuzz::mutated_encodings_never_panic_the_decoders");
+        for _ in 0..ProptestConfig::default().cases {
+            let seed = u64::arbitrary(&mut cases);
+            let g = test_graphs::random_graph(seed);
+            let v1 = encode_graph(&g).unwrap();
+            let v2 = encode_graph_v2(&g).unwrap();
+            assert!(reference::assert_agree(&v2, g.len()), "seed {seed}");
+            let nodes = g
+                .iter()
+                .map(|(_, n)| NodeRecord {
+                    deleted: n.is_deleted(),
+                    role: n.role,
+                    kind: n.kind.clone(),
+                    preds: n.preds().to_vec(),
+                })
+                .collect();
+            let records = [
+                TailRecord::AppendGraph {
+                    nodes,
+                    invocations: g.invocations().to_vec(),
+                },
+                TailRecord::Tombstones {
+                    ids: g.iter_visible().map(|(id, _)| id).collect(),
+                },
+                TailRecord::ZoomOut {
+                    modules: vec!["Malpha".into(), "Mbeta".into()],
+                },
+                TailRecord::ZoomIn {
+                    modules: vec!["Mbeta".into()],
+                },
+            ];
+            let frames: Vec<Vec<u8>> = records
+                .iter()
+                .map(|r| tail::encode_record(r).unwrap())
+                .collect();
+            let mut tail_file = tail::encode_header(4096, 64);
+            for frame in &frames {
+                tail_file.extend_from_slice(frame);
+            }
+
+            let mut rng = StdRng::seed_from_u64(seed ^ 0xf022);
+            for _ in 0..64 {
+                agree_as_read(&mutate(&v1, &mut rng), g.len());
+                agree_as_read(&mutate(&v2, &mut rng), g.len());
+                let _ = mutate(&tail_file, &mut rng);
+                let _ = mutate(&rng.pick(&frames)[FRAME_LEN..], &mut rng);
+            }
+        }
+    }
+
+    /// A COMPACT's spliced footer parses the same way through both: the
+    /// golden tail (a fragment, a deletion, a zoom pair; its hash is
+    /// asserted) folded into the golden log, then into a large one.
+    #[test]
+    fn parsers_agree_on_compacted_footers() {
+        use crate::append::AppendLog;
+        use crate::io::{FaultIo, StorageIo};
+        use crate::log::write_graph_v2_io;
+        use lipstick_core::query::plan_zoom_out;
+        use lipstick_core::store::GraphStore;
+        use std::path::Path;
+        use std::sync::Arc;
+
+        for (base, tail_pin) in [
+            (golden_sample(), Some((640, 0x02d7_4cae_e959_7a46))),
+            (large_graph(), None),
+        ] {
+            let io = FaultIo::new();
+            let path = Path::new("/golden/sample.lpstk");
+            write_graph_v2_io(&base, path, &io).unwrap();
+            io.sync(path).unwrap();
+            let mut log = AppendLog::open_with_io(path, Arc::new(io.clone())).unwrap();
+            log.commit_fragment(&golden_sample()).unwrap();
+            let n = base.len() as u32;
+            log.commit_tombstones(&[NodeId(1), NodeId(n + 2)]).unwrap();
+            let plans = plan_zoom_out(&log, &["Mdealer1"], &[], log.stash_count()).unwrap();
+            log.commit_zoom_out(plans).unwrap();
+            log.commit_zoom_in(&["Mdealer1".to_string()]).unwrap();
+            if let Some(pin) = tail_pin {
+                let tail = io.contents(Path::new("/golden/sample.lpstk.tail")).unwrap();
+                assert_eq!(
+                    (tail.len(), lipstick_core::obs::fnv1a64(&tail)),
+                    pin,
+                    "the golden tail"
+                );
+            }
+            let nodes = log.node_count();
+            log.compact().unwrap();
+            assert!(reference::assert_agree(&io.contents(path).unwrap(), nodes));
+        }
     }
 }

@@ -39,7 +39,7 @@ use lipstick_core::{InvocationId, NodeId, NodeKind, Role};
 
 use crate::codec::{get_record, get_record_role, role_from_tag, role_tag};
 use crate::error::{Result, StorageError};
-use crate::footer::LogIndex;
+use crate::footer::{LogIndex, SealedSections};
 use crate::log::{check_refs, get_sealed_invocations, read_header, VERSION_V2};
 use crate::reader::Reader;
 
@@ -198,6 +198,12 @@ impl PagedLog {
     /// invocation table.
     pub(crate) fn record_section(&self) -> &[u8] {
         &self.data[self.index.records_offset()..self.index.invocations_offset()]
+    }
+
+    /// The footer's encoded record lengths and successor rows, for a
+    /// splice to copy.
+    pub(crate) fn sealed_sections(&self) -> Option<SealedSections<'_>> {
+        self.index.sealed_sections(&self.data)
     }
 
     /// Append invocations to the table, for an append log whose tail
