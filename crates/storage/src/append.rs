@@ -885,16 +885,30 @@ impl AppendLog {
         sealed: &'a [NodeId],
         matches: impl Fn(&OverlayNode) -> bool,
     ) -> Cow<'a, [NodeId]> {
-        let appended: Vec<NodeId> = self
+        let appended = self
             .overlay_nodes()
             .filter(|&(id, node)| self.is_visible(id) && matches(node))
             .map(|(id, _)| id)
             .collect();
+        self.merged_postings(sealed, appended)
+    }
+
+    /// The sealed list, filtered by visibility once the tail has changed
+    /// a sealed node's, then `appended` (visible overlay ids, ascending);
+    /// lent when neither changes it.
+    fn merged_postings<'a>(
+        &self,
+        sealed: &'a [NodeId],
+        appended: Vec<NodeId>,
+    ) -> Cow<'a, [NodeId]> {
         if self.sealed_flips == 0 && appended.is_empty() {
             return Cow::Borrowed(sealed);
         }
-        let visible = sealed.iter().copied().filter(|&id| self.is_visible(id));
-        Cow::Owned(visible.chain(appended).collect())
+        // Sized once: a filtered `collect` would grow it by doubling.
+        let mut ids = Vec::with_capacity(sealed.len() + appended.len());
+        ids.extend(sealed.iter().copied().filter(|&id| self.is_visible(id)));
+        ids.extend(appended);
+        Cow::Owned(ids)
     }
 
     // ----- compaction -----
@@ -1209,7 +1223,9 @@ impl AppendLog {
 /// The footer of a spliced image, answered from what the log already
 /// holds instead of from a decoded graph: the live bitmap, the sealed
 /// CSR rows (or `extra_succs`-grown copies) and overlay `succs`, and the
-/// sealed postings with the overlay's ids appended — all lent.
+/// sealed postings with the overlay's ids appended, as
+/// [`AppendLog::merged_postings`] merges them: a group the tail did not
+/// change is lent.
 struct SpliceFooter<'a>(&'a AppendLog);
 
 impl FooterSource for SpliceFooter<'_> {
@@ -1222,8 +1238,7 @@ impl FooterSource for SpliceFooter<'_> {
     }
 
     // Overlay ids all exceed sealed ids and are walked in id order, so
-    // appending them keeps every group ascending. The sealed lists are
-    // filtered only once the tail has hidden a sealed node.
+    // appending them keeps every group ascending.
     fn postings(&self) -> FooterPostings<'_> {
         let log = self.0;
         let mut by_module: BTreeMap<&str, Vec<NodeId>> = BTreeMap::new();
@@ -1237,16 +1252,16 @@ impl FooterSource for SpliceFooter<'_> {
         }
         let index = log.base.index();
         FooterPostings {
-            by_module: merged(index.all_module_postings(), by_module),
-            by_kind: merged(index.all_kind_postings(), by_kind),
-            filtered: log.sealed_flips > 0,
+            by_module: merged(log, index.all_module_postings(), by_module),
+            by_kind: merged(log, index.all_kind_postings(), by_kind),
         }
     }
 }
 
-/// The sealed groups, lent, with the overlay's ids appended, and the
-/// overlay's new groups, in name order.
+/// The sealed groups merged with the overlay's ids, and the overlay's
+/// new groups, in name order.
 fn merged<'a>(
+    log: &AppendLog,
     sealed: &'a BTreeMap<String, Vec<NodeId>>,
     mut appended: BTreeMap<&'a str, Vec<NodeId>>,
 ) -> Vec<PostingGroup<'a>> {
@@ -1254,14 +1269,12 @@ fn merged<'a>(
         .iter()
         .map(|(name, ids)| PostingGroup {
             name,
-            ids,
-            appended: appended.remove(name.as_str()).unwrap_or_default(),
+            ids: log.merged_postings(ids, appended.remove(name.as_str()).unwrap_or_default()),
         })
         .collect();
     groups.extend(appended.into_iter().map(|(name, ids)| PostingGroup {
         name,
-        ids: &[],
-        appended: ids,
+        ids: Cow::Owned(ids),
     }));
     groups.sort_unstable_by_key(|group| group.name);
     groups

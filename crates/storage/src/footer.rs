@@ -48,27 +48,20 @@ pub const FOOTER_VERSION: u8 = 1;
 /// Fixed trailer width: footer_len (8) + magic (4) + version (1).
 pub const TRAILER_LEN: usize = 13;
 
-/// One posting group as a [`FooterSource`] lends it: the kept `ids`,
-/// then `appended`.
+/// One posting group as a [`FooterSource`] gives it.
 #[derive(Debug)]
 pub struct PostingGroup<'a> {
     pub name: &'a str,
-    /// Ascending. Under [`FooterPostings::filtered`] only the ids the
-    /// footer's bitmap shows visible are written.
-    pub ids: &'a [NodeId],
-    /// Ascending, each above every id in `ids`, all visible.
-    pub appended: Vec<NodeId>,
+    /// Ascending, all visible. An empty group is not written.
+    pub ids: Cow<'a, [NodeId]>,
 }
 
 /// Posting groups by module and by kind, each list in ascending name
-/// order with every name once. A group that ends up empty is dropped.
+/// order with every name once.
 #[derive(Debug)]
 pub struct FooterPostings<'a> {
     pub by_module: Vec<PostingGroup<'a>>,
     pub by_kind: Vec<PostingGroup<'a>>,
-    /// The lent `ids` may name nodes hidden since they were listed, so
-    /// the writer keeps only those the footer's bitmap shows visible.
-    pub filtered: bool,
 }
 
 /// What the footer is built from, besides the record offsets the
@@ -76,7 +69,8 @@ pub struct FooterPostings<'a> {
 /// feed it: a [`ProvGraph`] being encoded, and `AppendLog`'s COMPACT,
 /// which assembles the same answers from the sealed index it already
 /// holds plus its overlay — both go through [`FooterWriter::finish`], so
-/// the byte layout exists once. Rows and lists are lent, not copied.
+/// the byte layout exists once. Rows and lists are lent where they can
+/// be.
 pub trait FooterSource {
     /// `ceil(node_count / 8)` bytes, bit i set = node i visible, padding
     /// bits clear.
@@ -114,7 +108,6 @@ impl FooterSource for ProvGraph {
         FooterPostings {
             by_module: by_name(postings.modules()),
             by_kind: by_name(postings.kinds()),
-            filtered: false,
         }
     }
 }
@@ -126,8 +119,7 @@ fn by_name<'a, 'n: 'a>(
     let mut groups: Vec<PostingGroup<'a>> = groups
         .map(|(name, ids)| PostingGroup {
             name,
-            ids,
-            appended: Vec::new(),
+            ids: Cow::Borrowed(ids),
         })
         .collect();
     groups.sort_unstable_by_key(|g| g.name);
@@ -241,9 +233,8 @@ impl<'a> FooterWriter<'a> {
         }
 
         let postings = source.postings();
-        let filter = postings.filtered.then_some(&*bitmap);
-        put_postings(buf, &postings.by_module, filter, &mut scratch);
-        put_postings(buf, &postings.by_kind, filter, &mut scratch);
+        put_postings(buf, &postings.by_module);
+        put_postings(buf, &postings.by_kind);
 
         // Trailer.
         let footer_len = u64::try_from(buf.len() - start).unwrap_or(u64::MAX);
@@ -281,16 +272,16 @@ fn copy_rows(
 /// ends. Run only over rows a parse accepted; anything else ends the
 /// walk at the end of `rows`.
 fn row_end(rows: &[u8], at: usize) -> usize {
-    let mut cursor = Cursor { buf: rows, at };
-    let Ok(count) = cursor.varint() else {
+    let mut r = Reader::new(rows.get(at..).unwrap_or_default());
+    let Ok(count) = r.count() else {
         return rows.len();
     };
     for _ in 0..count {
-        if cursor.varint().is_err() {
+        if r.var_u64().is_err() {
             return rows.len();
         }
     }
-    cursor.at
+    rows.len() - r.remaining()
 }
 
 /// A successor row, sorted (a copy, only if it is not already).
@@ -315,35 +306,14 @@ fn put_id_deltas(buf: &mut Vec<u8>, ids: &[NodeId]) {
     }
 }
 
-/// Bit `id` of a visibility bitmap.
-fn shown(bitmap: &[u8], id: NodeId) -> bool {
-    bitmap
-        .get(id.index() / 8)
-        .is_some_and(|byte| byte >> (id.index() % 8) & 1 != 0)
-}
-
 /// Postings cover visible nodes only, so a name none of whose nodes is
-/// visible has no group. Under `filter`, the lent ids are kept only if
-/// its bit is set.
-fn put_postings(
-    buf: &mut Vec<u8>,
-    groups: &[PostingGroup<'_>],
-    filter: Option<&[u8]>,
-    scratch: &mut Vec<NodeId>,
-) {
-    let kept = |id: &NodeId| filter.is_none_or(|bitmap| shown(bitmap, *id));
-    let live = |g: &&PostingGroup<'_>| !g.appended.is_empty() || g.ids.iter().any(kept);
+/// visible has no group.
+fn put_postings(buf: &mut Vec<u8>, groups: &[PostingGroup<'_>]) {
+    let live = |g: &&PostingGroup<'_>| !g.ids.is_empty();
     put_len(buf, groups.iter().filter(live).count());
     for group in groups.iter().filter(live) {
         put_str(buf, group.name);
-        if filter.is_none() && group.appended.is_empty() {
-            put_id_deltas(buf, group.ids);
-            continue;
-        }
-        scratch.clear();
-        scratch.extend(group.ids.iter().copied().filter(kept));
-        scratch.extend_from_slice(&group.appended);
-        put_id_deltas(buf, scratch);
+        put_id_deltas(buf, &group.ids);
     }
 }
 
@@ -406,32 +376,32 @@ impl LogIndex {
     /// footer makes is validated against the file's bounds, so a
     /// truncated or garbled footer is an error, never a panic or an
     /// oversized allocation. Every list — record lengths, successor
-    /// rows, postings — goes through one decoder, [`Cursor::sums`].
+    /// rows, postings — goes through one decoder, [`sums`].
     pub fn parse(data: &[u8], node_count: usize) -> Result<LogIndex> {
         let (footer_start, body_len) = locate_footer(data)?;
-        let mut r = Cursor {
-            buf: data.get(footer_start..body_len).unwrap_or_default(),
-            at: 0,
-        };
+        let mut r = Reader::new(data.get(footer_start..body_len).unwrap_or_default());
+        // The file offset of the next byte `r` reads.
+        let at = |r: &Reader<'_>| body_len - r.remaining();
 
-        let declared = r.varint()?;
+        let declared = r.var_u64()?;
         if usize::try_from(declared) != Ok(node_count) {
             return Err(StorageError::Corrupt(format!(
                 "footer node count {declared} does not match header {node_count}"
             )));
         }
-        let records_base = r.varint()?;
-        let lens_start = r.at;
+        let records_base = r.var_u64()?;
+        let lens_start = at(&r);
         let mut offsets = Vec::with_capacity(node_count + 1);
         offsets.push(0u32);
-        let end = r.sums(
+        let end = sums(
+            &mut r,
             node_count,
             RECORD_SECTION_LIMIT,
             &mut offsets,
             |at| at,
             |_| too_large("record section"),
         )?;
-        let record_lens = footer_start + lens_start..footer_start + r.at;
+        let record_lens = lens_start..at(&r);
         let records_base = records_within(records_base, end, footer_start)?;
 
         let bitmap_len = node_count.div_ceil(8);
@@ -449,25 +419,23 @@ impl LogIndex {
         // Ids must name a node, and fit the `u32` a `NodeId` holds.
         let id_limit =
             u64::try_from(node_count).map_or(RECORD_SECTION_LIMIT, |n| n.min(RECORD_SECTION_LIMIT));
-        let rows_start = r.at;
+        let rows_start = at(&r);
         let mut succ_starts = Vec::with_capacity(node_count + 1);
         let mut succ_ids = Vec::new();
         succ_starts.push(0u32);
         for _ in 0..node_count {
             let count = r.count()?;
-            r.sums(count, id_limit, &mut succ_ids, NodeId, |delta| {
+            sums(&mut r, count, id_limit, &mut succ_ids, NodeId, |delta| {
                 beyond("successor", node_count, delta)
             })?;
             let end = u32::try_from(succ_ids.len()).map_err(|_| too_large("successor table"))?;
             succ_starts.push(end);
         }
-        let succ_rows = footer_start + rows_start..footer_start + r.at;
+        let succ_rows = rows_start..at(&r);
 
-        let module_postings = r.postings(id_limit, node_count)?;
-        let kind_postings = r.postings(id_limit, node_count)?;
-        if r.at != r.buf.len() {
-            return Err(trailing(r.buf.len() - r.at, "footer"));
-        }
+        let module_postings = postings(&mut r, id_limit, node_count)?;
+        let kind_postings = postings(&mut r, id_limit, node_count)?;
+        r.finish("footer")?;
         Ok(LogIndex {
             records_base,
             offsets,
@@ -616,126 +584,51 @@ fn widen(x: u32) -> usize {
     usize::try_from(x).unwrap_or(usize::MAX)
 }
 
-/// The footer parse's read cursor: an index into the payload. It makes
-/// every check [`Reader`] makes, with the same errors, but reads a
-/// one-byte varint — most record lengths and id deltas — in one branch.
-struct Cursor<'a> {
-    buf: &'a [u8],
-    at: usize,
+/// The id-list kernel every footer list goes through: `count` varints,
+/// each a delta from the value before (from 0), whose running sums are
+/// pushed onto `out` through `wrap`. A sum at or past `limit` (at most
+/// 2³²) is the error `bad` builds from the delta. Returns the last sum.
+#[inline(always)]
+fn sums<T>(
+    r: &mut Reader<'_>,
+    count: usize,
+    limit: u64,
+    out: &mut Vec<T>,
+    wrap: impl Fn(u32) -> T,
+    bad: impl Fn(u64) -> StorageError,
+) -> Result<u32> {
+    let mut sum = 0u32;
+    for _ in 0..count {
+        let delta = r.var_u64()?;
+        let next = u64::from(sum).saturating_add(delta);
+        sum = match u32::try_from(next) {
+            Ok(next32) if next < limit => next32,
+            _ => return Err(bad(delta)),
+        };
+        out.push(wrap(sum));
+    }
+    Ok(sum)
 }
 
-impl<'a> Cursor<'a> {
-    #[inline]
-    fn remaining(&self) -> usize {
-        self.buf.len().saturating_sub(self.at)
+/// One postings section: a group count, then per group a name and an
+/// id list. A repeated name keeps its last list.
+fn postings(
+    r: &mut Reader<'_>,
+    id_limit: u64,
+    node_count: usize,
+) -> Result<BTreeMap<String, Vec<NodeId>>> {
+    let groups = r.count()?;
+    let mut out = BTreeMap::new();
+    for _ in 0..groups {
+        let name = r.str()?;
+        let count = r.count()?;
+        let mut ids = Vec::with_capacity(count);
+        sums(r, count, id_limit, &mut ids, NodeId, |delta| {
+            beyond("posting", node_count, delta)
+        })?;
+        out.insert(name, ids);
     }
-
-    /// An unsigned varint.
-    #[inline(always)]
-    fn varint(&mut self) -> Result<u64> {
-        match self.buf.get(self.at) {
-            Some(&byte) if byte < 0x80 => {
-                self.at += 1;
-                Ok(u64::from(byte))
-            }
-            _ => self.long_varint(),
-        }
-    }
-
-    /// A varint of any width, as [`Reader::var_u64`] reads it.
-    #[inline(never)]
-    fn long_varint(&mut self) -> Result<u64> {
-        let mut v: u64 = 0;
-        let mut shift = 0u32;
-        loop {
-            let Some(&byte) = self.buf.get(self.at) else {
-                return Err(truncated(1, 0));
-            };
-            self.at += 1;
-            if shift >= 64 {
-                return Err(varint_overflow());
-            }
-            v |= u64::from(byte & 0x7f) << shift;
-            if byte & 0x80 == 0 {
-                return Ok(v);
-            }
-            shift += 7;
-        }
-    }
-
-    /// A count of elements of a byte or more each, bounded by the bytes
-    /// left (as [`Reader::count`]).
-    #[inline]
-    fn count(&mut self) -> Result<usize> {
-        let n = self.varint()?;
-        match usize::try_from(n) {
-            Ok(n) if n <= self.remaining() => Ok(n),
-            _ => Err(count_exceeds(n, self.remaining())),
-        }
-    }
-
-    /// The next `n` bytes, borrowed.
-    fn bytes(&mut self, n: usize) -> Result<&'a [u8]> {
-        let Some(bytes) = self
-            .at
-            .checked_add(n)
-            .and_then(|end| self.buf.get(self.at..end))
-        else {
-            return Err(truncated(n, self.remaining()));
-        };
-        self.at += n;
-        Ok(bytes)
-    }
-
-    /// The id-list kernel every footer list goes through: `count`
-    /// varints, each a delta from the value before (from 0), whose
-    /// running sums are pushed onto `out` through `wrap`. A sum at or
-    /// past `limit` (at most 2³²) is the error `bad` builds from the
-    /// delta. Returns the last sum.
-    #[inline(always)]
-    fn sums<T>(
-        &mut self,
-        count: usize,
-        limit: u64,
-        out: &mut Vec<T>,
-        wrap: impl Fn(u32) -> T,
-        bad: impl Fn(u64) -> StorageError,
-    ) -> Result<u32> {
-        let mut sum = 0u32;
-        for _ in 0..count {
-            let delta = self.varint()?;
-            let next = u64::from(sum).saturating_add(delta);
-            sum = match u32::try_from(next) {
-                Ok(next32) if next < limit => next32,
-                _ => return Err(bad(delta)),
-            };
-            out.push(wrap(sum));
-        }
-        Ok(sum)
-    }
-
-    /// One postings section: a group count, then per group a name and
-    /// an id list. A repeated name keeps its last list.
-    fn postings(
-        &mut self,
-        id_limit: u64,
-        node_count: usize,
-    ) -> Result<BTreeMap<String, Vec<NodeId>>> {
-        let groups = self.count()?;
-        let mut out = BTreeMap::new();
-        for _ in 0..groups {
-            let len = self.count()?;
-            let name = std::str::from_utf8(self.bytes(len)?)
-                .map_err(|_| StorageError::Corrupt("invalid UTF-8".into()))?;
-            let count = self.count()?;
-            let mut ids = Vec::with_capacity(count);
-            self.sums(count, id_limit, &mut ids, NodeId, |delta| {
-                beyond("posting", node_count, delta)
-            })?;
-            out.insert(name.to_owned(), ids);
-        }
-        Ok(out)
-    }
+    Ok(out)
 }
 
 /// The index addresses records and successor entries with `u32`s.
@@ -753,32 +646,6 @@ fn beyond(what: &str, node_count: usize, delta: u64) -> StorageError {
         return StorageError::Corrupt(format!("value {delta} overflows 32-bit field"));
     }
     StorageError::Corrupt(format!("{what} id beyond node count {node_count}"))
-}
-
-#[cold]
-#[inline(never)]
-fn truncated(wanted: usize, left: usize) -> StorageError {
-    StorageError::Corrupt(format!(
-        "truncated input: {wanted} bytes wanted, {left} left"
-    ))
-}
-
-#[cold]
-#[inline(never)]
-fn varint_overflow() -> StorageError {
-    StorageError::Corrupt("varint overflows u64".into())
-}
-
-#[cold]
-#[inline(never)]
-fn count_exceeds(n: u64, left: usize) -> StorageError {
-    StorageError::Corrupt(format!("declared count {n} exceeds {left} remaining bytes"))
-}
-
-#[cold]
-#[inline(never)]
-fn trailing(n: usize, what: &str) -> StorageError {
-    StorageError::Corrupt(format!("{n} trailing bytes inside {what}"))
 }
 
 /// The `Reader`-based parse `LogIndex::parse` replaced, kept as its
@@ -977,6 +844,11 @@ pub(crate) mod reference {
 #[cfg(test)]
 #[path = "../tests/common/mod.rs"]
 mod test_graphs;
+
+/// The decoder mutation fuzz's cases.
+#[cfg(test)]
+#[path = "../tests/common/fuzz_cases.rs"]
+mod fuzz_cases;
 
 #[cfg(test)]
 mod tests {
@@ -1219,17 +1091,12 @@ mod tests {
         g
     }
 
-    /// The parsers agree on `random_graph` encodings and on every input
-    /// `tests/decoder_fuzz.rs` mutates from them: its cases are drawn
-    /// from the same generator, seeded from that test's name, and every
-    /// mutation draws in the same order, the tail's included.
+    /// The parsers agree on `random_graph` encodings and on every log
+    /// `tests/decoder_fuzz.rs` mutates from them: both draw their cases
+    /// from `fuzz_cases`.
     #[test]
     fn parsers_agree_on_every_decoder_fuzz_input() {
-        use crate::codec::NodeRecord;
-        use crate::log::{encode_graph, read_header};
-        use crate::tail::{self, TailRecord, FRAME_LEN};
-        use proptest::{Arbitrary, ProptestConfig};
-        use rand::{mutate, rngs::StdRng, SeedableRng};
+        use crate::log::read_header;
 
         let agree_as_read = |bytes: &[u8], node_count: usize| {
             reference::assert_agree(bytes, node_count);
@@ -1237,53 +1104,11 @@ mod tests {
                 reference::assert_agree(bytes, header.node_count);
             }
         };
-        let mut cases =
-            proptest::test_rng("decoder_fuzz::mutated_encodings_never_panic_the_decoders");
-        for _ in 0..ProptestConfig::default().cases {
-            let seed = u64::arbitrary(&mut cases);
-            let g = test_graphs::random_graph(seed);
-            let v1 = encode_graph(&g).unwrap();
-            let v2 = encode_graph_v2(&g).unwrap();
-            assert!(reference::assert_agree(&v2, g.len()), "seed {seed}");
-            let nodes = g
-                .iter()
-                .map(|(_, n)| NodeRecord {
-                    deleted: n.is_deleted(),
-                    role: n.role,
-                    kind: n.kind.clone(),
-                    preds: n.preds().to_vec(),
-                })
-                .collect();
-            let records = [
-                TailRecord::AppendGraph {
-                    nodes,
-                    invocations: g.invocations().to_vec(),
-                },
-                TailRecord::Tombstones {
-                    ids: g.iter_visible().map(|(id, _)| id).collect(),
-                },
-                TailRecord::ZoomOut {
-                    modules: vec!["Malpha".into(), "Mbeta".into()],
-                },
-                TailRecord::ZoomIn {
-                    modules: vec!["Mbeta".into()],
-                },
-            ];
-            let frames: Vec<Vec<u8>> = records
-                .iter()
-                .map(|r| tail::encode_record(r).unwrap())
-                .collect();
-            let mut tail_file = tail::encode_header(4096, 64);
-            for frame in &frames {
-                tail_file.extend_from_slice(frame);
-            }
-
-            let mut rng = StdRng::seed_from_u64(seed ^ 0xf022);
-            for _ in 0..64 {
-                agree_as_read(&mutate(&v1, &mut rng), g.len());
-                agree_as_read(&mutate(&v2, &mut rng), g.len());
-                let _ = mutate(&tail_file, &mut rng);
-                let _ = mutate(&rng.pick(&frames)[FRAME_LEN..], &mut rng);
+        for mut case in fuzz_cases::cases(test_graphs::random_graph) {
+            let n = case.graph.len();
+            assert!(reference::assert_agree(&case.v2, n), "seed {}", case.seed);
+            for _ in 0..fuzz_cases::MUTATIONS {
+                case.round(|log| agree_as_read(log, n), |_, _, _| {});
             }
         }
     }

@@ -33,6 +33,11 @@
 //! assert_eq!(g.visible_signature(), g2.visible_signature());
 //! ```
 
+// Lets the unit tests share files with the integration tests, which
+// name this crate from outside.
+#[cfg(test)]
+extern crate self as lipstick_storage;
+
 pub mod append;
 pub mod codec;
 pub mod error;

@@ -46,6 +46,25 @@ impl<'a> Reader<'a> {
         Ok(*head)
     }
 
+    /// The bytes left, not consumed.
+    #[inline]
+    pub(crate) fn rest(&self) -> &'a [u8] {
+        self.buf
+    }
+
+    /// The next byte if there is one and `take` accepts it; otherwise
+    /// `None`, and nothing is consumed.
+    #[inline]
+    pub(crate) fn u8_if(&mut self, take: impl FnOnce(u8) -> bool) -> Option<u8> {
+        match self.buf.split_first() {
+            Some((&byte, rest)) if take(byte) => {
+                self.buf = rest;
+                Some(byte)
+            }
+            _ => None,
+        }
+    }
+
     #[inline]
     pub fn u8(&mut self) -> Result<u8> {
         let Some((&byte, rest)) = self.buf.split_first() else {
@@ -81,7 +100,7 @@ impl<'a> Reader<'a> {
 
 #[cold]
 #[inline(never)]
-fn truncated(wanted: usize, left: usize) -> StorageError {
+pub(crate) fn truncated(wanted: usize, left: usize) -> StorageError {
     StorageError::Corrupt(format!(
         "truncated input: {wanted} bytes wanted, {left} left"
     ))

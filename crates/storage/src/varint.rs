@@ -4,7 +4,7 @@
 //! [`Reader`].
 
 use crate::error::{Result, StorageError};
-use crate::reader::Reader;
+use crate::reader::{truncated, Reader};
 
 /// Append an unsigned varint.
 pub fn put_u64(buf: &mut Vec<u8>, mut v: u64) {
@@ -39,22 +39,17 @@ pub fn put_str(buf: &mut Vec<u8>, s: &str) {
 }
 
 impl Reader<'_> {
-    /// Read an unsigned varint.
+    /// Read an unsigned varint. A one-byte varint — most record
+    /// lengths, id deltas and counts — is one branch; a wider one is
+    /// read out of line.
     #[inline]
     pub fn var_u64(&mut self) -> Result<u64> {
-        let mut v: u64 = 0;
-        let mut shift = 0u32;
-        loop {
-            let byte = self.u8()?;
-            if shift >= 64 {
-                return Err(StorageError::Corrupt("varint overflows u64".into()));
-            }
-            v |= u64::from(byte & 0x7f) << shift;
-            if byte & 0x80 == 0 {
-                return Ok(v);
-            }
-            shift += 7;
+        if let Some(byte) = self.u8_if(|byte| byte < 0x80) {
+            return Ok(u64::from(byte));
         }
+        let (v, len) = long_var_u64(self.rest())?;
+        self.bytes(len)?;
+        Ok(v)
     }
 
     /// Read a varint that must fit in `u32` (node ids, invocation ids,
@@ -82,10 +77,7 @@ impl Reader<'_> {
         let n = self.var_u64()?;
         match usize::try_from(n) {
             Ok(n) if n <= self.remaining() => Ok(n),
-            _ => Err(StorageError::Corrupt(format!(
-                "declared count {n} exceeds {} remaining bytes",
-                self.remaining()
-            ))),
+            _ => Err(count_exceeds(n, self.remaining())),
         }
     }
 
@@ -116,6 +108,39 @@ impl Reader<'_> {
     }
 }
 
+/// The varint of any width that `buf` starts with, and its length. Out
+/// of line, not `#[cold]`: absolute ids in records are mostly wider than
+/// one byte. It takes the bytes, not the [`Reader`], so that a caller's
+/// reader can stay in registers.
+#[inline(never)]
+fn long_var_u64(buf: &[u8]) -> Result<(u64, usize)> {
+    let mut v: u64 = 0;
+    let mut shift = 0u32;
+    for (at, &byte) in buf.iter().enumerate() {
+        if shift >= 64 {
+            return Err(varint_overflow());
+        }
+        v |= u64::from(byte & 0x7f) << shift;
+        if byte & 0x80 == 0 {
+            return Ok((v, at + 1));
+        }
+        shift += 7;
+    }
+    Err(truncated(1, 0))
+}
+
+#[cold]
+#[inline(never)]
+fn varint_overflow() -> StorageError {
+    StorageError::Corrupt("varint overflows u64".into())
+}
+
+#[cold]
+#[inline(never)]
+fn count_exceeds(n: u64, left: usize) -> StorageError {
+    StorageError::Corrupt(format!("declared count {n} exceeds {left} remaining bytes"))
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -144,6 +169,21 @@ mod tests {
         let mut b = Vec::new();
         put_u64(&mut b, u64::MAX);
         assert!(Reader::new(&b[..b.len() - 1]).var_u64().is_err());
+    }
+
+    #[test]
+    fn overlong_varint_is_error() {
+        let mut b = vec![0x80; 10];
+        b.push(0);
+        let err = Reader::new(&b).var_u64().unwrap_err();
+        assert!(
+            matches!(&err, StorageError::Corrupt(m) if m == "varint overflows u64"),
+            "{err}"
+        );
+        // A tenth byte's high bits are dropped, as they always were.
+        let mut b = vec![0x80; 9];
+        b.push(0x7f);
+        assert_eq!(Reader::new(&b).var_u64().unwrap(), 1 << 63);
     }
 
     #[test]

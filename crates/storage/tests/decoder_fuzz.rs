@@ -3,9 +3,10 @@
 //! footer parse) and the `.tail`
 //! sidecar (recovery, and payload decode past the checksum).
 //!
-//! Each case encodes one random graph, then applies `MUTATIONS` rounds
-//! of `rand::mutate` (bit flips, byte overwrites, truncations and
-//! spliced large decimals) to each encoding. The assertions: no decoder
+//! The cases come from `common/fuzz_cases.rs`: each encodes one random
+//! graph, then applies `MUTATIONS` rounds of `rand::mutate` (bit flips,
+//! byte overwrites, truncations and spliced large decimals) to each
+//! encoding. The assertions: no decoder
 //! panics, and whatever decodes is safe to query — a loaded graph or a
 //! verified paged log names only invocations its table holds, since a
 //! query indexes the table by that id, and every `m` node carries an
@@ -16,19 +17,20 @@
 //! in CI.
 
 mod common;
+#[path = "common/fuzz_cases.rs"]
+mod fuzz_cases;
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 
 use common::random_graph;
+use fuzz_cases::{BASE_LEN, BASE_NODES, MUTATIONS};
 use lipstick_core::graph::Node;
 use lipstick_core::store::GraphStore;
-use lipstick_core::{NodeId, NodeKind, ProvGraph, Role};
+use lipstick_core::{NodeId, NodeKind, Role};
 use lipstick_storage::codec::{NodeRecord, MIN_RECORD_BYTES};
 use lipstick_storage::tail::{self, TailRecord, FRAME_LEN};
-use lipstick_storage::{decode_graph, encode_graph, encode_graph_v2, LogIndex, PagedLog};
-use proptest::prelude::*;
-use rand::{mutate, rngs::StdRng, SeedableRng};
+use lipstick_storage::{decode_graph, LogIndex, PagedLog};
 
 /// Records the largest single allocation this thread asks for.
 struct LargestAllocation;
@@ -95,13 +97,6 @@ fn bounded<T>(what: &str, input: &[u8], decode: impl FnOnce(&[u8]) -> T) -> T {
     );
     out
 }
-
-/// Mutated inputs per encoding per case.
-const MUTATIONS: usize = 64;
-
-/// What the tail header binds to; any values do for decoding.
-const BASE_LEN: u64 = 4096;
-const BASE_NODES: u64 = 64;
 
 /// What a query reads through a node's role: the invocation it names
 /// must be in the table, and an `m` node must name one.
@@ -175,66 +170,25 @@ fn decode_log(bytes: &[u8], node_count: usize) {
     }
 }
 
-/// A tail of one record of each kind, built from `g`.
-fn tail_records(g: &ProvGraph) -> Vec<TailRecord> {
-    let nodes = g
-        .iter()
-        .map(|(_, n)| NodeRecord {
-            deleted: n.is_deleted(),
-            role: n.role,
-            kind: n.kind.clone(),
-            preds: n.preds().to_vec(),
-        })
-        .collect();
-    vec![
-        TailRecord::AppendGraph {
-            nodes,
-            invocations: g.invocations().to_vec(),
-        },
-        TailRecord::Tombstones {
-            ids: g.iter_visible().map(|(id, _)| id).collect(),
-        },
-        TailRecord::ZoomOut {
-            modules: vec!["Malpha".into(), "Mbeta".into()],
-        },
-        TailRecord::ZoomIn {
-            modules: vec!["Mbeta".into()],
-        },
-    ]
-}
-
-proptest! {
-    #[test]
-    fn mutated_encodings_never_panic_the_decoders(seed: u64) {
-        let g = random_graph(seed);
-        let v1 = encode_graph(&g).unwrap();
-        let v2 = encode_graph_v2(&g).unwrap();
-        let records = tail_records(&g);
-        let frames: Vec<Vec<u8>> = records
-            .iter()
-            .map(|r| tail::encode_record(r).unwrap())
-            .collect();
-        let mut tail_file = tail::encode_header(BASE_LEN, BASE_NODES);
-        for frame in &frames {
-            tail_file.extend_from_slice(frame);
-        }
-
-        let mut rng = StdRng::seed_from_u64(seed ^ 0xf022);
+#[test]
+fn mutated_encodings_never_panic_the_decoders() {
+    for mut case in fuzz_cases::cases(random_graph) {
+        let (seed, n) = (case.seed, case.graph.len());
         for _ in 0..MUTATIONS {
-            decode_log(&mutate(&v1, &mut rng), g.len());
-            decode_log(&mutate(&v2, &mut rng), g.len());
-
-            // Recovery keeps a clean prefix of what was written...
-            let torn = mutate(&tail_file, &mut rng);
-            let recover = |b: &[u8]| tail::recover(b, BASE_LEN, BASE_NODES);
-            if let Ok((recovered, clean)) = bounded("tail::recover", &torn, recover) {
-                prop_assert!(clean <= torn.len());
-                prop_assert_eq!(recovered.as_slice(), &records[..recovered.len()]);
-            }
-            // ...so the payload decoder only ever sees checksummed
-            // bytes there; hand it garbage directly.
-            let payload = mutate(&rng.pick(&frames)[FRAME_LEN..], &mut rng);
-            let _ = bounded("tail::decode_payload", &payload, tail::decode_payload);
+            case.round(
+                |log| decode_log(log, n),
+                |torn, payload, records| {
+                    // Recovery keeps a clean prefix of what was written...
+                    let recover = |b: &[u8]| tail::recover(b, BASE_LEN, BASE_NODES);
+                    if let Ok((recovered, clean)) = bounded("tail::recover", torn, recover) {
+                        assert!(clean <= torn.len(), "seed {seed}");
+                        assert_eq!(recovered.as_slice(), &records[..recovered.len()]);
+                    }
+                    // ...so the payload decoder only ever sees checksummed
+                    // bytes there; hand it garbage directly.
+                    let _ = bounded("tail::decode_payload", payload, tail::decode_payload);
+                },
+            );
         }
     }
 }
