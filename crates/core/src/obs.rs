@@ -160,19 +160,6 @@ impl Histogram {
     pub fn sum(&self) -> u64 {
         self.sum.load(Ordering::Relaxed)
     }
-
-    /// Per-bucket (not cumulative) counts as `(upper_bound, count)`
-    /// pairs; the final pair's bound is `u64::MAX`, standing in for
-    /// +Inf. For consumers (`bench_replay`'s latency report) that want
-    /// the observed shape without scraping Prometheus text.
-    pub fn snapshot(&self) -> Vec<(u64, u64)> {
-        self.bounds
-            .iter()
-            .copied()
-            .chain(std::iter::once(u64::MAX))
-            .zip(self.buckets.iter().map(|b| b.load(Ordering::Relaxed)))
-            .collect()
-    }
 }
 
 // ---------------------------------------------------------------------------
@@ -311,8 +298,7 @@ fn family_of(name: &str) -> &str {
 /// Validate a Prometheus text exposition. Checks line shapes, metric
 /// name syntax, numeric sample values, balanced label braces, and that
 /// every sample's family was announced by a preceding `# TYPE` line.
-/// Used by the `promcheck` binary in `crates/bench` and the serve
-/// concurrency tests.
+/// The serve tests hold every `GET /metrics` scrape to it.
 pub fn validate_prometheus_text(text: &str) -> Result<(), String> {
     let mut typed: BTreeMap<String, String> = BTreeMap::new();
     let mut samples = 0usize;

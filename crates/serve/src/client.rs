@@ -153,8 +153,8 @@ impl Client {
     ///
     /// Retrying is safe here because shed statements never executed,
     /// and a statement whose reply was torn by a connection drop is
-    /// only resent — at-least-once, matching what `bench_replay` and
-    /// the shell already accept from manual reruns.
+    /// only resent — at-least-once, matching what the shell already
+    /// accepts from manual reruns.
     pub fn query_with_retry(
         &mut self,
         statement: &str,

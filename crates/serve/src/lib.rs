@@ -17,8 +17,8 @@
 //! through the session's shared-reference path
 //! ([`lipstick_proql::Session::run_read`]); mutating statements
 //! (`DELETE … PROPAGATE`, zooms, index maintenance, `COMPACT`)
-//! serialize through one write leader, which prepares each beside the
-//! readers — the append backend's `fsync` included — and takes the
+//! run one at a time under the writer mutex: each is prepared beside
+//! the readers — the append backend's `fsync` included — and takes the
 //! write lock only to publish it and bump the **write epoch** (see
 //! [`server`]).
 //!

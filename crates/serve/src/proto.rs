@@ -33,10 +33,10 @@
 //! bytes of a statement (or of an HTTP header line); past that it
 //! answers `ERR` naming the limit and closes the connection.
 //!
-//! `BUSY` is overload shedding, not failure: the server's bounded
-//! group-commit queue is full and the statement was **not** executed.
-//! `retry_after_ms` is the server's estimate of when a retry will find
-//! room (derived from recent batch drain time). Distinct from `ERR` so
+//! `BUSY` is overload shedding, not failure: as many writers as the
+//! server admits are already waiting, and the statement was **not**
+//! executed. `retry_after_ms` is the server's estimate of when a retry
+//! will find room (the last write's wall time per waiting writer). Distinct from `ERR` so
 //! clients can retry blindly without re-examining statement semantics.
 //!
 //! ## HTTP shim

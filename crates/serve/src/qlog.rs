@@ -2,11 +2,11 @@
 //! appended to a rotating file and mirrored in a small in-memory ring
 //! for `GET /log?n=`.
 //!
-//! The log is the capture half of capture/replay (`bench_replay` is
-//! the other half): every event carries the canonical statement key,
-//! the epoch it executed at, and an FNV-1a hash of the rendered result,
-//! so a replayer can re-run the workload against any backend and check
-//! byte-identity wherever the epoch discipline permits.
+//! The log is a trace a serial replay can check: every event carries
+//! the canonical statement key, the epoch it executed at, and an FNV-1a
+//! hash of the rendered result. [`check_history`] replays a captured
+//! log's acknowledged writes in epoch order on a reference session and
+//! holds every other event to the epoch it was stamped with.
 //!
 //! Format: one line per event, a flat JSON object —
 //!
@@ -16,8 +16,9 @@
 //!  "time_us":41,"reads":0,"epoch":2,"result_fnv":"8618312879776256743"}
 //! ```
 //!
-//! `seq` is gap-free and monotonic (assigned under the writer lock, so
-//! it survives rotation), `ts_us` counts from server start, and
+//! `seq` is gap-free and monotonic (assigned under the log's own lock
+//! as each statement finishes, so it survives rotation but does not
+//! order events by epoch), `ts_us` counts from server start, and
 //! `result_fnv` is a decimal *string* because u64 hashes overflow the
 //! 2^53 integers JSON consumers can be trusted with. Rotation is
 //! size-based: the active file moves to `<path>.<generation>` and the
@@ -25,6 +26,7 @@
 //! best-effort — a full disk must never take queries down with it.
 
 use std::collections::VecDeque;
+use std::fmt;
 use std::fs::{File, OpenOptions};
 use std::io::{BufRead, BufReader, Write};
 use std::path::{Path, PathBuf};
@@ -32,6 +34,9 @@ use std::sync::Mutex;
 use std::time::Instant;
 
 use lipstick_core::obs::{fnv1a64, json_escape};
+use lipstick_proql::ast::Statement;
+use lipstick_proql::parser::parse_statement;
+use lipstick_proql::{ProqlError, Session};
 
 /// Newest rendered events retained in memory for `GET /log?n=`.
 const RING_CAPACITY: usize = 256;
@@ -385,6 +390,131 @@ fn read_file_into(path: &Path, events: &mut Vec<QueryEvent>) {
             events.push(event);
         }
     }
+}
+
+/// The first event of a captured history that a serial replay does not
+/// reproduce.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct HistoryError {
+    pub seq: u64,
+    pub epoch: u64,
+    pub stmt: String,
+    /// What disagreed: an epoch out of order, or the two fingerprints.
+    pub problem: String,
+}
+
+impl fmt::Display for HistoryError {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        write!(
+            f,
+            "event seq={} epoch={} stmt={:?}: {}",
+            self.seq, self.epoch, self.stmt, self.problem
+        )
+    }
+}
+
+/// Check a captured history against a serial replay. `events` come as
+/// [`read_log`] returns them, in any order; `reference` holds the store
+/// as it stood just before the earliest of them.
+///
+/// A *write* is an event whose statement parses to a mutating
+/// [`Statement`] and whose outcome is `ok`. Writes must carry the
+/// epochs `b + 1, b + 2, …` with no gap or repeat, where `b` is the
+/// epoch the history starts at; they are applied to `reference` in that
+/// order. Every other event stamped `e` is checked after `e − b` writes:
+/// a read through [`Session::run_read_stmt`], a failed write through
+/// [`Session::run_stmt`] (it must fail with the same message), a parse
+/// error through the parser's message. Each check compares
+/// [`QueryEvent::fingerprint`] of the text the server would have sent.
+///
+/// Measurements are not compared: `STATS`, `EXPLAIN ANALYZE`, a read
+/// cancelled at its deadline, and `COMPACT`'s reply (its tail count
+/// depends on auto-compactions, which the log does not record; a
+/// `COMPACT` still takes its place in epoch order). `busy` events never
+/// executed and are skipped. Returns the number of events compared.
+pub fn check_history(
+    events: &[QueryEvent],
+    reference: &mut Session,
+) -> Result<usize, HistoryError> {
+    let mut writes = Vec::new();
+    let mut others = Vec::new();
+    for event in events.iter().filter(|e| e.outcome != "busy") {
+        match parse_statement(&event.stmt) {
+            Ok(stmt) if !stmt.is_read_only() && event.outcome == "ok" => writes.push((event, stmt)),
+            parsed => others.push((event, parsed)),
+        }
+    }
+    writes.sort_by_key(|(e, _)| e.epoch);
+    others.sort_by_key(|(e, _)| (e.epoch, e.seq));
+    let fail = |event: &QueryEvent, problem: String| HistoryError {
+        seq: event.seq,
+        epoch: event.epoch,
+        stmt: event.stmt.clone(),
+        problem,
+    };
+    let compare = |event: &QueryEvent, got: &str| match QueryEvent::fingerprint(got) {
+        got if got == event.result_fnv => Ok(1),
+        got => Err(fail(
+            event,
+            format!("captured fnv {}, replayed fnv {got}", event.result_fnv),
+        )),
+    };
+    let run = |reference: &mut Session, stmt: &Statement| {
+        let out = match stmt.is_read_only() {
+            true => reference.run_read_stmt(stmt),
+            false => reference.run_stmt(stmt),
+        };
+        out.map(|out| out.to_string()).map_err(|e| e.to_string())
+    };
+    let deadline = QueryEvent::fingerprint(&ProqlError::DeadlineExceeded.to_string());
+
+    let mut epoch = writes
+        .iter()
+        .map(|(e, _)| e.epoch.saturating_sub(1))
+        .chain(others.iter().map(|(e, _)| e.epoch))
+        .min()
+        .unwrap_or(0);
+    let mut others = others.into_iter().peekable();
+    let mut writes = writes.into_iter();
+    let mut checked = 0;
+    loop {
+        while let Some((event, parsed)) = others.next_if(|(e, _)| e.epoch == epoch) {
+            checked += match parsed {
+                Err(e) => compare(event, &e.to_string())?,
+                Ok(stmt) if is_measurement(&stmt) || event.result_fnv == deadline => 0,
+                Ok(stmt) => match run(reference, &stmt) {
+                    Ok(_) if !stmt.is_read_only() => {
+                        let problem = "failed in the capture, succeeded on the reference";
+                        return Err(fail(event, problem.into()));
+                    }
+                    Ok(got) | Err(got) => compare(event, &got)?,
+                },
+            };
+        }
+        let Some((event, stmt)) = writes.next() else {
+            break;
+        };
+        epoch += 1;
+        if event.epoch != epoch {
+            return Err(fail(event, format!("the next write's epoch is {epoch}")));
+        }
+        let (Ok(got) | Err(got)) = run(reference, &stmt);
+        if !matches!(stmt, Statement::Compact) {
+            checked += compare(event, &got)?;
+        }
+    }
+    match others.next() {
+        Some((event, _)) => Err(fail(event, format!("the last write's epoch is {epoch}"))),
+        None => Ok(checked),
+    }
+}
+
+/// Outputs that report timings or live state rather than data.
+fn is_measurement(stmt: &Statement) -> bool {
+    matches!(
+        stmt,
+        Statement::Stats | Statement::ExplainAnalyze(_) | Statement::Compact
+    )
 }
 
 #[cfg(test)]

@@ -8,11 +8,9 @@
 //! with its lock-free write-once fault cache, open for append or as a
 //! read-only snapshot) are `Sync`.
 //!
-//! Mutating statements **group-commit** through one leader loop, the
-//! same for every backend. Each writer enqueues its statement and
-//! contends for the *leader* mutex; the winner drains the whole queue.
-//! Holding that mutex serialises writers, so nothing changes the store
-//! between a statement's two steps:
+//! Mutating statements run one at a time under the *writer* mutex, the
+//! same for every backend. Holding it serialises writers, so nothing
+//! changes the store between a statement's two steps:
 //!
 //! 1. **prepare**, under the session's *read* side, beside running
 //!    readers: plan and validate, decide the deletion cone or zoom
@@ -49,20 +47,20 @@
 //! ## Overload and shutdown
 //!
 //! Three opt-in guards bound the damage a hostile or saturating client
-//! can do: the write queue **sheds** with `BUSY retry_after_ms=` once
-//! `write_queue_limit` mutations are already waiting (the statement is
-//! not executed — a verbatim retry is safe); reads are cancelled
-//! cooperatively at `request_deadline_us`; and a connection that stalls
-//! mid-request past `idle_timeout_us` is dropped (the slowloris
-//! guard). [`ServerHandle::shutdown`] is graceful: every statement in
-//! flight finishes, its reply reaches the wire, and the storage tail is
-//! synced before the call returns — no acked write is ever lost to a
-//! shutdown.
+//! can do: a mutation is **shed** with `BUSY retry_after_ms=` once
+//! `write_queue_limit` writers are already waiting for the writer mutex
+//! (the statement is not executed — a verbatim retry is safe); reads
+//! are cancelled cooperatively at `request_deadline_us`; and a
+//! connection that stalls mid-request past `idle_timeout_us` is dropped
+//! (the slowloris guard). [`ServerHandle::shutdown`] is graceful: every
+//! statement in flight finishes, its reply reaches the wire, and the
+//! storage tail is synced before the call returns — no acked write is
+//! ever lost to a shutdown.
 
 use std::collections::{HashMap, VecDeque};
 use std::io::{BufReader, Write};
 use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{mpsc, Arc, Mutex, RwLock, RwLockReadGuard};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
@@ -91,8 +89,9 @@ pub struct ServerConfig {
     /// land in the slow-query ring with their full trace. 0 records
     /// every traced read; `u64::MAX` effectively disables the ring.
     pub slow_threshold_us: u64,
-    /// Structured query log (JSONL capture for `bench_replay`). `None`
-    /// — the default — keeps the hot path entirely log-free.
+    /// Structured query log (JSONL capture, checkable with
+    /// [`crate::qlog::check_history`]). `None` — the default — keeps
+    /// the hot path entirely log-free.
     pub query_log: Option<QueryLogConfig>,
     /// Keep the full trace of every Nth read in the slow-query ring
     /// regardless of latency, so `GET /slow` shows a representative
@@ -100,11 +99,12 @@ pub struct ServerConfig {
     pub trace_sample_every: u64,
     /// On an append-backed session, fold the tail segment into a fresh
     /// sealed base (`COMPACT`) once this many successful mutations have
-    /// accumulated since the last compaction. The batch leader builds
-    /// the new segment under the session's read side, beside readers,
-    /// and swaps it in under a short write hold, so readers never see a
-    /// half-compacted store. 0 (the default) disables auto-compaction;
-    /// other backends ignore the knob.
+    /// accumulated since the last compaction. The writer whose success
+    /// reaches the count builds the new segment under the session's
+    /// read side, beside readers, and swaps it in under a short write
+    /// hold, so readers never see a half-compacted store. 0 (the
+    /// default) disables auto-compaction; other backends ignore the
+    /// knob.
     pub compact_every: u64,
     /// Per-request deadline for read statements, microseconds. The
     /// executor checks it cooperatively at span boundaries and cancels
@@ -112,11 +112,11 @@ pub struct ServerConfig {
     /// a deadline (a write is never abandoned half-applied). 0 (the
     /// default) disables the check.
     pub request_deadline_us: u64,
-    /// Bound on the group-commit write queue. A mutation arriving
-    /// while this many are already queued is **shed** — answered
-    /// `BUSY retry_after_ms=<hint>` without executing — instead of
-    /// piling onto a write lock it may wait on unboundedly. 0 (the
-    /// default) leaves the queue unbounded.
+    /// Bound on the writers waiting for the writer mutex. A mutation
+    /// arriving while this many are already waiting is **shed** —
+    /// answered `BUSY retry_after_ms=<hint>` without executing —
+    /// instead of piling onto a lock it may wait on unboundedly. 0 (the
+    /// default) leaves the wait unbounded.
     pub write_queue_limit: usize,
     /// Idle/read timeout per connection, microseconds: a peer that
     /// holds a connection without completing a request line for this
@@ -274,11 +274,10 @@ impl Instruments {
 /// State shared by every worker.
 struct Shared {
     session: RwLock<Session>,
-    /// Held by the write batch leader for its whole batch. Writers are
-    /// serialised by it, so the store cannot change between a
-    /// statement's prepare (under the read side) and its publish (under
-    /// the write side).
-    leader: Mutex<()>,
+    /// Held by a writer for its whole statement. Writers are serialised
+    /// by it, so the store cannot change between a statement's prepare
+    /// (under the read side) and its publish (under the write side).
+    writer: Mutex<()>,
     /// Bumped (under the session write lock) by every mutating
     /// statement that changed something; stamps cached results.
     epoch: AtomicU64,
@@ -295,10 +294,8 @@ struct Shared {
     /// Read counter driving 1-in-N full-trace sampling.
     sample_tick: AtomicU64,
     trace_sample_every: u64,
-    /// Mutations waiting for a batch leader (group commit). Writers
-    /// enqueue here, then contend for the leader mutex; whoever wins
-    /// drains the whole queue.
-    write_queue: Mutex<VecDeque<Arc<WriteSlot>>>,
+    /// Writers admitted and not yet holding the writer mutex.
+    waiting_writers: AtomicUsize,
     /// Successful mutations since the last auto-compaction.
     writes_since_compact: AtomicU64,
     /// `ServerConfig::compact_every`, or 0 when the session is not
@@ -306,33 +303,17 @@ struct Shared {
     compact_every: u64,
     /// Read deadline, microseconds; 0 disables.
     request_deadline_us: u64,
-    /// Write-queue bound; 0 leaves it unbounded.
+    /// Bound on `waiting_writers`; 0 leaves it unbounded.
     write_queue_limit: usize,
     /// Per-connection read timeout, microseconds; 0 waits forever.
     idle_timeout_us: u64,
-    /// Wall time the leader spent on the last write batch — the basis
-    /// of the `BUSY retry_after_ms` hint.
-    last_batch_us: AtomicU64,
+    /// How long the last writer held the writer mutex, microseconds —
+    /// the basis of the `BUSY retry_after_ms` hint.
+    last_write_us: AtomicU64,
     /// Live connections by client id. Graceful shutdown half-closes
     /// each one's read side so workers finish the statement in flight,
     /// deliver its reply, then see EOF and exit.
     conns: Mutex<HashMap<u64, TcpStream>>,
-}
-
-/// One queued mutation: the parsed statement going in, the leader's
-/// answer coming out. The enqueuing worker discovers the result after
-/// it acquires the leader mutex itself (by then a leader has usually
-/// filled it in).
-struct WriteSlot {
-    stmt: Statement,
-    state: Mutex<Option<SlotResult>>,
-}
-
-/// What the batch leader records per drained slot.
-struct SlotResult {
-    result: Result<CachedResult, String>,
-    reads: u64,
-    epoch: u64,
 }
 
 /// A non-success answer, typed by what the client should do with it:
@@ -617,79 +598,60 @@ impl Shared {
         }
     }
 
-    /// Group commit: enqueue the mutation, then contend for the leader
-    /// mutex. The winner becomes batch leader and executes *every*
-    /// queued mutation — its own included — one statement at a time:
-    /// prepared under the session's read side, published under its
-    /// write side, each with its own epoch bump when it changed
-    /// something. Losers acquire the mutex to find their slot already
-    /// answered.
+    /// One mutation under the writer mutex: prepared under the
+    /// session's read side, published under its write side with its own
+    /// epoch bump when it changed something, then an auto-COMPACT if it
+    /// was the success that reached `compact_every`.
     fn run_write(&self, stmt: &Statement, start: Instant) -> Outcome {
-        let slot = Arc::new(WriteSlot {
-            stmt: stmt.clone(),
-            state: Mutex::new(None),
-        });
-        {
-            // Admission and enqueue under ONE lock hold: two writers
-            // racing the last slot can't both pass a separate check.
-            let mut queue = self.write_queue.lock().unwrap_or_else(|e| e.into_inner());
-            if self.write_queue_limit > 0 && queue.len() >= self.write_queue_limit {
-                drop(queue);
-                self.instruments.shed.inc();
-                return Outcome {
-                    result: Err(ErrorReply::Busy {
-                        retry_after_ms: self.retry_after_ms(),
-                    }),
-                    cache_hit: false,
-                    epoch: self.epoch.load(Ordering::Acquire),
-                    time_us: elapsed_us(start),
-                    reads: 0,
-                };
-            }
-            queue.push_back(slot.clone());
-        }
-        let leader = self.leader.lock().unwrap_or_else(|e| e.into_inner());
-        let unanswered = slot
-            .state
-            .lock()
-            .unwrap_or_else(|e| e.into_inner())
-            .is_none();
-        if unanswered {
-            self.lead_write_batch();
-        }
-        drop(leader);
-        // The leader answers every drained slot before releasing the
-        // mutex, so an empty slot here is unreachable — but the serve
-        // path must degrade to an error reply, never panic.
-        let done = slot.state.lock().unwrap_or_else(|e| e.into_inner()).take();
-        match done {
-            Some(done) => Outcome {
-                result: done.result.map_err(ErrorReply::Message),
-                cache_hit: false,
-                epoch: done.epoch,
-                time_us: elapsed_us(start),
-                reads: done.reads,
-            },
-            None => Outcome {
-                result: Err(ErrorReply::Message(
-                    "internal error: write batch left a slot unanswered".to_string(),
-                )),
+        // Admission is one atomic step: of two writers racing the last
+        // place, the second sees the first's increment and sheds.
+        let waiting = self.waiting_writers.fetch_add(1, Ordering::AcqRel);
+        if self.write_queue_limit > 0 && waiting >= self.write_queue_limit {
+            self.waiting_writers.fetch_sub(1, Ordering::AcqRel);
+            self.instruments.shed.inc();
+            return Outcome {
+                result: Err(ErrorReply::Busy {
+                    retry_after_ms: self.retry_after_ms(waiting),
+                }),
                 cache_hit: false,
                 epoch: self.epoch.load(Ordering::Acquire),
                 time_us: elapsed_us(start),
                 reads: 0,
-            },
+            };
+        }
+        let writer = self.writer.lock().unwrap_or_else(|e| e.into_inner());
+        self.waiting_writers.fetch_sub(1, Ordering::AcqRel);
+        let held = Instant::now();
+        let (result, reads, epoch) = self.write_one(stmt);
+        if result.is_ok() {
+            self.mutations.fetch_add(1, Ordering::Relaxed);
+            self.instruments.mutations.inc();
+            self.maybe_compact();
+        }
+        self.last_write_us
+            .store(elapsed_us(held), Ordering::Relaxed);
+        drop(writer);
+        Outcome {
+            result: result
+                .map(|out| CachedResult {
+                    text: out.to_string(),
+                    json: out.to_json(),
+                })
+                .map_err(|e| ErrorReply::Message(e.to_string())),
+            cache_hit: false,
+            epoch,
+            time_us: elapsed_us(start),
+            reads,
         }
     }
 
-    /// The `BUSY` hint: roughly one recent batch drain time, so a
-    /// retry tends to land after the queue has turned over once.
-    /// Before any batch has run (or if one finished in under 1 ms)
-    /// fall back to a nominal 10 ms.
-    fn retry_after_ms(&self) -> u64 {
-        match self.last_batch_us.load(Ordering::Relaxed) / 1_000 {
+    /// The `BUSY` hint: about one turnover of the writers waiting, at
+    /// the last write's wall time each. Before any write has run, a
+    /// nominal 10 ms.
+    fn retry_after_ms(&self, waiting: usize) -> u64 {
+        match self.last_write_us.load(Ordering::Relaxed) {
             0 => 10,
-            ms => ms.clamp(1, 1_000),
+            us => (us.saturating_mul(waiting as u64) / 1_000).clamp(1, 1_000),
         }
     }
 
@@ -712,46 +674,6 @@ impl Shared {
             .write_lock_wait_us
             .observe(micros(held.duration_since(asked)));
         out
-    }
-
-    /// Drain the write queue as batch leader. Caller holds the leader
-    /// mutex; our own slot is somewhere in the queue.
-    fn lead_write_batch(&self) {
-        let batch_start = Instant::now();
-        let batch: Vec<Arc<WriteSlot>> = self
-            .write_queue
-            .lock()
-            .unwrap_or_else(|e| e.into_inner())
-            .drain(..)
-            .collect();
-        let mut successes = 0u64;
-        for slot in &batch {
-            let (result, reads, epoch) = self.write_one(&slot.stmt);
-            if result.is_ok() {
-                successes += 1;
-                self.mutations.fetch_add(1, Ordering::Relaxed);
-                self.instruments.mutations.inc();
-            }
-            // Rendered with no session guard held.
-            let answer = SlotResult {
-                result: result
-                    .map(|out| CachedResult {
-                        text: out.to_string(),
-                        json: out.to_json(),
-                    })
-                    .map_err(|e| e.to_string()),
-                reads,
-                epoch,
-            };
-            *slot.state.lock().unwrap_or_else(|e| e.into_inner()) = Some(answer);
-        }
-        self.maybe_compact(successes);
-        // Feeds the BUSY retry_after_ms hint; only whole batches count
-        // (an empty drain would just make the hint optimistic).
-        if !batch.is_empty() {
-            self.last_batch_us
-                .store(elapsed_us(batch_start), Ordering::Relaxed);
-        }
     }
 
     /// One mutating statement: prepare under the read side (where the
@@ -790,21 +712,18 @@ impl Shared {
 
     /// Auto-compaction: once `compact_every` successful mutations have
     /// accumulated on an append-backed session, fold the tail into a
-    /// fresh sealed base. The leader prepares the image under the read
+    /// fresh sealed base. The writer prepares the image under the read
     /// side — readers keep running through the splice, temp write,
     /// sync and validating reopen — and installs it under the write
     /// side. Compaction preserves ids and visibility, so neither the
     /// reach index nor the result cache is invalidated (no epoch bump).
     /// A refusal — e.g. modules are zoomed out — just leaves the
-    /// counter armed for the next batch.
-    fn maybe_compact(&self, successes: u64) {
-        if self.compact_every == 0 || successes == 0 {
+    /// counter armed for the next success.
+    fn maybe_compact(&self) {
+        if self.compact_every == 0 {
             return;
         }
-        let since = self
-            .writes_since_compact
-            .fetch_add(successes, Ordering::Relaxed)
-            + successes;
+        let since = self.writes_since_compact.fetch_add(1, Ordering::Relaxed) + 1;
         if since < self.compact_every {
             return;
         }
@@ -877,7 +796,7 @@ impl Server {
         Server {
             shared: Arc::new(Shared {
                 session: RwLock::new(session),
-                leader: Mutex::new(()),
+                writer: Mutex::new(()),
                 epoch: AtomicU64::new(0),
                 cache: QueryCache::new(config.cache_capacity),
                 queries: AtomicU64::new(0),
@@ -889,13 +808,13 @@ impl Server {
                 clients: AtomicU64::new(0),
                 sample_tick: AtomicU64::new(0),
                 trace_sample_every: config.trace_sample_every,
-                write_queue: Mutex::new(VecDeque::new()),
+                waiting_writers: AtomicUsize::new(0),
                 writes_since_compact: AtomicU64::new(0),
                 compact_every,
                 request_deadline_us: config.request_deadline_us,
                 write_queue_limit: config.write_queue_limit,
                 idle_timeout_us: config.idle_timeout_us,
-                last_batch_us: AtomicU64::new(0),
+                last_write_us: AtomicU64::new(0),
                 conns: Mutex::new(HashMap::new()),
             }),
             config,
@@ -1002,9 +921,10 @@ impl ServerHandle {
     /// loop, half-close each live connection's **read** side (the
     /// worker finishes the statement it is on, writes the reply on the
     /// still-open write side, then reads EOF and exits), join the
-    /// workers, take the write leader's mutex and lead any write slots
-    /// left in the queue, and fsync the session's append tail. By return, every acked write is durable:
-    /// a restart on the same files recovers all of them.
+    /// workers, take the writer mutex to wait out any write in flight,
+    /// and fsync the session's append tail. By return, every acked
+    /// write is durable: a restart on the same files recovers all of
+    /// them.
     pub fn shutdown(mut self) {
         let start = Instant::now();
         self.shutdown.store(true, Ordering::Release);
@@ -1022,21 +942,8 @@ impl ServerHandle {
         for worker in self.workers.drain(..) {
             let _ = worker.join();
         }
-        // Workers answer their own slots before exiting, so the queue
-        // is normally empty here — but a worker that died on a write
-        // error must not strand a queued statement unanswered forever.
-        // Taking the leader mutex first waits out any batch in flight.
         {
-            let _leader = self.shared.leader.lock().unwrap_or_else(|e| e.into_inner());
-            let leftovers = !self
-                .shared
-                .write_queue
-                .lock()
-                .unwrap_or_else(|e| e.into_inner())
-                .is_empty();
-            if leftovers {
-                self.shared.lead_write_batch();
-            }
+            let _writer = self.shared.writer.lock().unwrap_or_else(|e| e.into_inner());
             // Commits already fsync individually; this is a final
             // belt-and-braces sync of the tail (a no-op when clean).
             let _ = self.shared.read_session().sync_storage();

@@ -590,6 +590,8 @@ fn reach_index_survives_mutations_behind_the_cache() {
 /// Six clients hammer queries and scrape `GET /metrics` while a writer
 /// mutates mid-run: every scrape must be valid Prometheus text, and the
 /// serve counters must read monotonically within each scraping thread.
+/// A last scrape, after a COMPACT, carries the memory gauges, the
+/// overload counters and the write-lock and COMPACT-phase histograms.
 #[test]
 fn metrics_endpoint_stays_valid_and_monotonic_under_concurrent_load() {
     use lipstick_core::obs::{parse_plain_samples, validate_prometheus_text};
@@ -653,14 +655,45 @@ fn metrics_endpoint_stays_valid_and_monotonic_under_concurrent_load() {
         });
     });
     // The DELETE published under the write guard: the writer's wait for
-    // it is observed beside the hold.
-    let (_, text) = lipstick_serve::client::http_get(addr, "/metrics").unwrap();
+    // it is observed beside the hold. A COMPACT folds its tail, so the
+    // compaction phases are on the scrape too.
+    let compacted = Client::connect(addr).unwrap().query("COMPACT").unwrap();
+    assert!(compacted.is_ok(), "{compacted:?}");
+    let (status, text) = lipstick_serve::client::http_get(addr, "/metrics").unwrap();
+    assert_eq!(status, "HTTP/1.1 200 OK");
+    validate_prometheus_text(&text).unwrap_or_else(|e| panic!("invalid exposition: {e}\n{text}"));
     let samples = parse_plain_samples(&text);
     for key in [
         "lipstick_serve_write_lock_wait_us_count",
         "lipstick_serve_write_lock_hold_us_count",
     ] {
         assert!(samples.get(key).is_some_and(|&n| n >= 1.0), "{key}\n{text}");
+    }
+    // The series an operator's dashboard reads. A histogram has no
+    // sample under its bare name; its `_count` series stands in.
+    for name in [
+        "lipstick_core_graph_heap_bytes",
+        "lipstick_core_reach_heap_bytes",
+        "lipstick_storage_paged_log_heap_bytes",
+        "lipstick_storage_fault_cache_heap_bytes",
+        "lipstick_serve_cache_heap_bytes",
+        "lipstick_serve_cache_bytes",
+        "lipstick_serve_cache_evictions_total",
+        "lipstick_storage_io_errors_total",
+        "lipstick_serve_shed_total",
+        "lipstick_serve_deadline_exceeded_total",
+        "lipstick_serve_shutdown_drain_us",
+        "lipstick_serve_write_lock_hold_us",
+        "lipstick_serve_write_lock_wait_us",
+        "lipstick_storage_compact_splice_us",
+        "lipstick_storage_compact_write_us",
+        "lipstick_storage_compact_reopen_us",
+        "lipstick_storage_compact_install_us",
+    ] {
+        assert!(
+            samples.contains_key(name) || samples.contains_key(&format!("{name}_count")),
+            "{name} missing from the scrape\n{text}"
+        );
     }
     handle.shutdown();
 }
@@ -699,8 +732,8 @@ fn auto_compact_phases_are_exported_on_metrics() {
             .unwrap();
         assert!(reply.is_ok(), "{reply:?}");
     }
-    // The reply goes out before the writer compacts: wait for the tail
-    // to fold away and the install after its unlink to be observed.
+    // The second DELETE's writer compacts before it replies; poll anyway
+    // until the tail is gone and every phase, install included, grew.
     let grew = |after: &std::collections::BTreeMap<String, f64>, key: &str| {
         let was = before.get(key).copied().unwrap_or(0.0);
         after.get(key).is_some_and(|&now| now >= 1.0 && now > was)
@@ -933,18 +966,18 @@ fn base_victims(n: usize) -> Vec<lipstick_core::NodeId> {
         .collect()
 }
 
-/// The append-backend acceptance test: concurrent writers group-commit
-/// durable tail records while readers stream queries and
+/// The append-backend acceptance test: concurrent writers commit
+/// durable tail records one at a time while readers stream queries and
 /// a `COMPACT` is forced mid-run. Three invariants:
 ///
 /// 1. **no lost writes** — every victim reads back as deleted,
 /// 2. **payload matches reported epoch** — across every reader, two
 ///    replies stamped with the same epoch carry identical bodies (the
-///    epoch names one graph version, batched or not), and
+///    epoch names one graph version), and
 /// 3. **compaction is invisible** — the post-compaction answer equals
 ///    the pre-compaction answer byte for byte.
 #[test]
-fn append_server_group_commits_concurrent_writers_across_compact() {
+fn append_server_commits_concurrent_writers_across_compact() {
     // 4 writers + 3 readers + 1 compactor pin persistent connections;
     // the pool must exceed that or latecomers starve.
     let handle = serve_append("append-race.lpstk", 12, 0);
@@ -994,7 +1027,7 @@ fn append_server_group_commits_concurrent_writers_across_compact() {
     });
 
     // One epoch, one answer — a cached result served across a bump (or
-    // a half-applied batch leaking out) would violate this.
+    // a half-applied write leaking out) would violate this.
     let mut by_epoch: HashMap<u64, &String> = HashMap::new();
     for (epoch, body) in &observed {
         match by_epoch.get(epoch) {
@@ -1030,7 +1063,7 @@ fn append_server_group_commits_concurrent_writers_across_compact() {
     handle.shutdown();
 }
 
-/// `ServerConfig::compact_every`: the batch leader folds the tail into
+/// `ServerConfig::compact_every`: the writer folds the tail into
 /// a fresh sealed segment after N successful mutations, so a manual
 /// `COMPACT` right after finds nothing left.
 #[test]
@@ -1358,13 +1391,31 @@ fn readers_are_answered_while_a_writer_syncs() {
 
 /// Serial replay of a concurrent history across auto-COMPACT: two
 /// writers and two readers on one append-backed server folding its
-/// tail every third success. Acked write epochs are gap-free (one bump
-/// per statement), and every read equals what a resident session
-/// answers after replaying the acked writes up to the epoch stamped on
-/// the read.
+/// tail every third success, with the query log on. The captured
+/// history passes `check_history` against an append session on a copy
+/// of the starting base: acked write epochs are gap-free, and every
+/// read equals what the reference answers at the epoch stamped on it.
 #[test]
 fn concurrent_history_replays_serially_across_auto_compact() {
-    let handle = serve_append("history.lpstk", 6, 3);
+    use lipstick_serve::qlog::{check_history, read_log, QueryLogConfig};
+
+    let mut reference = Session::open_append(temp_log("history-ref.lpstk")).unwrap();
+    let qlog = std::env::temp_dir()
+        .join("lipstick-serve-tests")
+        .join("history.jsonl");
+    let _ = std::fs::remove_file(&qlog);
+    let handle = Server::new(
+        Session::open_append(temp_log("history.lpstk")).unwrap(),
+        ServerConfig {
+            workers: 6,
+            cache_capacity: 64,
+            compact_every: 3,
+            query_log: Some(QueryLogConfig::new(&qlog)),
+            ..ServerConfig::default()
+        },
+    )
+    .serve("127.0.0.1:0")
+    .unwrap();
     let addr = handle.addr();
     let victims = base_victims(8);
     let stmts = [
@@ -1373,78 +1424,29 @@ fn concurrent_history_replays_serially_across_auto_compact() {
         "MATCH nodes GROUP BY kind ORDER BY count DESC",
     ];
 
-    let (writes, reads) = std::thread::scope(|scope| {
-        let readers: Vec<_> = (0..2)
-            .map(|_| {
-                scope.spawn(move || {
-                    let mut client = Client::connect(addr).unwrap();
-                    let mut seen = Vec::new();
-                    for _ in 0..25 {
-                        for stmt in stmts {
-                            let Reply::Ok { epoch, body, .. } = client.query(stmt).unwrap() else {
-                                panic!("read of {stmt} failed");
-                            };
-                            seen.push((epoch, stmt, body));
-                        }
-                    }
-                    seen
-                })
-            })
-            .collect();
-        let writers: Vec<_> = victims
-            .chunks(4)
-            .map(|mine| {
-                scope.spawn(move || {
-                    let mut client = Client::connect(addr).unwrap();
-                    let mut acked = Vec::new();
-                    for victim in mine {
-                        let stmt = format!("DELETE #{} PROPAGATE", victim.0);
-                        let reply = client.query(&stmt).unwrap();
+    std::thread::scope(|scope| {
+        for _ in 0..2 {
+            scope.spawn(move || {
+                let mut client = Client::connect(addr).unwrap();
+                for _ in 0..25 {
+                    for stmt in stmts {
+                        let reply = client.query(stmt).unwrap();
                         assert!(reply.is_ok(), "{stmt}: {reply:?}");
-                        acked.push((reply.epoch().unwrap(), stmt, reply.body().to_string()));
                     }
-                    acked
-                })
-            })
-            .collect();
-        let writes: Vec<(u64, String, String)> = writers
-            .into_iter()
-            .flat_map(|w| w.join().unwrap())
-            .collect();
-        let reads: Vec<(u64, &str, String)> = readers
-            .into_iter()
-            .flat_map(|r| r.join().unwrap())
-            .collect();
-        (writes, reads)
+                }
+            });
+        }
+        for mine in victims.chunks(4) {
+            scope.spawn(move || {
+                let mut client = Client::connect(addr).unwrap();
+                for victim in mine {
+                    let stmt = format!("DELETE #{} PROPAGATE", victim.0);
+                    let reply = client.query(&stmt).unwrap();
+                    assert!(reply.is_ok(), "{stmt}: {reply:?}");
+                }
+            });
+        }
     });
-
-    let mut writes = writes;
-    writes.sort_by_key(|(epoch, ..)| *epoch);
-    let epochs: Vec<u64> = writes.iter().map(|(epoch, ..)| *epoch).collect();
-    assert_eq!(
-        epochs,
-        (1..=8).collect::<Vec<u64>>(),
-        "acked epochs are gap-free"
-    );
-
-    let mut reference = Session::new(dealers_graph());
-    let answers = |reference: &Session| -> HashMap<&str, String> {
-        let answer = |s: &str| strip_visited(&reference.run_read(s).unwrap().to_string());
-        stmts.iter().map(|&s| (s, answer(s))).collect()
-    };
-    let mut at_epoch = vec![answers(&reference)];
-    for (epoch, stmt, body) in &writes {
-        let expected = reference.run_one(stmt).unwrap().to_string();
-        assert_eq!(&expected, body, "epoch {epoch}: {stmt}");
-        at_epoch.push(answers(&reference));
-    }
-    for (epoch, stmt, body) in &reads {
-        assert_eq!(
-            strip_visited(body),
-            at_epoch[*epoch as usize][stmt],
-            "{stmt} at epoch {epoch}"
-        );
-    }
 
     // Auto-compaction folded at least one batch of the tail.
     let mut client = Client::connect(addr).unwrap();
@@ -1456,4 +1458,10 @@ fn concurrent_history_replays_serially_across_auto_compact() {
     assert!(left < 8, "auto-COMPACT never ran: {folded:?}");
     drop(client);
     handle.shutdown();
+
+    let events = read_log(&qlog);
+    assert_eq!(events.len(), 2 * 25 * 3 + 8 + 1);
+    let checked = check_history(&events, &mut reference).unwrap_or_else(|e| panic!("{e}"));
+    // Everything but the COMPACT, whose reply is a measurement.
+    assert_eq!(checked, events.len() - 1);
 }

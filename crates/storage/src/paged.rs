@@ -149,9 +149,12 @@ impl PagedLog {
         }
         let node_count = header.node_count;
         let index = LogIndex::parse(&data, node_count)?;
-        if node_count > 0 && index.record_range(NodeId(0)).start < header.records_start {
+        // Records lie back to back from the header's end, as
+        // `decode_graph` walks them; a gap before record 0 would make the
+        // two decoders read different bytes as one record.
+        if index.records_offset() != header.records_start {
             return Err(StorageError::Corrupt(
-                "first record offset points into the header".into(),
+                "first record offset does not follow the header".into(),
             ));
         }
         // The invocation table is small; decode it eagerly so module
@@ -298,14 +301,23 @@ impl PagedLog {
     }
 
     /// Decode record `id` and install it. A failed decode installs
-    /// nothing, so the same error comes back on every attempt.
+    /// nothing, so the same error comes back on every attempt. The
+    /// record must fill its footer range: a byte left over would start
+    /// the next record elsewhere for `decode_graph`.
     #[cold]
     fn fault(&self, id: NodeId) -> Result<&Record> {
         let bytes = self
             .data
             .get(self.index.record_range(id))
             .ok_or_else(|| StorageError::Corrupt(format!("record {id} out of file bounds")))?;
-        let record = get_record(&mut Reader::new(bytes))?;
+        let mut reader = Reader::new(bytes);
+        let record = get_record(&mut reader)?;
+        if reader.remaining() > 0 {
+            return Err(StorageError::Corrupt(format!(
+                "{} trailing bytes inside record {id}",
+                reader.remaining()
+            )));
+        }
         check_refs(
             id,
             &record.kind,
@@ -489,6 +501,64 @@ mod tests {
             succs.sort();
             assert_eq!(*paged.succs_of(id), *succs);
         }
+    }
+
+    /// `sample()`'s v2 log with one byte inserted at `at`, either
+    /// before record 0 (`None`) or after record `Some(k)`; the footer's
+    /// first record offset or record `k`'s length grows to cover it.
+    /// Every record still decodes from its footer range.
+    fn with_gap(at: Option<usize>) -> Vec<u8> {
+        let bytes = encode_graph_v2(&sample()).unwrap();
+        let trailer = bytes.len() - crate::footer::TRAILER_LEN;
+        let footer_len = u64::from_le_bytes(bytes[trailer..trailer + 8].try_into().unwrap());
+        let footer = trailer - footer_len as usize;
+        let mut r = Reader::new(&bytes[footer..trailer]);
+        let node_count = r.var_u64().unwrap();
+        let mut first = r.var_u64().unwrap() as usize;
+        let mut lens: Vec<u64> = (0..node_count).map(|_| r.var_u64().unwrap()).collect();
+        let rest = r.bytes(r.remaining()).unwrap();
+        let gap = match at {
+            None => {
+                first += 1;
+                first - 1
+            }
+            Some(k) => {
+                lens[k] += 1;
+                first + lens[..=k].iter().sum::<u64>() as usize - 1
+            }
+        };
+        let mut out = bytes[..gap].to_vec();
+        out.push(0);
+        out.extend_from_slice(&bytes[gap..footer]);
+        let mut payload = Vec::new();
+        crate::varint::put_u64(&mut payload, node_count);
+        crate::varint::put_u64(&mut payload, first as u64);
+        for len in lens {
+            crate::varint::put_u64(&mut payload, len);
+        }
+        payload.extend_from_slice(rest);
+        out.extend_from_slice(&payload);
+        out.extend_from_slice(&(payload.len() as u64).to_le_bytes());
+        out.extend_from_slice(&bytes[trailer + 8..]);
+        out
+    }
+
+    #[test]
+    fn a_gap_before_record_zero_is_refused() {
+        let err = PagedLog::from_bytes(with_gap(None)).err().unwrap();
+        assert!(
+            err.to_string().contains("does not follow the header"),
+            "{err}"
+        );
+    }
+
+    #[test]
+    fn a_record_that_leaves_bytes_in_its_range_is_refused() {
+        let paged = PagedLog::from_bytes(with_gap(Some(2))).unwrap();
+        paged.record(NodeId(1)).unwrap();
+        paged.record(NodeId(3)).unwrap();
+        let err = paged.verify_all().unwrap_err();
+        assert!(err.to_string().contains("inside record N2"), "{err}");
     }
 
     #[test]

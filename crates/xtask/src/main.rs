@@ -1,7 +1,14 @@
 //! Repo automation, invoked as `cargo run -p xtask -- <command>`.
 //!
-//! The only command today is `lint`: a zero-dependency source checker
-//! enforcing invariants clippy has no lint for —
+//! `lines [--base DIR]` prints, per crate, the non-blank, non-comment
+//! lines of `crates/*/src` and `src/`: code in one column, `#[cfg(test)]`
+//! items (wherever they sit, and the files of out-of-line test modules)
+//! in another. With `--base`, the same counts for a second checkout
+//! (say, a worktree of the merge base) and the deltas. It reports; it
+//! never fails on a count.
+//!
+//! `lint` is a zero-dependency source checker enforcing invariants
+//! clippy has no lint for —
 //!
 //! 1. **Panic-free serve paths.** No `.unwrap()`, `.expect(…)`, or
 //!    `panic!(…)` in `crates/serve/src/**` outside `#[cfg(test)]`
@@ -61,6 +68,7 @@
 //! CI runs `cargo run -p xtask -- lint`; exit status 1 means
 //! violations were printed, one per line, as `path:line: message`.
 
+use std::collections::BTreeMap;
 use std::path::{Path, PathBuf};
 use std::process::ExitCode;
 
@@ -71,11 +79,13 @@ struct Violation {
     message: String,
 }
 
-/// Replace comment bodies, string contents, and char literals with
-/// spaces, preserving line structure so reported line numbers match the
+/// Replace comment bodies and char literals with spaces, and each
+/// character of a string literal with `fill` (the lints pass a space;
+/// `lines` a letter, so a line inside a multi-line string is not
+/// blank), preserving line structure so reported line numbers match the
 /// original file. Handles nested `/* */`, raw strings (`r"…"`,
 /// `r#"…"#`), escapes, and tells lifetimes (`'a`) from char literals.
-fn strip_comments_and_strings(src: &str) -> String {
+fn strip_comments_and_strings(src: &str, fill: char) -> String {
     let bytes: Vec<char> = src.chars().collect();
     let mut out = String::with_capacity(src.len());
     let mut i = 0;
@@ -122,7 +132,7 @@ fn strip_comments_and_strings(src: &str) -> String {
                     continue;
                 }
                 for _ in i..=j {
-                    out.push(' ');
+                    out.push(fill);
                 }
                 i = j + 1;
                 'raw: while i < bytes.len() {
@@ -133,31 +143,32 @@ fn strip_comments_and_strings(src: &str) -> String {
                         }
                         if k == hashes {
                             for _ in 0..=hashes {
-                                out.push(' ');
+                                out.push(fill);
                             }
                             i += 1 + hashes;
                             break 'raw;
                         }
                     }
-                    out.push(if bytes[i] == '\n' { '\n' } else { ' ' });
+                    out.push(if bytes[i] == '\n' { '\n' } else { fill });
                     i += 1;
                 }
             }
             '"' => {
-                out.push(' ');
+                out.push(fill);
                 i += 1;
                 while i < bytes.len() {
                     if bytes[i] == '\\' {
-                        out.push_str("  ");
+                        out.push(fill);
+                        out.push(fill);
                         i += 2;
                         continue;
                     }
                     if bytes[i] == '"' {
-                        out.push(' ');
+                        out.push(fill);
                         i += 1;
                         break;
                     }
-                    out.push(if bytes[i] == '\n' { '\n' } else { ' ' });
+                    out.push(if bytes[i] == '\n' { '\n' } else { fill });
                     i += 1;
                 }
             }
@@ -204,7 +215,7 @@ fn is_ident_char(c: char) -> bool {
 /// names the protected path and the right alternative in the printed
 /// message, so serve and core::obs report in their own terms.
 fn check_no_panics(src: &str, context: &str) -> Vec<Violation> {
-    let stripped = strip_comments_and_strings(src);
+    let stripped = strip_comments_and_strings(src, ' ');
     let mut out = Vec::new();
     for (n, line) in stripped.lines().enumerate() {
         if line.contains("#[cfg(test)]") {
@@ -293,7 +304,7 @@ const DECODER_FILES: &[&str] = &[
 
 /// The codec rule: no bare `as` numeric casts.
 fn check_no_numeric_casts(src: &str) -> Vec<Violation> {
-    let stripped = strip_comments_and_strings(src);
+    let stripped = strip_comments_and_strings(src, ' ');
     let mut out = Vec::new();
     for (n, line) in stripped.lines().enumerate() {
         if line.contains("#[cfg(test)]") {
@@ -323,7 +334,7 @@ fn check_no_numeric_casts(src: &str) -> Vec<Violation> {
 /// the `StorageIo` passthrough module. One violation per line (a single
 /// `std::fs::File::open` would otherwise report three times).
 fn check_no_direct_fs(src: &str) -> Vec<Violation> {
-    let stripped = strip_comments_and_strings(src);
+    let stripped = strip_comments_and_strings(src, ' ');
     let mut out = Vec::new();
     for (n, line) in stripped.lines().enumerate() {
         if line.contains("#[cfg(test)]") {
@@ -495,6 +506,167 @@ fn run_lint(root: &Path) -> std::io::Result<Vec<String>> {
     Ok(findings)
 }
 
+/// Non-blank, non-comment lines: code, and `#[cfg(test)]` items.
+#[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
+struct Lines {
+    code: usize,
+    test: usize,
+}
+
+impl std::ops::Add for Lines {
+    type Output = Lines;
+    fn add(self, other: Lines) -> Lines {
+        Lines {
+            code: self.code + other.code,
+            test: self.test + other.test,
+        }
+    }
+}
+
+/// Count one file's lines. Also returns the names of the out-of-line
+/// modules it declares under `#[cfg(test)]` (`mod tests;`), whose files
+/// are test code too.
+fn count_lines(src: &str) -> (Lines, Vec<String>) {
+    let text = strip_comments_and_strings(src, 'x');
+    let mut test = vec![text.contains("#![cfg(test)]"); text.lines().count()];
+    let line_of = |at: usize| text[..at].matches('\n').count();
+    let mut modules = Vec::new();
+    for (at, attr) in text.match_indices("#[cfg(test)]") {
+        let item = &text[at + attr.len()..];
+        let item = &item[..item_len(item)];
+        let last = line_of(at + attr.len() + item.len().saturating_sub(1));
+        for flag in test.iter_mut().take(last + 1).skip(line_of(at)) {
+            *flag = true;
+        }
+        let item = item.trim();
+        if let Some((_, name)) = item.strip_suffix(';').and_then(|i| i.rsplit_once("mod ")) {
+            if !item.contains("#[path") {
+                modules.push(name.trim().to_string());
+            }
+        }
+    }
+    let mut lines = Lines::default();
+    for (line, is_test) in text.lines().zip(test) {
+        if line.trim().is_empty() {
+            continue;
+        }
+        if is_test {
+            lines.test += 1;
+        } else {
+            lines.code += 1;
+        }
+    }
+    (lines, modules)
+}
+
+/// Bytes of `item` up to and including the `;` or the matching `}` that
+/// ends it; brackets and parentheses (an attribute's, a signature's)
+/// are skipped over.
+fn item_len(item: &str) -> usize {
+    let (mut nesting, mut braces) = (0i32, 0i32);
+    for (i, c) in item.char_indices() {
+        match c {
+            '(' | '[' => nesting += 1,
+            ')' | ']' => nesting -= 1,
+            '{' => braces += 1,
+            '}' => {
+                braces -= 1;
+                if braces == 0 {
+                    return i + 1;
+                }
+            }
+            ';' if nesting == 0 && braces == 0 => return i + 1,
+            _ => {}
+        }
+    }
+    item.len()
+}
+
+/// Line counts of every crate under `root`: `crates/*/src` by crate
+/// directory name, and the root package's `src/` as `(root)`.
+fn count_crates(root: &Path) -> std::io::Result<BTreeMap<String, Lines>> {
+    let mut dirs = vec![("(root)".to_string(), root.join("src"))];
+    for entry in std::fs::read_dir(root.join("crates"))? {
+        let dir = entry?.path();
+        if dir.join("src").is_dir() {
+            let name = dir.file_name().map(|n| n.to_string_lossy().into_owned());
+            dirs.push((name.unwrap_or_default(), dir.join("src")));
+        }
+    }
+    let mut out = BTreeMap::new();
+    for (name, src) in dirs {
+        let mut counted = Vec::new();
+        let mut test_files = Vec::new();
+        for path in rust_files(&src, &[])? {
+            let (lines, modules) = count_lines(&std::fs::read_to_string(&path)?);
+            let stem = path.file_stem().map(|s| s.to_string_lossy().into_owned());
+            let dir = match path.parent() {
+                Some(parent) if matches!(stem.as_deref(), Some("lib" | "main" | "mod")) => {
+                    parent.to_path_buf()
+                }
+                Some(parent) => parent.join(stem.unwrap_or_default()),
+                None => PathBuf::new(),
+            };
+            for module in modules {
+                test_files.push(dir.join(format!("{module}.rs")));
+                test_files.push(dir.join(module).join("mod.rs"));
+            }
+            counted.push((path, lines));
+        }
+        let total = out.entry(name).or_insert_with(Lines::default);
+        for (path, lines) in counted {
+            *total = *total
+                + match test_files.contains(&path) {
+                    true => Lines {
+                        code: 0,
+                        test: lines.code + lines.test,
+                    },
+                    false => lines,
+                };
+        }
+    }
+    Ok(out)
+}
+
+/// The `lines` table: per crate and in total, with the change against
+/// `base` when given.
+fn render_lines(now: &BTreeMap<String, Lines>, base: Option<&BTreeMap<String, Lines>>) -> String {
+    let mut names: Vec<&str> = now
+        .keys()
+        .chain(base.iter().flat_map(|b| b.keys()))
+        .map(String::as_str)
+        .collect();
+    names.sort();
+    names.dedup();
+    let get = |map: Option<&BTreeMap<String, Lines>>, name: &str| {
+        map.and_then(|m| m.get(name)).copied().unwrap_or_default()
+    };
+    let sum = |map| {
+        names
+            .iter()
+            .fold(Lines::default(), |sum, name| sum + get(map, name))
+    };
+    let rows = names
+        .iter()
+        .map(|&name| (name, get(Some(now), name), get(base, name)));
+    let mut out = format!("{:<14} {:>7} {:>7}", "crate", "code", "test");
+    if base.is_some() {
+        out.push_str(&format!(" {:>7} {:>7}", "Δcode", "Δtest"));
+    }
+    for (name, lines, was) in rows.chain([("total", sum(Some(now)), sum(base))]) {
+        out.push_str(&format!("\n{name:<14} {:>7} {:>7}", lines.code, lines.test));
+        if base.is_some() {
+            let delta = |now: usize, was: usize| now as i64 - was as i64;
+            out.push_str(&format!(
+                " {:>+7} {:>+7}",
+                delta(lines.code, was.code),
+                delta(lines.test, was.test)
+            ));
+        }
+    }
+    out + "\n"
+}
+
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
     match args.first().map(String::as_str) {
@@ -515,8 +687,31 @@ fn main() -> ExitCode {
                 ExitCode::from(2)
             }
         },
+        Some("lines") => {
+            let base = match &args[1..] {
+                [] => None,
+                [flag, dir] if flag == "--base" => Some(Path::new(dir)),
+                _ => {
+                    eprintln!("usage: cargo run -p xtask -- lines [--base DIR]");
+                    return ExitCode::from(2);
+                }
+            };
+            match (
+                count_crates(&workspace_root()),
+                base.map(count_crates).transpose(),
+            ) {
+                (Ok(now), Ok(was)) => {
+                    print!("{}", render_lines(&now, was.as_ref()));
+                    ExitCode::SUCCESS
+                }
+                (Err(e), _) | (_, Err(e)) => {
+                    eprintln!("xtask lines: cannot read sources: {e}");
+                    ExitCode::from(2)
+                }
+            }
+        }
         _ => {
-            eprintln!("usage: cargo run -p xtask -- lint");
+            eprintln!("usage: cargo run -p xtask -- lint | lines [--base DIR]");
             ExitCode::from(2)
         }
     }
@@ -630,7 +825,7 @@ mod tests {
     fn raw_strings_and_lifetimes_survive_stripping() {
         let src = "fn f<'a>(x: &'a str) -> &'a str { x }\nlet r = r#\"panic!(\"in raw\")\"#;\n";
         assert_eq!(check_no_panics(src, SERVE_CONTEXT), Vec::new());
-        let stripped = strip_comments_and_strings(src);
+        let stripped = strip_comments_and_strings(src, ' ');
         assert!(stripped.contains("fn f<'a>"));
         assert!(!stripped.contains("in raw"));
     }
@@ -754,6 +949,27 @@ mod tests {
             .expect("crates readable");
         assert!(!scanned.contains(&rand_dir.join("src/lib.rs")));
         assert!(scanned.contains(&root.join("crates/storage/tests/common/mod.rs")));
+    }
+
+    /// A fixture's count is pinned: comments and blanks are not lines, a
+    /// line inside a multi-line string is code, and `#[cfg(test)]` items
+    /// anywhere in the file — a function, a module with a `}` in a
+    /// string, an out-of-line module — are test lines, with code after
+    /// them counted again.
+    #[test]
+    fn a_fixture_counts_its_code_and_test_lines() {
+        let fixture = "//! A crate doc.\n\nuse std::fmt; // trailing\n/* a block\n   comment */\n\
+                       fn f() -> &'static str {\n    \"multi\n line\"\n}\n#[cfg(test)]\n\
+                       fn helper() {}\n#[cfg(test)]\nmod tests {\n    #[test]\n    \
+                       fn t() { let s = \"}\"; }\n}\npub fn after() {}\n#[cfg(test)]\n\
+                       mod oracle;\n";
+        let (lines, modules) = count_lines(fixture);
+        assert_eq!(lines, Lines { code: 6, test: 9 });
+        assert_eq!(modules, ["oracle"]);
+        assert_eq!(
+            count_lines("#![cfg(test)]\nfn t() {}\n").0,
+            Lines { code: 0, test: 2 }
+        );
     }
 
     /// The real repo must currently be clean — this is the same check

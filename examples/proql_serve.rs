@@ -18,8 +18,8 @@
 //! ```
 //!
 //! `--query-log PATH` captures every executed statement as structured
-//! JSONL (servable live via `GET /log?n=`, replayable with
-//! `bench_replay`).
+//! JSONL (servable live via `GET /log?n=`, and checkable against a
+//! serial replay with `lipstick_serve::qlog::check_history`).
 //!
 //! Overload guards (all off by default): `--request-deadline-us N`
 //! cancels reads cooperatively after N µs, `--write-queue-limit N`
